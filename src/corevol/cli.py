@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from .pleated import (
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
+    default_eps_grid,
     expansion_fit,
     profile_closed,
     profile_quadrature,
@@ -47,29 +47,15 @@ from .surface import SurfaceTopologyError, surface_invariants
 
 DISCREPANCY_THRESHOLD = 1e-4
 
+CONVENTIONS = {
+    "paper": (Convention.PAPER,),
+    "derived": (Convention.DERIVED,),
+    "both": (Convention.PAPER, Convention.DERIVED),
+}
+
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class Config:
-    mode: str
-    name: str = "group"
-    circles: list = field(default_factory=list)
-    pairings: list = field(default_factory=list)
-    generators: list = field(default_factory=list)
-    core_volume: float = 0.0
-    leaves: list = field(default_factory=list)
-    boundary_area: float | None = None
-    boundary_genus: int | None = None
-    mesh: dict | None = None
-    field_spec: dict | None = None
-    eps_min: float = 1e-3
-    eps_max: float = 0.3
-    eps_count: int = 12
-    quadrature_tol: float = 1e-9
-    convention: str = "both"
 
 
 def _need(raw: dict, key: str, where: str):
@@ -81,162 +67,146 @@ def _need(raw: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
-def parse_config(raw: dict, where: str = "config") -> Config:
+def _integer(value, where: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _matrix(value, where: str) -> list:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(f"{where}: expected [a, b, c, d] row-major")
+    return [_number(x, where) for x in value]
+
+
+def _record(raw, where: str, checks: dict, defaults: dict | None = None) -> dict:
+    """Typed record: the value of every key in `checks` (or its default),
+    checked; keys outside `checks` are dropped."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    raw = {**(defaults or {}), **raw}
+    return {key: check(_need(raw, key, where), f"{where}.{key}")
+            for key, check in checks.items()}
+
+
+def _records(raw: dict, key: str, where: str, checks: dict) -> list:
+    items = raw.get(key, [])
+    if not isinstance(items, list):
+        raise ConfigError(f"{where}.{key}: expected a list, got {items!r}")
+    return [_record(item, f"{where}.{key}[{k}]", checks) for k, item in enumerate(items)]
+
+
+GRID = {"min": _number, "max": _number, "count": _integer}
+GRID_DEFAULTS = {"min": 1e-3, "max": 0.3, "count": 12}
+AXIS = {"p": _number, "q": _number, "length": _number}
+CIRCLE = {"center": _number, "radius": _number}
+PAIRING = {"source": _integer, "target": _integer, "matrix": _matrix}
+LEAF = {"length": _number, "theta": _number}
+MESH = {"tag": _string, "t_extent": _number, "circumference": _number,
+        "n_t": _integer, "n_theta": _integer}
+# field kind -> (parameter checks, parameter defaults)
+FIELD_KINDS = {
+    "zero": ({}, {}),
+    "constant": ({"value": _number}, {"value": 0.0}),
+    "theta_mode": ({"k": _integer, "amplitude": _number}, {"k": 1, "amplitude": 1.0}),
+    "log_sech_t": ({}, {}),
+    "csv": ({"path": _string}, {}),
+}
+
+
+def _field(raw, where: str) -> dict:
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ConfigError(f"{where}: expected an object with a 'kind'")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in FIELD_KINDS:
+        raise ConfigError(f"{where}.kind: unknown field kind {kind!r}")
+    return {"kind": kind, **_record(raw, where, *FIELD_KINDS[kind])}
+
+
+def parse_config(raw, where: str = "config") -> dict:
+    """Check a raw config and return it normalized: defaults filled in,
+    numbers finite floats, counts ints, unknown keys dropped.  The result is
+    what --echo-config prints and what every command reads, and parsing it
+    again returns it unchanged."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be an object")
     mode = _need(raw, "mode", where)
     if mode not in ("fuchsian_group", "pleated_core", "anomaly_check"):
         raise ConfigError(f"{where}.mode: unknown mode {mode!r}")
-    cfg = Config(mode=mode)
-    cfg.name = str(raw.get("name", cfg.name))
-    cfg.convention = str(raw.get("convention", cfg.convention))
-    if cfg.convention not in ("paper", "derived", "both"):
+    name = _string(raw.get("name", "group"), f"{where}.name")
+    convention = raw.get("convention", "both")
+    if not isinstance(convention, str) or convention not in CONVENTIONS:
         raise ConfigError(f"{where}.convention: must be paper, derived or both")
-    grid = raw.get("epsilon_grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError(f"{where}.epsilon_grid: expected an object")
-    cfg.eps_min = _number(grid.get("min", cfg.eps_min), f"{where}.epsilon_grid.min")
-    cfg.eps_max = _number(grid.get("max", cfg.eps_max), f"{where}.epsilon_grid.max")
-    cfg.eps_count = int(grid.get("count", cfg.eps_count))
-    if not (0.0 < cfg.eps_min < cfg.eps_max < 1.0):
+    grid = _record(raw.get("epsilon_grid", {}), f"{where}.epsilon_grid", GRID, GRID_DEFAULTS)
+    if not (0.0 < grid["min"] < grid["max"] < 1.0):
         raise ConfigError(f"{where}.epsilon_grid: need 0 < min < max < 1")
-    if cfg.eps_count < 8:
+    if grid["count"] < 8:
         raise ConfigError(f"{where}.epsilon_grid.count: need at least 8 for fitting")
-    cfg.quadrature_tol = _number(
-        raw.get("quadrature_tol", cfg.quadrature_tol), f"{where}.quadrature_tol"
-    )
+    cfg = {
+        "mode": mode,
+        "name": name,
+        "convention": convention,
+        "epsilon_grid": grid,
+        "quadrature_tol": _number(raw.get("quadrature_tol", 1e-9), f"{where}.quadrature_tol"),
+    }
 
     if mode == "fuchsian_group":
-        circles = raw.get("circles", [])
-        generators = raw.get("generators", [])
+        generators = _records(raw, "generators", where, AXIS)
+        circles = _records(raw, "circles", where, CIRCLE)
         if generators and circles:
             raise ConfigError(
                 f"{where}: give either circles+pairings or axis generators, not both"
             )
         if generators:
-            for k, gen in enumerate(generators):
-                spot = f"{where}.generators[{k}]"
-                cfg.generators.append(
-                    {
-                        "p": _number(_need(gen, "p", spot), f"{spot}.p"),
-                        "q": _number(_need(gen, "q", spot), f"{spot}.q"),
-                        "length": _number(_need(gen, "length", spot), f"{spot}.length"),
-                    }
-                )
+            cfg["generators"] = generators
         else:
-            for k, circ in enumerate(circles):
-                spot = f"{where}.circles[{k}]"
-                cfg.circles.append(
-                    {
-                        "center": _number(_need(circ, "center", spot), f"{spot}.center"),
-                        "radius": _number(_need(circ, "radius", spot), f"{spot}.radius"),
-                    }
-                )
-            for k, pair in enumerate(raw.get("pairings", [])):
-                spot = f"{where}.pairings[{k}]"
-                matrix = _need(pair, "matrix", spot)
-                if not isinstance(matrix, list) or len(matrix) != 4:
-                    raise ConfigError(f"{spot}.matrix: expected [a, b, c, d] row-major")
-                cfg.pairings.append(
-                    {
-                        "source": int(_need(pair, "source", spot)),
-                        "target": int(_need(pair, "target", spot)),
-                        "matrix": [_number(x, f"{spot}.matrix") for x in matrix],
-                    }
-                )
-            if not cfg.circles or not cfg.pairings:
+            pairings = _records(raw, "pairings", where, PAIRING)
+            if not circles or not pairings:
                 raise ConfigError(f"{where}: fuchsian_group needs circles and pairings")
+            cfg["circles"] = circles
+            cfg["pairings"] = pairings
     elif mode == "pleated_core":
-        cfg.core_volume = _number(
-            raw.get("core_volume", 0.0), f"{where}.core_volume"
-        )
-        for k, leaf in enumerate(raw.get("leaves", [])):
-            spot = f"{where}.leaves[{k}]"
-            cfg.leaves.append(
-                {
-                    "length": _number(_need(leaf, "length", spot), f"{spot}.length"),
-                    "theta": _number(_need(leaf, "theta", spot), f"{spot}.theta"),
-                }
-            )
+        cfg["core_volume"] = _number(raw.get("core_volume", 0.0), f"{where}.core_volume")
+        cfg["leaves"] = _records(raw, "leaves", where, LEAF)
         if "boundary_area" in raw:
-            cfg.boundary_area = _number(raw["boundary_area"], f"{where}.boundary_area")
+            cfg["boundary_area"] = _number(raw["boundary_area"], f"{where}.boundary_area")
         if "boundary_genus" in raw:
-            cfg.boundary_genus = int(raw["boundary_genus"])
+            cfg["boundary_genus"] = _integer(raw["boundary_genus"], f"{where}.boundary_genus")
     else:
-        mesh = _need(raw, "mesh", where)
-        spot = f"{where}.mesh"
-        cfg.mesh = {
-            "tag": str(_need(mesh, "tag", spot)),
-            "t_extent": _number(_need(mesh, "t_extent", spot), f"{spot}.t_extent"),
-            "circumference": _number(
-                _need(mesh, "circumference", spot), f"{spot}.circumference"
-            ),
-            "n_t": int(_need(mesh, "n_t", spot)),
-            "n_theta": int(_need(mesh, "n_theta", spot)),
-        }
-        fld = raw.get("field", {"kind": "zero"})
-        if not isinstance(fld, dict) or "kind" not in fld:
-            raise ConfigError(f"{where}.field: expected an object with a 'kind'")
-        cfg.field_spec = dict(fld)
+        cfg["mesh"] = _record(_need(raw, "mesh", where), f"{where}.mesh", MESH)
+        cfg["field"] = _field(raw.get("field", {"kind": "zero"}), f"{where}.field")
     return cfg
 
 
-def config_to_dict(cfg: Config) -> dict:
-    out: dict = {
-        "mode": cfg.mode,
-        "name": cfg.name,
-        "convention": cfg.convention,
-        "epsilon_grid": {"min": cfg.eps_min, "max": cfg.eps_max, "count": cfg.eps_count},
-        "quadrature_tol": cfg.quadrature_tol,
-    }
-    if cfg.mode == "fuchsian_group":
-        if cfg.generators:
-            out["generators"] = cfg.generators
-        else:
-            out["circles"] = cfg.circles
-            out["pairings"] = cfg.pairings
-    elif cfg.mode == "pleated_core":
-        out["core_volume"] = cfg.core_volume
-        out["leaves"] = cfg.leaves
-        if cfg.boundary_area is not None:
-            out["boundary_area"] = cfg.boundary_area
-        if cfg.boundary_genus is not None:
-            out["boundary_genus"] = cfg.boundary_genus
-    else:
-        out["mesh"] = cfg.mesh
-        out["field"] = cfg.field_spec
-    return out
-
-
-def build_group(cfg: Config):
-    if cfg.mode != "fuchsian_group":
-        raise ConfigError(f"command needs mode fuchsian_group, config has {cfg.mode}")
-    if cfg.generators:
-        circles = []
-        pairings = []
-        for gen in cfg.generators:
-            mob, src, tgt = generator_from_axis(gen["p"], gen["q"], gen["length"])
+def build_group(cfg: dict):
+    if "generators" in cfg:
+        circles, pairings = [], []
+        for gen in cfg["generators"]:
+            mob, src, tgt = generator_from_axis(**gen)
             pairings.append(Pairing(len(circles), len(circles) + 1, mob))
             circles.extend((src, tgt))
-        data = SchottkyData(tuple(circles), tuple(pairings), fuchsian=True)
     else:
-        circles = tuple(Circle(c["center"], c["radius"]) for c in cfg.circles)
-        pairings = tuple(
-            Pairing(p["source"], p["target"], Mobius(*p["matrix"]))
-            for p in cfg.pairings
-        )
-        data = SchottkyData(circles, pairings, fuchsian=True)
-    return validate(data)
-
-
-def _conventions(cfg: Config, override: str | None):
-    chosen = override or cfg.convention
-    if chosen == "both":
-        return [Convention.PAPER, Convention.DERIVED]
-    return [Convention(chosen)]
+        circles = [Circle(**c) for c in cfg["circles"]]
+        pairings = [Pairing(p["source"], p["target"], Mobius(*p["matrix"]))
+                    for p in cfg["pairings"]]
+    return validate(SchottkyData(tuple(circles), tuple(pairings), fuchsian=True))
 
 
 def _fmt(value) -> str:
@@ -291,11 +261,11 @@ def _surface_summary(report: Report, group, surface):
     report.add("surface.core_area", surface.core_area)
 
 
-def cmd_validate(cfg: Config, args) -> int:
+def cmd_validate(cfg: dict, args) -> int:
     group = build_group(cfg)
     report = Report()
     report.add("command", "validate")
-    report.add("name", cfg.name)
+    report.add("name", cfg["name"])
     report.add("valid", "true")
     report.add("group.genus_handlebody", group.genus)
     report.add("group.circles", len(group.circles))
@@ -303,31 +273,32 @@ def cmd_validate(cfg: Config, args) -> int:
     return 0
 
 
-def cmd_surface_info(cfg: Config, args) -> int:
+def cmd_surface_info(cfg: dict, args) -> int:
     group = build_group(cfg)
     surface = surface_invariants(group)
     report = Report()
     report.add("command", "surface-info")
-    report.add("name", cfg.name)
+    report.add("name", cfg["name"])
     _surface_summary(report, group, surface)
     _emit(report, args)
     return 0
 
 
-def cmd_renvol(cfg: Config, args) -> int:
+def cmd_renvol(cfg: dict, args) -> int:
     group = build_group(cfg)
     surface = surface_invariants(group)
-    conventions = _conventions(cfg, args.convention)
-    eps_grid = np.geomspace(cfg.eps_max, cfg.eps_min, cfg.eps_count)
+    conventions = CONVENTIONS[cfg["convention"]]
+    grid = cfg["epsilon_grid"]
+    eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
 
     report = Report()
     report.add("command", "renvol")
-    report.add("name", cfg.name)
+    report.add("name", cfg["name"])
     _surface_summary(report, group, surface)
-    report.add("eps.min", cfg.eps_min)
-    report.add("eps.max", cfg.eps_max)
-    report.add("eps.count", cfg.eps_count)
-    report.add("quadrature.tol", cfg.quadrature_tol)
+    report.add("eps.min", grid["min"])
+    report.add("eps.max", grid["max"])
+    report.add("eps.count", grid["count"])
+    report.add("quadrature.tol", cfg["quadrature_tol"])
 
     profiles = []
     closed_v = {}
@@ -337,12 +308,12 @@ def cmd_renvol(cfg: Config, args) -> int:
         report.add(f"closed.{conv.value}.V", v)
         report.add(
             f"closed.{conv.value}.vol_at_eps_max",
-            truncated_volume_closed(surface, cfg.eps_max, conv),
+            truncated_volume_closed(surface, grid["max"], conv),
         )
-        profiles.append(profile_closed(surface, eps_grid, conv, group_id=cfg.name))
+        profiles.append(profile_closed(surface, eps_grid, conv, group_id=cfg["name"]))
 
     quad_profile = profile_quadrature(
-        surface, eps_grid, tol=cfg.quadrature_tol, group_id=cfg.name
+        surface, eps_grid, tol=cfg["quadrature_tol"], group_id=cfg["name"]
     )
     profiles.append(quad_profile)
     fit = expansion_fit(quad_profile)
@@ -374,26 +345,25 @@ def cmd_renvol(cfg: Config, args) -> int:
     return 0
 
 
-def _build_core(cfg: Config) -> PleatedCoreData:
-    if cfg.mode != "pleated_core":
-        raise ConfigError(f"command needs mode pleated_core, config has {cfg.mode}")
-    leaves = tuple(PleatLeaf(leaf["length"], leaf["theta"]) for leaf in cfg.leaves)
-    if cfg.boundary_area is not None:
-        return PleatedCoreData(cfg.core_volume, leaves, cfg.boundary_area)
-    if cfg.boundary_genus is not None:
-        return PleatedCoreData.from_genus(cfg.core_volume, leaves, cfg.boundary_genus)
-    return PleatedCoreData(cfg.core_volume, leaves, boundary_area=0.0)
+def _build_core(cfg: dict) -> PleatedCoreData:
+    leaves = tuple(PleatLeaf(**leaf) for leaf in cfg["leaves"])
+    if "boundary_area" in cfg:
+        return PleatedCoreData(cfg["core_volume"], leaves, cfg["boundary_area"])
+    if "boundary_genus" in cfg:
+        return PleatedCoreData.from_genus(cfg["core_volume"], leaves, cfg["boundary_genus"])
+    return PleatedCoreData(cfg["core_volume"], leaves, boundary_area=0.0)
 
 
-def cmd_wedge(cfg: Config, args) -> int:
+def cmd_wedge(cfg: dict, args) -> int:
     core = _build_core(cfg)
-    conventions = _conventions(cfg, args.convention)
-    eps_grid = np.geomspace(cfg.eps_max, cfg.eps_min, cfg.eps_count)
-    eps_check = float(math.sqrt(cfg.eps_min * cfg.eps_max))
+    conventions = CONVENTIONS[cfg["convention"]]
+    grid = cfg["epsilon_grid"]
+    eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
+    eps_check = float(math.sqrt(grid["min"] * grid["max"]))
 
     report = Report()
     report.add("command", "wedge")
-    report.add("name", cfg.name)
+    report.add("name", cfg["name"])
     report.add("core.volume", core.core_volume)
     report.add("core.boundary_area", core.boundary_area)
     report.add("core.leaves", len(core.leaves))
@@ -407,10 +377,10 @@ def cmd_wedge(cfg: Config, args) -> int:
         v = renormalized_volume_pleated(core, conv)
         values[conv] = v
         report.add(f"closed.{conv.value}.V", v)
-        profiles.append(pleated_profile(core, eps_grid, conv, group_id=cfg.name))
+        profiles.append(pleated_profile(core, eps_grid, conv, group_id=cfg["name"]))
     for i, leaf in enumerate(core.leaves):
         derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
-        quad = wedge_volume_quadrature(leaf, eps_check, tol=max(cfg.quadrature_tol, 1e-8))
+        quad = wedge_volume_quadrature(leaf, eps_check, tol=max(cfg["quadrature_tol"], 1e-8))
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
         gap = abs(quad - derived) / max(abs(derived), 1e-300)
@@ -432,53 +402,40 @@ def cmd_wedge(cfg: Config, args) -> int:
     return 0
 
 
-def _build_field(mesh: anomaly_mod.SurfaceMesh, field_cfg: dict):
-    kind = field_cfg.get("kind", "zero")
+def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
+    kind = field["kind"]
     if kind == "zero":
         return mesh.zeros()
     if kind == "constant":
-        return mesh.constant(_number(field_cfg.get("value", 0.0), "field.value"))
+        return mesh.constant(field["value"])
     if kind == "theta_mode":
-        k = int(field_cfg.get("k", 1))
-        amp = _number(field_cfg.get("amplitude", 1.0), "field.amplitude")
-        omega = 2.0 * math.pi * k / mesh.circumference
+        amp = field["amplitude"]
+        omega = 2.0 * math.pi * field["k"] / mesh.circumference
         return mesh.from_function(lambda t, th: amp * np.sin(omega * th))
     if kind == "log_sech_t":
         return mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
-    if kind == "csv":
-        path = field_cfg.get("path")
-        if not path:
-            raise ConfigError("field.csv needs a 'path'")
-        file_mesh, u = anomaly_mod.field_from_csv(path)
-        if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (
-            mesh.tag, mesh.n_t, mesh.n_theta,
-        ):
-            raise ConfigError(f"field file {path} does not match the configured mesh")
-        return u
-    raise ConfigError(f"unknown field kind {kind!r}")
+    path = field["path"]
+    file_mesh, u = anomaly_mod.field_from_csv(path)
+    if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (
+        mesh.tag, mesh.n_t, mesh.n_theta,
+    ):
+        raise ConfigError(f"field file {path} does not match the configured mesh")
+    return u
 
 
-def cmd_anomaly(cfg: Config, args) -> int:
-    if cfg.mode != "anomaly_check":
-        raise ConfigError(f"command needs mode anomaly_check, config has {cfg.mode}")
-    mesh = anomaly_mod.SurfaceMesh(
-        tag=cfg.mesh["tag"],
-        t_extent=cfg.mesh["t_extent"],
-        circumference=cfg.mesh["circumference"],
-        n_t=cfg.mesh["n_t"],
-        n_theta=cfg.mesh["n_theta"],
-    )
-    u = _build_field(mesh, cfg.field_spec)
+def cmd_anomaly(cfg: dict, args) -> int:
+    mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
+    u = _build_field(mesh, cfg["field"])
 
     report = Report()
     report.add("command", "anomaly")
-    report.add("name", cfg.name)
+    report.add("name", cfg["name"])
     report.add("mesh.tag", mesh.tag)
     report.add("mesh.n_t", mesh.n_t)
     report.add("mesh.n_theta", mesh.n_theta)
     report.add("mesh.area", mesh.area)
     report.add("mesh.analytic_area", mesh.analytic_area)
-    report.add("field.kind", cfg.field_spec.get("kind", "zero"))
+    report.add("field.kind", cfg["field"]["kind"])
     report.add("gradient_energy", anomaly_mod.gradient_energy(mesh, u))
     report.add("conformal_change_term", anomaly_mod.conformal_change_term(mesh, u))
     if mesh.tag == anomaly_mod.TAG_HYPERBOLIC:
@@ -502,12 +459,13 @@ def cmd_anomaly(cfg: Config, args) -> int:
     return 0
 
 
+# command -> (handler, the config mode it needs)
 COMMANDS = {
-    "validate": cmd_validate,
-    "surface-info": cmd_surface_info,
-    "renvol": cmd_renvol,
-    "wedge": cmd_wedge,
-    "anomaly": cmd_anomaly,
+    "validate": (cmd_validate, "fuchsian_group"),
+    "surface-info": (cmd_surface_info, "fuchsian_group"),
+    "renvol": (cmd_renvol, "fuchsian_group"),
+    "wedge": (cmd_wedge, "pleated_core"),
+    "anomaly": (cmd_anomaly, "anomaly_check"),
 }
 
 
@@ -521,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", help="directory for report.txt and CSV output")
     parser.add_argument("--csv", action="store_true", help="write profile CSVs to --out")
-    parser.add_argument("--convention", choices=["paper", "derived", "both"],
+    parser.add_argument("--convention", choices=list(CONVENTIONS),
                         help="override the config convention")
     parser.add_argument("--quad-tol", type=float, help="override quadrature tolerance")
     parser.add_argument("--eps-min", type=float, help="override epsilon grid minimum")
@@ -537,6 +495,23 @@ def _error_object(kind: str, message: str, **extra) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _with_overrides(raw, args):
+    """The raw config with the override flags written into it, so they pass
+    through parse_config exactly like keys of the file."""
+    if not isinstance(raw, dict):
+        return raw
+    raw = dict(raw)
+    if args.convention is not None:
+        raw["convention"] = args.convention
+    if args.quad_tol is not None:
+        raw["quadrature_tol"] = args.quad_tol
+    grid = raw.get("epsilon_grid", {})
+    if isinstance(grid, dict):
+        flags = (("min", args.eps_min), ("max", args.eps_max), ("count", args.eps_count))
+        raw["epsilon_grid"] = {**grid, **{k: v for k, v in flags if v is not None}}
+    return raw
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -550,21 +525,14 @@ def main(argv=None) -> int:
     try:
         if args.csv and not args.out:
             raise ConfigError("--csv needs --out to know where to write")
-        cfg = parse_config(raw)
-        if args.quad_tol is not None:
-            cfg.quadrature_tol = args.quad_tol
-        if args.eps_min is not None:
-            cfg.eps_min = args.eps_min
-        if args.eps_max is not None:
-            cfg.eps_max = args.eps_max
-        if args.eps_count is not None:
-            cfg.eps_count = args.eps_count
-        if not (0.0 < cfg.eps_min < cfg.eps_max < 1.0):
-            raise ConfigError("epsilon grid must satisfy 0 < min < max < 1")
+        cfg = parse_config(_with_overrides(raw, args))
         if args.echo_config:
-            print(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2))
+            print(json.dumps(cfg, sort_keys=True, indent=2))
             return 0
-        return COMMANDS[args.command](cfg, args)
+        command, mode = COMMANDS[args.command]
+        if cfg["mode"] != mode:
+            raise ConfigError(f"command needs mode {mode}, config has {cfg['mode']}")
+        return command(cfg, args)
     except ConfigError as exc:
         print(_error_object("config", str(exc)))
         return 1

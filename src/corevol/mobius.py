@@ -116,14 +116,6 @@ class Mobius:
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a, field=self.field)
 
-    def __pow__(self, n: int) -> "Mobius":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Mobius.identity(self.field)
-        for _ in range(n):
-            out = out.compose(self)
-        return out
-
     def conjugated_by(self, t: "Mobius") -> "Mobius":
         return t.compose(self).compose(t.inverse())
 

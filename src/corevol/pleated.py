@@ -17,8 +17,8 @@ import numpy as np
 
 from .quadrature import adaptive_quad
 from .renvol import (
+    CONVENTION_TERMS,
     Convention,
-    PROVENANCE_CLOSED,
     LevelParam,
     VolumeProfile,
     bending_sum,
@@ -105,8 +105,9 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     {x >= 0, y <= tan(pi/2 - theta) x} of width (pi - theta), truncated at
     distance lambda from the axis (sqrt(x^2+y^2+z^2)/z <= cosh lambda) with
     z in [1, e^L], a fundamental domain of the leaf holonomy.  The integrand
-    dx dy dz / z^3 is integrated by nested adaptive quadrature; the polar
-    reduction of each slice is used only to place cell boundaries.
+    dx dy dz / z^3 does not depend on y, so each column contributes its
+    y-width / z^3, and x and z are integrated by nested adaptive quadrature;
+    the polar reduction of each slice is used only to place cell boundaries.
     """
     if tol < 1e-8:
         raise ValueError(f"tolerance must be at least 1e-8, got {tol}")
@@ -117,9 +118,6 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     sin_t, cos_t = math.sin(leaf.theta), math.cos(leaf.theta)
     slope = cos_t / sin_t  # upper sector edge y = slope * x
 
-    def integrand(_x, _y, z):
-        return 1.0 / z ** 3
-
     def slice_value(z: float) -> float:
         radius = z * sinh_lam
         x_kink = radius * sin_t  # edge ray meets the bounding arc
@@ -127,15 +125,8 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
 
         def column(x):
             arc = np.sqrt(np.clip(radius ** 2 - x ** 2, 0.0, None))
-            y_lo = -arc
-            y_hi = np.minimum(slope * x, arc)
-            width = np.clip(y_hi - y_lo, 0.0, None)
-            mid = 0.5 * (y_lo + y_hi)
-            half = 0.5 * width
-            # two-point Gauss in y (exact: the integrand does not depend on y)
-            y1 = mid - half / math.sqrt(3.0)
-            y2 = mid + half / math.sqrt(3.0)
-            return width * 0.5 * (integrand(x, y1, z) + integrand(x, y2, z))
+            width = np.clip(np.minimum(slope * x, arc) + arc, 0.0, None)
+            return width * (1.0 / z ** 3)
 
         breaks = (x_kink,) if 0.0 < x_kink < x_max else ()
         value, _ = adaptive_quad(column, 0.0, x_max, rel_tol=tol / 10.0,
@@ -159,7 +150,7 @@ def pleated_profile(core: PleatedCoreData, eps_grid, convention: Convention,
         for leaf in core.leaves:
             vol += wedge_volume_closed(leaf, e, convention)
         samples.append((e, vol))
-    return VolumeProfile(tuple(samples), PROVENANCE_CLOSED[convention], group_id)
+    return VolumeProfile(tuple(samples), CONVENTION_TERMS[convention].provenance, group_id)
 
 
 def renormalized_volume_pleated(core: PleatedCoreData,
@@ -170,9 +161,7 @@ def renormalized_volume_pleated(core: PleatedCoreData,
     DERIVED: Vol(core) - (1/4) sum (pi - theta_i) L_i.
     """
     total = bending_sum((leaf.length, leaf.theta) for leaf in core.leaves)
-    if convention is Convention.PAPER:
-        return core.core_volume - total / 2.0
-    return core.core_volume - total / 4.0
+    return core.core_volume - total / CONVENTION_TERMS[convention].v_divisor
 
 
 def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):

@@ -30,8 +30,20 @@ class Convention(Enum):
     DERIVED = "derived"
 
 
-PROVENANCE_CLOSED = {Convention.PAPER: "closed_form_paper",
-                     Convention.DERIVED: "closed_form_derived"}
+@dataclass(frozen=True)
+class ConventionTerms:
+    """What a convention changes beyond its closed-form expressions: the
+    profile provenance label, and the divisor d in the constant term
+    V = Vol(core) - sum (pi - theta_i) L_i / d."""
+
+    provenance: str
+    v_divisor: float
+
+
+CONVENTION_TERMS = {
+    Convention.PAPER: ConventionTerms("closed_form_paper", 2.0),
+    Convention.DERIVED: ConventionTerms("closed_form_derived", 4.0),
+}
 PROVENANCE_QUADRATURE = "quadrature"
 
 
@@ -53,14 +65,6 @@ class LevelParam:
         if not lam > 0.0:
             raise ValueError(f"lambda must be positive, got {lam}")
         return cls(lam=lam, eps=math.exp(-lam))
-
-    @property
-    def rho_hat(self) -> float:
-        return self.eps
-
-    @property
-    def cosh_lambda(self) -> float:
-        return 0.5 * (self.eps + 1.0 / self.eps)
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ def profile_closed(surface: SurfaceInfo, eps_grid, convention: Convention,
         (float(e), truncated_volume_closed(surface, float(e), convention))
         for e in eps_grid
     )
-    return VolumeProfile(samples, PROVENANCE_CLOSED[convention], group_id)
+    return VolumeProfile(samples, CONVENTION_TERMS[convention].provenance, group_id)
 
 
 def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9,
@@ -314,7 +318,4 @@ def renormalized_volume_fuchsian(surface: SurfaceInfo,
     # written as 0 - sum/coef so the theta = 0 pleated degeneration is
     # bitwise identical (fuchsian_reduction_check compares exactly)
     pairs = [(length, 0.0) for length in surface.end_lengths]
-    total = bending_sum(pairs)
-    if convention is Convention.PAPER:
-        return 0.0 - total / 2.0
-    return 0.0 - total / 4.0
+    return 0.0 - bending_sum(pairs) / CONVENTION_TERMS[convention].v_divisor

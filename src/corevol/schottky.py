@@ -206,7 +206,10 @@ def generator_from_axis(p: float, q: float, length: float):
         move = Mobius(q, p, 1.0, 1.0)  # 0 -> p, inf -> q
     else:
         move = Mobius(-q, p, -1.0, 1.0)
-    half = math.exp(length / 2.0)
+    try:
+        half = math.exp(length / 2.0)
+    except OverflowError:
+        raise ValueError(f"translation length {length} is too large") from None
     dilate = Mobius(half, 0.0, 0.0, 1.0 / half)
     g = dilate.conjugated_by(move)
     if g.c == 0:

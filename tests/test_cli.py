@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corevol.cli import main, parse_config, config_to_dict, ConfigError
+from corevol.cli import COMMANDS, main, parse_config, ConfigError
 
 BTZ_CONFIG = {
     "mode": "fuchsian_group",
@@ -185,12 +189,14 @@ def test_echo_config_roundtrip(tmp_path, capsys):
                  "--echo-config"])
     assert code == 0
     echoed = json.loads(capsys.readouterr().out)
-    reparsed = parse_config(echoed)
-    assert config_to_dict(reparsed) == echoed
+    assert parse_config(echoed) == echoed
 
 
 def test_flag_overrides_apply(tmp_path, capsys):
-    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
+    # the file's grid is invalid on its own; the flags are checked after
+    # they are merged in, so they can repair it
+    config = dict(BTZ_CONFIG, epsilon_grid={"count": 4})
+    code = main(["renvol", "--config", write_config(tmp_path, config),
                  "--eps-min", "0.002", "--eps-max", "0.25", "--eps-count", "9",
                  "--quad-tol", "1e-8", "--echo-config"])
     assert code == 0
@@ -209,6 +215,10 @@ def test_parse_errors_are_positioned(tmp_path, capsys):
     assert "broken.json:1:" in payload["error"]["message"]
 
 
+CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
+
+
+# `mutate` edits the config in place and may return override flags
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -216,15 +226,38 @@ def test_parse_errors_are_positioned(tmp_path, capsys):
         (lambda c: c.update(epsilon_grid={"min": 0.5, "max": 0.3}), "min < max"),
         (lambda c: c.update(epsilon_grid={"count": 4}), "at least 8"),
         (lambda c: c.update(convention="mine"), "paper, derived or both"),
+        (lambda c: c.update(quadrature_tol=math.nan), "expected a finite number, got nan"),
+        (lambda c: ["--quad-tol", "nan"], "quadrature_tol: expected a finite number"),
+        (lambda c: ["--eps-count", "4"], "epsilon_grid.count: need at least 8"),
+        (lambda c: c.update(epsilon_grid={"count": [9]}), "expected an integer, got [9]"),
+        (lambda c: c.update(epsilon_grid={"count": 9.7}), "expected an integer, got 9.7"),
+        (lambda c: c.update(mode="pleated_core", leaves=5), "leaves: expected a list"),
+        (
+            lambda c: c.update(generators=[], circles=CIRCLE_PAIR, pairings=[
+                {"source": [0], "target": 1, "matrix": [1.0, 0.0, 0.0, 1.0]}]),
+            "pairings[0].source: expected an integer",
+        ),
     ],
 )
 def test_config_validation_messages(tmp_path, capsys, mutate, fragment):
     config = json.loads(json.dumps(BTZ_CONFIG))
-    mutate(config)
-    code = main(["validate", "--config", write_config(tmp_path, config)])
+    flags = mutate(config) or []
+    code = main(["validate", "--config", write_config(tmp_path, config), *flags])
     assert code == 1
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "config"
     assert fragment in payload["error"]["message"]
+
+
+def test_huge_axis_length_is_a_value_error(tmp_path, capsys):
+    config = dict(BTZ_CONFIG, generators=[{"p": -1.0, "q": 1.0, "length": 2000.0}])
+    code = main(["validate", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "value"
+    assert "too large" in payload["error"]["message"]
 
 
 def test_missing_key_is_path_annotated():
@@ -233,3 +266,63 @@ def test_missing_key_is_path_annotated():
             "mode": "fuchsian_group",
             "generators": [{"p": -1.0, "q": 1.0}],
         })
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8,
+)
+NEAR_VALID = st.sampled_from([0, 1, 2, 9, 9.0, 9.5, 0.25, -1.0, 64, "paper", "zero", [], {}])
+FLAG_SETS = [[], ["--eps-count", "4"], ["--eps-min", "0.01", "--eps-count", "9"],
+             ["--quad-tol", "nan"], ["--convention", "paper"]]
+
+
+def _paths(value, prefix=()):
+    """Every (key or index) path into a JSON value, the value itself first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, prefix + (key,))
+
+
+@st.composite
+def mutated_examples(draw):
+    """One of the example configs with up to three values replaced by
+    arbitrary JSON or deleted (values close to valid ones are drawn often, so
+    that edits which keep the config valid are common too)."""
+    config = json.loads(json.dumps(
+        draw(st.sampled_from([BTZ_CONFIG, G2_CONFIG, WEDGE_CONFIG, ANOMALY_CONFIG]))))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        paths = list(_paths(config))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(NEAR_VALID | JSON_VALUES)
+    return config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=mutated_examples() | JSON_VALUES, flags=st.sampled_from(FLAG_SETS))
+def test_echo_config_is_one_json_object(tmp_path_factory, config, flags):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    for command in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--config", str(path), "--echo-config", *flags])
+        assert code in (0, 1)
+        payload = json.loads(out.getvalue())
+        assert isinstance(payload, dict)
+        if code == 0:
+            assert parse_config(payload) == payload
+        else:
+            assert payload["error"]["kind"] == "config"

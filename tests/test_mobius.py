@@ -138,7 +138,7 @@ def test_translation_length_of_square_doubles():
         if m.classify() is not IsometryClass.HYPERBOLIC:
             continue
         ell = m.translation_length()
-        assert (m ** 2).translation_length() == pytest.approx(2.0 * ell, rel=1e-9)
+        assert (m @ m).translation_length() == pytest.approx(2.0 * ell, rel=1e-9)
 
 
 def test_fixed_points_diagonal():
