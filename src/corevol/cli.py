@@ -25,6 +25,7 @@ from .pleated import (
     wedge_volume_closed,
     wedge_volume_quadrature,
 )
+from .quadrature import QuadratureError
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
@@ -46,6 +47,9 @@ from .schottky import (
 from .surface import SurfaceTopologyError, surface_invariants
 
 DISCREPANCY_THRESHOLD = 1e-4
+# smallest epsilon_grid.min: the closed forms take eps ** -2 and sinh(2 lambda),
+# which overflow a double below about 1e-154
+EPS_FLOOR = 1e-150
 
 CONVENTIONS = {
     "paper": (Convention.PAPER,),
@@ -157,6 +161,9 @@ def parse_config(raw, where: str = "config") -> dict:
     grid = _record(raw.get("epsilon_grid", {}), f"{where}.epsilon_grid", GRID, GRID_DEFAULTS)
     if not (0.0 < grid["min"] < grid["max"] < 1.0):
         raise ConfigError(f"{where}.epsilon_grid: need 0 < min < max < 1")
+    if grid["min"] < EPS_FLOOR:
+        raise ConfigError(f"{where}.epsilon_grid.min: must be at least {EPS_FLOOR!r}, "
+                          f"got {grid['min']!r}")
     if grid["count"] < 8:
         raise ConfigError(f"{where}.epsilon_grid.count: need at least 8 for fitting")
     cfg = {
@@ -241,7 +248,7 @@ def write_profile_csv(profile, path: Path) -> None:
 
 
 def _emit(report: Report, args, csv_profiles=()) -> None:
-    sys.stdout.write(report.text())
+    # files first: if --out cannot be written, the JSON error is all that prints
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,6 +256,7 @@ def _emit(report: Report, args, csv_profiles=()) -> None:
         if args.csv:
             for profile in csv_profiles:
                 write_profile_csv(profile, out_dir / f"profile_{profile.provenance}.csv")
+    sys.stdout.write(report.text())
 
 
 def _surface_summary(report: Report, group, surface):
@@ -516,11 +524,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(_error_object("io", f"config file not found: {args.config}"))
+    except OSError as exc:
+        print(_error_object("io", f"cannot read config file {args.config}: {exc.strerror}"))
         return 1
     except json.JSONDecodeError as exc:
         print(_error_object("parse", f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}"))
+        return 1
+    except UnicodeDecodeError as exc:
+        print(_error_object("parse", f"{args.config}: not UTF-8 text at byte {exc.start}"))
         return 1
     try:
         if args.csv and not args.out:
@@ -536,6 +547,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_object("config", str(exc)))
         return 1
+    except OSError as exc:
+        print(_error_object("io", str(exc)))
+        return 1
+    except QuadratureError as exc:
+        print(_error_object("quadrature", str(exc)))
+        return 2
     except SchottkyError as exc:
         print(_error_object(exc.kind, str(exc), **exc.detail))
         return 2

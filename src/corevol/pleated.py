@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, adaptive_quad_batch
 from .renvol import (
     CONVENTION_TERMS,
     Convention,
@@ -104,10 +104,12 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     The leaf axis is the z-axis and the wedge is the normal-cone sector
     {x >= 0, y <= tan(pi/2 - theta) x} of width (pi - theta), truncated at
     distance lambda from the axis (sqrt(x^2+y^2+z^2)/z <= cosh lambda) with
-    z in [1, e^L], a fundamental domain of the leaf holonomy.  The integrand
-    dx dy dz / z^3 does not depend on y, so each column contributes its
-    y-width / z^3, and x and z are integrated by nested adaptive quadrature;
-    the polar reduction of each slice is used only to place cell boundaries.
+    z in [1, e^L], a fundamental domain of the leaf holonomy.  At theta = 0
+    the sector is the half-plane x >= 0.  The integrand dx dy dz / z^3 does
+    not depend on y, so each column contributes its y-width / z^3; z is
+    integrated by adaptive quadrature over one batched quadrature in x for
+    all z nodes.  The polar reduction of each slice is used only to place
+    cell boundaries.
     """
     if tol < 1e-8:
         raise ValueError(f"tolerance must be at least 1e-8, got {tol}")
@@ -116,25 +118,26 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
         return 0.0
     sinh_lam = math.sinh(level.lam)
     sin_t, cos_t = math.sin(leaf.theta), math.cos(leaf.theta)
-    slope = cos_t / sin_t  # upper sector edge y = slope * x
+    # upper sector edge y = slope * x; the half-disk at theta = 0 has none
+    # (and slope * x would be inf * 0 at x = 0)
+    slope = cos_t / sin_t if sin_t > 0.0 else None
 
-    def slice_value(z: float) -> float:
+    def slab(z):
         radius = z * sinh_lam
         x_kink = radius * sin_t  # edge ray meets the bounding arc
         x_max = radius if leaf.theta <= math.pi / 2.0 else x_kink
+        # libm's pow: numpy's array power differs from it in the last ulp at
+        # some nodes, which would move report digits
+        radius_sq, inv_z3 = np.float_power(radius, 2), 1.0 / np.float_power(z, 3)
 
-        def column(x):
-            arc = np.sqrt(np.clip(radius ** 2 - x ** 2, 0.0, None))
-            width = np.clip(np.minimum(slope * x, arc) + arc, 0.0, None)
-            return width * (1.0 / z ** 3)
+        def column(x, k):
+            arc = np.sqrt(np.clip(radius_sq[k] - x ** 2, 0.0, None))
+            upper = arc if slope is None else np.minimum(slope * x, arc)
+            return np.clip(upper + arc, 0.0, None) * inv_z3[k]
 
-        breaks = (x_kink,) if 0.0 < x_kink < x_max else ()
-        value, _ = adaptive_quad(column, 0.0, x_max, rel_tol=tol / 10.0,
-                                 breakpoints=breaks)
+        value, _ = adaptive_quad_batch(column, 0.0, x_max, rel_tol=tol / 10.0,
+                                       breaks=x_kink)
         return value
-
-    def slab(z_values):
-        return np.array([slice_value(z) for z in z_values])
 
     value, _ = adaptive_quad(slab, 1.0, math.exp(leaf.length), rel_tol=tol / 3.0)
     return value

@@ -1,9 +1,11 @@
 """Adaptive Gauss-Kronrod quadrature on subdivided cells, vectorized.
 
-Cells are bisected until the summed Kronrod-Gauss error estimate meets the
-tolerance; the final value is the sum of per-cell values in left-to-right
-cell order, so results are independent of refinement history and identical
-across runs.
+One engine integrates a batch of intervals at once: every interval's cells
+are evaluated in one call of the integrand, and each interval is bisected
+until its own summed Kronrod-Gauss error estimate meets its tolerance.  An
+interval's value is the sum of its cells in left-to-right order, so results
+are independent of refinement history and of the rest of the batch, and
+identical across runs.
 """
 
 from __future__ import annotations
@@ -39,17 +41,118 @@ class QuadratureError(RuntimeError):
     """Requested tolerance not met within the cell budget."""
 
 
-def _eval_cells(f, lefts, rights):
+def _eval_cells(f, cells):
+    """The rows (left, right, owner) of some cells with two rows appended:
+    each cell's Kronrod value and Kronrod-Gauss error estimate."""
+    lefts, rights, owner = cells
     centers = 0.5 * (lefts + rights)
     halves = 0.5 * (rights - lefts)
     nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    if not np.all(np.isfinite(vals)):
+    index = owner.astype(np.intp).repeat(_XGK.size)
+    vals = np.asarray(f(nodes.ravel(), index), dtype=float).reshape(nodes.shape)
+    if not np.isfinite(vals).all():
         bad = nodes.ravel()[~np.isfinite(vals.ravel())][0]
         raise QuadratureError(f"integrand is not finite near x = {bad!r}")
     kron = (vals * _WGK[None, :]).sum(axis=1) * halves
     gauss = (vals[:, 1::2] * _WG[None, :]).sum(axis=1) * halves
-    return kron, np.abs(kron - gauss)
+    return np.concatenate([cells, [kron, np.abs(kron - gauss)]])
+
+
+def _run_sums(rows, starts, counts):
+    """Sum of each run rows[:, s:s + n], bitwise equal to rows[:, s:s + n].sum(axis=1).
+
+    np.add.reduceat adds in another order.  numpy reduces a contiguous last
+    axis in the same pairwise order as a 1-d array, so runs of one length
+    are summed as the rows of one C-contiguous block.
+    """
+    if counts.min() == counts.max():
+        return np.ascontiguousarray(rows).reshape(len(rows), len(starts), -1).sum(axis=2)
+    out = np.empty((len(rows), len(starts)))
+    for n in np.unique(counts):
+        same = counts == n
+        block = rows[:, starts[same, None] + np.arange(n)]
+        out[:, same] = np.ascontiguousarray(block).sum(axis=2)
+    return out
+
+
+def _refine(f, cells, count, rel_tol, abs_tol, max_cells):
+    """Equal-share refinement of `count` intervals.  `cells` holds the rows
+    (left, right, owner) of their first cells, sorted by owner, then left.
+    Returns (values, error estimates)."""
+    values, errors = np.zeros(count), np.zeros(count)
+    if not cells.shape[1]:
+        return values, errors
+    cells = _eval_cells(f, cells)
+    while True:
+        owner, errs = cells[2], cells[4]
+        # interval i owns the run of cells bounds[i]:bounds[i + 1]
+        edge = np.ones(owner.size + 1, dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=edge[1:-1])
+        bounds = edge.nonzero()[0]
+        starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+        totals, total_errs = _run_sums(cells[3:], starts, counts)
+        tols = np.fmax(abs_tol, rel_tol * np.abs(totals))
+        done = total_errs <= tols
+        ids = owner[starts[done]].astype(np.intp)
+        values[ids] = totals[done]
+        errors[ids] = total_errs[done]
+        if done.all():
+            return values, errors
+        stuck = ~done & (counts >= max_cells)
+        if stuck.any():
+            k = stuck.argmax()
+            raise QuadratureError(
+                f"tolerance {tols[k]:.3e} not met within {max_cells} cells on "
+                f"[{cells[0, starts[k]]!r}, {cells[1, starts[k] + counts[k] - 1]!r}] "
+                f"(error estimate {total_errs[k]:.3e})"
+            )
+        # equal-share refinement: in each open interval split every cell above
+        # its share of the interval's budget, or else its worst cells
+        open_ = (~done).repeat(counts)
+        split = open_ & (errs > (tols / counts).repeat(counts))
+        stalled = ~done & ~np.logical_or.reduceat(split, starts)
+        if stalled.any():
+            worst = errs >= np.maximum.reduceat(errs, starts).repeat(counts)
+            split |= worst & stalled.repeat(counts)
+        parents = cells[:3, split]
+        mids = 0.5 * (parents[0] + parents[1])
+        halves = np.concatenate([parents, parents], axis=1)
+        halves[1, :mids.size] = mids
+        halves[0, mids.size:] = mids
+        cells = np.concatenate([cells[:, open_ & ~split], _eval_cells(f, halves)], axis=1)
+        cells = cells[:, np.lexsort((cells[0], cells[2]))]
+
+
+def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, abs_tol: float = 0.0,
+                        max_cells: int = 4096, breaks=None):
+    """Integrate f over every interval [a[k], b[k]] in one refinement loop.
+
+    f(x, k) receives a node array and, in the same shape, the index of the
+    interval each node belongs to.  Each interval stops once its error
+    estimate is below max(abs_tol, rel_tol * |its integral|), within its own
+    budget of max_cells cells.  `breaks` gives each interval's known kinks,
+    shape (n,) or (n, m); those strictly inside the interval become cell
+    boundaries.  a and b broadcast; zero-width intervals integrate to 0.
+    Returns (values, error_estimates) as arrays.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    a, b = a.reshape(-1), b.reshape(-1)
+    out_of_order = (~(b >= a)).nonzero()[0]
+    if out_of_order.size:
+        k = out_of_order[0]
+        raise ValueError(f"integration bounds out of order: [{a[k]}, {b[k]}]")
+    lo, hi = a[:, None], b[:, None]
+    if breaks is None:
+        edges = np.concatenate([lo, hi], axis=1)
+    else:
+        inner = np.asarray(breaks, dtype=float).reshape(a.size, -1)
+        inner = np.where((lo < inner) & (inner < hi), inner, lo)
+        edges = np.sort(np.concatenate([lo, inner, hi], axis=1), axis=1)
+    owner = np.arange(a.size, dtype=float).repeat(edges.shape[1] - 1)
+    cells = np.array([edges[:, :-1].ravel(), edges[:, 1:].ravel(), owner])
+    return _refine(f, cells[:, cells[1] > cells[0]], a.size, rel_tol, abs_tol, max_cells)
 
 
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9,
@@ -58,43 +161,11 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9,
 
     Stops once the total error estimate is below max(abs_tol,
     rel_tol * |integral|); known kinks can be passed as breakpoints so they
-    land on cell boundaries.  Returns (value, error_estimate).
+    land on cell boundaries.  Returns (value, error_estimate).  A batch of
+    one interval for adaptive_quad_batch.
     """
-    if not b > a:
-        if b == a:
-            return 0.0, 0.0
-        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    edges = sorted({float(a), float(b), *(float(x) for x in breakpoints if a < x < b)})
-    lefts = np.array(edges[:-1])
-    rights = np.array(edges[1:])
-    vals, errs = _eval_cells(f, lefts, rights)
-
-    while True:
-        order = np.argsort(lefts, kind="stable")
-        lefts, rights = lefts[order], rights[order]
-        vals, errs = vals[order], errs[order]
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if total_err <= tol:
-            return total, total_err
-        if len(lefts) >= max_cells:
-            raise QuadratureError(
-                f"tolerance {tol:.3e} not met within {max_cells} cells "
-                f"(error estimate {total_err:.3e})"
-            )
-        # equal-share refinement: split every cell above its share of the budget
-        share = tol / max(len(lefts), 1)
-        split = errs > share
-        if not split.any():
-            split = errs >= errs.max()
-        keep_l, keep_r = lefts[~split], rights[~split]
-        keep_v, keep_e = vals[~split], errs[~split]
-        mids = 0.5 * (lefts[split] + rights[split])
-        new_l = np.concatenate([lefts[split], mids])
-        new_r = np.concatenate([mids, rights[split]])
-        new_v, new_e = _eval_cells(f, new_l, new_r)
-        lefts = np.concatenate([keep_l, new_l])
-        rights = np.concatenate([keep_r, new_r])
-        vals = np.concatenate([keep_v, new_v])
-        errs = np.concatenate([keep_e, new_e])
+    values, errors = adaptive_quad_batch(
+        lambda x, k: f(x), a, b, rel_tol=rel_tol, abs_tol=abs_tol,
+        max_cells=max_cells, breaks=[tuple(breakpoints)],
+    )
+    return float(values[0]), float(errors[0])

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad
+from .quadrature import QuadratureError, adaptive_quad, adaptive_quad_batch
 from .surface import SurfaceInfo
 
 
@@ -134,22 +134,24 @@ def truncated_volume_closed(surface: SurfaceInfo, eps: float,
     return v1 + v2
 
 
+# libm's cosh and acosh, elementwise: numpy's own differ from them in the
+# last ulp at some nodes, which would move the fitted coefficients' last digits
+_libm_cosh = np.frompyfunc(math.cosh, 1, 1)
+_libm_acosh = np.frompyfunc(math.acosh, 1, 1)
+
+
 def _end_cylinder_integral(lam: float, rel_tol: float):
     """Volume over one unit-length end: integral of cosh^2(r) cosh(t) over
-    {cosh r cosh t <= cosh lam, t >= 0}, by nested adaptive quadrature."""
+    {cosh r cosh t <= cosh lam, t >= 0}, by adaptive quadrature in r over
+    one batched quadrature in t for all r nodes."""
     cosh_lam = math.cosh(lam)
 
     def cross_section(r_values):
-        out = np.empty_like(r_values)
-        for i, r in enumerate(r_values):
-            ratio = max(cosh_lam / math.cosh(r), 1.0)
-            t_max = math.acosh(ratio)
-            if t_max == 0.0:
-                out[i] = 0.0
-                continue
-            inner, _ = adaptive_quad(np.cosh, 0.0, t_max, rel_tol=rel_tol / 8.0)
-            out[i] = math.cosh(r) ** 2 * inner
-        return out
+        cosh_r = _libm_cosh(r_values).astype(float)
+        t_max = _libm_acosh(np.maximum(cosh_lam / cosh_r, 1.0)).astype(float)
+        inner, _ = adaptive_quad_batch(lambda t, k: np.cosh(t), 0.0, t_max,
+                                       rel_tol=rel_tol / 8.0)
+        return np.float_power(cosh_r, 2) * inner
 
     value, err = adaptive_quad(cross_section, -lam, lam, rel_tol=rel_tol / 2.0)
     return value, err + abs(value) * rel_tol / 8.0

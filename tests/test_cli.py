@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corevol import cli
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
+from corevol.quadrature import QuadratureError
 
 BTZ_CONFIG = {
     "mode": "fuchsian_group",
@@ -215,6 +217,21 @@ def test_parse_errors_are_positioned(tmp_path, capsys):
     assert "broken.json:1:" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("content, kind, fragment", [
+    (None, "io", "No such file"),
+    (b"\xff\xfe{}", "parse", "not UTF-8 text at byte 0"),
+])
+def test_unreadable_config_is_one_json_error(tmp_path, capsys, content, kind, fragment):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["validate", "--config", str(path)])
+    assert code == 1
+    error = _one_error(capsys)
+    assert error["kind"] == kind
+    assert fragment in error["message"]
+
+
 CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
 
 
@@ -326,3 +343,68 @@ def test_echo_config_is_one_json_object(tmp_path_factory, config, flags):
             assert parse_config(payload) == payload
         else:
             assert payload["error"]["kind"] == "config"
+
+
+def _one_error(capsys):
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    return json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command, config", [("renvol", BTZ_CONFIG), ("wedge", WEDGE_CONFIG)])
+@pytest.mark.parametrize("eps_min", [1e-160, 1e-300])
+@pytest.mark.parametrize("from_flag", [False, True])
+def test_eps_min_below_floor_is_a_config_error(tmp_path, capsys, command, config,
+                                               eps_min, from_flag):
+    # eps ** -2 overflows a double below about 1e-154
+    flags = ["--eps-min", repr(eps_min)] if from_flag else []
+    if not from_flag:
+        config = dict(config, epsilon_grid={"min": eps_min, "max": 0.3, "count": 12})
+    code = main([command, "--config", write_config(tmp_path, config), *flags])
+    assert code == 1
+    error = _one_error(capsys)
+    assert error["kind"] == "config"
+    assert "epsilon_grid.min: must be at least 1e-150" in error["message"]
+
+
+def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise QuadratureError("tolerance 1.000e-09 not met within 4096 cells")
+
+    monkeypatch.setattr(cli, "profile_quadrature", fail)
+    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG)])
+    assert code == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "quadrature"
+    assert "not met" in error["message"]
+
+
+def test_missing_field_file_is_an_io_error(tmp_path, capsys):
+    config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(tmp_path / "none.csv")})
+    code = main(["anomaly", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    error = _one_error(capsys)
+    assert error["kind"] == "io"
+    assert "none.csv" in error["message"]
+
+
+def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    code = main(["validate", "--config", write_config(tmp_path, BTZ_CONFIG),
+                 "--out", str(taken)])
+    assert code == 1
+    assert _one_error(capsys)["kind"] == "io"
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_wedge_theta_zero_leaf(tmp_path, capsys):
+    config = dict(WEDGE_CONFIG, leaves=[{"length": 2.0, "theta": 0.0}])
+    code = main(["wedge", "--config", write_config(tmp_path, config)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "disagrees" not in out
+    report = report_dict(out)
+    quad = float(report["leaf.0.wedge_quadrature_at_eps_check"])
+    derived = float(report["leaf.0.wedge_derived_at_eps_check"])
+    assert quad == pytest.approx(derived, rel=1e-8)

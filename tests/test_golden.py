@@ -1,0 +1,71 @@
+"""Pinned reports: report.txt of the README genus-1 and genus-2 examples and
+of a three-leaf wedge core, compared byte for byte.
+
+Regenerate them (after a change that moves report digits on purpose) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from corevol.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "readme_genus1": ("renvol", {
+        "mode": "fuchsian_group",
+        "name": "btz",
+        "generators": [{"p": -1.0, "q": 1.0, "length": 2.0}],
+        "convention": "both",
+        "epsilon_grid": {"min": 1e-3, "max": 0.3, "count": 12},
+        "quadrature_tol": 1e-9,
+    }),
+    "readme_genus2": ("renvol", {
+        "mode": "fuchsian_group",
+        "circles": [{"center": -3.0, "radius": 0.4}, {"center": -1.0, "radius": 0.4},
+                    {"center": 1.0, "radius": 0.4}, {"center": 3.0, "radius": 0.4}],
+        "pairings": [{"source": 0, "target": 1, "matrix": [-2.5, -7.9, 2.5, 7.5]},
+                     {"source": 2, "target": 3, "matrix": [7.5, -7.9, 2.5, -2.5]}],
+    }),
+    "wedge_three_leaves": ("wedge", {
+        "mode": "pleated_core",
+        "name": "three_leaves",
+        "core_volume": 5.0,
+        "leaves": [{"length": 1.0, "theta": 0.0},
+                   {"length": 2.0, "theta": math.pi / 3.0},
+                   {"length": 3.0, "theta": 2.0 * math.pi / 3.0}],
+        "boundary_genus": 2,
+    }),
+}
+
+
+def report_text(name: str, tmp_dir: Path) -> bytes:
+    command, config = CASES[name]
+    path = tmp_dir / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_dir / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    return (out / "report.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(tmp_path, name):
+    assert report_text(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.txt").write_bytes(report_text(case, Path(tmp)))
+            print(f"wrote {GOLDEN / case}.txt", file=sys.stderr)

@@ -210,3 +210,11 @@ def test_fuchsian_reduction_degenerate_no_ends():
         assert passed
         assert report["pleated"] == 0.0
         assert renormalized_volume_fuchsian(surface, conv) == 0.0
+
+
+@pytest.mark.parametrize("length, eps", [(0.5, 0.3), (2.0, 0.05), (3.5, 1e-3)])
+def test_wedge_quadrature_theta_zero_is_half_disk(length, eps):
+    # the Fuchsian degeneration: the sector is the half-disk x >= 0
+    quad = wedge_volume_quadrature(PleatLeaf(length, 0.0), eps, tol=1e-8)
+    exact = math.pi * length * math.sinh(-math.log(eps)) ** 2 / 2.0
+    assert abs(quad - exact) <= 1e-8 * exact

@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
-from corevol.quadrature import QuadratureError, adaptive_quad
+import corevol
+from corevol import quadrature
+from corevol.pleated import PleatLeaf, wedge_volume_quadrature
+from corevol.quadrature import QuadratureError, adaptive_quad, adaptive_quad_batch
+from corevol.renvol import _end_cylinder_integral
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -63,3 +72,144 @@ def test_deterministic_across_runs():
     second = adaptive_quad(f, -1.0, 1.0, rel_tol=1e-10)
     assert first == second
     assert first[0] == pytest.approx(math.pi / 2.0, rel=1e-10)
+
+
+# ------------------------------------------------------------ batched engine
+
+def _reference_quad(f, a, b, rel_tol, breakpoints=()):
+    """Per-interval reference: the one-interval refinement loop, summing the
+    cells with a plain 1-d sum in left-to-right order."""
+    def cells(lefts, rights):
+        centers, halves = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+        vals = f(centers[:, None] + halves[:, None] * quadrature._XGK[None, :])
+        kron = (vals * quadrature._WGK[None, :]).sum(axis=1) * halves
+        gauss = (vals[:, 1::2] * quadrature._WG[None, :]).sum(axis=1) * halves
+        return kron, np.abs(kron - gauss)
+
+    edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    lefts, rights = np.array(edges[:-1]), np.array(edges[1:])
+    vals, errs = cells(lefts, rights)
+    while True:
+        order = np.argsort(lefts, kind="stable")
+        lefts, rights, vals, errs = lefts[order], rights[order], vals[order], errs[order]
+        total, total_err = float(vals.sum()), float(errs.sum())
+        tol = max(0.0, rel_tol * abs(total))
+        if total_err <= tol:
+            return total, total_err
+        split = errs > tol / len(lefts)
+        if not split.any():
+            split = errs >= errs.max()
+        mids = 0.5 * (lefts[split] + rights[split])
+        new_l = np.concatenate([lefts[split], mids])
+        new_r = np.concatenate([mids, rights[split]])
+        new_v, new_e = cells(new_l, new_r)
+        lefts = np.concatenate([lefts[~split], new_l])
+        rights = np.concatenate([rights[~split], new_r])
+        vals = np.concatenate([vals[~split], new_v])
+        errs = np.concatenate([errs[~split], new_e])
+
+
+def _kinked(x, c):
+    return np.sqrt(np.abs(x - c)) * np.cosh(0.3 * x) + np.sin(3.0 * x)
+
+
+@pytest.mark.parametrize("with_breaks", [False, True])
+def test_batch_equals_per_interval_calls_bitwise(with_breaks):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-3.0, 1.0, 50)
+    b = a + rng.uniform(0.01, 4.0, 50)
+    c = rng.uniform(-3.0, 5.0, 50)  # kink, often outside its interval
+    breaks = c if with_breaks else None
+    values, errors = adaptive_quad_batch(lambda x, k: _kinked(x, c[k]), a, b,
+                                         rel_tol=1e-10, breaks=breaks)
+    for k in range(50):
+        kinks = (c[k],) if with_breaks else ()
+        one = adaptive_quad(lambda x: _kinked(x, c[k]), a[k], b[k], rel_tol=1e-10,
+                            breakpoints=kinks)
+        ref = _reference_quad(lambda x: _kinked(x, c[k]), a[k], b[k], 1e-10, kinks)
+        assert (values[k], errors[k]) == one == ref
+
+
+def test_batch_agrees_with_scipy_quad_vec():
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0.0, 1.0, 20)
+    b = a + rng.uniform(0.1, 5.0, 20)
+    w = rng.uniform(1.0, 9.0, 20)
+    values, _ = adaptive_quad_batch(lambda x, k: np.exp(-x) * np.cos(w[k] * x), a, b,
+                                    rel_tol=1e-11)
+    # quad_vec integrates over one common interval: map each onto [0, 1]
+    ref, _ = scipy_integrate.quad_vec(
+        lambda s: (b - a) * np.exp(-(a + s * (b - a))) * np.cos(w * (a + s * (b - a))),
+        0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    np.testing.assert_allclose(values, ref, rtol=1e-9, atol=1e-13)
+
+
+def test_batch_zero_width_and_reversed_like_scalar():
+    values, errors = adaptive_quad_batch(lambda x, k: np.cosh(x), [2.0, 0.0, 5.0],
+                                         [2.0, 1.0, 5.0])
+    assert (values[0], errors[0]) == adaptive_quad(np.cosh, 2.0, 2.0) == (0.0, 0.0)
+    assert (values[2], errors[2]) == (0.0, 0.0)
+    assert (values[1], errors[1]) == adaptive_quad(np.cosh, 0.0, 1.0)
+    with pytest.raises(ValueError, match="out of order"):
+        adaptive_quad_batch(lambda x, k: np.cosh(x), [0.0, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="out of order"):
+        adaptive_quad(np.cosh, 1.0, 0.0)
+
+
+def test_batch_unconvergeable_member_raises():
+    def f(x, k):
+        return np.where(k == 3, np.clip(x, 1e-300, None) ** -0.9, np.cosh(x))
+
+    values, _ = adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0], rel_tol=1e-12, max_cells=8)
+    assert values == pytest.approx(np.sinh([1.0, 2.0, 3.0]), rel=1e-12)
+    with pytest.raises(QuadratureError, match="within 8 cells"):
+        adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0, 1.0], rel_tol=1e-12, max_cells=8)
+
+
+def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
+    # three cells of error tol / 3: none is above its share of tol, yet their
+    # sum rounds above tol, so the worst cells (all three) are split
+    tol = 0.9046800706458055
+    assert np.full(3, tol / 3.0).sum() > tol
+
+    def fake_eval(f, cells):
+        unit = cells[1] - cells[0] == 1.0
+        return np.concatenate([cells, [np.ones(cells.shape[1]), np.where(unit, tol / 3.0, 0.0)]])
+
+    monkeypatch.setattr(quadrature, "_eval_cells", fake_eval)
+    values, errors = adaptive_quad_batch(None, 0.0, 3.0, rel_tol=0.0, abs_tol=tol,
+                                         breaks=[[1.0, 2.0]])
+    assert (values[0], errors[0]) == (6.0, 0.0)
+
+
+# ------------------------------------------- oracles against 50-digit values
+
+@pytest.mark.parametrize("eps", [0.3, 0.05, 1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("rel_tol", [1e-9, 2e-10])
+def test_end_cylinder_integral_matches_mpmath(eps, rel_tol):
+    with mpmath.workdps(50):
+        lam = -mpmath.log(mpmath.mpf(eps))
+        exact = mpmath.pi / 2 * mpmath.sinh(lam) ** 2
+    value, err = _end_cylinder_integral(float(lam), rel_tol)
+    assert abs(value - exact) <= rel_tol * exact
+    assert err <= rel_tol * value
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
+@pytest.mark.parametrize("length, eps", [(0.5, 0.2), (2.0, 1e-2), (3.0, 1e-3)])
+def test_wedge_oracle_matches_mpmath(theta, length, eps):
+    tol = 1e-8
+    with mpmath.workdps(50):
+        lam = -mpmath.log(mpmath.mpf(eps))
+        exact = (mpmath.pi - mpmath.mpf(theta)) * length * mpmath.sinh(lam) ** 2 / 2
+    value = wedge_volume_quadrature(PleatLeaf(length, theta), eps, tol=tol)
+    assert abs(value - exact) <= tol * exact
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(corevol.__file__).resolve().parents[1])
+    code = "import sys, corevol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
