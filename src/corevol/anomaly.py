@@ -288,7 +288,14 @@ def field_from_csv(path):
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != "n_t,n_theta,t_extent,circumference,tag":
         raise ValueError(f"{path}: not a corevol field file")
-    n_t, n_theta, t_extent, circumference, tag = lines[1].split(",")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no parameter line after the header")
+    params = lines[1].split(",")
+    if len(params) != 5:
+        raise ValueError(
+            f"{path}: parameter line needs the 5 header fields, got {len(params)}"
+        )
+    n_t, n_theta, t_extent, circumference, tag = params
     mesh = SurfaceMesh(
         tag=tag,
         t_extent=float(t_extent),

@@ -276,7 +276,13 @@ def fit_expansion(eps, volumes) -> ExpansionFit:
     if eps.max() / eps.min() < 100.0:
         raise ValueError("samples must span at least two decades of eps")
     design = np.column_stack([eps ** -2, np.log(eps), np.ones_like(eps), eps ** 2])
-    scale = np.linalg.norm(design, axis=0)
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(design, axis=0)
+    if not np.isfinite(scale[0]):
+        raise ValueError(
+            f"the norm of the eps^-2 column overflows float64 (eps down to "
+            f"{eps.min():g}); the fit needs every eps above about 1e-77"
+        )
     if not np.all(scale > 0.0):
         raise ValueError("degenerate design column")
     scaled = design / scale

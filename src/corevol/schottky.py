@@ -12,7 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .mobius import REAL, Mobius, is_infinity
+import numpy as np
+
+from .mobius import DET_TOL, REAL, Mobius, is_infinity
 
 MIN_GAP = 1e-9
 CIRCLE_MAP_TOL = 1e-9
@@ -310,22 +312,69 @@ def limit_set_sample(group: ValidatedGroup, depth: int, dedup_tol: float = 1e-12
     of the disk its leading letter contracts into.  Points come back sorted
     and deduplicated within `dedup_tol` (real floats for Fuchsian groups,
     complex otherwise); deeper samples contain shallower ones.
+
+    The products are built level by level as arrays: a word of length k + 1
+    is its length-k prefix composed with one more letter, by the operations
+    of `Mobius.compose` and `Mobius.__init__` in their order, so every point
+    is the one `word_mobius` gives.  A product that loses its determinant
+    raises the ValueError of the `Mobius` constructor.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    raw = []
-    for word in enumerate_words(group, depth):
-        if len(word) == 0:
-            continue
-        disk = _contraction_disk(group, word.letters[0])
-        z = group.circles[disk].center
-        raw.append(complex(word_mobius(group, word)(z)))
-    raw.sort(key=lambda z: (z.real, z.imag))
-    points: list[complex] = []
-    for z in raw:
-        if points and abs(z - points[-1]) <= dedup_tol:
-            continue
-        points.append(z)
+    field = group.pairings[0].map.field
+    alphabet = [x for i in range(1, group.genus + 1) for x in (i, -i)]
+    gens = [letter_mobius(group, x) for x in alphabet]
+    if any(m.field != field for m in gens):
+        raise TypeError("pairing maps mix real and complex fields")
+    dtype = np.float64 if field == REAL else np.complex128
+    xa, xb, xc, xd = np.array([m.entries for m in gens], dtype=dtype).T
+    centers = np.array(
+        [group.circles[_contraction_disk(group, x)].center for x in alphabet],
+        dtype=np.complex128,
+    )
     if group.fuchsian:
-        return [z.real for z in points]
-    return points
+        centers = centers.real
+    n = len(alphabet)
+
+    a, b, c, d = (np.array([x], dtype=dtype) for x in Mobius.identity(field).entries)
+    banned = np.array([n])  # per word, the inverse of its last letter (none: n)
+    raw = []
+    with np.errstate(all="ignore"):
+        for level in range(depth):
+            # each word's children in enumeration order: the letters in
+            # alphabet order, skipping the one that would cancel
+            width = n if level == 0 else n - 1
+            slot = np.tile(np.arange(width), len(a))
+            letter = slot + (slot >= np.repeat(banned, width))
+            pa, pb, pc, pd = (np.repeat(x, width) for x in (a, b, c, d))
+            la, lb, lc, ld = xa[letter], xb[letter], xc[letter], xd[letter]
+            a, b = pa * la + pb * lc, pa * lb + pb * ld
+            c, d = pc * la + pd * lc, pc * lb + pd * ld
+            det = a * d - b * c
+            bad = np.flatnonzero((det if field == REAL else np.abs(det)) <= DET_TOL)
+            if bad.size:
+                i = bad[0]  # the first such word in enumeration order
+                Mobius(a[i].item(), b[i].item(), c[i].item(), d[i].item(), field=field)
+            s = np.sqrt(det)
+            a, b, c, d = a / s, b / s, c / s, d / s
+            banned = letter ^ 1  # alphabet order puts i and -i side by side
+            z = centers[letter] if level == 0 else np.repeat(z, width)
+            den = c * z + d
+            w = (a * z + b) / den
+            w[(den == 0) | np.isinf(w)] = np.inf
+            raw.append(w)
+    return _sort_dedup(np.concatenate(raw), dedup_tol)
+
+
+def _sort_dedup(points: np.ndarray, tol: float) -> list:
+    """`points` sorted by (real, imag), each dropped if within `tol` of the
+    last point kept."""
+    # Equal keys differ only in the sign of a zero; only then does their
+    # order, the order of the words, decide which one the scan keeps.
+    points = np.sort(points, kind="stable" if (points.view(np.float64) == 0).any() else None)
+    kept: list = []
+    for p in points.tolist():
+        if kept and abs(p - kept[-1]) <= tol:
+            continue
+        kept.append(p)
+    return kept

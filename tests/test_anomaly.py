@@ -280,7 +280,14 @@ def test_field_csv_roundtrip(tmp_path):
 
 
 def test_field_csv_rejects_junk(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("nope\n1,2,3\n")
-    with pytest.raises(ValueError):
-        field_from_csv(path)
+    header = "n_t,n_theta,t_extent,circumference,tag\n"
+    for text, message in [
+        ("nope\n1,2,3\n", "not a corevol field file"),
+        (header, "no parameter line after the header"),
+        (header + "65,32,2.0\n", "parameter line needs the 5 header fields, got 3"),
+    ]:
+        path = tmp_path / "junk.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as err:
+            field_from_csv(path)
+        assert str(path) in str(err.value)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -408,3 +409,31 @@ def test_wedge_theta_zero_leaf(tmp_path, capsys):
     quad = float(report["leaf.0.wedge_quadrature_at_eps_check"])
     derived = float(report["leaf.0.wedge_derived_at_eps_check"])
     assert quad == pytest.approx(derived, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps_min", ["1e-100", "1e-150"])
+def test_fit_overflow_is_named_without_a_warning(tmp_path, capsys, eps_min):
+    # above the eps floor, but the norm of the eps^-2 column overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
+                     "--eps-min", eps_min])
+    assert code == 2
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("\n") == 1
+    error = json.loads(out.out)["error"]
+    assert error["kind"] == "value"
+    assert "eps^-2 column overflows" in error["message"]
+
+
+def test_field_file_without_parameter_line_is_a_value_error(tmp_path, capsys):
+    path = tmp_path / "header_only.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n", encoding="utf-8")
+    config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(path)})
+    code = main(["anomaly", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert "header_only.csv: no parameter line" in error["message"]

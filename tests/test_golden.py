@@ -1,5 +1,7 @@
 """Pinned reports: report.txt of the README genus-1 and genus-2 examples and
-of a three-leaf wedge core, compared byte for byte.
+of a three-leaf wedge core, compared byte for byte.  Also pinned: the sha256
+of the `float.hex` list that `limit_set_sample` returns for three fixed
+groups (`golden/limit_set.json`).
 
 Regenerate them (after a change that moves report digits on purpose) with
 
@@ -7,6 +9,7 @@ Regenerate them (after a change that moves report digits on purpose) with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from corevol import Circle, Mobius, Pairing, SchottkyData, validate
 from corevol.cli import main
+from corevol.schottky import limit_set_sample
+
+from conftest import make_row_group
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -47,6 +54,25 @@ CASES = {
 }
 
 
+# (group, depth): the README's explicit-circles genus-2 example, a crossed
+# genus-2 row and a genus-3 row.
+LIMIT_SET_CASES = {
+    "readme_genus2_d8": (validate(SchottkyData(
+        tuple(Circle(c, 0.4) for c in (-3.0, -1.0, 1.0, 3.0)),
+        (Pairing(0, 1, Mobius(-2.5, -7.9, 2.5, 7.5)),
+         Pairing(2, 3, Mobius(7.5, -7.9, 2.5, -2.5))))), 8),
+    "g2_crossed_d7": (make_row_group((-3, -1, 1, 3), 0.4, [(0, 2), (1, 3)]), 7),
+    "g3_row_d5": (make_row_group((-5, -3, -1, 1, 3, 5), 0.4, [(0, 1), (2, 3), (4, 5)]), 5),
+}
+
+
+def limit_set_digest(name: str) -> dict:
+    group, depth = LIMIT_SET_CASES[name]
+    points = limit_set_sample(group, depth)
+    text = "\n".join(float.hex(p) for p in points)
+    return {"points": len(points), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def report_text(name: str, tmp_dir: Path) -> bytes:
     command, config = CASES[name]
     path = tmp_dir / f"{name}.json"
@@ -62,6 +88,12 @@ def test_report_matches_golden(tmp_path, name):
     assert report_text(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(LIMIT_SET_CASES))
+def test_limit_set_matches_golden(name):
+    golden = json.loads((GOLDEN / "limit_set.json").read_text(encoding="utf-8"))
+    assert limit_set_digest(name) == golden[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -69,3 +101,7 @@ if __name__ == "__main__":
         for case in sorted(CASES):
             (GOLDEN / f"{case}.txt").write_bytes(report_text(case, Path(tmp)))
             print(f"wrote {GOLDEN / case}.txt", file=sys.stderr)
+    digests = {case: limit_set_digest(case) for case in sorted(LIMIT_SET_CASES)}
+    (GOLDEN / "limit_set.json").write_text(json.dumps(digests, indent=2) + "\n",
+                                           encoding="utf-8")
+    print(f"wrote {GOLDEN / 'limit_set.json'}", file=sys.stderr)

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +12,16 @@ from corevol.schottky import (
     Pairing,
     SchottkyData,
     SchottkyError,
+    ValidatedGroup,
     Word,
+    _sort_dedup,
     cyclic_group,
     enumerate_words,
     generator_from_axis,
     limit_set_sample,
     pairing_from_circles,
     validate,
+    word_mobius,
 )
 
 from conftest import make_cyclic, make_row_group
@@ -240,3 +245,128 @@ def test_enumerate_words_negative_length():
 def test_limit_set_depth_zero_rejected(cyclic_s1):
     with pytest.raises(ValueError):
         limit_set_sample(cyclic_s1, 0)
+
+
+def reference_sample(group, depth, dedup_tol=1e-12):
+    """`limit_set_sample` one word at a time: `word_mobius` over
+    `enumerate_words`, then a stable sort and a scan against the last point
+    kept."""
+    raw = []
+    for word in enumerate_words(group, depth)[1:]:
+        pairing = group.pairings[abs(word.letters[0]) - 1]
+        disk = pairing.target if word.letters[0] > 0 else pairing.source
+        raw.append(complex(word_mobius(group, word)(group.circles[disk].center)))
+    raw.sort(key=lambda z: (z.real, z.imag))
+    points = []
+    for z in raw:
+        if points and abs(z - points[-1]) <= dedup_tol:
+            continue
+        points.append(z)
+    return [z.real for z in points] if group.fuchsian else points
+
+
+def seeded_row_group(seed, genus):
+    """2g real circles in a row with seeded spacing and radii, each
+    pairing joining circle 2i to circle 2i + 1 or, if crossed, to i + g."""
+    rng = random.Random(seed)
+    centers = [0.0]
+    for _ in range(2 * genus - 1):
+        centers.append(centers[-1] + rng.uniform(1.8, 2.2))
+    crossed = rng.random() < 0.5
+    pairs = [(i, i + genus) if crossed else (2 * i, 2 * i + 1) for i in range(genus)]
+    return make_row_group(centers, 1.8 * rng.uniform(0.25, 0.46), pairs)
+
+
+README_GENUS2 = SchottkyData(
+    tuple(Circle(c, 0.4) for c in (-3.0, -1.0, 1.0, 3.0)),
+    (Pairing(0, 1, Mobius(-2.5, -7.9, 2.5, 7.5)),
+     Pairing(2, 3, Mobius(7.5, -7.9, 2.5, -2.5))),
+)
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("cyclic_s1", 1), ("cyclic_s1", 8), ("g2_adjacent", 8),
+    ("g2_crossed", 7), ("g3_row", 5), ("readme", 6), ("readme_complex_centers", 6),
+    *((f"seed{seed}:g{genus}", depth)
+      for seed, (genus, depth) in enumerate([(1, 8), (2, 6), (2, 6), (3, 4), (3, 4)])),
+])
+def test_limit_set_is_bitwise_the_word_products(request, name, depth):
+    if name == "readme":
+        group = validate(README_GENUS2)
+    elif name == "readme_complex_centers":
+        circles = tuple(Circle(complex(c.center), c.radius) for c in README_GENUS2.circles)
+        group = validate(SchottkyData(circles, README_GENUS2.pairings))
+    elif name.startswith("seed"):
+        seed, genus = name[4:].split(":g")
+        group = seeded_row_group(int(seed), int(genus))
+    else:
+        group = request.getfixturevalue(name)
+    points = limit_set_sample(group, depth)
+    assert all(type(p) is float for p in points)
+    assert [p.hex() for p in points] == [p.hex() for p in reference_sample(group, depth)]
+
+
+@pytest.mark.parametrize("d, target_center", [(-5.0, 5.0), (-1e-310, 2e-310)])
+def test_limit_set_points_at_infinity_follow_apply(d, target_center):
+    # built without validate, so that a word sends a center to infinity: a
+    # zero denominator or an overflowing image is +inf, as in Mobius.apply
+    group = ValidatedGroup((Circle(10.0, 1.0), Circle(target_center, 1.0)),
+                           (Pairing(0, 1, Mobius(0.0, -1.0, 1.0, d)),), True)
+    points = limit_set_sample(group, 2)
+    assert math.inf in points
+    assert [p.hex() for p in points] == [p.hex() for p in reference_sample(group, 2)]
+
+
+def test_limit_set_determinant_failure_matches_word_products():
+    # word products grow past sqrt(1/u) and cancel their determinant
+    group = validate(cyclic_group(-1.0, 1.0, 2.0))
+    with pytest.raises(ValueError) as expected:
+        reference_sample(group, 500)
+    with pytest.raises(ValueError) as got:
+        limit_set_sample(group, 500)
+    assert str(got.value) == str(expected.value)
+    assert "positive determinant" in str(got.value)
+
+
+def test_complex_limit_set_matches_word_products():
+    # numpy's complex division and square root are not Python's, so this
+    # agrees to roundoff, not bitwise
+    circles = (Circle(complex(-2.0, 0.0), 0.5), Circle(complex(1.0, 1.0), 0.5))
+    group = validate(SchottkyData(
+        circles, (Pairing(0, 1, pairing_from_circles(*circles)),), fuchsian=False))
+    points = limit_set_sample(group, 5)
+    expected = reference_sample(group, 5)
+    assert all(type(p) is complex for p in points)
+    assert len(points) == len(expected)
+    for p, q in zip(points, expected):
+        assert abs(p - q) <= 1e-12 * abs(q)
+
+
+def test_limit_set_rejects_mixed_fields_as_word_mobius_does():
+    circles = (Circle(complex(-4.0, 0.0), 0.5), Circle(complex(-1.0, 1.0), 0.5),
+               Circle(2.0, 0.5), Circle(5.0, 0.5))
+    group = validate(SchottkyData(circles, (
+        Pairing(0, 1, pairing_from_circles(circles[0], circles[1])),
+        Pairing(2, 3, pairing_from_circles(circles[2], circles[3])),
+    ), fuchsian=False))
+    with pytest.raises(TypeError):
+        reference_sample(group, 1)
+    with pytest.raises(TypeError):
+        limit_set_sample(group, 1)
+
+
+@pytest.mark.parametrize("direction", [1.0, 1j])
+def test_dedup_compares_with_the_last_point_kept(direction):
+    tol = 1e-12
+    chain = np.array([0.6 * tol * k * direction for k in range(11)][::-1])
+    # a scan against the previous point would keep only the first one
+    assert _sort_dedup(chain, tol) == np.sort(chain)[::2].tolist()
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0),
+                                           (1j, complex(-0.0, 1.0))])
+def test_dedup_keeps_the_first_of_signed_zeros(first, second):
+    # keys that differ only in the sign of a zero keep the order of the words
+    kept = _sort_dedup(np.array([2.0, first, *[second] * 15, 3.0]), 1e-12)
+    assert repr(kept[0]) == repr(first)
+    assert len(kept) == 3
