@@ -33,7 +33,7 @@ def run(out_dir=None, tol=1e-9):
     print(f"end lengths: {surface.end_lengths}  core area: {surface.core_area}")
 
     grid = default_eps_grid()
-    quad = profile_quadrature(surface, grid, tol=tol, group_id="btz")
+    quad = profile_quadrature(surface, grid, tol=tol)
     fit = expansion_fit(quad)
 
     print(f"{'route':<28} {'V':>20}")
@@ -49,8 +49,8 @@ def run(out_dir=None, tol=1e-9):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for profile in (
-            profile_closed(surface, grid, Convention.PAPER, "btz"),
-            profile_closed(surface, grid, Convention.DERIVED, "btz"),
+            profile_closed(surface, grid, Convention.PAPER),
+            profile_closed(surface, grid, Convention.DERIVED),
             quad,
         ):
             path = out / f"btz_{profile.provenance}.csv"

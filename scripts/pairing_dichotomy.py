@@ -40,9 +40,7 @@ def run(tol=1e-9):
     for label, pairs in cases.items():
         group = build(pairs)
         surface = surface_invariants(group)
-        fit = expansion_fit(
-            profile_quadrature(surface, default_eps_grid(), tol=tol, group_id=label)
-        )
+        fit = expansion_fit(profile_quadrature(surface, default_eps_grid(), tol=tol))
         ratio = fit.v / surface.total_end_length
         print(f"{label:<22} {surface.ends:>2} {surface.genus:>2} "
               f"{surface.total_end_length:>10.5f} {ratio:>14.9f}")

@@ -32,11 +32,8 @@ from .surface import (
 )
 from .renvol import (
     Convention,
-    EndChart,
     ExpansionFit,
-    LevelParam,
     VolumeProfile,
-    core_distance,
     default_eps_grid,
     expansion_fit,
     fit_expansion,

@@ -24,8 +24,8 @@ import numpy as np
 TAG_HYPERBOLIC = "hyperbolic_cylinder"
 TAG_FLAT = "flat_cylinder"
 
-VARIANT_HYPERBOLIC = "hyperbolic_piece"
-VARIANT_FLAT = "flat_piece"
+# the Liouville residual each tag carries, by its report name
+LIOUVILLE_VARIANT = {TAG_HYPERBOLIC: "hyperbolic_piece", TAG_FLAT: "flat_piece"}
 
 
 @dataclass(frozen=True)
@@ -251,21 +251,16 @@ def boundary_flux(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     return float((u[-1, :] * g_top - u[0, :] * g_bot).sum()) * mesh.dtheta
 
 
-def liouville_residual(mesh: SurfaceMesh, phi: np.ndarray, variant: str) -> np.ndarray:
-    """Nodewise defect of the curvature equation for exp(2 phi) * metric.
+def liouville_residual(mesh: SurfaceMesh, phi: np.ndarray) -> np.ndarray:
+    """Nodewise defect of the curvature equation for exp(2 phi) * metric,
+    in the variant of the mesh tag (LIOUVILLE_VARIANT).
 
     hyperbolic_piece: lap(phi) + 1 - exp(2 phi)   (target curvature -1)
     flat_piece:       lap(phi) - exp(2 phi)       (flat background)
     """
-    if variant == VARIANT_HYPERBOLIC:
-        if mesh.tag != TAG_HYPERBOLIC:
-            raise ValueError("hyperbolic_piece residual needs the hyperbolic tag")
+    if mesh.tag == TAG_HYPERBOLIC:
         return laplacian(mesh, phi) + 1.0 - np.exp(2.0 * phi)
-    if variant == VARIANT_FLAT:
-        if mesh.tag != TAG_FLAT:
-            raise ValueError("flat_piece residual needs the flat tag")
-        return laplacian(mesh, phi) - np.exp(2.0 * phi)
-    raise ValueError(f"unknown variant {variant!r}")
+    return laplacian(mesh, phi) - np.exp(2.0 * phi)
 
 
 def field_to_csv(mesh: SurfaceMesh, u: np.ndarray, path) -> None:

@@ -29,6 +29,7 @@ from .quadrature import QuadratureError
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
+    QUAD_TOL_FLOOR,
     default_eps_grid,
     expansion_fit,
     profile_closed,
@@ -166,12 +167,16 @@ def parse_config(raw, where: str = "config") -> dict:
                           f"got {grid['min']!r}")
     if grid["count"] < 8:
         raise ConfigError(f"{where}.epsilon_grid.count: need at least 8 for fitting")
+    tol = _number(raw.get("quadrature_tol", 1e-9), f"{where}.quadrature_tol")
+    if tol < QUAD_TOL_FLOOR:
+        raise ConfigError(f"{where}.quadrature_tol: must be at least {QUAD_TOL_FLOOR!r}, "
+                          f"got {tol!r}")
     cfg = {
         "mode": mode,
         "name": name,
         "convention": convention,
         "epsilon_grid": grid,
-        "quadrature_tol": _number(raw.get("quadrature_tol", 1e-9), f"{where}.quadrature_tol"),
+        "quadrature_tol": tol,
     }
 
     if mode == "fuchsian_group":
@@ -318,11 +323,9 @@ def cmd_renvol(cfg: dict, args) -> int:
             f"closed.{conv.value}.vol_at_eps_max",
             truncated_volume_closed(surface, grid["max"], conv),
         )
-        profiles.append(profile_closed(surface, eps_grid, conv, group_id=cfg["name"]))
+        profiles.append(profile_closed(surface, eps_grid, conv))
 
-    quad_profile = profile_quadrature(
-        surface, eps_grid, tol=cfg["quadrature_tol"], group_id=cfg["name"]
-    )
+    quad_profile = profile_quadrature(surface, eps_grid, tol=cfg["quadrature_tol"])
     profiles.append(quad_profile)
     fit = expansion_fit(quad_profile)
     report.add("fit.provenance", PROVENANCE_QUADRATURE)
@@ -385,7 +388,7 @@ def cmd_wedge(cfg: dict, args) -> int:
         v = renormalized_volume_pleated(core, conv)
         values[conv] = v
         report.add(f"closed.{conv.value}.V", v)
-        profiles.append(pleated_profile(core, eps_grid, conv, group_id=cfg["name"]))
+        profiles.append(pleated_profile(core, eps_grid, conv))
     for i, leaf in enumerate(core.leaves):
         derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
         quad = wedge_volume_quadrature(leaf, eps_check, tol=max(cfg["quadrature_tol"], 1e-8))
@@ -449,11 +452,8 @@ def cmd_anomaly(cfg: dict, args) -> int:
     if mesh.tag == anomaly_mod.TAG_HYPERBOLIC:
         normalized = anomaly_mod.normalize_area(mesh, u)
         report.add("jensen_energy_normalized", anomaly_mod.jensen_energy(mesh, normalized))
-        variant = anomaly_mod.VARIANT_HYPERBOLIC
-    else:
-        variant = anomaly_mod.VARIANT_FLAT
-    residual = anomaly_mod.liouville_residual(mesh, u, variant)
-    report.add("liouville.variant", variant)
+    residual = anomaly_mod.liouville_residual(mesh, u)
+    report.add("liouville.variant", anomaly_mod.LIOUVILLE_VARIANT[mesh.tag])
     report.add("liouville.residual_max", float(np.abs(residual).max()))
     rms = math.sqrt(anomaly_mod.integrate(mesh, residual ** 2) / mesh.area)
     report.add("liouville.residual_rms", rms)

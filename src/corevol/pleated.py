@@ -19,9 +19,9 @@ from .quadrature import adaptive_quad, adaptive_quad_batch
 from .renvol import (
     CONVENTION_TERMS,
     Convention,
-    LevelParam,
     VolumeProfile,
     bending_sum,
+    level_lambda,
     renormalized_volume_fuchsian,
 )
 from .surface import SurfaceInfo
@@ -77,8 +77,7 @@ def collar_slab_volume(boundary_area: float, eps: float) -> float:
     so the slab never contributes to the renormalized volume."""
     if boundary_area < 0:
         raise ValueError(f"boundary area must be nonnegative, got {boundary_area}")
-    level = LevelParam.from_eps(eps)
-    lam = level.lam
+    lam = level_lambda(eps)
     return boundary_area * (lam / 2.0 + math.sinh(2.0 * lam) / 4.0)
 
 
@@ -90,11 +89,11 @@ def wedge_volume_closed(leaf: PleatLeaf, eps: float,
     - (pi-theta) L/2, first power of eps and all; DERIVED is the sector
     integral (pi-theta) L sinh^2(lam)/2 validated by the 3d quadrature.
     """
-    level = LevelParam.from_eps(eps)
+    lam = level_lambda(eps)
     w = (math.pi - leaf.theta) * leaf.length
     if convention is Convention.PAPER:
         return w / 4.0 * (eps + eps ** -2) - w / 2.0
-    return w * math.sinh(level.lam) ** 2 / 2.0
+    return w * math.sinh(lam) ** 2 / 2.0
 
 
 def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
@@ -113,10 +112,10 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     """
     if tol < 1e-8:
         raise ValueError(f"tolerance must be at least 1e-8, got {tol}")
-    level = LevelParam.from_eps(eps)
+    lam = level_lambda(eps)
     if leaf.theta == math.pi:
         return 0.0
-    sinh_lam = math.sinh(level.lam)
+    sinh_lam = math.sinh(lam)
     sin_t, cos_t = math.sin(leaf.theta), math.cos(leaf.theta)
     # upper sector edge y = slope * x; the half-disk at theta = 0 has none
     # (and slope * x would be inf * 0 at x = 0)
@@ -143,8 +142,8 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     return value
 
 
-def pleated_profile(core: PleatedCoreData, eps_grid, convention: Convention,
-                    group_id: str = "") -> VolumeProfile:
+def pleated_profile(core: PleatedCoreData, eps_grid,
+                    convention: Convention) -> VolumeProfile:
     """Truncated-volume profile: core plus slab plus all wedges."""
     samples = []
     for e in eps_grid:
@@ -153,7 +152,7 @@ def pleated_profile(core: PleatedCoreData, eps_grid, convention: Convention,
         for leaf in core.leaves:
             vol += wedge_volume_closed(leaf, e, convention)
         samples.append((e, vol))
-    return VolumeProfile(tuple(samples), CONVENTION_TERMS[convention].provenance, group_id)
+    return VolumeProfile(tuple(samples), CONVENTION_TERMS[convention].provenance)
 
 
 def renormalized_volume_pleated(core: PleatedCoreData,

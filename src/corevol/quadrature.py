@@ -36,6 +36,10 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 
+# cells one interval may be cut into before its tolerance counts as unmet;
+# read at call time
+MAX_CELLS = 4096
+
 
 class QuadratureError(RuntimeError):
     """Requested tolerance not met within the cell budget."""
@@ -75,7 +79,7 @@ def _run_sums(rows, starts, counts):
     return out
 
 
-def _refine(f, cells, count, rel_tol, abs_tol, max_cells):
+def _refine(f, cells, count, rel_tol):
     """Equal-share refinement of `count` intervals.  `cells` holds the rows
     (left, right, owner) of their first cells, sorted by owner, then left.
     Returns (values, error estimates)."""
@@ -91,18 +95,18 @@ def _refine(f, cells, count, rel_tol, abs_tol, max_cells):
         bounds = edge.nonzero()[0]
         starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
         totals, total_errs = _run_sums(cells[3:], starts, counts)
-        tols = np.fmax(abs_tol, rel_tol * np.abs(totals))
+        tols = rel_tol * np.abs(totals)
         done = total_errs <= tols
         ids = owner[starts[done]].astype(np.intp)
         values[ids] = totals[done]
         errors[ids] = total_errs[done]
         if done.all():
             return values, errors
-        stuck = ~done & (counts >= max_cells)
+        stuck = ~done & (counts >= MAX_CELLS)
         if stuck.any():
             k = stuck.argmax()
             raise QuadratureError(
-                f"tolerance {tols[k]:.3e} not met within {max_cells} cells on "
+                f"tolerance {tols[k]:.3e} not met within {MAX_CELLS} cells on "
                 f"[{cells[0, starts[k]]!r}, {cells[1, starts[k] + counts[k] - 1]!r}] "
                 f"(error estimate {total_errs[k]:.3e})"
             )
@@ -123,14 +127,13 @@ def _refine(f, cells, count, rel_tol, abs_tol, max_cells):
         cells = cells[:, np.lexsort((cells[0], cells[2]))]
 
 
-def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                        max_cells: int = 4096, breaks=None):
+def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, breaks=None):
     """Integrate f over every interval [a[k], b[k]] in one refinement loop.
 
     f(x, k) receives a node array and, in the same shape, the index of the
     interval each node belongs to.  Each interval stops once its error
-    estimate is below max(abs_tol, rel_tol * |its integral|), within its own
-    budget of max_cells cells.  `breaks` gives each interval's known kinks,
+    estimate is below rel_tol * |its integral|, within its own budget of
+    MAX_CELLS cells.  `breaks` gives each interval's known kinks,
     shape (n,) or (n, m); those strictly inside the interval become cell
     boundaries.  a and b broadcast; zero-width intervals integrate to 0.
     Returns (values, error_estimates) as arrays.
@@ -152,20 +155,15 @@ def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, abs_tol: float = 0.0,
         edges = np.sort(np.concatenate([lo, inner, hi], axis=1), axis=1)
     owner = np.arange(a.size, dtype=float).repeat(edges.shape[1] - 1)
     cells = np.array([edges[:, :-1].ravel(), edges[:, 1:].ravel(), owner])
-    return _refine(f, cells[:, cells[1] > cells[0]], a.size, rel_tol, abs_tol, max_cells)
+    return _refine(f, cells[:, cells[1] > cells[0]], a.size, rel_tol)
 
 
-def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9,
-                  abs_tol: float = 0.0, breakpoints=(), max_cells: int = 4096):
+def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
     """Integrate the vectorized callable f over [a, b].
 
-    Stops once the total error estimate is below max(abs_tol,
-    rel_tol * |integral|); known kinks can be passed as breakpoints so they
-    land on cell boundaries.  Returns (value, error_estimate).  A batch of
-    one interval for adaptive_quad_batch.
+    Stops once the total error estimate is below rel_tol * |integral|.
+    Returns (value, error_estimate).  A batch of one interval for
+    adaptive_quad_batch.
     """
-    values, errors = adaptive_quad_batch(
-        lambda x, k: f(x), a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-        max_cells=max_cells, breaks=[tuple(breakpoints)],
-    )
+    values, errors = adaptive_quad_batch(lambda x, k: f(x), a, b, rel_tol=rel_tol)
     return float(values[0]), float(errors[0])

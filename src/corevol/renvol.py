@@ -47,54 +47,15 @@ CONVENTION_TERMS = {
 PROVENANCE_QUADRATURE = "quadrature"
 
 
-@dataclass(frozen=True)
-class LevelParam:
-    """Truncation level: lam is the distance to the core, eps = exp(-lam)."""
-
-    lam: float
-    eps: float
-
-    @classmethod
-    def from_eps(cls, eps: float) -> "LevelParam":
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
-        return cls(lam=-math.log(eps), eps=eps)
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "LevelParam":
-        if not lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        return cls(lam=lam, eps=math.exp(-lam))
+# smallest quadrature tolerance the oracle accepts
+QUAD_TOL_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class EndChart:
-    """Coordinates (r, t, theta) on the slab over one end of the surface.
-
-    r is the signed normal distance to the totally geodesic surface, t >= 0
-    the distance into the end, theta in [0, L) arclength on the end's
-    closed geodesic.  The metric is dr^2 + cosh^2(r)(dt^2 + cosh^2(t)
-    dtheta^2).
-    """
-
-    length: float
-
-    def metric_diag(self, r: float, t: float):
-        cr2 = math.cosh(r) ** 2
-        return (1.0, cr2, cr2 * math.cosh(t) ** 2)
-
-    def volume_element(self, r: float, t: float) -> float:
-        return math.cosh(r) ** 2 * math.cosh(t)
-
-
-def core_distance(r: float, t: float) -> float:
-    """Distance to the core over an end chart: cosh f = cosh r cosh t.
-
-    Evaluated as arcsinh of sqrt(sinh^2 r cosh^2 t + sinh^2 t), which equals
-    arccosh(cosh r cosh t) without cancellation near the core.
-    """
-    sr, st = math.sinh(r), math.sinh(t)
-    return math.asinh(math.sqrt(sr * sr * math.cosh(t) ** 2 + st * st))
+def level_lambda(eps: float) -> float:
+    """Distance lambda = -log(eps) to the core of the level eps, for eps in (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    return -math.log(eps)
 
 
 def level_set_area(surface: SurfaceInfo, lam: float) -> float:
@@ -121,14 +82,13 @@ def truncated_volume_closed(surface: SurfaceInfo, eps: float,
         V1 = 2 Area(core) (lam/2 + sinh(2 lam)/4)
         V2 = (pi/2) sinh^2(lam) * sum L_i.
     """
-    level = LevelParam.from_eps(eps)
+    lam = level_lambda(eps)
     total_length = surface.total_end_length
     if convention is Convention.PAPER:
         gm1 = surface.handlebody_genus - 1
         v1 = (math.pi * gm1 / 4.0) * (eps ** -2 + math.log(eps) / 2.0 - eps ** 2)
         v2 = (math.pi / 4.0) * (eps ** -2 - 2.0 + eps ** 2) * total_length
         return v1 + v2
-    lam = level.lam
     v1 = 2.0 * surface.core_area * (lam / 2.0 + math.sinh(2.0 * lam) / 4.0)
     v2 = (math.pi / 2.0) * math.sinh(lam) ** 2 * total_length
     return v1 + v2
@@ -165,10 +125,9 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
     (core slab plus one cylinder region per end); no closed-form
     antiderivative of the integrand is used anywhere on this path.
     """
-    if tol < 1e-10:
-        raise ValueError(f"tolerance must be at least 1e-10, got {tol}")
-    level = LevelParam.from_eps(eps)
-    lam = level.lam
+    if tol < QUAD_TOL_FLOOR:
+        raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
+    lam = level_lambda(eps)
     total = 0.0
     err = 0.0
     if surface.core_area != 0.0:
@@ -199,7 +158,6 @@ class VolumeProfile:
 
     samples: tuple[tuple[float, float], ...]
     provenance: str
-    group_id: str = ""
 
     def __post_init__(self):
         eps = [s[0] for s in self.samples]
@@ -227,22 +185,20 @@ def default_eps_grid(eps_min: float = 1e-3, eps_max: float = 0.3,
     return np.geomspace(eps_max, eps_min, count)
 
 
-def profile_closed(surface: SurfaceInfo, eps_grid, convention: Convention,
-                   group_id: str = "") -> VolumeProfile:
+def profile_closed(surface: SurfaceInfo, eps_grid, convention: Convention) -> VolumeProfile:
     samples = tuple(
         (float(e), truncated_volume_closed(surface, float(e), convention))
         for e in eps_grid
     )
-    return VolumeProfile(samples, CONVENTION_TERMS[convention].provenance, group_id)
+    return VolumeProfile(samples, CONVENTION_TERMS[convention].provenance)
 
 
-def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9,
-                       group_id: str = "") -> VolumeProfile:
+def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> VolumeProfile:
     samples = tuple(
         (float(e), truncated_volume_quadrature(surface, float(e), tol))
         for e in eps_grid
     )
-    return VolumeProfile(samples, PROVENANCE_QUADRATURE, group_id)
+    return VolumeProfile(samples, PROVENANCE_QUADRATURE)
 
 
 @dataclass(frozen=True)

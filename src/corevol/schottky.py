@@ -18,6 +18,8 @@ from .mobius import DET_TOL, REAL, Mobius, is_infinity
 
 MIN_GAP = 1e-9
 CIRCLE_MAP_TOL = 1e-9
+# limit-set points this close to the last point kept are dropped
+DEDUP_TOL = 1e-12
 _SAMPLES = 8
 
 
@@ -95,13 +97,13 @@ def _gap(c1: Circle, c2: Circle) -> float:
     return abs(complex(c1.center) - complex(c2.center)) - (c1.radius + c2.radius)
 
 
-def validate(data: SchottkyData, min_gap: float = MIN_GAP) -> ValidatedGroup:
+def validate(data: SchottkyData) -> ValidatedGroup:
     """Check all group invariants; raise SchottkyError naming the offender.
 
-    Disks must be pairwise disjoint with a strict gap, every circle must sit
-    in exactly one pairing, and each map must carry its source circle onto
-    its target circle (8 boundary samples) while contracting the exterior
-    (probed at infinity) into the target disk.
+    Disks must be pairwise disjoint with a gap of at least MIN_GAP, every
+    circle must sit in exactly one pairing, and each map must carry its
+    source circle onto its target circle (8 boundary samples) while
+    contracting the exterior (probed at infinity) into the target disk.
     """
     circles, pairings = tuple(data.circles), tuple(data.pairings)
     n = len(circles)
@@ -130,7 +132,7 @@ def validate(data: SchottkyData, min_gap: float = MIN_GAP) -> ValidatedGroup:
     for i in range(n):
         for j in range(i + 1, n):
             gap = _gap(circles[i], circles[j])
-            if gap < min_gap:
+            if gap < MIN_GAP:
                 raise SchottkyError(
                     "overlapping_disks",
                     f"disks {i} and {j} are not strictly disjoint (gap {gap:.3e})",
@@ -305,12 +307,12 @@ def _contraction_disk(group: ValidatedGroup, letter: int) -> int:
     return pairing.target if letter > 0 else pairing.source
 
 
-def limit_set_sample(group: ValidatedGroup, depth: int, dedup_tol: float = 1e-12):
+def limit_set_sample(group: ValidatedGroup, depth: int):
     """Boundary points approximating the limit set.
 
     Each nonempty reduced word of length <= depth is applied to the center
     of the disk its leading letter contracts into.  Points come back sorted
-    and deduplicated within `dedup_tol` (real floats for Fuchsian groups,
+    and deduplicated within DEDUP_TOL (real floats for Fuchsian groups,
     complex otherwise); deeper samples contain shallower ones.
 
     The products are built level by level as arrays: a word of length k + 1
@@ -363,18 +365,18 @@ def limit_set_sample(group: ValidatedGroup, depth: int, dedup_tol: float = 1e-12
             w = (a * z + b) / den
             w[(den == 0) | np.isinf(w)] = np.inf
             raw.append(w)
-    return _sort_dedup(np.concatenate(raw), dedup_tol)
+    return _sort_dedup(np.concatenate(raw))
 
 
-def _sort_dedup(points: np.ndarray, tol: float) -> list:
-    """`points` sorted by (real, imag), each dropped if within `tol` of the
-    last point kept."""
+def _sort_dedup(points: np.ndarray) -> list:
+    """`points` sorted by (real, imag), each dropped if within DEDUP_TOL of
+    the last point kept."""
     # Equal keys differ only in the sign of a zero; only then does their
     # order, the order of the words, decide which one the scan keeps.
     points = np.sort(points, kind="stable" if (points.view(np.float64) == 0).any() else None)
     kept: list = []
     for p in points.tolist():
-        if kept and abs(p - kept[-1]) <= tol:
+        if kept and abs(p - kept[-1]) <= DEDUP_TOL:
             continue
         kept.append(p)
     return kept

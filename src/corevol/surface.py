@@ -32,9 +32,9 @@ class EndpointMatchError(SurfaceTopologyError):
 class BoundaryArc:
     """Open interval of R u {inf} between two consecutive disks.
 
-    The left endpoint is the rightmost point of circle `left_circle`
-    (side "b"), the right endpoint the leftmost point of `right_circle`
-    (side "a").  Exactly one arc runs through infinity.
+    The left endpoint is the rightmost point of circle `left_circle`, the
+    right endpoint the leftmost point of `right_circle`.  Exactly one arc
+    runs through infinity.
     """
 
     left: float
@@ -42,8 +42,6 @@ class BoundaryArc:
     left_circle: int
     right_circle: int
     through_infinity: bool = False
-    left_side: str = "b"
-    right_side: str = "a"
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,6 @@ class EndCycle:
     """One cycle of arcs glued by side pairings: a single surface end."""
 
     arcs: tuple[BoundaryArc, ...]
-    maps: tuple[Mobius, ...]
     holonomy: Mobius
     length: float
 
@@ -123,13 +120,13 @@ def _outward_map(group: ValidatedGroup, circle_index: int) -> Mobius:
     raise SurfaceTopologyError(f"circle {circle_index} is not in any pairing")
 
 
-def end_cycles(group: ValidatedGroup, match_tol: float = MATCH_TOL) -> list[EndCycle]:
+def end_cycles(group: ValidatedGroup) -> list[EndCycle]:
     """Trace the arc cycles of the fundamental domain boundary.
 
     From an arc's terminal endpoint (its right endpoint, with R oriented
     positively) the outward pairing map of that circle lands on the left
     endpoint of a unique next arc; each image must match an arc endpoint
-    within `match_tol`, which doubles as a consistency check on the pairing
+    within MATCH_TOL, which doubles as a consistency check on the pairing
     data.  Cycles partition the arcs, their number is the number of ends,
     and the accumulated map around a cycle is the end holonomy.
     """
@@ -156,7 +153,7 @@ def end_cycles(group: ValidatedGroup, match_tol: float = MATCH_TOL) -> list[EndC
                 )
             nxt = min(range(len(arcs)), key=lambda m: abs(arcs[m].left - image))
             err = abs(arcs[nxt].left - image)
-            if err > match_tol * max(1.0, abs(image)):
+            if err > MATCH_TOL * max(1.0, abs(image)):
                 raise EndpointMatchError(
                     f"image {image!r} of endpoint {p!r} misses every arc endpoint "
                     f"(best error {err:.3e}); pairing data is inconsistent"
@@ -179,7 +176,6 @@ def end_cycles(group: ValidatedGroup, match_tol: float = MATCH_TOL) -> list[EndC
         cycles.append(
             EndCycle(
                 arcs=tuple(arcs[m] for m in seq),
-                maps=tuple(maps),
                 holonomy=holonomy,
                 length=holonomy.translation_length(),
             )

@@ -11,8 +11,6 @@ import pytest
 from corevol.anomaly import (
     TAG_FLAT,
     TAG_HYPERBOLIC,
-    VARIANT_FLAT,
-    VARIANT_HYPERBOLIC,
     SurfaceMesh,
     jensen_energy,
     liouville_residual,
@@ -132,7 +130,7 @@ def test_criterion_4_structure_constant(surface_s1, surface_adjacent,
 def test_criterion_5_figure_dichotomy(g2_adjacent, g2_crossed):
     infos = []
     for group in (g2_adjacent, g2_crossed):
-        cycles = end_cycles(group, match_tol=1e-8)  # endpoint matching gate
+        cycles = end_cycles(group)  # endpoint matching gate
         assert sum(len(c.arcs) for c in cycles) == 2 * group.genus
         info = surface_invariants(group)
         assert info.handlebody_genus == 2 * info.genus + info.ends - 1 == 2
@@ -200,13 +198,13 @@ def test_criterion_8_jensen_positivity():
 def test_criterion_9_liouville_residuals():
     hyp = SurfaceMesh(TAG_HYPERBOLIC, 2.0, 2.0 * math.pi, 65, 32)
     flat = SurfaceMesh(TAG_FLAT, 2.0, 2.0 * math.pi, 65, 32)
-    assert np.abs(liouville_residual(hyp, hyp.zeros(), VARIANT_HYPERBOLIC)).max() == 0.0
-    assert np.all(liouville_residual(flat, flat.zeros(), VARIANT_FLAT) == -1.0)
+    assert np.abs(liouville_residual(hyp, hyp.zeros())).max() == 0.0
+    assert np.all(liouville_residual(flat, flat.zeros()) == -1.0)
 
     def err(n_t):
         mesh = SurfaceMesh(TAG_FLAT, 2.0, 2.0 * math.pi, n_t, 16)
         phi = mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
-        residual = liouville_residual(mesh, phi, VARIANT_FLAT)
+        residual = liouville_residual(mesh, phi)
         return np.abs(residual - (-2.0 / np.cosh(mesh.t) ** 2)[:, None]).max()
 
     order = math.log2(err(65) / err(129))

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from corevol.anomaly import (
     TAG_FLAT,
     TAG_HYPERBOLIC,
-    VARIANT_FLAT,
-    VARIANT_HYPERBOLIC,
     SurfaceMesh,
     boundary_flux,
     conformal_change_term,
@@ -229,29 +227,20 @@ def test_laplacian_of_constant_vanishes():
 
 def test_liouville_zero_field_hyperbolic_exact():
     mesh = hyperbolic_mesh()
-    residual = liouville_residual(mesh, mesh.zeros(), VARIANT_HYPERBOLIC)
+    residual = liouville_residual(mesh, mesh.zeros())
     assert np.abs(residual).max() == 0.0
 
 
 def test_liouville_zero_field_flat_exact():
     mesh = flat_mesh()
-    residual = liouville_residual(mesh, mesh.zeros(), VARIANT_FLAT)
+    residual = liouville_residual(mesh, mesh.zeros())
     assert np.all(residual == -1.0)
-
-
-def test_liouville_variant_tag_mismatch():
-    with pytest.raises(ValueError):
-        liouville_residual(flat_mesh(), flat_mesh().zeros(), VARIANT_HYPERBOLIC)
-    with pytest.raises(ValueError):
-        liouville_residual(hyperbolic_mesh(), hyperbolic_mesh().zeros(), VARIANT_FLAT)
-    with pytest.raises(ValueError):
-        liouville_residual(flat_mesh(), flat_mesh().zeros(), "spherical_piece")
 
 
 def residual_error_log_sech(n_t):
     mesh = flat_mesh(n_t=n_t, n_theta=16)
     phi = mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
-    residual = liouville_residual(mesh, phi, VARIANT_FLAT)
+    residual = liouville_residual(mesh, phi)
     exact = -2.0 / np.cosh(mesh.t) ** 2
     return np.abs(residual - exact[:, None]).max()
 

@@ -368,6 +368,30 @@ def test_eps_min_below_floor_is_a_config_error(tmp_path, capsys, command, config
     assert "epsilon_grid.min: must be at least 1e-150" in error["message"]
 
 
+@pytest.mark.parametrize("command, config", [("renvol", BTZ_CONFIG), ("wedge", WEDGE_CONFIG)])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-11])
+@pytest.mark.parametrize("from_flag", [False, True])
+def test_quadrature_tol_below_floor_is_a_config_error(tmp_path, capsys, command, config,
+                                                      tol, from_flag):
+    # the renvol oracle refuses tolerances below 1e-10; wedge must not run
+    # such a config at some other tolerance either
+    flags = ["--quad-tol", repr(tol)] if from_flag else []
+    if not from_flag:
+        config = dict(config, quadrature_tol=tol)
+    code = main([command, "--config", write_config(tmp_path, config), *flags])
+    assert code == 1
+    error = _one_error(capsys)
+    assert error["kind"] == "config"
+    assert "quadrature_tol: must be at least 1e-10" in error["message"]
+
+
+def test_quadrature_tol_at_floor_is_accepted(tmp_path, capsys):
+    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
+                 "--quad-tol", "1e-10", "--echo-config"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["quadrature_tol"] == 1e-10
+
+
 def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise QuadratureError("tolerance 1.000e-09 not met within 4096 cells")

@@ -1,5 +1,6 @@
 """Pinned reports: report.txt of the README genus-1 and genus-2 examples and
-of a three-leaf wedge core, compared byte for byte.  Also pinned: the sha256
+of a three-leaf wedge core, and the anomaly report of the README hyperbolic
+mesh and of a flat cylinder, compared byte for byte.  Also pinned: the sha256
 of the `float.hex` list that `limit_set_sample` returns for three fixed
 groups (`golden/limit_set.json`).
 
@@ -50,6 +51,19 @@ CASES = {
                    {"length": 2.0, "theta": math.pi / 3.0},
                    {"length": 3.0, "theta": 2.0 * math.pi / 3.0}],
         "boundary_genus": 2,
+    }),
+    "readme_anomaly": ("anomaly", {
+        "mode": "anomaly_check",
+        "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.0,
+                 "circumference": 2.0 * math.pi, "n_t": 129, "n_theta": 128},
+        "field": {"kind": "theta_mode", "k": 1, "amplitude": 0.2},
+    }),
+    "anomaly_flat": ("anomaly", {
+        "mode": "anomaly_check",
+        "name": "flat",
+        "mesh": {"tag": "flat_cylinder", "t_extent": 1.5,
+                 "circumference": 3.0, "n_t": 65, "n_theta": 48},
+        "field": {"kind": "theta_mode", "k": 2, "amplitude": 0.3},
     }),
 }
 

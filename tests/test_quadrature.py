@@ -39,10 +39,12 @@ def test_agrees_with_scipy_quad(f, a, b):
 
 
 def test_breakpoint_handles_kink():
-    value, _ = adaptive_quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0,
-                             rel_tol=1e-12, breakpoints=(1.0 / 3.0,))
+    values, errors = adaptive_quad_batch(lambda x, k: np.abs(x - 1.0 / 3.0), 0.0, 1.0,
+                                         rel_tol=1e-12, breaks=1.0 / 3.0)
     exact = (1.0 / 3.0) ** 2 / 2.0 + (2.0 / 3.0) ** 2 / 2.0
-    assert value == pytest.approx(exact, rel=1e-13)
+    assert values[0] == pytest.approx(exact, rel=1e-13)
+    # a kink on a cell boundary leaves both cells polynomial: no refinement
+    assert errors[0] <= 1e-15
 
 
 def test_empty_interval_is_zero():
@@ -54,11 +56,12 @@ def test_reversed_interval_rejected():
         adaptive_quad(np.cosh, 1.0, 0.0)
 
 
-def test_cell_budget_exhaustion_raises():
+def test_cell_budget_exhaustion_raises(monkeypatch):
     # integrable endpoint singularity, but far too few cells allowed
-    with pytest.raises(QuadratureError):
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
+    with pytest.raises(QuadratureError, match="within 8 cells"):
         adaptive_quad(lambda x: np.clip(x, 1e-300, None) ** -0.9, 0.0, 1.0,
-                      rel_tol=1e-12, max_cells=8)
+                      rel_tol=1e-12)
 
 
 def test_nonfinite_integrand_reported():
@@ -76,7 +79,7 @@ def test_deterministic_across_runs():
 
 # ------------------------------------------------------------ batched engine
 
-def _reference_quad(f, a, b, rel_tol, breakpoints=()):
+def _reference_quad(f, a, b, rel_tol, kinks=()):
     """Per-interval reference: the one-interval refinement loop, summing the
     cells with a plain 1-d sum in left-to-right order."""
     def cells(lefts, rights):
@@ -86,14 +89,14 @@ def _reference_quad(f, a, b, rel_tol, breakpoints=()):
         gauss = (vals[:, 1::2] * quadrature._WG[None, :]).sum(axis=1) * halves
         return kron, np.abs(kron - gauss)
 
-    edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    edges = sorted({a, b, *(x for x in kinks if a < x < b)})
     lefts, rights = np.array(edges[:-1]), np.array(edges[1:])
     vals, errs = cells(lefts, rights)
     while True:
         order = np.argsort(lefts, kind="stable")
         lefts, rights, vals, errs = lefts[order], rights[order], vals[order], errs[order]
         total, total_err = float(vals.sum()), float(errs.sum())
-        tol = max(0.0, rel_tol * abs(total))
+        tol = rel_tol * abs(total)
         if total_err <= tol:
             return total, total_err
         split = errs > tol / len(lefts)
@@ -124,8 +127,12 @@ def test_batch_equals_per_interval_calls_bitwise(with_breaks):
                                          rel_tol=1e-10, breaks=breaks)
     for k in range(50):
         kinks = (c[k],) if with_breaks else ()
-        one = adaptive_quad(lambda x: _kinked(x, c[k]), a[k], b[k], rel_tol=1e-10,
-                            breakpoints=kinks)
+        if with_breaks:
+            v, e = adaptive_quad_batch(lambda x, _: _kinked(x, c[k]), a[k], b[k],
+                                       rel_tol=1e-10, breaks=c[k])
+            one = (float(v[0]), float(e[0]))
+        else:
+            one = adaptive_quad(lambda x: _kinked(x, c[k]), a[k], b[k], rel_tol=1e-10)
         ref = _reference_quad(lambda x: _kinked(x, c[k]), a[k], b[k], 1e-10, kinks)
         assert (values[k], errors[k]) == one == ref
 
@@ -156,29 +163,31 @@ def test_batch_zero_width_and_reversed_like_scalar():
         adaptive_quad(np.cosh, 1.0, 0.0)
 
 
-def test_batch_unconvergeable_member_raises():
+def test_batch_unconvergeable_member_raises(monkeypatch):
     def f(x, k):
         return np.where(k == 3, np.clip(x, 1e-300, None) ** -0.9, np.cosh(x))
 
-    values, _ = adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0], rel_tol=1e-12, max_cells=8)
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
+    values, _ = adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0], rel_tol=1e-12)
     assert values == pytest.approx(np.sinh([1.0, 2.0, 3.0]), rel=1e-12)
     with pytest.raises(QuadratureError, match="within 8 cells"):
-        adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0, 1.0], rel_tol=1e-12, max_cells=8)
+        adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0, 1.0], rel_tol=1e-12)
 
 
 def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
-    # three cells of error tol / 3: none is above its share of tol, yet their
-    # sum rounds above tol, so the worst cells (all three) are split
+    # three unit cells summing to tol, each of error tol / 3 at rel_tol 1:
+    # none is above its share of tol, yet their errors sum above tol, so the
+    # worst cells (all three) are split into halves of value 1 and error 0
     tol = 0.9046800706458055
     assert np.full(3, tol / 3.0).sum() > tol
 
     def fake_eval(f, cells):
         unit = cells[1] - cells[0] == 1.0
-        return np.concatenate([cells, [np.ones(cells.shape[1]), np.where(unit, tol / 3.0, 0.0)]])
+        value = np.where(unit, np.where(cells[0] == 0.0, tol, 0.0), 1.0)
+        return np.concatenate([cells, [value, np.where(unit, tol / 3.0, 0.0)]])
 
     monkeypatch.setattr(quadrature, "_eval_cells", fake_eval)
-    values, errors = adaptive_quad_batch(None, 0.0, 3.0, rel_tol=0.0, abs_tol=tol,
-                                         breaks=[[1.0, 2.0]])
+    values, errors = adaptive_quad_batch(None, 0.0, 3.0, rel_tol=1.0, breaks=[[1.0, 2.0]])
     assert (values[0], errors[0]) == (6.0, 0.0)
 
 

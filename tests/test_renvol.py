@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from corevol.renvol import (
     Convention,
-    EndChart,
-    LevelParam,
     VolumeProfile,
-    core_distance,
     default_eps_grid,
     expansion_fit,
     fit_expansion,
+    level_lambda,
     level_set_area,
     profile_closed,
     profile_quadrature,
@@ -43,58 +41,15 @@ def scaled_surface(surface, factor):
 # ---------------------------------------------------------------- level data
 
 def test_level_param_roundtrip():
-    level = LevelParam.from_eps(0.1)
-    assert level.lam == pytest.approx(math.log(10.0))
-    assert LevelParam.from_lambda(level.lam).eps == pytest.approx(0.1)
+    lam = level_lambda(0.1)
+    assert lam == pytest.approx(math.log(10.0))
+    assert math.exp(-lam) == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
 def test_level_param_range(eps):
-    with pytest.raises(ValueError):
-        LevelParam.from_eps(eps)
-
-
-# ---------------------------------------------------------- distance function
-
-@pytest.mark.parametrize("r", [0.25, 1.0, 2.0])
-def test_core_distance_on_the_surface(r):
-    assert core_distance(r, 0.0) == pytest.approx(abs(r), rel=1e-13)
-    assert core_distance(-r, 0.0) == pytest.approx(abs(r), rel=1e-13)
-
-
-@pytest.mark.parametrize("t", [0.3, 1.0, 1.7])
-def test_core_distance_along_the_end(t):
-    assert core_distance(0.0, t) == pytest.approx(t, rel=1e-13)
-
-
-def test_core_distance_defining_relation():
-    f = core_distance(1.0, 1.0)
-    assert f == pytest.approx(math.acosh(math.cosh(1.0) ** 2), rel=1e-13)
-    assert math.cosh(f) == pytest.approx(math.cosh(1.0) * math.cosh(1.0), rel=1e-13)
-
-
-def test_core_distance_monotone():
-    assert core_distance(1.5, 0.7) > core_distance(1.0, 0.7)
-    assert core_distance(1.0, 1.2) > core_distance(1.0, 0.7)
-
-
-def test_core_distance_has_unit_gradient():
-    # |grad f|^2 = (df/dr)^2 + (df/dt)^2 / cosh^2(r) in the end chart metric
-    chart = EndChart(length=2.0)
-    h = 1e-6
-    for r, t in [(0.5, 0.8), (1.2, 0.3), (-0.7, 1.5), (2.0, 2.0)]:
-        df_dr = (core_distance(r + h, t) - core_distance(r - h, t)) / (2 * h)
-        df_dt = (core_distance(r, t + h) - core_distance(r, t - h)) / (2 * h)
-        _, g_tt, _ = chart.metric_diag(r, t)
-        grad_sq = df_dr ** 2 + df_dt ** 2 / g_tt
-        assert grad_sq == pytest.approx(1.0, abs=1e-8)
-
-
-def test_end_chart_volume_element():
-    chart = EndChart(length=3.0)
-    assert chart.volume_element(0.7, 1.1) == pytest.approx(
-        math.cosh(0.7) ** 2 * math.cosh(1.1), rel=1e-14
-    )
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        level_lambda(eps)
 
 
 # -------------------------------------------------------------- level areas
@@ -327,7 +282,7 @@ def test_profile_invariants():
         VolumeProfile(((0.1, 1.0), (0.2, 2.0)), "quadrature")
     with pytest.raises(ValueError):
         VolumeProfile(((0.2, 2.0), (0.1, 1.0)), "quadrature")
-    profile = VolumeProfile(((0.2, 1.0), (0.1, 2.0)), "quadrature", "demo")
+    profile = VolumeProfile(((0.2, 1.0), (0.1, 2.0)), "quadrature")
     assert profile.eps.tolist() == [0.2, 0.1]
     assert profile.volumes.tolist() == [1.0, 2.0]
 

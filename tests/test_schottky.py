@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corevol.mobius import Mobius
 from corevol.schottky import (
+    DEDUP_TOL,
     Circle,
     Pairing,
     SchottkyData,
@@ -247,7 +248,7 @@ def test_limit_set_depth_zero_rejected(cyclic_s1):
         limit_set_sample(cyclic_s1, 0)
 
 
-def reference_sample(group, depth, dedup_tol=1e-12):
+def reference_sample(group, depth):
     """`limit_set_sample` one word at a time: `word_mobius` over
     `enumerate_words`, then a stable sort and a scan against the last point
     kept."""
@@ -259,7 +260,7 @@ def reference_sample(group, depth, dedup_tol=1e-12):
     raw.sort(key=lambda z: (z.real, z.imag))
     points = []
     for z in raw:
-        if points and abs(z - points[-1]) <= dedup_tol:
+        if points and abs(z - points[-1]) <= DEDUP_TOL:
             continue
         points.append(z)
     return [z.real for z in points] if group.fuchsian else points
@@ -357,16 +358,15 @@ def test_limit_set_rejects_mixed_fields_as_word_mobius_does():
 
 @pytest.mark.parametrize("direction", [1.0, 1j])
 def test_dedup_compares_with_the_last_point_kept(direction):
-    tol = 1e-12
-    chain = np.array([0.6 * tol * k * direction for k in range(11)][::-1])
+    chain = np.array([0.6 * DEDUP_TOL * k * direction for k in range(11)][::-1])
     # a scan against the previous point would keep only the first one
-    assert _sort_dedup(chain, tol) == np.sort(chain)[::2].tolist()
+    assert _sort_dedup(chain) == np.sort(chain)[::2].tolist()
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0),
                                            (1j, complex(-0.0, 1.0))])
 def test_dedup_keeps_the_first_of_signed_zeros(first, second):
     # keys that differ only in the sign of a zero keep the order of the words
-    kept = _sort_dedup(np.array([2.0, first, *[second] * 15, 3.0]), 1e-12)
+    kept = _sort_dedup(np.array([2.0, first, *[second] * 15, 3.0]))
     assert repr(kept[0]) == repr(first)
     assert len(kept) == 3

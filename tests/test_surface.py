@@ -24,7 +24,6 @@ def test_boundary_arcs_cyclic(cyclic_s1):
     middle = next(a for a in arcs if not a.through_infinity)
     assert middle.left == pytest.approx(-math.tanh(0.5))
     assert middle.right == pytest.approx(math.tanh(0.5))
-    assert (middle.left_side, middle.right_side) == ("b", "a")
 
 
 def test_boundary_arcs_count_and_disjointness(g2_adjacent):
