@@ -18,6 +18,7 @@ import numpy as np
 from . import anomaly as anomaly_mod
 from .mobius import Mobius
 from .pleated import (
+    WEDGE_TOL_FLOOR,
     PleatedCoreData,
     PleatLeaf,
     pleated_profile,
@@ -371,6 +372,8 @@ def cmd_wedge(cfg: dict, args) -> int:
     grid = cfg["epsilon_grid"]
     eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
     eps_check = float(math.sqrt(grid["min"] * grid["max"]))
+    # the wedge oracle runs at no finer tolerance than its floor
+    tol = max(cfg["quadrature_tol"], WEDGE_TOL_FLOOR)
 
     report = Report()
     report.add("command", "wedge")
@@ -381,6 +384,7 @@ def cmd_wedge(cfg: dict, args) -> int:
     for i, leaf in enumerate(core.leaves):
         report.add(f"leaf.{i}.length", leaf.length)
         report.add(f"leaf.{i}.theta", leaf.theta)
+    report.add("quadrature.tol", tol)
 
     profiles = []
     values = {}
@@ -391,7 +395,7 @@ def cmd_wedge(cfg: dict, args) -> int:
         profiles.append(pleated_profile(core, eps_grid, conv))
     for i, leaf in enumerate(core.leaves):
         derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
-        quad = wedge_volume_quadrature(leaf, eps_check, tol=max(cfg["quadrature_tol"], 1e-8))
+        quad = wedge_volume_quadrature(leaf, eps_check, tol=tol)
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
         gap = abs(quad - derived) / max(abs(derived), 1e-300)
@@ -434,7 +438,7 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
     return u
 
 
-def cmd_anomaly(cfg: dict, args) -> int:
+def _anomaly_report(cfg: dict) -> Report:
     mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
     u = _build_field(mesh, cfg["field"])
 
@@ -463,6 +467,19 @@ def cmd_anomaly(cfg: dict, args) -> int:
         - anomaly_mod.boundary_flux(mesh, u, u)
     )
     report.add("integration_by_parts_defect", defect)
+    return report
+
+
+def cmd_anomaly(cfg: dict, args) -> int:
+    # a mesh or field extreme enough that a functional leaves the float64
+    # range is a value error, not a report of inf or nan
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = _anomaly_report(cfg)
+    except ArithmeticError as exc:
+        raise ValueError(
+            f"the anomaly functionals leave the float64 range on this mesh and field ({exc})"
+        ) from None
     _emit(report, args)
     return 0
 
@@ -477,7 +494,7 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corevol",
         description="Renormalized volumes of Schottky hyperbolic 3-manifolds "
@@ -496,6 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--echo-config", action="store_true",
                         help="print the normalized config as JSON and exit")
     return parser
+
+
+# built once: parsing does not change the parser
+_PARSER = _build_parser()
 
 
 def _error_object(kind: str, message: str, **extra) -> str:
@@ -521,7 +542,7 @@ def _with_overrides(raw, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -26,6 +26,9 @@ from .renvol import (
 )
 from .surface import SurfaceInfo
 
+# smallest tolerance the wedge oracle accepts
+WEDGE_TOL_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class PleatLeaf:
@@ -110,8 +113,8 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     all z nodes.  The polar reduction of each slice is used only to place
     cell boundaries.
     """
-    if tol < 1e-8:
-        raise ValueError(f"tolerance must be at least 1e-8, got {tol}")
+    if tol < WEDGE_TOL_FLOOR:
+        raise ValueError(f"tolerance must be at least {WEDGE_TOL_FLOOR!r}, got {tol}")
     lam = level_lambda(eps)
     if leaf.theta == math.pi:
         return 0.0

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad, adaptive_quad_batch
+from .quadrature import QuadratureError, adaptive_quad_batch
 from .surface import SurfaceInfo
 
 
@@ -100,21 +100,52 @@ _libm_cosh = np.frompyfunc(math.cosh, 1, 1)
 _libm_acosh = np.frompyfunc(math.acosh, 1, 1)
 
 
-def _end_cylinder_integral(lam: float, rel_tol: float):
-    """Volume over one unit-length end: integral of cosh^2(r) cosh(t) over
-    {cosh r cosh t <= cosh lam, t >= 0}, by adaptive quadrature in r over
-    one batched quadrature in t for all r nodes."""
-    cosh_lam = math.cosh(lam)
+def _end_cylinder_integrals(lams, rel_tol: float):
+    """Volume over one unit-length end at each level lams[k]: integral of
+    cosh^2(r) cosh(t) over {cosh r cosh t <= cosh lam, t >= 0}.  One batched
+    quadrature in r covers all levels; its integrand is one batched
+    quadrature in t for all of its r nodes.  Returns (values, error
+    estimates) as arrays."""
+    cosh_lam = _libm_cosh(lams).astype(float)
 
-    def cross_section(r_values):
+    def cross_section(r_values, k):
         cosh_r = _libm_cosh(r_values).astype(float)
-        t_max = _libm_acosh(np.maximum(cosh_lam / cosh_r, 1.0)).astype(float)
-        inner, _ = adaptive_quad_batch(lambda t, k: np.cosh(t), 0.0, t_max,
+        t_max = _libm_acosh(np.maximum(cosh_lam[k] / cosh_r, 1.0)).astype(float)
+        inner, _ = adaptive_quad_batch(lambda t, j: np.cosh(t), 0.0, t_max,
                                        rel_tol=rel_tol / 8.0)
         return np.float_power(cosh_r, 2) * inner
 
-    value, err = adaptive_quad(cross_section, -lam, lam, rel_tol=rel_tol / 2.0)
-    return value, err + abs(value) * rel_tol / 8.0
+    values, errors = adaptive_quad_batch(cross_section, -lams, lams, rel_tol=rel_tol / 2.0)
+    return values, errors + np.abs(values) * rel_tol / 8.0
+
+
+def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
+    """Oracle volumes and their error estimates at every level of
+    eps_values, each integral one batch over all levels; raises
+    QuadratureError at the first level, in the given order, whose estimate
+    exceeds tol * |volume|."""
+    if tol < QUAD_TOL_FLOOR:
+        raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
+    lams = np.array([level_lambda(float(e)) for e in eps_values])
+    totals = np.zeros(lams.size)
+    errs = np.zeros(lams.size)
+    if surface.core_area != 0.0:
+        slabs, slab_errs = adaptive_quad_batch(
+            lambda r, k: np.cosh(r) ** 2, 0.0, lams, rel_tol=tol / 4.0
+        )
+        totals += 2.0 * surface.core_area * slabs
+        errs += 2.0 * surface.core_area * slab_errs
+    total_length = surface.total_end_length
+    if total_length > 0.0:
+        cyls, cyl_errs = _end_cylinder_integrals(lams, rel_tol=tol / 2.0)
+        totals += total_length * cyls
+        errs += total_length * cyl_errs
+    for total, err in zip(totals.tolist(), errs.tolist()):
+        if err > tol * abs(total) + 1e-300:
+            raise QuadratureError(
+                f"quadrature error estimate {err:.3e} exceeds tolerance for volume {total:.6e}"
+            )
+    return totals, errs
 
 
 def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
@@ -123,29 +154,11 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
 
     Integrates the volume element numerically over the truncated region
     (core slab plus one cylinder region per end); no closed-form
-    antiderivative of the integrand is used anywhere on this path.
+    antiderivative of the integrand is used anywhere on this path.  A batch
+    of one level for the profile oracle.
     """
-    if tol < QUAD_TOL_FLOOR:
-        raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
-    lam = level_lambda(eps)
-    total = 0.0
-    err = 0.0
-    if surface.core_area != 0.0:
-        slab, slab_err = adaptive_quad(
-            lambda r: np.cosh(r) ** 2, 0.0, lam, rel_tol=tol / 4.0
-        )
-        total += 2.0 * surface.core_area * slab
-        err += 2.0 * surface.core_area * slab_err
-    total_length = surface.total_end_length
-    if total_length > 0.0:
-        cyl, cyl_err = _end_cylinder_integral(lam, rel_tol=tol / 2.0)
-        total += total_length * cyl
-        err += total_length * cyl_err
-    if err > tol * abs(total) + 1e-300:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance for volume {total:.6e}"
-        )
-    return total
+    volumes, _ = _truncated_volumes(surface, [eps], tol)
+    return float(volumes[0])
 
 
 @dataclass(frozen=True)
@@ -194,11 +207,10 @@ def profile_closed(surface: SurfaceInfo, eps_grid, convention: Convention) -> Vo
 
 
 def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> VolumeProfile:
-    samples = tuple(
-        (float(e), truncated_volume_quadrature(surface, float(e), tol))
-        for e in eps_grid
-    )
-    return VolumeProfile(samples, PROVENANCE_QUADRATURE)
+    """Oracle profile: every level of eps_grid integrated in one batch."""
+    eps_values = [float(e) for e in eps_grid]
+    volumes, _ = _truncated_volumes(surface, eps_values, tol)
+    return VolumeProfile(tuple(zip(eps_values, volumes.tolist())), PROVENANCE_QUADRATURE)
 
 
 @dataclass(frozen=True)

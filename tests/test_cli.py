@@ -5,7 +5,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corevol import cli
@@ -306,25 +306,44 @@ def _paths(value, prefix=()):
         yield from _paths(item, prefix + (key,))
 
 
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 @st.composite
-def mutated_examples(draw):
+def mutated_examples(draw, bases=(BTZ_CONFIG, G2_CONFIG, WEDGE_CONFIG, ANOMALY_CONFIG)):
     """One of the example configs with up to three values replaced by
     arbitrary JSON or deleted (values close to valid ones are drawn often, so
     that edits which keep the config valid are common too)."""
-    config = json.loads(json.dumps(
-        draw(st.sampled_from([BTZ_CONFIG, G2_CONFIG, WEDGE_CONFIG, ANOMALY_CONFIG]))))
+    config = json.loads(json.dumps(draw(st.sampled_from(bases))))
     for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
         paths = list(_paths(config))[1:]
         if not paths:
             break
         path = draw(st.sampled_from(paths))
-        parent = config
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _at(config, path[:-1])
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[path[-1]]
         else:
             parent[path[-1]] = draw(NEAR_VALID | JSON_VALUES)
+    return config
+
+
+NUMBERS = st.floats(-16.0, 16.0) | st.sampled_from([0, 1, 2, 4, 9, 64, 1e-3, 0.3, 0.9])
+
+
+@st.composite
+def perturbed_examples(draw, bases):
+    """One of the example configs with up to three of its numbers replaced by
+    other numbers, so that most of them pass the config check and run."""
+    config = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    numbers = [path for path in _paths(config)
+               if path and type(_at(config, path)) in (int, float)]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        path = draw(st.sampled_from(numbers))
+        _at(config, path[:-1])[path[-1]] = draw(NUMBERS)
     return config
 
 
@@ -344,6 +363,52 @@ def test_echo_config_is_one_json_object(tmp_path_factory, config, flags):
             assert parse_config(payload) == payload
         else:
             assert payload["error"]["kind"] == "config"
+
+
+# the fuzzed commands run on small grids and meshes only
+SMALL_RUN_FLAGS = ["--eps-count", "8", "--quad-tol", "1e-8"]
+SMALL_MESH_NODES = 129 * 128
+
+
+def _small_enough(config) -> bool:
+    try:
+        cfg = parse_config(config)
+    except ConfigError:
+        return True
+    if cfg["mode"] != "anomaly_check":
+        return True
+    # a mesh with a side below 4 is rejected before anything is allocated
+    n_t, n_theta = cfg["mesh"]["n_t"], cfg["mesh"]["n_theta"]
+    return min(n_t, n_theta) < 4 or n_t * n_theta <= SMALL_MESH_NODES
+
+
+# command -> the example configs its fuzzed runs start from
+FUZZ_BASES = {"renvol": (BTZ_CONFIG, G2_CONFIG), "wedge": (WEDGE_CONFIG,),
+              "anomaly": (ANOMALY_CONFIG,)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(FUZZ_BASES)).flatmap(
+    lambda command: st.tuples(st.just(command), mutated_examples(FUZZ_BASES[command])
+                              | perturbed_examples(FUZZ_BASES[command]))))
+def test_commands_give_a_report_or_one_json_error(tmp_path_factory, case):
+    command, config = case
+    assume(_small_enough(config))
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--config", str(path), *SMALL_RUN_FLAGS])
+    assert code in (0, 1, 2)
+    text = out.getvalue()
+    if code == 0:
+        report = report_dict(text)
+        assert report["command"] == command
+        assert len(report) == text.count("\n")
+    else:
+        assert text.count("\n") == 1
+        error = json.loads(text)["error"]
+        assert isinstance(error["kind"], str) and isinstance(error["message"], str)
 
 
 def _one_error(capsys):
@@ -450,6 +515,21 @@ def test_fit_overflow_is_named_without_a_warning(tmp_path, capsys, eps_min):
     error = json.loads(out.out)["error"]
     assert error["kind"] == "value"
     assert "eps^-2 column overflows" in error["message"]
+
+
+@pytest.mark.parametrize("mesh, field", [
+    ({"t_extent": 1.1598632708189148e-87}, {}),        # residual ** 2 overflows
+    ({"t_extent": 2.896519918125844e-242}, {}),        # a spacing underflows to 0
+    ({}, {"amplitude": 3.972625161888269e+289}),       # the energy overflows
+])
+def test_anomaly_out_of_float_range_is_a_value_error(tmp_path, capsys, mesh, field):
+    config = dict(ANOMALY_CONFIG, mesh={**ANOMALY_CONFIG["mesh"], **mesh},
+                  field={**ANOMALY_CONFIG["field"], **field})
+    code = main(["anomaly", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert "leave the float64 range" in error["message"]
 
 
 def test_field_file_without_parameter_line_is_a_value_error(tmp_path, capsys):

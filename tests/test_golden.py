@@ -1,5 +1,6 @@
-"""Pinned reports: report.txt of the README genus-1 and genus-2 examples and
-of a three-leaf wedge core, and the anomaly report of the README hyperbolic
+"""Pinned reports: report.txt of the README genus-1 and genus-2 examples, of
+a crossed genus-3 row group (core slab and ends) on a 16-level grid and of a
+three-leaf wedge core, and the anomaly report of the README hyperbolic
 mesh and of a flat cylinder, compared byte for byte.  Also pinned: the sha256
 of the `float.hex` list that `limit_set_sample` returns for three fixed
 groups (`golden/limit_set.json`).
@@ -27,6 +28,17 @@ from conftest import make_row_group
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+
+def group_config(group) -> dict:
+    """The circles and pairings of a validated group, as config keys."""
+    return {
+        "circles": [{"center": c.center, "radius": c.radius} for c in group.circles],
+        "pairings": [{"source": p.source, "target": p.target,
+                      "matrix": [p.map.a, p.map.b, p.map.c, p.map.d]}
+                     for p in group.pairings],
+    }
+
+
 CASES = {
     "readme_genus1": ("renvol", {
         "mode": "fuchsian_group",
@@ -42,6 +54,14 @@ CASES = {
                     {"center": 1.0, "radius": 0.4}, {"center": 3.0, "radius": 0.4}],
         "pairings": [{"source": 0, "target": 1, "matrix": [-2.5, -7.9, 2.5, 7.5]},
                      {"source": 2, "target": 3, "matrix": [7.5, -7.9, 2.5, -2.5]}],
+    }),
+    "g3_crossed": ("renvol", {
+        "mode": "fuchsian_group",
+        "name": "g3_crossed",
+        **group_config(make_row_group((-5, -3, -1, 1, 3, 5), 0.4,
+                                      [(0, 3), (1, 4), (2, 5)])),
+        "epsilon_grid": {"min": 1e-3, "max": 0.3, "count": 16},
+        "quadrature_tol": 1e-8,
     }),
     "wedge_three_leaves": ("wedge", {
         "mode": "pleated_core",

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import corevol
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.quadrature import QuadratureError, adaptive_quad, adaptive_quad_batch
-from corevol.renvol import _end_cylinder_integral
+from corevol.renvol import _end_cylinder_integrals, level_lambda
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -193,13 +194,24 @@ def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
 
 # ------------------------------------------- oracles against 50-digit values
 
-@pytest.mark.parametrize("eps", [0.3, 0.05, 1e-2, 1e-3, 1e-4])
+END_CYLINDER_EPS = (0.3, 0.05, 1e-2, 1e-3, 1e-4)
+
+
+@functools.cache
+def end_cylinder_batch(rel_tol):
+    """eps -> (value, error estimate), all levels integrated in one batch."""
+    lams = np.array([level_lambda(eps) for eps in END_CYLINDER_EPS])
+    values, errors = _end_cylinder_integrals(lams, rel_tol)
+    return dict(zip(END_CYLINDER_EPS, zip(values.tolist(), errors.tolist())))
+
+
+@pytest.mark.parametrize("eps", END_CYLINDER_EPS)
 @pytest.mark.parametrize("rel_tol", [1e-9, 2e-10])
 def test_end_cylinder_integral_matches_mpmath(eps, rel_tol):
     with mpmath.workdps(50):
         lam = -mpmath.log(mpmath.mpf(eps))
         exact = mpmath.pi / 2 * mpmath.sinh(lam) ** 2
-    value, err = _end_cylinder_integral(float(lam), rel_tol)
+    value, err = end_cylinder_batch(rel_tol)[eps]
     assert abs(value - exact) <= rel_tol * exact
     assert err <= rel_tol * value
 

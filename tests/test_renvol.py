@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corevol import quadrature, surface_invariants
+from corevol.cli import main
 from corevol.renvol import (
     Convention,
     VolumeProfile,
+    _truncated_volumes,
     default_eps_grid,
     expansion_fit,
     fit_expansion,
@@ -153,6 +157,48 @@ def test_quadrature_monotone_in_eps(surface_s1):
 def test_quadrature_tolerance_floor(surface_s1):
     with pytest.raises(ValueError):
         truncated_volume_quadrature(surface_s1, 0.1, tol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def surfaces_by_genus(surface_s1, surface_crossed, g3_row):
+    return {1: surface_s1, 2: surface_crossed, 3: surface_invariants(g3_row)}
+
+
+BATCH_CASES = [(genus, tol, count) for genus in (1, 2, 3)
+               for tol in (1e-8, 1e-9) for count in (8, 16)]
+
+
+@pytest.mark.parametrize("genus, tol, count", BATCH_CASES)
+def test_profile_batch_equals_per_eps_calls_bitwise(surfaces_by_genus, genus, tol, count):
+    surface = surfaces_by_genus[genus]
+    grid = default_eps_grid(1e-3, 0.3, count)
+    profile = profile_quadrature(surface, grid, tol)
+    singles = [truncated_volume_quadrature(surface, float(e), tol) for e in grid]
+    assert [v.hex() for v in profile.volumes.tolist()] == [v.hex() for v in singles]
+
+
+@pytest.mark.parametrize("genus, tol, count", BATCH_CASES)
+def test_profile_error_estimates_meet_tolerance(surfaces_by_genus, genus, tol, count):
+    grid = default_eps_grid(1e-3, 0.3, count)
+    volumes, errors = _truncated_volumes(surfaces_by_genus[genus], grid, tol)
+    assert volumes.shape == errors.shape == (count,)
+    assert np.all(errors > 0.0)
+    assert np.all(errors <= tol * np.abs(volumes))
+
+
+def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
+    path = tmp_path / "btz.json"
+    path.write_text(json.dumps({
+        "mode": "fuchsian_group",
+        "generators": [{"p": -1.0, "q": 1.0, "length": 2.0}],
+    }), encoding="utf-8")
+    assert main(["renvol", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "quadrature"
+    assert "not met within 8 cells" in error["message"]
 
 
 def test_coarea_identity(surface_s1, surface_adjacent):
