@@ -107,14 +107,14 @@ class SurfaceMesh:
         return c
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """Per-node area weights, shape (n_t, n_theta)."""
-        col = self._sqrt_det * self._t_weights * self.dt * self.dtheta
-        return np.repeat(col[:, None], self.n_theta, axis=1)
+    def _weight_column(self) -> np.ndarray:
+        """Per-node area weights, shape (n_t, 1): they do not vary in theta."""
+        return (self._sqrt_det * self._t_weights * self.dt * self.dtheta)[:, None]
 
     @property
     def area(self) -> float:
-        return float(self.weights.sum())
+        # summed over the full grid, in the order `integrate` sums a field
+        return float(np.repeat(self._weight_column, self.n_theta, axis=1).sum())
 
     @property
     def analytic_area(self) -> float:
@@ -144,24 +144,35 @@ class SurfaceMesh:
         return u
 
 
+# The private kernels take checked fields.  The public functions check and
+# call them; `anomaly_functionals` checks once and shares their results.
+
+def _integrate(mesh: SurfaceMesh, f: np.ndarray) -> float:
+    return float((f * mesh._weight_column).sum())
+
+
 def integrate(mesh: SurfaceMesh, f: np.ndarray) -> float:
     """Area integral of a nodal field."""
-    return float((mesh._check_field(f) * mesh.weights).sum())
+    return _integrate(mesh, mesh._check_field(f))
+
+
+def _gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
+    # when v is u (an energy) each difference is taken once
+    dt, dth = mesh.dt, mesh.dtheta
+    du_t = (u[1:, :] - u[:-1, :]) / dt
+    dv_t = du_t if v is u else (v[1:, :] - v[:-1, :]) / dt
+    e_t = float((mesh._sqrt_det_mid[:, None] * du_t * dv_t).sum()) * dt * dth
+    del du_t, dv_t
+    du_h = (np.roll(u, -1, axis=1) - u) / dth
+    dv_h = du_h if v is u else (np.roll(v, -1, axis=1) - v) / dth
+    coeff = (mesh._theta_coeff * mesh._t_weights)[:, None]
+    e_h = float((coeff * du_h * dv_h).sum()) * dt * dth
+    return e_t + e_h
 
 
 def gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     """Dirichlet bilinear form int <grad u, grad v> dmu (staggered differences)."""
-    u = mesh._check_field(u)
-    v = mesh._check_field(v)
-    dt, dth = mesh.dt, mesh.dtheta
-    du_t = (u[1:, :] - u[:-1, :]) / dt
-    dv_t = (v[1:, :] - v[:-1, :]) / dt
-    e_t = float((mesh._sqrt_det_mid[:, None] * du_t * dv_t).sum()) * dt * dth
-    du_h = (np.roll(u, -1, axis=1) - u) / dth
-    dv_h = (np.roll(v, -1, axis=1) - v) / dth
-    coeff = (mesh._theta_coeff * mesh._t_weights)[:, None]
-    e_h = float((coeff * du_h * dv_h).sum()) * dt * dth
-    return e_t + e_h
+    return _gradient_form(mesh, mesh._check_field(u), mesh._check_field(v))
 
 
 def gradient_energy(mesh: SurfaceMesh, u: np.ndarray) -> float:
@@ -217,6 +228,27 @@ def _boundary_operator(mesh: SurfaceMesh, v: np.ndarray):
     return b[0] * d2_bot + bp[0] * d1_bot, b[-1] * d2_top + bp[-1] * d1_top
 
 
+def _t_flux(mesh: SurfaceMesh, v: np.ndarray) -> np.ndarray:
+    """sqrt(det) dv/dt on the staggered t midpoints, shape (n_t - 1, n_theta)."""
+    return mesh._sqrt_det_mid[:, None] * (v[1:, :] - v[:-1, :]) / mesh.dt
+
+
+def _laplacian(mesh: SurfaceMesh, v: np.ndarray, flux: np.ndarray, lam) -> np.ndarray:
+    """`laplacian` from the t flux of v and its boundary operator `lam`."""
+    b = mesh._sqrt_det
+    out = np.empty_like(v)
+    # in place where a plain expression would allocate another full-mesh array
+    np.subtract(flux[1:, :], flux[:-1, :], out=out[1:-1, :])
+    out[1:-1, :] /= b[1:-1, None] * mesh.dt
+    out[0, :] = lam[0] / b[0]
+    out[-1, :] = lam[1] / b[-1]
+    second_theta = np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
+    second_theta *= (mesh._theta_coeff / b)[:, None]
+    second_theta /= mesh.dtheta ** 2
+    out += second_theta
+    return out
+
+
 def laplacian(mesh: SurfaceMesh, v: np.ndarray) -> np.ndarray:
     """Metric Laplace-Beltrami operator, second order at every node.
 
@@ -225,17 +257,16 @@ def laplacian(mesh: SurfaceMesh, v: np.ndarray) -> np.ndarray:
     `gradient_form` and `boundary_flux` exact.
     """
     v = mesh._check_field(v)
-    dt, dth = mesh.dt, mesh.dtheta
-    b = mesh._sqrt_det
-    out = np.empty_like(v)
-    flux = mesh._sqrt_det_mid[:, None] * (v[1:, :] - v[:-1, :]) / dt
-    out[1:-1, :] = (flux[1:, :] - flux[:-1, :]) / (b[1:-1, None] * dt)
-    lam_bot, lam_top = _boundary_operator(mesh, v)
-    out[0, :] = lam_bot / b[0]
-    out[-1, :] = lam_top / b[-1]
-    second_theta = np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
-    out += (mesh._theta_coeff / b)[:, None] * second_theta / dth ** 2
-    return out
+    return _laplacian(mesh, v, _t_flux(mesh, v), _boundary_operator(mesh, v))
+
+
+def _boundary_flux(mesh: SurfaceMesh, u: np.ndarray, flux: np.ndarray, lam) -> float:
+    """`boundary_flux` from the t flux of v (only its first and last rows are
+    read) and the boundary operator `lam` of v."""
+    dt = mesh.dt
+    g_bot = flux[0, :] - 0.5 * dt * lam[0]
+    g_top = flux[-1, :] + 0.5 * dt * lam[1]
+    return float((u[-1, :] * g_top - u[0, :] * g_bot).sum()) * mesh.dtheta
 
 
 def boundary_flux(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
@@ -243,12 +274,11 @@ def boundary_flux(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     integrate(u * laplacian(v)) + gradient_form(u, v) == boundary_flux(u, v)."""
     u = mesh._check_field(u)
     v = mesh._check_field(v)
-    dt = mesh.dt
-    q = mesh._sqrt_det_mid[:, None] * (v[1:, :] - v[:-1, :]) / dt
-    lam_bot, lam_top = _boundary_operator(mesh, v)
-    g_bot = q[0, :] - 0.5 * dt * lam_bot
-    g_top = q[-1, :] + 0.5 * dt * lam_top
-    return float((u[-1, :] * g_top - u[0, :] * g_bot).sum()) * mesh.dtheta
+    return _boundary_flux(mesh, u, _t_flux(mesh, v), _boundary_operator(mesh, v))
+
+
+def _liouville_residual(mesh: SurfaceMesh, lap: np.ndarray, exp_2phi: np.ndarray) -> np.ndarray:
+    return (lap + 1.0 if mesh.tag == TAG_HYPERBOLIC else lap) - exp_2phi
 
 
 def liouville_residual(mesh: SurfaceMesh, phi: np.ndarray) -> np.ndarray:
@@ -258,9 +288,50 @@ def liouville_residual(mesh: SurfaceMesh, phi: np.ndarray) -> np.ndarray:
     hyperbolic_piece: lap(phi) + 1 - exp(2 phi)   (target curvature -1)
     flat_piece:       lap(phi) - exp(2 phi)       (flat background)
     """
+    phi = mesh._check_field(phi)
+    return _liouville_residual(mesh, laplacian(mesh, phi), np.exp(2.0 * phi))
+
+
+def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
+    """The field-dependent values of the `anomaly` report, keyed and ordered
+    as the report prints them, after "mesh.area" (the mesh area, first).
+
+    One pass: the field is checked once, and the energy, integral and
+    exp(2u) of u, the t flux, boundary operator and Laplacian are each
+    computed once and shared by every value that needs them.  Each value
+    is bitwise equal to the public function that defines it.
+    """
+    u = mesh._check_field(u)
+    area = mesh.area
+    energy = _gradient_form(mesh, u, u)
+    integral = _integrate(mesh, u)
+    values = {
+        "mesh.area": area,
+        "gradient_energy": energy,
+        "conformal_change_term": 0.25 * (energy + mesh.scalar_curvature * integral),
+    }
     if mesh.tag == TAG_HYPERBOLIC:
-        return laplacian(mesh, phi) + 1.0 - np.exp(2.0 * phi)
-    return laplacian(mesh, phi) - np.exp(2.0 * phi)
+        exp_2u = np.exp(2.0 * u)
+        normalized = u - 0.5 * math.log(_integrate(mesh, exp_2u) / area)
+        values["jensen_energy_normalized"] = (
+            _gradient_form(mesh, normalized, normalized) - 2.0 * _integrate(mesh, normalized)
+        )
+        del normalized
+    flux = _t_flux(mesh, u)
+    lam = _boundary_operator(mesh, u)
+    lap = _laplacian(mesh, u, flux, lam)
+    flux = flux[[0, -1]]  # the boundary flux reads only the end rows
+    if mesh.tag == TAG_FLAT:  # after the Laplacian, as `liouville_residual` orders it
+        exp_2u = np.exp(2.0 * u)
+    residual = _liouville_residual(mesh, lap, exp_2u)
+    del exp_2u
+    values["liouville.variant"] = LIOUVILLE_VARIANT[mesh.tag]
+    values["liouville.residual_max"] = float(np.abs(residual).max())
+    values["liouville.residual_rms"] = math.sqrt(_integrate(mesh, residual ** 2) / area)
+    del residual
+    defect = _integrate(mesh, u * lap) + energy - _boundary_flux(mesh, u, flux, lam)
+    values["integration_by_parts_defect"] = abs(defect)
+    return values
 
 
 def field_to_csv(mesh: SurfaceMesh, u: np.ndarray, path) -> None:
@@ -298,6 +369,5 @@ def field_from_csv(path):
         n_t=int(n_t),
         n_theta=int(n_theta),
     )
-    values = [[float(x) for x in line.split(",")] for line in lines[2:]]
-    u = np.array(values)
+    u = np.array([line.split(",") for line in lines[2:]], dtype=float)
     return mesh, mesh._check_field(u)

@@ -440,7 +440,7 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
 
 def _anomaly_report(cfg: dict) -> Report:
     mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
-    u = _build_field(mesh, cfg["field"])
+    values = anomaly_mod.anomaly_functionals(mesh, _build_field(mesh, cfg["field"]))
 
     report = Report()
     report.add("command", "anomaly")
@@ -448,25 +448,11 @@ def _anomaly_report(cfg: dict) -> Report:
     report.add("mesh.tag", mesh.tag)
     report.add("mesh.n_t", mesh.n_t)
     report.add("mesh.n_theta", mesh.n_theta)
-    report.add("mesh.area", mesh.area)
+    report.add("mesh.area", values.pop("mesh.area"))
     report.add("mesh.analytic_area", mesh.analytic_area)
     report.add("field.kind", cfg["field"]["kind"])
-    report.add("gradient_energy", anomaly_mod.gradient_energy(mesh, u))
-    report.add("conformal_change_term", anomaly_mod.conformal_change_term(mesh, u))
-    if mesh.tag == anomaly_mod.TAG_HYPERBOLIC:
-        normalized = anomaly_mod.normalize_area(mesh, u)
-        report.add("jensen_energy_normalized", anomaly_mod.jensen_energy(mesh, normalized))
-    residual = anomaly_mod.liouville_residual(mesh, u)
-    report.add("liouville.variant", anomaly_mod.LIOUVILLE_VARIANT[mesh.tag])
-    report.add("liouville.residual_max", float(np.abs(residual).max()))
-    rms = math.sqrt(anomaly_mod.integrate(mesh, residual ** 2) / mesh.area)
-    report.add("liouville.residual_rms", rms)
-    defect = abs(
-        anomaly_mod.integrate(mesh, u * anomaly_mod.laplacian(mesh, u))
-        + anomaly_mod.gradient_energy(mesh, u)
-        - anomaly_mod.boundary_flux(mesh, u, u)
-    )
-    report.add("integration_by_parts_defect", defect)
+    for key, value in values.items():
+        report.add(key, value)
     return report
 
 

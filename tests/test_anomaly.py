@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corevol.anomaly import (
+    LIOUVILLE_VARIANT,
     TAG_FLAT,
     TAG_HYPERBOLIC,
     SurfaceMesh,
+    anomaly_functionals,
     boundary_flux,
     conformal_change_term,
     field_from_csv,
@@ -280,3 +283,67 @@ def test_field_csv_rejects_junk(tmp_path):
         with pytest.raises(ValueError, match=message) as err:
             field_from_csv(path)
         assert str(path) in str(err.value)
+
+
+# ------------------------------------------------------- one-pass functionals
+
+def composed_report_values(mesh, u):
+    """The anomaly report values with one public-function call each: the
+    reference `anomaly_functionals` must match bit for bit."""
+    values = {
+        "mesh.area": mesh.area,
+        "gradient_energy": gradient_energy(mesh, u),
+        "conformal_change_term": conformal_change_term(mesh, u),
+    }
+    if mesh.tag == TAG_HYPERBOLIC:
+        values["jensen_energy_normalized"] = jensen_energy(mesh, normalize_area(mesh, u))
+    residual = liouville_residual(mesh, u)
+    values["liouville.variant"] = LIOUVILLE_VARIANT[mesh.tag]
+    values["liouville.residual_max"] = float(np.abs(residual).max())
+    values["liouville.residual_rms"] = math.sqrt(integrate(mesh, residual ** 2) / mesh.area)
+    values["integration_by_parts_defect"] = abs(
+        integrate(mesh, u * laplacian(mesh, u))
+        + gradient_energy(mesh, u)
+        - boundary_flux(mesh, u, u)
+    )
+    return values
+
+
+def as_hex(values):
+    return [(k, v if isinstance(v, str) else float.hex(v)) for k, v in values.items()]
+
+
+MESH_SIZES = [(9, 4), (9, 5), (17, 16), (33, 31), (65, 64), (129, 127), (257, 256)]
+
+
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+@pytest.mark.parametrize("n_t, n_theta", MESH_SIZES)
+def test_functionals_bitwise_equal_to_composed_public_functions(tag, n_t, n_theta):
+    rng = np.random.default_rng(n_t * n_theta)
+    mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0), n_t, n_theta)
+    for u in (random_smooth_field(mesh, rng), mesh.zeros(),
+              mesh.constant(rng.uniform(-1.0, 1.0))):
+        assert as_hex(anomaly_functionals(mesh, u)) == as_hex(composed_report_values(mesh, u))
+
+
+def test_functionals_bitwise_equal_on_csv_field(tmp_path):
+    mesh = hyperbolic_mesh(65, 48)
+    u = random_smooth_field(mesh, np.random.default_rng(3))
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, u, path)
+    mesh2, u2 = field_from_csv(path)
+    expected = as_hex(composed_report_values(mesh, u))
+    assert as_hex(anomaly_functionals(mesh2, u2)) == expected
+
+
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+def test_functionals_peak_memory(tag):
+    mesh = SurfaceMesh(tag, 2.0, TWO_PI, 257, 256)
+    u = random_smooth_field(mesh, np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        anomaly_functionals(mesh, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * u.nbytes

@@ -541,3 +541,25 @@ def test_field_file_without_parameter_line_is_a_value_error(tmp_path, capsys):
     error = _one_error(capsys)
     assert error["kind"] == "value"
     assert "header_only.csv: no parameter line" in error["message"]
+
+
+@pytest.mark.parametrize("rows, fragment", [
+    ("0.1,0.2\n0.3\n", "inhomogeneous"),          # ragged rows
+    ("0.1,abc\n0.3,0.4\n", "could not convert string to float: 'abc'"),
+    ("", "field shape (0,) does not match mesh"),   # no data rows
+])
+def test_bad_field_file_rows_are_a_value_error(tmp_path, capsys, rows, fragment):
+    mesh = ANOMALY_CONFIG["mesh"]
+    path = tmp_path / "field.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                    f"{mesh['n_t']},{mesh['n_theta']},{mesh['t_extent']!r},"
+                    f"{mesh['circumference']!r},{mesh['tag']}\n" + rows, encoding="utf-8")
+    config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(path)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["anomaly", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    assert caught == []
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert fragment in error["message"]

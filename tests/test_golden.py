@@ -1,7 +1,8 @@
 """Pinned reports: report.txt of the README genus-1 and genus-2 examples, of
 a crossed genus-3 row group (core slab and ends) on a 16-level grid and of a
 three-leaf wedge core, and the anomaly report of the README hyperbolic
-mesh and of a flat cylinder, compared byte for byte.  Also pinned: the sha256
+mesh, of a 1025x1024 hyperbolic mesh and of a flat cylinder, compared byte
+for byte.  Also pinned: the sha256
 of the `float.hex` list that `limit_set_sample` returns for three fixed
 groups (`golden/limit_set.json`).
 
@@ -84,6 +85,13 @@ CASES = {
         "mesh": {"tag": "flat_cylinder", "t_extent": 1.5,
                  "circumference": 3.0, "n_t": 65, "n_theta": 48},
         "field": {"kind": "theta_mode", "k": 2, "amplitude": 0.3},
+    }),
+    "anomaly_big": ("anomaly", {
+        "mode": "anomaly_check",
+        "name": "big",
+        "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.0,
+                 "circumference": 2.0 * math.pi, "n_t": 1025, "n_theta": 1024},
+        "field": {"kind": "theta_mode", "k": 3, "amplitude": 0.5},
     }),
 }
 
