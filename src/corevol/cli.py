@@ -219,7 +219,7 @@ def build_group(cfg: dict):
         circles = [Circle(**c) for c in cfg["circles"]]
         pairings = [Pairing(p["source"], p["target"], Mobius(*p["matrix"]))
                     for p in cfg["pairings"]]
-    return validate(SchottkyData(tuple(circles), tuple(pairings), fuchsian=True))
+    return validate(SchottkyData(tuple(circles), tuple(pairings)))
 
 
 def _fmt(value) -> str:

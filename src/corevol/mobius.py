@@ -1,19 +1,16 @@
-"""Determinant-one 2x2 matrices acting on hyperbolic 2- and 3-space.
+"""Real determinant-one 2x2 matrices: the orientation-preserving isometries
+of the upper half-plane (PSL(2,R)).
 
-Real matrices are orientation-preserving isometries of the upper half-plane
-(PSL(2,R)) acting on the boundary R u {inf}; complex matrices are isometries
-of upper half-space (PSL(2,C)) acting on C u {inf}.  A matrix and its
-negation are the same isometry, so every comparison is sign-insensitive.
+The boundary action is on R u {inf}; it also takes points of the plane off
+the real line, where it carries circles to circles, which is how validation
+checks a side pairing.  A matrix and its negation are the same isometry, so
+every comparison is sign-insensitive.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
-
-REAL = "real"
-COMPLEX = "complex"
 
 DET_TOL = 1e-12
 CLASSIFY_TOL = 1e-10
@@ -30,7 +27,7 @@ class IsometryClass(Enum):
     IDENTITY = "identity"
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"  # loxodromic, in the complex case
+    HYPERBOLIC = "hyperbolic"
 
 
 def is_infinity(p) -> bool:
@@ -53,42 +50,27 @@ def chordal_distance(p, q) -> float:
 
 
 class Mobius:
-    """z -> (a z + b) / (c z + d) with a d - b c normalized to 1.
-
-    The field tag ("real" or "complex") is inferred from the entry types
-    unless given explicitly; operations on mixed tags raise TypeError.
-    Instances are immutable by convention and safe to share.
+    """z -> (a z + b) / (c z + d) with real entries and a d - b c normalized
+    to 1.  Instances are immutable by convention and safe to share.
     """
 
-    __slots__ = ("a", "b", "c", "d", "field")
+    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, field=None):
-        if field is None:
-            field = COMPLEX if any(isinstance(x, complex) for x in (a, b, c, d)) else REAL
-        if field == REAL:
-            a, b, c, d = float(a), float(b), float(c), float(d)
-            det = a * d - b * c
-            if det <= DET_TOL:
-                raise ValueError(
-                    f"real Mobius needs positive determinant (orientation), got {det!r}"
-                )
-            s = math.sqrt(det)
-        elif field == COMPLEX:
-            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-            det = a * d - b * c
-            if abs(det) <= DET_TOL:
-                raise ValueError(f"singular matrix, det = {det!r}")
-            s = cmath.sqrt(det)
-        else:
-            raise ValueError(f"unknown field tag {field!r}")
+    def __init__(self, a, b, c, d):
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        det = a * d - b * c
+        if not math.isfinite(det):
+            raise ValueError(f"matrix entries overflow: determinant {det!r} is not finite")
+        if det <= DET_TOL:
+            raise ValueError(
+                f"real Mobius needs positive determinant (orientation), got {det!r}"
+            )
+        s = math.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
-        self.field = field
 
     @classmethod
-    def identity(cls, field=REAL) -> "Mobius":
-        one = 1.0 if field == REAL else complex(1.0)
-        zero = 0.0 if field == REAL else complex(0.0)
-        return cls(one, zero, zero, one, field=field)
+    def identity(cls) -> "Mobius":
+        return cls(1.0, 0.0, 0.0, 1.0)
 
     @property
     def trace(self):
@@ -100,29 +82,24 @@ class Mobius:
 
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other: apply(self.compose(other), p) == self(other(p))."""
-        if self.field != other.field:
-            raise TypeError(f"cannot compose {self.field} with {other.field} element")
         return Mobius(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            field=self.field,
         )
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a, field=self.field)
+        return Mobius(self.d, -self.b, -self.c, self.a)
 
     def conjugated_by(self, t: "Mobius") -> "Mobius":
         return t.compose(self).compose(t.inverse())
 
     def same_isometry(self, other: "Mobius", tol: float = 1e-9) -> bool:
         """Entrywise equality up to the global sign ambiguity."""
-        if self.field != other.field:
-            raise TypeError("cannot compare elements with different field tags")
         plus = max(abs(x - y) for x, y in zip(self.entries, other.entries))
         minus = max(abs(x + y) for x, y in zip(self.entries, other.entries))
         return min(plus, minus) <= tol
@@ -139,10 +116,6 @@ class Mobius:
         if self._identity_defect() <= IDENTITY_TOL:
             return IsometryClass.IDENTITY
         t2 = self.trace * self.trace
-        if self.field == COMPLEX:
-            if abs(t2.imag) > CLASSIFY_TOL:
-                return IsometryClass.HYPERBOLIC
-            t2 = t2.real
         if abs(t2 - 4.0) <= CLASSIFY_TOL:
             return IsometryClass.PARABOLIC
         if t2 > 4.0:
@@ -152,19 +125,14 @@ class Mobius:
         return IsometryClass.ELLIPTIC
 
     def translation_length(self) -> float:
-        """Displacement along the axis of a hyperbolic element.
-
-        Real case: 2 arccosh(|tr|/2).  Complex case: twice the real part of
-        arccosh(tr/2), which agrees with the real formula on real traces.
-        """
+        """Displacement along the axis of a hyperbolic element:
+        2 arccosh(|tr|/2)."""
         cls = self.classify()
         if cls is not IsometryClass.HYPERBOLIC:
             raise IsometryError(
                 f"translation length needs a hyperbolic element, got {cls.value}"
             )
-        if self.field == REAL:
-            return 2.0 * math.acosh(abs(self.trace) / 2.0)
-        return 2.0 * abs(cmath.acosh(self.trace / 2.0).real)
+        return 2.0 * math.acosh(abs(self.trace) / 2.0)
 
     def _deriv_magnitude(self, p) -> float:
         # |derivative| of the action at a finite point, = 1/|c p + d|^2
@@ -186,10 +154,7 @@ class Mobius:
                 return INF, finite
             return finite, INF
         disc = (a - d) ** 2 + 4.0 * b * c  # = tr^2 - 4
-        if self.field == REAL:
-            root = math.sqrt(disc)
-        else:
-            root = cmath.sqrt(disc)
+        root = math.sqrt(disc)
         z1 = ((a - d) + root) / (2.0 * c)
         z2 = ((a - d) - root) / (2.0 * c)
         if self._deriv_magnitude(z1) < 1.0:
@@ -197,7 +162,8 @@ class Mobius:
         return z2, z1
 
     def apply(self, p):
-        """Boundary action; the point at infinity is a value, not an error."""
+        """Boundary action on a real or complex point; the point at infinity
+        is a value, not an error."""
         if is_infinity(p):
             if self.c == 0:
                 return INF
@@ -214,7 +180,4 @@ class Mobius:
         return self.apply(p)
 
     def __repr__(self):
-        return (
-            f"Mobius({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r}, "
-            f"field={self.field!r})"
-        )
+        return f"Mobius({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"

@@ -23,11 +23,15 @@ from .renvol import (
     bending_sum,
     level_lambda,
     renormalized_volume_fuchsian,
+    truncated_volume_closed,
 )
 from .surface import SurfaceInfo
 
 # smallest tolerance the wedge oracle accepts
 WEDGE_TOL_FLOOR = 1e-8
+# level and relative tolerance of the wedge-oracle leg of fuchsian_reduction_check
+REDUCTION_EPS = 0.1
+REDUCTION_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,24 @@ def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
     The core volume collapses to zero and every end geodesic becomes a leaf
     with theta = 0; the pleated formula must then agree with the Fuchsian
     one exactly (bitwise, since both sum the same terms in the same order).
-    Returns (passed, report dict).
+    Independently of the convention, the DERIVED closed truncated volume at
+    eps = REDUCTION_EPS must match the slab volume plus the 3d wedge oracle
+    of every leaf within REDUCTION_REL_TOL; `oracle_gap` is their relative
+    difference.  Returns (passed, report dict).
     """
     leaves = tuple(PleatLeaf(length, 0.0) for length in surface.end_lengths)
     core = PleatedCoreData(0.0, leaves, boundary_area=2.0 * surface.core_area)
     pleated = renormalized_volume_pleated(core, convention)
     fuchsian = renormalized_volume_fuchsian(surface, convention)
+    closed = truncated_volume_closed(surface, REDUCTION_EPS, Convention.DERIVED)
+    oracle = collar_slab_volume(core.boundary_area, REDUCTION_EPS) + sum(
+        wedge_volume_quadrature(leaf, REDUCTION_EPS) for leaf in leaves)
+    gap = abs(oracle - closed) / closed if closed else abs(oracle)
     report = {
         "convention": convention.value,
         "pleated": pleated,
         "fuchsian": fuchsian,
         "difference": pleated - fuchsian,
+        "oracle_gap": gap,
     }
-    return pleated == fuchsian, report
+    return pleated == fuchsian and gap <= REDUCTION_REL_TOL, report

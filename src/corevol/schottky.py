@@ -2,19 +2,18 @@
 
 The group data is 2g pairwise-disjoint closed disks together with g Mobius
 maps, each carrying one circle onto its partner and the exterior of the
-source disk into the interior of the target disk.  The Fuchsian case keeps
-every circle centered on the real line and every map real.
+source disk into the interior of the target disk.  The groups are Fuchsian:
+every circle is centered on the real line and every map is real.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mobius import DET_TOL, REAL, Mobius, is_infinity
+from .mobius import DET_TOL, Mobius
 
 MIN_GAP = 1e-9
 CIRCLE_MAP_TOL = 1e-9
@@ -34,34 +33,29 @@ class SchottkyError(ValueError):
 
 @dataclass(frozen=True)
 class Circle:
-    """Circle in the plane; the closed disk it bounds is a group side."""
+    """Circle centered on the real line; the closed disk it bounds is a
+    group side."""
 
-    center: complex | float
+    center: float
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", float(self.center))
         if not self.radius > 0:
             raise SchottkyError(
                 "bad_radius", f"circle radius must be positive, got {self.radius}"
             )
 
     @property
-    def is_real(self) -> bool:
-        return not isinstance(self.center, complex) or self.center.imag == 0.0
-
-    @property
     def left(self) -> float:
-        """Leftmost real point (real-centered circles only)."""
-        c = self.center.real if isinstance(self.center, complex) else self.center
-        return c - self.radius
+        return self.center - self.radius
 
     @property
     def right(self) -> float:
-        c = self.center.real if isinstance(self.center, complex) else self.center
-        return c + self.radius
+        return self.center + self.radius
 
-    def point_at(self, angle: float):
-        return self.center + self.radius * cmath.exp(1j * angle)
+    def point_at(self, angle: float) -> complex:
+        return self.center + self.radius * complex(math.cos(angle), math.sin(angle))
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,6 @@ class Pairing:
 class SchottkyData:
     circles: tuple[Circle, ...]
     pairings: tuple[Pairing, ...]
-    fuchsian: bool = True
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,6 @@ class ValidatedGroup:
 
     circles: tuple[Circle, ...]
     pairings: tuple[Pairing, ...]
-    fuchsian: bool
 
     @property
     def genus(self) -> int:
@@ -94,7 +86,7 @@ class ValidatedGroup:
 
 
 def _gap(c1: Circle, c2: Circle) -> float:
-    return abs(complex(c1.center) - complex(c2.center)) - (c1.radius + c2.radius)
+    return abs(c1.center - c2.center) - (c1.radius + c2.radius)
 
 
 def validate(data: SchottkyData) -> ValidatedGroup:
@@ -112,22 +104,6 @@ def validate(data: SchottkyData) -> ValidatedGroup:
             "bad_count",
             f"need 2g circles and g pairings, got {n} circles, {len(pairings)} pairings",
         )
-
-    if data.fuchsian:
-        for i, circ in enumerate(circles):
-            if not circ.is_real:
-                raise SchottkyError(
-                    "nonreal_center",
-                    f"fuchsian group requires real centers; circle {i} has {circ.center}",
-                    circle=i,
-                )
-        for k, pairing in enumerate(pairings):
-            if pairing.map.field != REAL:
-                raise SchottkyError(
-                    "nonreal_map",
-                    f"fuchsian group requires real pairing maps; pairing {k} is complex",
-                    pairing=k,
-                )
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -159,19 +135,14 @@ def validate(data: SchottkyData) -> ValidatedGroup:
                     circles=(idx,),
                 )
             used[idx] = k
-    if len(used) != n:
-        missing = sorted(set(range(n)) - set(used))
-        raise SchottkyError(
-            "unpaired_circle", f"circles {missing} are not in any pairing",
-            circles=tuple(missing),
-        )
 
+    # both tests are negated comparisons, so that an infinite or NaN image fails
     for k, pairing in enumerate(pairings):
         src, tgt = circles[pairing.source], circles[pairing.target]
         for s in range(_SAMPLES):
             z = src.point_at(2.0 * math.pi * s / _SAMPLES)
-            w = pairing.map(z)
-            if is_infinity(w) or abs(abs(w - tgt.center) - tgt.radius) > CIRCLE_MAP_TOL * tgt.radius:
+            err = abs(abs(pairing.map(z) - tgt.center) - tgt.radius)
+            if not err <= CIRCLE_MAP_TOL * tgt.radius:
                 raise SchottkyError(
                     "circle_mismatch",
                     f"pairing {k} does not carry circle {pairing.source} onto "
@@ -180,7 +151,7 @@ def validate(data: SchottkyData) -> ValidatedGroup:
                     circles=(pairing.source, pairing.target),
                 )
         w = pairing.map(float("inf"))
-        if is_infinity(w) or abs(w - tgt.center) >= tgt.radius * (1.0 - CIRCLE_MAP_TOL):
+        if not abs(w - tgt.center) < tgt.radius * (1.0 - CIRCLE_MAP_TOL):
             raise SchottkyError(
                 "exterior_not_contracted",
                 f"pairing {k} maps the exterior of circle {pairing.source} outside "
@@ -189,7 +160,7 @@ def validate(data: SchottkyData) -> ValidatedGroup:
                 circles=(pairing.source, pairing.target),
             )
 
-    return ValidatedGroup(circles, pairings, data.fuchsian)
+    return ValidatedGroup(circles, pairings)
 
 
 def generator_from_axis(p: float, q: float, length: float):
@@ -239,9 +210,7 @@ def pairing_from_circles(source: Circle, target: Circle) -> Mobius:
 def cyclic_group(p: float, q: float, length: float) -> SchottkyData:
     """Genus-1 Fuchsian group generated by a single axis generator."""
     g, source, target = generator_from_axis(p, q, length)
-    return SchottkyData(
-        circles=(source, target), pairings=(Pairing(0, 1, g),), fuchsian=True
-    )
+    return SchottkyData(circles=(source, target), pairings=(Pairing(0, 1, g),))
 
 
 @dataclass(frozen=True)
@@ -294,8 +263,7 @@ def letter_mobius(group: ValidatedGroup, letter: int) -> Mobius:
 
 def word_mobius(group: ValidatedGroup, word: Word) -> Mobius:
     """Product of the letters in written order (leading letter applied last)."""
-    field = group.pairings[0].map.field if group.pairings else REAL
-    out = Mobius.identity(field)
+    out = Mobius.identity()
     for letter in word.letters:
         out = out.compose(letter_mobius(group, letter))
     return out
@@ -312,33 +280,22 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
 
     Each nonempty reduced word of length <= depth is applied to the center
     of the disk its leading letter contracts into.  Points come back sorted
-    and deduplicated within DEDUP_TOL (real floats for Fuchsian groups,
-    complex otherwise); deeper samples contain shallower ones.
+    and deduplicated within DEDUP_TOL; deeper samples contain shallower ones.
 
     The products are built level by level as arrays: a word of length k + 1
     is its length-k prefix composed with one more letter, by the operations
     of `Mobius.compose` and `Mobius.__init__` in their order, so every point
-    is the one `word_mobius` gives.  A product that loses its determinant
-    raises the ValueError of the `Mobius` constructor.
+    is the one `word_mobius` gives.  A product whose determinant is lost or
+    not finite raises the ValueError of the `Mobius` constructor.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    field = group.pairings[0].map.field
     alphabet = [x for i in range(1, group.genus + 1) for x in (i, -i)]
-    gens = [letter_mobius(group, x) for x in alphabet]
-    if any(m.field != field for m in gens):
-        raise TypeError("pairing maps mix real and complex fields")
-    dtype = np.float64 if field == REAL else np.complex128
-    xa, xb, xc, xd = np.array([m.entries for m in gens], dtype=dtype).T
-    centers = np.array(
-        [group.circles[_contraction_disk(group, x)].center for x in alphabet],
-        dtype=np.complex128,
-    )
-    if group.fuchsian:
-        centers = centers.real
+    xa, xb, xc, xd = np.array([letter_mobius(group, x).entries for x in alphabet]).T
+    centers = np.array([group.circles[_contraction_disk(group, x)].center for x in alphabet])
     n = len(alphabet)
 
-    a, b, c, d = (np.array([x], dtype=dtype) for x in Mobius.identity(field).entries)
+    a, b, c, d = (np.array([x]) for x in Mobius.identity().entries)
     banned = np.array([n])  # per word, the inverse of its last letter (none: n)
     raw = []
     with np.errstate(all="ignore"):
@@ -353,10 +310,10 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
             a, b = pa * la + pb * lc, pa * lb + pb * ld
             c, d = pc * la + pd * lc, pc * lb + pd * ld
             det = a * d - b * c
-            bad = np.flatnonzero((det if field == REAL else np.abs(det)) <= DET_TOL)
+            bad = np.flatnonzero(~np.isfinite(det) | (det <= DET_TOL))
             if bad.size:
                 i = bad[0]  # the first such word in enumeration order
-                Mobius(a[i].item(), b[i].item(), c[i].item(), d[i].item(), field=field)
+                Mobius(a[i].item(), b[i].item(), c[i].item(), d[i].item())
             s = np.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
             banned = letter ^ 1  # alphabet order puts i and -i side by side
@@ -369,11 +326,11 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
 
 
 def _sort_dedup(points: np.ndarray) -> list:
-    """`points` sorted by (real, imag), each dropped if within DEDUP_TOL of
-    the last point kept."""
+    """`points` sorted, each dropped if within DEDUP_TOL of the last point
+    kept."""
     # Equal keys differ only in the sign of a zero; only then does their
     # order, the order of the words, decide which one the scan keeps.
-    points = np.sort(points, kind="stable" if (points.view(np.float64) == 0).any() else None)
+    points = np.sort(points, kind="stable" if (points == 0).any() else None)
     kept: list = []
     for p in points.tolist():
         if kept and abs(p - kept[-1]) <= DEDUP_TOL:

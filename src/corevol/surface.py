@@ -89,14 +89,8 @@ class SurfaceInfo:
         return sum(self.end_lengths)
 
 
-def _require_fuchsian(group: ValidatedGroup):
-    if not group.fuchsian:
-        raise SurfaceTopologyError("surface topology requires a Fuchsian group")
-
-
 def boundary_arcs(group: ValidatedGroup) -> list[BoundaryArc]:
     """The 2g arcs sorted by position, the infinity arc last."""
-    _require_fuchsian(group)
     order = sorted(range(len(group.circles)), key=lambda i: group.circles[i].center)
     arcs = []
     for m in range(len(order) - 1):
@@ -130,7 +124,6 @@ def end_cycles(group: ValidatedGroup) -> list[EndCycle]:
     data.  Cycles partition the arcs, their number is the number of ends,
     and the accumulated map around a cycle is the end holonomy.
     """
-    _require_fuchsian(group)
     arcs = boundary_arcs(group)
     visited = [False] * len(arcs)
     cycles = []

@@ -97,6 +97,40 @@ def test_validate_reports_overlap_as_json(tmp_path, capsys):
     assert payload["error"]["circles"] == [0, 1]
 
 
+def _validate_g2(tmp_path, mutate):
+    """`validate` on a copy of G2_CONFIG after `mutate` edits it in place."""
+    config = json.loads(json.dumps(G2_CONFIG))
+    mutate(config)
+    return main(["validate", "--config", write_config(tmp_path, config)])
+
+
+@pytest.mark.parametrize("kind, mutate", [
+    ("bad_count", lambda c: c["pairings"].pop()),
+    ("bad_radius", lambda c: c["circles"][1].update(radius=-0.4)),
+    ("overlapping_disks", lambda c: c["circles"][1].update(center=-2.5)),
+    ("bad_index", lambda c: c["pairings"][1].update(target=7)),
+    ("self_paired", lambda c: c["pairings"][1].update(target=2)),
+    ("reused_circle", lambda c: c["pairings"][1].update(source=1)),
+    ("circle_mismatch", lambda c: c["pairings"][0].update(matrix=[1.0, 0.0, 0.0, 1.0])),
+    # z -> z + 2 carries circle 0 onto circle 1 but fixes infinity
+    ("exterior_not_contracted",
+     lambda c: c["pairings"][0].update(matrix=[1.0, 2.0, 0.0, 1.0])),
+])
+def test_every_group_error_kind_is_one_json_object(tmp_path, capsys, kind, mutate):
+    assert _validate_g2(tmp_path, mutate) == 2
+    assert _one_error(capsys)["kind"] == kind
+
+
+@pytest.mark.parametrize("matrix", [[1e200, 1e200, 1e200, 1e200], [1e200, 0.0, 0.0, 1e200]])
+def test_overflowing_pairing_matrix_is_a_value_error(tmp_path, capsys, matrix):
+    # the determinant overflows to nan or inf: not a valid map, and not a
+    # fault of the circles
+    assert _validate_g2(tmp_path, lambda c: c["pairings"][0].update(matrix=matrix)) == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert "is not finite" in error["message"]
+
+
 def test_surface_info_command(tmp_path, capsys):
     code = main(["surface-info", "--config", write_config(tmp_path, G2_CONFIG)])
     assert code == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from corevol import pleated
 from corevol.pleated import (
     PleatLeaf,
     PleatedCoreData,
@@ -200,6 +201,17 @@ def test_fuchsian_reduction_values(surface_s1):
     assert report["pleated"] == pytest.approx(-2.0 * math.pi, rel=1e-14)
     _, report = fuchsian_reduction_check(surface_s1, Convention.DERIVED)
     assert report["pleated"] == pytest.approx(-math.pi, rel=1e-14)
+
+
+def test_fuchsian_reduction_fails_on_a_wrong_wedge_oracle(surface_adjacent, monkeypatch):
+    # the bitwise leg cannot see the oracle; the eps = 0.1 leg must
+    doubled = lambda leaf, eps: 2.0 * wedge_volume_quadrature(leaf, eps)
+    monkeypatch.setattr(pleated, "wedge_volume_quadrature", doubled)
+    for conv in Convention:
+        passed, report = fuchsian_reduction_check(surface_adjacent, conv)
+        assert not passed
+        assert report["difference"] == 0.0
+        assert report["oracle_gap"] > 0.1
 
 
 def test_fuchsian_reduction_degenerate_no_ends():

@@ -36,12 +36,6 @@ def test_boundary_arcs_count_and_disjointness(g2_adjacent):
         assert a.right < b.left
 
 
-def test_boundary_arcs_need_fuchsian(cyclic_s1):
-    nonreal = ValidatedGroup(cyclic_s1.circles, cyclic_s1.pairings, fuchsian=False)
-    with pytest.raises(SurfaceTopologyError):
-        boundary_arcs(nonreal)
-
-
 def test_end_cycles_cyclic(cyclic_s1):
     cycles = end_cycles(cyclic_s1)
     assert len(cycles) == 2
@@ -164,9 +158,7 @@ def test_endpoint_mismatch_reported():
 
     good = pairing_from_circles(circles[0], circles[1])
     bad = pairing_from_circles(circles[2], Circle(3.0, 0.5))
-    group = ValidatedGroup(
-        circles, (Pairing(0, 1, good), Pairing(2, 3, bad)), fuchsian=True
-    )
+    group = ValidatedGroup(circles, (Pairing(0, 1, good), Pairing(2, 3, bad)))
     with pytest.raises(EndpointMatchError):
         end_cycles(group)
 
@@ -176,7 +168,7 @@ def test_inconsistent_pairing_map_reported():
     # the trace; the failure must surface as a topology error
     circles = (Circle(-2.0, 0.5), Circle(2.0, 0.5))
     bogus = Mobius(1.0, -4.0, 1.0, -3.0)
-    group = ValidatedGroup(circles, (Pairing(0, 1, bogus),), fuchsian=True)
+    group = ValidatedGroup(circles, (Pairing(0, 1, bogus),))
     with pytest.raises(SurfaceTopologyError):
         end_cycles(group)
 
