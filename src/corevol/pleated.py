@@ -114,8 +114,16 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     the sector is the half-plane x >= 0.  The integrand dx dy dz / z^3 does
     not depend on y, so each column contributes its y-width / z^3; z is
     integrated by adaptive quadrature over one batched quadrature in x for
-    all z nodes.  The polar reduction of each slice is used only to place
-    cell boundaries.
+    all z nodes.
+
+    In a slice of radius R = z sinh(lam), x runs up to x_max = R when
+    theta <= pi/2, where the arc sqrt(R^2 - x^2) vanishes like sqrt(R - x),
+    and up to the kink x = R sin(theta), where the edge ray meets the arc,
+    otherwise.  The columns are integrated in u in [0, 1] with
+    x = x_max u (2 - u), which makes the square-root endpoint smooth; the
+    kink, at u = 1 - sqrt(1 - sin(theta)) when theta <= pi/2, is a cell
+    boundary.  The integrand is still the Cartesian column width
+    (min(slope x, arc) + arc) / z^3, times the Jacobian 2 x_max (1 - u).
     """
     if tol < WEDGE_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {WEDGE_TOL_FLOOR!r}, got {tol}")
@@ -127,22 +135,25 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     # upper sector edge y = slope * x; the half-disk at theta = 0 has none
     # (and slope * x would be inf * 0 at x = 0)
     slope = cos_t / sin_t if sin_t > 0.0 else None
+    below_right_angle = leaf.theta <= math.pi / 2.0
+    u_kink = 1.0 - math.sqrt(1.0 - sin_t) if below_right_angle else 1.0
 
     def slab(z):
         radius = z * sinh_lam
-        x_kink = radius * sin_t  # edge ray meets the bounding arc
-        x_max = radius if leaf.theta <= math.pi / 2.0 else x_kink
+        x_max = radius if below_right_angle else radius * sin_t
         # libm's pow: numpy's array power differs from it in the last ulp at
         # some nodes, which would move report digits
         radius_sq, inv_z3 = np.float_power(radius, 2), 1.0 / np.float_power(z, 3)
 
-        def column(x, k):
+        def column(u, k):
+            x = x_max[k] * u * (2.0 - u)
             arc = np.sqrt(np.clip(radius_sq[k] - x ** 2, 0.0, None))
             upper = arc if slope is None else np.minimum(slope * x, arc)
-            return np.clip(upper + arc, 0.0, None) * inv_z3[k]
+            jacobian = 2.0 * x_max[k] * (1.0 - u)
+            return np.clip(upper + arc, 0.0, None) * inv_z3[k] * jacobian
 
-        value, _ = adaptive_quad_batch(column, 0.0, x_max, rel_tol=tol / 10.0,
-                                       breaks=x_kink)
+        value, _ = adaptive_quad_batch(column, 0.0, np.ones(z.size), rel_tol=tol / 10.0,
+                                       breaks=np.full(z.size, u_kink))
         return value
 
     value, _ = adaptive_quad(slab, 1.0, math.exp(leaf.length), rel_tol=tol / 3.0)

@@ -55,7 +55,7 @@ def _eval_cells(f, cells):
     index = owner.astype(np.intp).repeat(_XGK.size)
     vals = np.asarray(f(nodes.ravel(), index), dtype=float).reshape(nodes.shape)
     if not np.isfinite(vals).all():
-        bad = nodes.ravel()[~np.isfinite(vals.ravel())][0]
+        bad = float(nodes.ravel()[~np.isfinite(vals.ravel())][0])
         raise QuadratureError(f"integrand is not finite near x = {bad!r}")
     kron = (vals * _WGK[None, :]).sum(axis=1) * halves
     gauss = (vals[:, 1::2] * _WG[None, :]).sum(axis=1) * halves
@@ -72,7 +72,8 @@ def _run_sums(rows, starts, counts):
     if counts.min() == counts.max():
         return np.ascontiguousarray(rows).reshape(len(rows), len(starts), -1).sum(axis=2)
     out = np.empty((len(rows), len(starts)))
-    for n in np.unique(counts):
+    # np.unique would import numpy.ma on first use
+    for n in np.flatnonzero(np.bincount(counts)):
         same = counts == n
         block = rows[:, starts[same, None] + np.arange(n)]
         out[:, same] = np.ascontiguousarray(block).sum(axis=2)
@@ -105,10 +106,10 @@ def _refine(f, cells, count, rel_tol):
         stuck = ~done & (counts >= MAX_CELLS)
         if stuck.any():
             k = stuck.argmax()
+            left, right = cells[0, starts[k]], cells[1, starts[k] + counts[k] - 1]
             raise QuadratureError(
                 f"tolerance {tols[k]:.3e} not met within {MAX_CELLS} cells on "
-                f"[{cells[0, starts[k]]!r}, {cells[1, starts[k] + counts[k] - 1]!r}] "
-                f"(error estimate {total_errs[k]:.3e})"
+                f"[{float(left)!r}, {float(right)!r}] (error estimate {total_errs[k]:.3e})"
             )
         # equal-share refinement: in each open interval split every cell above
         # its share of the interval's budget, or else its worst cells

@@ -105,18 +105,26 @@ def _end_cylinder_integrals(lams, rel_tol: float):
     cosh^2(r) cosh(t) over {cosh r cosh t <= cosh lam, t >= 0}.  One batched
     quadrature in r covers all levels; its integrand is one batched
     quadrature in t for all of its r nodes.  Returns (values, error
-    estimates) as arrays."""
+    estimates) as arrays.
+
+    The region is symmetric under r -> -r, so r runs over [0, lam] only,
+    as r = lam s (2 - s) with s in [0, 1]: the height t_max = acosh(cosh lam
+    / cosh r) vanishes like sqrt(lam - r) at r = lam, and lam - r = lam
+    (1 - s)^2 makes it smooth in s."""
     cosh_lam = _libm_cosh(lams).astype(float)
 
-    def cross_section(r_values, k):
-        cosh_r = _libm_cosh(r_values).astype(float)
+    def cross_section(s, k):
+        lam = lams[k]
+        cosh_r = _libm_cosh(lam * s * (2.0 - s)).astype(float)
         t_max = _libm_acosh(np.maximum(cosh_lam[k] / cosh_r, 1.0)).astype(float)
         inner, _ = adaptive_quad_batch(lambda t, j: np.cosh(t), 0.0, t_max,
                                        rel_tol=rel_tol / 8.0)
-        return np.float_power(cosh_r, 2) * inner
+        return np.float_power(cosh_r, 2) * inner * (2.0 * lam * (1.0 - s))
 
-    values, errors = adaptive_quad_batch(cross_section, -lams, lams, rel_tol=rel_tol / 2.0)
-    return values, errors + np.abs(values) * rel_tol / 8.0
+    halves, errors = adaptive_quad_batch(cross_section, 0.0, np.ones(lams.size),
+                                         rel_tol=rel_tol / 2.0)
+    values = 2.0 * halves
+    return values, 2.0 * errors + np.abs(values) * rel_tol / 8.0
 
 
 def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):

@@ -175,6 +175,8 @@ def generator_from_axis(p: float, q: float, length: float):
         raise ValueError("axis endpoints must be finite (conjugate infinity away first)")
     if p == q:
         raise ValueError("axis endpoints must be distinct")
+    if not math.isfinite(q - p):
+        raise ValueError(f"axis endpoints {p!r} and {q!r} are too far apart: q - p overflows")
     if not length > 0:
         raise ValueError(f"translation length must be positive, got {length}")
     if q > p:

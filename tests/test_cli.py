@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corevol import cli
+from corevol import cli, quadrature
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
 
@@ -155,6 +159,48 @@ def test_renvol_pipeline_report(tmp_path, capsys):
     csv_text = (out / "profile_quadrature.csv").read_text()
     assert csv_text.splitlines()[0] == "epsilon,lambda,vol,provenance"
     assert csv_text.count("quadrature") == 12
+
+
+README_G2_CONFIG = {
+    "mode": "fuchsian_group",
+    "circles": [{"center": -3.0, "radius": 0.4}, {"center": -1.0, "radius": 0.4},
+                {"center": 1.0, "radius": 0.4}, {"center": 3.0, "radius": 0.4}],
+    "pairings": [{"source": 0, "target": 1, "matrix": [-2.5, -7.9, 2.5, 7.5]},
+                 {"source": 2, "target": 3, "matrix": [7.5, -7.9, 2.5, -2.5]}],
+}
+
+
+def test_coarse_quad_tol_does_not_blame_the_derived_convention(tmp_path, capsys):
+    code = main(["renvol", "--config", write_config(tmp_path, README_G2_CONFIG),
+                 "--convention", "derived", "--quad-tol", "1e-6"])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert float(report_dict(text)["discrepancy.fit_vs_derived.V"]) <= 1e-8
+    assert "does not support" not in text
+
+
+def test_renvol_does_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use; the quadrature engine must not call it
+    config = write_config(tmp_path, README_G2_CONFIG)
+    code = ("import contextlib, io, sys; from corevol.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['renvol', '--config', {config!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+
+
+def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 2)
+    assert main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "quadrature"
+    assert "not met within 2 cells on [" in error["message"]
+    assert "np." not in error["message"]
 
 
 def test_renvol_single_convention_flag(tmp_path, capsys):
@@ -310,6 +356,17 @@ def test_huge_axis_length_is_a_value_error(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "value"
     assert "too large" in payload["error"]["message"]
+
+
+def test_far_apart_axis_endpoints_are_a_value_error(tmp_path, capsys):
+    config = dict(BTZ_CONFIG, generators=[{"p": -1e308, "q": 1e308, "length": 2.0}])
+    code = main(["validate", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "value"
+    assert "axis endpoints -1e+308 and 1e+308" in error["message"]
 
 
 def test_missing_key_is_path_annotated():

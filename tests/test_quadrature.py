@@ -216,15 +216,26 @@ def test_end_cylinder_integral_matches_mpmath(eps, rel_tol):
     assert err <= rel_tol * value
 
 
-@pytest.mark.parametrize("theta", [0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
+@pytest.mark.parametrize("lam", [1.2, 5.0, 9.2])
+def test_end_cylinder_integral_is_exact_to_roundoff(lam):
+    # the square-root endpoint at r = lam is smoothed away, so a converged
+    # integral is far more accurate than the requested tolerance
+    with mpmath.workdps(50):
+        exact = mpmath.pi / 2 * mpmath.sinh(mpmath.mpf(lam)) ** 2
+    values, _ = _end_cylinder_integrals(np.array([lam]), 1e-8)
+    assert abs(values[0] - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 3.0, math.pi / 2.0,
+                                   2.0 * math.pi / 3.0, 2.5])
 @pytest.mark.parametrize("length, eps", [(0.5, 0.2), (2.0, 1e-2), (3.0, 1e-3)])
 def test_wedge_oracle_matches_mpmath(theta, length, eps):
-    tol = 1e-8
+    # tol 1e-8, yet exact to roundoff: the arc endpoint is smoothed away
     with mpmath.workdps(50):
         lam = -mpmath.log(mpmath.mpf(eps))
         exact = (mpmath.pi - mpmath.mpf(theta)) * length * mpmath.sinh(lam) ** 2 / 2
-    value = wedge_volume_quadrature(PleatLeaf(length, theta), eps, tol=tol)
-    assert abs(value - exact) <= tol * exact
+    value = wedge_volume_quadrature(PleatLeaf(length, theta), eps, tol=1e-8)
+    assert abs(value - exact) <= 1e-12 * exact
 
 
 def test_cli_import_does_not_load_scipy():
