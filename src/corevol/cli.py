@@ -18,7 +18,6 @@ import numpy as np
 from . import anomaly as anomaly_mod
 from .mobius import Mobius
 from .pleated import (
-    WEDGE_TOL_FLOOR,
     PleatedCoreData,
     PleatLeaf,
     pleated_profile,
@@ -372,8 +371,6 @@ def cmd_wedge(cfg: dict, args) -> int:
     grid = cfg["epsilon_grid"]
     eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
     eps_check = float(math.sqrt(grid["min"] * grid["max"]))
-    # the wedge oracle runs at no finer tolerance than its floor
-    tol = max(cfg["quadrature_tol"], WEDGE_TOL_FLOOR)
 
     report = Report()
     report.add("command", "wedge")
@@ -384,7 +381,7 @@ def cmd_wedge(cfg: dict, args) -> int:
     for i, leaf in enumerate(core.leaves):
         report.add(f"leaf.{i}.length", leaf.length)
         report.add(f"leaf.{i}.theta", leaf.theta)
-    report.add("quadrature.tol", tol)
+    report.add("quadrature.tol", cfg["quadrature_tol"])
 
     profiles = []
     values = {}
@@ -395,7 +392,7 @@ def cmd_wedge(cfg: dict, args) -> int:
         profiles.append(pleated_profile(core, eps_grid, conv))
     for i, leaf in enumerate(core.leaves):
         derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
-        quad = wedge_volume_quadrature(leaf, eps_check, tol=tol)
+        quad = wedge_volume_quadrature(leaf, eps_check, tol=cfg["quadrature_tol"])
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
         gap = abs(quad - derived) / max(abs(derived), 1e-300)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_quad, adaptive_quad_batch
+from .quadrature import adaptive_quad
 from .renvol import (
     CONVENTION_TERMS,
+    QUAD_TOL_FLOOR,
     Convention,
     VolumeProfile,
     bending_sum,
@@ -27,11 +28,9 @@ from .renvol import (
 )
 from .surface import SurfaceInfo
 
-# smallest tolerance the wedge oracle accepts
-WEDGE_TOL_FLOOR = 1e-8
 # level and relative tolerance of the wedge-oracle leg of fuchsian_reduction_check
 REDUCTION_EPS = 0.1
-REDUCTION_REL_TOL = 1e-7
+REDUCTION_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,53 +110,45 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     {x >= 0, y <= tan(pi/2 - theta) x} of width (pi - theta), truncated at
     distance lambda from the axis (sqrt(x^2+y^2+z^2)/z <= cosh lambda) with
     z in [1, e^L], a fundamental domain of the leaf holonomy.  At theta = 0
-    the sector is the half-plane x >= 0.  The integrand dx dy dz / z^3 does
-    not depend on y, so each column contributes its y-width / z^3; z is
-    integrated by adaptive quadrature over one batched quadrature in x for
-    all z nodes.
+    the sector is the half-plane x >= 0.
 
-    In a slice of radius R = z sinh(lam), x runs up to x_max = R when
-    theta <= pi/2, where the arc sqrt(R^2 - x^2) vanishes like sqrt(R - x),
-    and up to the kink x = R sin(theta), where the edge ray meets the arc,
-    otherwise.  The columns are integrated in u in [0, 1] with
-    x = x_max u (2 - u), which makes the square-root endpoint smooth; the
-    kink, at u = 1 - sqrt(1 - sin(theta)) when theta <= pi/2, is a cell
-    boundary.  The integrand is still the Cartesian column width
-    (min(slope x, arc) + arc) / z^3, times the Jacobian 2 x_max (1 - u).
+    Only the z integral is done exactly: the holonomy z -> e^s z is an
+    isometry preserving the sector and dx dy dz / z^3, so the z-slice has
+    1/z times the area of the z = 1 slice, and the wedge is L times that
+    area (the integral of dz / z over [1, e^L]).  The slice, of radius
+    R = sinh(lam), is integrated numerically column by column, each column
+    giving its Cartesian y-width min(slope x, arc) + arc.  x runs up to
+    x_max = R when theta <= pi/2, where the arc sqrt(R^2 - x^2) vanishes
+    like sqrt(R - x), and otherwise up to the kink x = R sin(theta), where
+    the edge ray meets the arc.  The columns are integrated in u in [0, 1]
+    with x = x_max u (2 - u), which makes the square-root endpoint smooth,
+    times the Jacobian 2 x_max (1 - u); the kink, at
+    u = 1 - sqrt(1 - sin(theta)) when theta <= pi/2, splits [0, 1] into two
+    quadratures.
     """
-    if tol < WEDGE_TOL_FLOOR:
-        raise ValueError(f"tolerance must be at least {WEDGE_TOL_FLOOR!r}, got {tol}")
+    if tol < QUAD_TOL_FLOOR:
+        raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
     lam = level_lambda(eps)
     if leaf.theta == math.pi:
         return 0.0
-    sinh_lam = math.sinh(lam)
+    radius = math.sinh(lam)
     sin_t, cos_t = math.sin(leaf.theta), math.cos(leaf.theta)
     # upper sector edge y = slope * x; the half-disk at theta = 0 has none
     # (and slope * x would be inf * 0 at x = 0)
     slope = cos_t / sin_t if sin_t > 0.0 else None
     below_right_angle = leaf.theta <= math.pi / 2.0
+    x_max = radius if below_right_angle else radius * sin_t
     u_kink = 1.0 - math.sqrt(1.0 - sin_t) if below_right_angle else 1.0
 
-    def slab(z):
-        radius = z * sinh_lam
-        x_max = radius if below_right_angle else radius * sin_t
-        # libm's pow: numpy's array power differs from it in the last ulp at
-        # some nodes, which would move report digits
-        radius_sq, inv_z3 = np.float_power(radius, 2), 1.0 / np.float_power(z, 3)
+    def column(u):
+        x = x_max * u * (2.0 - u)
+        arc = np.sqrt(np.clip(radius * radius - x ** 2, 0.0, None))
+        upper = arc if slope is None else np.minimum(slope * x, arc)
+        return np.clip(upper + arc, 0.0, None) * (2.0 * x_max * (1.0 - u))
 
-        def column(u, k):
-            x = x_max[k] * u * (2.0 - u)
-            arc = np.sqrt(np.clip(radius_sq[k] - x ** 2, 0.0, None))
-            upper = arc if slope is None else np.minimum(slope * x, arc)
-            jacobian = 2.0 * x_max[k] * (1.0 - u)
-            return np.clip(upper + arc, 0.0, None) * inv_z3[k] * jacobian
-
-        value, _ = adaptive_quad_batch(column, 0.0, np.ones(z.size), rel_tol=tol / 10.0,
-                                       breaks=np.full(z.size, u_kink))
-        return value
-
-    value, _ = adaptive_quad(slab, 1.0, math.exp(leaf.length), rel_tol=tol / 3.0)
-    return value
+    area = sum(adaptive_quad(column, a, b, rel_tol=tol)[0]
+               for a, b in ((0.0, u_kink), (u_kink, 1.0)))
+    return leaf.length * area
 
 
 def pleated_profile(core: PleatedCoreData, eps_grid,

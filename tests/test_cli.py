@@ -193,13 +193,13 @@ def test_renvol_does_not_load_numpy_ma(tmp_path):
 
 
 def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 2)
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
     assert main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG)]) == 2
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     error = json.loads(out)["error"]
     assert error["kind"] == "quadrature"
-    assert "not met within 2 cells on [" in error["message"]
+    assert "not met within 1 cells on [" in error["message"]
     assert "np." not in error["message"]
 
 
@@ -546,6 +546,14 @@ def test_quadrature_tol_at_floor_is_accepted(tmp_path, capsys):
                  "--quad-tol", "1e-10", "--echo-config"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["quadrature_tol"] == 1e-10
+
+
+def test_wedge_runs_at_the_configured_tolerance(tmp_path, capsys):
+    # the wedge oracle shares the renvol floor, so 1e-10 is run as given
+    code = main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG),
+                 "--quad-tol", "1e-10"])
+    assert code == 0
+    assert report_dict(capsys.readouterr().out)["quadrature.tol"] == "1e-10"
 
 
 def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
