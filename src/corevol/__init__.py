@@ -21,13 +21,9 @@ from .schottky import (
     word_mobius,
 )
 from .surface import (
-    BoundaryArc,
-    EndCycle,
     EndpointMatchError,
     SurfaceInfo,
     SurfaceTopologyError,
-    boundary_arcs,
-    end_cycles,
     surface_invariants,
 )
 from .renvol import (

@@ -128,16 +128,14 @@ def _refine(f, cells, count, rel_tol):
         cells = cells[:, np.lexsort((cells[0], cells[2]))]
 
 
-def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, breaks=None):
+def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9):
     """Integrate f over every interval [a[k], b[k]] in one refinement loop.
 
     f(x, k) receives a node array and, in the same shape, the index of the
     interval each node belongs to.  Each interval stops once its error
     estimate is below rel_tol * |its integral|, within its own budget of
-    MAX_CELLS cells.  `breaks` gives each interval's known kinks,
-    shape (n,) or (n, m); those strictly inside the interval become cell
-    boundaries.  a and b broadcast; zero-width intervals integrate to 0.
-    Returns (values, error_estimates) as arrays.
+    MAX_CELLS cells.  a and b broadcast; zero-width intervals integrate
+    to 0.  Returns (values, error_estimates) as arrays.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -147,16 +145,8 @@ def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, breaks=None):
     if out_of_order.size:
         k = out_of_order[0]
         raise ValueError(f"integration bounds out of order: [{a[k]}, {b[k]}]")
-    lo, hi = a[:, None], b[:, None]
-    if breaks is None:
-        edges = np.concatenate([lo, hi], axis=1)
-    else:
-        inner = np.asarray(breaks, dtype=float).reshape(a.size, -1)
-        inner = np.where((lo < inner) & (inner < hi), inner, lo)
-        edges = np.sort(np.concatenate([lo, inner, hi], axis=1), axis=1)
-    owner = np.arange(a.size, dtype=float).repeat(edges.shape[1] - 1)
-    cells = np.array([edges[:, :-1].ravel(), edges[:, 1:].ravel(), owner])
-    return _refine(f, cells[:, cells[1] > cells[0]], a.size, rel_tol)
+    cells = np.array([a, b, np.arange(a.size, dtype=float)])
+    return _refine(f, cells[:, b > a], a.size, rel_tol)
 
 
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):

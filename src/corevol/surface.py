@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mobius import INF, IsometryClass, Mobius
+from .mobius import IsometryClass
 from .schottky import ValidatedGroup
 
 MATCH_TOL = 1e-8
@@ -26,31 +26,6 @@ class SurfaceTopologyError(ValueError):
 class EndpointMatchError(SurfaceTopologyError):
     """A traced endpoint image failed to land on an arc endpoint; the
     pairing data is invalid or numerically inconsistent."""
-
-
-@dataclass(frozen=True)
-class BoundaryArc:
-    """Open interval of R u {inf} between two consecutive disks.
-
-    The left endpoint is the rightmost point of circle `left_circle`, the
-    right endpoint the leftmost point of `right_circle`.  Exactly one arc
-    runs through infinity.
-    """
-
-    left: float
-    right: float
-    left_circle: int
-    right_circle: int
-    through_infinity: bool = False
-
-
-@dataclass(frozen=True)
-class EndCycle:
-    """One cycle of arcs glued by side pairings: a single surface end."""
-
-    arcs: tuple[BoundaryArc, ...]
-    holonomy: Mobius
-    length: float
 
 
 @dataclass(frozen=True)
@@ -89,98 +64,57 @@ class SurfaceInfo:
         return sum(self.end_lengths)
 
 
-def boundary_arcs(group: ValidatedGroup) -> list[BoundaryArc]:
-    """The 2g arcs sorted by position, the infinity arc last."""
-    order = sorted(range(len(group.circles)), key=lambda i: group.circles[i].center)
-    arcs = []
-    for m in range(len(order) - 1):
-        i, j = order[m], order[m + 1]
-        arcs.append(BoundaryArc(group.circles[i].right, group.circles[j].left, i, j))
-    i, j = order[-1], order[0]
-    arcs.append(
-        BoundaryArc(group.circles[i].right, group.circles[j].left, i, j,
-                    through_infinity=True)
-    )
-    return arcs
-
-
-def _outward_map(group: ValidatedGroup, circle_index: int) -> Mobius:
-    # The map carrying this circle to its partner, exterior into interior.
-    for pairing in group.pairings:
-        if pairing.source == circle_index:
-            return pairing.map
-        if pairing.target == circle_index:
-            return pairing.map.inverse()
-    raise SurfaceTopologyError(f"circle {circle_index} is not in any pairing")
-
-
-def end_cycles(group: ValidatedGroup) -> list[EndCycle]:
+def _end_lengths(group: ValidatedGroup) -> list[float]:
     """Trace the arc cycles of the fundamental domain boundary.
 
-    From an arc's terminal endpoint (its right endpoint, with R oriented
-    positively) the outward pairing map of that circle lands on the left
-    endpoint of a unique next arc; each image must match an arc endpoint
-    within MATCH_TOL, which doubles as a consistency check on the pairing
-    data.  Cycles partition the arcs, their number is the number of ends,
-    and the accumulated map around a cycle is the end holonomy.
+    With the disks sorted along the line, arc m runs from the right point
+    of disk m to the left point of disk m + 1, cyclically, so the last arc
+    runs through infinity.  A pairing map is real, orientation-preserving
+    and sends the exterior of its disk into the partner disk, so it carries
+    the left point of disk m + 1 to the right point of that disk's partner,
+    where the next arc starts.  The cycles of this permutation of the arcs
+    are the ends, and the map accumulated around a cycle is the end's
+    holonomy.  Each image must land on the partner's right point within
+    MATCH_TOL, which doubles as a consistency check on the pairing data.
     """
-    arcs = boundary_arcs(group)
-    visited = [False] * len(arcs)
-    cycles = []
-    for start in range(len(arcs)):
+    circles = group.circles
+    n = len(circles)
+    order = sorted(range(n), key=lambda i: circles[i].center)
+    arc_from = {c: m for m, c in enumerate(order)}
+    partner, outward = {}, {}
+    for p in group.pairings:
+        partner[p.source], partner[p.target] = p.target, p.source
+        outward[p.source], outward[p.target] = p.map, p.map.inverse()
+    visited = [False] * n
+    lengths = []
+    for start in range(n):
         if visited[start]:
             continue
-        seq: list[int] = []
-        maps: list[Mobius] = []
-        current = start
-        while True:
-            visited[current] = True
-            seq.append(current)
-            p = arcs[current].right
-            mu = _outward_map(group, arcs[current].right_circle)
-            image = mu(p)
-            if image == INF or not math.isfinite(image):
+        holonomy, m = None, start
+        while not visited[m]:
+            visited[m] = True
+            j = order[(m + 1) % n]
+            mu, target = outward[j], circles[partner[j]].right
+            image = mu(circles[j].left)
+            if not abs(target - image) <= MATCH_TOL * max(1.0, abs(target)):
                 raise EndpointMatchError(
-                    f"endpoint {p!r} of circle {arcs[current].right_circle} "
-                    "mapped to infinity"
+                    f"image {image!r} of endpoint {circles[j].left!r} of circle {j} "
+                    f"misses its partner's endpoint {target!r}; pairing data is inconsistent"
                 )
-            nxt = min(range(len(arcs)), key=lambda m: abs(arcs[m].left - image))
-            err = abs(arcs[nxt].left - image)
-            if err > MATCH_TOL * max(1.0, abs(image)):
-                raise EndpointMatchError(
-                    f"image {image!r} of endpoint {p!r} misses every arc endpoint "
-                    f"(best error {err:.3e}); pairing data is inconsistent"
-                )
-            maps.append(mu)
-            if nxt == start:
-                break
-            if visited[nxt]:
-                raise SurfaceTopologyError(
-                    "cycle trace revisited an arc before closing; corrupt pairing data"
-                )
-            current = nxt
-        holonomy = maps[0]
-        for mu in maps[1:]:
-            holonomy = mu.compose(holonomy)
+            holonomy = mu if holonomy is None else mu.compose(holonomy)
+            m = arc_from[partner[j]]
         if holonomy.classify() is not IsometryClass.HYPERBOLIC:
             raise SurfaceTopologyError(
                 f"end holonomy is {holonomy.classify().value}, not hyperbolic"
             )
-        cycles.append(
-            EndCycle(
-                arcs=tuple(arcs[m] for m in seq),
-                holonomy=holonomy,
-                length=holonomy.translation_length(),
-            )
-        )
-    assert sum(len(c.arcs) for c in cycles) == len(arcs)
-    return cycles
+        lengths.append(holonomy.translation_length())
+    return lengths
 
 
 def surface_invariants(group: ValidatedGroup) -> SurfaceInfo:
     """Ends, genus, end lengths and core area from the cycle trace."""
-    cycles = end_cycles(group)
-    e = len(cycles)
+    lengths = _end_lengths(group)
+    e = len(lengths)
     g = group.genus
     two_k = g + 1 - e
     if two_k < 0 or two_k % 2 != 0:
@@ -192,6 +126,6 @@ def surface_invariants(group: ValidatedGroup) -> SurfaceInfo:
         ends=e,
         genus=two_k // 2,
         handlebody_genus=g,
-        end_lengths=tuple(sorted(c.length for c in cycles)),
+        end_lengths=tuple(sorted(lengths)),
         core_area=2.0 * math.pi * (g - 1),
     )

