@@ -42,7 +42,13 @@ MAX_CELLS = 4096
 
 
 class QuadratureError(RuntimeError):
-    """Requested tolerance not met within the cell budget."""
+    """Requested tolerance not met within the cell budget, or an integrand
+    that is not finite; `owner` is the index of the failing interval in its
+    batch."""
+
+    def __init__(self, message: str, owner: int | None = None):
+        super().__init__(message)
+        self.owner = owner
 
 
 def _eval_cells(f, cells):
@@ -55,8 +61,9 @@ def _eval_cells(f, cells):
     index = owner.astype(np.intp).repeat(_XGK.size)
     vals = np.asarray(f(nodes.ravel(), index), dtype=float).reshape(nodes.shape)
     if not np.isfinite(vals).all():
-        bad = float(nodes.ravel()[~np.isfinite(vals.ravel())][0])
-        raise QuadratureError(f"integrand is not finite near x = {bad!r}")
+        i = np.flatnonzero(~np.isfinite(vals.ravel()))[0]
+        raise QuadratureError(f"integrand is not finite near x = {float(nodes.flat[i])!r}",
+                              owner=int(index[i]))
     kron = (vals * _WGK[None, :]).sum(axis=1) * halves
     gauss = (vals[:, 1::2] * _WG[None, :]).sum(axis=1) * halves
     return np.concatenate([cells, [kron, np.abs(kron - gauss)]])
@@ -109,7 +116,8 @@ def _refine(f, cells, count, rel_tol):
             left, right = cells[0, starts[k]], cells[1, starts[k] + counts[k] - 1]
             raise QuadratureError(
                 f"tolerance {tols[k]:.3e} not met within {MAX_CELLS} cells on "
-                f"[{float(left)!r}, {float(right)!r}] (error estimate {total_errs[k]:.3e})"
+                f"[{float(left)!r}, {float(right)!r}] (error estimate {total_errs[k]:.3e})",
+                owner=int(owner[starts[k]]),
             )
         # equal-share refinement: in each open interval split every cell above
         # its share of the interval's budget, or else its worst cells

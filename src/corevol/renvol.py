@@ -117,8 +117,12 @@ def _end_cylinder_integrals(lams, rel_tol: float):
         lam = lams[k]
         cosh_r = _libm_cosh(lam * s * (2.0 - s)).astype(float)
         t_max = _libm_acosh(np.maximum(cosh_lam[k] / cosh_r, 1.0)).astype(float)
-        inner, _ = adaptive_quad_batch(lambda t, j: np.cosh(t), 0.0, t_max,
-                                       rel_tol=rel_tol / 8.0)
+        try:
+            inner, _ = adaptive_quad_batch(lambda t, j: np.cosh(t), 0.0, t_max,
+                                           rel_tol=rel_tol / 8.0)
+        except QuadratureError as exc:
+            exc.owner = int(k[exc.owner])  # from the node to its level
+            raise
         return np.float_power(cosh_r, 2) * inner * (2.0 * lam * (1.0 - s))
 
     halves, errors = adaptive_quad_batch(cross_section, 0.0, np.ones(lams.size),
@@ -131,27 +135,35 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
     """Oracle volumes and their error estimates at every level of
     eps_values, each integral one batch over all levels; raises
     QuadratureError at the first level, in the given order, whose estimate
-    exceeds tol * |volume|."""
+    exceeds tol * |volume|.  A QuadratureError names its eps level, and the
+    integral too if it failed inside one."""
     if tol < QUAD_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
     lams = np.array([level_lambda(float(e)) for e in eps_values])
     totals = np.zeros(lams.size)
     errs = np.zeros(lams.size)
-    if surface.core_area != 0.0:
-        slabs, slab_errs = adaptive_quad_batch(
-            lambda r, k: np.cosh(r) ** 2, 0.0, lams, rel_tol=tol / 4.0
-        )
-        totals += 2.0 * surface.core_area * slabs
-        errs += 2.0 * surface.core_area * slab_errs
-    total_length = surface.total_end_length
-    if total_length > 0.0:
-        cyls, cyl_errs = _end_cylinder_integrals(lams, rel_tol=tol / 2.0)
-        totals += total_length * cyls
-        errs += total_length * cyl_errs
-    for total, err in zip(totals.tolist(), errs.tolist()):
+    integral = "core slab"
+    try:
+        if surface.core_area != 0.0:
+            slabs, slab_errs = adaptive_quad_batch(
+                lambda r, k: np.cosh(r) ** 2, 0.0, lams, rel_tol=tol / 4.0
+            )
+            totals += 2.0 * surface.core_area * slabs
+            errs += 2.0 * surface.core_area * slab_errs
+        integral = "end cylinder"
+        total_length = surface.total_end_length
+        if total_length > 0.0:
+            cyls, cyl_errs = _end_cylinder_integrals(lams, rel_tol=tol / 2.0)
+            totals += total_length * cyls
+            errs += total_length * cyl_errs
+    except QuadratureError as exc:
+        eps = float(eps_values[exc.owner])
+        raise QuadratureError(f"{integral} at eps {eps!r}: {exc}", exc.owner) from None
+    for k, (total, err) in enumerate(zip(totals.tolist(), errs.tolist())):
         if err > tol * abs(total) + 1e-300:
             raise QuadratureError(
-                f"quadrature error estimate {err:.3e} exceeds tolerance for volume {total:.6e}"
+                f"quadrature error estimate {err:.3e} exceeds tolerance for volume "
+                f"{total:.6e} at eps {float(eps_values[k])!r}", k
             )
     return totals, errs
 

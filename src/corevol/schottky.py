@@ -287,8 +287,13 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
     The products are built level by level as arrays: a word of length k + 1
     is its length-k prefix composed with one more letter, by the operations
     of `Mobius.compose` and `Mobius.__init__` in their order, so every point
-    is the one `word_mobius` gives.  A product whose determinant is lost or
-    not finite raises the ValueError of the `Mobius` constructor.
+    is the one `word_mobius` gives.  Each word's children are read from a
+    fixed table that lists, per last letter, every letter but its inverse in
+    alphabet order.  A product whose determinant is lost or not finite
+    raises the ValueError of the `Mobius` constructor.  A point is kept
+    outright when it lies more than DEDUP_TOL past its predecessor in sorted
+    order; only the runs between such points that are wider than DEDUP_TOL
+    are scanned against the last point kept.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -296,17 +301,20 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
     xa, xb, xc, xd = np.array([letter_mobius(group, x).entries for x in alphabet]).T
     centers = np.array([group.circles[_contraction_disk(group, x)].center for x in alphabet])
     n = len(alphabet)
+    # row j: the letters that may follow letter j, in alphabet order; alphabet
+    # order puts i and -i side by side, so j's inverse is j ^ 1
+    slot = np.arange(n - 1)
+    children = slot + (slot >= (np.arange(n) ^ 1)[:, None])
 
     a, b, c, d = (np.array([x]) for x in Mobius.identity().entries)
-    banned = np.array([n])  # per word, the inverse of its last letter (none: n)
+    letter = np.arange(n)
     raw = []
     with np.errstate(all="ignore"):
         for level in range(depth):
-            # each word's children in enumeration order: the letters in
-            # alphabet order, skipping the one that would cancel
+            # each word's children in enumeration order
+            if level:
+                letter = children[letter].ravel()
             width = n if level == 0 else n - 1
-            slot = np.tile(np.arange(width), len(a))
-            letter = slot + (slot >= np.repeat(banned, width))
             pa, pb, pc, pd = (np.repeat(x, width) for x in (a, b, c, d))
             la, lb, lc, ld = xa[letter], xb[letter], xc[letter], xd[letter]
             a, b = pa * la + pb * lc, pa * lb + pb * ld
@@ -318,7 +326,6 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
                 Mobius(a[i].item(), b[i].item(), c[i].item(), d[i].item())
             s = np.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
-            banned = letter ^ 1  # alphabet order puts i and -i side by side
             z = centers[letter] if level == 0 else np.repeat(z, width)
             den = c * z + d
             w = (a * z + b) / den
@@ -333,9 +340,22 @@ def _sort_dedup(points: np.ndarray) -> list:
     # Equal keys differ only in the sign of a zero; only then does their
     # order, the order of the words, decide which one the scan keeps.
     points = np.sort(points, kind="stable" if (points == 0).any() else None)
-    kept: list = []
-    for p in points.tolist():
-        if kept and abs(p - kept[-1]) <= DEDUP_TOL:
-            continue
-        kept.append(p)
-    return kept
+    # The last point kept is at most the predecessor, so a point more than
+    # DEDUP_TOL past its predecessor is kept; NaN and inf gaps keep it too.
+    keep = np.ones(points.size, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        keep[1:] = ~(np.abs(np.diff(points)) <= DEDUP_TOL)
+        starts = np.flatnonzero(keep)
+        ends = np.append(starts[1:], points.size) - 1
+        # the run from a kept point to the next one collapses to its first
+        # point unless its last is more than DEDUP_TOL past it
+        wide = points[ends] - points[starts] > DEDUP_TOL
+    for start, end in zip(starts[wide].tolist(), ends[wide].tolist()):
+        run = points[start:end + 1].tolist()
+        last = run[0]
+        for i, p in enumerate(run):
+            if abs(p - last) <= DEDUP_TOL:
+                continue
+            keep[start + i] = True
+            last = p
+    return points[keep].tolist()

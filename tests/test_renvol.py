@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corevol import quadrature, surface_invariants
-from corevol.cli import main
+from corevol import quadrature, renvol, surface_invariants
+from corevol.cli import build_group, main, parse_config
+from corevol.quadrature import QuadratureError
 from corevol.renvol import (
     Convention,
     VolumeProfile,
@@ -186,20 +187,51 @@ def test_profile_error_estimates_meet_tolerance(surfaces_by_genus, genus, tol, c
     assert np.all(errors <= tol * np.abs(volumes))
 
 
+README_GENUS1 = {"mode": "fuchsian_group",
+                 "generators": [{"p": -1.0, "q": 1.0, "length": 2.0}]}
+README_GENUS2 = {
+    "mode": "fuchsian_group",
+    "circles": [{"center": c, "radius": 0.4} for c in (-3.0, -1.0, 1.0, 3.0)],
+    "pairings": [{"source": 0, "target": 1, "matrix": [-2.5, -7.9, 2.5, 7.5]},
+                 {"source": 2, "target": 3, "matrix": [7.5, -7.9, 2.5, -2.5]}],
+}
+
+
 def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
-    # the end-cylinder oracle of this group converges within 3 cells
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 2)
-    path = tmp_path / "btz.json"
-    path.write_text(json.dumps({
-        "mode": "fuchsian_group",
-        "generators": [{"p": -1.0, "q": 1.0, "length": 2.0}],
-    }), encoding="utf-8")
-    assert main(["renvol", "--config", str(path)]) == 2
-    out = capsys.readouterr().out
-    assert out.count("\n") == 1
-    error = json.loads(out)["error"]
-    assert error["kind"] == "quadrature"
-    assert "not met within 2 cells on [0.0, " in error["message"]
+    # one cell stops genus 1's inner t integral and two its outer one (the
+    # end cylinder converges within 3 cells); genus 2 stops in its core slab
+    for config, cells, integral in [(README_GENUS1, 1, "end cylinder"),
+                                    (README_GENUS1, 2, "end cylinder"),
+                                    (README_GENUS2, 2, "core slab")]:
+        monkeypatch.setattr(quadrature, "MAX_CELLS", cells)
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["renvol", "--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "quadrature"
+        message = error["message"]
+        assert f"not met within {cells} cells on [0.0, " in message
+        named, eps = message.split(": ")[0].split(" at eps ")
+        assert named == integral
+        cfg = parse_config(config)
+        grid = cfg["epsilon_grid"]
+        assert float(eps) in default_eps_grid(grid["min"], grid["max"], grid["count"])
+        # intervals refine independently of their batch, so the level named
+        # fails alone with the same message
+        surface = surface_invariants(build_group(cfg))
+        with pytest.raises(QuadratureError) as alone:
+            truncated_volume_quadrature(surface, float(eps), cfg["quadrature_tol"])
+        assert str(alone.value) == message
+
+
+def test_tolerance_error_names_the_eps(monkeypatch, surface_s1):
+    # the per-level check after both integrals names the level it rejects
+    monkeypatch.setattr(renvol, "adaptive_quad_batch",
+                        lambda f, a, b, rel_tol: (np.ones(np.size(b)), np.ones(np.size(b))))
+    with pytest.raises(QuadratureError, match=r"exceeds tolerance .* at eps 0\.25$"):
+        truncated_volume_quadrature(surface_s1, 0.25)
 
 
 def test_coarea_identity(surface_s1, surface_adjacent):

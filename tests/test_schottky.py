@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -224,22 +225,25 @@ def test_limit_set_depth_zero_rejected(cyclic_s1):
         limit_set_sample(cyclic_s1, 0)
 
 
+def scan_dedup(points):
+    """The sorted list `points` scanned against the last point kept."""
+    kept = []
+    for z in points:
+        if kept and abs(z - kept[-1]) <= DEDUP_TOL:
+            continue
+        kept.append(z)
+    return kept
+
+
 def reference_sample(group, depth):
     """`limit_set_sample` one word at a time: `word_mobius` over
-    `enumerate_words`, then a stable sort and a scan against the last point
-    kept."""
+    `enumerate_words`, then a stable sort and `scan_dedup`."""
     raw = []
     for word in enumerate_words(group, depth)[1:]:
         pairing = group.pairings[abs(word.letters[0]) - 1]
         disk = pairing.target if word.letters[0] > 0 else pairing.source
         raw.append(word_mobius(group, word)(group.circles[disk].center))
-    raw.sort()
-    points = []
-    for z in raw:
-        if points and abs(z - points[-1]) <= DEDUP_TOL:
-            continue
-        points.append(z)
-    return points
+    return scan_dedup(sorted(raw))
 
 
 def seeded_row_group(seed, genus):
@@ -327,3 +331,32 @@ def test_dedup_keeps_the_first_of_signed_zeros(first, second):
     kept = _sort_dedup(np.array([2.0, first, *[second] * 15, 3.0]))
     assert repr(kept[0]) == repr(first)
     assert len(kept) == 3
+
+
+# steps of a chain, in units of DEDUP_TOL: a chain of 0.6 steps is one run
+# wider than the tolerance, whose scan keeps every second point
+DEDUP_STEPS = [0.0, 0.3, 0.6, 1.0, 1.0000001]
+DEDUP_CHAINS = st.tuples(
+    st.sampled_from([0.0, -0.0, 1e-13, 1.0, -2.5, 3e5]) | st.floats(-10.0, 10.0),
+    st.lists(st.sampled_from(DEDUP_STEPS), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains=st.lists(DEDUP_CHAINS, min_size=1, max_size=5),
+       specials=st.lists(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                         max_size=6),
+       order=st.randoms())
+def test_dedup_matches_the_scan(chains, specials, order):
+    points = list(specials)
+    for start, steps in chains:
+        points.append(start)
+        for step in steps:
+            points.append(points[-1] + step * DEDUP_TOL)
+    order.shuffle(points)
+    points = np.array(points, dtype=float)
+    expected = scan_dedup(np.sort(points, kind="stable").tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # inf - inf, nan compares
+        kept = _sort_dedup(points)
+    assert [p.hex() for p in kept] == [p.hex() for p in expected]
