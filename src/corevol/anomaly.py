@@ -113,8 +113,7 @@ class SurfaceMesh:
 
     @property
     def area(self) -> float:
-        # summed over the full grid, in the order `integrate` sums a field
-        return float(np.repeat(self._weight_column, self.n_theta, axis=1).sum())
+        return _integrate(self, 1.0, _work(self, 1)[0])
 
     @property
     def analytic_area(self) -> float:
@@ -144,35 +143,53 @@ class SurfaceMesh:
         return u
 
 
-# The private kernels take checked fields.  The public functions check and
-# call them; `anomaly_functionals` checks once and shares their results.
+# The private kernels take checked fields and write each full-mesh step into
+# arrays from `_work`, in the operation order of the plain expression, and sum
+# contiguous arrays of its shape.  The public functions check and call them;
+# `anomaly_functionals` checks once and shares their results.
 
-def _integrate(mesh: SurfaceMesh, f: np.ndarray) -> float:
-    return float((f * mesh._weight_column).sum())
+def _work(mesh: SurfaceMesh, count: int) -> list:
+    """`count` uninitialized (n_t, n_theta) arrays for the kernels to write into."""
+    return [np.empty((mesh.n_t, mesh.n_theta)) for _ in range(count)]
+
+
+def _integrate(mesh: SurfaceMesh, f, work: np.ndarray) -> float:
+    # `f` may be `work` itself; the area is the integral of f = 1.0
+    return float(np.multiply(f, mesh._weight_column, out=work).sum())
 
 
 def integrate(mesh: SurfaceMesh, f: np.ndarray) -> float:
     """Area integral of a nodal field."""
-    return _integrate(mesh, mesh._check_field(f))
+    return _integrate(mesh, mesh._check_field(f), _work(mesh, 1)[0])
 
 
-def _gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
-    # when v is u (an energy) each difference is taken once
+def _roll(v: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
+    """np.roll(v, shift, axis=1), written into out."""
+    return np.take(v, np.arange(v.shape[1]) - shift, axis=1, mode="wrap", out=out)
+
+
+def _gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray, work) -> float:
+    # v is u (an energy): each difference once, in two work arrays, not three
     dt, dth = mesh.dt, mesh.dtheta
-    du_t = (u[1:, :] - u[:-1, :]) / dt
-    dv_t = du_t if v is u else (v[1:, :] - v[:-1, :]) / dt
-    e_t = float((mesh._sqrt_det_mid[:, None] * du_t * dv_t).sum()) * dt * dth
-    del du_t, dv_t
-    du_h = (np.roll(u, -1, axis=1) - u) / dth
-    dv_h = du_h if v is u else (np.roll(v, -1, axis=1) - v) / dth
-    coeff = (mesh._theta_coeff * mesh._t_weights)[:, None]
-    e_h = float((coeff * du_h * dv_h).sum()) * dt * dth
+    du, prod, dv = work[0], work[1], work[0] if v is u else work[2]
+    fields = ((u, du),) if v is u else ((u, du), (v, dv))
+    for x, d in fields:
+        np.divide(np.subtract(x[1:, :], x[:-1, :], out=d[:-1]), dt, out=d[:-1])
+    np.multiply(mesh._sqrt_det_mid[:, None], du[:-1], out=prod[:-1])
+    prod[:-1] *= dv[:-1]
+    e_t = float(prod[:-1].sum()) * dt * dth
+    for x, d in fields:
+        np.subtract(_roll(x, -1, d), x, out=d)
+        d /= dth
+    np.multiply((mesh._theta_coeff * mesh._t_weights)[:, None], du, out=prod)
+    prod *= dv
+    e_h = float(prod.sum()) * dt * dth
     return e_t + e_h
 
 
 def gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     """Dirichlet bilinear form int <grad u, grad v> dmu (staggered differences)."""
-    return _gradient_form(mesh, mesh._check_field(u), mesh._check_field(v))
+    return _gradient_form(mesh, mesh._check_field(u), mesh._check_field(v), _work(mesh, 3))
 
 
 def gradient_energy(mesh: SurfaceMesh, u: np.ndarray) -> float:
@@ -228,23 +245,27 @@ def _boundary_operator(mesh: SurfaceMesh, v: np.ndarray):
     return b[0] * d2_bot + bp[0] * d1_bot, b[-1] * d2_top + bp[-1] * d1_top
 
 
-def _t_flux(mesh: SurfaceMesh, v: np.ndarray) -> np.ndarray:
-    """sqrt(det) dv/dt on the staggered t midpoints, shape (n_t - 1, n_theta)."""
-    return mesh._sqrt_det_mid[:, None] * (v[1:, :] - v[:-1, :]) / mesh.dt
+def _t_flux(mesh: SurfaceMesh, v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sqrt(det) dv/dt on the staggered t midpoints: the first n_t - 1 rows of work."""
+    flux = np.subtract(v[1:, :], v[:-1, :], out=work[:-1])
+    flux *= mesh._sqrt_det_mid[:, None]
+    return np.divide(flux, mesh.dt, out=flux)
 
 
-def _laplacian(mesh: SurfaceMesh, v: np.ndarray, flux: np.ndarray, lam) -> np.ndarray:
-    """`laplacian` from the t flux of v and its boundary operator `lam`."""
+def _laplacian(mesh: SurfaceMesh, v: np.ndarray, flux: np.ndarray, lam, work) -> np.ndarray:
+    """`laplacian` from the t flux of v and its boundary operator `lam`, in work[0]."""
     b = mesh._sqrt_det
-    out = np.empty_like(v)
-    # in place where a plain expression would allocate another full-mesh array
+    out, second_theta = work
+    # the theta part first, so that `out` can hold 2 v and the +1 roll
+    _roll(v, -1, second_theta)
+    second_theta -= np.multiply(v, 2.0, out=out)
+    second_theta += _roll(v, 1, out)
+    second_theta *= (mesh._theta_coeff / b)[:, None]
+    second_theta /= mesh.dtheta ** 2
     np.subtract(flux[1:, :], flux[:-1, :], out=out[1:-1, :])
     out[1:-1, :] /= b[1:-1, None] * mesh.dt
     out[0, :] = lam[0] / b[0]
     out[-1, :] = lam[1] / b[-1]
-    second_theta = np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
-    second_theta *= (mesh._theta_coeff / b)[:, None]
-    second_theta /= mesh.dtheta ** 2
     out += second_theta
     return out
 
@@ -257,7 +278,8 @@ def laplacian(mesh: SurfaceMesh, v: np.ndarray) -> np.ndarray:
     `gradient_form` and `boundary_flux` exact.
     """
     v = mesh._check_field(v)
-    return _laplacian(mesh, v, _t_flux(mesh, v), _boundary_operator(mesh, v))
+    work = _work(mesh, 3)
+    return _laplacian(mesh, v, _t_flux(mesh, v, work[2]), _boundary_operator(mesh, v), work[:2])
 
 
 def _boundary_flux(mesh: SurfaceMesh, u: np.ndarray, flux: np.ndarray, lam) -> float:
@@ -274,11 +296,15 @@ def boundary_flux(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     integrate(u * laplacian(v)) + gradient_form(u, v) == boundary_flux(u, v)."""
     u = mesh._check_field(u)
     v = mesh._check_field(v)
-    return _boundary_flux(mesh, u, _t_flux(mesh, v), _boundary_operator(mesh, v))
+    flux = _t_flux(mesh, v, _work(mesh, 1)[0])
+    return _boundary_flux(mesh, u, flux, _boundary_operator(mesh, v))
 
 
-def _liouville_residual(mesh: SurfaceMesh, lap: np.ndarray, exp_2phi: np.ndarray) -> np.ndarray:
-    return (lap + 1.0 if mesh.tag == TAG_HYPERBOLIC else lap) - exp_2phi
+def _liouville_residual(mesh: SurfaceMesh, lap: np.ndarray, exp_2phi: np.ndarray):
+    """The residual, written over `lap`."""
+    if mesh.tag == TAG_HYPERBOLIC:
+        lap += 1.0
+    return np.subtract(lap, exp_2phi, out=lap)
 
 
 def liouville_residual(mesh: SurfaceMesh, phi: np.ndarray) -> np.ndarray:
@@ -296,42 +322,41 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     """The field-dependent values of the `anomaly` report, keyed and ordered
     as the report prints them, after "mesh.area" (the mesh area, first).
 
-    One pass: the field is checked once, and the energy, integral and
-    exp(2u) of u, the t flux, boundary operator and Laplacian are each
-    computed once and shared by every value that needs them.  Each value
-    is bitwise equal to the public function that defines it.
+    One pass in three work arrays: the field is checked once, and the energy,
+    integral and exp(2u) of u, the t flux, boundary operator and Laplacian
+    are each computed once and shared by every value that needs them.  The
+    Jensen pass comes last, in the arrays that the residual is done with.
+    Each value is bitwise equal to the public function that defines it.
     """
     u = mesh._check_field(u)
-    area = mesh.area
-    energy = _gradient_form(mesh, u, u)
-    integral = _integrate(mesh, u)
-    values = {
-        "mesh.area": area,
-        "gradient_energy": energy,
-        "conformal_change_term": 0.25 * (energy + mesh.scalar_curvature * integral),
+    a, b, c = work = _work(mesh, 3)
+    area = _integrate(mesh, 1.0, a)
+    energy = _gradient_form(mesh, u, u, work)
+    curv = mesh.scalar_curvature * _integrate(mesh, u, a)
+    values = {"mesh.area": area, "gradient_energy": energy,
+              "conformal_change_term": 0.25 * (energy + curv)}
+    flux = _t_flux(mesh, u, a)
+    lam = _boundary_operator(mesh, u)
+    flux_term = _boundary_flux(mesh, u, flux, lam)
+    lap = _laplacian(mesh, u, flux, lam, (b, c))
+    defect = _integrate(mesh, np.multiply(u, lap, out=a), a) + energy - flux_term
+    exp_2u = np.exp(np.multiply(u, 2.0, out=c), out=a)
+    residual = _liouville_residual(mesh, lap, exp_2u)
+    liouville = {
+        "liouville.variant": LIOUVILLE_VARIANT[mesh.tag],
+        "liouville.residual_max": float(np.abs(residual, out=c).max()),
+        "liouville.residual_rms": math.sqrt(
+            _integrate(mesh, np.square(residual, out=c), c) / area),
+        "integration_by_parts_defect": abs(defect),
     }
     if mesh.tag == TAG_HYPERBOLIC:
-        exp_2u = np.exp(2.0 * u)
-        normalized = u - 0.5 * math.log(_integrate(mesh, exp_2u) / area)
+        shift = 0.5 * math.log(_integrate(mesh, exp_2u, c) / area)
+        normalized = np.subtract(u, shift, out=b)
         values["jensen_energy_normalized"] = (
-            _gradient_form(mesh, normalized, normalized) - 2.0 * _integrate(mesh, normalized)
+            _gradient_form(mesh, normalized, normalized, (a, c))
+            - 2.0 * _integrate(mesh, normalized, a)
         )
-        del normalized
-    flux = _t_flux(mesh, u)
-    lam = _boundary_operator(mesh, u)
-    lap = _laplacian(mesh, u, flux, lam)
-    flux = flux[[0, -1]]  # the boundary flux reads only the end rows
-    if mesh.tag == TAG_FLAT:  # after the Laplacian, as `liouville_residual` orders it
-        exp_2u = np.exp(2.0 * u)
-    residual = _liouville_residual(mesh, lap, exp_2u)
-    del exp_2u
-    values["liouville.variant"] = LIOUVILLE_VARIANT[mesh.tag]
-    values["liouville.residual_max"] = float(np.abs(residual).max())
-    values["liouville.residual_rms"] = math.sqrt(_integrate(mesh, residual ** 2) / area)
-    del residual
-    defect = _integrate(mesh, u * lap) + energy - _boundary_flux(mesh, u, flux, lam)
-    values["integration_by_parts_defect"] = abs(defect)
-    return values
+    return {**values, **liouville}
 
 
 def field_to_csv(mesh: SurfaceMesh, u: np.ndarray, path) -> None:

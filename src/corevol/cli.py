@@ -392,7 +392,10 @@ def cmd_wedge(cfg: dict, args) -> int:
         profiles.append(pleated_profile(core, eps_grid, conv))
     for i, leaf in enumerate(core.leaves):
         derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
-        quad = wedge_volume_quadrature(leaf, eps_check, tol=cfg["quadrature_tol"])
+        try:
+            quad = wedge_volume_quadrature(leaf, eps_check, tol=cfg["quadrature_tol"])
+        except QuadratureError as exc:
+            raise QuadratureError(f"leaf {i} at eps {eps_check!r}: {exc}", i) from None
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
         gap = abs(quad - derived) / max(abs(derived), 1e-300)
@@ -421,11 +424,12 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
     if kind == "constant":
         return mesh.constant(field["value"])
     if kind == "theta_mode":
-        amp = field["amplitude"]
         omega = 2.0 * math.pi * field["k"] / mesh.circumference
-        return mesh.from_function(lambda t, th: amp * np.sin(omega * th))
+        profile = field["amplitude"] * np.sin(omega * mesh.theta)
+        return np.broadcast_to(profile, (mesh.n_t, mesh.n_theta)).copy()
     if kind == "log_sech_t":
-        return mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
+        profile = -np.log(np.cosh(mesh.t))
+        return np.broadcast_to(profile[:, None], (mesh.n_t, mesh.n_theta)).copy()
     path = field["path"]
     file_mesh, u = anomaly_mod.field_from_csv(path)
     if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (

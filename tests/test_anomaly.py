@@ -24,6 +24,7 @@ from corevol.anomaly import (
     liouville_residual,
     normalize_area,
 )
+from corevol.cli import _build_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -336,14 +337,55 @@ def test_functionals_bitwise_equal_on_csv_field(tmp_path):
     assert as_hex(anomaly_functionals(mesh2, u2)) == expected
 
 
-@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
-def test_functionals_peak_memory(tag):
-    mesh = SurfaceMesh(tag, 2.0, TWO_PI, 257, 256)
-    u = random_smooth_field(mesh, np.random.default_rng(7))
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during call(), above what
+    was allocated before it."""
     tracemalloc.start()
     try:
-        anomaly_functionals(mesh, u)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * u.nbytes
+
+
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+def test_functionals_peak_memory(tag):
+    # three work arrays, plus the finite check's bool array and 1-d profiles
+    mesh = SurfaceMesh(tag, 2.0, TWO_PI, 257, 256)
+    u = random_smooth_field(mesh, np.random.default_rng(7))
+    assert traced_peak(lambda: anomaly_functionals(mesh, u)) <= 3.5 * u.nbytes
+
+
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+@pytest.mark.parametrize("field", [{"kind": "theta_mode", "k": 2, "amplitude": 0.3},
+                                   {"kind": "log_sech_t"}])
+def test_build_field_peak_memory(tag, field):
+    # the field itself, plus its 1-d profile
+    mesh = SurfaceMesh(tag, 2.0, TWO_PI, 257, 256)
+    field_bytes = mesh.n_t * mesh.n_theta * 8
+    assert traced_peak(lambda: _build_field(mesh, field)) <= 1.1 * field_bytes
+
+
+def mesh_evaluated_field(mesh, field):
+    """An analytic field evaluated on the full (t, theta) mesh, node by node."""
+    if field["kind"] == "log_sech_t":
+        return mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
+    amp = field["amplitude"]
+    omega = 2.0 * math.pi * field["k"] / mesh.circumference
+    return mesh.from_function(lambda t, th: amp * np.sin(omega * th))
+
+
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+@pytest.mark.parametrize("n_theta", [4, 7, 127, 128, 1000, 1024])
+def test_build_field_bitwise_equal_to_mesh_evaluation(tag, n_theta):
+    # numpy's SIMD sin, log and cosh give the same bits on a 1-d profile as
+    # on the full mesh, whatever the lengths leave over for the vector tail
+    fields = [{"kind": "log_sech_t"}] + [
+        {"kind": "theta_mode", "k": k, "amplitude": 0.1 * k + 0.07} for k in (1, 2, 3, 4)]
+    for n_t in (17, 18, max(n_theta + 1, 8)):
+        mesh = SurfaceMesh(tag, 1.7, 5.3, n_t, n_theta)
+        for field in fields:
+            built = _build_field(mesh, field)
+            assert built.flags.c_contiguous
+            expected = mesh_evaluated_field(mesh, field)
+            assert np.array_equal(built.view(np.int64), expected.view(np.int64)), (n_t, field)

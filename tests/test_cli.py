@@ -203,6 +203,24 @@ def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monke
     assert "np." not in error["message"]
 
 
+def test_cell_budget_exhaustion_in_wedge_names_the_leaf_and_eps(tmp_path, capsys, monkeypatch):
+    # one cell stops the theta = 0 leaf; a flat leaf (theta = pi) needs no
+    # quadrature, so put in front it moves the failing leaf to index 1
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
+    leaves = [{"length": 1.0, "theta": 0.0}, {"length": 2.0, "theta": math.pi / 3.0}]
+    flat = {"length": 1.5, "theta": math.pi}
+    for leaves, failing in [(leaves, 0), ([flat] + leaves, 1)]:
+        config = dict(WEDGE_CONFIG, leaves=leaves)
+        assert main(["wedge", "--config", write_config(tmp_path, config)]) == 2
+        error = _one_error(capsys)
+        assert error["kind"] == "quadrature"
+        grid = parse_config(config)["epsilon_grid"]
+        eps_check = math.sqrt(grid["min"] * grid["max"])
+        prefix = f"leaf {failing} at eps {eps_check!r}: tolerance "
+        assert error["message"].startswith(prefix)
+        assert "not met within 1 cells on [0.0, " in error["message"]
+
+
 def test_renvol_single_convention_flag(tmp_path, capsys):
     code = main([
         "renvol", "--config", write_config(tmp_path, BTZ_CONFIG),

@@ -1,8 +1,8 @@
 """Pinned reports: report.txt of the README genus-1 and genus-2 examples, of
 a crossed genus-3 row group (core slab and ends) on a 16-level grid and of a
 three-leaf wedge core, and the anomaly report of the README hyperbolic
-mesh, of a 1025x1024 hyperbolic mesh and of a flat cylinder, compared byte
-for byte.  Also pinned: the sha256
+mesh, of a 1025x1024 hyperbolic mesh, of a flat cylinder, of a log sech t
+field and of a constant field, compared byte for byte.  Also pinned: the sha256
 of the `float.hex` list that `limit_set_sample` returns for three fixed
 groups (`golden/limit_set.json`).
 
@@ -92,6 +92,20 @@ CASES = {
         "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.0,
                  "circumference": 2.0 * math.pi, "n_t": 1025, "n_theta": 1024},
         "field": {"kind": "theta_mode", "k": 3, "amplitude": 0.5},
+    }),
+    "anomaly_log_sech": ("anomaly", {
+        "mode": "anomaly_check",
+        "name": "log_sech",
+        "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.5,
+                 "circumference": 2.0 * math.pi, "n_t": 257, "n_theta": 256},
+        "field": {"kind": "log_sech_t"},
+    }),
+    "anomaly_constant": ("anomaly", {
+        "mode": "anomaly_check",
+        "name": "constant",
+        "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.0,
+                 "circumference": 3.0, "n_t": 129, "n_theta": 128},
+        "field": {"kind": "constant", "value": 0.3},
     }),
 }
 
