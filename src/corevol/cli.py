@@ -313,7 +313,6 @@ def cmd_renvol(cfg: dict, args) -> int:
     report.add("eps.count", grid["count"])
     report.add("quadrature.tol", cfg["quadrature_tol"])
 
-    profiles = []
     closed_v = {}
     for conv in conventions:
         v = renormalized_volume_fuchsian(surface, conv)
@@ -323,10 +322,8 @@ def cmd_renvol(cfg: dict, args) -> int:
             f"closed.{conv.value}.vol_at_eps_max",
             truncated_volume_closed(surface, grid["max"], conv),
         )
-        profiles.append(profile_closed(surface, eps_grid, conv))
 
     quad_profile = profile_quadrature(surface, eps_grid, tol=cfg["quadrature_tol"])
-    profiles.append(quad_profile)
     fit = expansion_fit(quad_profile)
     report.add("fit.provenance", PROVENANCE_QUADRATURE)
     report.add("fit.c_eps_m2", fit.c_m2)
@@ -352,6 +349,9 @@ def cmd_renvol(cfg: dict, args) -> int:
                 "printed end-cylinder coefficient is twice the induced-metric value; "
                 "paper and derived conventions disagree on V"
             )
+    profiles = [quad_profile]
+    if args.csv:  # only the CSV files read the closed-form profiles
+        profiles = [profile_closed(surface, eps_grid, conv) for conv in conventions] + profiles
     _emit(report, args, csv_profiles=profiles)
     return 0
 
@@ -369,7 +369,6 @@ def cmd_wedge(cfg: dict, args) -> int:
     core = _build_core(cfg)
     conventions = CONVENTIONS[cfg["convention"]]
     grid = cfg["epsilon_grid"]
-    eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
     eps_check = float(math.sqrt(grid["min"] * grid["max"]))
 
     report = Report()
@@ -383,21 +382,21 @@ def cmd_wedge(cfg: dict, args) -> int:
         report.add(f"leaf.{i}.theta", leaf.theta)
     report.add("quadrature.tol", cfg["quadrature_tol"])
 
-    profiles = []
     values = {}
     for conv in conventions:
         v = renormalized_volume_pleated(core, conv)
         values[conv] = v
         report.add(f"closed.{conv.value}.V", v)
-        profiles.append(pleated_profile(core, eps_grid, conv))
-    for i, leaf in enumerate(core.leaves):
+    try:
+        quads, errs = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
+    except QuadratureError as exc:
+        leaf = exc.owner // 2
+        raise QuadratureError(f"leaf {leaf} at eps {eps_check!r}: {exc}", leaf) from None
+    for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads.tolist(), errs.tolist())):
         derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
-        try:
-            quad = wedge_volume_quadrature(leaf, eps_check, tol=cfg["quadrature_tol"])
-        except QuadratureError as exc:
-            raise QuadratureError(f"leaf {i} at eps {eps_check!r}: {exc}", i) from None
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
+        report.add(f"leaf.{i}.wedge_quadrature_err_est", err)
         gap = abs(quad - derived) / max(abs(derived), 1e-300)
         if derived != 0.0 and gap > 1e-5:
             report.warn(
@@ -413,6 +412,10 @@ def cmd_wedge(cfg: dict, args) -> int:
                 "form is implied; paper and derived conventions disagree on V"
             )
     report.add("eps.check", eps_check)
+    profiles = []
+    if args.csv:  # only the CSV files read the profiles
+        eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
+        profiles = [pleated_profile(core, eps_grid, conv) for conv in conventions]
     _emit(report, args, csv_profiles=profiles)
     return 0
 
@@ -441,6 +444,11 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
 
 def _anomaly_report(cfg: dict) -> Report:
     mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
+    # the kernels divide by the squared spacings as Python float powers, whose
+    # OverflowError carries only an errno tuple
+    for name, step in (("t", mesh.dt), ("theta", mesh.dtheta)):
+        if math.isinf(step * step):
+            raise OverflowError(f"the square of the {name} spacing {step!r} overflows")
     values = anomaly_mod.anomaly_functionals(mesh, _build_field(mesh, cfg["field"]))
 
     report = Report()

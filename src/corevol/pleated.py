@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_quad
+# adaptive_quad stays a name of this module: perfbench/tracer.py wraps
+# corevol.pleated.adaptive_quad, and its per-layer metrics need the name
+from .quadrature import adaptive_quad, adaptive_quad_batch  # noqa: F401
 from .renvol import (
     CONVENTION_TERMS,
     QUAD_TOL_FLOOR,
@@ -102,9 +104,8 @@ def wedge_volume_closed(leaf: PleatLeaf, eps: float,
     return w * math.sinh(lam) ** 2 / 2.0
 
 
-def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
-                            tol: float = 1e-8) -> float:
-    """3d oracle for the wedge volume in the upper half-space model.
+def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
+    """3d oracle for the wedge volumes of `leaves` in the upper half-space model.
 
     The leaf axis is the z-axis and the wedge is the normal-cone sector
     {x >= 0, y <= tan(pi/2 - theta) x} of width (pi - theta), truncated at
@@ -124,31 +125,50 @@ def wedge_volume_quadrature(leaf: PleatLeaf, eps: float,
     with x = x_max u (2 - u), which makes the square-root endpoint smooth,
     times the Jacobian 2 x_max (1 - u); the kink, at
     u = 1 - sqrt(1 - sin(theta)) when theta <= pi/2, splits [0, 1] into two
-    quadratures.
+    intervals.
+
+    Every leaf is integrated in one adaptive_quad_batch call: leaf i owns
+    interval 2i = [0, u_kink] and 2i + 1 = [u_kink, 1], and a flat leaf
+    (theta = pi) two empty ones.  The engine refines and sums each interval
+    on its own, so a leaf's value does not depend on the other leaves of
+    the batch.  Returns (values, error estimates) as arrays in leaf order,
+    each scaled by its leaf's length; a QuadratureError's `owner` is an
+    interval, of leaf owner // 2.
     """
     if tol < QUAD_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
     lam = level_lambda(eps)
-    if leaf.theta == math.pi:
-        return 0.0
     radius = math.sinh(lam)
-    sin_t, cos_t = math.sin(leaf.theta), math.cos(leaf.theta)
-    # upper sector edge y = slope * x; the half-disk at theta = 0 has none
-    # (and slope * x would be inf * 0 at x = 0)
-    slope = cos_t / sin_t if sin_t > 0.0 else None
-    below_right_angle = leaf.theta <= math.pi / 2.0
-    x_max = radius if below_right_angle else radius * sin_t
-    u_kink = 1.0 - math.sqrt(1.0 - sin_t) if below_right_angle else 1.0
+    # a flat leaf keeps u_kink = end = 0: two empty intervals
+    length, x_max, slope, u_kink, end = (np.zeros(len(leaves)) for _ in range(5))
+    edge = np.zeros(len(leaves), dtype=bool)
+    for i, leaf in enumerate(leaves):
+        length[i] = leaf.length
+        if leaf.theta == math.pi:
+            continue
+        sin_t, cos_t = math.sin(leaf.theta), math.cos(leaf.theta)
+        below_right_angle = leaf.theta <= math.pi / 2.0
+        x_max[i] = radius if below_right_angle else radius * sin_t
+        u_kink[i] = 1.0 - math.sqrt(1.0 - sin_t) if below_right_angle else 1.0
+        end[i] = 1.0
+        # upper sector edge y = slope * x; the half-disk at theta = 0 has
+        # none, and `column` picks the arc there (slope 0 keeps inf * 0 out)
+        edge[i] = sin_t > 0.0
+        slope[i] = cos_t / sin_t if edge[i] else 0.0
 
-    def column(u):
-        x = x_max * u * (2.0 - u)
+    def column(u, k):
+        leaf = k // 2
+        x_end = x_max[leaf]
+        x = x_end * u * (2.0 - u)
         arc = np.sqrt(np.clip(radius * radius - x ** 2, 0.0, None))
-        upper = arc if slope is None else np.minimum(slope * x, arc)
-        return np.clip(upper + arc, 0.0, None) * (2.0 * x_max * (1.0 - u))
+        upper = np.where(edge[leaf], np.minimum(slope[leaf] * x, arc), arc)
+        return np.clip(upper + arc, 0.0, None) * (2.0 * x_end * (1.0 - u))
 
-    area = sum(adaptive_quad(column, a, b, rel_tol=tol)[0]
-               for a, b in ((0.0, u_kink), (u_kink, 1.0)))
-    return leaf.length * area
+    a = np.column_stack([np.zeros(len(leaves)), u_kink]).ravel()
+    b = np.column_stack([u_kink, end]).ravel()
+    pieces, errors = adaptive_quad_batch(column, a, b, rel_tol=tol)
+    values = length * (0.0 + pieces[0::2] + pieces[1::2])
+    return values, length * (errors[0::2] + errors[1::2])
 
 
 def pleated_profile(core: PleatedCoreData, eps_grid,
@@ -191,8 +211,8 @@ def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
     pleated = renormalized_volume_pleated(core, convention)
     fuchsian = renormalized_volume_fuchsian(surface, convention)
     closed = truncated_volume_closed(surface, REDUCTION_EPS, Convention.DERIVED)
-    oracle = collar_slab_volume(core.boundary_area, REDUCTION_EPS) + sum(
-        wedge_volume_quadrature(leaf, REDUCTION_EPS) for leaf in leaves)
+    wedges, _ = wedge_volume_quadrature(leaves, REDUCTION_EPS)
+    oracle = collar_slab_volume(core.boundary_area, REDUCTION_EPS) + sum(wedges.tolist())
     gap = abs(oracle - closed) / closed if closed else abs(oracle)
     report = {
         "convention": convention.value,

@@ -186,7 +186,8 @@ class VolumeProfile:
     """Sampled map eps -> volume with provenance.
 
     Samples are (eps, volume) pairs with eps strictly decreasing and volume
-    strictly increasing.
+    nondecreasing: a pleated core with no bending and no boundary has a
+    constant profile.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -197,8 +198,8 @@ class VolumeProfile:
         vol = [s[1] for s in self.samples]
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("profile eps values must be strictly decreasing")
-        if any(v2 <= v1 for v1, v2 in zip(vol, vol[1:])):
-            raise ValueError("profile volumes must increase as eps decreases")
+        if any(v2 < v1 for v1, v2 in zip(vol, vol[1:])):
+            raise ValueError("profile volumes must not decrease as eps decreases")
 
     @property
     def eps(self):

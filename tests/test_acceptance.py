@@ -155,14 +155,14 @@ def test_criterion_7_wedge_oracle():
         for theta in (math.pi / 3.0, 2.0 * math.pi / 3.0):
             for eps in (math.exp(-1.0), 0.2):
                 leaf = PleatLeaf(length, theta)
-                quad = wedge_volume_quadrature(leaf, eps, tol=1e-8)
+                quad = wedge_volume_quadrature((leaf,), eps, tol=1e-8)[0][0]
                 closed = wedge_volume_closed(leaf, eps, Convention.DERIVED)
                 rel = abs(quad - closed) / abs(closed)
                 worst = max(worst, rel)
                 assert rel <= 1e-5
-    assert wedge_volume_quadrature(PleatLeaf(1.0, math.pi), 0.2) == 0.0
-    v1 = wedge_volume_quadrature(PleatLeaf(0.7, 1.1), 0.25, tol=1e-8)
-    v2 = wedge_volume_quadrature(PleatLeaf(1.4, 1.1), 0.25, tol=1e-8)
+    assert wedge_volume_quadrature((PleatLeaf(1.0, math.pi),), 0.2)[0][0] == 0.0
+    v1 = wedge_volume_quadrature((PleatLeaf(0.7, 1.1),), 0.25, tol=1e-8)[0][0]
+    v2 = wedge_volume_quadrature((PleatLeaf(1.4, 1.1),), 0.25, tol=1e-8)[0][0]
     assert abs(v2 - 2.0 * v1) / abs(v2) <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corevol import cli, quadrature
+from corevol import cli, pleated, quadrature
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
 
@@ -209,7 +209,8 @@ def test_cell_budget_exhaustion_in_wedge_names_the_leaf_and_eps(tmp_path, capsys
     monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
     leaves = [{"length": 1.0, "theta": 0.0}, {"length": 2.0, "theta": math.pi / 3.0}]
     flat = {"length": 1.5, "theta": math.pi}
-    for leaves, failing in [(leaves, 0), ([flat] + leaves, 1)]:
+    # reversed, the pi/3 leaf converges in one cell and only the later leaf fails
+    for leaves, failing in [(leaves, 0), ([flat] + leaves, 1), (leaves[::-1], 1)]:
         config = dict(WEDGE_CONFIG, leaves=leaves)
         assert main(["wedge", "--config", write_config(tmp_path, config)]) == 2
         error = _one_error(capsys)
@@ -246,6 +247,38 @@ def test_wedge_flat_leaf_returns_core_volume(tmp_path, capsys):
     assert float(report["closed.paper.V"]) == pytest.approx(5.0)
     assert float(report["closed.derived.V"]) == pytest.approx(5.0)
     assert float(report["leaf.0.wedge_quadrature_at_eps_check"]) == 0.0
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_wedge_without_bending_or_boundary(tmp_path, capsys, csv):
+    # the profile is constant: the core volume at every eps
+    config = {"mode": "pleated_core", "core_volume": 2.0,
+              "leaves": [{"length": 1.0, "theta": math.pi}]}
+    out = tmp_path / "out"
+    flags = ["--out", str(out), "--csv"] if csv else []
+    assert main(["wedge", "--config", write_config(tmp_path, config)] + flags) == 0
+    report = report_dict(capsys.readouterr().out)
+    assert report["closed.paper.V"] == report["closed.derived.V"] == "2.0"
+    for conv in ("paper", "derived") if csv else ():
+        rows = (out / f"profile_closed_form_{conv}.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["2.0"] * 12
+
+
+def test_wedge_makes_one_quadrature_batch_call(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature.adaptive_quad_batch(*args, **kwargs)
+
+    monkeypatch.setattr(pleated, "adaptive_quad_batch", counted)
+    leaves = [{"length": 1.0, "theta": theta} for theta in (0.0, 1.0, 2.0, math.pi)]
+    config = dict(WEDGE_CONFIG, leaves=leaves)
+    assert main(["wedge", "--config", write_config(tmp_path, config)]) == 0
+    report = report_dict(capsys.readouterr().out)
+    assert len(calls) == 1
+    for i in range(len(leaves)):
+        assert float(report[f"leaf.{i}.wedge_quadrature_err_est"]) >= 0.0
 
 
 def test_wedge_worked_example(tmp_path, capsys):
@@ -647,6 +680,20 @@ def test_anomaly_out_of_float_range_is_a_value_error(tmp_path, capsys, mesh, fie
     error = _one_error(capsys)
     assert error["kind"] == "value"
     assert "leave the float64 range" in error["message"]
+
+
+@pytest.mark.parametrize("tag, mesh, name", [
+    ("flat_cylinder", {"circumference": 1e300}, "theta"),
+    ("hyperbolic_cylinder", {"circumference": 1e300}, "theta"),
+    ("flat_cylinder", {"t_extent": 1e300}, "t"),
+])
+def test_anomaly_spacing_overflow_names_the_spacing(tmp_path, capsys, tag, mesh, name):
+    config = dict(ANOMALY_CONFIG, mesh={**ANOMALY_CONFIG["mesh"], "tag": tag, **mesh})
+    assert main(["anomaly", "--config", write_config(tmp_path, config)]) == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert f"(the square of the {name} spacing " in error["message"]
+    assert "(34," not in error["message"]
 
 
 def test_field_file_without_parameter_line_is_a_value_error(tmp_path, capsys):

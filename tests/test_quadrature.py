@@ -219,8 +219,22 @@ def test_wedge_oracle_matches_mpmath(theta, length, eps):
         lam = -mpmath.log(mpmath.mpf(eps))
         exact = (mpmath.pi - mpmath.mpf(theta)) * length * mpmath.sinh(lam) ** 2 / 2
     for tol in (1e-8, 1e-10):
-        value = wedge_volume_quadrature(PleatLeaf(length, theta), eps, tol=tol)
+        value = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=tol)[0][0]
         assert abs(value - exact) <= 1e-14 * exact, tol
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 3.0, math.pi / 2.0,
+                                   2.0 * math.pi / 3.0, math.pi])
+@pytest.mark.parametrize("length, eps", [(0.5, 0.2), (2.0, 1e-2), (3.0, 1e-3)])
+def test_wedge_error_estimate_bounds_the_true_error(theta, length, eps):
+    # theta = pi is the flat leaf, volume exactly 0 (math.pi falls short of pi)
+    with mpmath.workdps(50):
+        lam = -mpmath.log(mpmath.mpf(eps))
+        bend = mpmath.pi - mpmath.mpf(theta) if theta < math.pi else 0
+        exact = bend * length * mpmath.sinh(lam) ** 2 / 2
+    for tol in (1e-8, 1e-10):
+        values, errors = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=tol)
+        assert abs(values[0] - exact) <= errors[0], tol
 
 
 def test_cli_import_does_not_load_scipy():

@@ -364,6 +364,8 @@ def test_profile_invariants():
     profile = VolumeProfile(((0.2, 1.0), (0.1, 2.0)), "quadrature")
     assert profile.eps.tolist() == [0.2, 0.1]
     assert profile.volumes.tolist() == [1.0, 2.0]
+    # a pleated core with no bending and no boundary has a constant profile
+    assert VolumeProfile(((0.2, 2.0), (0.1, 2.0)), "quadrature").volumes.tolist() == [2.0, 2.0]
 
 
 def test_default_grid_shape():
