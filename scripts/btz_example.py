@@ -13,13 +13,14 @@ from pathlib import Path
 
 from corevol import (
     Convention,
+    closed_profile,
     cyclic_group,
     default_eps_grid,
     expansion_fit,
-    profile_closed,
     profile_quadrature,
-    renormalized_volume_fuchsian,
+    renormalized_volume,
     surface_invariants,
+    surface_terms,
     validate,
 )
 from corevol.cli import write_profile_csv
@@ -36,9 +37,10 @@ def run(out_dir=None, tol=1e-9):
     quad = profile_quadrature(surface, grid, tol=tol)
     fit = expansion_fit(quad)
 
+    terms = surface_terms(surface)
     print(f"{'route':<28} {'V':>20}")
     for conv in Convention:
-        v = renormalized_volume_fuchsian(surface, conv)
+        v = renormalized_volume(terms, conv)
         label = f"closed form ({conv.value})"
         print(f"{label:<28} {v:>20.12f}")
     print(f"{'quadrature profile fit':<28} {fit.v:>20.12f}")
@@ -49,8 +51,8 @@ def run(out_dir=None, tol=1e-9):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for profile in (
-            profile_closed(surface, grid, Convention.PAPER),
-            profile_closed(surface, grid, Convention.DERIVED),
+            closed_profile(terms, grid, Convention.PAPER),
+            closed_profile(terms, grid, Convention.DERIVED),
             quad,
         ):
             path = out / f"btz_{profile.provenance}.csv"

@@ -27,27 +27,25 @@ from .surface import (
     surface_invariants,
 )
 from .renvol import (
+    CLOSED_FORMS,
     Convention,
     ExpansionFit,
     VolumeProfile,
+    closed_profile,
+    closed_volume,
     default_eps_grid,
     expansion_fit,
     fit_expansion,
     level_set_area,
-    profile_closed,
     profile_quadrature,
-    renormalized_volume_fuchsian,
-    truncated_volume_closed,
+    renormalized_volume,
+    surface_terms,
     truncated_volume_quadrature,
 )
 from .pleated import (
     PleatLeaf,
     PleatedCoreData,
-    collar_slab_volume,
     fuchsian_reduction_check,
-    pleated_profile,
-    renormalized_volume_pleated,
-    wedge_volume_closed,
     wedge_volume_quadrature,
 )
 from .quadrature import QuadratureError, adaptive_quad

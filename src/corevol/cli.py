@@ -17,25 +17,19 @@ import numpy as np
 
 from . import anomaly as anomaly_mod
 from .mobius import Mobius
-from .pleated import (
-    PleatedCoreData,
-    PleatLeaf,
-    pleated_profile,
-    renormalized_volume_pleated,
-    wedge_volume_closed,
-    wedge_volume_quadrature,
-)
+from .pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
 from .quadrature import QuadratureError
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
     QUAD_TOL_FLOOR,
+    closed_profile,
+    closed_volume,
     default_eps_grid,
     expansion_fit,
-    profile_closed,
     profile_quadrature,
-    renormalized_volume_fuchsian,
-    truncated_volume_closed,
+    renormalized_volume,
+    surface_terms,
 )
 from .schottky import (
     Circle,
@@ -313,15 +307,13 @@ def cmd_renvol(cfg: dict, args) -> int:
     report.add("eps.count", grid["count"])
     report.add("quadrature.tol", cfg["quadrature_tol"])
 
+    terms = surface_terms(surface)
     closed_v = {}
     for conv in conventions:
-        v = renormalized_volume_fuchsian(surface, conv)
+        v = renormalized_volume(terms, conv)
         closed_v[conv] = v
         report.add(f"closed.{conv.value}.V", v)
-        report.add(
-            f"closed.{conv.value}.vol_at_eps_max",
-            truncated_volume_closed(surface, grid["max"], conv),
-        )
+        report.add(f"closed.{conv.value}.vol_at_eps_max", closed_volume(terms, grid["max"], conv))
 
     quad_profile = profile_quadrature(surface, eps_grid, tol=cfg["quadrature_tol"])
     fit = expansion_fit(quad_profile)
@@ -351,7 +343,7 @@ def cmd_renvol(cfg: dict, args) -> int:
             )
     profiles = [quad_profile]
     if args.csv:  # only the CSV files read the closed-form profiles
-        profiles = [profile_closed(surface, eps_grid, conv) for conv in conventions] + profiles
+        profiles = [closed_profile(terms, eps_grid, conv) for conv in conventions] + profiles
     _emit(report, args, csv_profiles=profiles)
     return 0
 
@@ -382,9 +374,10 @@ def cmd_wedge(cfg: dict, args) -> int:
         report.add(f"leaf.{i}.theta", leaf.theta)
     report.add("quadrature.tol", cfg["quadrature_tol"])
 
+    terms = core.terms
     values = {}
     for conv in conventions:
-        v = renormalized_volume_pleated(core, conv)
+        v = renormalized_volume(terms, conv, base=core.core_volume)
         values[conv] = v
         report.add(f"closed.{conv.value}.V", v)
     try:
@@ -393,7 +386,8 @@ def cmd_wedge(cfg: dict, args) -> int:
         leaf = exc.owner // 2
         raise QuadratureError(f"leaf {leaf} at eps {eps_check!r}: {exc}", leaf) from None
     for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads.tolist(), errs.tolist())):
-        derived = wedge_volume_closed(leaf, eps_check, Convention.DERIVED)
+        wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
+        derived = closed_volume(wedge, eps_check, Convention.DERIVED)
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
         report.add(f"leaf.{i}.wedge_quadrature_err_est", err)
@@ -415,7 +409,8 @@ def cmd_wedge(cfg: dict, args) -> int:
     profiles = []
     if args.csv:  # only the CSV files read the profiles
         eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
-        profiles = [pleated_profile(core, eps_grid, conv) for conv in conventions]
+        profiles = [closed_profile(terms, eps_grid, conv, base=core.core_volume)
+                    for conv in conventions]
     _emit(report, args, csv_profiles=profiles)
     return 0
 

@@ -5,7 +5,9 @@ finitely many closed leaves.  The truncated region decomposes into the core,
 a slab over the totally geodesic part of the boundary, and one wedge per
 bent leaf; the wedge is the set of points projecting onto the leaf, a sector
 of angular width (pi - theta) around its axis.  Pleating data (core volume,
-leaf lengths and bending angles) is input, not computed.
+leaf lengths and bending angles) is input, not computed.  The closed
+forms of the collar slab and the wedges are rows of renvol.CLOSED_FORMS,
+read through `PleatedCoreData.terms` with the core volume as their base.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ import numpy as np
 # corevol.pleated.adaptive_quad, and its per-layer metrics need the name
 from .quadrature import adaptive_quad, adaptive_quad_batch  # noqa: F401
 from .renvol import (
-    CONVENTION_TERMS,
     QUAD_TOL_FLOOR,
     Convention,
-    VolumeProfile,
     bending_sum,
+    closed_volume,
     level_lambda,
-    renormalized_volume_fuchsian,
-    truncated_volume_closed,
+    renormalized_volume,
+    surface_terms,
 )
 from .surface import SurfaceInfo
 
@@ -78,30 +79,12 @@ class PleatedCoreData:
             raise ValueError(f"closed boundary surface needs genus >= 2, got {genus}")
         return cls(core_volume, tuple(leaves), 4.0 * math.pi * (genus - 1))
 
-
-def collar_slab_volume(boundary_area: float, eps: float) -> float:
-    """Volume of the distance-lambda slab over the geodesic boundary part:
-    Area * (lam/2 + sinh(2 lam)/4).  Its expansion has constant term zero,
-    so the slab never contributes to the renormalized volume."""
-    if boundary_area < 0:
-        raise ValueError(f"boundary area must be nonnegative, got {boundary_area}")
-    lam = level_lambda(eps)
-    return boundary_area * (lam / 2.0 + math.sinh(2.0 * lam) / 4.0)
-
-
-def wedge_volume_closed(leaf: PleatLeaf, eps: float,
-                        convention: Convention) -> float:
-    """Truncated wedge volume around one bent leaf.
-
-    PAPER reproduces the printed line (pi-theta) L/4 (eps + eps^-2)
-    - (pi-theta) L/2, first power of eps and all; DERIVED is the sector
-    integral (pi-theta) L sinh^2(lam)/2 validated by the 3d quadrature.
-    """
-    lam = level_lambda(eps)
-    w = (math.pi - leaf.theta) * leaf.length
-    if convention is Convention.PAPER:
-        return w / 4.0 * (eps + eps ** -2) - w / 2.0
-    return w * math.sinh(lam) ** 2 / 2.0
+    @property
+    def terms(self) -> list:
+        """(term, weight) pairs of the closed forms: the collar slab over the
+        boundary and the wedges of all leaves.  The core volume is their base."""
+        bending = bending_sum((leaf.length, leaf.theta) for leaf in self.leaves)
+        return [("collar", self.boundary_area), ("wedge", bending)]
 
 
 def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
@@ -161,7 +144,11 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
         x_end = x_max[leaf]
         x = x_end * u * (2.0 - u)
         arc = np.sqrt(np.clip(radius * radius - x ** 2, 0.0, None))
-        upper = np.where(edge[leaf], np.minimum(slope[leaf] * x, arc), arc)
+        # slope * x can overflow for a theta near 0 at a small eps; the
+        # infinite product then picks the arc, as theta = 0 does
+        with np.errstate(over="ignore"):
+            edge_y = slope[leaf] * x
+        upper = np.where(edge[leaf], np.minimum(edge_y, arc), arc)
         return np.clip(upper + arc, 0.0, None) * (2.0 * x_end * (1.0 - u))
 
     a = np.column_stack([np.zeros(len(leaves)), u_kink]).ravel()
@@ -171,48 +158,27 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
     return values, length * (errors[0::2] + errors[1::2])
 
 
-def pleated_profile(core: PleatedCoreData, eps_grid,
-                    convention: Convention) -> VolumeProfile:
-    """Truncated-volume profile: core plus slab plus all wedges."""
-    samples = []
-    for e in eps_grid:
-        e = float(e)
-        vol = core.core_volume + collar_slab_volume(core.boundary_area, e)
-        for leaf in core.leaves:
-            vol += wedge_volume_closed(leaf, e, convention)
-        samples.append((e, vol))
-    return VolumeProfile(tuple(samples), CONVENTION_TERMS[convention].provenance)
-
-
-def renormalized_volume_pleated(core: PleatedCoreData,
-                                convention: Convention) -> float:
-    """Constant term of the pleated truncated-volume expansion.
-
-    PAPER: Vol(core) - (1/2) sum (pi - theta_i) L_i.
-    DERIVED: Vol(core) - (1/4) sum (pi - theta_i) L_i.
-    """
-    total = bending_sum((leaf.length, leaf.theta) for leaf in core.leaves)
-    return core.core_volume - total / CONVENTION_TERMS[convention].v_divisor
-
-
 def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
     """Degenerate a Fuchsian surface to pleating data and compare routes.
 
     The core volume collapses to zero and every end geodesic becomes a leaf
-    with theta = 0; the pleated formula must then agree with the Fuchsian
-    one exactly (bitwise, since both sum the same terms in the same order).
-    Independently of the convention, the DERIVED closed truncated volume at
-    eps = REDUCTION_EPS must match the slab volume plus the 3d wedge oracle
-    of every leaf within REDUCTION_REL_TOL; `oracle_gap` is their relative
-    difference.  Returns (passed, report dict).
+    with theta = 0; the pleated V must then equal the Fuchsian one bitwise.
+    That holds by construction: both read the constants of CLOSED_FORMS
+    rows of equal V (collar and core add nothing, wedge and end the same
+    multiple of one bending sum).  The independent leg is the oracle's:
+    the DERIVED closed truncated volume at eps = REDUCTION_EPS must match
+    the slab volume plus the 3d wedge oracle of every leaf within
+    REDUCTION_REL_TOL, whatever the convention; `oracle_gap` is their
+    relative difference.  Returns (passed, report dict).
     """
     leaves = tuple(PleatLeaf(length, 0.0) for length in surface.end_lengths)
     core = PleatedCoreData(0.0, leaves, boundary_area=2.0 * surface.core_area)
-    pleated = renormalized_volume_pleated(core, convention)
-    fuchsian = renormalized_volume_fuchsian(surface, convention)
-    closed = truncated_volume_closed(surface, REDUCTION_EPS, Convention.DERIVED)
+    pleated = renormalized_volume(core.terms, convention, base=core.core_volume)
+    fuchsian = renormalized_volume(surface_terms(surface), convention)
+    closed = closed_volume(surface_terms(surface), REDUCTION_EPS, Convention.DERIVED)
     wedges, _ = wedge_volume_quadrature(leaves, REDUCTION_EPS)
-    oracle = collar_slab_volume(core.boundary_area, REDUCTION_EPS) + sum(wedges.tolist())
+    slab = closed_volume([("collar", core.boundary_area)], REDUCTION_EPS, Convention.DERIVED)
+    oracle = slab + sum(wedges.tolist())
     gap = abs(oracle - closed) / closed if closed else abs(oracle)
     report = {
         "convention": convention.value,

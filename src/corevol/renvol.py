@@ -10,12 +10,15 @@ conventions are carried side by side: "paper" reproduces the closed forms
 as printed in the source derivation this toolkit follows, while "derived"
 uses the antiderivative forms consistent with the induced level-set metric;
 the two disagree by a factor of two in the end-cylinder term, so the
-quadrature oracle here is the arbiter and every report prints both.
+quadrature oracle here is the arbiter and every report prints both.  Every
+closed form, Fuchsian and pleated, is a row of the one table CLOSED_FORMS,
+and no formula branches on the convention.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,21 +33,31 @@ class Convention(Enum):
     DERIVED = "derived"
 
 
-@dataclass(frozen=True)
-class ConventionTerms:
-    """What a convention changes beyond its closed-form expressions: the
-    profile provenance label, and the divisor d in the constant term
-    V = Vol(core) - sum (pi - theta_i) L_i / d."""
-
-    provenance: str
-    v_divisor: float
-
-
-CONVENTION_TERMS = {
-    Convention.PAPER: ConventionTerms("closed_form_paper", 2.0),
-    Convention.DERIVED: ConventionTerms("closed_form_derived", 4.0),
-}
 PROVENANCE_QUADRATURE = "quadrature"
+
+# Every closed form of the truncated volume: per (convention, term), the
+# coefficients of (sinh 2 lam, sinh^2 lam, lam, 1, eps), lam = -log eps, per
+# unit of the term's weight: 2 A for the two core copies of a Fuchsian
+# surface, the boundary area for the collar slab of a pleated core, and
+# w = sum (pi - theta_i) L_i over its ends (theta = 0) or bent leaves.  The
+# derived rows are Krasnov-Schlenker's (Comm. Math. Phys. 279, 2008)
+# vol = W(C) - pi lam chi + (1/4) int H da over the level set, per term:
+# w lam / 2 + (1/4) 2 tanh lam w cosh^2 lam for a core or collar, and
+# -w / 4 + (1/4) (tanh lam + coth lam) w sinh lam cosh lam for an end or
+# wedge.  The paper rows are the printed lines pi (g - 1)/4 (eps^-2 +
+# log(eps)/2 - eps^2) (2 A = 4 pi (g - 1)), (pi/4) (eps^-2 - 2 + eps^2)
+# sum L_i and w/4 (eps + eps^-2) - w/2; the collar has none.  Every
+# coefficient is dyadic, so each product c * b is exact.
+CLOSED_FORMS = {
+    (Convention.DERIVED, "core"): (0.25, 0.0, 0.5, 0.0, 0.0),
+    (Convention.PAPER, "core"): (0.125, 0.0, -0.03125, 0.0, 0.0),
+    (Convention.DERIVED, "collar"): (0.25, 0.0, 0.5, 0.0, 0.0),
+    (Convention.PAPER, "collar"): (0.25, 0.0, 0.5, 0.0, 0.0),
+    (Convention.DERIVED, "end"): (0.0, 0.5, 0.0, 0.0, 0.0),
+    (Convention.PAPER, "end"): (0.0, 1.0, 0.0, 0.0, 0.0),
+    (Convention.DERIVED, "wedge"): (0.0, 0.5, 0.0, 0.0, 0.0),
+    (Convention.PAPER, "wedge"): (0.25, 0.5, 0.0, -0.25, 0.25),
+}
 
 
 # smallest quadrature tolerance the oracle accepts
@@ -70,28 +83,36 @@ def level_set_area(surface: SurfaceInfo, lam: float) -> float:
     return 2.0 * surface.core_area * math.cosh(lam) ** 2 + cylinders
 
 
-def truncated_volume_closed(surface: SurfaceInfo, eps: float,
-                            convention: Convention) -> float:
-    """Closed-form volume of the truncated region at level eps.
+def surface_terms(surface: SurfaceInfo) -> list:
+    """(term, weight) pairs of a Fuchsian surface: its two core copies, and
+    its ends as leaves bent at theta = 0."""
+    ends = bending_sum((length, 0.0) for length in surface.end_lengths)
+    return [("core", 2.0 * surface.core_area), ("end", ends)]
 
-    Convention PAPER returns the printed formulas verbatim:
-        V1 = (pi (g-1)/4) (eps^-2 + log(eps)/2 - eps^2)
-        V2 = (pi/4) (eps^-2 - 2 + eps^2) * sum L_i.
-    Convention DERIVED returns the antiderivative forms validated against
-    the quadrature oracle:
-        V1 = 2 Area(core) (lam/2 + sinh(2 lam)/4)
-        V2 = (pi/2) sinh^2(lam) * sum L_i.
-    """
+
+def closed_volume(terms, eps: float, convention: Convention, base: float = 0.0) -> float:
+    """Closed-form truncated volume at level eps: base plus every (term,
+    weight) of `terms`, each the correctly rounded sum of its row's exact
+    products times its weight."""
     lam = level_lambda(eps)
-    total_length = surface.total_end_length
-    if convention is Convention.PAPER:
-        gm1 = surface.handlebody_genus - 1
-        v1 = (math.pi * gm1 / 4.0) * (eps ** -2 + math.log(eps) / 2.0 - eps ** 2)
-        v2 = (math.pi / 4.0) * (eps ** -2 - 2.0 + eps ** 2) * total_length
-        return v1 + v2
-    v1 = 2.0 * surface.core_area * (lam / 2.0 + math.sinh(2.0 * lam) / 4.0)
-    v2 = (math.pi / 2.0) * math.sinh(lam) ** 2 * total_length
-    return v1 + v2
+    basis = (math.sinh(2.0 * lam), math.sinh(lam) ** 2, lam, 1.0, eps)
+    volumes = [weight * math.fsum(map(operator.mul, CLOSED_FORMS[convention, term], basis))
+               for term, weight in terms]
+    return math.fsum([base, *volumes])
+
+
+def renormalized_volume(terms, convention: Convention, base: float = 0.0) -> float:
+    """Constant term of the closed-form expansion: base plus c_1 - c_sinh^2 / 2
+    of each term's row times its weight, in order (in the eps expansion
+    sinh 2 lam and lam have no constant term, sinh^2 lam has -1/2).  A term
+    whose constant is zero adds nothing, not even the sign of a zero."""
+    v = base
+    for term, weight in terms:
+        _, c_sinh2, _, c_1, _ = CLOSED_FORMS[convention, term]
+        constant = c_1 - c_sinh2 / 2.0
+        if constant:
+            v += constant * weight
+    return v
 
 
 # libm's cosh and acosh, elementwise: numpy's own differ from them in the
@@ -219,12 +240,11 @@ def default_eps_grid(eps_min: float = 1e-3, eps_max: float = 0.3,
     return np.geomspace(eps_max, eps_min, count)
 
 
-def profile_closed(surface: SurfaceInfo, eps_grid, convention: Convention) -> VolumeProfile:
-    samples = tuple(
-        (float(e), truncated_volume_closed(surface, float(e), convention))
-        for e in eps_grid
-    )
-    return VolumeProfile(samples, CONVENTION_TERMS[convention].provenance)
+def closed_profile(terms, eps_grid, convention: Convention, base: float = 0.0) -> VolumeProfile:
+    """Closed-form profile: closed_volume at every level of eps_grid."""
+    samples = tuple((float(e), closed_volume(terms, float(e), convention, base))
+                    for e in eps_grid)
+    return VolumeProfile(samples, f"closed_form_{convention.value}")
 
 
 def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> VolumeProfile:
@@ -302,17 +322,3 @@ def bending_sum(pairs) -> float:
     for length, theta in pairs:
         total += (math.pi - theta) * length
     return total
-
-
-def renormalized_volume_fuchsian(surface: SurfaceInfo,
-                                 convention: Convention) -> float:
-    """Constant term of the truncated-volume expansion.
-
-    PAPER: -(pi/2) sum L_i.  DERIVED: -(pi/4) sum L_i, the constant term of
-    the derived end-cylinder form, which the expansion fit of the quadrature
-    profile must reproduce.
-    """
-    # written as 0 - sum/coef so the theta = 0 pleated degeneration is
-    # bitwise identical (fuchsian_reduction_check compares exactly)
-    pairs = [(length, 0.0) for length in surface.end_lengths]
-    return 0.0 - bending_sum(pairs) / CONVENTION_TERMS[convention].v_divisor

@@ -17,14 +17,10 @@ from corevol.anomaly import (
     normalize_area,
 )
 from corevol.cli import main
-from corevol.pleated import (
-    PleatLeaf,
-    fuchsian_reduction_check,
-    wedge_volume_closed,
-    wedge_volume_quadrature,
-)
+from corevol.pleated import PleatLeaf, fuchsian_reduction_check, wedge_volume_quadrature
 from corevol.renvol import (
     Convention,
+    closed_volume,
     default_eps_grid,
     expansion_fit,
     fit_expansion,
@@ -156,7 +152,8 @@ def test_criterion_7_wedge_oracle():
             for eps in (math.exp(-1.0), 0.2):
                 leaf = PleatLeaf(length, theta)
                 quad = wedge_volume_quadrature((leaf,), eps, tol=1e-8)[0][0]
-                closed = wedge_volume_closed(leaf, eps, Convention.DERIVED)
+                wedge = [("wedge", (math.pi - theta) * length)]
+                closed = closed_volume(wedge, eps, Convention.DERIVED)
                 rel = abs(quad - closed) / abs(closed)
                 worst = max(worst, rel)
                 assert rel <= 1e-5

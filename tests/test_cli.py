@@ -281,6 +281,25 @@ def test_wedge_makes_one_quadrature_batch_call(tmp_path, capsys, monkeypatch):
         assert float(report[f"leaf.{i}.wedge_quadrature_err_est"]) >= 0.0
 
 
+@pytest.mark.parametrize("grid", [{"min": 1e-150, "max": 0.3},  # eps check 5.5e-76
+                                  {"min": 1e-5, "max": 0.1},
+                                  {"min": 0.02, "max": 0.5}])
+def test_wedge_theta_near_zero_is_quiet_and_equals_theta_zero(tmp_path, grid):
+    # slope = cot(1e-300) times x up to sinh(lam) overflows to inf, which
+    # picks the arc exactly as theta = 0 does, and warns nothing
+    leaves = [{"length": 1.0, "theta": 1e-300}, {"length": 1.0, "theta": 0.0}]
+    config = dict(WEDGE_CONFIG, leaves=leaves, epsilon_grid=dict(grid, count=12))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "corevol.cli", "wedge", "--config",
+                          write_config(tmp_path, config)],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    report = report_dict(run.stdout)
+    for key in ("wedge_derived_at_eps_check", "wedge_quadrature_at_eps_check",
+                "wedge_quadrature_err_est"):
+        assert report[f"leaf.0.{key}"] == report[f"leaf.1.{key}"]
+
+
 def test_wedge_worked_example(tmp_path, capsys):
     code = main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG)])
     assert code == 0

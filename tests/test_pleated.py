@@ -3,22 +3,46 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corevol import pleated
+from corevol import pleated, surface_invariants
 from corevol.pleated import (
     PleatLeaf,
     PleatedCoreData,
-    collar_slab_volume,
     fuchsian_reduction_check,
-    pleated_profile,
-    renormalized_volume_pleated,
-    wedge_volume_closed,
     wedge_volume_quadrature,
 )
-from corevol.renvol import Convention, fit_expansion, renormalized_volume_fuchsian
+from corevol.renvol import (
+    Convention,
+    bending_sum,
+    closed_profile,
+    closed_volume,
+    fit_expansion,
+    renormalized_volume,
+    surface_terms,
+)
 from corevol.surface import SurfaceInfo
 
+from conftest import make_row_group
+
 GRID = np.geomspace(0.3, 1e-3, 12)
+
+
+def slab_closed(area, eps, conv):
+    return closed_volume([("collar", area)], eps, conv)
+
+
+def wedge_closed(leaf, eps, conv):
+    return closed_volume([("wedge", (math.pi - leaf.theta) * leaf.length)], eps, conv)
+
+
+def pleated_v(core, conv):
+    return renormalized_volume(core.terms, conv, base=core.core_volume)
+
+
+def pleated_profile(core, eps_grid, conv):
+    return closed_profile(core.terms, eps_grid, conv, base=core.core_volume)
 
 
 def test_pleat_leaf_bounds():
@@ -42,21 +66,27 @@ def test_core_data_validation():
 
 # ------------------------------------------------------------------- slab
 
+# the collar slab has no printed line: both conventions use the derived slab
+
 def test_slab_zero_area():
-    assert collar_slab_volume(0.0, 0.5) == 0.0
+    for conv in Convention:
+        assert slab_closed(0.0, 0.5, conv) == 0.0
 
 
 def test_slab_worked_example():
     expected = 4.0 * math.pi * (0.5 + math.sinh(2.0) / 4.0)
-    assert collar_slab_volume(4.0 * math.pi, math.exp(-1.0)) == pytest.approx(
-        expected, rel=1e-13
-    )
+    for conv in Convention:
+        assert slab_closed(4.0 * math.pi, math.exp(-1.0), conv) == pytest.approx(
+            expected, rel=1e-13
+        )
 
 
 def test_slab_contributes_nothing_to_the_constant_term():
-    vols = np.array([collar_slab_volume(4.0 * math.pi, float(e)) for e in GRID])
-    fit = fit_expansion(GRID, vols)
-    assert abs(fit.v) <= 1e-8
+    for conv in Convention:
+        vols = np.array([slab_closed(4.0 * math.pi, float(e), conv) for e in GRID])
+        fit = fit_expansion(GRID, vols)
+        assert abs(fit.v) <= 1e-8
+        assert renormalized_volume([("collar", 4.0 * math.pi)], conv) == 0.0
 
 
 # ------------------------------------------------------------------ wedges
@@ -64,14 +94,14 @@ def test_slab_contributes_nothing_to_the_constant_term():
 def test_wedge_closed_flat_leaf_is_zero():
     leaf = PleatLeaf(1.0, math.pi)
     for conv in Convention:
-        assert wedge_volume_closed(leaf, 0.3, conv) == 0.0
+        assert wedge_closed(leaf, 0.3, conv) == 0.0
 
 
 def test_wedge_closed_paper_worked_example():
     leaf = PleatLeaf(1.0, math.pi / 2.0)
     eps = math.exp(-1.0)
     expected = (math.pi / 8.0) * (eps + eps ** -2) - math.pi / 4.0
-    assert wedge_volume_closed(leaf, eps, Convention.PAPER) == pytest.approx(
+    assert wedge_closed(leaf, eps, Convention.PAPER) == pytest.approx(
         expected, rel=1e-13
     )
 
@@ -79,7 +109,7 @@ def test_wedge_closed_paper_worked_example():
 def test_wedge_closed_derived_worked_example():
     leaf = PleatLeaf(1.0, math.pi / 2.0)
     expected = (math.pi / 4.0) * math.sinh(1.0) ** 2
-    assert wedge_volume_closed(leaf, math.exp(-1.0), Convention.DERIVED) == (
+    assert wedge_closed(leaf, math.exp(-1.0), Convention.DERIVED) == (
         pytest.approx(expected, rel=1e-13)
     )
 
@@ -94,7 +124,7 @@ def test_wedge_quadrature_flat_leaf_exact_zero():
 def test_wedge_quadrature_matches_derived(length, theta, eps):
     leaf = PleatLeaf(length, theta)
     quad = wedge_volume_quadrature((leaf,), eps, tol=1e-8)[0][0]
-    closed = wedge_volume_closed(leaf, eps, Convention.DERIVED)
+    closed = wedge_closed(leaf, eps, Convention.DERIVED)
     assert abs(quad - closed) / abs(closed) <= 1e-5
 
 
@@ -136,15 +166,15 @@ def test_wedge_batch_is_bitwise_one_leaf_calls(eps, tol):
 def test_pleated_no_leaves_returns_core_volume():
     core = PleatedCoreData(3.5, (), 4.0 * math.pi)
     for conv in Convention:
-        assert renormalized_volume_pleated(core, conv) == 3.5
+        assert pleated_v(core, conv) == 3.5
 
 
 def test_pleated_worked_example():
     core = PleatedCoreData(5.0, (PleatLeaf(2.0, math.pi / 2.0),), 4.0 * math.pi)
-    assert renormalized_volume_pleated(core, Convention.PAPER) == pytest.approx(
+    assert pleated_v(core, Convention.PAPER) == pytest.approx(
         5.0 - math.pi / 2.0, rel=1e-14
     )
-    assert renormalized_volume_pleated(core, Convention.DERIVED) == pytest.approx(
+    assert pleated_v(core, Convention.DERIVED) == pytest.approx(
         5.0 - math.pi / 4.0, rel=1e-14
     )
 
@@ -152,10 +182,10 @@ def test_pleated_worked_example():
 def test_pleated_fuchsian_degeneration_single_leaf():
     length = 1.7
     core = PleatedCoreData(0.0, (PleatLeaf(length, 0.0),), 0.0)
-    assert renormalized_volume_pleated(core, Convention.PAPER) == pytest.approx(
+    assert pleated_v(core, Convention.PAPER) == pytest.approx(
         -math.pi * length / 2.0, rel=1e-14
     )
-    assert renormalized_volume_pleated(core, Convention.DERIVED) == pytest.approx(
+    assert pleated_v(core, Convention.DERIVED) == pytest.approx(
         -math.pi * length / 4.0, rel=1e-14
     )
 
@@ -164,13 +194,33 @@ def test_convention_gap_is_quarter_bending_sum():
     leaves = (PleatLeaf(2.0, 1.0), PleatLeaf(0.5, 2.5))
     bending = sum((math.pi - leaf.theta) * leaf.length for leaf in leaves)
     core0 = PleatedCoreData(0.0, leaves, 4.0 * math.pi)
-    gap0 = (renormalized_volume_pleated(core0, Convention.PAPER)
-            - renormalized_volume_pleated(core0, Convention.DERIVED))
+    gap0 = (pleated_v(core0, Convention.PAPER)
+            - pleated_v(core0, Convention.DERIVED))
     assert gap0 == -bending / 2.0 + bending / 4.0  # exact float identity
     core5 = PleatedCoreData(5.0, leaves, 4.0 * math.pi)
-    gap5 = (renormalized_volume_pleated(core5, Convention.PAPER)
-            - renormalized_volume_pleated(core5, Convention.DERIVED))
+    gap5 = (pleated_v(core5, Convention.PAPER)
+            - pleated_v(core5, Convention.DERIVED))
     assert gap5 == pytest.approx(-bending / 4.0, rel=1e-14)
+
+
+LEAVES = st.builds(
+    PleatLeaf,
+    length=st.floats(min_value=1e-3, max_value=1e3),
+    theta=st.one_of(st.just(0.0), st.just(math.pi), st.floats(min_value=0.0, max_value=math.pi)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_volume=st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=1e3)),
+       leaves=st.lists(LEAVES, max_size=6),
+       boundary_area=st.floats(min_value=0.0, max_value=1e3))
+def test_table_v_is_core_volume_minus_bending(core_volume, leaves, boundary_area):
+    # V read from the table rows equals the written-out formula in every
+    # bit, the sign of a zero core volume with no bending included
+    core = PleatedCoreData(core_volume, tuple(leaves), boundary_area)
+    bending = bending_sum((leaf.length, leaf.theta) for leaf in leaves)
+    assert pleated_v(core, Convention.PAPER).hex() == (core_volume - bending / 2.0).hex()
+    assert pleated_v(core, Convention.DERIVED).hex() == (core_volume - bending / 4.0).hex()
 
 
 def test_pleated_profile_is_monotone():
@@ -185,7 +235,7 @@ def test_pleated_profile_constant_term_matches_value():
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
     fit = fit_expansion(GRID, pleated_profile(core, GRID, Convention.DERIVED).volumes)
     assert fit.v == pytest.approx(
-        renormalized_volume_pleated(core, Convention.DERIVED), abs=1e-7
+        pleated_v(core, Convention.DERIVED), abs=1e-7
     )
 
 
@@ -205,6 +255,26 @@ def test_fuchsian_reduction_exact(surface_s1, surface_adjacent, surface_crossed)
             passed, report = fuchsian_reduction_check(surface, conv)
             assert passed, report
             assert report["difference"] == 0.0
+
+
+@st.composite
+def row_groups(draw):
+    """A validated row group: 2g disjoint circles on the real line, randomly paired."""
+    genus = draw(st.integers(min_value=1, max_value=3))
+    centers = [3.0 * i + draw(st.floats(min_value=-0.5, max_value=0.5)) for i in range(2 * genus)]
+    order = draw(st.permutations(range(2 * genus)))
+    pairs = [(order[2 * i], order[2 * i + 1]) for i in range(genus)]
+    return make_row_group(centers, draw(st.floats(min_value=0.2, max_value=0.9)), pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=row_groups())
+def test_fuchsian_reduction_holds_on_row_groups(group):
+    surface = surface_invariants(group)
+    for conv in Convention:
+        passed, report = fuchsian_reduction_check(surface, conv)
+        assert passed, report
+        assert report["pleated"].hex() == report["fuchsian"].hex()
 
 
 def test_fuchsian_reduction_values(surface_s1):
@@ -232,7 +302,7 @@ def test_fuchsian_reduction_degenerate_no_ends():
         passed, report = fuchsian_reduction_check(surface, conv)
         assert passed
         assert report["pleated"] == 0.0
-        assert renormalized_volume_fuchsian(surface, conv) == 0.0
+        assert renormalized_volume(surface_terms(surface), conv) == 0.0
 
 
 @pytest.mark.parametrize("length, eps", [(0.5, 0.3), (2.0, 0.05), (3.5, 1e-3)])

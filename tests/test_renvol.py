@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,18 +14,22 @@ from corevol.renvol import (
     Convention,
     VolumeProfile,
     _truncated_volumes,
+    closed_profile,
+    closed_volume,
     default_eps_grid,
     expansion_fit,
     fit_expansion,
     level_lambda,
     level_set_area,
-    profile_closed,
     profile_quadrature,
-    renormalized_volume_fuchsian,
-    truncated_volume_closed,
+    renormalized_volume,
+    surface_terms,
     truncated_volume_quadrature,
 )
+from corevol.pleated import PleatedCoreData, PleatLeaf
 from corevol.surface import SurfaceInfo
+
+from conftest import make_cyclic, make_row_group
 
 
 def core_only_surface(area=4.0 * math.pi):
@@ -93,7 +98,7 @@ def test_level_area_rejects_nonpositive_lambda(surface_s1):
 def test_closed_volume_derived_core_term_vanishes_for_cyclic(surface_s1):
     # genus-1 core is a geodesic of zero area: only cylinder terms survive
     lam = 1.5
-    vol = truncated_volume_closed(surface_s1, math.exp(-lam), Convention.DERIVED)
+    vol = closed_volume(surface_terms(surface_s1), math.exp(-lam), Convention.DERIVED)
     expected = (math.pi / 2.0) * math.sinh(lam) ** 2 * 4.0
     assert vol == pytest.approx(expected, rel=1e-13)
 
@@ -101,14 +106,14 @@ def test_closed_volume_derived_core_term_vanishes_for_cyclic(surface_s1):
 def test_closed_volume_paper_worked_example(surface_s1):
     # printed end form at eps = 0.1 with sum L = 4
     eps = 0.1
-    vol = truncated_volume_closed(surface_s1, eps, Convention.PAPER)
+    vol = closed_volume(surface_terms(surface_s1), eps, Convention.PAPER)
     expected = (math.pi / 4.0) * (eps ** -2 - 2.0 + eps ** 2) * 4.0
     assert vol == pytest.approx(expected, rel=1e-13)
     assert vol == pytest.approx(math.pi * 98.01, rel=1e-12)
 
 
 def test_closed_volume_derived_worked_example(surface_s1):
-    vol = truncated_volume_closed(surface_s1, 0.1, Convention.DERIVED)
+    vol = closed_volume(surface_terms(surface_s1), 0.1, Convention.DERIVED)
     assert vol == pytest.approx(2.0 * math.pi * math.sinh(math.log(10.0)) ** 2,
                                 rel=1e-13)
 
@@ -116,19 +121,96 @@ def test_closed_volume_derived_worked_example(surface_s1):
 @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
 def test_closed_volume_eps_domain(surface_s1, eps):
     with pytest.raises(ValueError):
-        truncated_volume_closed(surface_s1, eps, Convention.DERIVED)
+        closed_volume(surface_terms(surface_s1), eps, Convention.DERIVED)
 
 
 def test_conventions_differ_by_model_form(surface_adjacent):
     # the two conventions disagree only inside the four-term model family
     eps = default_eps_grid()
     diff = np.array([
-        truncated_volume_closed(surface_adjacent, float(e), Convention.PAPER)
-        - truncated_volume_closed(surface_adjacent, float(e), Convention.DERIVED)
+        closed_volume(surface_terms(surface_adjacent), float(e), Convention.PAPER)
+        - closed_volume(surface_terms(surface_adjacent), float(e), Convention.DERIVED)
         for e in eps
     ])
     fit = fit_expansion(eps, diff)
     assert fit.residual <= 1e-9 * np.abs(diff).max()
+
+
+# ------------------------------------------------------ the closed-form table
+
+TABLE_EPS = np.geomspace(1e-12, 0.99, 60).tolist()
+README_G2 = {
+    "mode": "fuchsian_group",
+    "circles": [{"center": -3.0, "radius": 0.4}, {"center": -1.0, "radius": 0.4},
+                {"center": 1.0, "radius": 0.4}, {"center": 3.0, "radius": 0.4}],
+    "pairings": [{"source": 0, "target": 1, "matrix": [-2.5, -7.9, 2.5, 7.5]},
+                 {"source": 2, "target": 3, "matrix": [7.5, -7.9, 2.5, -2.5]}],
+}
+
+
+def table_surfaces():
+    """README genus 1 and genus 2, and the crossed genus-3 row group."""
+    g3 = make_row_group((-5, -3, -1, 1, 3, 5), 0.4, [(0, 3), (1, 4), (2, 5)])
+    groups = (make_cyclic(1.0), build_group(parse_config(README_G2)), g3)
+    return [surface_invariants(group) for group in groups]
+
+
+def ks_slab(area, chi, lam):
+    """Krasnov-Schlenker for a slab over `area` of core or boundary: -pi lam chi,
+    plus (1/4) int H da with H = 2 tanh lam over the level area cosh^2 lam."""
+    return -mpmath.pi * lam * chi + 2 * mpmath.tanh(lam) * area * mpmath.cosh(lam) ** 2 / 4
+
+
+def ks_sector(w, lam):
+    """Krasnov-Schlenker for ends or leaves of bending w: W(C)'s -w/4, plus
+    (1/4) int H da with H = tanh lam + coth lam over w sinh lam cosh lam."""
+    mean = mpmath.tanh(lam) + mpmath.coth(lam)
+    return -w / 4 + mean * w * mpmath.sinh(lam) * mpmath.cosh(lam) / 4
+
+
+def assert_rel(value, exact, rel=1e-14):
+    assert abs(value - exact) <= rel * abs(exact), (value, exact)
+
+
+def test_table_rows_match_printed_lines_and_krasnov_schlenker():
+    # each paper row against its printed line verbatim, each derived row
+    # against the W-volume decomposition, at 40 digits over 60 levels
+    paper, derived = Convention.PAPER, Convention.DERIVED
+    surfaces = table_surfaces()
+    leaves = [PleatLeaf(1.3, theta) for theta in (0.0, 0.4, 2.0, 3.0)]
+    collars = [PleatedCoreData.from_genus(0.0, (), genus) for genus in (2, 3)]
+    with mpmath.workdps(40):
+        for eps in TABLE_EPS:
+            e = mpmath.mpf(eps)
+            lam = -mpmath.log(e)
+            for surface in surfaces:
+                g = surface.handlebody_genus
+                total = mpmath.fsum(mpmath.mpf(x) for x in surface.end_lengths)
+                exact = {
+                    (paper, "core"):
+                        mpmath.pi * (g - 1) / 4 * (e ** -2 + mpmath.log(e) / 2 - e ** 2),
+                    (paper, "end"): mpmath.pi / 4 * (e ** -2 - 2 + e ** 2) * total,
+                    (derived, "core"): ks_slab(2 * mpmath.mpf(surface.core_area), 2 - 2 * g, lam),
+                    (derived, "end"): ks_sector(mpmath.pi * total, lam),
+                }
+                terms = dict(surface_terms(surface))
+                for (conv, term), value in exact.items():
+                    assert_rel(closed_volume([(term, terms[term])], eps, conv), value)
+                for conv in Convention:
+                    assert_rel(closed_volume(surface_terms(surface), eps, conv),
+                               exact[conv, "core"] + exact[conv, "end"])
+            for leaf in leaves:
+                w = (mpmath.pi - mpmath.mpf(leaf.theta)) * mpmath.mpf(leaf.length)
+                wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
+                assert_rel(closed_volume(wedge, eps, paper), w / 4 * (e + e ** -2) - w / 2)
+                assert_rel(closed_volume(wedge, eps, derived), ks_sector(w, lam))
+            for core in collars:
+                area = mpmath.mpf(core.boundary_area)
+                for conv in Convention:
+                    assert_rel(closed_volume([("collar", core.boundary_area)], eps, conv),
+                               ks_slab(area, -area / (2 * mpmath.pi), lam))
+    # the collar has no printed line: the paper convention uses the derived slab
+    assert renvol.CLOSED_FORMS[paper, "collar"] == renvol.CLOSED_FORMS[derived, "collar"]
 
 
 # ---------------------------------------------------------------- quadrature
@@ -145,7 +227,7 @@ def test_quadrature_matches_derived_closed_form(surface_s1, surface_adjacent,
     for surface in (surface_s1, surface_adjacent, surface_crossed):
         for eps in (0.3, 0.05, 0.005):
             quad = truncated_volume_quadrature(surface, eps, tol=1e-9)
-            closed = truncated_volume_closed(surface, eps, Convention.DERIVED)
+            closed = closed_volume(surface_terms(surface), eps, Convention.DERIVED)
             assert quad == pytest.approx(closed, rel=1e-6)
 
 
@@ -294,13 +376,13 @@ def test_fit_rejects_rank_deficient_design():
 
 
 def test_fit_of_derived_profile_gives_quarter_constant(surface_s1):
-    profile = profile_closed(surface_s1, default_eps_grid(), Convention.DERIVED)
+    profile = closed_profile(surface_terms(surface_s1), default_eps_grid(), Convention.DERIVED)
     fit = expansion_fit(profile)
     assert fit.v == pytest.approx(-math.pi, abs=1e-6)
 
 
 def test_fit_of_paper_profile_gives_half_constant(surface_s1):
-    profile = profile_closed(surface_s1, default_eps_grid(), Convention.PAPER)
+    profile = closed_profile(surface_terms(surface_s1), default_eps_grid(), Convention.PAPER)
     fit = expansion_fit(profile)
     assert fit.v == pytest.approx(-2.0 * math.pi, abs=1e-6)
 
@@ -323,15 +405,15 @@ def test_fit_stable_under_grid_shift(surface_s1):
 
 def test_renormalized_volume_no_ends_is_zero():
     surface = core_only_surface()
-    assert renormalized_volume_fuchsian(surface, Convention.PAPER) == 0.0
-    assert renormalized_volume_fuchsian(surface, Convention.DERIVED) == 0.0
+    assert renormalized_volume(surface_terms(surface), Convention.PAPER) == 0.0
+    assert renormalized_volume(surface_terms(surface), Convention.DERIVED) == 0.0
 
 
 def test_renormalized_volume_worked_example(surface_s1):
-    assert renormalized_volume_fuchsian(surface_s1, Convention.PAPER) == (
+    assert renormalized_volume(surface_terms(surface_s1), Convention.PAPER) == (
         pytest.approx(-2.0 * math.pi, rel=1e-14)
     )
-    assert renormalized_volume_fuchsian(surface_s1, Convention.DERIVED) == (
+    assert renormalized_volume(surface_terms(surface_s1), Convention.DERIVED) == (
         pytest.approx(-math.pi, rel=1e-14)
     )
 
@@ -339,8 +421,8 @@ def test_renormalized_volume_worked_example(surface_s1):
 def test_renormalized_volume_linear_in_lengths(surface_adjacent):
     doubled = scaled_surface(surface_adjacent, 2.0)
     for conv in Convention:
-        v1 = renormalized_volume_fuchsian(surface_adjacent, conv)
-        v2 = renormalized_volume_fuchsian(doubled, conv)
+        v1 = renormalized_volume(surface_terms(surface_adjacent), conv)
+        v2 = renormalized_volume(surface_terms(doubled), conv)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
