@@ -11,6 +11,13 @@ identity
 
 holds to machine precision, while every Laplacian row (including the
 one-sided boundary closure) is second-order accurate.
+
+Each stencil is written once, as a private kernel over a range of t rows.
+The public functions run the kernels on the whole mesh.  The report values
+(`anomaly_functionals`) come from one sweep over cache-sized row blocks:
+its integrals are `math.fsum`s of per-block partial sums, so they match the
+public functions to rounding rather than bit for bit, and the field is the
+only full-size array it touches.
 """
 
 from __future__ import annotations
@@ -113,7 +120,7 @@ class SurfaceMesh:
 
     @property
     def area(self) -> float:
-        return _integrate(self, 1.0, _work(self, 1)[0])
+        return _integrate(self, 1.0, 0, self.n_t, _work(self, 1)[0])
 
     @property
     def analytic_area(self) -> float:
@@ -132,7 +139,7 @@ class SurfaceMesh:
         return np.asarray(f(tt, hh), dtype=float)
 
     def _check_field(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = np.ascontiguousarray(u, dtype=float)
         if u.shape != (self.n_t, self.n_theta):
             raise ValueError(
                 f"field shape {u.shape} does not match mesh "
@@ -143,53 +150,71 @@ class SurfaceMesh:
         return u
 
 
-# The private kernels take checked fields and write each full-mesh step into
-# arrays from `_work`, in the operation order of the plain expression, and sum
-# contiguous arrays of its shape.  The public functions check and call them;
-# `anomaly_functionals` checks once and shares their results.
+# Every stencil is one private kernel over the rows r0 .. r1 - 1 of a checked
+# field.  The public functions call it on all rows with work arrays from
+# `_work`; `anomaly_functionals` calls it block by block with block-sized work
+# arrays.  A kernel writes each step into its work arrays with `out=` and
+# in-place ops, in the operation order of the plain expression, and each sum
+# it returns is the `.sum()` of a contiguous array.
 
 def _work(mesh: SurfaceMesh, count: int) -> list:
     """`count` uninitialized (n_t, n_theta) arrays for the kernels to write into."""
     return [np.empty((mesh.n_t, mesh.n_theta)) for _ in range(count)]
 
 
-def _integrate(mesh: SurfaceMesh, f, work: np.ndarray) -> float:
-    # `f` may be `work` itself; the area is the integral of f = 1.0
-    return float(np.multiply(f, mesh._weight_column, out=work).sum())
+def _integrate(mesh: SurfaceMesh, f, r0: int, r1: int, out: np.ndarray) -> float:
+    """Sum of f times the node weights of rows r0 .. r1 - 1 into out, whose
+    shape they are: f is 1.0 (for the area) or those rows, and may be out."""
+    return float(np.multiply(f, mesh._weight_column[r0:r1], out=out).sum())
 
 
 def integrate(mesh: SurfaceMesh, f: np.ndarray) -> float:
     """Area integral of a nodal field."""
-    return _integrate(mesh, mesh._check_field(f), _work(mesh, 1)[0])
+    return _integrate(mesh, mesh._check_field(f), 0, mesh.n_t, _work(mesh, 1)[0])
 
 
-def _roll(v: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
-    """np.roll(v, shift, axis=1), written into out."""
-    return np.take(v, np.arange(v.shape[1]) - shift, axis=1, mode="wrap", out=out)
+def _theta_step(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x[:, j + 1] - y[:, j] with j periodic, into out (all three C-contiguous):
+    one pass over the flattened rows, then the last column, which that pass
+    took from the next row."""
+    np.subtract(x.reshape(-1)[1:], y.reshape(-1)[:-1], out=out.reshape(-1)[:-1])
+    np.subtract(x[:, 0], y[:, -1], out=out[:, -1])
+    return out
 
 
-def _gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray, work) -> float:
+def _gradient_sums(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray, r0: int, r1: int, work):
+    """The t and theta sums of `gradient_form` before the dt dtheta factor:
+    the t sum over the midpoints r0 .. min(r1, n_t - 1) - 1 (midpoint i lies
+    between rows i and i + 1), the theta sum over the rows r0 .. r1 - 1."""
     # v is u (an energy): each difference once, in two work arrays, not three
     dt, dth = mesh.dt, mesh.dtheta
     du, prod, dv = work[0], work[1], work[0] if v is u else work[2]
     fields = ((u, du),) if v is u else ((u, du), (v, dv))
+    m = min(r1, mesh.n_t - 1)
     for x, d in fields:
-        np.divide(np.subtract(x[1:, :], x[:-1, :], out=d[:-1]), dt, out=d[:-1])
-    np.multiply(mesh._sqrt_det_mid[:, None], du[:-1], out=prod[:-1])
-    prod[:-1] *= dv[:-1]
-    e_t = float(prod[:-1].sum()) * dt * dth
+        diff = np.subtract(x[r0 + 1:m + 1], x[r0:m], out=d[:m - r0])
+        np.divide(diff, dt, out=diff)
+    t_prod = np.multiply(mesh._sqrt_det_mid[r0:m, None], du[:m - r0], out=prod[:m - r0])
+    t_prod *= dv[:m - r0]
+    t_sum = float(t_prod.sum())
+    n = r1 - r0
     for x, d in fields:
-        np.subtract(_roll(x, -1, d), x, out=d)
-        d /= dth
-    np.multiply((mesh._theta_coeff * mesh._t_weights)[:, None], du, out=prod)
-    prod *= dv
-    e_h = float(prod.sum()) * dt * dth
-    return e_t + e_h
+        _theta_step(x[r0:r1], x[r0:r1], d[:n])
+        d[:n] /= dth
+    coeff = (mesh._theta_coeff * mesh._t_weights)[r0:r1, None]
+    theta_prod = np.multiply(coeff, du[:n], out=prod[:n])
+    theta_prod *= dv[:n]
+    return t_sum, float(theta_prod.sum())
+
+
+def _gradient_value(mesh: SurfaceMesh, t_sum: float, theta_sum: float) -> float:
+    return t_sum * mesh.dt * mesh.dtheta + theta_sum * mesh.dt * mesh.dtheta
 
 
 def gradient_form(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     """Dirichlet bilinear form int <grad u, grad v> dmu (staggered differences)."""
-    return _gradient_form(mesh, mesh._check_field(u), mesh._check_field(v), _work(mesh, 3))
+    u, v = mesh._check_field(u), mesh._check_field(v)
+    return _gradient_value(mesh, *_gradient_sums(mesh, u, v, 0, mesh.n_t, _work(mesh, 3)))
 
 
 def gradient_energy(mesh: SurfaceMesh, u: np.ndarray) -> float:
@@ -245,27 +270,38 @@ def _boundary_operator(mesh: SurfaceMesh, v: np.ndarray):
     return b[0] * d2_bot + bp[0] * d1_bot, b[-1] * d2_top + bp[-1] * d1_top
 
 
-def _t_flux(mesh: SurfaceMesh, v: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """sqrt(det) dv/dt on the staggered t midpoints: the first n_t - 1 rows of work."""
-    flux = np.subtract(v[1:, :], v[:-1, :], out=work[:-1])
-    flux *= mesh._sqrt_det_mid[:, None]
+def _t_flux(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, work: np.ndarray) -> np.ndarray:
+    """sqrt(det) dv/dt on the t midpoints r0 .. r1 - 1, in the first r1 - r0 rows of work."""
+    flux = np.subtract(v[r0 + 1:r1 + 1], v[r0:r1], out=work[:r1 - r0])
+    flux *= mesh._sqrt_det_mid[r0:r1, None]
     return np.divide(flux, mesh.dt, out=flux)
 
 
-def _laplacian(mesh: SurfaceMesh, v: np.ndarray, flux: np.ndarray, lam, work) -> np.ndarray:
-    """`laplacian` from the t flux of v and its boundary operator `lam`, in work[0]."""
-    b = mesh._sqrt_det
-    out, second_theta = work
-    # the theta part first, so that `out` can hold 2 v and the +1 roll
-    _roll(v, -1, second_theta)
-    second_theta -= np.multiply(v, 2.0, out=out)
-    second_theta += _roll(v, 1, out)
-    second_theta *= (mesh._theta_coeff / b)[:, None]
+def _laplacian(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, lam, work) -> np.ndarray:
+    """Rows r0 .. r1 - 1 of `laplacian`, from the boundary operator `lam` of
+    v, in work[0]; work[2] (the t fluxes) needs r1 - r0 + 1 rows."""
+    b, n_t, n = mesh._sqrt_det, mesh.n_t, r1 - r0
+    out, second_theta = work[0][:n], work[1][:n]
+    rows = v[r0:r1]
+    # the theta part first, so that `out` can hold 2 v: roll(v, -1) - 2 v,
+    # then + roll(v, 1) in one flat pass whose first column (taken from the
+    # previous row) is redone
+    twice = np.multiply(rows, 2.0, out=out)
+    _theta_step(rows, twice, second_theta)
+    second_theta.reshape(-1)[1:] += rows.reshape(-1)[:-1]
+    np.subtract(rows[:, 1], twice[:, 0], out=second_theta[:, 0])
+    second_theta[:, 0] += rows[:, -1]
+    second_theta *= (mesh._theta_coeff / b)[r0:r1, None]
     second_theta /= mesh.dtheta ** 2
-    np.subtract(flux[1:, :], flux[:-1, :], out=out[1:-1, :])
-    out[1:-1, :] /= b[1:-1, None] * mesh.dt
-    out[0, :] = lam[0] / b[0]
-    out[-1, :] = lam[1] / b[-1]
+    # interior rows i0 .. i1 - 1 from the fluxes on the midpoints around them
+    i0, i1 = max(r0, 1), min(r1, n_t - 1)
+    flux = _t_flux(mesh, v, i0 - 1, i1, work[2])
+    interior = np.subtract(flux[1:], flux[:-1], out=out[i0 - r0:i1 - r0])
+    interior /= b[i0:i1, None] * mesh.dt
+    if r0 == 0:
+        out[0, :] = lam[0] / b[0]
+    if r1 == n_t:
+        out[-1, :] = lam[1] / b[-1]
     out += second_theta
     return out
 
@@ -278,16 +314,15 @@ def laplacian(mesh: SurfaceMesh, v: np.ndarray) -> np.ndarray:
     `gradient_form` and `boundary_flux` exact.
     """
     v = mesh._check_field(v)
-    work = _work(mesh, 3)
-    return _laplacian(mesh, v, _t_flux(mesh, v, work[2]), _boundary_operator(mesh, v), work[:2])
+    return _laplacian(mesh, v, 0, mesh.n_t, _boundary_operator(mesh, v), _work(mesh, 3))
 
 
-def _boundary_flux(mesh: SurfaceMesh, u: np.ndarray, flux: np.ndarray, lam) -> float:
-    """`boundary_flux` from the t flux of v (only its first and last rows are
-    read) and the boundary operator `lam` of v."""
-    dt = mesh.dt
-    g_bot = flux[0, :] - 0.5 * dt * lam[0]
-    g_top = flux[-1, :] + 0.5 * dt * lam[1]
+def _boundary_flux(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray, lam) -> float:
+    """`boundary_flux` from the boundary operator `lam` of v."""
+    dt, n_t = mesh.dt, mesh.n_t
+    edges = np.empty((2, mesh.n_theta))
+    g_bot = _t_flux(mesh, v, 0, 1, edges[:1])[0] - 0.5 * dt * lam[0]
+    g_top = _t_flux(mesh, v, n_t - 2, n_t - 1, edges[1:])[0] + 0.5 * dt * lam[1]
     return float((u[-1, :] * g_top - u[0, :] * g_bot).sum()) * mesh.dtheta
 
 
@@ -296,8 +331,7 @@ def boundary_flux(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> float:
     integrate(u * laplacian(v)) + gradient_form(u, v) == boundary_flux(u, v)."""
     u = mesh._check_field(u)
     v = mesh._check_field(v)
-    flux = _t_flux(mesh, v, _work(mesh, 1)[0])
-    return _boundary_flux(mesh, u, flux, _boundary_operator(mesh, v))
+    return _boundary_flux(mesh, u, v, _boundary_operator(mesh, v))
 
 
 def _liouville_residual(mesh: SurfaceMesh, lap: np.ndarray, exp_2phi: np.ndarray):
@@ -318,45 +352,60 @@ def liouville_residual(mesh: SurfaceMesh, phi: np.ndarray) -> np.ndarray:
     return _liouville_residual(mesh, laplacian(mesh, phi), np.exp(2.0 * phi))
 
 
+# nodes per row block of `anomaly_functionals`: 256 KiB per block array
+BLOCK_NODES = 32768
+
+
 def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     """The field-dependent values of the `anomaly` report, keyed and ordered
     as the report prints them, after "mesh.area" (the mesh area, first).
 
-    One pass in three work arrays: the field is checked once, and the energy,
-    integral and exp(2u) of u, the t flux, boundary operator and Laplacian
-    are each computed once and shared by every value that needs them.  The
-    Jensen pass comes last, in the arrays that the residual is done with.
-    Each value is bitwise equal to the public function that defines it.
+    One sweep over blocks of max(2, BLOCK_NODES // n_theta) rows: each block
+    runs every kernel on its rows in three block-sized work arrays (the
+    Laplacian, the residual and its max included), and each integral is the
+    `math.fsum` of the blocks' partial sums.  The field is the only
+    full-size array.  The Jensen value of the area-normalized field u - c
+    takes E(u - c) = E(u) and int (u - c) = int u - c area, exact in real
+    arithmetic, so it needs no second pass.
     """
     u = mesh._check_field(u)
-    a, b, c = work = _work(mesh, 3)
-    area = _integrate(mesh, 1.0, a)
-    energy = _gradient_form(mesh, u, u, work)
-    curv = mesh.scalar_curvature * _integrate(mesh, u, a)
+    n_t, n_theta = u.shape
+    rows = max(2, BLOCK_NODES // n_theta)
+    work = np.empty((3, min(rows, n_t) + 1, n_theta))
+    lam = _boundary_operator(mesh, u)
+    hyperbolic = mesh.tag == TAG_HYPERBOLIC
+    partials, block_max = [], []
+    for r0 in range(0, n_t, rows):
+        r1 = min(r0 + rows, n_t)
+        block, a, b = u[r0:r1], work[0][:r1 - r0], work[1][:r1 - r0]
+        area = _integrate(mesh, 1.0, r0, r1, a)
+        integral = _integrate(mesh, block, r0, r1, a)
+        t_sum, theta_sum = _gradient_sums(mesh, u, u, r0, r1, work)
+        lap = _laplacian(mesh, u, r0, r1, lam, work)
+        by_parts = _integrate(mesh, np.multiply(block, lap, out=b), r0, r1, b)
+        exp_2u = np.exp(np.multiply(block, 2.0, out=b), out=b)
+        exp_integral = _integrate(mesh, exp_2u, r0, r1, work[2][:r1 - r0]) if hyperbolic else 0.0
+        residual = _liouville_residual(mesh, lap, exp_2u)
+        block_max.append(float(np.abs(residual, out=b).max()))
+        square = _integrate(mesh, np.square(residual, out=b), r0, r1, b)
+        partials.append((area, integral, t_sum, theta_sum, by_parts, exp_integral, square))
+    area, integral, t_sum, theta_sum, by_parts, exp_integral, square = (
+        math.fsum(column) for column in zip(*partials))
+    energy = _gradient_value(mesh, t_sum, theta_sum)
+    curv = mesh.scalar_curvature * integral
     values = {"mesh.area": area, "gradient_energy": energy,
               "conformal_change_term": 0.25 * (energy + curv)}
-    flux = _t_flux(mesh, u, a)
-    lam = _boundary_operator(mesh, u)
-    flux_term = _boundary_flux(mesh, u, flux, lam)
-    lap = _laplacian(mesh, u, flux, lam, (b, c))
-    defect = _integrate(mesh, np.multiply(u, lap, out=a), a) + energy - flux_term
-    exp_2u = np.exp(np.multiply(u, 2.0, out=c), out=a)
-    residual = _liouville_residual(mesh, lap, exp_2u)
-    liouville = {
+    if hyperbolic:
+        shift = 0.5 * math.log(exp_integral / area)
+        values["jensen_energy_normalized"] = energy - 2.0 * (integral - shift * area)
+    defect = by_parts + energy - _boundary_flux(mesh, u, u, lam)
+    return {
+        **values,
         "liouville.variant": LIOUVILLE_VARIANT[mesh.tag],
-        "liouville.residual_max": float(np.abs(residual, out=c).max()),
-        "liouville.residual_rms": math.sqrt(
-            _integrate(mesh, np.square(residual, out=c), c) / area),
+        "liouville.residual_max": max(block_max),
+        "liouville.residual_rms": math.sqrt(square / area),
         "integration_by_parts_defect": abs(defect),
     }
-    if mesh.tag == TAG_HYPERBOLIC:
-        shift = 0.5 * math.log(_integrate(mesh, exp_2u, c) / area)
-        normalized = np.subtract(u, shift, out=b)
-        values["jensen_energy_normalized"] = (
-            _gradient_form(mesh, normalized, normalized, (a, c))
-            - 2.0 * _integrate(mesh, normalized, a)
-        )
-    return {**values, **liouville}
 
 
 def field_to_csv(mesh: SurfaceMesh, u: np.ndarray, path) -> None:
@@ -374,25 +423,52 @@ def field_to_csv(mesh: SurfaceMesh, u: np.ndarray, path) -> None:
 
 
 def field_from_csv(path):
-    """Inverse of `field_to_csv`; returns (mesh, field)."""
+    """Inverse of `field_to_csv`; returns (mesh, field).  Each grid row is
+    parsed straight into its row of the field array, so no line is held
+    beyond its own row.  Blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "n_t,n_theta,t_extent,circumference,tag":
-        raise ValueError(f"{path}: not a corevol field file")
-    if len(lines) < 2:
-        raise ValueError(f"{path}: no parameter line after the header")
-    params = lines[1].split(",")
-    if len(params) != 5:
-        raise ValueError(
-            f"{path}: parameter line needs the 5 header fields, got {len(params)}"
+        lines = filter(None, (line.strip() for line in fh))
+        if next(lines, None) != "n_t,n_theta,t_extent,circumference,tag":
+            raise ValueError(f"{path}: not a corevol field file")
+        params = next(lines, None)
+        if params is None:
+            raise ValueError(f"{path}: no parameter line after the header")
+        params = params.split(",")
+        if len(params) != 5:
+            raise ValueError(
+                f"{path}: parameter line needs the 5 header fields, got {len(params)}"
+            )
+        n_t, n_theta, t_extent, circumference, tag = params
+        mesh = SurfaceMesh(
+            tag=tag,
+            t_extent=float(t_extent),
+            circumference=float(circumference),
+            n_t=int(n_t),
+            n_theta=int(n_theta),
         )
-    n_t, n_theta, t_extent, circumference, tag = params
-    mesh = SurfaceMesh(
-        tag=tag,
-        t_extent=float(t_extent),
-        circumference=float(circumference),
-        n_t=int(n_t),
-        n_theta=int(n_theta),
-    )
-    u = np.array([line.split(",") for line in lines[2:]], dtype=float)
+        try:
+            u = np.empty((mesh.n_t, mesh.n_theta))
+        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+            raise ValueError(
+                f"{path}: a {mesh.n_t} x {mesh.n_theta} field does not fit in memory"
+            ) from None
+        rows = 0
+        for line in lines:
+            if rows == mesh.n_t:
+                raise ValueError(f"{path}: more than n_t = {mesh.n_t} grid rows")
+            values = line.split(",")
+            fits = len(values) == mesh.n_theta
+            # a row of the wrong length is converted into a temporary row, so
+            # that a value that is not a number is named before the count
+            row = u[rows] if fits else np.empty(len(values))
+            try:
+                row[:] = values
+            except ValueError as exc:
+                raise ValueError(f"{path}: grid row {rows + 1}: {exc}") from None
+            if not fits:
+                raise ValueError(f"{path}: grid row {rows + 1} has {len(values)} "
+                                 f"values, not n_theta = {mesh.n_theta}")
+            rows += 1
+    if rows < mesh.n_t:
+        raise ValueError(f"{path}: {rows} grid rows, not n_t = {mesh.n_t}")
     return mesh, mesh._check_field(u)

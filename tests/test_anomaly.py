@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corevol import anomaly
 from corevol.anomaly import (
     LIOUVILLE_VARIANT,
     TAG_FLAT,
@@ -286,11 +289,73 @@ def test_field_csv_rejects_junk(tmp_path):
         assert str(path) in str(err.value)
 
 
-# ------------------------------------------------------- one-pass functionals
+def grid_rows(n_rows, n_theta=4):
+    return "".join(",".join(repr(0.1 * i + 0.01 * j) for j in range(n_theta)) + "\n"
+                   for i in range(n_rows))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (grid_rows(3) + "0.1,0.2,0.3\n" + grid_rows(5), "grid row 4 has 3 values, not n_theta = 4"),
+    # numpy would broadcast a single value over the row
+    (grid_rows(3) + "0.5\n" + grid_rows(5), "grid row 4 has 1 values, not n_theta = 4"),
+    (grid_rows(10), "more than n_t = 9 grid rows"),
+    (grid_rows(8), "8 grid rows, not n_t = 9"),
+], ids=["ragged_row", "single_value_row", "too_many_rows", "too_few_rows"])
+def test_field_csv_rejects_bad_grid_rows(tmp_path, rows, message):
+    path = tmp_path / "rows.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                    "9,4,1.0,2.0,flat_cylinder\n" + rows)
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        field_from_csv(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("size", [10 ** 9, 10 ** 10])
+def test_field_csv_header_too_large_for_memory(tmp_path, size):
+    # the grid rows are never reached: the field is allocated from the header
+    path = tmp_path / "huge.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                    f"{size},{size},1.0,2.0,flat_cylinder\n0.1,0.2\n")
+    with pytest.raises(ValueError, match="field does not fit in memory") as err:
+        field_from_csv(path)
+    assert str(path) in str(err.value)
+
+
+def test_field_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n\n"
+                    "9,4,1.0,2.0,flat_cylinder\n" + grid_rows(9).replace("\n", "\n\n"))
+    _, u = field_from_csv(path)
+    assert u[8, 3] == 0.1 * 8 + 0.01 * 3
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during call(), above what
+    was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_csv_peak_memory(tmp_path):
+    # the field itself, the finite check's bool array and one row of text
+    mesh = hyperbolic_mesh(257, 256)
+    u = random_smooth_field(mesh, np.random.default_rng(2))
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, u, path)
+    assert traced_peak(lambda: field_from_csv(path)) <= 1.5 * u.nbytes
+
+
+# ------------------------------------------------------ row-block functionals
+
+U = 2.0 ** -52
+
 
 def composed_report_values(mesh, u):
-    """The anomaly report values with one public-function call each: the
-    reference `anomaly_functionals` must match bit for bit."""
+    """The anomaly report values with one whole-mesh public-function call each."""
     values = {
         "mesh.area": mesh.area,
         "gradient_energy": gradient_energy(mesh, u),
@@ -310,8 +375,53 @@ def composed_report_values(mesh, u):
     return values
 
 
+def one_block_values(mesh, u):
+    """`composed_report_values` with the Jensen value of the normalized field
+    u - c in the form the sweep takes: E(u) - 2 (int u - c area)."""
+    values = composed_report_values(mesh, u)
+    if mesh.tag == TAG_HYPERBOLIC:
+        shift = 0.5 * math.log(integrate(mesh, np.exp(2.0 * u)) / mesh.area)
+        values["jensen_energy_normalized"] = (
+            gradient_energy(mesh, u) - 2.0 * (integrate(mesh, u) - shift * mesh.area))
+    return values
+
+
 def as_hex(values):
     return [(k, v if isinstance(v, str) else float.hex(v)) for k, v in values.items()]
+
+
+def sample_fields(mesh, rng):
+    return (random_smooth_field(mesh, rng), mesh.zeros(), mesh.constant(rng.uniform(-1.0, 1.0)))
+
+
+def assert_matches_whole_mesh_functions(mesh, u):
+    """The sweep against the whole-mesh public functions.  The variant and
+    the residual max (a max of the same nodal values) are equal.  Each sum
+    is the same terms in another order, so it lies within 2 (log2 N + 2) u
+    of the sum of their absolute values.  The Jensen value (taken through
+    two identities) and the integration-by-parts defect (a roundoff
+    quantity) lie within 64 u sqrt(N) max(E, 1), the scale that the
+    benchmark checks them at."""
+    got, want = anomaly_functionals(mesh, u), composed_report_values(mesh, u)
+    assert list(got) == list(want)
+    for key in ("liouville.variant", "liouville.residual_max"):
+        assert got[key] == want[key], key
+    nodes = mesh.n_t * mesh.n_theta
+    energy = want["gradient_energy"]
+    sum_tol = 2.0 * (math.log2(nodes) + 2.0) * U
+    curv = abs(mesh.scalar_curvature) * integrate(mesh, np.abs(u))
+    bounds = {
+        "mesh.area": sum_tol * want["mesh.area"],
+        "gradient_energy": sum_tol * energy,
+        "conformal_change_term": sum_tol * 0.25 * (energy + curv),
+        "liouville.residual_rms": sum_tol * want["liouville.residual_rms"],
+        "integration_by_parts_defect": 64.0 * U * math.sqrt(nodes) * max(energy, 1.0),
+    }
+    if mesh.tag == TAG_HYPERBOLIC:
+        bounds["jensen_energy_normalized"] = bounds["integration_by_parts_defect"]
+    assert len(bounds) + 2 == len(want)
+    for key, bound in bounds.items():
+        assert abs(got[key] - want[key]) <= bound, (key, got[key], want[key], bound)
 
 
 MESH_SIZES = [(9, 4), (9, 5), (17, 16), (33, 31), (65, 64), (129, 127), (257, 256)]
@@ -319,41 +429,111 @@ MESH_SIZES = [(9, 4), (9, 5), (17, 16), (33, 31), (65, 64), (129, 127), (257, 25
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
 @pytest.mark.parametrize("n_t, n_theta", MESH_SIZES)
-def test_functionals_bitwise_equal_to_composed_public_functions(tag, n_t, n_theta):
+def test_functionals_bitwise_equal_to_composed_public_functions(tag, n_t, n_theta, monkeypatch):
+    # in one block the sweep runs every kernel on all rows, as the public
+    # functions do, and the fsum of one partial is that partial
+    monkeypatch.setattr(anomaly, "BLOCK_NODES", n_t * n_theta)
     rng = np.random.default_rng(n_t * n_theta)
     mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0), n_t, n_theta)
-    for u in (random_smooth_field(mesh, rng), mesh.zeros(),
-              mesh.constant(rng.uniform(-1.0, 1.0))):
-        assert as_hex(anomaly_functionals(mesh, u)) == as_hex(composed_report_values(mesh, u))
+    for u in sample_fields(mesh, rng):
+        assert as_hex(anomaly_functionals(mesh, u)) == as_hex(one_block_values(mesh, u))
 
 
-def test_functionals_bitwise_equal_on_csv_field(tmp_path):
+def test_functionals_bitwise_equal_on_csv_field(tmp_path, monkeypatch):
     mesh = hyperbolic_mesh(65, 48)
+    monkeypatch.setattr(anomaly, "BLOCK_NODES", mesh.n_t * mesh.n_theta)
     u = random_smooth_field(mesh, np.random.default_rng(3))
     path = tmp_path / "field.csv"
     field_to_csv(mesh, u, path)
     mesh2, u2 = field_from_csv(path)
-    expected = as_hex(composed_report_values(mesh, u))
-    assert as_hex(anomaly_functionals(mesh2, u2)) == expected
+    assert as_hex(anomaly_functionals(mesh2, u2)) == as_hex(one_block_values(mesh, u))
 
 
-def traced_peak(call):
-    """Peak bytes that numpy and Python allocate during call(), above what
-    was allocated before it."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+@pytest.mark.parametrize("n_t, n_theta", MESH_SIZES + [(513, 512)])
+def test_functionals_match_whole_mesh_functions(tag, n_t, n_theta):
+    rng = np.random.default_rng(n_t * n_theta + 1)
+    mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0), n_t, n_theta)
+    for u in sample_fields(mesh, rng):
+        assert_matches_whole_mesh_functions(mesh, u)
+
+
+@pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_functionals_match_whole_mesh_functions_in_small_blocks(tag, rows, extra, monkeypatch):
+    # n_t one below, at and one above a multiple of the block rows, so that
+    # the last block is short, full or a single boundary row
+    n_theta = 7
+    monkeypatch.setattr(anomaly, "BLOCK_NODES", rows * n_theta)
+    rng = np.random.default_rng(10 * rows + extra)
+    mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0),
+                       5 * rows + extra, n_theta)
+    for u in sample_fields(mesh, rng):
+        assert_matches_whole_mesh_functions(mesh, u)
+
+
+# Digests of the float.hex values and array bytes that each public
+# whole-mesh function returns on uniform random fields over both tags and
+# three mesh sizes, recorded before the report moved to row blocks: the
+# functions keep these bits.  numpy's SIMD cosh and exp round differently
+# on AVX-512 (first digest) and on AVX2 or older CPUs (second digest;
+# NPY_DISABLE_CPU_FEATURES=X86_V4 selects that path), see ROADMAP item 2.
+PUBLIC_DIGESTS = {
+    "area": ("2e3e9d4da74b9e26", "e5c2af0a5a41aa9d"),
+    "integrate": ("ce148739609f3b5b", "cbf851d81911485a"),
+    "gradient_form": ("e49695cbf2f8d2df", "70aa60569daa2c62"),
+    "gradient_energy": ("c3f07b13ab24d9ec",),
+    "conformal_change_term": ("8bcd48f8bac3243c",),
+    "normalize_area": ("82a5252aa5ced910", "12341a5da2608e2b"),
+    "laplacian": ("7f2c4240619ee747", "b1af46e30c6373e3"),
+    "boundary_flux": ("f2ae97a90b05c9f5", "42aa049ec85c77f3"),
+    "liouville_residual": ("044632b27f526b32", "5c3b40aa5683cdb3"),
+    "jensen_energy": ("4c543fe3c4847910",),
+}
+
+
+def public_values(mesh, u, v):
+    values = {
+        "area": mesh.area,
+        "integrate": integrate(mesh, u),
+        "gradient_form": gradient_form(mesh, u, v),
+        "gradient_energy": gradient_energy(mesh, u),
+        "conformal_change_term": conformal_change_term(mesh, u),
+        "normalize_area": normalize_area(mesh, u),
+        "laplacian": laplacian(mesh, u),
+        "boundary_flux": boundary_flux(mesh, u, v),
+        "liouville_residual": liouville_residual(mesh, u),
+    }
+    if mesh.tag == TAG_HYPERBOLIC:
+        values["jensen_energy"] = jensen_energy(mesh, values["normalize_area"])
+    return values
+
+
+def test_public_functions_keep_their_bits():
+    digests = {}
+    for tag in (TAG_HYPERBOLIC, TAG_FLAT):
+        for n_t, n_theta in ((9, 4), (40, 33), (257, 256)):
+            rng = np.random.default_rng(n_t * n_theta)
+            mesh = SurfaceMesh(tag, 1.7, 5.3, n_t, n_theta)
+            u, v = rng.uniform(-1.0, 1.0, (2, n_t, n_theta))
+            for name, value in public_values(mesh, u, v).items():
+                data = value.tobytes() if isinstance(value, np.ndarray) else value.hex().encode()
+                digests.setdefault(name, hashlib.sha256()).update(data)
+    got = {name: h.hexdigest()[:16] for name, h in digests.items()}
+    assert got.keys() == PUBLIC_DIGESTS.keys()
+    assert {name: d for name, d in got.items() if d not in PUBLIC_DIGESTS[name]} == {}
 
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
 def test_functionals_peak_memory(tag):
-    # three work arrays, plus the finite check's bool array and 1-d profiles
-    mesh = SurfaceMesh(tag, 2.0, TWO_PI, 257, 256)
-    u = random_smooth_field(mesh, np.random.default_rng(7))
-    assert traced_peak(lambda: anomaly_functionals(mesh, u)) <= 3.5 * u.nbytes
+    # three block-sized work arrays, plus the finite check's bool array (an
+    # eighth of the field) and 1-d profiles
+    rng = np.random.default_rng(7)
+    for n_t, limit in ((513, 0.75), (1025, 0.25)):
+        mesh = SurfaceMesh(tag, 2.0, TWO_PI, n_t, n_t - 1)
+        u = random_smooth_field(mesh, rng)
+        assert traced_peak(lambda: anomaly_functionals(mesh, u)) <= limit * u.nbytes, n_t
 
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])

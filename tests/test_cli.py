@@ -311,6 +311,13 @@ def test_wedge_worked_example(tmp_path, capsys):
     assert quad == pytest.approx(derived, rel=1e-5)
 
 
+def test_wedge_genus_three_boundary_area(tmp_path, capsys):
+    config = dict(WEDGE_CONFIG, boundary_genus=3)
+    assert main(["wedge", "--config", write_config(tmp_path, config)]) == 0
+    report = report_dict(capsys.readouterr().out)
+    assert float(report["core.boundary_area"]) == pytest.approx(8.0 * math.pi, rel=1e-15)
+
+
 def test_anomaly_command(tmp_path, capsys):
     code = main(["anomaly", "--config", write_config(tmp_path, ANOMALY_CONFIG)])
     assert code == 0
@@ -727,9 +734,9 @@ def test_field_file_without_parameter_line_is_a_value_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rows, fragment", [
-    ("0.1,0.2\n0.3\n", "inhomogeneous"),          # ragged rows
+    ("0.1,0.2\n0.3\n", "grid row 1 has 2 values"),  # ragged rows
     ("0.1,abc\n0.3,0.4\n", "could not convert string to float: 'abc'"),
-    ("", "field shape (0,) does not match mesh"),   # no data rows
+    ("", "0 grid rows, not n_t = 65"),   # no data rows
 ])
 def test_bad_field_file_rows_are_a_value_error(tmp_path, capsys, rows, fragment):
     mesh = ANOMALY_CONFIG["mesh"]
@@ -746,3 +753,4 @@ def test_bad_field_file_rows_are_a_value_error(tmp_path, capsys, rows, fragment)
     error = _one_error(capsys)
     assert error["kind"] == "value"
     assert fragment in error["message"]
+    assert str(path) in error["message"]

@@ -64,6 +64,13 @@ def test_core_data_validation():
     assert core.boundary_area == pytest.approx(4.0 * math.pi)
 
 
+@pytest.mark.parametrize("genus, area_over_pi", [(2, 4), (3, 8), (4, 12)])
+def test_boundary_area_is_minus_two_pi_chi(genus, area_over_pi):
+    # -2 pi chi = 4 pi (g - 1): genus 2 alone cannot tell it from 4 pi / (g - 1)
+    core = PleatedCoreData.from_genus(1.0, (), genus=genus)
+    assert core.boundary_area == pytest.approx(area_over_pi * math.pi, rel=1e-15)
+
+
 # ------------------------------------------------------------------- slab
 
 # the collar slab has no printed line: both conventions use the derived slab
