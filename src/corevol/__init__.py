@@ -4,7 +4,7 @@ surface topology, truncated-volume closed forms with an independent
 quadrature oracle and asymptotic-expansion fitting, pleated-core wedge
 volumes, and discrete conformal-change functionals."""
 
-from .mobius import INF, IsometryClass, IsometryError, Mobius, chordal_distance
+from .mobius import INF, IsometryClass, IsometryError, Mobius
 from .schottky import (
     Circle,
     Pairing,

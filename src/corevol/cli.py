@@ -421,13 +421,16 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
         return mesh.zeros()
     if kind == "constant":
         return mesh.constant(field["value"])
-    if kind == "theta_mode":
-        omega = 2.0 * math.pi * field["k"] / mesh.circumference
-        profile = field["amplitude"] * np.sin(omega * mesh.theta)
-        return np.broadcast_to(profile, (mesh.n_t, mesh.n_theta)).copy()
-    if kind == "log_sech_t":
-        profile = -np.log(np.cosh(mesh.t))
-        return np.broadcast_to(profile[:, None], (mesh.n_t, mesh.n_theta)).copy()
+    if kind in ("theta_mode", "log_sech_t"):
+        # the field before its 1-d profile: the profile of a mesh too large
+        # to allocate would itself be gigabytes
+        u = mesh.empty()
+        if kind == "theta_mode":
+            omega = 2.0 * math.pi * field["k"] / mesh.circumference
+            u[:] = field["amplitude"] * np.sin(omega * mesh.theta)
+        else:
+            u[:] = -np.log(np.cosh(mesh.t))[:, None]
+        return u
     path = field["path"]
     file_mesh, u = anomaly_mod.field_from_csv(path)
     if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (

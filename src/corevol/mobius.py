@@ -37,18 +37,6 @@ def is_infinity(p) -> bool:
     return math.isinf(p)
 
 
-def chordal_distance(p, q) -> float:
-    """Metric on the boundary sphere that stays finite at infinity."""
-    pinf, qinf = is_infinity(p), is_infinity(q)
-    if pinf and qinf:
-        return 0.0
-    if pinf:
-        return 1.0 / math.sqrt(1.0 + abs(q) ** 2)
-    if qinf:
-        return 1.0 / math.sqrt(1.0 + abs(p) ** 2)
-    return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
-
-
 class Mobius:
     """z -> (a z + b) / (c z + d) with real entries and a d - b c normalized
     to 1.  Instances are immutable by convention and safe to share.
@@ -89,20 +77,11 @@ class Mobius:
             self.c * other.b + self.d * other.d,
         )
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
     def conjugated_by(self, t: "Mobius") -> "Mobius":
         return t.compose(self).compose(t.inverse())
-
-    def same_isometry(self, other: "Mobius", tol: float = 1e-9) -> bool:
-        """Entrywise equality up to the global sign ambiguity."""
-        plus = max(abs(x - y) for x, y in zip(self.entries, other.entries))
-        minus = max(abs(x + y) for x, y in zip(self.entries, other.entries))
-        return min(plus, minus) <= tol
 
     def _identity_defect(self) -> float:
         ident = (1.0, 0.0, 0.0, 1.0)
@@ -133,33 +112,6 @@ class Mobius:
                 f"translation length needs a hyperbolic element, got {cls.value}"
             )
         return 2.0 * math.acosh(abs(self.trace) / 2.0)
-
-    def _deriv_magnitude(self, p) -> float:
-        # |derivative| of the action at a finite point, = 1/|c p + d|^2
-        den = self.c * p + self.d
-        return 1.0 / abs(den) ** 2
-
-    def fixed_points(self):
-        """(attracting, repelling) boundary fixed points of a hyperbolic element."""
-        cls = self.classify()
-        if cls is not IsometryClass.HYPERBOLIC:
-            raise IsometryError(
-                f"fixed points of the axis need a hyperbolic element, got {cls.value}"
-            )
-        a, b, c, d = self.entries
-        if c == 0:
-            # fixes infinity; the finite root solves (d - a) z = b
-            finite = b / (d - a)
-            if abs(a / d) > 1.0:
-                return INF, finite
-            return finite, INF
-        disc = (a - d) ** 2 + 4.0 * b * c  # = tr^2 - 4
-        root = math.sqrt(disc)
-        z1 = ((a - d) + root) / (2.0 * c)
-        z2 = ((a - d) - root) / (2.0 * c)
-        if self._deriv_magnitude(z1) < 1.0:
-            return z1, z2
-        return z2, z1
 
     def apply(self, p):
         """Boundary action on a real or complex point; the point at infinity

@@ -157,6 +157,7 @@ def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9):
     return _refine(f, cells[:, b > a], a.size, rel_tol)
 
 
+# stays: perfbench/tracer.py wraps it as corevol.pleated.adaptive_quad (quadrature metrics)
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
     """Integrate the vectorized callable f over [a, b].
 

@@ -233,6 +233,7 @@ class Word:
         return len(self.letters)
 
 
+# enumerate_words and word_mobius stay public: perfbench/tracer.py counts words through them
 def enumerate_words(group: ValidatedGroup, max_len: int) -> list[Word]:
     """All reduced words of length <= max_len, each exactly once.
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from corevol import (
@@ -11,6 +12,7 @@ from corevol import (
     surface_invariants,
     validate,
 )
+from corevol import anomaly
 
 
 def make_cyclic(s: float):
@@ -70,3 +72,38 @@ def assert_close(actual, expected, tol=1e-12, rel=0.0):
 
 
 EXP = math.exp(1.0)
+
+
+def same_isometry(m, n, tol=1e-9):
+    """Entrywise equality of two Mobius maps up to the global sign."""
+    plus = max(abs(x - y) for x, y in zip(m.entries, n.entries))
+    minus = max(abs(x + y) for x, y in zip(m.entries, n.entries))
+    return min(plus, minus) <= tol
+
+
+# Nodal anomaly quantities: each private kernel called once on one block of
+# all rows, as `anomaly_functionals` calls it on a mesh of one block.
+
+def on_mesh(mesh, f):
+    """f(t, theta) evaluated at every node."""
+    tt, hh = np.meshgrid(mesh.t, mesh.theta, indexing="ij")
+    return np.asarray(f(tt, hh), dtype=float)
+
+
+def integrate(mesh, f):
+    """Area integral of a nodal field, or of 1.0 for the area."""
+    return anomaly._integrate(mesh, f, 0, mesh.n_t, mesh.empty())
+
+
+def laplacian(mesh, u):
+    lam = anomaly._boundary_operator(mesh, u)
+    work = np.empty((3, mesh.n_t + 1, mesh.n_theta))
+    return anomaly._laplacian(mesh, u, 0, mesh.n_t, lam, work)
+
+
+def liouville_residual(mesh, u):
+    """lap(u) + 1 - exp(2u) on the hyperbolic tag, lap(u) - exp(2u) when flat."""
+    residual = laplacian(mesh, u)
+    if mesh.tag == anomaly.TAG_HYPERBOLIC:
+        residual += 1.0
+    return np.subtract(residual, np.exp(2.0 * u), out=residual)

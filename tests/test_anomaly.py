@@ -1,4 +1,3 @@
-import hashlib
 import math
 import re
 import tracemalloc
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import integrate, laplacian, liouville_residual, on_mesh
 from corevol import anomaly
 from corevol.anomaly import (
     LIOUVILLE_VARIANT,
@@ -15,17 +15,7 @@ from corevol.anomaly import (
     TAG_HYPERBOLIC,
     SurfaceMesh,
     anomaly_functionals,
-    boundary_flux,
-    conformal_change_term,
     field_from_csv,
-    field_to_csv,
-    gradient_energy,
-    gradient_form,
-    integrate,
-    jensen_energy,
-    laplacian,
-    liouville_residual,
-    normalize_area,
 )
 from corevol.cli import _build_field
 
@@ -53,13 +43,23 @@ def random_smooth_field(mesh, rng, modes=3):
     return u
 
 
+def report(mesh, u):
+    return anomaly_functionals(mesh, u)
+
+
+def normalizing_shift(mesh, u):
+    """The constant c that makes int exp(2(u - c)) dmu the mesh area."""
+    return 0.5 * math.log(integrate(mesh, np.exp(2.0 * u)) / integrate(mesh, 1.0))
+
+
 # ----------------------------------------------------------------- meshes
 
 def test_mesh_area_matches_analytic():
     mesh = hyperbolic_mesh(n_t=200, n_theta=64)
-    assert abs(mesh.area / mesh.analytic_area - 1.0) <= 1e-4
+    assert abs(report(mesh, mesh.zeros())["mesh.area"] / mesh.analytic_area - 1.0) <= 1e-4
     flat = flat_mesh(n_t=200)
-    assert flat.area == pytest.approx(flat.analytic_area, rel=1e-12)
+    assert report(flat, flat.zeros())["mesh.area"] == pytest.approx(
+        flat.analytic_area, rel=1e-12)
 
 
 def test_mesh_validation():
@@ -79,24 +79,24 @@ def test_scalar_curvature_by_tag():
 def test_field_shape_checked():
     mesh = flat_mesh()
     with pytest.raises(ValueError):
-        integrate(mesh, np.zeros((3, 3)))
+        report(mesh, np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        integrate(mesh, np.full((mesh.n_t, mesh.n_theta), np.nan))
+        report(mesh, np.full((mesh.n_t, mesh.n_theta), np.nan))
 
 
 # ------------------------------------------------------------ gradient energy
 
 def test_gradient_energy_constant_is_zero():
     mesh = hyperbolic_mesh()
-    assert gradient_energy(mesh, mesh.constant(3.7)) == 0.0
+    assert report(mesh, mesh.constant(3.7))["gradient_energy"] == 0.0
 
 
 def test_gradient_energy_theta_mode_flat():
     mesh = flat_mesh(n_t=401, n_theta=400, T=1.0)
     omega = TWO_PI / mesh.circumference
-    u = mesh.from_function(lambda t, th: np.sin(omega * th))
+    u = on_mesh(mesh, lambda t, th: np.sin(omega * th))
     expected = omega ** 2 * mesh.analytic_area / 2.0
-    assert abs(gradient_energy(mesh, u) / expected - 1.0) <= 1e-3
+    assert abs(report(mesh, u)["gradient_energy"] / expected - 1.0) <= 1e-3
 
 
 def test_gradient_energy_second_order():
@@ -106,11 +106,9 @@ def test_gradient_energy_second_order():
     def error(n_t, n_theta):
         mesh = flat_mesh(n_t=n_t, n_theta=n_theta, T=1.0)
         omega = TWO_PI / mesh.circumference
-        u = mesh.from_function(
-            lambda t, th: np.sin(omega * th) * np.cos(0.5 * math.pi * t)
-        )
+        u = on_mesh(mesh, lambda t, th: np.sin(omega * th) * np.cos(0.5 * math.pi * t))
         exact = (mesh.circumference / 2.0) * (omega ** 2 + (0.5 * math.pi) ** 2)
-        return abs(gradient_energy(mesh, u) - exact)
+        return abs(report(mesh, u)["gradient_energy"] - exact)
 
     e1 = error(65, 64)
     e2 = error(129, 128)
@@ -120,24 +118,24 @@ def test_gradient_energy_second_order():
 # ------------------------------------------------------- conformal change
 
 def test_conformal_change_zero_field():
-    assert conformal_change_term(hyperbolic_mesh(), hyperbolic_mesh().zeros()) == 0.0
+    mesh = hyperbolic_mesh()
+    assert report(mesh, mesh.zeros())["conformal_change_term"] == 0.0
 
 
 def test_conformal_change_constant_hyperbolic():
     mesh = hyperbolic_mesh()
     c = 0.8
-    expected = 0.25 * (-2.0 * c * mesh.area)
-    assert conformal_change_term(mesh, mesh.constant(c)) == pytest.approx(
-        expected, rel=1e-12
-    )
+    values = report(mesh, mesh.constant(c))
+    expected = 0.25 * (-2.0 * c * values["mesh.area"])
+    assert values["conformal_change_term"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_conformal_change_flat_reduces_to_gradient():
     mesh = flat_mesh()
     omega = TWO_PI / mesh.circumference
-    u = mesh.from_function(lambda t, th: np.sin(omega * th))
-    assert conformal_change_term(mesh, u) == pytest.approx(
-        0.25 * gradient_energy(mesh, u), rel=1e-12
+    values = report(mesh, on_mesh(mesh, lambda t, th: np.sin(omega * th)))
+    assert values["conformal_change_term"] == pytest.approx(
+        0.25 * values["gradient_energy"], rel=1e-12
     )
 
 
@@ -145,69 +143,89 @@ def test_conformal_change_scales_quadratic_plus_linear():
     mesh = hyperbolic_mesh()
     rng = np.random.default_rng(3)
     u = random_smooth_field(mesh, rng)
-    grad_part = 0.25 * gradient_energy(mesh, u)
+    grad_part = 0.25 * report(mesh, u)["gradient_energy"]
     curv_part = 0.25 * mesh.scalar_curvature * integrate(mesh, u)
-    for a in (1.0, 2.0):
+    for a in (0.5, 1.0, 2.0):
         expected = a ** 2 * grad_part + a * curv_part
-        assert conformal_change_term(mesh, a * u) == pytest.approx(expected, rel=1e-12)
+        assert report(mesh, a * u)["conformal_change_term"] == pytest.approx(
+            expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------- Jensen
 
 def test_jensen_zero_field():
     mesh = hyperbolic_mesh()
-    assert abs(jensen_energy(mesh, mesh.zeros())) <= 1e-10
+    assert report(mesh, mesh.zeros())["jensen_energy_normalized"] == 0.0
 
 
 def test_jensen_requires_hyperbolic_tag():
-    with pytest.raises(ValueError):
-        jensen_energy(flat_mesh(), flat_mesh().zeros())
+    # the flat tag reports no Jensen energy
+    mesh = flat_mesh()
+    assert "jensen_energy_normalized" not in report(mesh, mesh.zeros())
 
 
 def test_jensen_positive_for_normalized_bump():
     mesh = hyperbolic_mesh()
-    bump = mesh.from_function(lambda t, th: 0.3 * np.exp(-(t ** 2) - np.cos(th)))
-    u = normalize_area(mesh, bump)
-    assert jensen_energy(mesh, u) > 1e-4
+    bump = on_mesh(mesh, lambda t, th: 0.3 * np.exp(-(t ** 2) - np.cos(th)))
+    assert report(mesh, bump)["jensen_energy_normalized"] > 1e-4
 
 
 def test_jensen_positive_on_random_normalized_fields():
     mesh = SurfaceMesh(TAG_HYPERBOLIC, 2.0, TWO_PI, 128, 128)
     rng = np.random.default_rng(42)
     for _ in range(100):
-        u = normalize_area(mesh, random_smooth_field(mesh, rng))
-        scale = 1.0 + np.abs(u).max() * mesh.area
-        assert jensen_energy(mesh, u) >= -1e-6 * scale
+        u = random_smooth_field(mesh, rng)
+        values = report(mesh, u)
+        scale = 1.0 + np.abs(u - normalizing_shift(mesh, u)).max() * values["mesh.area"]
+        assert values["jensen_energy_normalized"] >= -1e-6 * scale
 
 
 # --------------------------------------------------------- area normalizing
 
+U = 2.0 ** -52
+
+
+def roundoff_bound(mesh, energy):
+    """64 u sqrt(N) max(E, 1): the scale of the roundoff in the Jensen value
+    and the integration-by-parts defect, as the benchmark checks them."""
+    return 64.0 * U * math.sqrt(mesh.n_t * mesh.n_theta) * max(energy, 1.0)
+
+
 def test_normalize_area_fixes_integral():
-    mesh = hyperbolic_mesh()
+    # the report takes the Jensen energy of the normalized field u - c through
+    # two identities; 4 times the conformal-change term of u - c itself
+    # (R = -2) is that energy without them
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        u = normalize_area(mesh, random_smooth_field(mesh, rng))
-        assert integrate(mesh, np.exp(2.0 * u)) == pytest.approx(
-            mesh.area, rel=1e-10
-        )
+    for n_t, n_theta in ((129, 64), (64, 48), (257, 256)):
+        mesh = hyperbolic_mesh(n_t, n_theta)
+        for _ in range(5):
+            u = random_smooth_field(mesh, rng)
+            v = u - normalizing_shift(mesh, u)
+            assert integrate(mesh, np.exp(2.0 * v)) == pytest.approx(
+                integrate(mesh, 1.0), rel=1e-10)
+            values = report(mesh, u)
+            direct = 4.0 * report(mesh, v)["conformal_change_term"]
+            bound = roundoff_bound(mesh, values["gradient_energy"])
+            assert abs(values["jensen_energy_normalized"] - direct) <= bound
 
 
 def test_normalize_area_kills_constants():
     mesh = hyperbolic_mesh()
-    normalized = normalize_area(mesh, mesh.constant(1.0))
-    assert np.abs(normalized).max() <= 1e-12
-    unchanged = normalize_area(mesh, mesh.zeros())
-    assert np.abs(unchanged).max() <= 1e-12
+    values = report(mesh, mesh.constant(1.0))
+    assert abs(values["jensen_energy_normalized"]) <= 1e-12 * values["mesh.area"]
+    assert report(mesh, mesh.zeros())["jensen_energy_normalized"] == 0.0
 
 
 @settings(max_examples=20, deadline=None)
 @given(c=st.floats(min_value=-3.0, max_value=3.0))
 def test_normalize_area_shift_invariant(c):
     mesh = SurfaceMesh(TAG_HYPERBOLIC, 1.0, TWO_PI, 33, 16)
-    base = mesh.from_function(lambda t, th: 0.2 * np.sin(th) * np.exp(-t ** 2))
-    first = normalize_area(mesh, base)
-    second = normalize_area(mesh, base + c)
-    assert np.abs(first - second).max() <= 1e-12
+    base = on_mesh(mesh, lambda t, th: 0.2 * np.sin(th) * np.exp(-t ** 2))
+    first = report(mesh, base)
+    second = report(mesh, base + c)
+    scale = 1.0 + abs(c) * first["mesh.area"]
+    assert abs(first["jensen_energy_normalized"]
+               - second["jensen_energy_normalized"]) <= 1e-12 * scale
 
 
 # ----------------------------------------------- integration by parts / SBP
@@ -217,12 +235,9 @@ def test_summation_by_parts_identity():
     for mesh in (hyperbolic_mesh(65, 48), flat_mesh(65, 48)):
         for _ in range(10):
             u = random_smooth_field(mesh, rng)
-            v = random_smooth_field(mesh, rng)
-            lhs = integrate(mesh, u * laplacian(mesh, v)) + gradient_form(mesh, u, v)
-            flux = boundary_flux(mesh, u, v)
-            scale = (abs(gradient_form(mesh, u, v)) + abs(flux)
-                     + abs(integrate(mesh, u * laplacian(mesh, v))) + 1.0)
-            assert abs(lhs - flux) / scale <= 1e-6
+            values = report(mesh, u)
+            bound = roundoff_bound(mesh, values["gradient_energy"])
+            assert values["integration_by_parts_defect"] <= bound
 
 
 def test_laplacian_of_constant_vanishes():
@@ -234,19 +249,22 @@ def test_laplacian_of_constant_vanishes():
 
 def test_liouville_zero_field_hyperbolic_exact():
     mesh = hyperbolic_mesh()
-    residual = liouville_residual(mesh, mesh.zeros())
-    assert np.abs(residual).max() == 0.0
+    values = report(mesh, mesh.zeros())
+    assert values["liouville.variant"] == "hyperbolic_piece"
+    assert values["liouville.residual_max"] == values["liouville.residual_rms"] == 0.0
 
 
 def test_liouville_zero_field_flat_exact():
+    # the residual is -1 at every node
     mesh = flat_mesh()
-    residual = liouville_residual(mesh, mesh.zeros())
-    assert np.all(residual == -1.0)
+    values = report(mesh, mesh.zeros())
+    assert values["liouville.variant"] == "flat_piece"
+    assert values["liouville.residual_max"] == values["liouville.residual_rms"] == 1.0
 
 
 def residual_error_log_sech(n_t):
     mesh = flat_mesh(n_t=n_t, n_theta=16)
-    phi = mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
+    phi = on_mesh(mesh, lambda t, th: -np.log(np.cosh(t)))
     residual = liouville_residual(mesh, phi)
     exact = -2.0 / np.cosh(mesh.t) ** 2
     return np.abs(residual - exact[:, None]).max()
@@ -262,6 +280,15 @@ def test_liouville_log_sech_profile_converges_at_second_order():
 
 
 # ------------------------------------------------------------------- CSV IO
+
+def field_to_csv(mesh, u, path):
+    """Write a field file in the layout `field_from_csv` reads."""
+    lines = ["n_t,n_theta,t_extent,circumference,tag",
+             f"{mesh.n_t},{mesh.n_theta},{mesh.t_extent!r},{mesh.circumference!r},{mesh.tag}"]
+    lines += [",".join(repr(float(x)) for x in row) for row in u]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 def test_field_csv_roundtrip(tmp_path):
     mesh = hyperbolic_mesh(33, 16)
@@ -351,39 +378,42 @@ def test_field_csv_peak_memory(tmp_path):
 
 # ------------------------------------------------------ row-block functionals
 
-U = 2.0 ** -52
+def gradient_energy(mesh, u):
+    work = np.empty((2, mesh.n_t, mesh.n_theta))
+    t_sum, theta_sum = anomaly._gradient_sums(mesh, u, 0, mesh.n_t, work)
+    return t_sum * mesh.dt * mesh.dtheta + theta_sum * mesh.dt * mesh.dtheta
+
+
+def boundary_flux(mesh, u):
+    return anomaly._boundary_flux(mesh, u, anomaly._boundary_operator(mesh, u))
 
 
 def composed_report_values(mesh, u):
-    """The anomaly report values with one whole-mesh public-function call each."""
+    """The anomaly report values composed from one call of each kernel on
+    all rows, each value in the form the sweep takes."""
+    area, integral, energy = integrate(mesh, 1.0), integrate(mesh, u), gradient_energy(mesh, u)
     values = {
-        "mesh.area": mesh.area,
-        "gradient_energy": gradient_energy(mesh, u),
-        "conformal_change_term": conformal_change_term(mesh, u),
+        "mesh.area": area,
+        "gradient_energy": energy,
+        "conformal_change_term": 0.25 * (energy + mesh.scalar_curvature * integral),
     }
     if mesh.tag == TAG_HYPERBOLIC:
-        values["jensen_energy_normalized"] = jensen_energy(mesh, normalize_area(mesh, u))
+        shift = 0.5 * math.log(integrate(mesh, np.exp(2.0 * u)) / area)
+        values["jensen_energy_normalized"] = energy - 2.0 * (integral - shift * area)
     residual = liouville_residual(mesh, u)
     values["liouville.variant"] = LIOUVILLE_VARIANT[mesh.tag]
     values["liouville.residual_max"] = float(np.abs(residual).max())
-    values["liouville.residual_rms"] = math.sqrt(integrate(mesh, residual ** 2) / mesh.area)
+    values["liouville.residual_rms"] = math.sqrt(integrate(mesh, residual ** 2) / area)
     values["integration_by_parts_defect"] = abs(
-        integrate(mesh, u * laplacian(mesh, u))
-        + gradient_energy(mesh, u)
-        - boundary_flux(mesh, u, u)
-    )
+        integrate(mesh, u * laplacian(mesh, u)) + energy - boundary_flux(mesh, u))
     return values
 
 
-def one_block_values(mesh, u):
-    """`composed_report_values` with the Jensen value of the normalized field
-    u - c in the form the sweep takes: E(u) - 2 (int u - c area)."""
-    values = composed_report_values(mesh, u)
-    if mesh.tag == TAG_HYPERBOLIC:
-        shift = 0.5 * math.log(integrate(mesh, np.exp(2.0 * u)) / mesh.area)
-        values["jensen_energy_normalized"] = (
-            gradient_energy(mesh, u) - 2.0 * (integrate(mesh, u) - shift * mesh.area))
-    return values
+def one_block_values(mesh, u, monkeypatch):
+    """`anomaly_functionals` in one block of all rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(anomaly, "BLOCK_NODES", mesh.n_t * mesh.n_theta)
+        return anomaly_functionals(mesh, u)
 
 
 def as_hex(values):
@@ -394,15 +424,14 @@ def sample_fields(mesh, rng):
     return (random_smooth_field(mesh, rng), mesh.zeros(), mesh.constant(rng.uniform(-1.0, 1.0)))
 
 
-def assert_matches_whole_mesh_functions(mesh, u):
-    """The sweep against the whole-mesh public functions.  The variant and
-    the residual max (a max of the same nodal values) are equal.  Each sum
-    is the same terms in another order, so it lies within 2 (log2 N + 2) u
-    of the sum of their absolute values.  The Jensen value (taken through
-    two identities) and the integration-by-parts defect (a roundoff
-    quantity) lie within 64 u sqrt(N) max(E, 1), the scale that the
-    benchmark checks them at."""
-    got, want = anomaly_functionals(mesh, u), composed_report_values(mesh, u)
+def assert_matches_one_block(mesh, u, monkeypatch):
+    """The sweep against one block of all rows.  The variant and the
+    residual max (a max of the same nodal values) are equal.  Each sum is
+    the same terms in another order, so it lies within 2 (log2 N + 2) u of
+    the sum of their absolute values.  The Jensen value and the
+    integration-by-parts defect (a roundoff quantity) lie within
+    `roundoff_bound`."""
+    got, want = anomaly_functionals(mesh, u), one_block_values(mesh, u, monkeypatch)
     assert list(got) == list(want)
     for key in ("liouville.variant", "liouville.residual_max"):
         assert got[key] == want[key], key
@@ -415,7 +444,7 @@ def assert_matches_whole_mesh_functions(mesh, u):
         "gradient_energy": sum_tol * energy,
         "conformal_change_term": sum_tol * 0.25 * (energy + curv),
         "liouville.residual_rms": sum_tol * want["liouville.residual_rms"],
-        "integration_by_parts_defect": 64.0 * U * math.sqrt(nodes) * max(energy, 1.0),
+        "integration_by_parts_defect": roundoff_bound(mesh, energy),
     }
     if mesh.tag == TAG_HYPERBOLIC:
         bounds["jensen_energy_normalized"] = bounds["integration_by_parts_defect"]
@@ -430,32 +459,31 @@ MESH_SIZES = [(9, 4), (9, 5), (17, 16), (33, 31), (65, 64), (129, 127), (257, 25
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
 @pytest.mark.parametrize("n_t, n_theta", MESH_SIZES)
 def test_functionals_bitwise_equal_to_composed_public_functions(tag, n_t, n_theta, monkeypatch):
-    # in one block the sweep runs every kernel on all rows, as the public
-    # functions do, and the fsum of one partial is that partial
-    monkeypatch.setattr(anomaly, "BLOCK_NODES", n_t * n_theta)
+    # in one block the sweep runs every kernel on all rows, and the fsum of
+    # one partial is that partial
     rng = np.random.default_rng(n_t * n_theta)
     mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0), n_t, n_theta)
     for u in sample_fields(mesh, rng):
-        assert as_hex(anomaly_functionals(mesh, u)) == as_hex(one_block_values(mesh, u))
+        got = one_block_values(mesh, u, monkeypatch)
+        assert as_hex(got) == as_hex(composed_report_values(mesh, u))
 
 
-def test_functionals_bitwise_equal_on_csv_field(tmp_path, monkeypatch):
+def test_functionals_bitwise_equal_on_csv_field(tmp_path):
     mesh = hyperbolic_mesh(65, 48)
-    monkeypatch.setattr(anomaly, "BLOCK_NODES", mesh.n_t * mesh.n_theta)
     u = random_smooth_field(mesh, np.random.default_rng(3))
     path = tmp_path / "field.csv"
     field_to_csv(mesh, u, path)
     mesh2, u2 = field_from_csv(path)
-    assert as_hex(anomaly_functionals(mesh2, u2)) == as_hex(one_block_values(mesh, u))
+    assert as_hex(anomaly_functionals(mesh2, u2)) == as_hex(anomaly_functionals(mesh, u))
 
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
 @pytest.mark.parametrize("n_t, n_theta", MESH_SIZES + [(513, 512)])
-def test_functionals_match_whole_mesh_functions(tag, n_t, n_theta):
+def test_functionals_match_whole_mesh_functions(tag, n_t, n_theta, monkeypatch):
     rng = np.random.default_rng(n_t * n_theta + 1)
     mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0), n_t, n_theta)
     for u in sample_fields(mesh, rng):
-        assert_matches_whole_mesh_functions(mesh, u)
+        assert_matches_one_block(mesh, u, monkeypatch)
 
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
@@ -470,59 +498,7 @@ def test_functionals_match_whole_mesh_functions_in_small_blocks(tag, rows, extra
     mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0),
                        5 * rows + extra, n_theta)
     for u in sample_fields(mesh, rng):
-        assert_matches_whole_mesh_functions(mesh, u)
-
-
-# Digests of the float.hex values and array bytes that each public
-# whole-mesh function returns on uniform random fields over both tags and
-# three mesh sizes, recorded before the report moved to row blocks: the
-# functions keep these bits.  numpy's SIMD cosh and exp round differently
-# on AVX-512 (first digest) and on AVX2 or older CPUs (second digest;
-# NPY_DISABLE_CPU_FEATURES=X86_V4 selects that path), see ROADMAP item 2.
-PUBLIC_DIGESTS = {
-    "area": ("2e3e9d4da74b9e26", "e5c2af0a5a41aa9d"),
-    "integrate": ("ce148739609f3b5b", "cbf851d81911485a"),
-    "gradient_form": ("e49695cbf2f8d2df", "70aa60569daa2c62"),
-    "gradient_energy": ("c3f07b13ab24d9ec",),
-    "conformal_change_term": ("8bcd48f8bac3243c",),
-    "normalize_area": ("82a5252aa5ced910", "12341a5da2608e2b"),
-    "laplacian": ("7f2c4240619ee747", "b1af46e30c6373e3"),
-    "boundary_flux": ("f2ae97a90b05c9f5", "42aa049ec85c77f3"),
-    "liouville_residual": ("044632b27f526b32", "5c3b40aa5683cdb3"),
-    "jensen_energy": ("4c543fe3c4847910",),
-}
-
-
-def public_values(mesh, u, v):
-    values = {
-        "area": mesh.area,
-        "integrate": integrate(mesh, u),
-        "gradient_form": gradient_form(mesh, u, v),
-        "gradient_energy": gradient_energy(mesh, u),
-        "conformal_change_term": conformal_change_term(mesh, u),
-        "normalize_area": normalize_area(mesh, u),
-        "laplacian": laplacian(mesh, u),
-        "boundary_flux": boundary_flux(mesh, u, v),
-        "liouville_residual": liouville_residual(mesh, u),
-    }
-    if mesh.tag == TAG_HYPERBOLIC:
-        values["jensen_energy"] = jensen_energy(mesh, values["normalize_area"])
-    return values
-
-
-def test_public_functions_keep_their_bits():
-    digests = {}
-    for tag in (TAG_HYPERBOLIC, TAG_FLAT):
-        for n_t, n_theta in ((9, 4), (40, 33), (257, 256)):
-            rng = np.random.default_rng(n_t * n_theta)
-            mesh = SurfaceMesh(tag, 1.7, 5.3, n_t, n_theta)
-            u, v = rng.uniform(-1.0, 1.0, (2, n_t, n_theta))
-            for name, value in public_values(mesh, u, v).items():
-                data = value.tobytes() if isinstance(value, np.ndarray) else value.hex().encode()
-                digests.setdefault(name, hashlib.sha256()).update(data)
-    got = {name: h.hexdigest()[:16] for name, h in digests.items()}
-    assert got.keys() == PUBLIC_DIGESTS.keys()
-    assert {name: d for name, d in got.items() if d not in PUBLIC_DIGESTS[name]} == {}
+        assert_matches_one_block(mesh, u, monkeypatch)
 
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])
@@ -549,10 +525,10 @@ def test_build_field_peak_memory(tag, field):
 def mesh_evaluated_field(mesh, field):
     """An analytic field evaluated on the full (t, theta) mesh, node by node."""
     if field["kind"] == "log_sech_t":
-        return mesh.from_function(lambda t, th: -np.log(np.cosh(t)))
+        return on_mesh(mesh, lambda t, th: -np.log(np.cosh(t)))
     amp = field["amplitude"]
     omega = 2.0 * math.pi * field["k"] / mesh.circumference
-    return mesh.from_function(lambda t, th: amp * np.sin(omega * th))
+    return on_mesh(mesh, lambda t, th: amp * np.sin(omega * th))
 
 
 @pytest.mark.parametrize("tag", [TAG_HYPERBOLIC, TAG_FLAT])

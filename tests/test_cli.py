@@ -722,6 +722,30 @@ def test_anomaly_spacing_overflow_names_the_spacing(tmp_path, capsys, tag, mesh,
     assert "(34," not in error["message"]
 
 
+@pytest.mark.parametrize("tag", ["hyperbolic_cylinder", "flat_cylinder"])
+@pytest.mark.parametrize("field", [
+    {"kind": "zero"},
+    {"kind": "constant", "value": 0.5},
+    {"kind": "theta_mode", "k": 2, "amplitude": 0.3},
+    {"kind": "log_sech_t"},
+    {"kind": "csv"},
+], ids=lambda field: field["kind"])
+def test_anomaly_mesh_too_large_to_allocate_is_a_value_error(tmp_path, capsys, tag, field):
+    # 10^9 x 10^9 nodes (8 EB) fail to allocate at once, overcommit or not,
+    # and the field is allocated before any 1-d profile of the mesh
+    if field["kind"] == "csv":
+        path = tmp_path / "huge.csv"
+        path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                        f"1000000000,1000000000,2.0,6.0,{tag}\n0.1,0.2\n")
+        field = {"kind": "csv", "path": str(path)}
+    mesh = {**ANOMALY_CONFIG["mesh"], "tag": tag, "n_t": 1e9, "n_theta": 1e9}
+    config = dict(ANOMALY_CONFIG, mesh=mesh, field=field)
+    assert main(["anomaly", "--config", write_config(tmp_path, config)]) == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert "a 1000000000 x 1000000000 field does not fit in memory" in error["message"]
+
+
 def test_field_file_without_parameter_line_is_a_value_error(tmp_path, capsys):
     path = tmp_path / "header_only.csv"
     path.write_text("n_t,n_theta,t_extent,circumference,tag\n", encoding="utf-8")

@@ -10,14 +10,23 @@ from corevol.mobius import (
     IsometryClass,
     IsometryError,
     Mobius,
-    chordal_distance,
     is_infinity,
 )
+from conftest import same_isometry
 
 DIAG = Mobius(2.0, 0.0, 0.0, 0.5)
 SYMM = lambda s: Mobius(math.cosh(s), math.sinh(s), math.sinh(s), math.cosh(s))
 
 entry = st.floats(min_value=-3.0, max_value=3.0)
+
+
+def chordal_distance(p, q) -> float:
+    """Metric on the boundary sphere that stays finite at infinity."""
+    if is_infinity(p) and is_infinity(q):
+        return 0.0
+    if is_infinity(p) or is_infinity(q):
+        return 1.0 / math.sqrt(1.0 + abs(q if is_infinity(p) else p) ** 2)
+    return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
 
 
 def random_elements(n, seed=0):
@@ -52,18 +61,18 @@ def test_negative_determinant_rejected_for_real():
 
 
 def test_negation_is_the_same_isometry():
-    assert Mobius(-2.0, 0.0, 0.0, -0.5).same_isometry(DIAG)
+    assert same_isometry(Mobius(-2.0, 0.0, 0.0, -0.5), DIAG)
 
 
 def test_compose_diagonal():
     sq = DIAG.compose(DIAG)
-    assert sq.same_isometry(Mobius(4.0, 0.0, 0.0, 0.25))
+    assert same_isometry(sq, Mobius(4.0, 0.0, 0.0, 0.25))
 
 
 def test_compose_identity_and_inverse():
     ident = Mobius.identity()
-    assert ident.compose(DIAG).same_isometry(DIAG)
-    assert DIAG.compose(DIAG.inverse()).same_isometry(ident)
+    assert same_isometry(ident.compose(DIAG), DIAG)
+    assert same_isometry(DIAG.compose(DIAG.inverse()), ident)
 
 
 def test_complex_entry_is_a_type_error():
@@ -132,40 +141,37 @@ def test_translation_length_of_square_doubles():
         if m.classify() is not IsometryClass.HYPERBOLIC:
             continue
         ell = m.translation_length()
-        assert (m @ m).translation_length() == pytest.approx(2.0 * ell, rel=1e-9)
+        assert m.compose(m).translation_length() == pytest.approx(2.0 * ell, rel=1e-9)
 
+
+# fixed points known in closed form (or, for random elements, the roots of
+# c z^2 + (d - a) z - b = 0) are fixed by the boundary action
 
 def test_fixed_points_diagonal():
-    att, rep = DIAG.fixed_points()
-    assert is_infinity(att) and rep == 0.0
+    assert DIAG(0.0) == 0.0
+    assert is_infinity(DIAG(INF))
 
 
 def test_fixed_points_symmetric():
-    att, rep = SYMM(1.0).fixed_points()
-    assert att == pytest.approx(1.0, abs=1e-12)
-    assert rep == pytest.approx(-1.0, abs=1e-12)
+    for z in (1.0, -1.0):
+        assert SYMM(1.0)(z) == pytest.approx(z, abs=1e-12)
 
 
 def test_fixed_points_equivariant_under_translation():
     shift = Mobius(1.0, 1.0, 0.0, 1.0)  # z -> z + 1
-    att, rep = DIAG.conjugated_by(shift).fixed_points()
-    assert is_infinity(att)
-    assert rep == pytest.approx(1.0, abs=1e-12)
+    conj = DIAG.conjugated_by(shift)
+    assert is_infinity(conj(INF))
+    assert conj(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fixed_points_are_fixed():
     for m in random_elements(200, seed=5):
         if m.classify() is not IsometryClass.HYPERBOLIC:
             continue
-        att, rep = m.fixed_points()
-        for p in (att, rep):
+        a, b, c, d = m.entries
+        root = math.sqrt((a - d) ** 2 + 4.0 * b * c)  # = sqrt(tr^2 - 4)
+        for p in (((a - d) + root) / (2.0 * c), ((a - d) - root) / (2.0 * c)):
             assert chordal_distance(m(p), p) <= 1e-9
-
-
-def test_fixed_points_reject_elliptic():
-    rot = Mobius(math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3))
-    with pytest.raises(IsometryError, match="elliptic"):
-        rot.fixed_points()
 
 
 def test_apply_identity():
@@ -198,8 +204,3 @@ def test_apply_is_group_action(x, p):
     right = m1(m2(p))
     assert chordal_distance(left, right) <= 1e-9
 
-
-def test_chordal_distance_at_infinity():
-    assert chordal_distance(INF, INF) == 0.0
-    assert chordal_distance(0.0, INF) == 1.0
-    assert chordal_distance(1e9, INF) <= 1e-9

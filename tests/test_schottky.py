@@ -26,7 +26,7 @@ from corevol.schottky import (
     word_mobius,
 )
 
-from conftest import make_cyclic, make_row_group
+from conftest import make_cyclic, make_row_group, same_isometry
 
 
 def word_count(g, n):
@@ -92,7 +92,7 @@ def test_validation_invariant_under_relabeling_and_inversion():
 def test_generator_from_axis_worked_example():
     mob, source, target = generator_from_axis(-1.0, 1.0, 2.0)
     expected = Mobius(math.cosh(1.0), math.sinh(1.0), math.sinh(1.0), math.cosh(1.0))
-    assert mob.same_isometry(expected, tol=1e-12)
+    assert same_isometry(mob, expected, tol=1e-12)
     assert source.center == pytest.approx(-math.cosh(1.0) / math.sinh(1.0))
     assert target.center == pytest.approx(math.cosh(1.0) / math.sinh(1.0))
     assert source.radius == pytest.approx(1.0 / math.sinh(1.0))
@@ -120,9 +120,12 @@ def test_generator_from_axis_always_pairs_validly(p, q, s):
     mob, source, target = generator_from_axis(p, q, s)
     group = validate(SchottkyData((source, target), (Pairing(0, 1, mob),)))
     assert group.genus == 1
-    att, rep = mob.fixed_points()
-    assert att == pytest.approx(q, abs=1e-8)
-    assert rep == pytest.approx(p, abs=1e-8)
+    # the axis runs from the repelling fixed point p to the attracting q:
+    # both are fixed, and the derivative 1/(c z + d)^2 is below 1 only at q
+    a, b, c, d = mob.entries
+    for z in (p, q):
+        assert mob(z) == pytest.approx(z, abs=1e-8)
+    assert abs(c * q + d) > 1.0 > abs(c * p + d)
 
 
 def test_pairing_from_circles_maps_circle_to_circle():
