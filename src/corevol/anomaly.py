@@ -15,7 +15,9 @@ second-order accurate.
 
 `anomaly_functionals` computes every report value in one sweep over
 cache-sized row blocks.  Each stencil is written once, as a private kernel
-over a range of t rows, and that sweep is its only caller.
+over a range of t rows, and that sweep is its only caller.  Every integral
+is one `math.fsum` over mesh rows of a row weight times the row's sum, so
+no report value depends on how the rows are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ class SurfaceMesh:
         return c
 
     @cached_property
-    def _weight_column(self) -> np.ndarray:
-        """Per-node area weights, shape (n_t, 1): they do not vary in theta."""
-        return (self._sqrt_det * self._t_weights * self.dt * self.dtheta)[:, None]
+    def _weights(self) -> np.ndarray:
+        """Per-row node area weights: they do not vary in theta."""
+        return self._sqrt_det * self._t_weights * self.dt * self.dtheta
 
     @property
     def analytic_area(self) -> float:
@@ -139,29 +141,12 @@ class SurfaceMesh:
     def constant(self, value: float) -> np.ndarray:
         return self._allocate(np.full, float(value))
 
-    def _check_field(self, u: np.ndarray) -> np.ndarray:
-        u = np.ascontiguousarray(u, dtype=float)
-        if u.shape != (self.n_t, self.n_theta):
-            raise ValueError(
-                f"field shape {u.shape} does not match mesh "
-                f"({self.n_t}, {self.n_theta})"
-            )
-        if not np.all(np.isfinite(u)):
-            raise ValueError("field has non-finite entries")
-        return u
 
-
-# Every stencil is one private kernel over the rows r0 .. r1 - 1 of a checked
-# field, and `anomaly_functionals` is its only caller, block by block with
+# Every stencil is one private kernel over the rows r0 .. r1 - 1 of a field,
+# and `anomaly_functionals` is its only caller, block by block with
 # block-sized work arrays.  A kernel writes each step into its work arrays
 # with `out=` and in-place ops, in the operation order of the plain
-# expression, and each sum it returns is the `.sum()` of a contiguous array.
-
-def _integrate(mesh: SurfaceMesh, f, r0: int, r1: int, out: np.ndarray) -> float:
-    """Sum of f times the node weights of rows r0 .. r1 - 1 into out, whose
-    shape they are: f is 1.0 (for the area) or those rows, and may be out."""
-    return float(np.multiply(f, mesh._weight_column[r0:r1], out=out).sum())
-
+# expression; the sweep takes each integrand's row sums from them.
 
 def _theta_step(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x[:, j + 1] - y[:, j] with j periodic, into out (all three C-contiguous):
@@ -170,27 +155,6 @@ def _theta_step(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.subtract(x.reshape(-1)[1:], y.reshape(-1)[:-1], out=out.reshape(-1)[:-1])
     np.subtract(x[:, 0], y[:, -1], out=out[:, -1])
     return out
-
-
-def _gradient_sums(mesh: SurfaceMesh, u: np.ndarray, r0: int, r1: int, work):
-    """The t and theta sums of int |grad u|^2 (staggered differences) before
-    the dt dtheta factor: the t sum over the midpoints r0 .. min(r1, n_t - 1)
-    - 1 (midpoint i lies between rows i and i + 1), the theta sum over the
-    rows r0 .. r1 - 1.  Each difference is taken once, into work[0]."""
-    d, prod = work[0], work[1]
-    m = min(r1, mesh.n_t - 1)
-    diff = np.subtract(u[r0 + 1:m + 1], u[r0:m], out=d[:m - r0])
-    np.divide(diff, mesh.dt, out=diff)
-    t_prod = np.multiply(mesh._sqrt_det_mid[r0:m, None], diff, out=prod[:m - r0])
-    t_prod *= diff
-    t_sum = float(t_prod.sum())
-    n = r1 - r0
-    diff = _theta_step(u[r0:r1], u[r0:r1], d[:n])
-    diff /= mesh.dtheta
-    coeff = (mesh._theta_coeff * mesh._t_weights)[r0:r1, None]
-    theta_prod = np.multiply(coeff, diff, out=prod[:n])
-    theta_prod *= diff
-    return t_sum, float(theta_prod.sum())
 
 
 def _boundary_operator(mesh: SurfaceMesh, v: np.ndarray):
@@ -204,18 +168,24 @@ def _boundary_operator(mesh: SurfaceMesh, v: np.ndarray):
     return b[0] * d2_bot + bp[0] * d1_bot, b[-1] * d2_top + bp[-1] * d1_top
 
 
-def _t_flux(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, work: np.ndarray) -> np.ndarray:
-    """sqrt(det) dv/dt on the t midpoints r0 .. r1 - 1, in the first r1 - r0 rows of work."""
-    flux = np.subtract(v[r0 + 1:r1 + 1], v[r0:r1], out=work[:r1 - r0])
-    flux *= mesh._sqrt_det_mid[r0:r1, None]
-    return np.divide(flux, mesh.dt, out=flux)
+def _t_diff(v: np.ndarray, j0: int, j1: int, work: np.ndarray) -> np.ndarray:
+    """v[j + 1] - v[j] on the t midpoints j0 .. j1 - 1, in the first j1 - j0 rows of work."""
+    return np.subtract(v[j0 + 1:j1 + 1], v[j0:j1], out=work[:j1 - j0])
+
+
+def _t_flux(mesh: SurfaceMesh, diff: np.ndarray, j0: int) -> np.ndarray:
+    """sqrt(det) dv/dt on the t midpoints from j0 on, in place over their
+    differences `diff` (from `_t_diff`)."""
+    diff *= mesh._sqrt_det_mid[j0:j0 + len(diff), None]
+    return np.divide(diff, mesh.dt, out=diff)
 
 
 def _laplacian(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, lam, work) -> np.ndarray:
     """Rows r0 .. r1 - 1 of the metric Laplace-Beltrami operator of v, in
-    work[0]; work[2] (the t fluxes) needs r1 - r0 + 1 rows.  Interior rows
-    are the conservative flux form; the boundary rows are the one-sided
-    closure `lam` (the boundary operator of v), which keeps the
+    work[0].  work[2] holds the `_t_diff` of v on the midpoints
+    max(r0, 1) - 1 .. min(r1, n_t - 1) - 1 and becomes their t fluxes.
+    Interior rows are the conservative flux form; the boundary rows are the
+    one-sided closure `lam` (the boundary operator of v), which keeps the
     summation-by-parts identity exact."""
     b, n_t, n = mesh._sqrt_det, mesh.n_t, r1 - r0
     out, second_theta = work[0][:n], work[1][:n]
@@ -232,7 +202,7 @@ def _laplacian(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, lam, work) ->
     second_theta /= mesh.dtheta ** 2
     # interior rows i0 .. i1 - 1 from the fluxes on the midpoints around them
     i0, i1 = max(r0, 1), min(r1, n_t - 1)
-    flux = _t_flux(mesh, v, i0 - 1, i1, work[2])
+    flux = _t_flux(mesh, work[2][:i1 - i0 + 1], i0 - 1)
     interior = np.subtract(flux[1:], flux[:-1], out=out[i0 - r0:i1 - r0])
     interior /= b[i0:i1, None] * mesh.dt
     if r0 == 0:
@@ -248,8 +218,8 @@ def _boundary_flux(mesh: SurfaceMesh, u: np.ndarray, lam) -> float:
     from its boundary operator `lam`."""
     dt, n_t = mesh.dt, mesh.n_t
     edges = np.empty((2, mesh.n_theta))
-    g_bot = _t_flux(mesh, u, 0, 1, edges[:1])[0] - 0.5 * dt * lam[0]
-    g_top = _t_flux(mesh, u, n_t - 2, n_t - 1, edges[1:])[0] + 0.5 * dt * lam[1]
+    g_bot = _t_flux(mesh, _t_diff(u, 0, 1, edges[:1]), 0)[0] - 0.5 * dt * lam[0]
+    g_top = _t_flux(mesh, _t_diff(u, n_t - 2, n_t - 1, edges[1:]), n_t - 2)[0] + 0.5 * dt * lam[1]
     return float((u[-1, :] * g_top - u[0, :] * g_bot).sum()) * mesh.dtheta
 
 
@@ -268,13 +238,26 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
 
     One sweep over blocks of max(2, BLOCK_NODES // n_theta) rows: each block
     runs every kernel on its rows in three block-sized work arrays (the
-    Laplacian, the residual and its max included), and each integral is the
-    `math.fsum` of the blocks' partial sums.  The Jensen value takes
-    E(u - c) = E(u) and int (u - c) = int u - c area, exact in real
-    arithmetic, so it needs no second pass.
+    Laplacian, the residual and its max included) and keeps each
+    integrand's row sums; each integral is then one `math.fsum` over rows
+    of row weight times row sum, so no value depends on BLOCK_NODES.  The
+    row sums of u, taken first, also check that the field is finite.  The
+    Jensen value takes E(u - c) = E(u) and int (u - c) = int u - c area,
+    exact in real arithmetic, so it needs no second pass.
     """
-    u = mesh._check_field(u)
-    n_t, n_theta = u.shape
+    u = np.ascontiguousarray(u, dtype=float)
+    n_t, n_theta = mesh.n_t, mesh.n_theta
+    if u.shape != (n_t, n_theta):
+        raise ValueError(f"field shape {u.shape} does not match mesh ({n_t}, {n_theta})")
+    # row sums of u, of the squared t differences (midpoint i in row i), of
+    # the squared theta differences, of u lap(u), exp(2u) and the residual squared
+    sums = np.zeros((6, n_t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u.sum(axis=1, out=sums[0])
+    if not np.isfinite(sums[0]).all():
+        if not all(np.isfinite(u[i]).all() for i in np.flatnonzero(~np.isfinite(sums[0]))):
+            raise ValueError("field has non-finite entries")
+        raise OverflowError("the row sums of the field overflow")
     rows = max(2, BLOCK_NODES // n_theta)
     # each work array starts on a 64-byte cache line (numpy promises 16 bytes):
     # stores 16 bytes off it ran the sweep 15-25% slower
@@ -284,27 +267,36 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     work = raw[:, start:start + size].reshape(3, -1, n_theta)
     lam = _boundary_operator(mesh, u)
     hyperbolic = mesh.tag == TAG_HYPERBOLIC
-    partials, block_max = [], []
+    block_max = []
     for r0 in range(0, n_t, rows):
         r1 = min(r0 + rows, n_t)
-        block, a, b = u[r0:r1], work[0][:r1 - r0], work[1][:r1 - r0]
-        area = _integrate(mesh, 1.0, r0, r1, a)
-        integral = _integrate(mesh, block, r0, r1, a)
-        t_sum, theta_sum = _gradient_sums(mesh, u, r0, r1, work)
+        i0, i1 = max(r0, 1), min(r1, n_t - 1)
+        block, b = u[r0:r1], work[1][:r1 - r0]
+        # the t differences of the midpoints i0 - 1 .. i1 - 1, for the energy
+        # (from midpoint r0 on) and then for the Laplacian's t fluxes
+        diff = _t_diff(u, i0 - 1, i1, work[2])[r0 - i0 + 1:]
+        np.multiply(diff, diff, out=b[:i1 - r0]).sum(axis=1, out=sums[1, r0:i1])
+        diff = _theta_step(block, block, b)
+        np.multiply(diff, diff, out=b).sum(axis=1, out=sums[2, r0:r1])
         lap = _laplacian(mesh, u, r0, r1, lam, work)
-        by_parts = _integrate(mesh, np.multiply(block, lap, out=b), r0, r1, b)
+        np.multiply(block, lap, out=b).sum(axis=1, out=sums[3, r0:r1])
         exp_2u = np.exp(np.multiply(block, 2.0, out=b), out=b)
-        exp_integral = _integrate(mesh, exp_2u, r0, r1, work[2][:r1 - r0]) if hyperbolic else 0.0
         residual = lap  # the Liouville residual, written over the Laplacian
         if hyperbolic:
+            exp_2u.sum(axis=1, out=sums[4, r0:r1])
             residual += 1.0
         np.subtract(residual, exp_2u, out=residual)
         block_max.append(float(np.abs(residual, out=b).max()))
-        square = _integrate(mesh, np.square(residual, out=b), r0, r1, b)
-        partials.append((area, integral, t_sum, theta_sum, by_parts, exp_integral, square))
-    area, integral, t_sum, theta_sum, by_parts, exp_integral, square = (
-        math.fsum(column) for column in zip(*partials))
-    energy = t_sum * mesh.dt * mesh.dtheta + theta_sum * mesh.dt * mesh.dtheta
+        np.square(residual, out=b).sum(axis=1, out=sums[5, r0:r1])
+    weights = mesh._weights
+    area = math.fsum((n_theta * weights).tolist())
+    integral, by_parts, exp_integral, square = (
+        math.fsum((weights * row_sums).tolist()) for row_sums in sums[[0, 3, 4, 5]])
+    # int |grad u|^2 = sum of sqrt(det) (du/dt)^2 + (sqrt(det) / g_thth) (du/dtheta)^2
+    # dt dtheta; array operations, so that a coefficient out of range is flagged
+    t_coeff = mesh._sqrt_det_mid * mesh.dtheta / mesh.dt
+    theta_coeff = mesh._theta_coeff * mesh._t_weights * mesh.dt / mesh.dtheta
+    energy = math.fsum((t_coeff * sums[1, :-1]).tolist() + (theta_coeff * sums[2]).tolist())
     curv = mesh.scalar_curvature * integral
     values = {"mesh.area": area, "gradient_energy": energy,
               "conformal_change_term": 0.25 * (energy + curv)}
@@ -326,7 +318,8 @@ def field_from_csv(path):
     `n_t,n_theta,t_extent,circumference,tag`, one line of those mesh
     parameters, then the node values row-major, one grid row per line.
     Each grid row is parsed straight into its row of the field array, so no
-    line is held beyond its own row.  Blank lines are skipped."""
+    line is held beyond its own row.  Blank lines are skipped.  The entries
+    are checked for finiteness by `anomaly_functionals`, not here."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, (line.strip() for line in fh))
         if next(lines, None) != "n_t,n_theta,t_extent,circumference,tag":
@@ -370,4 +363,4 @@ def field_from_csv(path):
             rows += 1
     if rows < mesh.n_t:
         raise ValueError(f"{path}: {rows} grid rows, not n_t = {mesh.n_t}")
-    return mesh, mesh._check_field(u)
+    return mesh, u

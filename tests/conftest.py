@@ -81,8 +81,9 @@ def same_isometry(m, n, tol=1e-9):
     return min(plus, minus) <= tol
 
 
-# Nodal anomaly quantities: each private kernel called once on one block of
-# all rows, as `anomaly_functionals` calls it on a mesh of one block.
+# Whole-mesh anomaly references: plain numpy over every node for the sums,
+# and the private Laplacian kernel on one block of all rows for the nodal
+# values, as `anomaly_functionals` calls it on a mesh of one block.
 
 def on_mesh(mesh, f):
     """f(t, theta) evaluated at every node."""
@@ -90,14 +91,25 @@ def on_mesh(mesh, f):
     return np.asarray(f(tt, hh), dtype=float)
 
 
+def node_weights(mesh):
+    """Area weight of each row's nodes: sqrt(det) times the trapezoid rule in
+    t and the periodic rule in theta."""
+    hyperbolic = mesh.tag == anomaly.TAG_HYPERBOLIC
+    weights = np.cosh(mesh.t) if hyperbolic else np.ones(mesh.n_t)
+    weights[[0, -1]] *= 0.5
+    return weights * mesh.dt * mesh.dtheta
+
+
 def integrate(mesh, f):
-    """Area integral of a nodal field, or of 1.0 for the area."""
-    return anomaly._integrate(mesh, f, 0, mesh.n_t, mesh.empty())
+    """Area integral of a nodal field, or of 1.0 for the area, as one sum."""
+    nodal = np.broadcast_to(f, (mesh.n_t, mesh.n_theta))
+    return float((nodal * node_weights(mesh)[:, None]).sum())
 
 
 def laplacian(mesh, u):
     lam = anomaly._boundary_operator(mesh, u)
     work = np.empty((3, mesh.n_t + 1, mesh.n_theta))
+    anomaly._t_diff(u, 0, mesh.n_t - 1, work[2])
     return anomaly._laplacian(mesh, u, 0, mesh.n_t, lam, work)
 
 

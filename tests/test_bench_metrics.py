@@ -1,11 +1,14 @@
 """The benchmark's traced per-layer metrics need the program names that
 perfbench/tracer.py wraps: a name the program drops takes its metrics out
 of the traced result line.  This pins the traced metric set to the
-`per_layer` list in BENCHMARK.json without running a workload."""
+`per_layer` list in BENCHMARK.json without running a workload, and runs one
+block of the anomaly workload through the benchmark's own checks."""
 
 import importlib
 import json
 from pathlib import Path
+
+from corevol.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +30,25 @@ def test_traced_metrics_are_the_declared_per_layer_set(monkeypatch):
     }
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert set(run.per_layer(result)) == {m["name"] for m in declared["per_layer"]}
+
+
+def test_one_block_of_anomaly_ops_passes_the_benchmark_checks(tmp_path, monkeypatch, capsys):
+    # the area bound, the integration-by-parts bound, the Jensen sign and the
+    # zero energy of constant fields, on every mesh size and field kind
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    csv_paths = {}
+    for n_t, tag in workloads.CSV_FIELDS:
+        path = tmp_path / f"field_{n_t}_{tag}.csv"
+        path.write_text(workloads.csv_field_text(workloads.csv_mesh(1, n_t, tag)),
+                        encoding="utf-8")
+        csv_paths[(n_t, tag)] = path
+    ops = workloads.anomaly_ops(1, csv_paths)[:len(workloads.ANOMALY_SLOTS)]
+    assert sorted(op["kind"] for op in ops) == sorted(
+        f"{n_t}x{n_t - 1}:{kind}" for n_t, _, kind in workloads.ANOMALY_SLOTS)
+    config = tmp_path / "op.json"
+    for op in ops:
+        config.write_text(json.dumps(op["config"]), encoding="utf-8")
+        assert main(["anomaly", "--config", str(config)]) == 0, op["kind"]
+        checks.check_anomaly(op, capsys.readouterr().out)

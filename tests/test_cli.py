@@ -778,3 +778,40 @@ def test_bad_field_file_rows_are_a_value_error(tmp_path, capsys, rows, fragment)
     assert error["kind"] == "value"
     assert fragment in error["message"]
     assert str(path) in error["message"]
+
+
+@pytest.mark.parametrize("entries", [["nan"], ["inf"], ["inf", "-inf"]],
+                         ids=["nan", "inf", "inf_and_minus_inf"])
+def test_non_finite_field_file_entry_is_a_value_error(tmp_path, capsys, entries):
+    # the entries sit inside one grid row; +inf and -inf together sum to nan
+    mesh = ANOMALY_CONFIG["mesh"]
+    rows = [["0.1"] * mesh["n_theta"] for _ in range(mesh["n_t"])]
+    rows[40][7:7 + len(entries)] = entries
+    path = tmp_path / "field.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                    f"{mesh['n_t']},{mesh['n_theta']},{mesh['t_extent']!r},"
+                    f"{mesh['circumference']!r},{mesh['tag']}\n"
+                    + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(path)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["anomaly", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    assert caught == []
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert error["message"] == "field has non-finite entries"
+
+
+@pytest.mark.parametrize("tag", ["hyperbolic_cylinder", "flat_cylinder"])
+def test_anomaly_finite_field_whose_sums_overflow_is_a_value_error(tmp_path, capsys, tag):
+    config = dict(ANOMALY_CONFIG, mesh={**ANOMALY_CONFIG["mesh"], "tag": tag},
+                  field={"kind": "constant", "value": 1e308})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["anomaly", "--config", write_config(tmp_path, config)])
+    assert code == 2
+    assert caught == []
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert "leave the float64 range" in error["message"]
