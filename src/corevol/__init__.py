@@ -11,7 +11,6 @@ from .schottky import (
     SchottkyData,
     SchottkyError,
     ValidatedGroup,
-    Word,
     cyclic_group,
     enumerate_words,
     generator_from_axis,

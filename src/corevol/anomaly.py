@@ -25,14 +25,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 TAG_HYPERBOLIC = "hyperbolic_cylinder"
 TAG_FLAT = "flat_cylinder"
 
-# the Liouville residual each tag carries, by its report name
-LIOUVILLE_VARIANT = {TAG_HYPERBOLIC: "hyperbolic_piece", TAG_FLAT: "flat_piece"}
+
+class _Metric(NamedTuple):
+    sqrt_det: Callable  # sqrt(det) of a t array
+    sqrt_det_slope: Callable  # its t-derivative
+    area_primitive: Callable  # its antiderivative from 0, of a float t
+    scalar_curvature: float  # Gauss curvature -1 doubles to -2; flat cylinders have 0
+    liouville_variant: str  # the Liouville residual the tag carries, by its report name
+
+
+# everything that depends on the metric tag
+_METRICS = {
+    TAG_HYPERBOLIC: _Metric(np.cosh, np.sinh, math.sinh, -2.0, "hyperbolic_piece"),
+    TAG_FLAT: _Metric(np.ones_like, np.zeros_like, float, 0.0, "flat_piece"),
+}
+
 
 @dataclass(frozen=True)
 class SurfaceMesh:
@@ -50,7 +64,7 @@ class SurfaceMesh:
     n_theta: int
 
     def __post_init__(self):
-        if self.tag not in (TAG_HYPERBOLIC, TAG_FLAT):
+        if self.tag not in _METRICS:
             raise ValueError(f"unknown metric tag {self.tag!r}")
         if self.n_t < 8 or self.n_theta < 4:
             raise ValueError("mesh needs n_t >= 8 and n_theta >= 4")
@@ -75,36 +89,24 @@ class SurfaceMesh:
 
     @property
     def scalar_curvature(self) -> float:
-        # Gauss curvature -1 doubles to scalar curvature -2 on the
-        # hyperbolic tag; flat cylinders are scalar-flat.
-        return -2.0 if self.tag == TAG_HYPERBOLIC else 0.0
+        return _METRICS[self.tag].scalar_curvature
 
     @cached_property
     def _sqrt_det(self) -> np.ndarray:
-        if self.tag == TAG_HYPERBOLIC:
-            return np.cosh(self.t)
-        return np.ones_like(self.t)
+        return _METRICS[self.tag].sqrt_det(self.t)
 
     @cached_property
     def _sqrt_det_mid(self) -> np.ndarray:
-        t_mid = self.t[:-1] + 0.5 * self.dt
-        if self.tag == TAG_HYPERBOLIC:
-            return np.cosh(t_mid)
-        return np.ones_like(t_mid)
+        return _METRICS[self.tag].sqrt_det(self.t[:-1] + 0.5 * self.dt)
 
     @cached_property
     def _sqrt_det_slope(self) -> np.ndarray:
-        # d/dt of sqrt(det), used by the one-sided boundary closure
-        if self.tag == TAG_HYPERBOLIC:
-            return np.sinh(self.t)
-        return np.zeros_like(self.t)
+        return _METRICS[self.tag].sqrt_det_slope(self.t)
 
     @cached_property
     def _theta_coeff(self) -> np.ndarray:
         # sqrt(det) / g_thth: 1/cosh(t) on the hyperbolic tag, 1 when flat
-        if self.tag == TAG_HYPERBOLIC:
-            return 1.0 / np.cosh(self.t)
-        return np.ones_like(self.t)
+        return 1.0 / self._sqrt_det
 
     @cached_property
     def _t_weights(self) -> np.ndarray:
@@ -119,9 +121,7 @@ class SurfaceMesh:
 
     @property
     def analytic_area(self) -> float:
-        if self.tag == TAG_HYPERBOLIC:
-            return 2.0 * self.circumference * math.sinh(self.t_extent)
-        return 2.0 * self.t_extent * self.circumference
+        return 2.0 * self.circumference * _METRICS[self.tag].area_primitive(self.t_extent)
 
     def _allocate(self, make, *args) -> np.ndarray:
         """Every field's allocation; too large a mesh is a ValueError."""
@@ -245,6 +245,11 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     Jensen value takes E(u - c) = E(u) and int (u - c) = int u - c area,
     exact in real arithmetic, so it needs no second pass.
     """
+    # the kernels divide by the squared spacings as Python float powers, whose
+    # OverflowError carries only an errno tuple
+    for name, step in (("t", mesh.dt), ("theta", mesh.dtheta)):
+        if math.isinf(step * step):
+            raise OverflowError(f"the square of the {name} spacing {step!r} overflows")
     u = np.ascontiguousarray(u, dtype=float)
     n_t, n_theta = mesh.n_t, mesh.n_theta
     if u.shape != (n_t, n_theta):
@@ -306,7 +311,7 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     defect = by_parts + energy - _boundary_flux(mesh, u, lam)
     return {
         **values,
-        "liouville.variant": LIOUVILLE_VARIANT[mesh.tag],
+        "liouville.variant": _METRICS[mesh.tag].liouville_variant,
         "liouville.residual_max": max(block_max),
         "liouville.residual_rms": math.sqrt(square / area),
         "integration_by_parts_defect": abs(defect),

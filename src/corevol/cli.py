@@ -45,6 +45,8 @@ DISCREPANCY_THRESHOLD = 1e-4
 # smallest epsilon_grid.min: the closed forms take eps ** -2 and sinh(2 lambda),
 # which overflow a double below about 1e-154
 EPS_FLOOR = 1e-150
+EPS_COUNT_MAX = 1024  # largest epsilon_grid.count, checked before the grid is allocated
+QUAD_TOL_CEILING = 1.0  # quadrature_tol must be below it: a relative error of 1 keeps no digit
 
 CONVENTIONS = {
     "paper": (Convention.PAPER,),
@@ -159,11 +161,15 @@ def parse_config(raw, where: str = "config") -> dict:
     if grid["min"] < EPS_FLOOR:
         raise ConfigError(f"{where}.epsilon_grid.min: must be at least {EPS_FLOOR!r}, "
                           f"got {grid['min']!r}")
-    if grid["count"] < 8:
-        raise ConfigError(f"{where}.epsilon_grid.count: need at least 8 for fitting")
+    if not 8 <= grid["count"] <= EPS_COUNT_MAX:
+        raise ConfigError(f"{where}.epsilon_grid.count: need at least 8 for fitting and "
+                          f"at most {EPS_COUNT_MAX}, got {grid['count']!r}")
     tol = _number(raw.get("quadrature_tol", 1e-9), f"{where}.quadrature_tol")
     if tol < QUAD_TOL_FLOOR:
         raise ConfigError(f"{where}.quadrature_tol: must be at least {QUAD_TOL_FLOOR!r}, "
+                          f"got {tol!r}")
+    if not tol < QUAD_TOL_CEILING:
+        raise ConfigError(f"{where}.quadrature_tol: must be below {QUAD_TOL_CEILING!r}, "
                           f"got {tol!r}")
     cfg = {
         "mode": mode,
@@ -215,11 +221,13 @@ def build_group(cfg: dict):
     return validate(SchottkyData(tuple(circles), tuple(pairings)))
 
 
-def _fmt(value) -> str:
+def _fmt(value, key: str) -> str:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"report value {key} = {value!r} leaves the float64 range")
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return ", ".join(_fmt(v) for v in value)
+        return ", ".join(_fmt(v, key) for v in value)
     return str(value)
 
 
@@ -229,7 +237,7 @@ class Report:
         self._warnings = 0
 
     def add(self, key: str, value):
-        self.lines.append((key, _fmt(value)))
+        self.lines.append((key, _fmt(value, key)))
 
     def warn(self, message: str):
         self._warnings += 1
@@ -246,7 +254,7 @@ def write_profile_csv(profile, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _emit(report: Report, args, csv_profiles=()) -> None:
+def _emit(report: Report, args, csv_profiles) -> None:
     # files first: if --out cannot be written, the JSON error is all that prints
     if args.out:
         out_dir = Path(args.out)
@@ -258,9 +266,12 @@ def _emit(report: Report, args, csv_profiles=()) -> None:
     sys.stdout.write(report.text())
 
 
-def _surface_summary(report: Report, group, surface):
-    report.add("group.genus_handlebody", surface.handlebody_genus)
+def _group_summary(report: Report, group):
+    report.add("group.genus_handlebody", group.genus)
     report.add("group.circles", len(group.circles))
+
+
+def _surface_summary(report: Report, surface):
     report.add("surface.ends", surface.ends)
     report.add("surface.genus", surface.genus)
     report.add("surface.end_lengths", list(surface.end_lengths))
@@ -268,50 +279,45 @@ def _surface_summary(report: Report, group, surface):
     report.add("surface.core_area", surface.core_area)
 
 
-def cmd_validate(cfg: dict, args) -> int:
+def _paper_vs_derived(report: Report, closed_v: dict, why: str):
+    if Convention.PAPER in closed_v and Convention.DERIVED in closed_v:
+        gap = abs(closed_v[Convention.PAPER] - closed_v[Convention.DERIVED])
+        report.add("discrepancy.paper_vs_derived.V", gap)
+        if gap > DISCREPANCY_THRESHOLD:
+            report.warn(f"{why}; paper and derived conventions disagree on V")
+
+
+def cmd_validate(cfg: dict, report: Report, csv: bool):
     group = build_group(cfg)
-    report = Report()
-    report.add("command", "validate")
-    report.add("name", cfg["name"])
     report.add("valid", "true")
-    report.add("group.genus_handlebody", group.genus)
-    report.add("group.circles", len(group.circles))
-    _emit(report, args)
-    return 0
+    _group_summary(report, group)
+    return ()
 
 
-def cmd_surface_info(cfg: dict, args) -> int:
+def cmd_surface_info(cfg: dict, report: Report, csv: bool):
     group = build_group(cfg)
-    surface = surface_invariants(group)
-    report = Report()
-    report.add("command", "surface-info")
-    report.add("name", cfg["name"])
-    _surface_summary(report, group, surface)
-    _emit(report, args)
-    return 0
+    _group_summary(report, group)
+    _surface_summary(report, surface_invariants(group))
+    return ()
 
 
-def cmd_renvol(cfg: dict, args) -> int:
+def cmd_renvol(cfg: dict, report: Report, csv: bool):
     group = build_group(cfg)
     surface = surface_invariants(group)
     conventions = CONVENTIONS[cfg["convention"]]
     grid = cfg["epsilon_grid"]
     eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
 
-    report = Report()
-    report.add("command", "renvol")
-    report.add("name", cfg["name"])
-    _surface_summary(report, group, surface)
+    _group_summary(report, group)
+    _surface_summary(report, surface)
     report.add("eps.min", grid["min"])
     report.add("eps.max", grid["max"])
     report.add("eps.count", grid["count"])
     report.add("quadrature.tol", cfg["quadrature_tol"])
 
     terms = surface_terms(surface)
-    closed_v = {}
-    for conv in conventions:
-        v = renormalized_volume(terms, conv)
-        closed_v[conv] = v
+    closed_v = {conv: renormalized_volume(terms, conv) for conv in conventions}
+    for conv, v in closed_v.items():
         report.add(f"closed.{conv.value}.V", v)
         report.add(f"closed.{conv.value}.vol_at_eps_max", closed_volume(terms, grid["max"], conv))
 
@@ -333,19 +339,11 @@ def cmd_renvol(cfg: dict, args) -> int:
                 f"fitted V differs from the {conv.value} closed form by {gap!r}; "
                 "the quadrature oracle does not support that convention's constants"
             )
-    if Convention.PAPER in closed_v and Convention.DERIVED in closed_v:
-        gap = abs(closed_v[Convention.PAPER] - closed_v[Convention.DERIVED])
-        report.add("discrepancy.paper_vs_derived.V", gap)
-        if gap > DISCREPANCY_THRESHOLD:
-            report.warn(
-                "printed end-cylinder coefficient is twice the induced-metric value; "
-                "paper and derived conventions disagree on V"
-            )
-    profiles = [quad_profile]
-    if args.csv:  # only the CSV files read the closed-form profiles
-        profiles = [closed_profile(terms, eps_grid, conv) for conv in conventions] + profiles
-    _emit(report, args, csv_profiles=profiles)
-    return 0
+    _paper_vs_derived(report, closed_v,
+                      "printed end-cylinder coefficient is twice the induced-metric value")
+    # only the CSV files read the closed-form profiles
+    closed = [closed_profile(terms, eps_grid, conv) for conv in conventions] if csv else []
+    return closed + [quad_profile]
 
 
 def _build_core(cfg: dict) -> PleatedCoreData:
@@ -357,15 +355,12 @@ def _build_core(cfg: dict) -> PleatedCoreData:
     return PleatedCoreData(cfg["core_volume"], leaves, boundary_area=0.0)
 
 
-def cmd_wedge(cfg: dict, args) -> int:
+def cmd_wedge(cfg: dict, report: Report, csv: bool):
     core = _build_core(cfg)
     conventions = CONVENTIONS[cfg["convention"]]
     grid = cfg["epsilon_grid"]
-    eps_check = float(math.sqrt(grid["min"] * grid["max"]))
+    eps_check = math.sqrt(grid["min"] * grid["max"])
 
-    report = Report()
-    report.add("command", "wedge")
-    report.add("name", cfg["name"])
     report.add("core.volume", core.core_volume)
     report.add("core.boundary_area", core.boundary_area)
     report.add("core.leaves", len(core.leaves))
@@ -375,16 +370,11 @@ def cmd_wedge(cfg: dict, args) -> int:
     report.add("quadrature.tol", cfg["quadrature_tol"])
 
     terms = core.terms
-    values = {}
-    for conv in conventions:
-        v = renormalized_volume(terms, conv, base=core.core_volume)
-        values[conv] = v
+    closed_v = {conv: renormalized_volume(terms, conv, base=core.core_volume)
+                for conv in conventions}
+    for conv, v in closed_v.items():
         report.add(f"closed.{conv.value}.V", v)
-    try:
-        quads, errs = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
-    except QuadratureError as exc:
-        leaf = exc.owner // 2
-        raise QuadratureError(f"leaf {leaf} at eps {eps_check!r}: {exc}", leaf) from None
+    quads, errs = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
     for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads.tolist(), errs.tolist())):
         wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
         derived = closed_volume(wedge, eps_check, Convention.DERIVED)
@@ -397,22 +387,14 @@ def cmd_wedge(cfg: dict, args) -> int:
                 f"leaf {i}: wedge quadrature disagrees with the derived closed "
                 f"form (relative gap {gap!r})"
             )
-    if Convention.PAPER in values and Convention.DERIVED in values:
-        gap = abs(values[Convention.PAPER] - values[Convention.DERIVED])
-        report.add("discrepancy.paper_vs_derived.V", gap)
-        if gap > DISCREPANCY_THRESHOLD:
-            report.warn(
-                "printed wedge profile uses a first power of eps where the squared "
-                "form is implied; paper and derived conventions disagree on V"
-            )
+    _paper_vs_derived(report, closed_v, "printed wedge profile uses a first power of eps "
+                      "where the squared form is implied")
     report.add("eps.check", eps_check)
-    profiles = []
-    if args.csv:  # only the CSV files read the profiles
-        eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
-        profiles = [closed_profile(terms, eps_grid, conv, base=core.core_volume)
-                    for conv in conventions]
-    _emit(report, args, csv_profiles=profiles)
-    return 0
+    if not csv:  # only the CSV files read the profiles
+        return ()
+    eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
+    return [closed_profile(terms, eps_grid, conv, base=core.core_volume)
+            for conv in conventions]
 
 
 def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
@@ -440,44 +422,31 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
     return u
 
 
-def _anomaly_report(cfg: dict) -> Report:
-    mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
-    # the kernels divide by the squared spacings as Python float powers, whose
-    # OverflowError carries only an errno tuple
-    for name, step in (("t", mesh.dt), ("theta", mesh.dtheta)):
-        if math.isinf(step * step):
-            raise OverflowError(f"the square of the {name} spacing {step!r} overflows")
-    values = anomaly_mod.anomaly_functionals(mesh, _build_field(mesh, cfg["field"]))
-
-    report = Report()
-    report.add("command", "anomaly")
-    report.add("name", cfg["name"])
-    report.add("mesh.tag", mesh.tag)
-    report.add("mesh.n_t", mesh.n_t)
-    report.add("mesh.n_theta", mesh.n_theta)
-    report.add("mesh.area", values.pop("mesh.area"))
-    report.add("mesh.analytic_area", mesh.analytic_area)
-    report.add("field.kind", cfg["field"]["kind"])
-    for key, value in values.items():
-        report.add(key, value)
-    return report
-
-
-def cmd_anomaly(cfg: dict, args) -> int:
+def cmd_anomaly(cfg: dict, report: Report, csv: bool):
     # a mesh or field extreme enough that a functional leaves the float64
     # range is a value error, not a report of inf or nan
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report = _anomaly_report(cfg)
+            mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
+            values = anomaly_mod.anomaly_functionals(mesh, _build_field(mesh, cfg["field"]))
+            report.add("mesh.tag", mesh.tag)
+            report.add("mesh.n_t", mesh.n_t)
+            report.add("mesh.n_theta", mesh.n_theta)
+            report.add("mesh.area", values.pop("mesh.area"))
+            report.add("mesh.analytic_area", mesh.analytic_area)
+            report.add("field.kind", cfg["field"]["kind"])
+            for key, value in values.items():
+                report.add(key, value)
     except ArithmeticError as exc:
         raise ValueError(
             f"the anomaly functionals leave the float64 range on this mesh and field ({exc})"
         ) from None
-    _emit(report, args)
-    return 0
+    return ()
 
 
-# command -> (handler, the config mode it needs)
+# command -> (handler, the config mode it needs); a handler takes (cfg, report,
+# csv), adds its lines to the report that `main` heads and emits, and returns
+# the profiles that --csv writes
 COMMANDS = {
     "validate": (cmd_validate, "fuchsian_group"),
     "surface-info": (cmd_surface_info, "fuchsian_group"),
@@ -557,7 +526,11 @@ def main(argv=None) -> int:
         command, mode = COMMANDS[args.command]
         if cfg["mode"] != mode:
             raise ConfigError(f"command needs mode {mode}, config has {cfg['mode']}")
-        return command(cfg, args)
+        report = Report()
+        report.add("command", args.command)
+        report.add("name", cfg["name"])
+        _emit(report, args, command(cfg, report, args.csv))
+        return 0
     except ConfigError as exc:
         print(_error_object("config", str(exc)))
         return 1

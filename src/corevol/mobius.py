@@ -99,8 +99,6 @@ class Mobius:
             return IsometryClass.PARABOLIC
         if t2 > 4.0:
             return IsometryClass.HYPERBOLIC
-        if t2 < -CLASSIFY_TOL:
-            return IsometryClass.HYPERBOLIC
         return IsometryClass.ELLIPTIC
 
     def translation_length(self) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 # adaptive_quad stays a name of this module: perfbench/tracer.py wraps
 # corevol.pleated.adaptive_quad, and its per-layer metrics need the name
-from .quadrature import adaptive_quad, adaptive_quad_batch  # noqa: F401
+from .quadrature import QuadratureError, adaptive_quad, adaptive_quad_batch  # noqa: F401
 from .renvol import (
     QUAD_TOL_FLOOR,
     Convention,
@@ -115,8 +115,8 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
     (theta = pi) two empty ones.  The engine refines and sums each interval
     on its own, so a leaf's value does not depend on the other leaves of
     the batch.  Returns (values, error estimates) as arrays in leaf order,
-    each scaled by its leaf's length; a QuadratureError's `owner` is an
-    interval, of leaf owner // 2.
+    each scaled by its leaf's length.  A QuadratureError names the failing
+    leaf and eps, and its `owner` is that leaf's index.
     """
     if tol < QUAD_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
@@ -153,7 +153,11 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
 
     a = np.column_stack([np.zeros(len(leaves)), u_kink]).ravel()
     b = np.column_stack([u_kink, end]).ravel()
-    pieces, errors = adaptive_quad_batch(column, a, b, rel_tol=tol)
+    try:
+        pieces, errors = adaptive_quad_batch(column, a, b, rel_tol=tol)
+    except QuadratureError as exc:
+        leaf = exc.owner // 2
+        raise QuadratureError(f"leaf {leaf} at eps {eps!r}: {exc}", leaf) from None
     values = length * (0.0 + pieces[0::2] + pieces[1::2])
     return values, length * (errors[0::2] + errors[1::2])
 

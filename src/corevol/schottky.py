@@ -215,27 +215,10 @@ def cyclic_group(p: float, q: float, length: float) -> SchottkyData:
     return SchottkyData(circles=(source, target), pairings=(Pairing(0, 1, g),))
 
 
-@dataclass(frozen=True)
-class Word:
-    """Reduced word in the generators: +i is generator i, -i its inverse (1-based)."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        for x in self.letters:
-            if x == 0:
-                raise ValueError("word letters are nonzero signed generator indices")
-        for x, y in zip(self.letters, self.letters[1:]):
-            if x == -y:
-                raise ValueError(f"word {self.letters} is not reduced")
-
-    def __len__(self):
-        return len(self.letters)
-
-
 # enumerate_words and word_mobius stay public: perfbench/tracer.py counts words through them
-def enumerate_words(group: ValidatedGroup, max_len: int) -> list[Word]:
-    """All reduced words of length <= max_len, each exactly once.
+def enumerate_words(group: ValidatedGroup, max_len: int) -> list[tuple[int, ...]]:
+    """All reduced words of length <= max_len, each exactly once, as tuples of
+    letters: +i is generator i, -i its inverse (1-based).
 
     The count is 1 + sum_{k=1..max_len} 2g (2g-1)^(k-1).
     """
@@ -245,7 +228,7 @@ def enumerate_words(group: ValidatedGroup, max_len: int) -> list[Word]:
     alphabet = []
     for i in range(1, g + 1):
         alphabet.extend((i, -i))
-    words = [Word(())]
+    words = [()]
     frontier = [()]
     for _ in range(max_len):
         nxt = []
@@ -254,7 +237,7 @@ def enumerate_words(group: ValidatedGroup, max_len: int) -> list[Word]:
                 if w and w[-1] == -x:
                     continue
                 nxt.append(w + (x,))
-        words.extend(Word(w) for w in nxt)
+        words.extend(nxt)
         frontier = nxt
     return words
 
@@ -264,10 +247,10 @@ def letter_mobius(group: ValidatedGroup, letter: int) -> Mobius:
     return pairing.map if letter > 0 else pairing.map.inverse()
 
 
-def word_mobius(group: ValidatedGroup, word: Word) -> Mobius:
+def word_mobius(group: ValidatedGroup, word: tuple[int, ...]) -> Mobius:
     """Product of the letters in written order (leading letter applied last)."""
     out = Mobius.identity()
-    for letter in word.letters:
+    for letter in word:
         out = out.compose(letter_mobius(group, letter))
     return out
 

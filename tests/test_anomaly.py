@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import integrate, laplacian, liouville_residual, on_mesh
 from corevol import anomaly
 from corevol.anomaly import (
-    LIOUVILLE_VARIANT,
     TAG_FLAT,
     TAG_HYPERBOLIC,
     SurfaceMesh,
@@ -431,7 +430,8 @@ def composed_report_values(mesh, u):
         shift = 0.5 * math.log(integrate(mesh, np.exp(2.0 * u)) / area)
         values["jensen_energy_normalized"] = energy - 2.0 * (integral - shift * area)
     residual = liouville_residual(mesh, u)
-    values["liouville.variant"] = LIOUVILLE_VARIANT[mesh.tag]
+    values["liouville.variant"] = {TAG_HYPERBOLIC: "hyperbolic_piece",
+                                   TAG_FLAT: "flat_piece"}[mesh.tag]
     values["liouville.residual_max"] = float(np.abs(residual).max())
     values["liouville.residual_rms"] = math.sqrt(integrate(mesh, residual ** 2) / area)
     values["integration_by_parts_defect"] = abs(

@@ -1,16 +1,66 @@
 """The benchmark's traced per-layer metrics need the program names that
 perfbench/tracer.py wraps: a name the program drops takes its metrics out
 of the traced result line.  This pins the traced metric set to the
-`per_layer` list in BENCHMARK.json without running a workload, and runs one
-block of the anomaly workload through the benchmark's own checks."""
+`per_layer` list in BENCHMARK.json without running a workload, pins the
+names the tracer finds missing, checks that traced CLI runs reach every
+wrapped layer, and runs one block of the anomaly workload through the
+benchmark's own checks."""
 
 import importlib
 import json
+import math
 from pathlib import Path
 
+from corevol import cli
 from corevol.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the tracer targets the program no longer has; a name that joins this list
+# silently takes its per-layer metrics out of the benchmark
+ABSENT = [
+    "corevol.cli.pleated_profile",
+    "corevol.renvol.adaptive_quad",
+    "corevol.anomaly.laplacian",
+    "corevol.anomaly.gradient_form",
+    "corevol.anomaly.integrate",
+    "corevol.anomaly.normalize_area",
+    "corevol.anomaly.liouville_residual",
+    "corevol.anomaly.boundary_flux",
+    "corevol.anomaly.jensen_energy",
+    "corevol.anomaly:SurfaceMesh.from_function",
+]
+
+
+def _tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("tracer").Tracer()
+
+
+def test_tracer_finds_every_name_but_the_pinned_absent_ones(monkeypatch):
+    assert _tracer(monkeypatch).absent == ABSENT
+
+
+def test_traced_cli_runs_reach_every_wrapped_layer(tmp_path, monkeypatch, capsys):
+    group = {"mode": "fuchsian_group", "name": "btz",
+             "generators": [{"p": -1.0, "q": 1.0, "length": 2.0}],
+             "epsilon_grid": {"min": 1e-3, "max": 0.3, "count": 8}}
+    core = {"mode": "pleated_core", "name": "one_leaf", "core_volume": 5.0,
+            "leaves": [{"length": 2.0, "theta": math.pi / 2.0}], "boundary_genus": 2}
+    tracer = _tracer(monkeypatch)
+    tracer.install()
+    try:
+        for command, config in [("validate", group), ("renvol", group), ("wedge", core)]:
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            # through the module, where the tracer's wrapper of main is
+            assert cli.main([command, "--config", str(path)]) == 0, command
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in ("main", "parse_config", "validate", "surface_invariants",
+                 "profile_quadrature", "fit_expansion", "wedge_volume_quadrature"):
+        assert tracer.calls[name] >= 1, name
 
 
 def test_traced_metrics_are_the_declared_per_layer_set(monkeypatch):

@@ -618,6 +618,57 @@ def test_quadrature_tol_below_floor_is_a_config_error(tmp_path, capsys, command,
     assert "quadrature_tol: must be at least 1e-10" in error["message"]
 
 
+LARGEST = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("command, config, flags, code, kind, fragment", [
+    # a leaf this long makes both closed-form V's -inf before the oracle runs
+    ("wedge", dict(WEDGE_CONFIG, leaves=[{"length": LARGEST, "theta": math.pi / 2.0}]), [],
+     2, "value", "report value closed.paper.V = -inf leaves the float64 range"),
+    # an integral float passes as a genus, and 4 pi (g - 1) overflows
+    ("wedge", dict(WEDGE_CONFIG, boundary_genus=LARGEST), [],
+     2, "value", "report value core.boundary_area = inf leaves the float64 range"),
+    ("renvol", BTZ_CONFIG, ["--quad-tol", repr(LARGEST)],
+     1, "config", "config.quadrature_tol: must be below 1.0, got 1.7976931348623157e+308"),
+    # 2^53 levels would ask numpy for a 64 PiB grid
+    ("renvol", BTZ_CONFIG, ["--eps-count", str(2 ** 53)],
+     1, "config", "config.epsilon_grid.count: need at least 8 for fitting and at most 1024, "
+                  "got 9007199254740992"),
+], ids=["leaf_length", "boundary_genus", "quad_tol", "eps_count"])
+def test_extreme_config_ends_in_one_error_line(tmp_path, capsys, command, config, flags,
+                                               code, kind, fragment):
+    # no report with inf or nan, no warning (the suite makes warnings errors)
+    # and no traceback: one JSON error line and nothing on stderr
+    assert main([command, "--config", write_config(tmp_path, config), *flags]) == code
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("\n") == 1
+    error = json.loads(out.out)["error"]
+    assert error["kind"] == kind
+    assert fragment in error["message"]
+
+
+@pytest.mark.parametrize("tol", [0.5, math.nextafter(1.0, 0.0)])
+def test_quadrature_tol_below_one_is_accepted(tmp_path, capsys, tol):
+    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
+                 "--quad-tol", repr(tol), "--echo-config"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["quadrature_tol"] == tol
+
+
+@pytest.mark.parametrize("count, code", [(1024, 0), (1025, 1)])
+def test_eps_count_limit(tmp_path, capsys, count, code):
+    assert main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
+                 "--eps-count", str(count), "--echo-config"]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, [1.0, math.nan]])
+def test_report_rejects_non_finite_values_by_key(value):
+    with pytest.raises(ValueError, match="report value surface.end_lengths = .* leaves"):
+        cli.Report().add("surface.end_lengths", value)
+
+
 def test_quadrature_tol_at_floor_is_accepted(tmp_path, capsys):
     code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
                  "--quad-tol", "1e-10", "--echo-config"])
