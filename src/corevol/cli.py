@@ -549,6 +549,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(_error_object("value", str(exc)))
         return 2
+    except MemoryError as exc:
+        print(_error_object("value", f"out of memory: {exc}" if str(exc) else "out of memory"))
+        return 2
 
 
 if __name__ == "__main__":

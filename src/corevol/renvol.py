@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad_batch
+from .quadrature import QuadratureError, adaptive_quad_batch, cosh_power_quad_batch
 from .surface import SurfaceInfo
 
 
@@ -121,12 +121,24 @@ _libm_cosh = np.frompyfunc(math.cosh, 1, 1)
 _libm_acosh = np.frompyfunc(math.acosh, 1, 1)
 
 
+# Equal first cells of each level's outer s interval.  Across lam 1.2-9.2
+# at tol 1e-8 and 1e-9, one first cell never met the tolerance and the
+# final partitions had 2-4 cells.  On the first 40 renvol_sweep ops (seed
+# 1), three first cells took the outer passes per op from 2.9 to 1.2 and
+# the outer cells evaluated from 48.5 to 36.4.  The wedge keeps the
+# default one: with three, its integrand calls per op fell from 2.37 to
+# 1.22 on the first 60 wedge_leaves ops, but at theta = pi/3 its |K - G|
+# estimate on the unsplit cells fell below the rounding of the sum and no
+# longer bounded the 50-digit error (3 of the 15 wedge cases at tol 1e-8).
+_OUTER_FIRST_CELLS = 3
+
+
 def _end_cylinder_integrals(lams, rel_tol: float):
     """Volume over one unit-length end at each level lams[k]: integral of
     cosh^2(r) cosh(t) over {cosh r cosh t <= cosh lam, t >= 0}.  One batched
-    quadrature in r covers all levels; its integrand is one batched
-    quadrature in t for all of its r nodes.  Returns (values, error
-    estimates) as arrays.
+    adaptive quadrature in r covers all levels; its integrand is one
+    certified one-pass quadrature of cosh t for all of its r nodes.
+    Returns (values, error estimates) as arrays.
 
     The region is symmetric under r -> -r, so r runs over [0, lam] only,
     as r = lam s (2 - s) with s in [0, 1]: the height t_max = acosh(cosh lam
@@ -139,15 +151,15 @@ def _end_cylinder_integrals(lams, rel_tol: float):
         cosh_r = _libm_cosh(lam * s * (2.0 - s)).astype(float)
         t_max = _libm_acosh(np.maximum(cosh_lam[k] / cosh_r, 1.0)).astype(float)
         try:
-            inner, _ = adaptive_quad_batch(lambda t, j: np.cosh(t), 0.0, t_max,
-                                           rel_tol=rel_tol / 8.0)
+            inner, _ = cosh_power_quad_batch(0.0, t_max, 1, rel_tol=rel_tol / 8.0)
         except QuadratureError as exc:
             exc.owner = int(k[exc.owner])  # from the node to its level
             raise
         return np.float_power(cosh_r, 2) * inner * (2.0 * lam * (1.0 - s))
 
     halves, errors = adaptive_quad_batch(cross_section, 0.0, np.ones(lams.size),
-                                         rel_tol=rel_tol / 2.0)
+                                         rel_tol=rel_tol / 2.0,
+                                         first_cells=_OUTER_FIRST_CELLS)
     values = 2.0 * halves
     return values, 2.0 * errors + np.abs(values) * rel_tol / 8.0
 
@@ -166,9 +178,7 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
     integral = "core slab"
     try:
         if surface.core_area != 0.0:
-            slabs, slab_errs = adaptive_quad_batch(
-                lambda r, k: np.cosh(r) ** 2, 0.0, lams, rel_tol=tol / 4.0
-            )
+            slabs, slab_errs = cosh_power_quad_batch(0.0, lams, 2, rel_tol=tol / 4.0)
             totals += 2.0 * surface.core_area * slabs
             errs += 2.0 * surface.core_area * slab_errs
         integral = "end cylinder"

@@ -696,6 +696,21 @@ def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
     assert "not met" in error["message"]
 
 
+@pytest.mark.parametrize("command, config", [("validate", BTZ_CONFIG), ("renvol", BTZ_CONFIG),
+                                             ("wedge", WEDGE_CONFIG)])
+@pytest.mark.parametrize("message", ["", "Unable to allocate 64.0 PiB"])
+def test_memory_error_in_any_command_is_a_value_error(tmp_path, capsys, monkeypatch,
+                                                      command, config, message):
+    def exhausted(cfg, report, csv):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(COMMANDS, command, (exhausted, COMMANDS[command][1]))
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "value"
+    assert error["message"] == ("out of memory: " + message if message else "out of memory")
+
+
 def test_missing_field_file_is_an_io_error(tmp_path, capsys):
     config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(tmp_path / "none.csv")})
     code = main(["anomaly", "--config", write_config(tmp_path, config)])

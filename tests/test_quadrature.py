@@ -13,7 +13,8 @@ from scipy import integrate as scipy_integrate
 import corevol
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
-from corevol.quadrature import QuadratureError, adaptive_quad, adaptive_quad_batch
+from corevol.quadrature import (QuadratureError, adaptive_quad, adaptive_quad_batch,
+                                cosh_power_quad_batch)
 from corevol.renvol import _end_cylinder_integrals, level_lambda
 
 
@@ -175,6 +176,66 @@ def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
     assert (values[0], errors[0]) == (6.0, 0.0)
 
 
+# ------------------------------------------------------- qk15 constants
+
+@pytest.mark.parametrize("weights", ["_WGK", "_WG"])
+def test_each_weight_set_sums_to_two(weights):
+    # a constant cut to 15 digits leaves the Kronrod sum 6e-15 short
+    total = math.fsum(getattr(quadrature, weights).tolist())
+    assert abs(total - 2.0) <= 2.0 * math.ulp(2.0)
+
+
+def test_rules_are_exact_to_their_degree():
+    x = [mpmath.mpf(v) for v in quadrature._XGK.tolist()]
+    for weights, nodes, degree in [(quadrature._WGK, x, 22), (quadrature._WG, x[1::2], 13)]:
+        for d in range(degree + 1):
+            rule = mpmath.fsum(mpmath.mpf(w) * v ** d for w, v in zip(weights.tolist(), nodes))
+            exact = mpmath.mpf(2) / (d + 1) if d % 2 == 0 else 0
+            assert abs(rule - exact) <= 4e-16, (len(nodes), d)
+
+
+# ------------------------------------------ certified one-pass cosh^p rule
+
+def _cosh_power_integral(a, b, power):
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    if power == 1:
+        return mpmath.sinh(b) - mpmath.sinh(a)
+    return (b - a) / 2 + (mpmath.sinh(2 * b) - mpmath.sinh(2 * a)) / 4
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-9, 3e-8, 1e-6])
+def test_certified_bound_covers_the_true_error(power, rel_tol):
+    # levels lam in [0.5, 28]; intervals from 0 (the slab and inner
+    # integrals), inside the level, and straddling 0
+    lams = np.array([0.5, 1.2, 3.7, 4.9, 9.2, 9.3, 13.8, 20.0, 27.6, 28.0])
+    a = np.concatenate([np.zeros(lams.size), 0.5 * lams, -lams / 3.0, -lams])
+    b = np.concatenate([lams, lams, lams, 0.7 * lams])
+    values, bounds = cosh_power_quad_batch(a, b, power, rel_tol=rel_tol)
+    with mpmath.workdps(50):
+        for k in range(a.size):
+            exact = _cosh_power_integral(a[k], b[k], power)
+            assert abs(values[k] - exact) <= bounds[k], (a[k], b[k])
+    assert np.all(bounds <= (rel_tol + 1e-12) * values)
+
+
+def test_certified_partition_widths(monkeypatch):
+    # the widest cell that meets the oracle's inner (cosh, tol 1e-9 / 16)
+    # and slab (cosh^2, tol 1e-9 / 4) tolerances is 9.247 and 4.855 wide;
+    # every cell of the batch is evaluated in one call
+    calls = []
+    eval_cells = quadrature._eval_cells
+
+    def counted(f, cells):
+        calls.append(np.bincount(cells[2].astype(np.intp)).tolist())
+        return eval_cells(f, cells)
+
+    monkeypatch.setattr(quadrature, "_eval_cells", counted)
+    cosh_power_quad_batch(0.0, [9.24, 9.25, 0.0, 18.5], 1, rel_tol=1e-9 / 16.0)
+    cosh_power_quad_batch(0.0, [4.85, 4.86, 9.71, 9.72], 2, rel_tol=1e-9 / 4.0)
+    assert calls == [[1, 2, 0, 3], [1, 2, 2, 3]]
+
+
 # ------------------------------------------- oracles against 50-digit values
 
 END_CYLINDER_EPS = (0.3, 0.05, 1e-2, 1e-3, 1e-4)
@@ -206,7 +267,7 @@ def test_end_cylinder_integral_is_exact_to_roundoff(lam):
     with mpmath.workdps(50):
         exact = mpmath.pi / 2 * mpmath.sinh(mpmath.mpf(lam)) ** 2
     values, _ = _end_cylinder_integrals(np.array([lam]), 1e-8)
-    assert abs(values[0] - exact) <= 1e-12 * exact
+    assert abs(values[0] - exact) <= 2e-15 * exact
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 3.0, math.pi / 2.0,

@@ -280,11 +280,18 @@ README_GENUS2 = {
 
 
 def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
-    # one cell stops genus 1's inner t integral and two its outer one (the
-    # end cylinder converges within 3 cells); genus 2 stops in its core slab
-    for config, cells, integral in [(README_GENUS1, 1, "end cylinder"),
-                                    (README_GENUS1, 2, "end cylinder"),
-                                    (README_GENUS2, 2, "core slab")]:
+    # one cell stops genus 1's adaptive outer s integral and two still do
+    # (it converges within its 3 first cells); down to eps 1e-6 one cell
+    # stops its certified inner t partition, which needs 2 cells past
+    # t = 9.24, and genus 2 stops in its certified core slab, 2 cells past
+    # lam = 4.86
+    deep = dict(README_GENUS1, epsilon_grid={"min": 1e-6, "max": 0.3, "count": 12})
+    for config, cells, integral, why in [
+        (README_GENUS1, 1, "end cylinder", "(error estimate "),
+        (README_GENUS1, 2, "end cylinder", "(error estimate "),
+        (deep, 1, "end cylinder", "(the certified partition needs 2)"),
+        (README_GENUS2, 1, "core slab", "(the certified partition needs 2)"),
+    ]:
         monkeypatch.setattr(quadrature, "MAX_CELLS", cells)
         path = tmp_path / "group.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -295,13 +302,14 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
         assert error["kind"] == "quadrature"
         message = error["message"]
         assert f"not met within {cells} cells on [0.0, " in message
+        assert why in message
         named, eps = message.split(": ")[0].split(" at eps ")
         assert named == integral
         cfg = parse_config(config)
         grid = cfg["epsilon_grid"]
         assert float(eps) in default_eps_grid(grid["min"], grid["max"], grid["count"])
-        # intervals refine independently of their batch, so the level named
-        # fails alone with the same message
+        # intervals are partitioned independently of their batch, so the
+        # level named fails alone with the same message
         surface = surface_invariants(build_group(cfg))
         with pytest.raises(QuadratureError) as alone:
             truncated_volume_quadrature(surface, float(eps), cfg["quadrature_tol"])
@@ -311,9 +319,47 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
 def test_tolerance_error_names_the_eps(monkeypatch, surface_s1):
     # the per-level check after both integrals names the level it rejects
     monkeypatch.setattr(renvol, "adaptive_quad_batch",
-                        lambda f, a, b, rel_tol: (np.ones(np.size(b)), np.ones(np.size(b))))
+                        lambda f, a, b, rel_tol, first_cells:
+                        (np.ones(np.size(b)), np.ones(np.size(b))))
     with pytest.raises(QuadratureError, match=r"exceeds tolerance .* at eps 0\.25$"):
         truncated_volume_quadrature(surface_s1, 0.25)
+
+
+def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
+    # README genus 2: the core slab is one call, the outer s integral at
+    # most two refinement passes, and the inner t integral one call inside
+    # each outer pass; the sequence of calls repeats exactly
+    calls, depth = [], [0]
+    eval_cells = quadrature._eval_cells
+
+    def counted(f, cells):
+        calls.append((depth[0], f.__name__, cells.shape[1]))
+        depth[0] += 1
+        try:
+            return eval_cells(f, cells)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(quadrature, "_eval_cells", counted)
+    cfg = parse_config(README_GENUS2)
+    surface = surface_invariants(build_group(cfg))
+    grid = cfg["epsilon_grid"]
+    eps = default_eps_grid(grid["min"], grid["max"], grid["count"])
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        profile_quadrature(surface, eps, cfg["quadrature_tol"])
+        runs.append(list(calls))
+    assert runs[0] == runs[1]
+    slab, *rest = runs[0]
+    assert slab[:2] == (0, "<lambda>")
+    outer = [c for c in rest if c[:2] == (0, "cross_section")]
+    inner = [c for c in rest if c[0] == 1]
+    assert 1 <= len(outer) <= 2
+    assert len(inner) == len(outer) and len(outer) + len(inner) == len(rest)
+    # the inner call covers every node of its outer pass, one cell each
+    # while every t_max stays below 9.24
+    assert [c[2] for c in inner] == [15 * c[2] for c in outer]
 
 
 def test_coarea_identity(surface_s1, surface_adjacent):
