@@ -176,18 +176,17 @@ def _uniform_cells(a, b, counts):
     return np.array([lefts, rights, owner.astype(float)])
 
 
-def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9, first_cells: int = 1):
+def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9):
     """Integrate f over every interval [a[k], b[k]] in one refinement loop.
 
     f(x, k) receives a node array and, in the same shape, the index of the
-    interval each node belongs to.  Each interval starts as `first_cells`
-    equal cells (at most MAX_CELLS) and stops once its error estimate is below
-    rel_tol * |its integral|, within its own budget of MAX_CELLS cells.  a
-    and b broadcast; zero-width intervals integrate to 0.  Returns (values,
-    error_estimates) as arrays.
+    interval each node belongs to.  Each interval starts as one cell and
+    stops once its error estimate is below rel_tol * |its integral|, within
+    its own budget of MAX_CELLS cells.  a and b broadcast; zero-width
+    intervals integrate to 0.  Returns (values, error_estimates) as arrays.
     """
     a, b = _bounds(a, b)
-    return _refine(f, _uniform_cells(a, b, min(first_cells, MAX_CELLS)), a.size, rel_tol)
+    return _refine(f, _uniform_cells(a, b, 1), a.size, rel_tol)
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53

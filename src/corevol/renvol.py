@@ -10,9 +10,12 @@ conventions are carried side by side: "paper" reproduces the closed forms
 as printed in the source derivation this toolkit follows, while "derived"
 uses the antiderivative forms consistent with the induced level-set metric;
 the two disagree by a factor of two in the end-cylinder term, so the
-quadrature oracle here is the arbiter and every report prints both.  Every
-closed form, Fuchsian and pleated, is a row of the one table CLOSED_FORMS,
-and no formula branches on the convention.
+quadrature oracle here is the arbiter and every report prints both.  It
+integrates cosh^2 over the slab above the two core copies and, per end, the
+half-disk slice of the tube around it: the theta = 0 sector that the
+pleated wedge oracle integrates too.  Every closed form, Fuchsian and
+pleated, is a row of the one table CLOSED_FORMS, and no formula branches
+on the convention.
 """
 
 from __future__ import annotations
@@ -115,53 +118,61 @@ def renormalized_volume(terms, convention: Convention, base: float = 0.0) -> flo
     return v
 
 
-# libm's cosh and acosh, elementwise: numpy's own differ from them in the
-# last ulp at some nodes, which would move the fitted coefficients' last digits
-_libm_cosh = np.frompyfunc(math.cosh, 1, 1)
-_libm_acosh = np.frompyfunc(math.acosh, 1, 1)
+def _sector_areas(radii, thetas, rel_tol: float):
+    """Areas of the disk sectors {x >= 0, y <= tan(pi/2 - theta) x} of width
+    pi - theta and radius R, per (R, theta) of radii and thetas: the slices
+    of pleated wedges and, at theta = 0, of the tubes around Fuchsian ends.
 
+    Each column x has the y-width min(slope x, arc) + arc.  x runs up to
+    x_max = R when theta <= pi/2, where the arc sqrt(R^2 - x^2) vanishes
+    like sqrt(R - x), and otherwise up to the kink x = R sin(theta), where
+    the edge ray meets the arc.  The columns are integrated in u in [0, 1]
+    with x = x_max u (2 - u), which makes the square-root endpoint smooth,
+    times the Jacobian 2 x_max (1 - u); the kink, at u = 1 - sqrt(1 -
+    sin(theta)) when theta <= pi/2, splits [0, 1] in two.  One
+    adaptive_quad_batch call integrates every sector: sector k owns
+    intervals 2k = [0, u_kink] and 2k + 1 = [u_kink, 1], each refined on
+    its own, so an area does not depend on the rest of the batch.  Returns
+    (areas, error estimates); a QuadratureError's `owner` is the sector.
+    """
+    count = len(radii)
+    # a flat sector keeps u_kink = end = 0: two empty intervals
+    radius, x_max, slope, u_kink, end = (np.zeros(count) for _ in range(5))
+    edge = np.zeros(count, dtype=bool)
+    for i, (r, theta) in enumerate(zip(radii, thetas)):
+        radius[i] = r
+        if theta == math.pi:
+            continue
+        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        below_right_angle = theta <= math.pi / 2.0
+        x_max[i] = r if below_right_angle else r * sin_t
+        u_kink[i] = 1.0 - math.sqrt(1.0 - sin_t) if below_right_angle else 1.0
+        end[i] = 1.0
+        # upper sector edge y = slope * x; the half-disk at theta = 0 has
+        # none, and `column` picks the arc there (slope 0 keeps inf * 0 out)
+        edge[i] = sin_t > 0.0
+        slope[i] = cos_t / sin_t if edge[i] else 0.0
 
-# Equal first cells of each level's outer s interval.  Across lam 1.2-9.2
-# at tol 1e-8 and 1e-9, one first cell never met the tolerance and the
-# final partitions had 2-4 cells.  On the first 40 renvol_sweep ops (seed
-# 1), three first cells took the outer passes per op from 2.9 to 1.2 and
-# the outer cells evaluated from 48.5 to 36.4.  The wedge keeps the
-# default one: with three, its integrand calls per op fell from 2.37 to
-# 1.22 on the first 60 wedge_leaves ops, but at theta = pi/3 its |K - G|
-# estimate on the unsplit cells fell below the rounding of the sum and no
-# longer bounded the 50-digit error (3 of the 15 wedge cases at tol 1e-8).
-_OUTER_FIRST_CELLS = 3
+    def column(u, k):
+        sector = k // 2
+        r, x_end = radius[sector], x_max[sector]
+        x = x_end * u * (2.0 - u)
+        arc = np.sqrt(np.clip(r * r - x ** 2, 0.0, None))
+        # slope * x can overflow for a theta near 0 at a small eps; the
+        # infinite product then picks the arc, as theta = 0 does
+        with np.errstate(over="ignore"):
+            edge_y = slope[sector] * x
+        upper = np.where(edge[sector], np.minimum(edge_y, arc), arc)
+        return np.clip(upper + arc, 0.0, None) * (2.0 * x_end * (1.0 - u))
 
-
-def _end_cylinder_integrals(lams, rel_tol: float):
-    """Volume over one unit-length end at each level lams[k]: integral of
-    cosh^2(r) cosh(t) over {cosh r cosh t <= cosh lam, t >= 0}.  One batched
-    adaptive quadrature in r covers all levels; its integrand is one
-    certified one-pass quadrature of cosh t for all of its r nodes.
-    Returns (values, error estimates) as arrays.
-
-    The region is symmetric under r -> -r, so r runs over [0, lam] only,
-    as r = lam s (2 - s) with s in [0, 1]: the height t_max = acosh(cosh lam
-    / cosh r) vanishes like sqrt(lam - r) at r = lam, and lam - r = lam
-    (1 - s)^2 makes it smooth in s."""
-    cosh_lam = _libm_cosh(lams).astype(float)
-
-    def cross_section(s, k):
-        lam = lams[k]
-        cosh_r = _libm_cosh(lam * s * (2.0 - s)).astype(float)
-        t_max = _libm_acosh(np.maximum(cosh_lam[k] / cosh_r, 1.0)).astype(float)
-        try:
-            inner, _ = cosh_power_quad_batch(0.0, t_max, 1, rel_tol=rel_tol / 8.0)
-        except QuadratureError as exc:
-            exc.owner = int(k[exc.owner])  # from the node to its level
-            raise
-        return np.float_power(cosh_r, 2) * inner * (2.0 * lam * (1.0 - s))
-
-    halves, errors = adaptive_quad_batch(cross_section, 0.0, np.ones(lams.size),
-                                         rel_tol=rel_tol / 2.0,
-                                         first_cells=_OUTER_FIRST_CELLS)
-    values = 2.0 * halves
-    return values, 2.0 * errors + np.abs(values) * rel_tol / 8.0
+    a = np.column_stack([np.zeros(count), u_kink]).ravel()
+    b = np.column_stack([u_kink, end]).ravel()
+    try:
+        pieces, errors = adaptive_quad_batch(column, a, b, rel_tol=rel_tol)
+    except QuadratureError as exc:
+        exc.owner //= 2  # from the interval to its sector
+        raise
+    return 0.0 + pieces[0::2] + pieces[1::2], errors[0::2] + errors[1::2]
 
 
 def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
@@ -184,9 +195,10 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
         integral = "end cylinder"
         total_length = surface.total_end_length
         if total_length > 0.0:
-            cyls, cyl_errs = _end_cylinder_integrals(lams, rel_tol=tol / 2.0)
-            totals += total_length * cyls
-            errs += total_length * cyl_errs
+            radii = [math.sinh(lam) for lam in lams.tolist()]
+            areas, area_errs = _sector_areas(radii, [0.0] * lams.size, tol / 2.0)
+            totals += total_length * areas
+            errs += total_length * area_errs
     except QuadratureError as exc:
         eps = float(eps_values[exc.owner])
         raise QuadratureError(f"{integral} at eps {eps!r}: {exc}", exc.owner) from None
@@ -205,9 +217,9 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
     """Independent oracle for the truncated volume.
 
     Integrates the volume element numerically over the truncated region
-    (core slab plus one cylinder region per end); no closed-form
-    antiderivative of the integrand is used anywhere on this path.  A batch
-    of one level for the profile oracle.
+    (the core slab, and the tube around each end as L times its half-disk
+    slice); no closed-form antiderivative of the integrand is used anywhere
+    on this path.  A batch of one level for the profile oracle.
     """
     volumes, _ = _truncated_volumes(surface, [eps], tol)
     return float(volumes[0])

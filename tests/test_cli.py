@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corevol import cli, pleated, quadrature
+from corevol import cli, quadrature, renvol
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
 
@@ -271,7 +271,8 @@ def test_wedge_makes_one_quadrature_batch_call(tmp_path, capsys, monkeypatch):
         calls.append(args)
         return quadrature.adaptive_quad_batch(*args, **kwargs)
 
-    monkeypatch.setattr(pleated, "adaptive_quad_batch", counted)
+    # the wedge slices are integrated by renvol's sector oracle
+    monkeypatch.setattr(renvol, "adaptive_quad_batch", counted)
     leaves = [{"length": 1.0, "theta": theta} for theta in (0.0, 1.0, 2.0, math.pi)]
     config = dict(WEDGE_CONFIG, leaves=leaves)
     assert main(["wedge", "--config", write_config(tmp_path, config)]) == 0

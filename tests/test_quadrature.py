@@ -15,7 +15,7 @@ from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.quadrature import (QuadratureError, adaptive_quad, adaptive_quad_batch,
                                 cosh_power_quad_batch)
-from corevol.renvol import _end_cylinder_integrals, level_lambda
+from corevol.renvol import _sector_areas, level_lambda
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -241,11 +241,16 @@ def test_certified_partition_widths(monkeypatch):
 END_CYLINDER_EPS = (0.3, 0.05, 1e-2, 1e-3, 1e-4)
 
 
+def end_term(lams, rel_tol):
+    """renvol's oracle for a unit-length end at each level lams[k]: the
+    half-disk slice of radius sinh(lam), as _truncated_volumes calls it."""
+    return _sector_areas([math.sinh(lam) for lam in lams], [0.0] * len(lams), rel_tol)
+
+
 @functools.cache
 def end_cylinder_batch(rel_tol):
     """eps -> (value, error estimate), all levels integrated in one batch."""
-    lams = np.array([level_lambda(eps) for eps in END_CYLINDER_EPS])
-    values, errors = _end_cylinder_integrals(lams, rel_tol)
+    values, errors = end_term([level_lambda(eps) for eps in END_CYLINDER_EPS], rel_tol)
     return dict(zip(END_CYLINDER_EPS, zip(values.tolist(), errors.tolist())))
 
 
@@ -262,11 +267,11 @@ def test_end_cylinder_integral_matches_mpmath(eps, rel_tol):
 
 @pytest.mark.parametrize("lam", [1.2, 5.0, 9.2])
 def test_end_cylinder_integral_is_exact_to_roundoff(lam):
-    # the square-root endpoint at r = lam is smoothed away, so a converged
-    # integral is far more accurate than the requested tolerance
+    # the square-root endpoint at x = sinh(lam) is smoothed away, so a
+    # converged integral is far more accurate than the requested tolerance
     with mpmath.workdps(50):
         exact = mpmath.pi / 2 * mpmath.sinh(mpmath.mpf(lam)) ** 2
-    values, _ = _end_cylinder_integrals(np.array([lam]), 1e-8)
+    values, _ = end_term([lam], 1e-8)
     assert abs(values[0] - exact) <= 2e-15 * exact
 
 

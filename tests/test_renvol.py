@@ -26,7 +26,7 @@ from corevol.renvol import (
     surface_terms,
     truncated_volume_quadrature,
 )
-from corevol.pleated import PleatedCoreData, PleatLeaf
+from corevol.pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
 from corevol.surface import SurfaceInfo
 
 from conftest import make_cyclic, make_row_group
@@ -280,20 +280,20 @@ README_GENUS2 = {
 
 
 def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
-    # one cell stops genus 1's adaptive outer s integral and two still do
-    # (it converges within its 3 first cells); down to eps 1e-6 one cell
-    # stops its certified inner t partition, which needs 2 cells past
-    # t = 9.24, and genus 2 stops in its certified core slab, 2 cells past
-    # lam = 4.86
+    # one cell stops genus 1's adaptive end term, on the default grid and
+    # down to eps 1e-6 alike, and genus 2 stops in its certified core
+    # slab, 2 cells past lam = 4.86
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(README_GENUS1), encoding="utf-8")
+    assert main(["renvol", "--config", str(path)]) == 0
+    default_budget = capsys.readouterr().out
     deep = dict(README_GENUS1, epsilon_grid={"min": 1e-6, "max": 0.3, "count": 12})
     for config, cells, integral, why in [
         (README_GENUS1, 1, "end cylinder", "(error estimate "),
-        (README_GENUS1, 2, "end cylinder", "(error estimate "),
-        (deep, 1, "end cylinder", "(the certified partition needs 2)"),
+        (deep, 1, "end cylinder", "(error estimate "),
         (README_GENUS2, 1, "core slab", "(the certified partition needs 2)"),
     ]:
         monkeypatch.setattr(quadrature, "MAX_CELLS", cells)
-        path = tmp_path / "group.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["renvol", "--config", str(path)]) == 2
         out = capsys.readouterr().out
@@ -314,21 +314,26 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
         with pytest.raises(QuadratureError) as alone:
             truncated_volume_quadrature(surface, float(eps), cfg["quadrature_tol"])
         assert str(alone.value) == message
+    # two cells suffice for genus 1's end term at every default level, and
+    # a budget that is not reached does not move the report
+    path.write_text(json.dumps(README_GENUS1), encoding="utf-8")
+    monkeypatch.setattr(quadrature, "MAX_CELLS", 2)
+    assert main(["renvol", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == default_budget
 
 
 def test_tolerance_error_names_the_eps(monkeypatch, surface_s1):
     # the per-level check after both integrals names the level it rejects
     monkeypatch.setattr(renvol, "adaptive_quad_batch",
-                        lambda f, a, b, rel_tol, first_cells:
-                        (np.ones(np.size(b)), np.ones(np.size(b))))
+                        lambda f, a, b, rel_tol: (np.ones(np.size(b)), np.ones(np.size(b))))
     with pytest.raises(QuadratureError, match=r"exceeds tolerance .* at eps 0\.25$"):
         truncated_volume_quadrature(surface_s1, 0.25)
 
 
 def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
-    # README genus 2: the core slab is one call, the outer s integral at
-    # most two refinement passes, and the inner t integral one call inside
-    # each outer pass; the sequence of calls repeats exactly
+    # README genus 2: the core slab is one call and the end term at most
+    # two refinement passes, none of them inside another integrand; the
+    # sequence of calls repeats exactly
     calls, depth = [], [0]
     eval_cells = quadrature._eval_cells
 
@@ -351,15 +356,22 @@ def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
         profile_quadrature(surface, eps, cfg["quadrature_tol"])
         runs.append(list(calls))
     assert runs[0] == runs[1]
-    slab, *rest = runs[0]
+    slab, *ends = runs[0]
     assert slab[:2] == (0, "<lambda>")
-    outer = [c for c in rest if c[:2] == (0, "cross_section")]
-    inner = [c for c in rest if c[0] == 1]
-    assert 1 <= len(outer) <= 2
-    assert len(inner) == len(outer) and len(outer) + len(inner) == len(rest)
-    # the inner call covers every node of its outer pass, one cell each
-    # while every t_max stays below 9.24
-    assert [c[2] for c in inner] == [15 * c[2] for c in outer]
+    assert 1 <= len(ends) <= 2
+    assert all(c[:2] == (0, "column") for c in ends)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.05, 1e-3, 1e-6])
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 2e-10])
+def test_end_term_is_the_theta_zero_wedge_slice(eps, tol):
+    # README genus 1 has no core: its oracle volume is the total end length
+    # times the theta = 0 wedge oracle of a unit leaf, bit for bit
+    surface = surface_invariants(build_group(parse_config(README_GENUS1)))
+    assert surface.core_area == 0.0
+    wedge = wedge_volume_quadrature((PleatLeaf(1.0, 0.0),), eps, tol / 2.0)[0][0]
+    volume = truncated_volume_quadrature(surface, eps, tol)
+    assert volume.hex() == (surface.total_end_length * wedge).hex()
 
 
 def test_coarea_identity(surface_s1, surface_adjacent):
