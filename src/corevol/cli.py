@@ -322,6 +322,7 @@ def cmd_renvol(cfg: dict, report: Report, csv: bool):
         report.add(f"closed.{conv.value}.vol_at_eps_max", closed_volume(terms, grid["max"], conv))
 
     quad_profile = profile_quadrature(surface, eps_grid, tol=cfg["quadrature_tol"])
+    report.add("quadrature.cells", quad_profile.cells)
     fit = expansion_fit(quad_profile)
     report.add("fit.provenance", PROVENANCE_QUADRATURE)
     report.add("fit.c_eps_m2", fit.c_m2)
@@ -374,7 +375,8 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
                 for conv in conventions}
     for conv, v in closed_v.items():
         report.add(f"closed.{conv.value}.V", v)
-    quads, errs = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
+    quads, errs, cells = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
+    report.add("quadrature.cells", cells)
     for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads.tolist(), errs.tolist())):
         wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
         derived = closed_volume(wedge, eps_check, Convention.DERIVED)

@@ -26,7 +26,6 @@ from .renvol import (
     _sector_areas,
     bending_sum,
     closed_volume,
-    level_lambda,
     renormalized_volume,
     surface_terms,
 )
@@ -100,19 +99,20 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
     the area of the z = 1 slice, and the wedge is L times that area (the
     integral of dz / z over [1, e^L]).  The slices, sectors of radius
     sinh(lam), are integrated in one renvol._sector_areas batch.  Returns
-    (values, error estimates) as arrays in leaf order, each scaled by its
-    leaf's length.  A QuadratureError names the failing leaf and eps, and
-    its `owner` is that leaf's index.
+    (values, error bounds) as arrays in leaf order, each scaled by its
+    leaf's length, and the number of quadrature cells evaluated.  A
+    QuadratureError names the failing leaf and eps, and its `owner` is
+    that leaf's index.
     """
     if tol < QUAD_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
-    radii = [math.sinh(level_lambda(eps))] * len(leaves)
+    thetas = [leaf.theta for leaf in leaves]
     try:
-        areas, errors = _sector_areas(radii, [leaf.theta for leaf in leaves], tol)
+        areas, errors, cells = _sector_areas([eps] * len(leaves), thetas, tol)
     except QuadratureError as exc:
         raise QuadratureError(f"leaf {exc.owner} at eps {eps!r}: {exc}", exc.owner) from None
     length = np.array([leaf.length for leaf in leaves], dtype=float)
-    return length * areas, length * errors
+    return length * areas, length * errors, cells
 
 
 def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
@@ -134,7 +134,7 @@ def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
     pleated = renormalized_volume(core.terms, convention, base=core.core_volume)
     fuchsian = renormalized_volume(surface_terms(surface), convention)
     closed = closed_volume(surface_terms(surface), REDUCTION_EPS, Convention.DERIVED)
-    wedges, _ = wedge_volume_quadrature(leaves, REDUCTION_EPS)
+    wedges = wedge_volume_quadrature(leaves, REDUCTION_EPS)[0]
     slab = closed_volume([("collar", core.boundary_area)], REDUCTION_EPS, Convention.DERIVED)
     oracle = slab + sum(wedges.tolist())
     gap = abs(oracle - closed) / closed if closed else abs(oracle)

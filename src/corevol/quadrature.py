@@ -1,10 +1,12 @@
 """Gauss-Kronrod quadrature on subdivided cells, vectorized.
 
 One engine integrates a batch of intervals at once: every interval's cells
-are evaluated in one call of the integrand.  adaptive_quad_batch bisects
-each interval until its own summed Kronrod-Gauss error estimate meets its
-tolerance; cosh_power_quad_batch integrates cosh^p, an entire integrand,
-on a partition fixed in advance whose error is proved to meet it.  An
+are evaluated in one call of the integrand.  cosh_power_quad_batch
+integrates cosh^p, an entire integrand, on a partition fixed in advance
+whose error is proved to meet the tolerance; renvol's sector slice does
+the same for its own integrand through _eval_cells.  adaptive_quad_batch
+bisects each interval until its own summed Kronrod-Gauss error estimate
+meets its tolerance; only the scalar adaptive_quad still calls it.  An
 interval's value is the sum of its cells in left-to-right order, so results
 are independent of refinement history and of the rest of the batch, and
 identical across runs.
@@ -236,7 +238,7 @@ def cosh_power_quad_batch(a, b, power: int, *, rel_tol: float):
     and cosh, the weights and the positive sums add less than (16 + n) u.
     Zero-width intervals integrate to 0.  An interval that needs more than
     MAX_CELLS cells raises QuadratureError and owns it.  Returns (values,
-    error bounds) as arrays.
+    error bounds) as arrays and the number of cells evaluated.
     """
     a, b = _bounds(a, b)
     widest, gain, reach = _widest_cell(power, rel_tol)
@@ -255,7 +257,7 @@ def cosh_power_quad_batch(a, b, power: int, *, rel_tol: float):
     values, errors = np.zeros(a.size), np.zeros(a.size)
     live = counts > 0
     if not live.any():
-        return values, errors
+        return values, errors, 0
     cells = _eval_cells(lambda x, k: np.cosh(x) ** power, _uniform_cells(a, b, counts))
     n = counts[live]
     values[live] = _run_sums(cells[3:4], np.cumsum(n) - n, n)[0]
@@ -264,7 +266,7 @@ def cosh_power_quad_batch(a, b, power: int, *, rel_tol: float):
     largest = np.maximum(np.abs(a[live]), np.abs(b[live]))
     rounding = (16.0 + n + 2.0 * power * largest) * _UNIT_ROUNDOFF
     errors[live] = (truncation + rounding) * values[live]
-    return values, errors
+    return values, errors, int(n.sum())
 
 
 # stays: perfbench/tracer.py wraps it as corevol.pleated.adaptive_quad (quadrature metrics)

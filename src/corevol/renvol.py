@@ -27,7 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad_batch, cosh_power_quad_batch
+from . import quadrature
+from .quadrature import _UNIT_ROUNDOFF, QuadratureError, cosh_power_quad_batch
 from .surface import SurfaceInfo
 
 
@@ -74,6 +75,13 @@ def level_lambda(eps: float) -> float:
     return -math.log(eps)
 
 
+def _level_radius(eps: float) -> float:
+    """sinh(lambda) of the level eps, as (1 - eps)(1 + eps) / (2 eps): no
+    cancellation and no lambda to amplify, so within 2 u relative."""
+    level_lambda(eps)  # the same domain check
+    return (1.0 - eps) * (1.0 + eps) / (2.0 * eps)
+
+
 def level_set_area(surface: SurfaceInfo, lam: float) -> float:
     """Area of the distance-lambda level surface.
 
@@ -118,97 +126,161 @@ def renormalized_volume(terms, convention: Convention, base: float = 0.0) -> flo
     return v
 
 
-def _sector_areas(radii, thetas, rel_tol: float):
-    """Areas of the disk sectors {x >= 0, y <= tan(pi/2 - theta) x} of width
-    pi - theta and radius R, per (R, theta) of radii and thetas: the slices
-    of pleated wedges and, at theta = 0, of the tubes around Fuchsian ends.
+_SQRT2 = math.sqrt(2.0)
+# relative rounding bound of a unit slice, in units of u, before its cells
+# and its radius add theirs (see _sector_areas)
+_SLICE_ROUNDING = 40.0
 
-    Each column x has the y-width min(slope x, arc) + arc.  x runs up to
-    x_max = R when theta <= pi/2, where the arc sqrt(R^2 - x^2) vanishes
-    like sqrt(R - x), and otherwise up to the kink x = R sin(theta), where
-    the edge ray meets the arc.  The columns are integrated in u in [0, 1]
-    with x = x_max u (2 - u), which makes the square-root endpoint smooth,
-    times the Jacobian 2 x_max (1 - u); the kink, at u = 1 - sqrt(1 -
-    sin(theta)) when theta <= pi/2, splits [0, 1] in two.  One
-    adaptive_quad_batch call integrates every sector: sector k owns
-    intervals 2k = [0, u_kink] and 2k + 1 = [u_kink, 1], each refined on
-    its own, so an area does not depend on the rest of the batch.  Returns
-    (areas, error estimates); a QuadratureError's `owner` is the sector.
+
+def _arc_partition(s_kink: float):
+    """(cells, truncation bound) of the arc piece 4 s^2 sqrt(2 - s^2) on
+    [0, s_kink]: the fewest equal cells whose bound is below the slice's
+    rounding bound, measured on the piece's least integral (4/3) s_kink^3."""
+    target = _SLICE_ROUNDING * _UNIT_ROUNDOFF * (4.0 / 3.0) * s_kink ** 3
+    n = 0
+    while True:
+        n += 1
+        reach = 1.0 + 2.0 * n * (_SQRT2 - s_kink) / s_kink
+        rho = reach + math.sqrt(reach * reach - 1.0)
+        bound = 64.0 * s_kink * rho ** -22 / (rho * rho - 1.0)
+        if bound <= target:
+            return n, bound
+
+
+def _sector_areas(eps_values, thetas, rel_tol: float):
+    """Areas of the disk sectors of opening pi - theta and radius R =
+    sinh(lam), lam = -log(eps), per (eps, theta) of eps_values and thetas:
+    the slices of pleated wedges and, at theta = 0, of the tubes around
+    Fuchsian ends.
+
+    The slice.  Rotated about the leaf axis, an isometry that keeps the
+    slice and dx dy, the sector is symmetric about the x axis: a column x
+    has width 2 min(x cot(theta/2), arc), arc = sqrt(R^2 - x^2), and the
+    kink where the edge rays meet the circle is at x = R sin(theta/2).
+    With x = R u (2 - u), Jacobian 2 R (1 - u), and s = 1 - u, the area is
+    R^2 times that of the unit slice, which the kink s_k = sqrt(1 -
+    sin(theta/2)) splits into two pieces: the cubic 4 cot(theta/2) u (2 -
+    u)(1 - u) on u in [0, 1 - s_k], which GK15 integrates exactly on one
+    cell, and the arc 4 s^2 sqrt(2 - s^2) on s in [0, s_k], where arc =
+    R s sqrt(2 - s^2) has no cancellation near the rim.  theta = 0 has no
+    cubic piece, and theta = pi (the flat leaf) has neither.
+
+    The bound.  The arc piece is analytic in the disk |s| < sqrt 2 and at
+    most 16 in modulus there.  Cut [0, s_k] into n cells of half-width h and
+    take for each cell the Bernstein ellipse E_rho whose reach s_k + h
+    (rho' - 1), rho' = (rho + 1/rho)/2, is sqrt 2.  As in
+    cosh_power_quad_batch, |a_j| <= 2 M rho^-j; the odd T_j are integrated
+    exactly by the symmetric rule, so only even j >= 24 contribute, and a
+    cell's error is at most 8 h M rho^-22 / (rho^2 - 1), all n cells'
+    64 s_k rho^-22 / (rho^2 - 1).  The piece takes the fewest cells whose
+    bound is below the slice's rounding bound (_arc_partition): one, or two
+    for theta below about 0.69.  So a slice is exact to rounding whatever
+    the tolerance, and rel_tol is only checked.  Every term of a slice is
+    positive, so relative rounding errors add.  Relative to the slice, the
+    rounded nodes move it by at most 9 u (each piece is monotone or nearly
+    so, and x |f'| integrates to a few times f), the integrand's
+    evaluation 6 u, the weights and the 15-point sums 15 u, the kink (cos /
+    sqrt(1 + sin), with no cancellation) 3 u and the sum of its n cells
+    n u: (33 + n) u, taken with room as (_SLICE_ROUNDING + n) u.  R^2 adds
+    5 u (_level_radius).
+
+    Each distinct theta's unit slice is integrated once, on a partition
+    fixed in advance, and every cell of every slice is evaluated in one
+    _eval_cells call, so an area does not depend on the rest of the batch.
+    A piece that needs more than MAX_CELLS cells raises QuadratureError,
+    and so does a sector whose error bound exceeds rel_tol times its area;
+    `owner` is the sector (the first of its theta).  Returns (areas, error
+    bounds) as arrays and the number of cells evaluated.
     """
-    count = len(radii)
-    # a flat sector keeps u_kink = end = 0: two empty intervals
-    radius, x_max, slope, u_kink, end = (np.zeros(count) for _ in range(5))
-    edge = np.zeros(count, dtype=bool)
-    for i, (r, theta) in enumerate(zip(radii, thetas)):
-        radius[i] = r
+    slots, firsts = {}, []
+    for k, theta in enumerate(thetas):
+        if theta not in slots:
+            slots[theta] = len(firsts)
+            firsts.append(k)
+    # rows (left, right, piece) of every cell; slice j owns the pieces 2j
+    # (the cubic, in u) and 2j + 1 (the arc, in s), and coef their factors
+    cells, coef, bounds = [], np.zeros(2 * len(firsts)), np.zeros(len(firsts))
+    for j, theta in enumerate(slots):
         if theta == math.pi:
             continue
-        sin_t, cos_t = math.sin(theta), math.cos(theta)
-        below_right_angle = theta <= math.pi / 2.0
-        x_max[i] = r if below_right_angle else r * sin_t
-        u_kink[i] = 1.0 - math.sqrt(1.0 - sin_t) if below_right_angle else 1.0
-        end[i] = 1.0
-        # upper sector edge y = slope * x; the half-disk at theta = 0 has
-        # none, and `column` picks the arc there (slope 0 keeps inf * 0 out)
-        edge[i] = sin_t > 0.0
-        slope[i] = cos_t / sin_t if edge[i] else 0.0
+        sin_h, cos_h = math.sin(0.5 * theta), math.cos(0.5 * theta)
+        s_kink = cos_h / math.sqrt(1.0 + sin_h)
+        if s_kink < 1.0:
+            cells.append((0.0, 1.0 - s_kink, 2 * j))
+            coef[2 * j] = 4.0 * cos_h / sin_h
+        if s_kink > 0.0:
+            n, bounds[j] = _arc_partition(s_kink)
+            if n > quadrature.MAX_CELLS:
+                raise QuadratureError(
+                    f"tolerance {_SLICE_ROUNDING * _UNIT_ROUNDOFF:.3e} (the rounding bound) "
+                    f"not met within {quadrature.MAX_CELLS} cells on [0.0, {s_kink!r}] "
+                    f"(the certified partition needs {n})", owner=firsts[j],
+                )
+            cells += [(s_kink * i / n, s_kink * (i + 1) / n, 2 * j + 1) for i in range(n)]
+            coef[2 * j + 1] = 4.0
 
-    def column(u, k):
-        sector = k // 2
-        r, x_end = radius[sector], x_max[sector]
-        x = x_end * u * (2.0 - u)
-        arc = np.sqrt(np.clip(r * r - x ** 2, 0.0, None))
-        # slope * x can overflow for a theta near 0 at a small eps; the
-        # infinite product then picks the arc, as theta = 0 does
-        with np.errstate(over="ignore"):
-            edge_y = slope[sector] * x
-        upper = np.where(edge[sector], np.minimum(edge_y, arc), arc)
-        return np.clip(upper + arc, 0.0, None) * (2.0 * x_end * (1.0 - u))
+    def column(x, k):
+        return coef[k] * np.where(k & 1, x * x * np.sqrt(2.0 - x * x),
+                                  x * (2.0 - x) * (1.0 - x))
 
-    a = np.column_stack([np.zeros(count), u_kink]).ravel()
-    b = np.column_stack([u_kink, end]).ravel()
-    try:
-        pieces, errors = adaptive_quad_batch(column, a, b, rel_tol=rel_tol)
-    except QuadratureError as exc:
-        exc.owner //= 2  # from the interval to its sector
-        raise
-    return 0.0 + pieces[0::2] + pieces[1::2], errors[0::2] + errors[1::2]
+    units, counts = np.zeros(len(firsts)), np.zeros(len(firsts))
+    if cells:
+        rows = quadrature._eval_cells(column, np.array(cells).T)
+        slot = rows[2].astype(np.intp) >> 1
+        # each slice's cells in order, cubic piece first
+        units = np.bincount(slot, weights=rows[3], minlength=len(firsts))
+        counts = np.bincount(slot, minlength=len(firsts))
+    rounding = (_SLICE_ROUNDING + 5.0 + counts) * _UNIT_ROUNDOFF
+    unit_errors = bounds + rounding * units
+    index = [slots[theta] for theta in thetas]
+    radii = np.array([_level_radius(float(eps)) for eps in eps_values])
+    squares = radii * radii
+    areas, errors = squares * units[index], squares * unit_errors[index]
+    over = (~(errors <= rel_tol * areas) | ~np.isfinite(areas)).nonzero()[0]
+    if over.size:
+        k = over[0]
+        raise QuadratureError(
+            f"tolerance {rel_tol:.3e} (relative) not met: the certified error "
+            f"{errors[k]:.3e} of area {areas[k]:.6e} exceeds it", owner=int(k),
+        )
+    return areas, errors, len(cells)
 
 
 def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
-    """Oracle volumes and their error estimates at every level of
-    eps_values, each integral one batch over all levels; raises
-    QuadratureError at the first level, in the given order, whose estimate
-    exceeds tol * |volume|.  A QuadratureError names its eps level, and the
-    integral too if it failed inside one."""
+    """Oracle volumes and their error bounds at every level of eps_values,
+    each integral one batch over all levels, and the number of cells
+    evaluated; raises QuadratureError at the first level, in the given
+    order, whose bound exceeds tol * |volume|.  A QuadratureError names its
+    eps level, and the integral too if it failed inside one."""
     if tol < QUAD_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
     lams = np.array([level_lambda(float(e)) for e in eps_values])
     totals = np.zeros(lams.size)
     errs = np.zeros(lams.size)
+    cells = 0
     integral = "core slab"
     try:
         if surface.core_area != 0.0:
-            slabs, slab_errs = cosh_power_quad_batch(0.0, lams, 2, rel_tol=tol / 4.0)
+            slabs, slab_errs, cells = cosh_power_quad_batch(0.0, lams, 2, rel_tol=tol / 4.0)
             totals += 2.0 * surface.core_area * slabs
             errs += 2.0 * surface.core_area * slab_errs
         integral = "end cylinder"
         total_length = surface.total_end_length
         if total_length > 0.0:
-            radii = [math.sinh(lam) for lam in lams.tolist()]
-            areas, area_errs = _sector_areas(radii, [0.0] * lams.size, tol / 2.0)
+            areas, area_errs, end_cells = _sector_areas(eps_values, [0.0] * lams.size, tol / 2.0)
             totals += total_length * areas
             errs += total_length * area_errs
+            cells += end_cells
     except QuadratureError as exc:
         eps = float(eps_values[exc.owner])
         raise QuadratureError(f"{integral} at eps {eps!r}: {exc}", exc.owner) from None
     for k, (total, err) in enumerate(zip(totals.tolist(), errs.tolist())):
         if err > tol * abs(total) + 1e-300:
             raise QuadratureError(
-                f"quadrature error estimate {err:.3e} exceeds tolerance for volume "
+                f"quadrature error bound {err:.3e} exceeds tolerance for volume "
                 f"{total:.6e} at eps {float(eps_values[k])!r}", k
             )
-    return totals, errs
+    return totals, errs, cells
 
 
 # stays public: perfbench/tracer.py counts truncated_volume_quadrature.calls through it
@@ -221,7 +293,7 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
     slice); no closed-form antiderivative of the integrand is used anywhere
     on this path.  A batch of one level for the profile oracle.
     """
-    volumes, _ = _truncated_volumes(surface, [eps], tol)
+    volumes, _, _ = _truncated_volumes(surface, [eps], tol)
     return float(volumes[0])
 
 
@@ -231,11 +303,12 @@ class VolumeProfile:
 
     Samples are (eps, volume) pairs with eps strictly decreasing and volume
     nondecreasing: a pleated core with no bending and no boundary has a
-    constant profile.
+    constant profile.  `cells` counts the quadrature cells evaluated for it.
     """
 
     samples: tuple[tuple[float, float], ...]
     provenance: str
+    cells: int = 0
 
     def __post_init__(self):
         eps = [s[0] for s in self.samples]
@@ -273,8 +346,8 @@ def closed_profile(terms, eps_grid, convention: Convention, base: float = 0.0) -
 def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> VolumeProfile:
     """Oracle profile: every level of eps_grid integrated in one batch."""
     eps_values = [float(e) for e in eps_grid]
-    volumes, _ = _truncated_volumes(surface, eps_values, tol)
-    return VolumeProfile(tuple(zip(eps_values, volumes.tolist())), PROVENANCE_QUADRATURE)
+    volumes, _, cells = _truncated_volumes(surface, eps_values, tol)
+    return VolumeProfile(tuple(zip(eps_values, volumes.tolist())), PROVENANCE_QUADRATURE, cells)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corevol import cli, quadrature, renvol
+from corevol import cli, quadrature
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
 
@@ -193,8 +194,12 @@ def test_renvol_does_not_load_numpy_ma(tmp_path):
 
 
 def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monkeypatch):
+    # a right-angle leaf needs one cell per piece; a theta = 0 leaf needs two
     monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
-    assert main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG)]) == 2
+    assert main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG)]) == 0
+    capsys.readouterr()
+    config = dict(WEDGE_CONFIG, leaves=[{"length": 2.0, "theta": 0.0}])
+    assert main(["wedge", "--config", write_config(tmp_path, config)]) == 2
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     error = json.loads(out)["error"]
@@ -266,18 +271,21 @@ def test_wedge_without_bending_or_boundary(tmp_path, capsys, csv):
 
 def test_wedge_makes_one_quadrature_batch_call(tmp_path, capsys, monkeypatch):
     calls = []
+    eval_cells = quadrature._eval_cells
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quadrature.adaptive_quad_batch(*args, **kwargs)
+    def counted(f, cells):
+        calls.append(cells.shape[1])
+        return eval_cells(f, cells)
 
-    # the wedge slices are integrated by renvol's sector oracle
-    monkeypatch.setattr(renvol, "adaptive_quad_batch", counted)
+    # the wedge slices are integrated by renvol's sector oracle, every
+    # cell of every leaf in one integrand call
+    monkeypatch.setattr(quadrature, "_eval_cells", counted)
     leaves = [{"length": 1.0, "theta": theta} for theta in (0.0, 1.0, 2.0, math.pi)]
     config = dict(WEDGE_CONFIG, leaves=leaves)
     assert main(["wedge", "--config", write_config(tmp_path, config)]) == 0
     report = report_dict(capsys.readouterr().out)
     assert len(calls) == 1
+    assert report["quadrature.cells"] == str(calls[0])
     for i in range(len(leaves)):
         assert float(report[f"leaf.{i}.wedge_quadrature_err_est"]) >= 0.0
 
@@ -729,6 +737,23 @@ def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
     assert code == 1
     assert _one_error(capsys)["kind"] == "io"
     assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2.0 - 1e-4, math.pi / 2.0 + 1e-4,
+                                   math.pi / 2.0 - 1e-7, math.pi / 2.0 + 1e-7,
+                                   1.5707963, math.pi / 2.0, 3.14159, math.pi - 1e-9])
+def test_wedge_near_a_right_angle_or_flat_is_within_its_bound(tmp_path, capsys, theta):
+    # a leaf just below a right angle once left its kink interval nearly
+    # empty and failed its own relative tolerance there (exit 2)
+    config = dict(WEDGE_CONFIG, leaves=[{"length": 2.0, "theta": theta}])
+    assert main(["wedge", "--config", write_config(tmp_path, config)]) == 0
+    report = report_dict(capsys.readouterr().out)
+    eps = float(report["eps.check"])
+    with mpmath.workdps(50):
+        lam = -mpmath.log(mpmath.mpf(eps))
+        exact = (mpmath.pi - mpmath.mpf(theta)) * 2 * mpmath.sinh(lam) ** 2 / 2
+    quad = float(report["leaf.0.wedge_quadrature_at_eps_check"])
+    assert abs(quad - exact) <= float(report["leaf.0.wedge_quadrature_err_est"])
 
 
 def test_wedge_theta_zero_leaf(tmp_path, capsys):

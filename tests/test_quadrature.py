@@ -8,6 +8,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 import corevol
@@ -15,7 +17,7 @@ from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.quadrature import (QuadratureError, adaptive_quad, adaptive_quad_batch,
                                 cosh_power_quad_batch)
-from corevol.renvol import _sector_areas, level_lambda
+from corevol.renvol import _sector_areas
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -211,7 +213,7 @@ def test_certified_bound_covers_the_true_error(power, rel_tol):
     lams = np.array([0.5, 1.2, 3.7, 4.9, 9.2, 9.3, 13.8, 20.0, 27.6, 28.0])
     a = np.concatenate([np.zeros(lams.size), 0.5 * lams, -lams / 3.0, -lams])
     b = np.concatenate([lams, lams, lams, 0.7 * lams])
-    values, bounds = cosh_power_quad_batch(a, b, power, rel_tol=rel_tol)
+    values, bounds, _ = cosh_power_quad_batch(a, b, power, rel_tol=rel_tol)
     with mpmath.workdps(50):
         for k in range(a.size):
             exact = _cosh_power_integral(a[k], b[k], power)
@@ -241,16 +243,17 @@ def test_certified_partition_widths(monkeypatch):
 END_CYLINDER_EPS = (0.3, 0.05, 1e-2, 1e-3, 1e-4)
 
 
-def end_term(lams, rel_tol):
-    """renvol's oracle for a unit-length end at each level lams[k]: the
-    half-disk slice of radius sinh(lam), as _truncated_volumes calls it."""
-    return _sector_areas([math.sinh(lam) for lam in lams], [0.0] * len(lams), rel_tol)
+def end_term(eps_values, rel_tol):
+    """renvol's oracle for a unit-length end at each level eps_values[k]:
+    the half-disk slice of radius sinh(lam), as _truncated_volumes calls
+    it.  Returns (values, error bounds)."""
+    return _sector_areas(eps_values, [0.0] * len(eps_values), rel_tol)[:2]
 
 
 @functools.cache
 def end_cylinder_batch(rel_tol):
-    """eps -> (value, error estimate), all levels integrated in one batch."""
-    values, errors = end_term([level_lambda(eps) for eps in END_CYLINDER_EPS], rel_tol)
+    """eps -> (value, error bound), all levels integrated in one batch."""
+    values, errors = end_term(END_CYLINDER_EPS, rel_tol)
     return dict(zip(END_CYLINDER_EPS, zip(values.tolist(), errors.tolist())))
 
 
@@ -269,9 +272,10 @@ def test_end_cylinder_integral_matches_mpmath(eps, rel_tol):
 def test_end_cylinder_integral_is_exact_to_roundoff(lam):
     # the square-root endpoint at x = sinh(lam) is smoothed away, so a
     # converged integral is far more accurate than the requested tolerance
+    eps = math.exp(-lam)
     with mpmath.workdps(50):
-        exact = mpmath.pi / 2 * mpmath.sinh(mpmath.mpf(lam)) ** 2
-    values, _ = end_term([lam], 1e-8)
+        exact = mpmath.pi / 2 * mpmath.sinh(-mpmath.log(mpmath.mpf(eps))) ** 2
+    values, _ = end_term([eps], 1e-8)
     assert abs(values[0] - exact) <= 2e-15 * exact
 
 
@@ -299,8 +303,43 @@ def test_wedge_error_estimate_bounds_the_true_error(theta, length, eps):
         bend = mpmath.pi - mpmath.mpf(theta) if theta < math.pi else 0
         exact = bend * length * mpmath.sinh(lam) ** 2 / 2
     for tol in (1e-8, 1e-10):
-        values, errors = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=tol)
+        values, errors, _ = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=tol)
         assert abs(values[0] - exact) <= errors[0], tol
+
+
+def _exact_wedge(theta, length, eps):
+    """50-digit wedge volume; theta = pi is the flat leaf, volume exactly 0
+    (math.pi falls short of pi)."""
+    with mpmath.workdps(50):
+        lam = -mpmath.log(mpmath.mpf(eps))
+        bend = mpmath.pi - mpmath.mpf(theta) if theta < math.pi else 0
+        return bend * length * mpmath.sinh(lam) ** 2 / 2
+
+
+RIGHT = math.pi / 2.0
+EDGE_THETAS = [0.0, 5e-324, 1e-300, 1e-9, RIGHT, math.nextafter(RIGHT, 0.0),
+               math.nextafter(RIGHT, 4.0), RIGHT - 1e-4, RIGHT + 1e-4, RIGHT - 1e-7,
+               RIGHT + 1e-7, 1.5707963, 1.5707, 3.14159, math.pi - 1e-9,
+               math.nextafter(math.pi, 0.0), math.pi]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(theta=st.one_of(st.sampled_from(EDGE_THETAS), st.floats(0.0, math.pi)),
+       eps=st.floats(1e-12, 0.9), tol=st.floats(1e-10, 1e-6))
+def test_wedge_error_bound_covers_the_50_digit_error(theta, eps, tol):
+    # the certified bound: truncation proved on the Bernstein ellipse plus
+    # rounding, so it covers the true error wherever the sector is
+    values, errors, _ = wedge_volume_quadrature((PleatLeaf(1.0, theta),), eps, tol=tol)
+    assert abs(values[0] - _exact_wedge(theta, 1.0, eps)) <= errors[0]
+    assert errors[0] <= tol * values[0]
+
+
+def test_sector_tolerance_is_checked_on_the_sector_total():
+    # a bound of some 50 u cannot meet 1e-16, and the sector owns the failure
+    assert _sector_areas([0.3], [1.0], 1e-10)[2] == 2
+    with pytest.raises(QuadratureError, match=r"^tolerance 1\.000e-16 \(relative\) not met") as e:
+        _sector_areas([0.3, 0.2], [math.pi, 1.0], 1e-16)
+    assert e.value.owner == 1
 
 
 def test_cli_import_does_not_load_scipy():

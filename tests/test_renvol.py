@@ -263,7 +263,7 @@ def test_profile_batch_equals_per_eps_calls_bitwise(surfaces_by_genus, genus, to
 @pytest.mark.parametrize("genus, tol, count", BATCH_CASES)
 def test_profile_error_estimates_meet_tolerance(surfaces_by_genus, genus, tol, count):
     grid = default_eps_grid(1e-3, 0.3, count)
-    volumes, errors = _truncated_volumes(surfaces_by_genus[genus], grid, tol)
+    volumes, errors, _ = _truncated_volumes(surfaces_by_genus[genus], grid, tol)
     assert volumes.shape == errors.shape == (count,)
     assert np.all(errors > 0.0)
     assert np.all(errors <= tol * np.abs(volumes))
@@ -280,17 +280,17 @@ README_GENUS2 = {
 
 
 def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
-    # one cell stops genus 1's adaptive end term, on the default grid and
-    # down to eps 1e-6 alike, and genus 2 stops in its certified core
-    # slab, 2 cells past lam = 4.86
+    # one cell stops genus 1's end term, whose certified partition needs
+    # two at every level, on the default grid and down to eps 1e-6 alike,
+    # and genus 2 stops in its certified core slab, 2 cells past lam = 4.86
     path = tmp_path / "group.json"
     path.write_text(json.dumps(README_GENUS1), encoding="utf-8")
     assert main(["renvol", "--config", str(path)]) == 0
     default_budget = capsys.readouterr().out
     deep = dict(README_GENUS1, epsilon_grid={"min": 1e-6, "max": 0.3, "count": 12})
     for config, cells, integral, why in [
-        (README_GENUS1, 1, "end cylinder", "(error estimate "),
-        (deep, 1, "end cylinder", "(error estimate "),
+        (README_GENUS1, 1, "end cylinder", "(the certified partition needs 2)"),
+        (deep, 1, "end cylinder", "(the certified partition needs 2)"),
         (README_GENUS2, 1, "core slab", "(the certified partition needs 2)"),
     ]:
         monkeypatch.setattr(quadrature, "MAX_CELLS", cells)
@@ -324,16 +324,16 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
 
 def test_tolerance_error_names_the_eps(monkeypatch, surface_s1):
     # the per-level check after both integrals names the level it rejects
-    monkeypatch.setattr(renvol, "adaptive_quad_batch",
-                        lambda f, a, b, rel_tol: (np.ones(np.size(b)), np.ones(np.size(b))))
+    monkeypatch.setattr(renvol, "_sector_areas",
+                        lambda eps, thetas, rel_tol: (np.ones(len(eps)), np.ones(len(eps)), 2))
     with pytest.raises(QuadratureError, match=r"exceeds tolerance .* at eps 0\.25$"):
         truncated_volume_quadrature(surface_s1, 0.25)
 
 
 def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
-    # README genus 2: the core slab is one call and the end term at most
-    # two refinement passes, none of them inside another integrand; the
-    # sequence of calls repeats exactly
+    # README genus 2: the core slab is one call and the end term one more,
+    # neither inside another integrand; the sequence of calls repeats
+    # exactly
     calls, depth = [], [0]
     eval_cells = quadrature._eval_cells
 
@@ -358,8 +358,7 @@ def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
     assert runs[0] == runs[1]
     slab, *ends = runs[0]
     assert slab[:2] == (0, "<lambda>")
-    assert 1 <= len(ends) <= 2
-    assert all(c[:2] == (0, "column") for c in ends)
+    assert [c[:2] for c in ends] == [(0, "column")]
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.05, 1e-3, 1e-6])
