@@ -35,7 +35,6 @@ from .renvol import (
     default_eps_grid,
     expansion_fit,
     fit_expansion,
-    level_set_area,
     profile_quadrature,
     renormalized_volume,
     surface_terms,

@@ -13,9 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import anomaly as anomaly_mod
 from .mobius import Mobius
 from .pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
 from .quadrature import QuadratureError
@@ -323,6 +320,8 @@ def cmd_renvol(cfg: dict, report: Report, csv: bool):
 
     quad_profile = profile_quadrature(surface, eps_grid, tol=cfg["quadrature_tol"])
     report.add("quadrature.cells", quad_profile.cells)
+    rel_bounds = [b / abs(v) for (_, v), b in zip(quad_profile.samples, quad_profile.bounds) if v]
+    report.add("quadrature.rel_bound_max", max(rel_bounds, default=0.0))
     fit = expansion_fit(quad_profile)
     report.add("fit.provenance", PROVENANCE_QUADRATURE)
     report.add("fit.c_eps_m2", fit.c_m2)
@@ -377,7 +376,7 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
         report.add(f"closed.{conv.value}.V", v)
     quads, errs, cells = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
     report.add("quadrature.cells", cells)
-    for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads.tolist(), errs.tolist())):
+    for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads, errs)):
         wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
         derived = closed_volume(wedge, eps_check, Convention.DERIVED)
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
@@ -399,7 +398,11 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
             for conv in conventions]
 
 
-def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
+def _build_field(mesh, field: dict):
+    import numpy as np
+
+    from .anomaly import field_from_csv
+
     kind = field["kind"]
     if kind == "zero":
         return mesh.zeros()
@@ -416,7 +419,7 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
             u[:] = -np.log(np.cosh(mesh.t))[:, None]
         return u
     path = field["path"]
-    file_mesh, u = anomaly_mod.field_from_csv(path)
+    file_mesh, u = field_from_csv(path)
     if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (
         mesh.tag, mesh.n_t, mesh.n_theta,
     ):
@@ -425,12 +428,17 @@ def _build_field(mesh: anomaly_mod.SurfaceMesh, field: dict):
 
 
 def cmd_anomaly(cfg: dict, report: Report, csv: bool):
+    # numpy and the mesh functionals load here only: no other command needs them
+    import numpy as np
+
+    from .anomaly import SurfaceMesh, anomaly_functionals
+
     # a mesh or field extreme enough that a functional leaves the float64
     # range is a value error, not a report of inf or nan
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            mesh = anomaly_mod.SurfaceMesh(**cfg["mesh"])
-            values = anomaly_mod.anomaly_functionals(mesh, _build_field(mesh, cfg["field"]))
+            mesh = SurfaceMesh(**cfg["mesh"])
+            values = anomaly_functionals(mesh, _build_field(mesh, cfg["field"]))
             report.add("mesh.tag", mesh.tag)
             report.add("mesh.n_t", mesh.n_t)
             report.add("mesh.n_theta", mesh.n_theta)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # adaptive_quad stays a name of this module: perfbench/tracer.py wraps
 # corevol.pleated.adaptive_quad, and its per-layer metrics need the name
 from .quadrature import QuadratureError, adaptive_quad  # noqa: F401
@@ -99,7 +97,7 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
     the area of the z = 1 slice, and the wedge is L times that area (the
     integral of dz / z over [1, e^L]).  The slices, sectors of radius
     sinh(lam), are integrated in one renvol._sector_areas batch.  Returns
-    (values, error bounds) as arrays in leaf order, each scaled by its
+    (values, error bounds) as lists in leaf order, each scaled by its
     leaf's length, and the number of quadrature cells evaluated.  A
     QuadratureError names the failing leaf and eps, and its `owner` is
     that leaf's index.
@@ -111,8 +109,8 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
         areas, errors, cells = _sector_areas([eps] * len(leaves), thetas, tol)
     except QuadratureError as exc:
         raise QuadratureError(f"leaf {exc.owner} at eps {eps!r}: {exc}", exc.owner) from None
-    length = np.array([leaf.length for leaf in leaves], dtype=float)
-    return length * areas, length * errors, cells
+    return ([leaf.length * area for leaf, area in zip(leaves, areas)],
+            [leaf.length * error for leaf, error in zip(leaves, errors)], cells)
 
 
 def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
@@ -136,7 +134,7 @@ def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
     closed = closed_volume(surface_terms(surface), REDUCTION_EPS, Convention.DERIVED)
     wedges = wedge_volume_quadrature(leaves, REDUCTION_EPS)[0]
     slab = closed_volume([("collar", core.boundary_area)], REDUCTION_EPS, Convention.DERIVED)
-    oracle = slab + sum(wedges.tolist())
+    oracle = slab + sum(wedges)
     gap = abs(oracle - closed) / closed if closed else abs(oracle)
     report = {
         "convention": convention.value,

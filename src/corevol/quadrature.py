@@ -1,29 +1,24 @@
-"""Gauss-Kronrod quadrature on subdivided cells, vectorized.
+"""Gauss-Kronrod quadrature in plain Python: one GK15 cell evaluator.
 
-One engine integrates a batch of intervals at once: every interval's cells
-are evaluated in one call of the integrand.  cosh_power_quad_batch
-integrates cosh^p, an entire integrand, on a partition fixed in advance
-whose error is proved to meet the tolerance; renvol's sector slice does
-the same for its own integrand through _eval_cells.  adaptive_quad_batch
-bisects each interval until its own summed Kronrod-Gauss error estimate
-meets its tolerance; only the scalar adaptive_quad still calls it.  An
-interval's value is the sum of its cells in left-to-right order, so results
-are independent of refinement history and of the rest of the batch, and
-identical across runs.
+cosh_power_quad_batch integrates cosh^p over a batch of intervals, and
+renvol's sector slice its own integrand, on partitions fixed in advance
+whose error is proved to meet the tolerance.  adaptive_quad bisects one
+interval, worst cell first, on the Kronrod-Gauss error estimate.  An
+interval's value is the sum of its cells in left-to-right order, so it does
+not depend on the rest of a batch, and it is identical across runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+import operator
 
 # 15-point Kronrod nodes on [-1, 1] and weights, QUADPACK's qk15 constants
 # to 33 digits (Piessens et al. 1983); the odd-index nodes carry the
 # embedded 7-point Gauss rule.  Each weight set sums to 2 within an ulp, as
 # the certified bound below needs.
-_XGK = np.array([
+_XGK = (
     -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
     -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
     -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
@@ -32,8 +27,8 @@ _XGK = np.array([
     0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
     0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
     0.991455371120812639206854697526329,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
@@ -42,13 +37,13 @@ _WGK = np.array([
     0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
     0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
     0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
-])
+)
 
 # cells one interval may be cut into before its tolerance counts as unmet;
 # read at call time
@@ -65,130 +60,41 @@ class QuadratureError(RuntimeError):
         self.owner = owner
 
 
-def _eval_cells(f, cells):
-    """The rows (left, right, owner) of some cells with two rows appended:
-    each cell's Kronrod value and Kronrod-Gauss error estimate."""
-    lefts, rights, owner = cells
-    centers = 0.5 * (lefts + rights)
-    halves = 0.5 * (rights - lefts)
-    nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
-    index = owner.astype(np.intp).repeat(_XGK.size)
-    vals = np.asarray(f(nodes.ravel(), index), dtype=float).reshape(nodes.shape)
-    if not np.isfinite(vals).all():
-        i = np.flatnonzero(~np.isfinite(vals.ravel()))[0]
-        raise QuadratureError(f"integrand is not finite near x = {float(nodes.flat[i])!r}",
-                              owner=int(index[i]))
-    kron = (vals * _WGK[None, :]).sum(axis=1) * halves
-    gauss = (vals[:, 1::2] * _WG[None, :]).sum(axis=1) * halves
-    return np.concatenate([cells, [kron, np.abs(kron - gauss)]])
+# each node's distance from the nearer end of [-1, 1], left half then right
+_FROM_LEFT = tuple(1.0 + x for x in _XGK[:7])
+_FROM_RIGHT = tuple(1.0 - x for x in _XGK[8:])
 
 
-def _run_sums(rows, starts, counts):
-    """Sum of each run rows[:, s:s + n], bitwise equal to rows[:, s:s + n].sum(axis=1).
-
-    np.add.reduceat adds in another order.  numpy reduces a contiguous last
-    axis in the same pairwise order as a 1-d array, so runs of one length
-    are summed as the rows of one C-contiguous block.
-    """
-    if counts.min() == counts.max():
-        return np.ascontiguousarray(rows).reshape(len(rows), len(starts), -1).sum(axis=2)
-    out = np.empty((len(rows), len(starts)))
-    # np.unique would import numpy.ma on first use
-    for n in np.flatnonzero(np.bincount(counts)):
-        same = counts == n
-        block = rows[:, starts[same, None] + np.arange(n)]
-        out[:, same] = np.ascontiguousarray(block).sum(axis=2)
-    return out
-
-
-def _refine(f, cells, count, rel_tol):
-    """Equal-share refinement of `count` intervals.  `cells` holds the rows
-    (left, right, owner) of their first cells, sorted by owner, then left.
-    Returns (values, error estimates)."""
-    values, errors = np.zeros(count), np.zeros(count)
-    if not cells.shape[1]:
-        return values, errors
-    cells = _eval_cells(f, cells)
-    while True:
-        owner, errs = cells[2], cells[4]
-        # interval i owns the run of cells bounds[i]:bounds[i + 1]
-        edge = np.ones(owner.size + 1, dtype=bool)
-        np.not_equal(owner[1:], owner[:-1], out=edge[1:-1])
-        bounds = edge.nonzero()[0]
-        starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
-        totals, total_errs = _run_sums(cells[3:], starts, counts)
-        tols = rel_tol * np.abs(totals)
-        done = total_errs <= tols
-        ids = owner[starts[done]].astype(np.intp)
-        values[ids] = totals[done]
-        errors[ids] = total_errs[done]
-        if done.all():
-            return values, errors
-        stuck = ~done & (counts >= MAX_CELLS)
-        if stuck.any():
-            k = stuck.argmax()
-            left, right = cells[0, starts[k]], cells[1, starts[k] + counts[k] - 1]
-            raise QuadratureError(
-                f"tolerance {tols[k]:.3e} not met within {MAX_CELLS} cells on "
-                f"[{float(left)!r}, {float(right)!r}] (error estimate {total_errs[k]:.3e})",
-                owner=int(owner[starts[k]]),
-            )
-        # equal-share refinement: in each open interval split every cell above
-        # its share of the interval's budget, or else its worst cells
-        open_ = (~done).repeat(counts)
-        split = open_ & (errs > (tols / counts).repeat(counts))
-        stalled = ~done & ~np.logical_or.reduceat(split, starts)
-        if stalled.any():
-            worst = errs >= np.maximum.reduceat(errs, starts).repeat(counts)
-            split |= worst & stalled.repeat(counts)
-        parents = cells[:3, split]
-        mids = 0.5 * (parents[0] + parents[1])
-        halves = np.concatenate([parents, parents], axis=1)
-        halves[1, :mids.size] = mids
-        halves[0, mids.size:] = mids
-        cells = np.concatenate([cells[:, open_ & ~split], _eval_cells(f, halves)], axis=1)
-        cells = cells[:, np.lexsort((cells[0], cells[2]))]
+def _cell(f, left: float, right: float):
+    """GK15 on the cell [left, right]: the Kronrod value and the values of
+    f on the 15 float nodes, each placed from the nearer end of the cell so
+    that adjacent cells meet without a gap.  A value that is not finite, or
+    an OverflowError out of f, raises QuadratureError."""
+    half = 0.5 * (right - left)
+    nodes = [left + half * t for t in _FROM_LEFT]
+    nodes.append(0.5 * (left + right))
+    nodes += [right - half * t for t in _FROM_RIGHT]
+    try:
+        values = list(map(f, nodes))
+        kronrod = sum(map(operator.mul, values, _WGK)) * half
+    except OverflowError:
+        kronrod = math.inf
+    if not math.isfinite(kronrod):
+        raise QuadratureError(f"integrand is not finite on [{left!r}, {right!r}]")
+    return kronrod, values
 
 
-def _bounds(a, b):
-    """a and b broadcast to one flat float array each; raises ValueError on
-    an interval out of order."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    a, b = a.reshape(-1), b.reshape(-1)
-    out_of_order = (~(b >= a)).nonzero()[0]
-    if out_of_order.size:
-        k = out_of_order[0]
-        raise ValueError(f"integration bounds out of order: [{a[k]}, {b[k]}]")
+def _intervals(a, b):
+    """a and b, each a number or a sequence, as two lists of floats of one
+    length, a number standing for every interval; raises ValueError on an
+    interval out of order."""
+    a, b = ([float(v) for v in x] if hasattr(x, "__len__") else [float(x)] for x in (a, b))
+    n = max(len(a), len(b))
+    a, b = (x * n if len(x) == 1 else x for x in (a, b))
+    for lo, hi in zip(a, b, strict=True):
+        if not hi >= lo:
+            raise ValueError(f"integration bounds out of order: [{lo}, {hi}]")
     return a, b
-
-
-def _uniform_cells(a, b, counts):
-    """Rows (left, right, owner) of `counts` equal cells on every interval
-    [a[k], b[k]] with b > a, sorted by owner, then left; `counts` is an int
-    or one count per interval.  Edges a (1 - j/n) + b j/n put each
-    interval's ends on a and b exactly."""
-    counts = np.where(b > a, counts, 0)
-    owner = np.arange(a.size).repeat(counts)
-    n = counts[owner]
-    j = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    lo, hi = a[owner], b[owner]
-    lefts, rights = (lo * (1.0 - frac) + hi * frac for frac in (j / n, (j + 1) / n))
-    return np.array([lefts, rights, owner.astype(float)])
-
-
-def adaptive_quad_batch(f, a, b, *, rel_tol: float = 1e-9):
-    """Integrate f over every interval [a[k], b[k]] in one refinement loop.
-
-    f(x, k) receives a node array and, in the same shape, the index of the
-    interval each node belongs to.  Each interval starts as one cell and
-    stops once its error estimate is below rel_tol * |its integral|, within
-    its own budget of MAX_CELLS cells.  a and b broadcast; zero-width
-    intervals integrate to 0.  Returns (values, error_estimates) as arrays.
-    """
-    a, b = _bounds(a, b)
-    return _refine(f, _uniform_cells(a, b, 1), a.size, rel_tol)
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -230,52 +136,80 @@ def cosh_power_quad_batch(a, b, power: int, *, rel_tol: float):
     cells, all positive.
 
     The widest h whose bound meets rel_tol is maximized over rho once per
-    (power, rel_tol).  Each interval takes n = ceil(width / 2h) equal cells, and every
-    cell of the batch is evaluated in one integrand call: no refinement
-    loop and no Kronrod-Gauss estimate.  The error returned is the bound at
-    the interval's own half-width plus rounding, (16 + n + 2 p max |x|) u
-    |value|: the rounded nodes move cosh^p by at most 2 p |x| u relative,
-    and cosh, the weights and the positive sums add less than (16 + n) u.
-    Zero-width intervals integrate to 0.  An interval that needs more than
-    MAX_CELLS cells raises QuadratureError and owns it.  Returns (values,
-    error bounds) as arrays and the number of cells evaluated.
+    (power, rel_tol).  Each interval takes n = ceil(width / 2h) equal cells:
+    no refinement loop and no Kronrod-Gauss estimate.  The error returned
+    is the bound at the interval's own half-width plus rounding, (16 + n +
+    2 p max |x|) u |value|: the rounded nodes move cosh^p by at most
+    2 p |x| u relative, and cosh, the weights and the positive sums add
+    less than (16 + n) u.  a and b are numbers or sequences, a number
+    standing for every interval.  Zero-width intervals integrate to 0.  An
+    interval that needs more than MAX_CELLS cells raises QuadratureError
+    and owns it; no cell is evaluated then.  Returns (values, error bounds)
+    as lists and the number of cells evaluated.
     """
-    a, b = _bounds(a, b)
+    a, b = _intervals(a, b)
     widest, gain, reach = _widest_cell(power, rel_tol)
     if not widest > 0.0:
         raise ValueError(f"no certified cell meets relative tolerance {rel_tol!r}")
-    need = np.ceil((b - a) / (2.0 * widest))
-    over = (need > MAX_CELLS).nonzero()[0]
-    if over.size:
-        k = over[0]
-        raise QuadratureError(
-            f"tolerance {rel_tol:.3e} (relative) not met within {MAX_CELLS} cells on "
-            f"[{float(a[k])!r}, {float(b[k])!r}] (the certified partition needs {need[k]:.0f})",
-            owner=int(k),
-        )
-    counts = need.astype(np.intp)
-    values, errors = np.zeros(a.size), np.zeros(a.size)
-    live = counts > 0
-    if not live.any():
-        return values, errors, 0
-    cells = _eval_cells(lambda x, k: np.cosh(x) ** power, _uniform_cells(a, b, counts))
-    n = counts[live]
-    values[live] = _run_sums(cells[3:4], np.cumsum(n) - n, n)[0]
-    half = (b - a)[live] / (2.0 * n)
-    truncation = np.exp(power * reach * half - gain)
-    largest = np.maximum(np.abs(a[live]), np.abs(b[live]))
-    rounding = (16.0 + n + 2.0 * power * largest) * _UNIT_ROUNDOFF
-    errors[live] = (truncation + rounding) * values[live]
-    return values, errors, int(n.sum())
+    counts = []
+    for k, (lo, hi) in enumerate(zip(a, b)):
+        need = (hi - lo) / (2.0 * widest)
+        if need > MAX_CELLS:
+            raise QuadratureError(
+                f"tolerance {rel_tol:.3e} (relative) not met within {MAX_CELLS} cells on "
+                f"[{lo!r}, {hi!r}] (the certified partition needs "
+                f"{math.ceil(need) if need < math.inf else need})", owner=k,
+            )
+        counts.append(math.ceil(need))
+
+    def cosh_power(x):
+        return math.cosh(x) ** power
+
+    values, errors = [], []
+    for k, (lo, hi, n) in enumerate(zip(a, b, counts)):
+        # edges lo (1 - j/n) + hi j/n put the ends on lo and hi exactly
+        edges = [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)] if n else []
+        try:
+            value = sum((_cell(cosh_power, left, right)[0]
+                         for left, right in zip(edges, edges[1:])), 0.0)
+        except QuadratureError as exc:
+            exc.owner = k
+            raise
+        truncation = math.exp(power * reach * ((hi - lo) / (2.0 * n)) - gain) if n else 0.0
+        rounding = (16.0 + n + 2.0 * power * max(abs(lo), abs(hi))) * _UNIT_ROUNDOFF
+        values.append(value)
+        errors.append((truncation + rounding) * value)
+    return values, errors, sum(counts)
 
 
 # stays: perfbench/tracer.py wraps it as corevol.pleated.adaptive_quad (quadrature metrics)
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
-    """Integrate the vectorized callable f over [a, b].
-
-    Stops once the total error estimate is below rel_tol * |integral|.
-    Returns (value, error_estimate).  A batch of one interval for
-    adaptive_quad_batch.
+    """Integrate f, called on float nodes, over [a, b] by bisection: the
+    cell of largest Kronrod-Gauss estimate is halved until the summed
+    estimate is below rel_tol * |integral|, within MAX_CELLS cells.  The
+    cells stay in order and the value is their left-to-right sum.  A
+    zero-width interval integrates to 0.  Returns (value, error_estimate).
     """
-    values, errors = adaptive_quad_batch(lambda x, k: f(x), a, b, rel_tol=rel_tol)
-    return float(values[0]), float(errors[0])
+    (a,), (b,) = _intervals(a, b)
+
+    def estimate(left, right):
+        kronrod, values = _cell(f, left, right)
+        gauss = sum(map(operator.mul, values[1::2], _WG)) * (0.5 * (right - left))
+        return left, right, kronrod, abs(kronrod - gauss)
+
+    cells = [estimate(a, b)] if b > a else []
+    while True:
+        total = float(sum(cell[2] for cell in cells))
+        error = float(sum(cell[3] for cell in cells))
+        tol = rel_tol * abs(total)
+        if error <= tol:
+            return total, error
+        if len(cells) >= MAX_CELLS:
+            raise QuadratureError(
+                f"tolerance {tol:.3e} not met within {MAX_CELLS} cells on "
+                f"[{a!r}, {b!r}] (error estimate {error:.3e})"
+            )
+        worst = max(range(len(cells)), key=lambda i: cells[i][3])
+        left, right = cells[worst][:2]
+        mid = 0.5 * (left + right)
+        cells[worst:worst + 1] = [estimate(left, mid), estimate(mid, right)]

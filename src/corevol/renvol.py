@@ -25,10 +25,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import quadrature
-from .quadrature import _UNIT_ROUNDOFF, QuadratureError, cosh_power_quad_batch
+from .quadrature import _UNIT_ROUNDOFF, QuadratureError, _cell, cosh_power_quad_batch
 from .surface import SurfaceInfo
 
 
@@ -75,23 +73,18 @@ def level_lambda(eps: float) -> float:
     return -math.log(eps)
 
 
-def _level_radius(eps: float) -> float:
-    """sinh(lambda) of the level eps, as (1 - eps)(1 + eps) / (2 eps): no
-    cancellation and no lambda to amplify, so within 2 u relative."""
+def _sinh_squared(eps: float) -> float:
+    """sinh(lambda)^2 of the level eps, built from eps so that no lambda
+    amplifies its error.  Below eps = 1/2 it is (eps^-2 - 2 + eps^2) / 4,
+    summed exactly: eps^-2 (pow, within 0.52 ulp) is at most 16/9 of the
+    sum, so within 3 u relative.  Above, where that sum cancels, it is ((1 -
+    eps)(1 + eps) / (2 eps))^2, with 1 - eps exact and no cancellation:
+    within 7 u."""
     level_lambda(eps)  # the same domain check
-    return (1.0 - eps) * (1.0 + eps) / (2.0 * eps)
-
-
-def level_set_area(surface: SurfaceInfo, lam: float) -> float:
-    """Area of the distance-lambda level surface.
-
-    Two copies of the core scaled by cosh^2(lambda) plus one flat cylinder
-    of area pi L_i sinh(lambda) cosh(lambda) per end.
-    """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    cylinders = math.pi * math.sinh(lam) * math.cosh(lam) * surface.total_end_length
-    return 2.0 * surface.core_area * math.cosh(lam) ** 2 + cylinders
+    if eps < 0.5:
+        return math.fsum((eps ** -2, -2.0, eps * eps)) / 4.0
+    radius = (1.0 - eps) * (1.0 + eps) / (2.0 * eps)
+    return radius * radius
 
 
 def surface_terms(surface: SurfaceInfo) -> list:
@@ -104,9 +97,11 @@ def surface_terms(surface: SurfaceInfo) -> list:
 def closed_volume(terms, eps: float, convention: Convention, base: float = 0.0) -> float:
     """Closed-form truncated volume at level eps: base plus every (term,
     weight) of `terms`, each the correctly rounded sum of its row's exact
-    products times its weight."""
+    products times its weight.  The basis is built from eps, not from lam:
+    sinh^2 lam (_sinh_squared) and sinh 2 lam = (eps^-2 - eps^2) / 2 have
+    no lam to amplify, so each is within a few u."""
     lam = level_lambda(eps)
-    basis = (math.sinh(2.0 * lam), math.sinh(lam) ** 2, lam, 1.0, eps)
+    basis = ((eps ** -2 - eps * eps) / 2.0, _sinh_squared(eps), lam, 1.0, eps)
     volumes = [weight * math.fsum(map(operator.mul, CLOSED_FORMS[convention, term], basis))
                for term, weight in terms]
     return math.fsum([base, *volumes])
@@ -147,6 +142,14 @@ def _arc_partition(s_kink: float):
             return n, bound
 
 
+def _cubic(u: float) -> float:
+    return u * (2.0 - u) * (1.0 - u)
+
+
+def _arc(s: float) -> float:
+    return s * s * math.sqrt(2.0 - s * s)
+
+
 def _sector_areas(eps_values, thetas, rel_tol: float):
     """Areas of the disk sectors of opening pi - theta and radius R =
     sinh(lam), lam = -log(eps), per (eps, theta) of eps_values and thetas:
@@ -181,69 +184,51 @@ def _sector_areas(eps_values, thetas, rel_tol: float):
     so, and x |f'| integrates to a few times f), the integrand's
     evaluation 6 u, the weights and the 15-point sums 15 u, the kink (cos /
     sqrt(1 + sin), with no cancellation) 3 u and the sum of its n cells
-    n u: (33 + n) u, taken with room as (_SLICE_ROUNDING + n) u.  R^2 adds
-    5 u (_level_radius).
+    n u: (33 + n) u.  R^2 adds at most 7 u (_sinh_squared) and its product
+    with the slice 1 u: (41 + n) u, taken with room as (_SLICE_ROUNDING + 5
+    + n) u.
 
     Each distinct theta's unit slice is integrated once, on a partition
-    fixed in advance, and every cell of every slice is evaluated in one
-    _eval_cells call, so an area does not depend on the rest of the batch.
-    A piece that needs more than MAX_CELLS cells raises QuadratureError,
-    and so does a sector whose error bound exceeds rel_tol times its area;
-    `owner` is the sector (the first of its theta).  Returns (areas, error
-    bounds) as arrays and the number of cells evaluated.
+    fixed in advance, and summed over its cells in order, cubic piece
+    first, so an area does not depend on the rest of the batch.  A piece
+    that needs more than MAX_CELLS cells raises QuadratureError, and so
+    does a sector whose error bound exceeds rel_tol times its area; `owner`
+    is the sector (the first of its theta).  Returns (areas, error bounds)
+    as lists and the number of cells evaluated.
     """
-    slots, firsts = {}, []
+    units, cells = {}, 0  # theta -> (unit slice, its error bound)
     for k, theta in enumerate(thetas):
-        if theta not in slots:
-            slots[theta] = len(firsts)
-            firsts.append(k)
-    # rows (left, right, piece) of every cell; slice j owns the pieces 2j
-    # (the cubic, in u) and 2j + 1 (the arc, in s), and coef their factors
-    cells, coef, bounds = [], np.zeros(2 * len(firsts)), np.zeros(len(firsts))
-    for j, theta in enumerate(slots):
-        if theta == math.pi:
+        if theta in units:
             continue
-        sin_h, cos_h = math.sin(0.5 * theta), math.cos(0.5 * theta)
-        s_kink = cos_h / math.sqrt(1.0 + sin_h)
-        if s_kink < 1.0:
-            cells.append((0.0, 1.0 - s_kink, 2 * j))
-            coef[2 * j] = 4.0 * cos_h / sin_h
-        if s_kink > 0.0:
-            n, bounds[j] = _arc_partition(s_kink)
-            if n > quadrature.MAX_CELLS:
-                raise QuadratureError(
-                    f"tolerance {_SLICE_ROUNDING * _UNIT_ROUNDOFF:.3e} (the rounding bound) "
-                    f"not met within {quadrature.MAX_CELLS} cells on [0.0, {s_kink!r}] "
-                    f"(the certified partition needs {n})", owner=firsts[j],
-                )
-            cells += [(s_kink * i / n, s_kink * (i + 1) / n, 2 * j + 1) for i in range(n)]
-            coef[2 * j + 1] = 4.0
-
-    def column(x, k):
-        return coef[k] * np.where(k & 1, x * x * np.sqrt(2.0 - x * x),
-                                  x * (2.0 - x) * (1.0 - x))
-
-    units, counts = np.zeros(len(firsts)), np.zeros(len(firsts))
-    if cells:
-        rows = quadrature._eval_cells(column, np.array(cells).T)
-        slot = rows[2].astype(np.intp) >> 1
-        # each slice's cells in order, cubic piece first
-        units = np.bincount(slot, weights=rows[3], minlength=len(firsts))
-        counts = np.bincount(slot, minlength=len(firsts))
-    rounding = (_SLICE_ROUNDING + 5.0 + counts) * _UNIT_ROUNDOFF
-    unit_errors = bounds + rounding * units
-    index = [slots[theta] for theta in thetas]
-    radii = np.array([_level_radius(float(eps)) for eps in eps_values])
-    squares = radii * radii
-    areas, errors = squares * units[index], squares * unit_errors[index]
-    over = (~(errors <= rel_tol * areas) | ~np.isfinite(areas)).nonzero()[0]
-    if over.size:
-        k = over[0]
-        raise QuadratureError(
-            f"tolerance {rel_tol:.3e} (relative) not met: the certified error "
-            f"{errors[k]:.3e} of area {areas[k]:.6e} exceeds it", owner=int(k),
-        )
-    return areas, errors, len(cells)
+        unit, bound, n = 0.0, 0.0, 0
+        if theta != math.pi:
+            sin_h, cos_h = math.sin(0.5 * theta), math.cos(0.5 * theta)
+            s_kink = cos_h / math.sqrt(1.0 + sin_h)
+            if s_kink < 1.0:
+                unit, n = 4.0 * cos_h / sin_h * _cell(_cubic, 0.0, 1.0 - s_kink)[0], 1
+            if s_kink > 0.0:
+                arcs, bound = _arc_partition(s_kink)
+                if arcs > quadrature.MAX_CELLS:
+                    raise QuadratureError(
+                        f"tolerance {_SLICE_ROUNDING * _UNIT_ROUNDOFF:.3e} (the rounding "
+                        f"bound) not met within {quadrature.MAX_CELLS} cells on "
+                        f"[0.0, {s_kink!r}] (the certified partition needs {arcs})", owner=k,
+                    )
+                for i in range(arcs):
+                    unit += 4.0 * _cell(_arc, s_kink * i / arcs, s_kink * (i + 1) / arcs)[0]
+                n += arcs
+        cells += n
+        units[theta] = unit, bound + (_SLICE_ROUNDING + 5.0 + n) * _UNIT_ROUNDOFF * unit
+    squares = list(map(_sinh_squared, eps_values))
+    areas = [square * units[theta][0] for square, theta in zip(squares, thetas)]
+    errors = [square * units[theta][1] for square, theta in zip(squares, thetas)]
+    for k, (area, error) in enumerate(zip(areas, errors)):
+        if not (error <= rel_tol * area and math.isfinite(area)):
+            raise QuadratureError(
+                f"tolerance {rel_tol:.3e} (relative) not met: the certified error "
+                f"{error:.3e} of area {area:.6e} exceeds it", owner=k,
+            )
+    return areas, errors, cells
 
 
 def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
@@ -254,27 +239,26 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
     eps level, and the integral too if it failed inside one."""
     if tol < QUAD_TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
-    lams = np.array([level_lambda(float(e)) for e in eps_values])
-    totals = np.zeros(lams.size)
-    errs = np.zeros(lams.size)
-    cells = 0
+    lams = [level_lambda(float(e)) for e in eps_values]
+    totals, errs, cells = [0.0] * len(lams), [0.0] * len(lams), 0
     integral = "core slab"
     try:
         if surface.core_area != 0.0:
             slabs, slab_errs, cells = cosh_power_quad_batch(0.0, lams, 2, rel_tol=tol / 4.0)
-            totals += 2.0 * surface.core_area * slabs
-            errs += 2.0 * surface.core_area * slab_errs
+            weight = 2.0 * surface.core_area
+            totals = [weight * slab for slab in slabs]
+            errs = [weight * err for err in slab_errs]
         integral = "end cylinder"
         total_length = surface.total_end_length
         if total_length > 0.0:
-            areas, area_errs, end_cells = _sector_areas(eps_values, [0.0] * lams.size, tol / 2.0)
-            totals += total_length * areas
-            errs += total_length * area_errs
+            areas, area_errs, end_cells = _sector_areas(eps_values, [0.0] * len(lams), tol / 2.0)
+            totals = [total + total_length * area for total, area in zip(totals, areas)]
+            errs = [err + total_length * area_err for err, area_err in zip(errs, area_errs)]
             cells += end_cells
     except QuadratureError as exc:
         eps = float(eps_values[exc.owner])
         raise QuadratureError(f"{integral} at eps {eps!r}: {exc}", exc.owner) from None
-    for k, (total, err) in enumerate(zip(totals.tolist(), errs.tolist())):
+    for k, (total, err) in enumerate(zip(totals, errs)):
         if err > tol * abs(total) + 1e-300:
             raise QuadratureError(
                 f"quadrature error bound {err:.3e} exceeds tolerance for volume "
@@ -294,7 +278,7 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
     on this path.  A batch of one level for the profile oracle.
     """
     volumes, _, _ = _truncated_volumes(surface, [eps], tol)
-    return float(volumes[0])
+    return volumes[0]
 
 
 @dataclass(frozen=True)
@@ -303,37 +287,33 @@ class VolumeProfile:
 
     Samples are (eps, volume) pairs with eps strictly decreasing and volume
     nondecreasing: a pleated core with no bending and no boundary has a
-    constant profile.  `cells` counts the quadrature cells evaluated for it.
+    constant profile.  An oracle profile also carries the quadrature cells
+    evaluated for it and the certified error bound of each volume.
     """
 
     samples: tuple[tuple[float, float], ...]
     provenance: str
     cells: int = 0
+    bounds: tuple[float, ...] = ()
 
     def __post_init__(self):
-        eps = [s[0] for s in self.samples]
-        vol = [s[1] for s in self.samples]
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        pairs = list(zip(self.samples, self.samples[1:]))
+        if any(e2 >= e1 for (e1, _), (e2, _) in pairs):
             raise ValueError("profile eps values must be strictly decreasing")
-        if any(v2 < v1 for v1, v2 in zip(vol, vol[1:])):
+        if any(v2 < v1 for (_, v1), (_, v2) in pairs):
             raise ValueError("profile volumes must not decrease as eps decreases")
-
-    @property
-    def eps(self):
-        return np.array([s[0] for s in self.samples])
-
-    @property
-    def volumes(self):
-        return np.array([s[1] for s in self.samples])
 
 
 def default_eps_grid(eps_min: float = 1e-3, eps_max: float = 0.3,
-                     count: int = 12) -> np.ndarray:
-    """Logarithmic eps grid, descending; conditions the expansion fit while
-    keeping cosh(lambda) moderate for the quadrature."""
-    if not (0.0 < eps_min < eps_max < 1.0):
-        raise ValueError("need 0 < eps_min < eps_max < 1")
-    return np.geomspace(eps_max, eps_min, count)
+                     count: int = 12) -> list:
+    """Logarithmic eps grid of count >= 2 levels, descending from eps_max to
+    eps_min, both exact; conditions the expansion fit while keeping
+    cosh(lambda) moderate for the quadrature."""
+    if not (0.0 < eps_min < eps_max < 1.0 and count >= 2):
+        raise ValueError("need 0 < eps_min < eps_max < 1 and at least 2 levels")
+    step = (math.log(eps_min) - math.log(eps_max)) / (count - 1)
+    inner = [eps_max * math.exp(k * step) for k in range(1, count - 1)]
+    return [eps_max, *inner, eps_min]
 
 
 def closed_profile(terms, eps_grid, convention: Convention, base: float = 0.0) -> VolumeProfile:
@@ -346,8 +326,9 @@ def closed_profile(terms, eps_grid, convention: Convention, base: float = 0.0) -
 def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> VolumeProfile:
     """Oracle profile: every level of eps_grid integrated in one batch."""
     eps_values = [float(e) for e in eps_grid]
-    volumes, _, cells = _truncated_volumes(surface, eps_values, tol)
-    return VolumeProfile(tuple(zip(eps_values, volumes.tolist())), PROVENANCE_QUADRATURE, cells)
+    volumes, errors, cells = _truncated_volumes(surface, eps_values, tol)
+    return VolumeProfile(tuple(zip(eps_values, volumes)), PROVENANCE_QUADRATURE, cells,
+                         tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -367,49 +348,123 @@ class ExpansionFit:
     condition: float
 
 
+def _dot(x, y) -> float:
+    """Inner product of two sequences, correctly rounded."""
+    return math.fsum(map(operator.mul, x, y))
+
+
+def _qr(columns):
+    """Thin QR of the columns by modified Gram-Schmidt, each column
+    orthogonalized twice, which keeps Q orthogonal to working precision
+    (Bjorck and Paige, SIAM J. Matrix Anal. Appl. 13, 1992).  Returns (the
+    columns of Q, the rows of R); a column in the span of those before it
+    leaves a zero on R's diagonal."""
+    q, r = [], [[0.0] * len(columns) for _ in columns]
+    for j, v in enumerate(columns):
+        for _ in range(2):
+            for i, qi in enumerate(q):
+                c = _dot(qi, v)
+                r[i][j] += c
+                v = [a - c * b for a, b in zip(v, qi)]
+        r[j][j] = norm = math.sqrt(_dot(v, v))
+        q.append([a / norm for a in v] if norm else v)
+    return q, r
+
+
+def _solve(q, r, rhs):
+    """The least-squares solution y of (Q R) y = rhs: R y = Q^T rhs by back
+    substitution."""
+    y = [_dot(qi, rhs) for qi in q]
+    for i in reversed(range(len(y))):
+        y[i] = (y[i] - sum(r[i][j] * y[j] for j in range(i + 1, len(y)))) / r[i][i]
+    return y
+
+
+def _singular_values(rows):
+    """Singular values of a small square matrix, ascending: one-sided Jacobi
+    rotations of its columns until every pair is orthogonal to working
+    precision (Hestenes); the values are then the column norms.  A rotation
+    moves gamma t from one squared norm to the other, so only the inner
+    product of a pair is summed anew."""
+    cols = [list(col) for col in zip(*rows)]
+    for _ in range(30):  # a 4x4 matrix takes about six sweeps
+        norms = [sum(x * x for x in col) for col in cols]
+        rotated = False
+        for p in range(len(cols) - 1):
+            for k in range(p + 1, len(cols)):
+                a, b = cols[p], cols[k]
+                gamma = sum(map(operator.mul, a, b))
+                # abs: an update can leave a vanishing squared norm just below 0
+                if abs(gamma) <= 2.0 ** -52 * math.sqrt(abs(norms[p] * norms[k])):
+                    continue
+                rotated = True
+                zeta = (norms[k] - norms[p]) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                cols[p] = [c * x - s * y for x, y in zip(a, b)]
+                cols[k] = [s * x + c * y for x, y in zip(a, b)]
+                norms[p] -= t * gamma
+                norms[k] += t * gamma
+        if not rotated:
+            break
+    return sorted(math.hypot(*col) for col in cols)
+
+
 def fit_expansion(eps, volumes) -> ExpansionFit:
     """Least squares in the exact four-term model family.
 
     The expansion of the truncated volume terminates at eps^2, so the model
     contains the truth and the fit is exact (up to roundoff) on profiles
-    generated by either closed form or by converged quadrature.
+    generated by either closed form or by converged quadrature.  The
+    columns are scaled to unit norm and solved by modified Gram-Schmidt QR
+    (_qr), with two steps of iterative refinement; the condition number and
+    the rank come from the singular values of R.
     """
-    eps = np.asarray(eps, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
-    if eps.size < 8:
-        raise ValueError(f"need at least 8 samples to fit, got {eps.size}")
-    if eps.max() / eps.min() < 100.0:
-        raise ValueError("samples must span at least two decades of eps")
-    design = np.column_stack([eps ** -2, np.log(eps), np.ones_like(eps), eps ** 2])
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(design, axis=0)
-    if not np.isfinite(scale[0]):
+    eps = [float(e) for e in eps]
+    volumes = [float(v) for v in volumes]
+    if len(eps) < 8:
+        raise ValueError(f"need at least 8 samples to fit, got {len(eps)}")
+    if not (min(eps) > 0.0 and max(eps) / min(eps) >= 100.0):
+        raise ValueError("samples must be positive and span at least two decades of eps")
+    try:
+        design = [[e ** -2 for e in eps], [math.log(e) for e in eps],
+                  [1.0] * len(eps), [e * e for e in eps]]
+        scale = [math.sqrt(_dot(column, column)) for column in design]
+    except OverflowError:
+        scale = [math.inf]
+    if not math.isfinite(scale[0]):
         raise ValueError(
             f"the norm of the eps^-2 column overflows float64 (eps down to "
-            f"{eps.min():g}); the fit needs every eps above about 1e-77"
+            f"{min(eps):g}); the fit needs every eps above about 1e-77"
         )
-    if not np.all(scale > 0.0):
+    if not all(s > 0.0 for s in scale):
         raise ValueError("degenerate design column")
-    scaled = design / scale
-    coeffs, _, rank, _ = np.linalg.lstsq(scaled, volumes, rcond=None)
-    if rank < 4:
+    scaled = [[x / s for x in column] for column, s in zip(design, scale)]
+    q, r = _qr(scaled)
+    sigma = _singular_values(r)
+    # the rank rule of numpy's lstsq: a singular value counts when it is
+    # above max(m, n) 2^-52 sigma_max
+    if not sigma[0] > len(eps) * 2.0 ** -52 * sigma[-1]:
         raise ValueError("rank-deficient design; eps values are not distinct enough")
+    y = _solve(q, r, volumes)
     # iterative refinement recovers exact-model coefficients to near
     # machine precision despite the wide column scaling
+    rows = list(zip(*scaled))
     for _ in range(2):
-        resid = volumes - scaled @ coeffs
-        coeffs = coeffs + np.linalg.lstsq(scaled, resid, rcond=None)[0]
-    x = coeffs / scale
-    residual = float(np.linalg.norm(volumes - design @ x))
-    condition = float(np.linalg.cond(scaled))
-    return ExpansionFit(
-        c_m2=float(x[0]), c_log=float(x[1]), v=float(x[2]), c_2=float(x[3]),
-        residual=residual, condition=condition,
-    )
+        resid = [v - (a * y[0] + b * y[1] + c * y[2] + d * y[3])
+                 for v, (a, b, c, d) in zip(volumes, rows)]
+        y = [yi + dy for yi, dy in zip(y, _solve(q, r, resid))]
+    x = [yi / s for yi, s in zip(y, scale)]
+    resid = [v - (a * x[0] + b * x[1] + c * x[2] + d * x[3])
+             for v, (a, b, c, d) in zip(volumes, zip(*design))]
+    return ExpansionFit(c_m2=x[0], c_log=x[1], v=x[2], c_2=x[3],
+                        residual=math.sqrt(_dot(resid, resid)), condition=sigma[-1] / sigma[0])
 
 
 def expansion_fit(profile: VolumeProfile) -> ExpansionFit:
-    return fit_expansion(profile.eps, profile.volumes)
+    eps, volumes = zip(*profile.samples)
+    return fit_expansion(eps, volumes)
 
 
 def bending_sum(pairs) -> float:

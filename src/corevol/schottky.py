@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mobius import DET_TOL, Mobius
 
 MIN_GAP = 1e-9
@@ -281,6 +279,8 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    import numpy as np  # the only numpy path of a Fuchsian group
+
     alphabet = [x for i in range(1, group.genus + 1) for x in (i, -i)]
     xa, xb, xc, xd = np.array([letter_mobius(group, x).entries for x in alphabet]).T
     centers = np.array([group.circles[_contraction_disk(group, x)].center for x in alphabet])
@@ -318,9 +318,11 @@ def limit_set_sample(group: ValidatedGroup, depth: int):
     return _sort_dedup(np.concatenate(raw))
 
 
-def _sort_dedup(points: np.ndarray) -> list:
-    """`points` sorted, each dropped if within DEDUP_TOL of the last point
-    kept."""
+def _sort_dedup(points) -> list:
+    """`points`, a float array, sorted, each dropped if within DEDUP_TOL of
+    the last point kept."""
+    import numpy as np
+
     # Equal keys differ only in the sign of a zero; only then does their
     # order, the order of the words, decide which one the scan keeps.
     points = np.sort(points, kind="stable" if (points == 0).any() else None)

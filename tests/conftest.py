@@ -30,6 +30,16 @@ def make_row_group(centers, radius, pairs):
     return validate(SchottkyData(circles, pairings))
 
 
+def level_set_area(surface, lam: float) -> float:
+    """Area of the distance-lambda level surface, the reference of the
+    coarea tests: two copies of the core scaled by cosh^2(lambda) plus one
+    flat cylinder of area pi L_i sinh(lambda) cosh(lambda) per end."""
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    cylinders = math.pi * math.sinh(lam) * math.cosh(lam) * surface.total_end_length
+    return 2.0 * surface.core_area * math.cosh(lam) ** 2 + cylinders
+
+
 @pytest.fixture(scope="session")
 def cyclic_s1():
     return make_cyclic(1.0)

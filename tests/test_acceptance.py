@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import integrate, liouville_residual, on_mesh
+from conftest import integrate, level_set_area, liouville_residual, on_mesh
 from corevol.anomaly import TAG_FLAT, TAG_HYPERBOLIC, SurfaceMesh, anomaly_functionals
 from corevol.cli import main
 from corevol.pleated import PleatLeaf, fuchsian_reduction_check, wedge_volume_quadrature
@@ -18,7 +18,6 @@ from corevol.renvol import (
     default_eps_grid,
     expansion_fit,
     fit_expansion,
-    level_set_area,
     profile_quadrature,
     truncated_volume_quadrature,
 )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corevol import cli, quadrature
+from corevol import cli, pleated, quadrature, renvol
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
 
@@ -180,17 +180,46 @@ def test_coarse_quad_tol_does_not_blame_the_derived_convention(tmp_path, capsys)
     assert "does not support" not in text
 
 
-def test_renvol_does_not_load_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on first use; the quadrature engine must not call it
-    config = write_config(tmp_path, README_G2_CONFIG)
-    code = ("import contextlib, io, sys; from corevol.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main(['renvol', '--config', {config!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules)")
+README_PLEATED_CONFIG = {"mode": "pleated_core", "core_volume": 5.0,
+                         "leaves": [{"length": 2.0, "theta": 1.5707963267948966}],
+                         "boundary_genus": 2}
+README_ANOMALY_CONFIG = {
+    "mode": "anomaly_check",
+    "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.0,
+             "circumference": 6.283185307179586, "n_t": 129, "n_theta": 128},
+    "field": {"kind": "theta_mode", "k": 1, "amplitude": 0.2},
+}
+# runs `main` on each (command, config path) of argv[1] in one fresh
+# interpreter, printing after each whether numpy has been imported
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import corevol
+print("import corevol", "numpy" in sys.modules)
+import corevol.cli
+print("import corevol.cli", "numpy" in sys.modules)
+for command, path in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = corevol.cli.main([command, "--config", path])
+    print(command, code, "numpy" in sys.modules)
+"""
+
+
+def test_only_anomaly_loads_numpy(tmp_path):
+    # the README configs: every Fuchsian and pleated command runs without
+    # numpy, and anomaly, which needs it, still runs after them
+    runs = [(command, write_config(tmp_path, config, f"{k}.json"))
+            for k, (command, config) in enumerate([
+                ("validate", BTZ_CONFIG), ("surface-info", README_G2_CONFIG),
+                ("renvol", BTZ_CONFIG), ("renvol", README_G2_CONFIG),
+                ("wedge", README_PLEATED_CONFIG), ("anomaly", README_ANOMALY_CONFIG)])]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["0", "False"]
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == [
+        "import corevol False", "import corevol.cli False",
+        "validate 0 False", "surface-info 0 False", "renvol 0 False", "renvol 0 False",
+        "wedge 0 False", "anomaly 0 True",
+    ]
 
 
 def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monkeypatch):
@@ -270,22 +299,29 @@ def test_wedge_without_bending_or_boundary(tmp_path, capsys, csv):
 
 
 def test_wedge_makes_one_quadrature_batch_call(tmp_path, capsys, monkeypatch):
-    calls = []
-    eval_cells = quadrature._eval_cells
+    batches, cells = [], []
+    sector_areas, cell = pleated._sector_areas, renvol._cell
 
-    def counted(f, cells):
-        calls.append(cells.shape[1])
-        return eval_cells(f, cells)
+    def batched(eps_values, thetas, rel_tol):
+        batches.append(list(thetas))
+        return sector_areas(eps_values, thetas, rel_tol)
 
-    # the wedge slices are integrated by renvol's sector oracle, every
-    # cell of every leaf in one integrand call
-    monkeypatch.setattr(quadrature, "_eval_cells", counted)
+    def counted(f, left, right):
+        cells.append(f.__name__)
+        return cell(f, left, right)
+
+    # the wedge slices are integrated by renvol's sector oracle, every leaf
+    # in one batch, and the report counts the cells that batch evaluated
+    monkeypatch.setattr(pleated, "_sector_areas", batched)
+    monkeypatch.setattr(renvol, "_cell", counted)
     leaves = [{"length": 1.0, "theta": theta} for theta in (0.0, 1.0, 2.0, math.pi)]
     config = dict(WEDGE_CONFIG, leaves=leaves)
     assert main(["wedge", "--config", write_config(tmp_path, config)]) == 0
     report = report_dict(capsys.readouterr().out)
-    assert len(calls) == 1
-    assert report["quadrature.cells"] == str(calls[0])
+    assert batches == [[0.0, 1.0, 2.0, math.pi]]
+    assert report["quadrature.cells"] == str(len(cells))
+    # theta = 0 has two arc cells, 1 and 2 a cubic and an arc, pi neither
+    assert cells == ["_arc", "_arc", "_cubic", "_arc", "_cubic", "_arc"]
     for i in range(len(leaves)):
         assert float(report[f"leaf.{i}.wedge_quadrature_err_est"]) >= 0.0
 

@@ -191,3 +191,23 @@ def test_mutated_golden_configs_give_a_finite_report_or_one_json_error(child, ca
         assert out.count("\n") == 1 and out.endswith("\n")
         error = json.loads(out)["error"]
         assert isinstance(error["kind"], str) and isinstance(error["message"], str)
+
+
+# Where numpy's arithmetic gave inf, math raises OverflowError, which is not a
+# ValueError.  Each such input keeps the exit code and error kind it had.
+MATH_OVERFLOWS = {
+    # every square of the fit's eps^-2 column is finite, their sum is not,
+    # and math.fsum raises where numpy's norm was inf
+    "fit_column_norm": ("renvol", {**GENUS1, "epsilon_grid": {"min": 9e-78, "max": 0.3,
+                                                              "count": 1024}}, "value"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATH_OVERFLOWS))
+def test_math_overflow_keeps_its_error_kind(child, name):
+    command, config, kind = MATH_OVERFLOWS[name]
+    answer = child.run(command, config)
+    assert "escaped" not in answer, answer.get("escaped")
+    assert answer["stderr"] == ""
+    assert answer["code"] == 2
+    assert json.loads(answer["stdout"])["error"]["kind"] == kind

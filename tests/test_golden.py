@@ -16,6 +16,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -142,6 +144,57 @@ def report_text(name: str, tmp_dir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(tmp_path, name):
     assert report_text(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# the reports that no numpy code computes
+NUMPY_FREE = ("readme_genus1", "readme_genus2", "g3_crossed", "wedge_three_leaves")
+# name -> (environment, the numpy CPU features it needs): other CPU paths
+# that numpy and OpenBLAS can take on an x86-64 CPU with AVX-512
+CPU_PATHS = {
+    "x86_v4_disabled": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, ("X86_V4",)),
+    "openblas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("X86_V3",)),
+    "both": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4", "OPENBLAS_CORETYPE": "Haswell"},
+             ("X86_V4",)),
+}
+COMPARE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_golden
+for name in test_golden.NUMPY_FREE:
+    text = test_golden.report_text(name, Path(sys.argv[2]))
+    print(name, text == (test_golden.GOLDEN / f"{name}.txt").read_bytes())
+"""
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.parametrize("path", sorted(CPU_PATHS))
+def test_numpy_free_goldens_on_other_cpu_paths(tmp_path, path):
+    """The renvol and wedge goldens are byte-identical when numpy and
+    OpenBLAS take another CPU path: those reports are computed with `math`
+    and plain floats only.  A path is skipped only on a CPU without the
+    features it needs.  The anomaly goldens are not checked here: their
+    fields and mesh functionals are numpy's, whose SIMD transcendentals move
+    with the CPU, and making them CPU-independent is left to do.  Out of
+    scope: another libm, glibc's own CPU dispatch inside libm (no
+    environment variable switches it), and another numpy major version."""
+    env, needs = CPU_PATHS[path]
+    missing = [feature for feature in needs if not _cpu_features().get(feature)]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child_env = dict(os.environ, PYTHONPATH=src, **env)
+    out = subprocess.run([sys.executable, "-c", COMPARE, str(Path(__file__).parent),
+                          str(tmp_path)], env=child_env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [word for name in NUMPY_FREE for word in (name, "True")]
 
 
 @pytest.mark.parametrize("name", sorted(LIMIT_SET_CASES))

@@ -18,6 +18,7 @@ from corevol.renvol import (
     bending_sum,
     closed_profile,
     closed_volume,
+    expansion_fit,
     fit_expansion,
     renormalized_volume,
     surface_terms,
@@ -181,7 +182,7 @@ def test_wedge_batch_is_bitwise_one_leaf_calls(eps, tol):
              for leaf in leaves}
     for order in itertools.permutations(leaves):
         values, errors, _ = wedge_volume_quadrature(order, eps, tol=tol)
-        got = [[v.hex(), e.hex()] for v, e in zip(values.tolist(), errors.tolist())]
+        got = [[v.hex(), e.hex()] for v, e in zip(values, errors)]
         assert got == [alone[leaf] for leaf in order]
 
 
@@ -250,14 +251,13 @@ def test_table_v_is_core_volume_minus_bending(core_volume, leaves, boundary_area
 def test_pleated_profile_is_monotone():
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
     for conv in Convention:
-        profile = pleated_profile(core, GRID, conv)
-        vols = profile.volumes
+        vols = [v for _, v in pleated_profile(core, GRID, conv).samples]
         assert all(b > a for a, b in zip(vols, vols[1:]))
 
 
 def test_pleated_profile_constant_term_matches_value():
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
-    fit = fit_expansion(GRID, pleated_profile(core, GRID, Convention.DERIVED).volumes)
+    fit = expansion_fit(pleated_profile(core, GRID, Convention.DERIVED))
     assert fit.v == pytest.approx(
         pleated_v(core, Convention.DERIVED), abs=1e-7
     )
@@ -267,7 +267,7 @@ def test_pleated_paper_profile_leaves_stray_linear_term():
     # the printed wedge line carries a bare eps power that the terminating
     # expansion family cannot represent; the fit residual exposes it
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
-    fit = fit_expansion(GRID, pleated_profile(core, GRID, Convention.PAPER).volumes)
+    fit = expansion_fit(pleated_profile(core, GRID, Convention.PAPER))
     assert fit.residual > 1e-3
 
 
@@ -310,7 +310,7 @@ def test_fuchsian_reduction_values(surface_s1):
 
 def test_fuchsian_reduction_fails_on_a_wrong_wedge_oracle(surface_adjacent, monkeypatch):
     # the bitwise leg cannot see the oracle; the eps = 0.1 leg must
-    doubled = lambda leaves, eps: tuple(2.0 * a for a in wedge_volume_quadrature(leaves, eps))
+    doubled = lambda leaves, eps: ([2.0 * v for v in wedge_volume_quadrature(leaves, eps)[0]],)
     monkeypatch.setattr(pleated, "wedge_volume_quadrature", doubled)
     for conv in Convention:
         passed, report = fuchsian_reduction_check(surface_adjacent, conv)

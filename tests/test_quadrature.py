@@ -15,8 +15,7 @@ from scipy import integrate as scipy_integrate
 import corevol
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
-from corevol.quadrature import (QuadratureError, adaptive_quad, adaptive_quad_batch,
-                                cosh_power_quad_batch)
+from corevol.quadrature import QuadratureError, adaptive_quad, cosh_power_quad_batch
 from corevol.renvol import _sector_areas
 
 
@@ -72,110 +71,74 @@ def test_deterministic_across_runs():
     assert first[0] == pytest.approx(math.pi / 2.0, rel=1e-10)
 
 
-# ------------------------------------------------------------ batched engine
-
-def _reference_quad(f, a, b, rel_tol):
-    """Per-interval reference: the one-interval refinement loop, summing the
-    cells with a plain 1-d sum in left-to-right order."""
-    def cells(lefts, rights):
-        centers, halves = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
-        vals = f(centers[:, None] + halves[:, None] * quadrature._XGK[None, :])
-        kron = (vals * quadrature._WGK[None, :]).sum(axis=1) * halves
-        gauss = (vals[:, 1::2] * quadrature._WG[None, :]).sum(axis=1) * halves
-        return kron, np.abs(kron - gauss)
-
-    lefts, rights = np.array([a]), np.array([b])
-    vals, errs = cells(lefts, rights)
-    while True:
-        order = np.argsort(lefts, kind="stable")
-        lefts, rights, vals, errs = lefts[order], rights[order], vals[order], errs[order]
-        total, total_err = float(vals.sum()), float(errs.sum())
-        tol = rel_tol * abs(total)
-        if total_err <= tol:
-            return total, total_err
-        split = errs > tol / len(lefts)
-        if not split.any():
-            split = errs >= errs.max()
-        mids = 0.5 * (lefts[split] + rights[split])
-        new_l = np.concatenate([lefts[split], mids])
-        new_r = np.concatenate([mids, rights[split]])
-        new_v, new_e = cells(new_l, new_r)
-        lefts = np.concatenate([lefts[~split], new_l])
-        rights = np.concatenate([rights[~split], new_r])
-        vals = np.concatenate([vals[~split], new_v])
-        errs = np.concatenate([errs[~split], new_e])
-
-
-def _kinked(x, c):
-    return np.sqrt(np.abs(x - c)) * np.cosh(0.3 * x) + np.sin(3.0 * x)
-
+# ------------------------------------------------------ batched certified engine
 
 def test_batch_equals_per_interval_calls_bitwise():
+    # a cosh^p interval is partitioned and summed on its own, whatever its batch
     rng = np.random.default_rng(7)
-    a = rng.uniform(-3.0, 1.0, 50)
-    b = a + rng.uniform(0.01, 4.0, 50)
-    c = rng.uniform(-3.0, 5.0, 50)  # kink, often outside its interval
-    values, errors = adaptive_quad_batch(lambda x, k: _kinked(x, c[k]), a, b,
-                                         rel_tol=1e-10)
-    for k in range(50):
-        one = adaptive_quad(lambda x: _kinked(x, c[k]), a[k], b[k], rel_tol=1e-10)
-        ref = _reference_quad(lambda x: _kinked(x, c[k]), a[k], b[k], 1e-10)
-        assert (values[k], errors[k]) == one == ref
+    a = rng.uniform(-9.0, 4.0, 50)
+    b = a + rng.uniform(0.0, 12.0, 50)
+    for power, rel_tol in [(1, 1e-9 / 16.0), (2, 1e-9 / 4.0), (2, 1e-6)]:
+        values, errors, cells = cosh_power_quad_batch(a, b, power, rel_tol=rel_tol)
+        singles = [cosh_power_quad_batch(lo, hi, power, rel_tol=rel_tol) for lo, hi in zip(a, b)]
+        assert [(v, e) for v, e in zip(values, errors)] == [(s[0][0], s[1][0]) for s in singles]
+        assert cells == sum(s[2] for s in singles)
 
 
 def test_batch_agrees_with_scipy_quad_vec():
     rng = np.random.default_rng(8)
-    a = rng.uniform(0.0, 1.0, 20)
+    a = rng.uniform(-2.0, 1.0, 20)
     b = a + rng.uniform(0.1, 5.0, 20)
-    w = rng.uniform(1.0, 9.0, 20)
-    values, _ = adaptive_quad_batch(lambda x, k: np.exp(-x) * np.cos(w[k] * x), a, b,
-                                    rel_tol=1e-11)
+    values, _, _ = cosh_power_quad_batch(a, b, 2, rel_tol=1e-11)
     # quad_vec integrates over one common interval: map each onto [0, 1]
     ref, _ = scipy_integrate.quad_vec(
-        lambda s: (b - a) * np.exp(-(a + s * (b - a))) * np.cos(w * (a + s * (b - a))),
-        0.0, 1.0, epsabs=0.0, epsrel=1e-13)
-    np.testing.assert_allclose(values, ref, rtol=1e-9, atol=1e-13)
+        lambda s: (b - a) * np.cosh(a + s * (b - a)) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
 
 
 def test_batch_zero_width_and_reversed_like_scalar():
-    values, errors = adaptive_quad_batch(lambda x, k: np.cosh(x), [2.0, 0.0, 5.0],
-                                         [2.0, 1.0, 5.0])
-    assert (values[0], errors[0]) == adaptive_quad(np.cosh, 2.0, 2.0) == (0.0, 0.0)
+    values, errors, cells = cosh_power_quad_batch([2.0, 0.0, 5.0], [2.0, 1.0, 5.0], 1,
+                                                  rel_tol=1e-9)
+    assert (values[0], errors[0]) == adaptive_quad(math.cosh, 2.0, 2.0) == (0.0, 0.0)
     assert (values[2], errors[2]) == (0.0, 0.0)
-    assert (values[1], errors[1]) == adaptive_quad(np.cosh, 0.0, 1.0)
+    assert values[1] == pytest.approx(adaptive_quad(math.cosh, 0.0, 1.0)[0], rel=1e-15)
+    assert cells == 1
     with pytest.raises(ValueError, match="out of order"):
-        adaptive_quad_batch(lambda x, k: np.cosh(x), [0.0, 1.0], [1.0, 0.0])
+        cosh_power_quad_batch([0.0, 1.0], [1.0, 0.0], 1, rel_tol=1e-9)
     with pytest.raises(ValueError, match="out of order"):
-        adaptive_quad(np.cosh, 1.0, 0.0)
+        adaptive_quad(math.cosh, 1.0, 0.0)
 
 
 def test_batch_unconvergeable_member_raises(monkeypatch):
-    def f(x, k):
-        return np.where(k == 3, np.clip(x, 1e-300, None) ** -0.9, np.cosh(x))
-
+    # the widest certified cosh cell at 1e-12 is about 2.4 wide: three of
+    # the first intervals fit in 8 cells, the fourth needs more and owns the
+    # failure, before any cell is evaluated
     monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
-    values, _ = adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0], rel_tol=1e-12)
+    values, _, _ = cosh_power_quad_batch(0.0, [1.0, 2.0, 3.0], 1, rel_tol=1e-12)
     assert values == pytest.approx(np.sinh([1.0, 2.0, 3.0]), rel=1e-12)
-    with pytest.raises(QuadratureError, match="within 8 cells"):
-        adaptive_quad_batch(f, 0.0, [1.0, 2.0, 3.0, 1.0], rel_tol=1e-12)
+    with pytest.raises(QuadratureError, match="within 8 cells") as failed:
+        cosh_power_quad_batch(0.0, [1.0, 2.0, 3.0, 100.0], 1, rel_tol=1e-12)
+    assert failed.value.owner == 3
 
 
-def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
-    # three unit cells summing to tol, each of error tol / 3 at rel_tol 1:
-    # none is above its share of tol, yet their errors sum above tol, so the
-    # worst cells (all three) are split into halves of value 1 and error 0
-    tol = 0.9046800706458055
-    assert np.full(3, tol / 3.0).sum() > tol
+def test_adaptive_quad_halves_the_worst_cell(monkeypatch):
+    # sqrt is worst in the cell at 0, so each halving splits the leftmost
+    # cell and leaves the smooth cells to its right alone
+    calls = []
+    cell = quadrature._cell
 
-    def fake_eval(f, cells):
-        unit = cells[1] - cells[0] == 1.0
-        value = np.where(unit, np.where(cells[0] == 0.0, tol, 0.0), 1.0)
-        return np.concatenate([cells, [value, np.where(unit, tol / 3.0, 0.0)]])
+    def counted(f, left, right):
+        calls.append((left, right))
+        return cell(f, left, right)
 
-    monkeypatch.setattr(quadrature, "_eval_cells", fake_eval)
-    cells = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    values, errors = quadrature._refine(None, cells, 1, 1.0)
-    assert (values[0], errors[0]) == (6.0, 0.0)
+    monkeypatch.setattr(quadrature, "_cell", counted)
+    value, err = adaptive_quad(math.sqrt, 0.0, 1.0, rel_tol=1e-8)
+    assert value == pytest.approx(2.0 / 3.0, rel=1e-8)
+    assert err <= 1e-8 * value
+    halvings = (len(calls) - 1) // 2
+    assert halvings > 3
+    assert calls == [(0.0, 1.0)] + [cell for k in range(1, halvings + 1)
+                                    for cell in ((0.0, 2.0 ** -k), (2.0 ** -k, 2.0 ** (1 - k)))]
 
 
 # ------------------------------------------------------- qk15 constants
@@ -183,15 +146,15 @@ def test_batch_splits_worst_cells_when_none_exceeds_its_share(monkeypatch):
 @pytest.mark.parametrize("weights", ["_WGK", "_WG"])
 def test_each_weight_set_sums_to_two(weights):
     # a constant cut to 15 digits leaves the Kronrod sum 6e-15 short
-    total = math.fsum(getattr(quadrature, weights).tolist())
+    total = math.fsum(getattr(quadrature, weights))
     assert abs(total - 2.0) <= 2.0 * math.ulp(2.0)
 
 
 def test_rules_are_exact_to_their_degree():
-    x = [mpmath.mpf(v) for v in quadrature._XGK.tolist()]
+    x = [mpmath.mpf(v) for v in quadrature._XGK]
     for weights, nodes, degree in [(quadrature._WGK, x, 22), (quadrature._WG, x[1::2], 13)]:
         for d in range(degree + 1):
-            rule = mpmath.fsum(mpmath.mpf(w) * v ** d for w, v in zip(weights.tolist(), nodes))
+            rule = mpmath.fsum(mpmath.mpf(w) * v ** d for w, v in zip(weights, nodes))
             exact = mpmath.mpf(2) / (d + 1) if d % 2 == 0 else 0
             assert abs(rule - exact) <= 4e-16, (len(nodes), d)
 
@@ -218,24 +181,30 @@ def test_certified_bound_covers_the_true_error(power, rel_tol):
         for k in range(a.size):
             exact = _cosh_power_integral(a[k], b[k], power)
             assert abs(values[k] - exact) <= bounds[k], (a[k], b[k])
-    assert np.all(bounds <= (rel_tol + 1e-12) * values)
+    assert all(bound <= (rel_tol + 1e-12) * value for value, bound in zip(values, bounds))
 
 
 def test_certified_partition_widths(monkeypatch):
     # the widest cell that meets the oracle's inner (cosh, tol 1e-9 / 16)
     # and slab (cosh^2, tol 1e-9 / 4) tolerances is 9.247 and 4.855 wide;
-    # every cell of the batch is evaluated in one call
+    # each interval is cut into that many equal cells, every cell evaluated
+    # once, in order
     calls = []
-    eval_cells = quadrature._eval_cells
+    cell = quadrature._cell
 
-    def counted(f, cells):
-        calls.append(np.bincount(cells[2].astype(np.intp)).tolist())
-        return eval_cells(f, cells)
+    def counted(f, left, right):
+        calls.append((left, right))
+        return cell(f, left, right)
 
-    monkeypatch.setattr(quadrature, "_eval_cells", counted)
-    cosh_power_quad_batch(0.0, [9.24, 9.25, 0.0, 18.5], 1, rel_tol=1e-9 / 16.0)
-    cosh_power_quad_batch(0.0, [4.85, 4.86, 9.71, 9.72], 2, rel_tol=1e-9 / 4.0)
-    assert calls == [[1, 2, 0, 3], [1, 2, 2, 3]]
+    monkeypatch.setattr(quadrature, "_cell", counted)
+    for b, power, rel_tol, want in [([9.24, 9.25, 0.0, 18.5], 1, 1e-9 / 16.0, [1, 2, 0, 3]),
+                                    ([4.85, 4.86, 9.71, 9.72], 2, 1e-9 / 4.0, [1, 2, 2, 3])]:
+        calls.clear()
+        _, _, cells = cosh_power_quad_batch(0.0, b, power, rel_tol=rel_tol)
+        # every interval starts at 0, so each nonempty one opens with a cell there
+        starts = [k for k, (left, _) in enumerate(calls) if left == 0.0] + [len(calls)]
+        assert [j - i for i, j in zip(starts, starts[1:])] == [n for n in want if n]
+        assert cells == len(calls) == sum(want)
 
 
 # ------------------------------------------- oracles against 50-digit values
@@ -254,7 +223,7 @@ def end_term(eps_values, rel_tol):
 def end_cylinder_batch(rel_tol):
     """eps -> (value, error bound), all levels integrated in one batch."""
     values, errors = end_term(END_CYLINDER_EPS, rel_tol)
-    return dict(zip(END_CYLINDER_EPS, zip(values.tolist(), errors.tolist())))
+    return dict(zip(END_CYLINDER_EPS, zip(values, errors)))
 
 
 @pytest.mark.parametrize("eps", END_CYLINDER_EPS)

@@ -20,7 +20,6 @@ from corevol.renvol import (
     expansion_fit,
     fit_expansion,
     level_lambda,
-    level_set_area,
     profile_quadrature,
     renormalized_volume,
     surface_terms,
@@ -29,7 +28,7 @@ from corevol.renvol import (
 from corevol.pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
 from corevol.surface import SurfaceInfo
 
-from conftest import make_cyclic, make_row_group
+from conftest import level_set_area, make_cyclic, make_row_group
 
 
 def core_only_surface(area=4.0 * math.pi):
@@ -213,6 +212,21 @@ def test_table_rows_match_printed_lines_and_krasnov_schlenker():
     assert renvol.CLOSED_FORMS[paper, "collar"] == renvol.CLOSED_FORMS[derived, "collar"]
 
 
+@pytest.mark.parametrize("eps", [0.3, 1e-6, 1e-12, 1e-76])
+def test_closed_volume_rows_are_within_8_u(eps):
+    # the basis is built from eps, so no row's error grows with lam =
+    # -log(eps): each row within 8 u of its 50-digit value
+    u = 2.0 ** -53
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        lam = -mpmath.log(e)
+        basis = (mpmath.sinh(2 * lam), mpmath.sinh(lam) ** 2, lam, 1, e)
+        for (conv, term), row in renvol.CLOSED_FORMS.items():
+            exact = mpmath.fsum(mpmath.mpf(c) * b for c, b in zip(row, basis))
+            value = closed_volume([(term, 1.0)], eps, conv)
+            assert abs(value - exact) <= 8 * u * abs(exact), (conv, term, eps)
+
+
 # ---------------------------------------------------------------- quadrature
 
 def test_quadrature_core_only_slab():
@@ -257,16 +271,15 @@ def test_profile_batch_equals_per_eps_calls_bitwise(surfaces_by_genus, genus, to
     grid = default_eps_grid(1e-3, 0.3, count)
     profile = profile_quadrature(surface, grid, tol)
     singles = [truncated_volume_quadrature(surface, float(e), tol) for e in grid]
-    assert [v.hex() for v in profile.volumes.tolist()] == [v.hex() for v in singles]
+    assert [v.hex() for _, v in profile.samples] == [v.hex() for v in singles]
 
 
 @pytest.mark.parametrize("genus, tol, count", BATCH_CASES)
 def test_profile_error_estimates_meet_tolerance(surfaces_by_genus, genus, tol, count):
     grid = default_eps_grid(1e-3, 0.3, count)
     volumes, errors, _ = _truncated_volumes(surfaces_by_genus[genus], grid, tol)
-    assert volumes.shape == errors.shape == (count,)
-    assert np.all(errors > 0.0)
-    assert np.all(errors <= tol * np.abs(volumes))
+    assert len(volumes) == len(errors) == count
+    assert all(0.0 < err <= tol * abs(vol) for vol, err in zip(volumes, errors))
 
 
 README_GENUS1 = {"mode": "fuchsian_group",
@@ -325,27 +338,28 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
 def test_tolerance_error_names_the_eps(monkeypatch, surface_s1):
     # the per-level check after both integrals names the level it rejects
     monkeypatch.setattr(renvol, "_sector_areas",
-                        lambda eps, thetas, rel_tol: (np.ones(len(eps)), np.ones(len(eps)), 2))
+                        lambda eps, thetas, rel_tol: ([1.0] * len(eps), [1.0] * len(eps), 2))
     with pytest.raises(QuadratureError, match=r"exceeds tolerance .* at eps 0\.25$"):
         truncated_volume_quadrature(surface_s1, 0.25)
 
 
-def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
-    # README genus 2: the core slab is one call and the end term one more,
-    # neither inside another integrand; the sequence of calls repeats
-    # exactly
+def test_oracle_evaluates_each_certified_cell_once(monkeypatch):
+    # README genus 2: the core slab's cells, then the theta = 0 slice's two
+    # arc cells, shared by every level; no cell is evaluated inside another
+    # integrand, the count is the profile's, and the sequence repeats exactly
     calls, depth = [], [0]
-    eval_cells = quadrature._eval_cells
+    cell = quadrature._cell
 
-    def counted(f, cells):
-        calls.append((depth[0], f.__name__, cells.shape[1]))
+    def counted(f, left, right):
+        calls.append((depth[0], f.__name__, left, right))
         depth[0] += 1
         try:
-            return eval_cells(f, cells)
+            return cell(f, left, right)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(quadrature, "_eval_cells", counted)
+    monkeypatch.setattr(quadrature, "_cell", counted)
+    monkeypatch.setattr(renvol, "_cell", counted)
     cfg = parse_config(README_GENUS2)
     surface = surface_invariants(build_group(cfg))
     grid = cfg["epsilon_grid"]
@@ -353,12 +367,13 @@ def test_oracle_takes_one_integrand_call_per_certified_integral(monkeypatch):
     runs = []
     for _ in range(2):
         calls.clear()
-        profile_quadrature(surface, eps, cfg["quadrature_tol"])
+        profile = profile_quadrature(surface, eps, cfg["quadrature_tol"])
         runs.append(list(calls))
     assert runs[0] == runs[1]
-    slab, *ends = runs[0]
-    assert slab[:2] == (0, "<lambda>")
-    assert [c[:2] for c in ends] == [(0, "column")]
+    assert len(runs[0]) == profile.cells
+    assert {c[0] for c in runs[0]} == {0}
+    names = [c[1] for c in runs[0]]
+    assert names == ["cosh_power"] * (len(names) - 2) + ["_arc"] * 2
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.05, 1e-3, 1e-6])
@@ -448,7 +463,7 @@ def test_fit_of_quadrature_profile(surface_s1):
     profile = profile_quadrature(surface_s1, default_eps_grid(), tol=1e-9)
     fit = expansion_fit(profile)
     assert fit.v == pytest.approx(-math.pi, abs=1e-4)
-    assert fit.residual <= 1e-5 * profile.volumes.max()
+    assert fit.residual <= 1e-5 * max(v for _, v in profile.samples)
 
 
 def test_fit_stable_under_grid_shift(surface_s1):
@@ -501,10 +516,11 @@ def test_profile_invariants():
     with pytest.raises(ValueError):
         VolumeProfile(((0.2, 2.0), (0.1, 1.0)), "quadrature")
     profile = VolumeProfile(((0.2, 1.0), (0.1, 2.0)), "quadrature")
-    assert profile.eps.tolist() == [0.2, 0.1]
-    assert profile.volumes.tolist() == [1.0, 2.0]
+    assert profile.samples == ((0.2, 1.0), (0.1, 2.0))
+    assert (profile.cells, profile.bounds) == (0, ())
     # a pleated core with no bending and no boundary has a constant profile
-    assert VolumeProfile(((0.2, 2.0), (0.1, 2.0)), "quadrature").volumes.tolist() == [2.0, 2.0]
+    constant = VolumeProfile(((0.2, 2.0), (0.1, 2.0)), "quadrature")
+    assert [v for _, v in constant.samples] == [2.0, 2.0]
 
 
 def test_default_grid_shape():
