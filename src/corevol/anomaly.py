@@ -23,7 +23,6 @@ no report value depends on how the rows are grouped into blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -48,28 +47,26 @@ _METRICS = {
 }
 
 
-@dataclass(frozen=True)
 class SurfaceMesh:
     """Grid over (t, theta) in [-T, T] x [0, L), theta periodic.
 
     Node weights use the trapezoid rule in t (half weight at the two
     boundary rows) and the exact periodic rule in theta, so the total area
-    matches the analytic area at second order.
+    matches the analytic area at second order.  A plain record, immutable
+    by convention; it has no `__slots__` because its cached arrays live in
+    the instance `__dict__`.
     """
 
-    tag: str
-    t_extent: float
-    circumference: float
-    n_t: int
-    n_theta: int
-
-    def __post_init__(self):
-        if self.tag not in _METRICS:
-            raise ValueError(f"unknown metric tag {self.tag!r}")
-        if self.n_t < 8 or self.n_theta < 4:
+    def __init__(self, tag: str, t_extent: float, circumference: float,
+                 n_t: int, n_theta: int):
+        if tag not in _METRICS:
+            raise ValueError(f"unknown metric tag {tag!r}")
+        if n_t < 8 or n_theta < 4:
             raise ValueError("mesh needs n_t >= 8 and n_theta >= 4")
-        if not (self.t_extent > 0 and self.circumference > 0):
+        if not (t_extent > 0 and circumference > 0):
             raise ValueError("mesh extents must be positive")
+        self.tag, self.t_extent, self.circumference = tag, t_extent, circumference
+        self.n_t, self.n_theta = n_t, n_theta
 
     @property
     def dt(self) -> float:

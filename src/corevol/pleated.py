@@ -8,12 +8,13 @@ of angular width (pi - theta) around its axis.  Pleating data (core volume,
 leaf lengths and bending angles) is input, not computed.  The closed
 forms of the collar slab and the wedges are rows of renvol.CLOSED_FORMS,
 read through `PleatedCoreData.terms` with the core volume as their base.
+`PleatLeaf` and `PleatedCoreData` are plain records with `__slots__`,
+immutable by convention.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # adaptive_quad stays a name of this module: perfbench/tracer.py wraps
 # corevol.pleated.adaptive_quad, and its per-layer metrics need the name
@@ -34,7 +35,6 @@ REDUCTION_EPS = 0.1
 REDUCTION_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class PleatLeaf:
     """Closed pleating leaf: length and interior dihedral angle theta.
 
@@ -43,17 +43,16 @@ class PleatLeaf:
     bent completely flat.
     """
 
-    length: float
-    theta: float
+    __slots__ = ("length", "theta")
 
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"leaf length must be positive, got {self.length}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"bending angle must lie in [0, pi], got {self.theta}")
+    def __init__(self, length: float, theta: float):
+        if not length > 0:
+            raise ValueError(f"leaf length must be positive, got {length}")
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"bending angle must lie in [0, pi], got {theta}")
+        self.length, self.theta = length, theta
 
 
-@dataclass(frozen=True)
 class PleatedCoreData:
     """Convex-core input data: volume, boundary area, bent leaves.
 
@@ -61,15 +60,15 @@ class PleatedCoreData:
     surface; for a closed genus-g boundary use `from_genus`.
     """
 
-    core_volume: float
-    leaves: tuple[PleatLeaf, ...]
-    boundary_area: float
+    __slots__ = ("core_volume", "leaves", "boundary_area")
 
-    def __post_init__(self):
-        if self.core_volume < 0:
-            raise ValueError(f"core volume must be nonnegative, got {self.core_volume}")
-        if self.boundary_area < 0:
-            raise ValueError(f"boundary area must be nonnegative, got {self.boundary_area}")
+    def __init__(self, core_volume: float, leaves: tuple[PleatLeaf, ...],
+                 boundary_area: float):
+        if core_volume < 0:
+            raise ValueError(f"core volume must be nonnegative, got {core_volume}")
+        if boundary_area < 0:
+            raise ValueError(f"boundary area must be nonnegative, got {boundary_area}")
+        self.core_volume, self.leaves, self.boundary_area = core_volume, leaves, boundary_area
 
     @classmethod
     def from_genus(cls, core_volume: float, leaves, genus: int) -> "PleatedCoreData":

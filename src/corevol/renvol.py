@@ -15,14 +15,14 @@ integrates cosh^2 over the slab above the two core copies and, per end, the
 half-disk slice of the tube around it: the theta = 0 sector that the
 pleated wedge oracle integrates too.  Every closed form, Fuchsian and
 pleated, is a row of the one table CLOSED_FORMS, and no formula branches
-on the convention.
+on the convention.  `VolumeProfile` and `ExpansionFit` are plain records
+with `__slots__`, immutable by convention.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 from . import quadrature
@@ -281,7 +281,6 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
     return volumes[0]
 
 
-@dataclass(frozen=True)
 class VolumeProfile:
     """Sampled map eps -> volume with provenance.
 
@@ -291,17 +290,17 @@ class VolumeProfile:
     evaluated for it and the certified error bound of each volume.
     """
 
-    samples: tuple[tuple[float, float], ...]
-    provenance: str
-    cells: int = 0
-    bounds: tuple[float, ...] = ()
+    __slots__ = ("samples", "provenance", "cells", "bounds")
 
-    def __post_init__(self):
-        pairs = list(zip(self.samples, self.samples[1:]))
+    def __init__(self, samples: tuple[tuple[float, float], ...], provenance: str,
+                 cells: int = 0, bounds: tuple[float, ...] = ()):
+        pairs = list(zip(samples, samples[1:]))
         if any(e2 >= e1 for (e1, _), (e2, _) in pairs):
             raise ValueError("profile eps values must be strictly decreasing")
         if any(v2 < v1 for (_, v1), (_, v2) in pairs):
             raise ValueError("profile volumes must not decrease as eps decreases")
+        self.samples, self.provenance = samples, provenance
+        self.cells, self.bounds = cells, bounds
 
 
 def default_eps_grid(eps_min: float = 1e-3, eps_max: float = 0.3,
@@ -331,7 +330,6 @@ def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> Vol
                          tuple(errors))
 
 
-@dataclass(frozen=True)
 class ExpansionFit:
     """Coefficients of vol(eps) ~ c_m2 eps^-2 + c_log log(eps) + v + c_2 eps^2.
 
@@ -340,12 +338,12 @@ class ExpansionFit:
     design actually solved.
     """
 
-    c_m2: float
-    c_log: float
-    v: float
-    c_2: float
-    residual: float
-    condition: float
+    __slots__ = ("c_m2", "c_log", "v", "c_2", "residual", "condition")
+
+    def __init__(self, c_m2: float, c_log: float, v: float, c_2: float,
+                 residual: float, condition: float):
+        self.c_m2, self.c_log, self.v, self.c_2 = c_m2, c_log, v, c_2
+        self.residual, self.condition = residual, condition
 
 
 def _dot(x, y) -> float:

@@ -4,12 +4,15 @@ The group data is 2g pairwise-disjoint closed disks together with g Mobius
 maps, each carrying one circle onto its partner and the exterior of the
 source disk into the interior of the target disk.  The groups are Fuchsian:
 every circle is centered on the real line and every map is real.
+
+The records (`Circle`, `Pairing`, `SchottkyData`, `ValidatedGroup`) are
+plain classes with `__slots__`, immutable by convention like `Mobius`:
+they compare by identity, and nothing assigns to them after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .mobius import DET_TOL, Mobius
 
@@ -29,20 +32,17 @@ class SchottkyError(ValueError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
 class Circle:
     """Circle centered on the real line; the closed disk it bounds is a
     group side."""
 
-    center: float
-    radius: float
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", float(self.center))
-        if not self.radius > 0:
-            raise SchottkyError(
-                "bad_radius", f"circle radius must be positive, got {self.radius}"
-            )
+    def __init__(self, center: float, radius: float):
+        self.center = float(center)
+        if not radius > 0:
+            raise SchottkyError("bad_radius", f"circle radius must be positive, got {radius}")
+        self.radius = radius
 
     @property
     def left(self) -> float:
@@ -56,27 +56,29 @@ class Circle:
         return self.center + self.radius * complex(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True)
 class Pairing:
     """Side pairing: `map` sends circle `source` onto circle `target`."""
 
-    source: int
-    target: int
-    map: Mobius
+    __slots__ = ("source", "target", "map")
+
+    def __init__(self, source: int, target: int, map: Mobius):
+        self.source, self.target, self.map = source, target, map
 
 
-@dataclass(frozen=True)
 class SchottkyData:
-    circles: tuple[Circle, ...]
-    pairings: tuple[Pairing, ...]
+    __slots__ = ("circles", "pairings")
+
+    def __init__(self, circles: tuple[Circle, ...], pairings: tuple[Pairing, ...]):
+        self.circles, self.pairings = circles, pairings
 
 
-@dataclass(frozen=True)
 class ValidatedGroup:
     """SchottkyData that passed `validate`; genus g = number of pairings."""
 
-    circles: tuple[Circle, ...]
-    pairings: tuple[Pairing, ...]
+    __slots__ = ("circles", "pairings")
+
+    def __init__(self, circles: tuple[Circle, ...], pairings: tuple[Pairing, ...]):
+        self.circles, self.pairings = circles, pairings
 
     @property
     def genus(self) -> int:

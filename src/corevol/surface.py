@@ -11,7 +11,6 @@ closed geodesic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .mobius import IsometryClass
 from .schottky import ValidatedGroup
@@ -28,36 +27,32 @@ class EndpointMatchError(SurfaceTopologyError):
     pairing data is invalid or numerically inconsistent."""
 
 
-@dataclass(frozen=True)
 class SurfaceInfo:
-    """Topology and end data of the quotient surface M.
+    """Topology and end data of the quotient surface M; a plain record,
+    immutable by convention.
 
     `handlebody_genus` is the Schottky genus g, `genus` the surface genus k;
     the cycle trace must satisfy g = 2k + e - 1.  The core area is the
     Gauss-Bonnet value 2 pi (g - 1).
     """
 
-    ends: int
-    genus: int
-    handlebody_genus: int
-    end_lengths: tuple[float, ...]
-    core_area: float
+    __slots__ = ("ends", "genus", "handlebody_genus", "end_lengths", "core_area")
 
-    def __post_init__(self):
-        if self.ends != len(self.end_lengths):
-            raise SurfaceTopologyError(
-                f"{self.ends} ends but {len(self.end_lengths)} end lengths"
-            )
-        if self.ends > 0:
-            if self.genus < 0:
-                raise SurfaceTopologyError(f"negative surface genus {self.genus}")
-            if self.handlebody_genus != 2 * self.genus + self.ends - 1:
+    def __init__(self, ends: int, genus: int, handlebody_genus: int,
+                 end_lengths: tuple[float, ...], core_area: float):
+        if ends != len(end_lengths):
+            raise SurfaceTopologyError(f"{ends} ends but {len(end_lengths)} end lengths")
+        if ends > 0:
+            if genus < 0:
+                raise SurfaceTopologyError(f"negative surface genus {genus}")
+            if handlebody_genus != 2 * genus + ends - 1:
                 raise SurfaceTopologyError(
-                    f"genus relation violated: g={self.handlebody_genus}, "
-                    f"k={self.genus}, e={self.ends}"
+                    f"genus relation violated: g={handlebody_genus}, k={genus}, e={ends}"
                 )
-            if any(not length > 0 for length in self.end_lengths):
+            if any(not length > 0 for length in end_lengths):
                 raise SurfaceTopologyError("end lengths must be positive")
+        self.ends, self.genus, self.handlebody_genus = ends, genus, handlebody_genus
+        self.end_lengths, self.core_area = end_lengths, core_area
 
     @property
     def total_end_length(self) -> float:

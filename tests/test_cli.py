@@ -190,36 +190,71 @@ README_ANOMALY_CONFIG = {
     "field": {"kind": "theta_mode", "k": 1, "amplitude": 0.2},
 }
 # runs `main` on each (command, config path) of argv[1] in one fresh
-# interpreter, printing after each whether numpy has been imported
-NUMPY_PROBE = """
+# interpreter and prints one JSON object: after `import corevol`, after
+# `import corevol.cli` and after each command, which watched modules are
+# loaded, and for each watched module the module whose code imported it
+IMPORT_PROBE = """
 import contextlib, io, json, sys
+
+WATCHED = ("numpy", "scipy", "dataclasses", "inspect")
+importers = {}
+
+
+class Witness:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name in WATCHED and name not in importers:
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename.startswith("<frozen importlib"):
+                frame = frame.f_back
+            importers[name] = frame.f_globals.get("__name__")
+        return None
+
+
+sys.meta_path.insert(0, Witness)
+steps = []
+
+
+def step(name):
+    steps.append([name, [m for m in WATCHED if m in sys.modules]])
+
+
+step("start")
 import corevol
-print("import corevol", "numpy" in sys.modules)
+step("import corevol")
 import corevol.cli
-print("import corevol.cli", "numpy" in sys.modules)
+step("import corevol.cli")
 for command, path in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = corevol.cli.main([command, "--config", path])
-    print(command, code, "numpy" in sys.modules)
+    step(f"{command} {code}")
+print(json.dumps({"steps": steps, "importers": importers}))
 """
 
 
 def test_only_anomaly_loads_numpy(tmp_path):
     # the README configs: every Fuchsian and pleated command runs without
-    # numpy, and anomaly, which needs it, still runs after them
+    # numpy, and anomaly, which needs it, still runs after them.  scipy and
+    # dataclasses are never loaded; inspect is loaded only by numpy's own
+    # import (numpy._core.overrides imports it), so not before anomaly
     runs = [(command, write_config(tmp_path, config, f"{k}.json"))
             for k, (command, config) in enumerate([
                 ("validate", BTZ_CONFIG), ("surface-info", README_G2_CONFIG),
                 ("renvol", BTZ_CONFIG), ("renvol", README_G2_CONFIG),
                 ("wedge", README_PLEATED_CONFIG), ("anomaly", README_ANOMALY_CONFIG)])]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)], env=env,
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.splitlines() == [
-        "import corevol False", "import corevol.cli False",
-        "validate 0 False", "surface-info 0 False", "renvol 0 False", "renvol 0 False",
-        "wedge 0 False", "anomaly 0 True",
+    probe = json.loads(out)
+    assert probe["steps"] == [
+        ["start", []], ["import corevol", []], ["import corevol.cli", []],
+        ["validate 0", []], ["surface-info 0", []], ["renvol 0", []], ["renvol 0", []],
+        ["wedge 0", []], ["anomaly 0", ["numpy", "inspect"]],
     ]
+    importers = probe["importers"]
+    assert sorted(importers) == ["inspect", "numpy"]
+    assert importers["numpy"].startswith("corevol.")
+    assert importers["inspect"].startswith("numpy.")
 
 
 def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,5 @@
 import functools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-import corevol
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.quadrature import QuadratureError, adaptive_quad, cosh_power_quad_batch
@@ -309,12 +304,3 @@ def test_sector_tolerance_is_checked_on_the_sector_total():
     with pytest.raises(QuadratureError, match=r"^tolerance 1\.000e-16 \(relative\) not met") as e:
         _sector_areas([0.3, 0.2], [math.pi, 1.0], 1e-16)
     assert e.value.owner == 1
-
-
-def test_cli_import_does_not_load_scipy():
-    src = str(Path(corevol.__file__).resolve().parents[1])
-    code = "import sys, corevol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
