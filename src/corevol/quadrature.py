@@ -1,11 +1,11 @@
 """Gauss-Kronrod quadrature in plain Python: one GK15 cell evaluator.
 
-cosh_power_quad_batch integrates cosh^p over a batch of intervals, and
-renvol's sector slice its own integrand, on partitions fixed in advance
+cosh_squared_slabs integrates cosh^2 over the slab [0, lam] of each level,
+and renvol's sector slice its own integrand, on partitions fixed in advance
 whose error is proved to meet the tolerance.  adaptive_quad bisects one
-interval, worst cell first, on the Kronrod-Gauss error estimate.  An
-interval's value is the sum of its cells in left-to-right order, so it does
-not depend on the rest of a batch, and it is identical across runs.
+interval, worst cell first, on the Kronrod-Gauss error estimate.  A slab's
+value is the sum of its cells in left-to-right order, so it does not depend
+on the rest of a batch, and it is identical across runs.
 """
 
 from __future__ import annotations
@@ -84,41 +84,29 @@ def _cell(f, left: float, right: float):
     return kronrod, values
 
 
-def _intervals(a, b):
-    """a and b, each a number or a sequence, as two lists of floats of one
-    length, a number standing for every interval; raises ValueError on an
-    interval out of order."""
-    a, b = ([float(v) for v in x] if hasattr(x, "__len__") else [float(x)] for x in (a, b))
-    n = max(len(a), len(b))
-    a, b = (x * n if len(x) == 1 else x for x in (a, b))
-    for lo, hi in zip(a, b, strict=True):
-        if not hi >= lo:
-            raise ValueError(f"integration bounds out of order: [{lo}, {hi}]")
-    return a, b
-
-
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @functools.lru_cache(maxsize=64)
-def _widest_cell(power: int, rel_tol: float):
-    """The widest half-width h whose cosh_power_quad_batch bound meets
-    rel_tol, maximized over a log grid of 256 ellipse parameters rho in
-    [1.5, 1000], as (h, g, q) with g = 22 log rho + log(rho - 1) - log 4
-    and q = 1 + (rho + 1/rho)/2 at the best rho: the bound at a half-width
-    h' is e^(p h' q - g)."""
+def _widest_cell(rel_tol: float):
+    """The widest half-width h whose cosh_squared_slabs bound meets rel_tol,
+    maximized over a log grid of 256 ellipse parameters rho in [1.5, 1000],
+    as (h, g, q) with g = 22 log rho + log(rho - 1) - log 4 and q = 1 +
+    (rho + 1/rho)/2 at the best rho: the bound at a half-width h' is
+    e^(2 h' q - g)."""
     best = (-math.inf, 0.0, 0.0)
     for i in range(256):
         rho = 1.5 * (1e3 / 1.5) ** (i / 255)
         gain = 22.0 * math.log(rho) + math.log(rho - 1.0) - math.log(4.0)
         reach = 1.0 + 0.5 * (rho + 1.0 / rho)
-        best = max(best, ((math.log(rel_tol) + gain) / (power * reach), gain, reach))
+        best = max(best, ((math.log(rel_tol) + gain) / (2 * reach), gain, reach))
     return best
 
 
-def cosh_power_quad_batch(a, b, power: int, *, rel_tol: float):
-    """Integrate cosh(x)**power over every interval [a[k], b[k]] in one pass
-    on equal cells, each error bounded by proof rather than estimated.
+def cosh_squared_slabs(lams, *, rel_tol: float):
+    """Integrate cosh(x)**2 over the slab [0, lam] of every lam > 0 of lams
+    in one pass on equal cells, each error bounded by proof rather than
+    estimated.
 
     The bound.  Map a cell of center c and half-width h onto [-1, 1].  GK15
     is exact to degree 22 and its weights are positive with sum 2.  If f is
@@ -128,55 +116,50 @@ def cosh_power_quad_batch(a, b, power: int, *, rel_tol: float):
     cell is at most (2 + 2) h 2 M rho^-22 / (rho - 1) (Trefethen, SIAM
     Review 50, 2008, section 4).  E_rho reaches |Re| <= rho' = (rho +
     1/rho)/2 in the unit variable, and |cosh(x + iy)| <= cosh(x), so M <=
-    cosh^p(|c| + h rho').  With m the cell's least |x|, |c| <= m + h, and
-    cosh(m + d) <= e^d cosh(m) for d >= 0, so M <= e^(p h (1 + rho')) min f
+    cosh^2(c + h rho').  With m >= 0 the cell's left end, c = m + h, and
+    cosh(m + d) <= e^d cosh(m) for d >= 0, so M <= e^(2 h (1 + rho')) min f
     over the cell, while the cell's integral is at least 2 h min f.  Hence
-    every cell, wherever it lies, has relative error at most
-    4 e^(p h (1 + rho')) rho^-22 / (rho - 1), and so has a sum of such
-    cells, all positive.
+    every cell has relative error at most 4 e^(2 h (1 + rho')) rho^-22 /
+    (rho - 1), and so has a sum of such cells, all positive.
 
     The widest h whose bound meets rel_tol is maximized over rho once per
-    (power, rel_tol).  Each interval takes n = ceil(width / 2h) equal cells:
-    no refinement loop and no Kronrod-Gauss estimate.  The error returned
-    is the bound at the interval's own half-width plus rounding, (16 + n +
-    2 p max |x|) u |value|: the rounded nodes move cosh^p by at most
-    2 p |x| u relative, and cosh, the weights and the positive sums add
-    less than (16 + n) u.  a and b are numbers or sequences, a number
-    standing for every interval.  Zero-width intervals integrate to 0.  An
-    interval that needs more than MAX_CELLS cells raises QuadratureError
-    and owns it; no cell is evaluated then.  Returns (values, error bounds)
-    as lists and the number of cells evaluated.
+    rel_tol.  Each slab takes n = ceil(lam / 2h) equal cells: no refinement
+    loop and no Kronrod-Gauss estimate.  The error returned is the bound at
+    the slab's own half-width plus rounding, (16 + n + 4 lam) u |value|:
+    the rounded nodes move cosh^2 by at most 4 x u relative, and cosh, the
+    weights and the positive sums add less than (16 + n) u.  A slab that
+    needs more than MAX_CELLS cells raises QuadratureError and owns it; no
+    cell is evaluated then.  Returns (values, error bounds) as lists and the
+    number of cells evaluated.
     """
-    a, b = _intervals(a, b)
-    widest, gain, reach = _widest_cell(power, rel_tol)
+    widest, gain, reach = _widest_cell(rel_tol)
     if not widest > 0.0:
         raise ValueError(f"no certified cell meets relative tolerance {rel_tol!r}")
     counts = []
-    for k, (lo, hi) in enumerate(zip(a, b)):
-        need = (hi - lo) / (2.0 * widest)
+    for k, lam in enumerate(lams):
+        need = lam / (2.0 * widest)
         if need > MAX_CELLS:
             raise QuadratureError(
                 f"tolerance {rel_tol:.3e} (relative) not met within {MAX_CELLS} cells on "
-                f"[{lo!r}, {hi!r}] (the certified partition needs "
+                f"[0.0, {lam!r}] (the certified partition needs "
                 f"{math.ceil(need) if need < math.inf else need})", owner=k,
             )
         counts.append(math.ceil(need))
 
     def cosh_power(x):
-        return math.cosh(x) ** power
+        return math.cosh(x) ** 2
 
     values, errors = [], []
-    for k, (lo, hi, n) in enumerate(zip(a, b, counts)):
-        # edges lo (1 - j/n) + hi j/n put the ends on lo and hi exactly
-        edges = [lo * (1.0 - j / n) + hi * (j / n) for j in range(n + 1)] if n else []
+    for k, (lam, n) in enumerate(zip(lams, counts)):
+        edges = [lam * (j / n) for j in range(n + 1)]
         try:
             value = sum((_cell(cosh_power, left, right)[0]
                          for left, right in zip(edges, edges[1:])), 0.0)
         except QuadratureError as exc:
             exc.owner = k
             raise
-        truncation = math.exp(power * reach * ((hi - lo) / (2.0 * n)) - gain) if n else 0.0
-        rounding = (16.0 + n + 2.0 * power * max(abs(lo), abs(hi))) * _UNIT_ROUNDOFF
+        truncation = math.exp(2 * reach * (lam / (2.0 * n)) - gain)
+        rounding = (16.0 + n + 4.0 * lam) * _UNIT_ROUNDOFF
         values.append(value)
         errors.append((truncation + rounding) * value)
     return values, errors, sum(counts)
@@ -190,7 +173,9 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
     cells stay in order and the value is their left-to-right sum.  A
     zero-width interval integrates to 0.  Returns (value, error_estimate).
     """
-    (a,), (b,) = _intervals(a, b)
+    a, b = float(a), float(b)
+    if not b >= a:
+        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
 
     def estimate(left, right):
         kronrod, values = _cell(f, left, right)

@@ -26,7 +26,7 @@ import operator
 from enum import Enum
 
 from . import quadrature
-from .quadrature import _UNIT_ROUNDOFF, QuadratureError, _cell, cosh_power_quad_batch
+from .quadrature import _UNIT_ROUNDOFF, QuadratureError, _cell, cosh_squared_slabs
 from .surface import SurfaceInfo
 
 
@@ -172,7 +172,7 @@ def _sector_areas(eps_values, thetas, rel_tol: float):
     most 16 in modulus there.  Cut [0, s_k] into n cells of half-width h and
     take for each cell the Bernstein ellipse E_rho whose reach s_k + h
     (rho' - 1), rho' = (rho + 1/rho)/2, is sqrt 2.  As in
-    cosh_power_quad_batch, |a_j| <= 2 M rho^-j; the odd T_j are integrated
+    cosh_squared_slabs, |a_j| <= 2 M rho^-j; the odd T_j are integrated
     exactly by the symmetric rule, so only even j >= 24 contribute, and a
     cell's error is at most 8 h M rho^-22 / (rho^2 - 1), all n cells'
     64 s_k rho^-22 / (rho^2 - 1).  The piece takes the fewest cells whose
@@ -244,7 +244,7 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
     integral = "core slab"
     try:
         if surface.core_area != 0.0:
-            slabs, slab_errs, cells = cosh_power_quad_batch(0.0, lams, 2, rel_tol=tol / 4.0)
+            slabs, slab_errs, cells = cosh_squared_slabs(lams, rel_tol=tol / 4.0)
             weight = 2.0 * surface.core_area
             totals = [weight * slab for slab in slabs]
             errs = [weight * err for err in slab_errs]

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import mpmath
@@ -10,8 +11,8 @@ from scipy import integrate as scipy_integrate
 
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
-from corevol.quadrature import QuadratureError, adaptive_quad, cosh_power_quad_batch
-from corevol.renvol import _sector_areas
+from corevol.quadrature import QuadratureError, adaptive_quad, cosh_squared_slabs
+from corevol.renvol import _sector_areas, level_lambda
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -41,7 +42,7 @@ def test_empty_interval_is_zero():
 
 
 def test_reversed_interval_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^integration bounds out of order: \[1\.0, 0\.0\]$"):
         adaptive_quad(np.cosh, 1.0, 0.0)
 
 
@@ -69,51 +70,60 @@ def test_deterministic_across_runs():
 # ------------------------------------------------------ batched certified engine
 
 def test_batch_equals_per_interval_calls_bitwise():
-    # a cosh^p interval is partitioned and summed on its own, whatever its batch
-    rng = np.random.default_rng(7)
-    a = rng.uniform(-9.0, 4.0, 50)
-    b = a + rng.uniform(0.0, 12.0, 50)
-    for power, rel_tol in [(1, 1e-9 / 16.0), (2, 1e-9 / 4.0), (2, 1e-6)]:
-        values, errors, cells = cosh_power_quad_batch(a, b, power, rel_tol=rel_tol)
-        singles = [cosh_power_quad_batch(lo, hi, power, rel_tol=rel_tol) for lo, hi in zip(a, b)]
+    # a slab is partitioned and summed on its own, whatever its batch
+    lams = np.random.default_rng(7).uniform(1e-3, 20.0, 50).tolist()
+    for rel_tol in (1e-9 / 4.0, 1e-6):
+        values, errors, cells = cosh_squared_slabs(lams, rel_tol=rel_tol)
+        singles = [cosh_squared_slabs([lam], rel_tol=rel_tol) for lam in lams]
         assert [(v, e) for v, e in zip(values, errors)] == [(s[0][0], s[1][0]) for s in singles]
         assert cells == sum(s[2] for s in singles)
 
 
 def test_batch_agrees_with_scipy_quad_vec():
-    rng = np.random.default_rng(8)
-    a = rng.uniform(-2.0, 1.0, 20)
-    b = a + rng.uniform(0.1, 5.0, 20)
-    values, _, _ = cosh_power_quad_batch(a, b, 2, rel_tol=1e-11)
-    # quad_vec integrates over one common interval: map each onto [0, 1]
+    lams = np.random.default_rng(8).uniform(0.1, 6.0, 20)
+    values, _, _ = cosh_squared_slabs(lams.tolist(), rel_tol=1e-11)
+    # quad_vec integrates over one common interval: map each [0, lam] onto [0, 1]
     ref, _ = scipy_integrate.quad_vec(
-        lambda s: (b - a) * np.cosh(a + s * (b - a)) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+        lambda s: lams * np.cosh(s * lams) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
     np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
 
 
-def test_batch_zero_width_and_reversed_like_scalar():
-    values, errors, cells = cosh_power_quad_batch([2.0, 0.0, 5.0], [2.0, 1.0, 5.0], 1,
-                                                  rel_tol=1e-9)
-    assert (values[0], errors[0]) == adaptive_quad(math.cosh, 2.0, 2.0) == (0.0, 0.0)
-    assert (values[2], errors[2]) == (0.0, 0.0)
-    assert values[1] == pytest.approx(adaptive_quad(math.cosh, 0.0, 1.0)[0], rel=1e-15)
-    assert cells == 1
-    with pytest.raises(ValueError, match="out of order"):
-        cosh_power_quad_batch([0.0, 1.0], [1.0, 0.0], 1, rel_tol=1e-9)
-    with pytest.raises(ValueError, match="out of order"):
-        adaptive_quad(math.cosh, 1.0, 0.0)
-
-
 def test_batch_unconvergeable_member_raises(monkeypatch):
-    # the widest certified cosh cell at 1e-12 is about 2.4 wide: three of
-    # the first intervals fit in 8 cells, the fourth needs more and owns the
+    # cosh^2 overflows past x = 355, in the second slab's cells
+    with pytest.raises(QuadratureError, match="not finite") as failed:
+        cosh_squared_slabs([1.0, 400.0], rel_tol=1e-12)
+    assert failed.value.owner == 1
+    # the widest certified cosh^2 cell at 1e-12 is about 4.0 wide: the first
+    # three slabs fit in 8 cells, the fourth needs more and owns the
     # failure, before any cell is evaluated
     monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
-    values, _, _ = cosh_power_quad_batch(0.0, [1.0, 2.0, 3.0], 1, rel_tol=1e-12)
-    assert values == pytest.approx(np.sinh([1.0, 2.0, 3.0]), rel=1e-12)
+    lams = [1.0, 2.0, 3.0]
+    values, _, _ = cosh_squared_slabs(lams, rel_tol=1e-12)
+    assert values == pytest.approx([lam / 2 + math.sinh(2 * lam) / 4 for lam in lams], rel=1e-12)
     with pytest.raises(QuadratureError, match="within 8 cells") as failed:
-        cosh_power_quad_batch(0.0, [1.0, 2.0, 3.0, 100.0], 1, rel_tol=1e-12)
+        cosh_squared_slabs(lams + [100.0], rel_tol=1e-12)
     assert failed.value.owner == 3
+
+
+# the slab rule's bits at levels the goldens do not reach (eps below 1e-3
+# and above 0.3), at the oracle's slab tolerance tol / 4 for tol 1e-10,
+# 1e-9, 1e-8 and 0.99: sha256 of the float.hex values then bounds, and the
+# cells evaluated
+SLAB_EPS = (1e-150, 1e-77, 1e-12, 1e-6, 1e-3, 0.3, 0.5, 0.9, 1.0 - 2.0 ** -53)
+SLAB_PINS = {
+    2.5e-11: ("bcc440f95f944894b6770caeba40e6b0c54b8e7d4edb9e5d7eb54fe33c66db90", 135),
+    2.5e-10: ("fb5cb14c8c07b91ab7cbc1f1512821c0a7c1914a5f7005817c69724b5221e956", 124),
+    2.5e-9: ("0ea8a565755bf87259e02dcee1ed8a341eb31eac42f543972780749227324d10", 115),
+    0.2475: ("25f222bbc334c26830f27a6bb913220728d33b7bed5a32cbe521313879f8698b", 66),
+}
+
+
+@pytest.mark.parametrize("rel_tol", sorted(SLAB_PINS))
+def test_slab_bits_are_pinned(rel_tol):
+    values, bounds, cells = cosh_squared_slabs([level_lambda(e) for e in SLAB_EPS],
+                                               rel_tol=rel_tol)
+    digest = hashlib.sha256(",".join(map(float.hex, values + bounds)).encode()).hexdigest()
+    assert (digest, cells) == SLAB_PINS[rel_tol]
 
 
 def test_adaptive_quad_halves_the_worst_cell(monkeypatch):
@@ -154,36 +164,27 @@ def test_rules_are_exact_to_their_degree():
             assert abs(rule - exact) <= 4e-16, (len(nodes), d)
 
 
-# ------------------------------------------ certified one-pass cosh^p rule
+# ------------------------------------------ certified one-pass cosh^2 slabs
 
-def _cosh_power_integral(a, b, power):
-    a, b = mpmath.mpf(a), mpmath.mpf(b)
-    if power == 1:
-        return mpmath.sinh(b) - mpmath.sinh(a)
-    return (b - a) / 2 + (mpmath.sinh(2 * b) - mpmath.sinh(2 * a)) / 4
+def _cosh_squared_integral(lam):
+    lam = mpmath.mpf(lam)
+    return lam / 2 + mpmath.sinh(2 * lam) / 4
 
 
-@pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-9, 3e-8, 1e-6])
-def test_certified_bound_covers_the_true_error(power, rel_tol):
-    # levels lam in [0.5, 28]; intervals from 0 (the slab and inner
-    # integrals), inside the level, and straddling 0
-    lams = np.array([0.5, 1.2, 3.7, 4.9, 9.2, 9.3, 13.8, 20.0, 27.6, 28.0])
-    a = np.concatenate([np.zeros(lams.size), 0.5 * lams, -lams / 3.0, -lams])
-    b = np.concatenate([lams, lams, lams, 0.7 * lams])
-    values, bounds, _ = cosh_power_quad_batch(a, b, power, rel_tol=rel_tol)
+def test_certified_bound_covers_the_true_error(rel_tol):
+    lams = [0.5, 1.2, 3.7, 4.9, 9.2, 9.3, 13.8, 20.0, 27.6, 28.0]
+    values, bounds, _ = cosh_squared_slabs(lams, rel_tol=rel_tol)
     with mpmath.workdps(50):
-        for k in range(a.size):
-            exact = _cosh_power_integral(a[k], b[k], power)
-            assert abs(values[k] - exact) <= bounds[k], (a[k], b[k])
+        for lam, value, bound in zip(lams, values, bounds):
+            assert abs(value - _cosh_squared_integral(lam)) <= bound, lam
     assert all(bound <= (rel_tol + 1e-12) * value for value, bound in zip(values, bounds))
 
 
 def test_certified_partition_widths(monkeypatch):
-    # the widest cell that meets the oracle's inner (cosh, tol 1e-9 / 16)
-    # and slab (cosh^2, tol 1e-9 / 4) tolerances is 9.247 and 4.855 wide;
-    # each interval is cut into that many equal cells, every cell evaluated
-    # once, in order
+    # the widest cell that meets the oracle's slab tolerance (tol 1e-9 / 4)
+    # is 4.855 wide; each slab is cut into that many equal cells, every cell
+    # evaluated once, in order
     calls = []
     cell = quadrature._cell
 
@@ -192,14 +193,11 @@ def test_certified_partition_widths(monkeypatch):
         return cell(f, left, right)
 
     monkeypatch.setattr(quadrature, "_cell", counted)
-    for b, power, rel_tol, want in [([9.24, 9.25, 0.0, 18.5], 1, 1e-9 / 16.0, [1, 2, 0, 3]),
-                                    ([4.85, 4.86, 9.71, 9.72], 2, 1e-9 / 4.0, [1, 2, 2, 3])]:
-        calls.clear()
-        _, _, cells = cosh_power_quad_batch(0.0, b, power, rel_tol=rel_tol)
-        # every interval starts at 0, so each nonempty one opens with a cell there
-        starts = [k for k, (left, _) in enumerate(calls) if left == 0.0] + [len(calls)]
-        assert [j - i for i, j in zip(starts, starts[1:])] == [n for n in want if n]
-        assert cells == len(calls) == sum(want)
+    _, _, cells = cosh_squared_slabs([4.85, 4.86, 9.71, 9.72], rel_tol=1e-9 / 4.0)
+    # every slab starts at 0, so each opens with a cell there
+    starts = [k for k, (left, _) in enumerate(calls) if left == 0.0] + [len(calls)]
+    assert [j - i for i, j in zip(starts, starts[1:])] == [1, 2, 2, 3]
+    assert cells == len(calls) == 8
 
 
 # ------------------------------------------- oracles against 50-digit values
