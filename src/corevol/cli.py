@@ -79,6 +79,7 @@ def _integer(value, where: str) -> int:
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    _number(value, where)  # an int past the float64 range is not finite either
     return value
 
 
@@ -138,11 +139,12 @@ def _field(raw, where: str) -> dict:
     return {"kind": kind, **_record(raw, where, *FIELD_KINDS[kind])}
 
 
-def parse_config(raw, where: str = "config") -> dict:
+def parse_config(raw) -> dict:
     """Check a raw config and return it normalized: defaults filled in,
     numbers finite floats, counts ints, unknown keys dropped.  The result is
     what --echo-config prints and what every command reads, and parsing it
     again returns it unchanged."""
+    where = "config"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be an object")
     mode = _need(raw, "mode", where)

@@ -708,13 +708,25 @@ LARGEST = 1.7976931348623157e308
     # an integral float passes as a genus, and 4 pi (g - 1) overflows
     ("wedge", dict(WEDGE_CONFIG, boundary_genus=LARGEST), [],
      2, "value", "report value core.boundary_area = inf leaves the float64 range"),
+    # an integer past the float64 range is refused before it is used as a
+    # genus, an index, a mesh size or a mode
+    ("wedge", dict(WEDGE_CONFIG, boundary_genus=10 ** 400), [],
+     1, "config", "config.boundary_genus: expected a finite number, got 1000"),
+    ("validate", dict(G2_CONFIG, pairings=[dict(G2_CONFIG["pairings"][0], source=10 ** 400),
+                                           G2_CONFIG["pairings"][1]]), [],
+     1, "config", "config.pairings[0].source: expected a finite number, got 1000"),
+    ("anomaly", dict(ANOMALY_CONFIG, mesh=dict(ANOMALY_CONFIG["mesh"], n_t=10 ** 400)), [],
+     1, "config", "config.mesh.n_t: expected a finite number, got 1000"),
+    ("anomaly", dict(ANOMALY_CONFIG, field={"kind": "theta_mode", "k": 10 ** 400}), [],
+     1, "config", "config.field.k: expected a finite number, got 1000"),
     ("renvol", BTZ_CONFIG, ["--quad-tol", repr(LARGEST)],
      1, "config", "config.quadrature_tol: must be below 1.0, got 1.7976931348623157e+308"),
     # 2^53 levels would ask numpy for a 64 PiB grid
     ("renvol", BTZ_CONFIG, ["--eps-count", str(2 ** 53)],
      1, "config", "config.epsilon_grid.count: need at least 8 for fitting and at most 1024, "
                   "got 9007199254740992"),
-], ids=["leaf_length", "boundary_genus", "quad_tol", "eps_count"])
+], ids=["leaf_length", "boundary_genus", "boundary_genus_int", "pairing_source_int",
+        "mesh_n_t_int", "field_k_int", "quad_tol", "eps_count"])
 def test_extreme_config_ends_in_one_error_line(tmp_path, capsys, command, config, flags,
                                                code, kind, fragment):
     # no report with inf or nan, no warning (the suite makes warnings errors)

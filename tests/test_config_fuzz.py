@@ -163,7 +163,8 @@ def _non_finite_values(report: str) -> list:
 
 
 # the four inputs a scratch fuzz found ending in inf or nan, a warning or a
-# traceback (ROADMAP item 14), run on every pass
+# traceback (ROADMAP item 14), and a genus too large for a float, run on
+# every pass
 GENUS1 = parse_config(CASES["readme_genus1"][1])
 WEDGE = parse_config(CASES["wedge_three_leaves"][1])
 HUGE = sys.float_info.max
@@ -173,6 +174,7 @@ HUGE = sys.float_info.max
 @given(case=mutated_goldens())
 @example(case=("wedge", {**WEDGE, "leaves": [{"length": HUGE, "theta": 0.0}]}))
 @example(case=("wedge", {**WEDGE, "boundary_genus": HUGE}))
+@example(case=("wedge", {**WEDGE, "boundary_genus": 10 ** 400}))
 @example(case=("renvol", {**GENUS1, "quadrature_tol": HUGE}))
 @example(case=("renvol", {**GENUS1, "epsilon_grid": {**GENUS1["epsilon_grid"],
                                                      "count": 2 ** 53}}))
