@@ -26,7 +26,7 @@ from corevol import (
 from corevol.cli import write_profile_csv
 
 
-def run(out_dir=None, tol=1e-9):
+def run(out_dir=None):
     group = validate(cyclic_group(-1.0, 1.0, 2.0))
     surface = surface_invariants(group)
     print(f"ends={surface.ends} genus={surface.genus} "
@@ -34,7 +34,7 @@ def run(out_dir=None, tol=1e-9):
     print(f"end lengths: {surface.end_lengths}  core area: {surface.core_area}")
 
     grid = default_eps_grid()
-    quad = profile_quadrature(surface, grid, tol=tol)
+    quad = profile_quadrature(surface, grid)
     fit = expansion_fit(quad)
 
     terms = surface_terms(surface)
@@ -63,6 +63,4 @@ def run(out_dir=None, tol=1e-9):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="directory for profile CSVs")
-    parser.add_argument("--quad-tol", type=float, default=1e-9)
-    args = parser.parse_args()
-    run(args.out, args.quad_tol)
+    run(parser.parse_args().out)

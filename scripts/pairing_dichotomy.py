@@ -31,7 +31,7 @@ def build(pairs, radius=0.4):
     return validate(SchottkyData(circles, pairings))
 
 
-def run(tol=1e-9):
+def run():
     cases = {
         "adjacent (1-2, 3-4)": [(0, 1), (2, 3)],
         "crossed  (1-3, 2-4)": [(0, 2), (1, 3)],
@@ -40,7 +40,7 @@ def run(tol=1e-9):
     for label, pairs in cases.items():
         group = build(pairs)
         surface = surface_invariants(group)
-        fit = expansion_fit(profile_quadrature(surface, default_eps_grid(), tol=tol))
+        fit = expansion_fit(profile_quadrature(surface, default_eps_grid()))
         ratio = fit.v / surface.total_end_length
         print(f"{label:<22} {surface.ends:>2} {surface.genus:>2} "
               f"{surface.total_end_length:>10.5f} {ratio:>14.9f}")
@@ -48,6 +48,5 @@ def run(tol=1e-9):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quad-tol", type=float, default=1e-9)
-    run(parser.parse_args().quad_tol)
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    run()

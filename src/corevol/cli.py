@@ -8,8 +8,10 @@ machine-readable JSON error object on stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +21,6 @@ from .quadrature import QuadratureError
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
-    QUAD_TOL_FLOOR,
     closed_profile,
     closed_volume,
     default_eps_grid,
@@ -43,7 +44,6 @@ DISCREPANCY_THRESHOLD = 1e-4
 # which overflow a double below about 1e-154
 EPS_FLOOR = 1e-150
 EPS_COUNT_MAX = 1024  # largest epsilon_grid.count, checked before the grid is allocated
-QUAD_TOL_CEILING = 1.0  # quadrature_tol must be below it: a relative error of 1 keeps no digit
 
 CONVENTIONS = {
     "paper": (Convention.PAPER,),
@@ -163,19 +163,11 @@ def parse_config(raw) -> dict:
     if not 8 <= grid["count"] <= EPS_COUNT_MAX:
         raise ConfigError(f"{where}.epsilon_grid.count: need at least 8 for fitting and "
                           f"at most {EPS_COUNT_MAX}, got {grid['count']!r}")
-    tol = _number(raw.get("quadrature_tol", 1e-9), f"{where}.quadrature_tol")
-    if tol < QUAD_TOL_FLOOR:
-        raise ConfigError(f"{where}.quadrature_tol: must be at least {QUAD_TOL_FLOOR!r}, "
-                          f"got {tol!r}")
-    if not tol < QUAD_TOL_CEILING:
-        raise ConfigError(f"{where}.quadrature_tol: must be below {QUAD_TOL_CEILING!r}, "
-                          f"got {tol!r}")
     cfg = {
         "mode": mode,
         "name": name,
         "convention": convention,
         "epsilon_grid": grid,
-        "quadrature_tol": tol,
     }
 
     if mode == "fuchsian_group":
@@ -253,10 +245,22 @@ def write_profile_csv(profile, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _fs_path(path: str) -> str:
+    """path, or an OSError naming it when no file can have it: a NUL byte or
+    a lone surrogate, which the file functions report as a ValueError."""
+    if "\0" in path:
+        raise OSError(errno.EINVAL, "a path cannot hold a NUL byte", path)
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise OSError(errno.EINVAL, "a path cannot hold a lone surrogate", path) from None
+    return path
+
+
 def _emit(report: Report, args, csv_profiles) -> None:
     # files first: if --out cannot be written, the JSON error is all that prints
     if args.out:
-        out_dir = Path(args.out)
+        out_dir = Path(_fs_path(args.out))
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(report.text(), encoding="utf-8")
         if args.csv:
@@ -312,7 +316,6 @@ def cmd_renvol(cfg: dict, report: Report, csv: bool):
     report.add("eps.min", grid["min"])
     report.add("eps.max", grid["max"])
     report.add("eps.count", grid["count"])
-    report.add("quadrature.tol", cfg["quadrature_tol"])
 
     terms = surface_terms(surface)
     closed_v = {conv: renormalized_volume(terms, conv) for conv in conventions}
@@ -320,7 +323,7 @@ def cmd_renvol(cfg: dict, report: Report, csv: bool):
         report.add(f"closed.{conv.value}.V", v)
         report.add(f"closed.{conv.value}.vol_at_eps_max", closed_volume(terms, grid["max"], conv))
 
-    quad_profile = profile_quadrature(surface, eps_grid, tol=cfg["quadrature_tol"])
+    quad_profile = profile_quadrature(surface, eps_grid)
     report.add("quadrature.cells", quad_profile.cells)
     rel_bounds = [b / abs(v) for (_, v), b in zip(quad_profile.samples, quad_profile.bounds) if v]
     report.add("quadrature.rel_bound_max", max(rel_bounds, default=0.0))
@@ -369,14 +372,13 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
     for i, leaf in enumerate(core.leaves):
         report.add(f"leaf.{i}.length", leaf.length)
         report.add(f"leaf.{i}.theta", leaf.theta)
-    report.add("quadrature.tol", cfg["quadrature_tol"])
 
     terms = core.terms
     closed_v = {conv: renormalized_volume(terms, conv, base=core.core_volume)
                 for conv in conventions}
     for conv, v in closed_v.items():
         report.add(f"closed.{conv.value}.V", v)
-    quads, errs, cells = wedge_volume_quadrature(core.leaves, eps_check, tol=cfg["quadrature_tol"])
+    quads, errs, cells = wedge_volume_quadrature(core.leaves, eps_check)
     report.add("quadrature.cells", cells)
     for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads, errs)):
         wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
@@ -412,16 +414,18 @@ def _build_field(mesh, field: dict):
         return mesh.constant(field["value"])
     if kind in ("theta_mode", "log_sech_t"):
         # the field before its 1-d profile: the profile of a mesh too large
-        # to allocate would itself be gigabytes
+        # to allocate would itself be gigabytes.  The profile is built with
+        # math, whose results do not move with numpy's SIMD paths
         u = mesh.empty()
         if kind == "theta_mode":
             omega = 2.0 * math.pi * field["k"] / mesh.circumference
-            u[:] = field["amplitude"] * np.sin(omega * mesh.theta)
+            amplitude = field["amplitude"]
+            u[:] = [amplitude * math.sin(omega * theta) for theta in mesh.theta.tolist()]
         else:
-            u[:] = -np.log(np.cosh(mesh.t))[:, None]
+            u[:] = np.array([-math.log(math.cosh(t)) for t in mesh.t.tolist()])[:, None]
         return u
     path = field["path"]
-    file_mesh, u = field_from_csv(path)
+    file_mesh, u = field_from_csv(_fs_path(path))
     if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (
         mesh.tag, mesh.n_t, mesh.n_theta,
     ):
@@ -480,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", action="store_true", help="write profile CSVs to --out")
     parser.add_argument("--convention", choices=list(CONVENTIONS),
                         help="override the config convention")
-    parser.add_argument("--quad-tol", type=float, help="override quadrature tolerance")
     parser.add_argument("--eps-min", type=float, help="override epsilon grid minimum")
     parser.add_argument("--eps-max", type=float, help="override epsilon grid maximum")
     parser.add_argument("--eps-count", type=int, help="override epsilon grid size")
@@ -506,8 +509,6 @@ def _with_overrides(raw, args):
     raw = dict(raw)
     if args.convention is not None:
         raw["convention"] = args.convention
-    if args.quad_tol is not None:
-        raw["quadrature_tol"] = args.quad_tol
     grid = raw.get("epsilon_grid", {})
     if isinstance(grid, dict):
         flags = (("min", args.eps_min), ("max", args.eps_max), ("count", args.eps_count))
@@ -518,7 +519,7 @@ def _with_overrides(raw, args):
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = json.loads(Path(_fs_path(args.config)).read_text(encoding="utf-8"))
     except OSError as exc:
         print(_error_object("io", f"cannot read config file {args.config}: {exc.strerror}"))
         return 1
@@ -527,6 +528,10 @@ def main(argv=None) -> int:
         return 1
     except UnicodeDecodeError as exc:
         print(_error_object("parse", f"{args.config}: not UTF-8 text at byte {exc.start}"))
+        return 1
+    except (ValueError, RecursionError) as exc:
+        # an integer past the decoder's digit limit, or nesting past its depth
+        print(_error_object("parse", f"{args.config}: {exc}"))
         return 1
     try:
         if args.csv and not args.out:

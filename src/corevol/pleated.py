@@ -20,7 +20,6 @@ import math
 # corevol.pleated.adaptive_quad, and its per-layer metrics need the name
 from .quadrature import QuadratureError, adaptive_quad  # noqa: F401
 from .renvol import (
-    QUAD_TOL_FLOOR,
     Convention,
     _sector_areas,
     bending_sum,
@@ -84,7 +83,7 @@ class PleatedCoreData:
         return [("collar", self.boundary_area), ("wedge", bending)]
 
 
-def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
+def wedge_volume_quadrature(leaves, eps: float):
     """3d oracle for the wedge volumes of `leaves` in the upper half-space model.
 
     The leaf axis is the z-axis and the wedge is the normal-cone sector
@@ -95,17 +94,16 @@ def wedge_volume_quadrature(leaves, eps: float, tol: float = 1e-8):
     preserving the sector and dx dy dz / z^3, so the z-slice has 1/z times
     the area of the z = 1 slice, and the wedge is L times that area (the
     integral of dz / z over [1, e^L]).  The slices, sectors of radius
-    sinh(lam), are integrated in one renvol._sector_areas batch.  Returns
+    sinh(lam), are integrated at rounding level in one
+    renvol._sector_areas batch; there is no tolerance to set.  Returns
     (values, error bounds) as lists in leaf order, each scaled by its
     leaf's length, and the number of quadrature cells evaluated.  A
     QuadratureError names the failing leaf and eps, and its `owner` is
     that leaf's index.
     """
-    if tol < QUAD_TOL_FLOOR:
-        raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
     thetas = [leaf.theta for leaf in leaves]
     try:
-        areas, errors, cells = _sector_areas([eps] * len(leaves), thetas, tol)
+        areas, errors, cells = _sector_areas([eps] * len(leaves), thetas)
     except QuadratureError as exc:
         raise QuadratureError(f"leaf {exc.owner} at eps {eps!r}: {exc}", exc.owner) from None
     return ([leaf.length * area for leaf, area in zip(leaves, areas)],

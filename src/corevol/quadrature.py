@@ -2,10 +2,11 @@
 
 cosh_squared_slabs integrates cosh^2 over the slab [0, lam] of each level,
 and renvol's sector slice its own integrand, on partitions fixed in advance
-whose error is proved to meet the tolerance.  adaptive_quad bisects one
-interval, worst cell first, on the Kronrod-Gauss error estimate.  A slab's
-value is the sum of its cells in left-to-right order, so it does not depend
-on the rest of a batch, and it is identical across runs.
+whose error is proved to be at rounding level: no tolerance is asked for.
+adaptive_quad bisects one interval, worst cell first, on the Kronrod-Gauss
+error estimate.  A slab's value is the sum of its cells in left-to-right
+order, so it does not depend on the rest of a batch, and it is identical
+across runs.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ _WG = (
     0.129484966168869693270611432679082,
 )
 
-# cells one interval may be cut into before its tolerance counts as unmet;
+# cells one interval may be cut into before its accuracy counts as unmet;
 # read at call time
 MAX_CELLS = 4096
 
 
 class QuadratureError(RuntimeError):
-    """Requested tolerance not met within the cell budget, or an integrand
-    that is not finite; `owner` is the index of the failing interval in its
-    batch."""
+    """Accuracy not met within the cell budget, or an integrand that is not
+    finite; `owner` is the index of the failing interval in its batch."""
 
     def __init__(self, message: str, owner: int | None = None):
         super().__init__(message)
@@ -87,26 +87,26 @@ def _cell(f, left: float, right: float):
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-@functools.lru_cache(maxsize=64)
-def _widest_cell(rel_tol: float):
-    """The widest half-width h whose cosh_squared_slabs bound meets rel_tol,
-    maximized over a log grid of 256 ellipse parameters rho in [1.5, 1000],
-    as (h, g, q) with g = 22 log rho + log(rho - 1) - log 4 and q = 1 +
-    (rho + 1/rho)/2 at the best rho: the bound at a half-width h' is
-    e^(2 h' q - g)."""
+@functools.cache
+def _widest_cell():
+    """The widest half-width h whose cosh_squared_slabs bound is at most the
+    unit roundoff u, maximized over a log grid of 256 ellipse parameters rho
+    in [1.5, 1000], as (h, g, q) with g = 22 log rho + log(rho - 1) - log 4
+    and q = 1 + (rho + 1/rho)/2 at the best rho: the bound at a half-width
+    h' is e^(2 h' q - g).  Here 2 h = 2.8331."""
     best = (-math.inf, 0.0, 0.0)
     for i in range(256):
         rho = 1.5 * (1e3 / 1.5) ** (i / 255)
         gain = 22.0 * math.log(rho) + math.log(rho - 1.0) - math.log(4.0)
         reach = 1.0 + 0.5 * (rho + 1.0 / rho)
-        best = max(best, ((math.log(rel_tol) + gain) / (2 * reach), gain, reach))
+        best = max(best, ((math.log(_UNIT_ROUNDOFF) + gain) / (2 * reach), gain, reach))
     return best
 
 
-def cosh_squared_slabs(lams, *, rel_tol: float):
+def cosh_squared_slabs(lams):
     """Integrate cosh(x)**2 over the slab [0, lam] of every lam > 0 of lams
-    in one pass on equal cells, each error bounded by proof rather than
-    estimated.
+    at rounding level, on one grid of cells fixed in advance, each error
+    bounded by proof rather than estimated.
 
     The bound.  Map a cell of center c and half-width h onto [-1, 1].  GK15
     is exact to degree 22 and its weights are positive with sum 2.  If f is
@@ -116,53 +116,55 @@ def cosh_squared_slabs(lams, *, rel_tol: float):
     cell is at most (2 + 2) h 2 M rho^-22 / (rho - 1) (Trefethen, SIAM
     Review 50, 2008, section 4).  E_rho reaches |Re| <= rho' = (rho +
     1/rho)/2 in the unit variable, and |cosh(x + iy)| <= cosh(x), so M <=
-    cosh^2(c + h rho').  With m >= 0 the cell's left end, c = m + h, and
-    cosh(m + d) <= e^d cosh(m) for d >= 0, so M <= e^(2 h (1 + rho')) min f
+    cosh^2(c + h rho').  With a >= 0 the cell's left end, c = a + h, and
+    cosh(a + d) <= e^d cosh(a) for d >= 0, so M <= e^(2 h (1 + rho')) min f
     over the cell, while the cell's integral is at least 2 h min f.  Hence
     every cell has relative error at most 4 e^(2 h (1 + rho')) rho^-22 /
     (rho - 1), and so has a sum of such cells, all positive.
 
-    The widest h whose bound meets rel_tol is maximized over rho once per
-    rel_tol.  Each slab takes n = ceil(lam / 2h) equal cells: no refinement
-    loop and no Kronrod-Gauss estimate.  The error returned is the bound at
-    the slab's own half-width plus rounding, (16 + n + 4 lam) u |value|:
-    the rounded nodes move cosh^2 by at most 4 x u relative, and cosh, the
-    weights and the positive sums add less than (16 + n) u.  A slab that
-    needs more than MAX_CELLS cells raises QuadratureError and owns it; no
-    cell is evaluated then.  Returns (values, error bounds) as lists and the
-    number of cells evaluated.
+    The grid.  The full cells [j W, (j + 1) W] have the widest width W = 2h
+    whose bound is at most u (_widest_cell).  Those below the deepest level
+    are evaluated once per call and summed left to right, and a level's
+    value is the sum of the full cells below it plus its own last cell
+    [floor(lam / W) W, lam] when that is not empty, so it does not depend on
+    the rest of the batch, bit for bit.  Its error bound is the largest
+    truncation bound among its m cells (a last cell is narrower than W)
+    plus rounding, (16 + m + 4 lam) u, times the value: the rounded nodes
+    move cosh^2 by at most 4 x u relative, and cosh, the weights and the
+    positive sums add less than (16 + m) u.  A level that needs more than
+    MAX_CELLS cells raises QuadratureError and owns it; no cell is evaluated
+    then.  Returns (values, error bounds) as lists and the number of cells
+    evaluated.
     """
-    widest, gain, reach = _widest_cell(rel_tol)
-    if not widest > 0.0:
-        raise ValueError(f"no certified cell meets relative tolerance {rel_tol!r}")
-    counts = []
-    for k, lam in enumerate(lams):
-        need = lam / (2.0 * widest)
-        if need > MAX_CELLS:
+    half, gain, reach = _widest_cell()
+    width = 2.0 * half
+    fulls = [int(lam // width) for lam in lams]
+    lasts = [n * width < lam for lam, n in zip(lams, fulls)]
+    for k, (lam, n, last) in enumerate(zip(lams, fulls, lasts)):
+        if n + last > MAX_CELLS:
             raise QuadratureError(
-                f"tolerance {rel_tol:.3e} (relative) not met within {MAX_CELLS} cells on "
-                f"[0.0, {lam!r}] (the certified partition needs "
-                f"{math.ceil(need) if need < math.inf else need})", owner=k,
+                f"rounding level not met within {MAX_CELLS} cells on [0.0, {lam!r}] "
+                f"(the certified partition needs {n + last})", owner=k,
             )
-        counts.append(math.ceil(need))
 
     def cosh_power(x):
         return math.cosh(x) ** 2
 
-    values, errors = [], []
-    for k, (lam, n) in enumerate(zip(lams, counts)):
-        edges = [lam * (j / n) for j in range(n + 1)]
+    below, values, errors = [0.0], [], []  # below[j]: the first j full cells, summed
+    for k, (lam, n, last) in enumerate(zip(lams, fulls, lasts)):
         try:
-            value = sum((_cell(cosh_power, left, right)[0]
-                         for left, right in zip(edges, edges[1:])), 0.0)
+            while len(below) <= n:
+                j = len(below) - 1
+                below.append(below[j] + _cell(cosh_power, j * width, (j + 1) * width)[0])
+            value = below[n] + _cell(cosh_power, n * width, lam)[0] if last else below[n]
         except QuadratureError as exc:
             exc.owner = k
             raise
-        truncation = math.exp(2 * reach * (lam / (2.0 * n)) - gain)
-        rounding = (16.0 + n + 4.0 * lam) * _UNIT_ROUNDOFF
+        truncation = math.exp(2 * reach * (half if n else 0.5 * lam) - gain)
+        rounding = (16.0 + n + last + 4.0 * lam) * _UNIT_ROUNDOFF
         values.append(value)
         errors.append((truncation + rounding) * value)
-    return values, errors, sum(counts)
+    return values, errors, len(below) - 1 + sum(lasts)
 
 
 # stays: perfbench/tracer.py wraps it as corevol.pleated.adaptive_quad (quadrature metrics)

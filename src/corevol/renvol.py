@@ -62,10 +62,6 @@ CLOSED_FORMS = {
 }
 
 
-# smallest quadrature tolerance the oracle accepts
-QUAD_TOL_FLOOR = 1e-10
-
-
 def level_lambda(eps: float) -> float:
     """Distance lambda = -log(eps) to the core of the level eps, for eps in (0, 1)."""
     if not 0.0 < eps < 1.0:
@@ -150,7 +146,7 @@ def _arc(s: float) -> float:
     return s * s * math.sqrt(2.0 - s * s)
 
 
-def _sector_areas(eps_values, thetas, rel_tol: float):
+def _sector_areas(eps_values, thetas):
     """Areas of the disk sectors of opening pi - theta and radius R =
     sinh(lam), lam = -log(eps), per (eps, theta) of eps_values and thetas:
     the slices of pleated wedges and, at theta = 0, of the tubes around
@@ -177,14 +173,13 @@ def _sector_areas(eps_values, thetas, rel_tol: float):
     cell's error is at most 8 h M rho^-22 / (rho^2 - 1), all n cells'
     64 s_k rho^-22 / (rho^2 - 1).  The piece takes the fewest cells whose
     bound is below the slice's rounding bound (_arc_partition): one, or two
-    for theta below about 0.69.  So a slice is exact to rounding whatever
-    the tolerance, and rel_tol is only checked.  Every term of a slice is
-    positive, so relative rounding errors add.  Relative to the slice, the
-    rounded nodes move it by at most 9 u (each piece is monotone or nearly
-    so, and x |f'| integrates to a few times f), the integrand's
-    evaluation 6 u, the weights and the 15-point sums 15 u, the kink (cos /
-    sqrt(1 + sin), with no cancellation) 3 u and the sum of its n cells
-    n u: (33 + n) u.  R^2 adds at most 7 u (_sinh_squared) and its product
+    for theta below about 0.69.  So a slice is exact to rounding.  Every
+    term of a slice is positive, so relative rounding errors add.  Relative
+    to the slice, the rounded nodes move it by at most 9 u (each piece is
+    monotone or nearly so, and x |f'| integrates to a few times f), the
+    integrand's evaluation 6 u, the weights and the 15-point sums 15 u, the
+    kink (cos / sqrt(1 + sin), with no cancellation) 3 u and the sum of its
+    n cells n u: (33 + n) u.  R^2 adds at most 7 u (_sinh_squared) and its product
     with the slice 1 u: (41 + n) u, taken with room as (_SLICE_ROUNDING + 5
     + n) u.
 
@@ -192,9 +187,9 @@ def _sector_areas(eps_values, thetas, rel_tol: float):
     fixed in advance, and summed over its cells in order, cubic piece
     first, so an area does not depend on the rest of the batch.  A piece
     that needs more than MAX_CELLS cells raises QuadratureError, and so
-    does a sector whose error bound exceeds rel_tol times its area; `owner`
-    is the sector (the first of its theta).  Returns (areas, error bounds)
-    as lists and the number of cells evaluated.
+    does an area that is not finite; `owner` is the sector (the first of
+    its theta).  Returns (areas, error bounds) as lists and the number of
+    cells evaluated.
     """
     units, cells = {}, 0  # theta -> (unit slice, its error bound)
     for k, theta in enumerate(thetas):
@@ -222,54 +217,41 @@ def _sector_areas(eps_values, thetas, rel_tol: float):
     squares = list(map(_sinh_squared, eps_values))
     areas = [square * units[theta][0] for square, theta in zip(squares, thetas)]
     errors = [square * units[theta][1] for square, theta in zip(squares, thetas)]
-    for k, (area, error) in enumerate(zip(areas, errors)):
-        if not (error <= rel_tol * area and math.isfinite(area)):
-            raise QuadratureError(
-                f"tolerance {rel_tol:.3e} (relative) not met: the certified error "
-                f"{error:.3e} of area {area:.6e} exceeds it", owner=k,
-            )
+    for k, area in enumerate(areas):
+        if not math.isfinite(area):
+            raise QuadratureError(f"the sector area {area!r} is not finite", owner=k)
     return areas, errors, cells
 
 
-def _truncated_volumes(surface: SurfaceInfo, eps_values, tol: float):
+def _truncated_volumes(surface: SurfaceInfo, eps_values):
     """Oracle volumes and their error bounds at every level of eps_values,
-    each integral one batch over all levels, and the number of cells
-    evaluated; raises QuadratureError at the first level, in the given
-    order, whose bound exceeds tol * |volume|.  A QuadratureError names its
-    eps level, and the integral too if it failed inside one."""
-    if tol < QUAD_TOL_FLOOR:
-        raise ValueError(f"tolerance must be at least {QUAD_TOL_FLOOR!r}, got {tol}")
+    each integral one batch over all levels at rounding level, and the
+    number of cells evaluated.  A QuadratureError names its eps level and
+    the integral it failed in."""
     lams = [level_lambda(float(e)) for e in eps_values]
     totals, errs, cells = [0.0] * len(lams), [0.0] * len(lams), 0
     integral = "core slab"
     try:
         if surface.core_area != 0.0:
-            slabs, slab_errs, cells = cosh_squared_slabs(lams, rel_tol=tol / 4.0)
+            slabs, slab_errs, cells = cosh_squared_slabs(lams)
             weight = 2.0 * surface.core_area
             totals = [weight * slab for slab in slabs]
             errs = [weight * err for err in slab_errs]
         integral = "end cylinder"
         total_length = surface.total_end_length
         if total_length > 0.0:
-            areas, area_errs, end_cells = _sector_areas(eps_values, [0.0] * len(lams), tol / 2.0)
+            areas, area_errs, end_cells = _sector_areas(eps_values, [0.0] * len(lams))
             totals = [total + total_length * area for total, area in zip(totals, areas)]
             errs = [err + total_length * area_err for err, area_err in zip(errs, area_errs)]
             cells += end_cells
     except QuadratureError as exc:
         eps = float(eps_values[exc.owner])
         raise QuadratureError(f"{integral} at eps {eps!r}: {exc}", exc.owner) from None
-    for k, (total, err) in enumerate(zip(totals, errs)):
-        if err > tol * abs(total) + 1e-300:
-            raise QuadratureError(
-                f"quadrature error bound {err:.3e} exceeds tolerance for volume "
-                f"{total:.6e} at eps {float(eps_values[k])!r}", k
-            )
     return totals, errs, cells
 
 
 # stays public: perfbench/tracer.py counts truncated_volume_quadrature.calls through it
-def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
-                                tol: float = 1e-9) -> float:
+def truncated_volume_quadrature(surface: SurfaceInfo, eps: float) -> float:
     """Independent oracle for the truncated volume.
 
     Integrates the volume element numerically over the truncated region
@@ -277,7 +259,7 @@ def truncated_volume_quadrature(surface: SurfaceInfo, eps: float,
     slice); no closed-form antiderivative of the integrand is used anywhere
     on this path.  A batch of one level for the profile oracle.
     """
-    volumes, _, _ = _truncated_volumes(surface, [eps], tol)
+    volumes, _, _ = _truncated_volumes(surface, [eps])
     return volumes[0]
 
 
@@ -322,10 +304,10 @@ def closed_profile(terms, eps_grid, convention: Convention, base: float = 0.0) -
     return VolumeProfile(samples, f"closed_form_{convention.value}")
 
 
-def profile_quadrature(surface: SurfaceInfo, eps_grid, tol: float = 1e-9) -> VolumeProfile:
+def profile_quadrature(surface: SurfaceInfo, eps_grid) -> VolumeProfile:
     """Oracle profile: every level of eps_grid integrated in one batch."""
     eps_values = [float(e) for e in eps_grid]
-    volumes, errors, cells = _truncated_volumes(surface, eps_values, tol)
+    volumes, errors, cells = _truncated_volumes(surface, eps_values)
     return VolumeProfile(tuple(zip(eps_values, volumes)), PROVENANCE_QUADRATURE, cells,
                          tuple(errors))
 

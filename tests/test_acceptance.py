@@ -92,9 +92,9 @@ def test_criterion_3_fit_exactness_and_stability(surface_s1):
     worst = max(abs(a - b) for a, b in zip(recovered, truth))
     assert worst <= 1e-8
 
-    base = expansion_fit(profile_quadrature(surface_s1, default_eps_grid(), 1e-9))
+    base = expansion_fit(profile_quadrature(surface_s1, default_eps_grid()))
     doubled_grid = default_eps_grid(eps_min=2e-3, eps_max=0.6)
-    doubled = expansion_fit(profile_quadrature(surface_s1, doubled_grid, 1e-9))
+    doubled = expansion_fit(profile_quadrature(surface_s1, doubled_grid))
     shift = abs(base.v - doubled.v)
     assert shift < 1e-4
     _ok(3, f"synthetic coefficients recovered to {worst:.2e}; fitted V shifts "
@@ -105,7 +105,7 @@ def test_criterion_4_structure_constant(surface_s1, surface_adjacent,
                                         surface_crossed):
     ratios = []
     for surface in (surface_s1, surface_adjacent, surface_crossed):
-        fit = expansion_fit(profile_quadrature(surface, default_eps_grid(), 1e-9))
+        fit = expansion_fit(profile_quadrature(surface, default_eps_grid()))
         ratios.append(fit.v / surface.total_end_length)
     spread = max(ratios) - min(ratios)
     assert spread <= 1e-4
@@ -144,15 +144,15 @@ def test_criterion_7_wedge_oracle():
         for theta in (math.pi / 3.0, 2.0 * math.pi / 3.0):
             for eps in (math.exp(-1.0), 0.2):
                 leaf = PleatLeaf(length, theta)
-                quad = wedge_volume_quadrature((leaf,), eps, tol=1e-8)[0][0]
+                quad = wedge_volume_quadrature((leaf,), eps)[0][0]
                 wedge = [("wedge", (math.pi - theta) * length)]
                 closed = closed_volume(wedge, eps, Convention.DERIVED)
                 rel = abs(quad - closed) / abs(closed)
                 worst = max(worst, rel)
                 assert rel <= 1e-5
     assert wedge_volume_quadrature((PleatLeaf(1.0, math.pi),), 0.2)[0][0] == 0.0
-    v1 = wedge_volume_quadrature((PleatLeaf(0.7, 1.1),), 0.25, tol=1e-8)[0][0]
-    v2 = wedge_volume_quadrature((PleatLeaf(1.4, 1.1),), 0.25, tol=1e-8)[0][0]
+    v1 = wedge_volume_quadrature((PleatLeaf(0.7, 1.1),), 0.25)[0][0]
+    v2 = wedge_volume_quadrature((PleatLeaf(1.4, 1.1),), 0.25)[0][0]
     assert abs(v2 - 2.0 * v1) / abs(v2) <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -3,13 +3,15 @@ perfbench/tracer.py wraps: a name the program drops takes its metrics out
 of the traced result line.  This pins the traced metric set to the
 `per_layer` list in BENCHMARK.json without running a workload, pins the
 names the tracer finds missing, checks that traced CLI runs reach every
-wrapped layer, and runs one block of the anomaly workload through the
-benchmark's own checks."""
+wrapped layer, and runs one block each of the renvol, wedge and anomaly
+workloads through the benchmark's own checks."""
 
 import importlib
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 from corevol import cli
 from corevol.cli import main
@@ -102,3 +104,25 @@ def test_one_block_of_anomaly_ops_passes_the_benchmark_checks(tmp_path, monkeypa
         config.write_text(json.dumps(op["config"]), encoding="utf-8")
         assert main(["anomaly", "--config", str(config)]) == 0, op["kind"]
         checks.check_anomaly(op, capsys.readouterr().out)
+
+
+# workload -> (command, its ops, the ops of one block)
+QUADRATURE_WORKLOADS = {"renvol_sweep": ("renvol", "renvol_ops", "RENVOL_KINDS"),
+                        "wedge_leaves": ("wedge", "wedge_ops", "WEDGE_LEAVES_PER_OP")}
+
+
+@pytest.mark.parametrize("workload", sorted(QUADRATURE_WORKLOADS))
+def test_one_block_of_quadrature_ops_passes_the_benchmark_checks(
+        tmp_path, monkeypatch, capsys, workload):
+    # the configs as the benchmark writes them, old keys included: the fit
+    # bounds and closed forms of renvol, the wedge gaps and warnings of wedge
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    command, make_ops, per_block = QUADRATURE_WORKLOADS[workload]
+    ops = getattr(workloads, make_ops)(1)[:len(getattr(workloads, per_block))]
+    config = tmp_path / "op.json"
+    for op in ops:
+        config.write_text(json.dumps(op["config"]), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 0, op["kind"]
+        checks.CHECKS[command](op, capsys.readouterr().out)

@@ -172,8 +172,10 @@ README_G2_CONFIG = {
 
 
 def test_coarse_quad_tol_does_not_blame_the_derived_convention(tmp_path, capsys):
+    # the oracle once ran at a settable tolerance, and a coarse one made the
+    # fit blame the derived convention; every slab is at rounding level now
     code = main(["renvol", "--config", write_config(tmp_path, README_G2_CONFIG),
-                 "--convention", "derived", "--quad-tol", "1e-6"])
+                 "--convention", "derived"])
     assert code == 0
     text = capsys.readouterr().out
     assert float(report_dict(text)["discrepancy.fit_vs_derived.V"]) <= 1e-8
@@ -337,9 +339,9 @@ def test_wedge_makes_one_quadrature_batch_call(tmp_path, capsys, monkeypatch):
     batches, cells = [], []
     sector_areas, cell = pleated._sector_areas, renvol._cell
 
-    def batched(eps_values, thetas, rel_tol):
+    def batched(eps_values, thetas):
         batches.append(list(thetas))
-        return sector_areas(eps_values, thetas, rel_tol)
+        return sector_areas(eps_values, thetas)
 
     def counted(f, left, right):
         cells.append(f.__name__)
@@ -438,11 +440,33 @@ def test_flag_overrides_apply(tmp_path, capsys):
     config = dict(BTZ_CONFIG, epsilon_grid={"count": 4})
     code = main(["renvol", "--config", write_config(tmp_path, config),
                  "--eps-min", "0.002", "--eps-max", "0.25", "--eps-count", "9",
-                 "--quad-tol", "1e-8", "--echo-config"])
+                 "--echo-config"])
     assert code == 0
     echoed = json.loads(capsys.readouterr().out)
     assert echoed["epsilon_grid"] == {"min": 0.002, "max": 0.25, "count": 9}
-    assert echoed["quadrature_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-9, 1e300, "coarse"])
+def test_old_quadrature_tol_key_is_dropped_like_any_unknown_key(tmp_path, capsys, tol):
+    # the oracle has one accuracy, rounding level: an old config's
+    # quadrature_tol runs, and changes neither the config nor the report
+    plain = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG)])
+    report = capsys.readouterr().out
+    old = write_config(tmp_path, dict(BTZ_CONFIG, quadrature_tol=tol), name="old.json")
+    assert (plain, main(["renvol", "--config", old])) == (0, 0)
+    assert capsys.readouterr().out == report
+    assert "quadrature.tol" not in report
+    assert main(["renvol", "--config", old, "--echo-config"]) == 0
+    assert "quadrature_tol" not in json.loads(capsys.readouterr().out)
+
+
+def test_quad_tol_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG), "--quad-tol", "1e-8"])
+    assert usage.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --quad-tol" in out.err
 
 
 def test_parse_errors_are_positioned(tmp_path, capsys):
@@ -481,8 +505,7 @@ CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
         (lambda c: c.update(epsilon_grid={"min": 0.5, "max": 0.3}), "min < max"),
         (lambda c: c.update(epsilon_grid={"count": 4}), "at least 8"),
         (lambda c: c.update(convention="mine"), "paper, derived or both"),
-        (lambda c: c.update(quadrature_tol=math.nan), "expected a finite number, got nan"),
-        (lambda c: ["--quad-tol", "nan"], "quadrature_tol: expected a finite number"),
+        (lambda c: c.update(epsilon_grid={"min": math.nan}), "expected a finite number, got nan"),
         (lambda c: ["--eps-count", "4"], "epsilon_grid.count: need at least 8"),
         (lambda c: c.update(epsilon_grid={"count": [9]}), "expected an integer, got [9]"),
         (lambda c: c.update(epsilon_grid={"count": 9.7}), "expected an integer, got 9.7"),
@@ -542,7 +565,7 @@ JSON_VALUES = st.recursive(
 )
 NEAR_VALID = st.sampled_from([0, 1, 2, 9, 9.0, 9.5, 0.25, -1.0, 64, "paper", "zero", [], {}])
 FLAG_SETS = [[], ["--eps-count", "4"], ["--eps-min", "0.01", "--eps-count", "9"],
-             ["--quad-tol", "nan"], ["--convention", "paper"]]
+             ["--eps-min", "nan"], ["--convention", "paper"]]
 
 
 def _paths(value, prefix=()):
@@ -614,7 +637,7 @@ def test_echo_config_is_one_json_object(tmp_path_factory, config, flags):
 
 
 # the fuzzed commands run on small grids and meshes only
-SMALL_RUN_FLAGS = ["--eps-count", "8", "--quad-tol", "1e-8"]
+SMALL_RUN_FLAGS = ["--eps-count", "8"]
 SMALL_MESH_NODES = 129 * 128
 
 
@@ -681,23 +704,6 @@ def test_eps_min_below_floor_is_a_config_error(tmp_path, capsys, command, config
     assert "epsilon_grid.min: must be at least 1e-150" in error["message"]
 
 
-@pytest.mark.parametrize("command, config", [("renvol", BTZ_CONFIG), ("wedge", WEDGE_CONFIG)])
-@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-11])
-@pytest.mark.parametrize("from_flag", [False, True])
-def test_quadrature_tol_below_floor_is_a_config_error(tmp_path, capsys, command, config,
-                                                      tol, from_flag):
-    # the renvol oracle refuses tolerances below 1e-10; wedge must not run
-    # such a config at some other tolerance either
-    flags = ["--quad-tol", repr(tol)] if from_flag else []
-    if not from_flag:
-        config = dict(config, quadrature_tol=tol)
-    code = main([command, "--config", write_config(tmp_path, config), *flags])
-    assert code == 1
-    error = _one_error(capsys)
-    assert error["kind"] == "config"
-    assert "quadrature_tol: must be at least 1e-10" in error["message"]
-
-
 LARGEST = 1.7976931348623157e308
 
 
@@ -719,14 +725,12 @@ LARGEST = 1.7976931348623157e308
      1, "config", "config.mesh.n_t: expected a finite number, got 1000"),
     ("anomaly", dict(ANOMALY_CONFIG, field={"kind": "theta_mode", "k": 10 ** 400}), [],
      1, "config", "config.field.k: expected a finite number, got 1000"),
-    ("renvol", BTZ_CONFIG, ["--quad-tol", repr(LARGEST)],
-     1, "config", "config.quadrature_tol: must be below 1.0, got 1.7976931348623157e+308"),
     # 2^53 levels would ask numpy for a 64 PiB grid
     ("renvol", BTZ_CONFIG, ["--eps-count", str(2 ** 53)],
      1, "config", "config.epsilon_grid.count: need at least 8 for fitting and at most 1024, "
                   "got 9007199254740992"),
 ], ids=["leaf_length", "boundary_genus", "boundary_genus_int", "pairing_source_int",
-        "mesh_n_t_int", "field_k_int", "quad_tol", "eps_count"])
+        "mesh_n_t_int", "field_k_int", "eps_count"])
 def test_extreme_config_ends_in_one_error_line(tmp_path, capsys, command, config, flags,
                                                code, kind, fragment):
     # no report with inf or nan, no warning (the suite makes warnings errors)
@@ -738,14 +742,6 @@ def test_extreme_config_ends_in_one_error_line(tmp_path, capsys, command, config
     error = json.loads(out.out)["error"]
     assert error["kind"] == kind
     assert fragment in error["message"]
-
-
-@pytest.mark.parametrize("tol", [0.5, math.nextafter(1.0, 0.0)])
-def test_quadrature_tol_below_one_is_accepted(tmp_path, capsys, tol):
-    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
-                 "--quad-tol", repr(tol), "--echo-config"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["quadrature_tol"] == tol
 
 
 @pytest.mark.parametrize("count, code", [(1024, 0), (1025, 1)])
@@ -761,24 +757,9 @@ def test_report_rejects_non_finite_values_by_key(value):
         cli.Report().add("surface.end_lengths", value)
 
 
-def test_quadrature_tol_at_floor_is_accepted(tmp_path, capsys):
-    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
-                 "--quad-tol", "1e-10", "--echo-config"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["quadrature_tol"] == 1e-10
-
-
-def test_wedge_runs_at_the_configured_tolerance(tmp_path, capsys):
-    # the wedge oracle shares the renvol floor, so 1e-10 is run as given
-    code = main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG),
-                 "--quad-tol", "1e-10"])
-    assert code == 0
-    assert report_dict(capsys.readouterr().out)["quadrature.tol"] == "1e-10"
-
-
 def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise QuadratureError("tolerance 1.000e-09 not met within 4096 cells")
+        raise QuadratureError("rounding level not met within 4096 cells")
 
     monkeypatch.setattr(cli, "profile_quadrature", fail)
     code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG)])
@@ -820,6 +801,51 @@ def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
     assert code == 1
     assert _one_error(capsys)["kind"] == "io"
     assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def _config_text(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# name -> (argv in tmp_path, error kind, message fragment): config text the
+# JSON decoder refuses with a plain ValueError or a RecursionError is a
+# parse error, and a path that no file can have is an io error, exit 1 both
+UNREADABLE = {
+    "integer_past_the_digit_limit": (
+        lambda tmp: ["wedge", "--config", _config_text(
+            tmp, '{"mode": "pleated_core", "boundary_genus": 1' + "0" * 5000 + "}")],
+        "parse", "Exceeds the limit (4300 digits)"),
+    "array_nested_200000_deep": (
+        lambda tmp: ["wedge", "--config", _config_text(tmp, "[" * 200000 + "]" * 200000)],
+        "parse", "maximum recursion depth exceeded"),
+    "config_path_with_nul": (
+        lambda tmp: ["wedge", "--config", str(tmp / "a\0b.json")],
+        "io", "a path cannot hold a NUL byte"),
+    "out_path_with_nul": (
+        lambda tmp: ["wedge", "--config", write_config(tmp, WEDGE_CONFIG),
+                     "--out", str(tmp / "o\0ut")],
+        "io", "a path cannot hold a NUL byte"),
+    "csv_path_with_lone_surrogate": (
+        lambda tmp: ["anomaly", "--config", write_config(
+            tmp, dict(ANOMALY_CONFIG, field={"kind": "csv", "path": "\ud800.csv"}))],
+        "io", "a path cannot hold a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unusable_config_text_or_path_is_one_json_error(tmp_path, capsys, name):
+    argv, kind, fragment = UNREADABLE[name]
+    assert main(argv(tmp_path)) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("\n") == 1
+    error = json.loads(out.out)["error"]
+    assert error["kind"] == kind
+    assert fragment in error["message"]
+    if kind == "parse":
+        assert error["message"].startswith(str(tmp_path / "config.json") + ": ")
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2.0 - 1e-4, math.pi / 2.0 + 1e-4,

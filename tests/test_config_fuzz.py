@@ -1,4 +1,5 @@
-"""Config-fuzz gate: mutated golden configs through `corevol.cli.main`.
+"""Config-fuzz gate: mutated golden configs, and raw config text made from
+them, through `corevol.cli.main`.
 
 Every run must end in exit 0 with a report whose every number is finite, or
 in exit 1 or 2 with exactly one JSON error line, and must print nothing on
@@ -11,6 +12,7 @@ as an error.
 import json
 import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -30,8 +32,8 @@ ADDRESS_SPACE_LIMIT = 1 << 30
 # seconds one example may take before the child counts as hung
 ANSWER_TIMEOUT = 60.0
 
-# Reads one {"command", "config"} JSON object per line, runs `main` on it and
-# answers with one JSON line: the exit code with what went to stdout and
+# Reads one {"command", "config"} JSON object per line, the config file's
+# bytes in hex, runs `main` on it and answers with one JSON line: the exit code with what went to stdout and
 # stderr, or the traceback of anything `main` let escape.
 CHILD = """
 import contextlib, io, json, resource, sys, traceback, warnings
@@ -45,7 +47,7 @@ from corevol.cli import main
 path = Path(sys.argv[2])
 for line in sys.stdin:
     request = json.loads(line)
-    path.write_text(request["config"], encoding="utf-8")
+    path.write_bytes(bytes.fromhex(request["config"]))
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -90,9 +92,12 @@ class Child:
         self.proc = None
 
     def run(self, command: str, config) -> dict:
+        """The answer to `command` on a config: a JSON value, or the raw
+        bytes of a config file."""
         if self.proc is None or self.proc.poll() is not None:
             self.start()
-        request = {"command": command, "config": json.dumps(config)}
+        text = config if isinstance(config, bytes) else json.dumps(config).encode()
+        request = {"command": command, "config": text.hex()}
         self.proc.stdin.write(json.dumps(request) + "\n")
         self.proc.stdin.flush()
         # the child writes one line per request, so nothing is left buffered
@@ -170,17 +175,7 @@ WEDGE = parse_config(CASES["wedge_three_leaves"][1])
 HUGE = sys.float_info.max
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=mutated_goldens())
-@example(case=("wedge", {**WEDGE, "leaves": [{"length": HUGE, "theta": 0.0}]}))
-@example(case=("wedge", {**WEDGE, "boundary_genus": HUGE}))
-@example(case=("wedge", {**WEDGE, "boundary_genus": 10 ** 400}))
-@example(case=("renvol", {**GENUS1, "quadrature_tol": HUGE}))
-@example(case=("renvol", {**GENUS1, "epsilon_grid": {**GENUS1["epsilon_grid"],
-                                                     "count": 2 ** 53}}))
-def test_mutated_golden_configs_give_a_finite_report_or_one_json_error(child, case):
-    command, config = case
-    answer = child.run(command, config)
+def _assert_report_or_one_error(answer: dict, command: str):
     assert "escaped" not in answer, answer.get("escaped")
     assert answer["stderr"] == ""
     out = answer["stdout"]
@@ -193,6 +188,65 @@ def test_mutated_golden_configs_give_a_finite_report_or_one_json_error(child, ca
         assert out.count("\n") == 1 and out.endswith("\n")
         error = json.loads(out)["error"]
         assert isinstance(error["kind"], str) and isinstance(error["message"], str)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=mutated_goldens())
+@example(case=("wedge", {**WEDGE, "leaves": [{"length": HUGE, "theta": 0.0}]}))
+@example(case=("wedge", {**WEDGE, "boundary_genus": HUGE}))
+@example(case=("wedge", {**WEDGE, "boundary_genus": 10 ** 400}))
+@example(case=("renvol", {**GENUS1, "quadrature_tol": HUGE}))
+@example(case=("renvol", {**GENUS1, "epsilon_grid": {**GENUS1["epsilon_grid"],
+                                                     "count": 2 ** 53}}))
+def test_mutated_golden_configs_give_a_finite_report_or_one_json_error(child, case):
+    command, config = case
+    _assert_report_or_one_error(child.run(command, config), command)
+
+
+NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+# bytes no UTF-8 decoder accepts: a lone continuation byte, a truncated
+# sequence, an overlong encoding, and a surrogate encoded as UTF-8
+INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80"]
+
+
+@st.composite
+def raw_golden_texts(draw):
+    """A command and the bytes of a golden config file of its mode, edited
+    as text: a number swapped for a long digit string or wrapped in deep
+    nesting, invalid UTF-8 or an escaped lone surrogate inserted, or the
+    file cut at a random byte."""
+    command = draw(st.sampled_from(sorted(BASES)))
+    text = json.dumps(draw(st.sampled_from(BASES[command]))).encode()
+    for _ in range(draw(st.integers(1, 2))):
+        numbers = list(NUMBER.finditer(text))
+        edit = draw(st.sampled_from(["digits", "nesting", "utf8", "surrogate", "cut"]))
+        if edit in ("digits", "nesting") and numbers:
+            number = draw(st.sampled_from(numbers))
+            if edit == "digits":
+                new = b"1" + b"0" * draw(st.sampled_from([400, 4299, 4300, 5000]))
+            else:
+                depth = draw(st.sampled_from([1, 900, 1000, 200000]))
+                new = b"[" * depth + number.group() + b"]" * depth
+            text = text[:number.start()] + new + text[number.end():]
+        elif edit in ("utf8", "surrogate"):
+            # after an opening quote the insert lands inside a string
+            quotes = [k + 1 for k, byte in enumerate(text) if byte == ord('"')]
+            at = draw(st.integers(0, len(text)) | st.sampled_from(quotes or [0]))
+            insert = draw(st.sampled_from(INVALID_UTF8)) if edit == "utf8" else b"\\ud800"
+            text = text[:at] + insert + text[at:]
+        else:
+            text = text[:draw(st.integers(0, len(text)))]
+    return command, text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=raw_golden_texts())
+@example(case=("wedge", json.dumps({**WEDGE, "boundary_genus": 1}).encode().replace(
+    b'"boundary_genus": 1', b'"boundary_genus": 1' + b"0" * 5000)))
+@example(case=("wedge", b"[" * 200000 + b"]" * 200000))
+def test_raw_config_text_gives_a_report_or_one_json_error(child, case):
+    command, text = case
+    _assert_report_or_one_error(child.run(command, text), command)
 
 
 # Where numpy's arithmetic gave inf, math raises OverflowError, which is not a

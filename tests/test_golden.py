@@ -49,7 +49,6 @@ CASES = {
         "generators": [{"p": -1.0, "q": 1.0, "length": 2.0}],
         "convention": "both",
         "epsilon_grid": {"min": 1e-3, "max": 0.3, "count": 12},
-        "quadrature_tol": 1e-9,
     }),
     "readme_genus2": ("renvol", {
         "mode": "fuchsian_group",
@@ -64,7 +63,6 @@ CASES = {
         **group_config(make_row_group((-5, -3, -1, 1, 3, 5), 0.4,
                                       [(0, 3), (1, 4), (2, 5)])),
         "epsilon_grid": {"min": 1e-3, "max": 0.3, "count": 16},
-        "quadrature_tol": 1e-8,
     }),
     "wedge_three_leaves": ("wedge", {
         "mode": "pleated_core",
@@ -146,8 +144,9 @@ def test_report_matches_golden(tmp_path, name):
     assert report_text(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
 
 
-# the reports that no numpy code computes
-NUMPY_FREE = ("readme_genus1", "readme_genus2", "g3_crossed", "wedge_three_leaves")
+# every pinned report: the renvol and wedge ones use no numpy, and the
+# anomaly fields' 1-d profiles are built with math
+CPU_INDEPENDENT = tuple(sorted(CASES))
 # name -> (environment, the numpy CPU features it needs): other CPU paths
 # that numpy and OpenBLAS can take on an x86-64 CPU with AVX-512
 CPU_PATHS = {
@@ -161,7 +160,7 @@ import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import test_golden
-for name in test_golden.NUMPY_FREE:
+for name in test_golden.CPU_INDEPENDENT:
     text = test_golden.report_text(name, Path(sys.argv[2]))
     print(name, text == (test_golden.GOLDEN / f"{name}.txt").read_bytes())
 """
@@ -177,14 +176,15 @@ def _cpu_features() -> dict:
 
 @pytest.mark.parametrize("path", sorted(CPU_PATHS))
 def test_numpy_free_goldens_on_other_cpu_paths(tmp_path, path):
-    """The renvol and wedge goldens are byte-identical when numpy and
-    OpenBLAS take another CPU path: those reports are computed with `math`
-    and plain floats only.  A path is skipped only on a CPU without the
-    features it needs.  The anomaly goldens are not checked here: their
-    fields and mesh functionals are numpy's, whose SIMD transcendentals move
-    with the CPU, and making them CPU-independent is left to do.  Out of
-    scope: another libm, glibc's own CPU dispatch inside libm (no
-    environment variable switches it), and another numpy major version."""
+    """Every golden report is byte-identical when numpy and OpenBLAS take
+    another CPU path.  The renvol and wedge reports are computed with `math`
+    and plain floats only; the anomaly fields' 1-d profiles (`theta_mode`,
+    `log_sech_t`) are built with `math` too, since numpy's SIMD
+    transcendentals move with the CPU, and the mesh functionals' sums do not
+    move on these paths.  A path is skipped only on a CPU without the
+    features it needs.  Out of scope: another libm, glibc's own CPU dispatch
+    inside libm (no environment variable switches it), and another numpy
+    major version."""
     env, needs = CPU_PATHS[path]
     missing = [feature for feature in needs if not _cpu_features().get(feature)]
     if missing:
@@ -194,7 +194,7 @@ def test_numpy_free_goldens_on_other_cpu_paths(tmp_path, path):
     out = subprocess.run([sys.executable, "-c", COMPARE, str(Path(__file__).parent),
                           str(tmp_path)], env=child_env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == [word for name in NUMPY_FREE for word in (name, "True")]
+    assert out.split() == [word for name in CPU_INDEPENDENT for word in (name, "True")]
 
 
 @pytest.mark.parametrize("name", sorted(LIMIT_SET_CASES))

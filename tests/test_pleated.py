@@ -132,15 +132,9 @@ def test_wedge_quadrature_flat_leaf_exact_zero():
 @pytest.mark.parametrize("eps", [math.exp(-1.0), 0.2])
 def test_wedge_quadrature_matches_derived(length, theta, eps):
     leaf = PleatLeaf(length, theta)
-    quad = wedge_volume_quadrature((leaf,), eps, tol=1e-8)[0][0]
+    quad = wedge_volume_quadrature((leaf,), eps)[0][0]
     closed = wedge_closed(leaf, eps, Convention.DERIVED)
     assert abs(quad - closed) / abs(closed) <= 1e-5
-
-
-def test_wedge_quadrature_tolerance_floor():
-    # the floor is the one both oracles share, renvol.QUAD_TOL_FLOOR = 1e-10
-    with pytest.raises(ValueError):
-        wedge_volume_quadrature((PleatLeaf(1.0, 1.0),), 0.3, tol=1e-11)
 
 
 def test_wedge_has_rank_one_structure():
@@ -148,7 +142,7 @@ def test_wedge_has_rank_one_structure():
     eps = 0.2
     factors = []
     for length, theta in [(0.7, 0.9), (0.7, 2.2), (2.0, 2.9)]:
-        v = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=1e-8)[0][0]
+        v = wedge_volume_quadrature((PleatLeaf(length, theta),), eps)[0][0]
         factors.append(v / ((math.pi - theta) * length))
     for f in factors[1:]:
         assert f == pytest.approx(factors[0], rel=1e-6)
@@ -165,7 +159,7 @@ def test_wedge_quadrature_failure_names_the_leaf_and_eps(monkeypatch, leaves, fa
     monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
     eps = math.sqrt(1e-3 * 0.3)
     with pytest.raises(QuadratureError) as failure:
-        wedge_volume_quadrature(leaves, eps, tol=1e-9)
+        wedge_volume_quadrature(leaves, eps)
     assert failure.value.owner == failing
     assert str(failure.value).startswith(f"leaf {failing} at eps {eps!r}: tolerance ")
 
@@ -173,15 +167,15 @@ def test_wedge_quadrature_failure_names_the_leaf_and_eps(monkeypatch, leaves, fa
 BATCH_THETAS = (0.0, 1e-300, math.pi / 2.0, math.nextafter(math.pi / 2.0, 4.0), math.pi)
 
 
-@pytest.mark.parametrize("eps, tol", [(0.2, 1e-8), (1e-3, 1e-10)])
-def test_wedge_batch_is_bitwise_one_leaf_calls(eps, tol):
+@pytest.mark.parametrize("eps", [0.2, 1e-3])
+def test_wedge_batch_is_bitwise_one_leaf_calls(eps):
     # every leaf owns its own intervals, so neither the other leaves of the
     # batch nor their order moves a value or an error estimate in any bit
     leaves = [PleatLeaf(0.5 + i, theta) for i, theta in enumerate(BATCH_THETAS)]
-    alone = {leaf: [float(a[0]).hex() for a in wedge_volume_quadrature((leaf,), eps, tol=tol)[:2]]
+    alone = {leaf: [float(a[0]).hex() for a in wedge_volume_quadrature((leaf,), eps)[:2]]
              for leaf in leaves}
     for order in itertools.permutations(leaves):
-        values, errors, _ = wedge_volume_quadrature(order, eps, tol=tol)
+        values, errors, _ = wedge_volume_quadrature(order, eps)
         got = [[v.hex(), e.hex()] for v, e in zip(values, errors)]
         assert got == [alone[leaf] for leaf in order]
 
@@ -332,6 +326,6 @@ def test_fuchsian_reduction_degenerate_no_ends():
 @pytest.mark.parametrize("length, eps", [(0.5, 0.3), (2.0, 0.05), (3.5, 1e-3)])
 def test_wedge_quadrature_theta_zero_is_half_disk(length, eps):
     # the Fuchsian degeneration: the sector is the half-disk x >= 0
-    quad = wedge_volume_quadrature((PleatLeaf(length, 0.0),), eps, tol=1e-8)[0][0]
+    quad = wedge_volume_quadrature((PleatLeaf(length, 0.0),), eps)[0][0]
     exact = math.pi * length * math.sinh(-math.log(eps)) ** 2 / 2.0
     assert abs(quad - exact) <= 1e-14 * exact

@@ -12,7 +12,10 @@ from scipy import integrate as scipy_integrate
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.quadrature import QuadratureError, adaptive_quad, cosh_squared_slabs
-from corevol.renvol import _sector_areas, level_lambda
+from corevol import renvol
+from corevol.renvol import _sector_areas, default_eps_grid, level_lambda
+
+U = 2.0 ** -53
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -70,18 +73,20 @@ def test_deterministic_across_runs():
 # ------------------------------------------------------ batched certified engine
 
 def test_batch_equals_per_interval_calls_bitwise():
-    # a slab is partitioned and summed on its own, whatever its batch
+    # a slab is the same sum of the same cells, whatever its batch; the
+    # batch evaluates the full cells it shares once
     lams = np.random.default_rng(7).uniform(1e-3, 20.0, 50).tolist()
-    for rel_tol in (1e-9 / 4.0, 1e-6):
-        values, errors, cells = cosh_squared_slabs(lams, rel_tol=rel_tol)
-        singles = [cosh_squared_slabs([lam], rel_tol=rel_tol) for lam in lams]
-        assert [(v, e) for v, e in zip(values, errors)] == [(s[0][0], s[1][0]) for s in singles]
-        assert cells == sum(s[2] for s in singles)
+    values, errors, cells = cosh_squared_slabs(lams)
+    singles = [cosh_squared_slabs([lam]) for lam in lams]
+    assert [(v, e) for v, e in zip(values, errors)] == [(s[0][0], s[1][0]) for s in singles]
+    width = 2.0 * quadrature._widest_cell()[0]
+    assert cells == int(max(lams) // width) + len(lams)
+    assert cells < sum(s[2] for s in singles)
 
 
 def test_batch_agrees_with_scipy_quad_vec():
     lams = np.random.default_rng(8).uniform(0.1, 6.0, 20)
-    values, _, _ = cosh_squared_slabs(lams.tolist(), rel_tol=1e-11)
+    values, _, _ = cosh_squared_slabs(lams.tolist())
     # quad_vec integrates over one common interval: map each [0, lam] onto [0, 1]
     ref, _ = scipy_integrate.quad_vec(
         lambda s: lams * np.cosh(s * lams) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
@@ -91,39 +96,35 @@ def test_batch_agrees_with_scipy_quad_vec():
 def test_batch_unconvergeable_member_raises(monkeypatch):
     # cosh^2 overflows past x = 355, in the second slab's cells
     with pytest.raises(QuadratureError, match="not finite") as failed:
-        cosh_squared_slabs([1.0, 400.0], rel_tol=1e-12)
+        cosh_squared_slabs([1.0, 400.0])
     assert failed.value.owner == 1
-    # the widest certified cosh^2 cell at 1e-12 is about 4.0 wide: the first
-    # three slabs fit in 8 cells, the fourth needs more and owns the
-    # failure, before any cell is evaluated
+    # the certified cosh^2 cells are 2.8331 wide: each of the first three
+    # slabs fits in 8 cells, the fourth needs 36 and owns the failure,
+    # before any cell is evaluated
     monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
     lams = [1.0, 2.0, 3.0]
-    values, _, _ = cosh_squared_slabs(lams, rel_tol=1e-12)
-    assert values == pytest.approx([lam / 2 + math.sinh(2 * lam) / 4 for lam in lams], rel=1e-12)
-    with pytest.raises(QuadratureError, match="within 8 cells") as failed:
-        cosh_squared_slabs(lams + [100.0], rel_tol=1e-12)
+    values, _, _ = cosh_squared_slabs(lams)
+    assert values == pytest.approx([lam / 2 + math.sinh(2 * lam) / 4 for lam in lams], rel=1e-14)
+    evaluated = []
+    monkeypatch.setattr(quadrature, "_cell", lambda *args: evaluated.append(args))
+    with pytest.raises(QuadratureError, match=r"within 8 cells .*\(the certified partition "
+                       r"needs 36\)$") as failed:
+        cosh_squared_slabs(lams + [100.0])
     assert failed.value.owner == 3
+    assert evaluated == []
 
 
 # the slab rule's bits at levels the goldens do not reach (eps below 1e-3
-# and above 0.3), at the oracle's slab tolerance tol / 4 for tol 1e-10,
-# 1e-9, 1e-8 and 0.99: sha256 of the float.hex values then bounds, and the
-# cells evaluated
+# and above 0.3): sha256 of the float.hex values then bounds, and the cells
+# evaluated
 SLAB_EPS = (1e-150, 1e-77, 1e-12, 1e-6, 1e-3, 0.3, 0.5, 0.9, 1.0 - 2.0 ** -53)
-SLAB_PINS = {
-    2.5e-11: ("bcc440f95f944894b6770caeba40e6b0c54b8e7d4edb9e5d7eb54fe33c66db90", 135),
-    2.5e-10: ("fb5cb14c8c07b91ab7cbc1f1512821c0a7c1914a5f7005817c69724b5221e956", 124),
-    2.5e-9: ("0ea8a565755bf87259e02dcee1ed8a341eb31eac42f543972780749227324d10", 115),
-    0.2475: ("25f222bbc334c26830f27a6bb913220728d33b7bed5a32cbe521313879f8698b", 66),
-}
+SLAB_PIN = ("c53f0d8341be025069b7bdbe47a0406e0ebc2ec0e653eb36658c886c25e72a6b", 130)
 
 
-@pytest.mark.parametrize("rel_tol", sorted(SLAB_PINS))
-def test_slab_bits_are_pinned(rel_tol):
-    values, bounds, cells = cosh_squared_slabs([level_lambda(e) for e in SLAB_EPS],
-                                               rel_tol=rel_tol)
+def test_slab_bits_are_pinned():
+    values, bounds, cells = cosh_squared_slabs([level_lambda(e) for e in SLAB_EPS])
     digest = hashlib.sha256(",".join(map(float.hex, values + bounds)).encode()).hexdigest()
-    assert (digest, cells) == SLAB_PINS[rel_tol]
+    assert (digest, cells) == SLAB_PIN
 
 
 def test_adaptive_quad_halves_the_worst_cell(monkeypatch):
@@ -171,20 +172,55 @@ def _cosh_squared_integral(lam):
     return lam / 2 + mpmath.sinh(2 * lam) / 4
 
 
-@pytest.mark.parametrize("rel_tol", [1e-10, 1e-9, 3e-8, 1e-6])
-def test_certified_bound_covers_the_true_error(rel_tol):
+def _rounding_level(lam, cells):
+    """The relative bound a slab of depth lam summed from `cells` cells may
+    claim: a truncation bound of at most u per cell, and rounding."""
+    return (17.0 + cells + 4.0 * lam) * U
+
+
+@pytest.mark.parametrize("eps_min", [1e-10, 1e-9, 3e-8, 1e-6])
+def test_certified_bound_covers_the_true_error(eps_min):
+    # fixed levels, and the default grid's down to eps_min
     lams = [0.5, 1.2, 3.7, 4.9, 9.2, 9.3, 13.8, 20.0, 27.6, 28.0]
-    values, bounds, _ = cosh_squared_slabs(lams, rel_tol=rel_tol)
+    lams += [level_lambda(e) for e in default_eps_grid(eps_min)]
+    values, bounds, _ = cosh_squared_slabs(lams)
+    width = 2.0 * quadrature._widest_cell()[0]
     with mpmath.workdps(50):
         for lam, value, bound in zip(lams, values, bounds):
             assert abs(value - _cosh_squared_integral(lam)) <= bound, lam
-    assert all(bound <= (rel_tol + 1e-12) * value for value, bound in zip(values, bounds))
+            cells = math.ceil(lam / width)
+            assert bound <= _rounding_level(lam, cells) * value * (1.0 + 4.0 * U), lam
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_eps_min=st.floats(math.log(1e-150), math.log(0.5)), count=st.integers(8, 64),
+       data=st.data())
+def test_slab_rule_on_random_grids(log_eps_min, count, data):
+    # any grid, unsorted and with repeated levels: each bound covers the
+    # 50-digit error at rounding level, each value is bit for bit that of
+    # the level alone, and the batch evaluates each full cell of the grid
+    # once and each level's last cell
+    eps = default_eps_grid(math.exp(log_eps_min), 0.9, count)
+    lams = data.draw(st.permutations([level_lambda(e) for e in eps]))
+    lams += data.draw(st.lists(st.sampled_from(lams), max_size=4))
+    values, bounds, cells = cosh_squared_slabs(lams)
+    width = 2.0 * quadrature._widest_cell()[0]
+    with mpmath.workdps(50):
+        for lam, value, bound in zip(lams, values, bounds):
+            assert abs(value - _cosh_squared_integral(lam)) <= bound, lam
+            full = int(lam // width)
+            m = full + (full * width < lam)
+            assert bound <= _rounding_level(lam, m) * value * (1.0 + 4.0 * U), lam
+    assert [cosh_squared_slabs([lam])[:2] for lam in lams] == [
+        ([v], [b]) for v, b in zip(values, bounds)]
+    assert cells == int(max(lams) // width) + sum(int(lam // width) * width < lam
+                                                  for lam in lams)
 
 
 def test_certified_partition_widths(monkeypatch):
-    # the widest cell that meets the oracle's slab tolerance (tol 1e-9 / 4)
-    # is 4.855 wide; each slab is cut into that many equal cells, every cell
-    # evaluated once, in order
+    # the cells are 2.8331 wide, the widest whose bound is at most u; each
+    # full cell is evaluated once, when the first level above it needs it,
+    # and every level adds its own last cell
     calls = []
     cell = quadrature._cell
 
@@ -193,11 +229,12 @@ def test_certified_partition_widths(monkeypatch):
         return cell(f, left, right)
 
     monkeypatch.setattr(quadrature, "_cell", counted)
-    _, _, cells = cosh_squared_slabs([4.85, 4.86, 9.71, 9.72], rel_tol=1e-9 / 4.0)
-    # every slab starts at 0, so each opens with a cell there
-    starts = [k for k, (left, _) in enumerate(calls) if left == 0.0] + [len(calls)]
-    assert [j - i for i, j in zip(starts, starts[1:])] == [1, 2, 2, 3]
-    assert cells == len(calls) == 8
+    width = 2.0 * quadrature._widest_cell()[0]
+    assert width == pytest.approx(2.8331, abs=5e-5)
+    _, _, cells = cosh_squared_slabs([2.83, 2.84, 5.66, 5.67])
+    assert calls == [(0.0, 2.83), (0.0, width), (width, 2.84), (width, 5.66),
+                     (width, 2.0 * width), (2.0 * width, 5.67)]
+    assert cells == len(calls) == 6
 
 
 # ------------------------------------------- oracles against 50-digit values
@@ -205,39 +242,39 @@ def test_certified_partition_widths(monkeypatch):
 END_CYLINDER_EPS = (0.3, 0.05, 1e-2, 1e-3, 1e-4)
 
 
-def end_term(eps_values, rel_tol):
+def end_term(eps_values):
     """renvol's oracle for a unit-length end at each level eps_values[k]:
     the half-disk slice of radius sinh(lam), as _truncated_volumes calls
     it.  Returns (values, error bounds)."""
-    return _sector_areas(eps_values, [0.0] * len(eps_values), rel_tol)[:2]
+    return _sector_areas(eps_values, [0.0] * len(eps_values))[:2]
 
 
 @functools.cache
-def end_cylinder_batch(rel_tol):
-    """eps -> (value, error bound), all levels integrated in one batch."""
-    values, errors = end_term(END_CYLINDER_EPS, rel_tol)
+def end_cylinder_batch(deep):
+    """eps -> (value, error bound), all levels and a deeper one integrated
+    in one batch."""
+    values, errors = end_term(END_CYLINDER_EPS + (deep,))
     return dict(zip(END_CYLINDER_EPS, zip(values, errors)))
 
 
 @pytest.mark.parametrize("eps", END_CYLINDER_EPS)
-@pytest.mark.parametrize("rel_tol", [1e-9, 2e-10])
-def test_end_cylinder_integral_matches_mpmath(eps, rel_tol):
+@pytest.mark.parametrize("deep", [1e-9, 2e-10])
+def test_end_cylinder_integral_matches_mpmath(eps, deep):
     with mpmath.workdps(50):
         lam = -mpmath.log(mpmath.mpf(eps))
         exact = mpmath.pi / 2 * mpmath.sinh(lam) ** 2
-    value, err = end_cylinder_batch(rel_tol)[eps]
-    assert abs(value - exact) <= rel_tol * exact
-    assert err <= rel_tol * value
+    value, err = end_cylinder_batch(deep)[eps]
+    assert abs(value - exact) <= err <= 100 * U * value
 
 
 @pytest.mark.parametrize("lam", [1.2, 5.0, 9.2])
 def test_end_cylinder_integral_is_exact_to_roundoff(lam):
-    # the square-root endpoint at x = sinh(lam) is smoothed away, so a
-    # converged integral is far more accurate than the requested tolerance
+    # the square-root endpoint at x = sinh(lam) is smoothed away, so the
+    # certified partition is accurate to rounding
     eps = math.exp(-lam)
     with mpmath.workdps(50):
         exact = mpmath.pi / 2 * mpmath.sinh(-mpmath.log(mpmath.mpf(eps))) ** 2
-    values, _ = end_term([eps], 1e-8)
+    values, _ = end_term([eps])
     assert abs(values[0] - exact) <= 2e-15 * exact
 
 
@@ -245,14 +282,13 @@ def test_end_cylinder_integral_is_exact_to_roundoff(lam):
                                    2.0 * math.pi / 3.0, 2.5])
 @pytest.mark.parametrize("length, eps", [(0.5, 0.2), (2.0, 1e-2), (3.0, 1e-3)])
 def test_wedge_oracle_matches_mpmath(theta, length, eps):
-    # exact to roundoff at any accepted tolerance: the arc endpoint is
-    # smoothed away and the z integral is done in closed form
+    # exact to roundoff: the arc endpoint is smoothed away and the z
+    # integral is done in closed form
     with mpmath.workdps(50):
         lam = -mpmath.log(mpmath.mpf(eps))
         exact = (mpmath.pi - mpmath.mpf(theta)) * length * mpmath.sinh(lam) ** 2 / 2
-    for tol in (1e-8, 1e-10):
-        value = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=tol)[0][0]
-        assert abs(value - exact) <= 1e-14 * exact, tol
+    value = wedge_volume_quadrature((PleatLeaf(length, theta),), eps)[0][0]
+    assert abs(value - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 3.0, math.pi / 2.0,
@@ -264,9 +300,8 @@ def test_wedge_error_estimate_bounds_the_true_error(theta, length, eps):
         lam = -mpmath.log(mpmath.mpf(eps))
         bend = mpmath.pi - mpmath.mpf(theta) if theta < math.pi else 0
         exact = bend * length * mpmath.sinh(lam) ** 2 / 2
-    for tol in (1e-8, 1e-10):
-        values, errors, _ = wedge_volume_quadrature((PleatLeaf(length, theta),), eps, tol=tol)
-        assert abs(values[0] - exact) <= errors[0], tol
+    values, errors, _ = wedge_volume_quadrature((PleatLeaf(length, theta),), eps)
+    assert abs(values[0] - exact) <= errors[0]
 
 
 def _exact_wedge(theta, length, eps):
@@ -287,18 +322,21 @@ EDGE_THETAS = [0.0, 5e-324, 1e-300, 1e-9, RIGHT, math.nextafter(RIGHT, 0.0),
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(theta=st.one_of(st.sampled_from(EDGE_THETAS), st.floats(0.0, math.pi)),
-       eps=st.floats(1e-12, 0.9), tol=st.floats(1e-10, 1e-6))
-def test_wedge_error_bound_covers_the_50_digit_error(theta, eps, tol):
+       eps=st.floats(1e-12, 0.9))
+def test_wedge_error_bound_covers_the_50_digit_error(theta, eps):
     # the certified bound: truncation proved on the Bernstein ellipse plus
-    # rounding, so it covers the true error wherever the sector is
-    values, errors, _ = wedge_volume_quadrature((PleatLeaf(1.0, theta),), eps, tol=tol)
+    # rounding, so it covers the true error wherever the sector is, and it
+    # is at rounding level
+    values, errors, _ = wedge_volume_quadrature((PleatLeaf(1.0, theta),), eps)
     assert abs(values[0] - _exact_wedge(theta, 1.0, eps)) <= errors[0]
-    assert errors[0] <= tol * values[0]
+    assert errors[0] <= 100 * U * values[0]
 
 
-def test_sector_tolerance_is_checked_on_the_sector_total():
-    # a bound of some 50 u cannot meet 1e-16, and the sector owns the failure
-    assert _sector_areas([0.3], [1.0], 1e-10)[2] == 2
-    with pytest.raises(QuadratureError, match=r"^tolerance 1\.000e-16 \(relative\) not met") as e:
-        _sector_areas([0.3, 0.2], [math.pi, 1.0], 1e-16)
+def test_sector_area_that_is_not_finite_is_owned(monkeypatch):
+    # the guard behind every sector: an area out of the float64 range is a
+    # QuadratureError of its sector, not a number
+    monkeypatch.setattr(renvol, "_sinh_squared", lambda eps: math.inf if eps < 0.25 else 1.0)
+    assert _sector_areas([0.3], [1.0])[2] == 2
+    with pytest.raises(QuadratureError, match=r"^the sector area inf is not finite$") as e:
+        _sector_areas([0.3, 0.2], [math.pi, 1.0])
     assert e.value.owner == 1

@@ -240,7 +240,7 @@ def test_quadrature_matches_derived_closed_form(surface_s1, surface_adjacent,
                                                 surface_crossed):
     for surface in (surface_s1, surface_adjacent, surface_crossed):
         for eps in (0.3, 0.05, 0.005):
-            quad = truncated_volume_quadrature(surface, eps, tol=1e-9)
+            quad = truncated_volume_quadrature(surface, eps)
             closed = closed_volume(surface_terms(surface), eps, Convention.DERIVED)
             assert quad == pytest.approx(closed, rel=1e-6)
 
@@ -251,35 +251,36 @@ def test_quadrature_monotone_in_eps(surface_s1):
     assert v_small > v_large
 
 
-def test_quadrature_tolerance_floor(surface_s1):
-    with pytest.raises(ValueError):
-        truncated_volume_quadrature(surface_s1, 0.1, tol=1e-12)
-
-
 @pytest.fixture(scope="module")
 def surfaces_by_genus(surface_s1, surface_crossed, g3_row):
     return {1: surface_s1, 2: surface_crossed, 3: surface_invariants(g3_row)}
 
 
-BATCH_CASES = [(genus, tol, count) for genus in (1, 2, 3)
-               for tol in (1e-8, 1e-9) for count in (8, 16)]
+# deep grids, down to eps_min, where the core slab has some 20 cells
+BATCH_CASES = [(genus, eps_min, count) for genus in (1, 2, 3)
+               for eps_min in (1e-8, 1e-9) for count in (8, 16)]
 
 
-@pytest.mark.parametrize("genus, tol, count", BATCH_CASES)
-def test_profile_batch_equals_per_eps_calls_bitwise(surfaces_by_genus, genus, tol, count):
+@pytest.mark.parametrize("genus, eps_min, count", BATCH_CASES)
+def test_profile_batch_equals_per_eps_calls_bitwise(surfaces_by_genus, genus, eps_min, count):
     surface = surfaces_by_genus[genus]
-    grid = default_eps_grid(1e-3, 0.3, count)
-    profile = profile_quadrature(surface, grid, tol)
-    singles = [truncated_volume_quadrature(surface, float(e), tol) for e in grid]
+    grid = default_eps_grid(eps_min, 0.3, count)
+    profile = profile_quadrature(surface, grid)
+    singles = [truncated_volume_quadrature(surface, float(e)) for e in grid]
     assert [v.hex() for _, v in profile.samples] == [v.hex() for v in singles]
 
 
-@pytest.mark.parametrize("genus, tol, count", BATCH_CASES)
-def test_profile_error_estimates_meet_tolerance(surfaces_by_genus, genus, tol, count):
-    grid = default_eps_grid(1e-3, 0.3, count)
-    volumes, errors, _ = _truncated_volumes(surfaces_by_genus[genus], grid, tol)
+@pytest.mark.parametrize("genus, eps_min, count", BATCH_CASES)
+def test_profile_error_estimates_meet_tolerance(surfaces_by_genus, genus, eps_min, count):
+    # the one accuracy of the oracle is rounding level: the slab's bound is
+    # at most (17 + m + 4 lam) u with m <= lam / 2.83 + 1 cells, the end
+    # slice's at most 88 u (_sector_areas), so (90 + 5 lam) u covers both
+    grid = default_eps_grid(eps_min, 0.3, count)
+    volumes, errors, _ = _truncated_volumes(surfaces_by_genus[genus], grid)
     assert len(volumes) == len(errors) == count
-    assert all(0.0 < err <= tol * abs(vol) for vol, err in zip(volumes, errors))
+    u = 2.0 ** -53
+    assert all(0.0 < err <= (90.0 + 5.0 * level_lambda(eps)) * u * abs(vol)
+               for eps, vol, err in zip(grid, volumes, errors))
 
 
 README_GENUS1 = {"mode": "fuchsian_group",
@@ -295,7 +296,7 @@ README_GENUS2 = {
 def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
     # one cell stops genus 1's end term, whose certified partition needs
     # two at every level, on the default grid and down to eps 1e-6 alike,
-    # and genus 2 stops in its certified core slab, 2 cells past lam = 4.86
+    # and genus 2 stops in its certified core slab, 2 cells past lam = 2.83
     path = tmp_path / "group.json"
     path.write_text(json.dumps(README_GENUS1), encoding="utf-8")
     assert main(["renvol", "--config", str(path)]) == 0
@@ -325,7 +326,7 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
         # level named fails alone with the same message
         surface = surface_invariants(build_group(cfg))
         with pytest.raises(QuadratureError) as alone:
-            truncated_volume_quadrature(surface, float(eps), cfg["quadrature_tol"])
+            truncated_volume_quadrature(surface, float(eps))
         assert str(alone.value) == message
     # two cells suffice for genus 1's end term at every default level, and
     # a budget that is not reached does not move the report
@@ -333,14 +334,6 @@ def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monk
     monkeypatch.setattr(quadrature, "MAX_CELLS", 2)
     assert main(["renvol", "--config", str(path)]) == 0
     assert capsys.readouterr().out == default_budget
-
-
-def test_tolerance_error_names_the_eps(monkeypatch, surface_s1):
-    # the per-level check after both integrals names the level it rejects
-    monkeypatch.setattr(renvol, "_sector_areas",
-                        lambda eps, thetas, rel_tol: ([1.0] * len(eps), [1.0] * len(eps), 2))
-    with pytest.raises(QuadratureError, match=r"exceeds tolerance .* at eps 0\.25$"):
-        truncated_volume_quadrature(surface_s1, 0.25)
 
 
 def test_oracle_evaluates_each_certified_cell_once(monkeypatch):
@@ -367,7 +360,7 @@ def test_oracle_evaluates_each_certified_cell_once(monkeypatch):
     runs = []
     for _ in range(2):
         calls.clear()
-        profile = profile_quadrature(surface, eps, cfg["quadrature_tol"])
+        profile = profile_quadrature(surface, eps)
         runs.append(list(calls))
     assert runs[0] == runs[1]
     assert len(runs[0]) == profile.cells
@@ -377,15 +370,17 @@ def test_oracle_evaluates_each_certified_cell_once(monkeypatch):
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.05, 1e-3, 1e-6])
-@pytest.mark.parametrize("tol", [1e-8, 1e-9, 2e-10])
-def test_end_term_is_the_theta_zero_wedge_slice(eps, tol):
+@pytest.mark.parametrize("deep", [1e-8, 1e-9, 2e-10])
+def test_end_term_is_the_theta_zero_wedge_slice(eps, deep):
     # README genus 1 has no core: its oracle volume is the total end length
-    # times the theta = 0 wedge oracle of a unit leaf, bit for bit
+    # times the theta = 0 wedge oracle of a unit leaf, bit for bit, alone
+    # and in a batch with a deeper level
     surface = surface_invariants(build_group(parse_config(README_GENUS1)))
     assert surface.core_area == 0.0
-    wedge = wedge_volume_quadrature((PleatLeaf(1.0, 0.0),), eps, tol / 2.0)[0][0]
-    volume = truncated_volume_quadrature(surface, eps, tol)
-    assert volume.hex() == (surface.total_end_length * wedge).hex()
+    wedge = wedge_volume_quadrature((PleatLeaf(1.0, 0.0),), eps)[0][0]
+    alone = truncated_volume_quadrature(surface, eps)
+    batched = profile_quadrature(surface, [eps, deep]).samples[0][1]
+    assert alone.hex() == batched.hex() == (surface.total_end_length * wedge).hex()
 
 
 def test_coarea_identity(surface_s1, surface_adjacent):
@@ -460,16 +455,16 @@ def test_fit_of_paper_profile_gives_half_constant(surface_s1):
 
 
 def test_fit_of_quadrature_profile(surface_s1):
-    profile = profile_quadrature(surface_s1, default_eps_grid(), tol=1e-9)
+    profile = profile_quadrature(surface_s1, default_eps_grid())
     fit = expansion_fit(profile)
     assert fit.v == pytest.approx(-math.pi, abs=1e-4)
     assert fit.residual <= 1e-5 * max(v for _, v in profile.samples)
 
 
 def test_fit_stable_under_grid_shift(surface_s1):
-    base = expansion_fit(profile_quadrature(surface_s1, default_eps_grid(), 1e-9))
+    base = expansion_fit(profile_quadrature(surface_s1, default_eps_grid()))
     shifted_grid = default_eps_grid(eps_min=5e-4, eps_max=0.15)
-    shifted = expansion_fit(profile_quadrature(surface_s1, shifted_grid, 1e-9))
+    shifted = expansion_fit(profile_quadrature(surface_s1, shifted_grid))
     assert abs(base.v - shifted.v) < 1e-4
 
 
@@ -501,7 +496,7 @@ def test_renormalized_volume_linear_in_lengths(surface_adjacent):
 def test_ratio_constant_across_groups(surface_s1, surface_adjacent, surface_crossed):
     ratios = []
     for surface in (surface_s1, surface_adjacent, surface_crossed):
-        fit = expansion_fit(profile_quadrature(surface, default_eps_grid(), 1e-9))
+        fit = expansion_fit(profile_quadrature(surface, default_eps_grid()))
         ratios.append(fit.v / surface.total_end_length)
     for r in ratios:
         assert abs(r - (-math.pi / 4.0)) <= 1e-4

@@ -1,8 +1,13 @@
 """Smoke tests for the worked-example scripts: each is imported from
-`scripts/` and its `run()` is called as the command line would."""
+`scripts/` and its `run()` is called as the command line would, and the
+command line takes no option beyond btz_example's --out."""
 
 import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,14 @@ def test_pairing_dichotomy(capsys):
     assert rows["crossed"][:2] == (1, 1)
     for _, _, ratio in rows.values():
         assert abs(ratio - (-math.pi / 4.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("name, options", [("btz_example", ["--out"]),
+                                           ("pairing_dichotomy", [])])
+def test_script_options(name, options):
+    # the oracle runs at rounding level, so no script takes a tolerance
+    src = str(SCRIPTS.parent / "src")
+    usage = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), "--help"],
+                           env=dict(os.environ, PYTHONPATH=src), check=True,
+                           capture_output=True, text=True).stdout
+    assert sorted(set(re.findall(r"--[a-z][-a-z]*", usage)) - {"--help"}) == options
