@@ -69,6 +69,15 @@ def level_lambda(eps: float) -> float:
     return -math.log(eps)
 
 
+def _inverse_square(eps: float) -> float:
+    """eps^-2, or a ValueError naming eps where it leaves the float64 range
+    (eps below about 7.5e-155), in place of pow's bare OverflowError."""
+    try:
+        return eps ** -2
+    except OverflowError:
+        raise ValueError(f"eps^-2 leaves the float64 range at eps = {eps!r}") from None
+
+
 def _sinh_squared(eps: float) -> float:
     """sinh(lambda)^2 of the level eps, built from eps so that no lambda
     amplifies its error.  Below eps = 1/2 it is (eps^-2 - 2 + eps^2) / 4,
@@ -78,7 +87,7 @@ def _sinh_squared(eps: float) -> float:
     within 7 u."""
     level_lambda(eps)  # the same domain check
     if eps < 0.5:
-        return math.fsum((eps ** -2, -2.0, eps * eps)) / 4.0
+        return math.fsum((_inverse_square(eps), -2.0, eps * eps)) / 4.0
     radius = (1.0 - eps) * (1.0 + eps) / (2.0 * eps)
     return radius * radius
 
@@ -97,7 +106,7 @@ def closed_volume(terms, eps: float, convention: Convention, base: float = 0.0) 
     sinh^2 lam (_sinh_squared) and sinh 2 lam = (eps^-2 - eps^2) / 2 have
     no lam to amplify, so each is within a few u."""
     lam = level_lambda(eps)
-    basis = ((eps ** -2 - eps * eps) / 2.0, _sinh_squared(eps), lam, 1.0, eps)
+    basis = ((_inverse_square(eps) - eps * eps) / 2.0, _sinh_squared(eps), lam, 1.0, eps)
     volumes = [weight * math.fsum(map(operator.mul, CLOSED_FORMS[convention, term], basis))
                for term, weight in terms]
     return math.fsum([base, *volumes])

@@ -91,6 +91,16 @@ def same_isometry(m, n, tol=1e-9):
     return min(plus, minus) <= tol
 
 
+def field_to_csv(mesh, u, path):
+    """Write the field u (rows of floats) of mesh to a file in the layout
+    `field_from_csv` reads, each value as its repr."""
+    lines = ["n_t,n_theta,t_extent,circumference,tag",
+             f"{mesh.n_t},{mesh.n_theta},{mesh.t_extent!r},{mesh.circumference!r},{mesh.tag}"]
+    lines += [",".join(repr(float(x)) for x in row) for row in u]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 # Whole-mesh anomaly references: plain numpy over every node for the sums,
 # and the private Laplacian kernel on one block of all rows for the nodal
 # values, as `anomaly_functionals` calls it on a mesh of one block.

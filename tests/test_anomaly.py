@@ -1,5 +1,8 @@
+import hashlib
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integrate, laplacian, liouville_residual, on_mesh
+from conftest import field_to_csv, integrate, laplacian, liouville_residual, on_mesh
 from corevol import anomaly
 from corevol.anomaly import (
     TAG_FLAT,
@@ -296,15 +299,6 @@ def test_liouville_log_sech_profile_converges_at_second_order():
 
 # ------------------------------------------------------------------- CSV IO
 
-def field_to_csv(mesh, u, path):
-    """Write a field file in the layout `field_from_csv` reads."""
-    lines = ["n_t,n_theta,t_extent,circumference,tag",
-             f"{mesh.n_t},{mesh.n_theta},{mesh.t_extent!r},{mesh.circumference!r},{mesh.tag}"]
-    lines += [",".join(repr(float(x)) for x in row) for row in u]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def test_field_csv_roundtrip(tmp_path):
     mesh = hyperbolic_mesh(33, 16)
     rng = np.random.default_rng(1)
@@ -371,6 +365,198 @@ def test_field_csv_skips_blank_lines(tmp_path):
     assert u[8, 3] == 0.1 * 8 + 0.01 * 3
 
 
+# ------------------------------------------------------ the parsed-field cache
+
+class _CountedCache(dict):
+    parses = 0
+
+
+@pytest.fixture
+def field_cache(monkeypatch):
+    """An empty field cache for the test, counting the parses in `parses`."""
+    cache = _CountedCache()
+    monkeypatch.setattr(anomaly, "_FIELD_CACHE", cache)
+    parse = anomaly._parse_field
+
+    def counted(path, fh):
+        cache.parses += 1
+        return parse(path, fh)
+
+    monkeypatch.setattr(anomaly, "_parse_field", counted)
+    return cache
+
+
+def fresh_parse(path):
+    """field_from_csv(path) with no field cached."""
+    saved = dict(anomaly._FIELD_CACHE)
+    anomaly._FIELD_CACHE.clear()
+    try:
+        return field_from_csv(path)
+    finally:
+        anomaly._FIELD_CACHE.clear()
+        anomaly._FIELD_CACHE.update(saved)
+
+
+def mesh_params(mesh):
+    return mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta
+
+
+def test_field_csv_hit_equals_a_fresh_parse_bitwise(tmp_path, field_cache):
+    mesh = hyperbolic_mesh(33, 16)
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(3)), path)
+    blank = tmp_path / "blank_lines.csv"
+    blank.write_text("n_t,n_theta,t_extent,circumference,tag\n\n"
+                     "9,4,1.0,2.0,flat_cylinder\n" + grid_rows(9).replace("\n", "\n\n"))
+    for file in (path, blank):
+        ref_mesh, ref = fresh_parse(file)
+        parses = field_cache.parses
+        miss_mesh, miss = field_from_csv(file)
+        hit_mesh, hit = field_from_csv(file)
+        assert field_cache.parses == parses + 1  # the second call is a hit
+        assert mesh_params(hit_mesh) == mesh_params(miss_mesh) == mesh_params(ref_mesh)
+        assert hit.tobytes() == miss.tobytes() == ref.tobytes()
+        assert hit.flags.writeable and hit.flags.c_contiguous
+        assert not np.shares_memory(hit, miss) and hit_mesh is not miss_mesh
+
+
+def test_field_csv_rewritten_file_with_its_old_mtime_is_parsed_again(tmp_path, field_cache):
+    path = tmp_path / "rows.csv"
+    header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
+    path.write_text(header + grid_rows(9))
+    stamp = path.stat()
+    _, old = field_from_csv(path)
+    # the same rows in reverse order: the same size, other content
+    path.write_text(header + "".join(reversed(grid_rows(9).splitlines(keepends=True))))
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    _, new = field_from_csv(path)
+    assert np.array_equal(new, old[::-1])
+    assert new.tobytes() == fresh_parse(path)[1].tobytes()
+
+
+def test_field_csv_file_rewritten_after_its_lookup_is_kept_under_the_bytes_parsed(
+        tmp_path, field_cache, monkeypatch):
+    path = tmp_path / "rows.csv"
+    header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
+    old_text = header + grid_rows(9)
+    new_text = header + "".join(reversed(grid_rows(9).splitlines(keepends=True)))
+    path.write_text(old_text)
+    digest_to_end = anomaly._HashingFile.digest_to_end
+
+    def rewrite_after_lookup(raw):
+        digest = digest_to_end(raw)
+        path.write_text(new_text)  # in place: the open file reads the new bytes
+        return digest
+
+    with monkeypatch.context() as patch:
+        patch.setattr(anomaly._HashingFile, "digest_to_end", rewrite_after_lookup)
+        _, u = field_from_csv(path)
+    assert list(field_cache) == [hashlib.sha256(new_text.encode()).digest()]
+    path.write_text(old_text)
+    _, old = field_from_csv(path)
+    assert np.array_equal(u, old[::-1]) and field_cache.parses == 2
+
+
+def test_field_csv_cache_keeps_no_failure(tmp_path, field_cache):
+    path = tmp_path / "rows.csv"
+    header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
+    # a file that failed, then fixed, parses
+    path.write_text(header + grid_rows(8))
+    with pytest.raises(ValueError, match="8 grid rows, not n_t = 9"):
+        field_from_csv(path)
+    assert len(field_cache) == 0
+    path.write_text(header + grid_rows(9))
+    assert field_from_csv(path)[1][8, 3] == 0.1 * 8 + 0.01 * 3
+    # a file that parsed, then broke, raises the error of a fresh parse
+    for broken, message in [(header + grid_rows(10), "more than n_t = 9 grid rows"),
+                            (header + grid_rows(3) + "0.1,abc,0.3,0.4\n" + grid_rows(5),
+                             "grid row 4: could not convert string to float: 'abc'")]:
+        path.write_text(broken)
+        with pytest.raises(ValueError) as err:
+            field_from_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+    assert len(field_cache) == 1
+
+
+def test_field_csv_non_utf8_error_is_unchanged_by_the_cache(tmp_path, field_cache):
+    # the position in the message is counted within the decoder's chunk, as
+    # when the file is read line by line through open()
+    mesh = hyperbolic_mesh(65, 64)
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(4)), path)
+    good = path.read_bytes()
+    field_from_csv(path)
+    for position in (3, 8191, 8192, 20000, len(good) - 2):
+        path.write_bytes(good[:position] + b"\xff" + good[position + 1:])
+        with pytest.raises(UnicodeDecodeError) as expected:
+            with open(path, encoding="utf-8") as fh:
+                for _ in fh:
+                    pass
+        with pytest.raises(UnicodeDecodeError) as err:
+            field_from_csv(path)
+        assert str(err.value) == str(expected.value)
+    assert len(field_cache) == 1
+
+
+def test_field_csv_returned_fields_do_not_alias_the_cache(tmp_path, field_cache):
+    mesh = hyperbolic_mesh(33, 16)
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(5)), path)
+    ref = fresh_parse(path)[1].tobytes()
+    parses = field_cache.parses
+    _, miss = field_from_csv(path)
+    miss[3, 4] += 1.0  # the cache shares the miss's field: the next call parses again
+    _, reparsed = field_from_csv(path)
+    assert reparsed.tobytes() == ref and field_cache.parses == parses + 2
+    _, hit = field_from_csv(path)
+    hit[:] = 0.0  # a hit is a copy: the next call is a hit too
+    _, again = field_from_csv(path)
+    assert again.tobytes() == ref and field_cache.parses == parses + 2
+
+
+def test_field_csv_cache_evicts_oldest_first_within_its_budget(tmp_path, field_cache,
+                                                               monkeypatch):
+    field_bytes = 9 * 4 * 8
+    monkeypatch.setattr(anomaly, "_FIELD_CACHE_BYTES", 2 * field_bytes)
+    paths = []
+    for k in range(3):  # three files that differ in their t extent
+        paths.append(tmp_path / f"field{k}.csv")
+        paths[-1].write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                             f"9,4,{k + 1}.0,2.0,flat_cylinder\n" + grid_rows(9))
+    digests = [hashlib.sha256(p.read_bytes()).digest() for p in paths]
+    for path in paths:
+        field_from_csv(path)
+    assert list(field_cache) == digests[1:]
+    parses = field_cache.parses
+    field_from_csv(paths[2])
+    field_from_csv(paths[1])
+    assert field_cache.parses == parses
+    field_from_csv(paths[0])  # evicted: parsed again, and the oldest goes
+    assert field_cache.parses == parses + 1
+    assert list(field_cache) == digests[2:] + digests[:1]
+    # a field over the whole budget is parsed and returned, not kept
+    big = tmp_path / "big.csv"
+    big.write_text("n_t,n_theta,t_extent,circumference,tag\n9,12,1.0,2.0,flat_cylinder\n"
+                   + grid_rows(9, n_theta=12))
+    assert field_from_csv(big)[1].nbytes > anomaly._FIELD_CACHE_BYTES
+    assert list(field_cache) == digests[2:] + digests[:1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_field_csv_from_a_pipe_bypasses_the_cache(tmp_path, field_cache):
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    text = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n" + grid_rows(9)
+    for _ in range(2):
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        _, u = field_from_csv(path)
+        writer.join(timeout=10.0)
+        assert u[8, 3] == 0.1 * 8 + 0.01 * 3
+    assert len(field_cache) == 0 and field_cache.parses == 2
+
+
 def traced_peak(call):
     """Peak bytes that numpy and Python allocate during call(), above what
     was allocated before it."""
@@ -382,13 +568,16 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_field_csv_peak_memory(tmp_path):
-    # the field itself and one row of text
+def test_field_csv_peak_memory(tmp_path, field_cache):
+    # the field itself and one row of text on the miss (the cache shares the
+    # parsed field), the copy of the cached field on the hit
     mesh = hyperbolic_mesh(257, 256)
     u = random_smooth_field(mesh, np.random.default_rng(2))
     path = tmp_path / "field.csv"
     field_to_csv(mesh, u, path)
-    assert traced_peak(lambda: field_from_csv(path)) <= 1.5 * u.nbytes
+    for call in ("miss", "hit"):
+        assert traced_peak(lambda: field_from_csv(path)) <= 1.5 * u.nbytes, call
+        assert len(field_cache) == 1, call
 
 
 # ------------------------------------------------------ row-block functionals

@@ -2,7 +2,8 @@
 a crossed genus-3 row group (core slab and ends) on a 16-level grid and of a
 three-leaf wedge core, and the anomaly report of the README hyperbolic
 mesh, of a 1025x1024 hyperbolic mesh, of a flat cylinder, of a log sech t
-field and of a constant field, compared byte for byte.  Also pinned: the sha256
+field, of a constant field and of a field read from a CSV file, compared
+byte for byte.  Also pinned: the sha256
 of the `float.hex` list that `limit_set_sample` returns for three fixed
 groups (`golden/limit_set.json`).
 
@@ -23,11 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from corevol import Circle, Mobius, Pairing, SchottkyData, validate
+from corevol import Circle, Mobius, Pairing, SchottkyData, anomaly, validate
+from corevol.anomaly import SurfaceMesh
 from corevol.cli import main
 from corevol.schottky import limit_set_sample
 
-from conftest import make_row_group
+from conftest import field_to_csv, make_row_group
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -100,6 +102,14 @@ CASES = {
                  "circumference": 2.0 * math.pi, "n_t": 257, "n_theta": 256},
         "field": {"kind": "log_sech_t"},
     }),
+    # the field file is written by report_text, with csv_field's values
+    "anomaly_csv": ("anomaly", {
+        "mode": "anomaly_check",
+        "name": "csv",
+        "mesh": {"tag": "hyperbolic_cylinder", "t_extent": 2.0,
+                 "circumference": 2.0 * math.pi, "n_t": 65, "n_theta": 64},
+        "field": {"kind": "csv"},
+    }),
     "anomaly_constant": ("anomaly", {
         "mode": "anomaly_check",
         "name": "constant",
@@ -129,8 +139,22 @@ def limit_set_digest(name: str) -> dict:
     return {"points": len(points), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def csv_field(mesh) -> list:
+    """0.2 sin(2 theta + 0.4 t) / cosh t + 0.1 cos(theta) tanh t + 0.05 at
+    every node of mesh, with math."""
+    ts = [-mesh.t_extent + 2.0 * mesh.t_extent * i / (mesh.n_t - 1) for i in range(mesh.n_t)]
+    thetas = [2.0 * math.pi * j / mesh.n_theta for j in range(mesh.n_theta)]
+    return [[0.2 * math.sin(2.0 * theta + 0.4 * t) / math.cosh(t)
+             + 0.1 * math.cos(theta) * math.tanh(t) + 0.05 for theta in thetas] for t in ts]
+
+
 def report_text(name: str, tmp_dir: Path) -> bytes:
     command, config = CASES[name]
+    if config.get("field", {}).get("kind") == "csv":
+        mesh = SurfaceMesh(**config["mesh"])
+        field_path = tmp_dir / f"{name}_field.csv"
+        field_to_csv(mesh, csv_field(mesh), field_path)
+        config = {**config, "field": {"kind": "csv", "path": str(field_path)}}
     path = tmp_dir / f"{name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_dir / name
@@ -142,6 +166,18 @@ def report_text(name: str, tmp_dir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(tmp_path, name):
     assert report_text(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_csv_report_matches_golden_on_a_parse_and_on_a_cache_hit(tmp_path, monkeypatch):
+    monkeypatch.setattr(anomaly, "_FIELD_CACHE", {})
+    parse, parses = anomaly._parse_field, []
+    monkeypatch.setattr(anomaly, "_parse_field",
+                        lambda *args: parses.append(args) or parse(*args))
+    golden = (GOLDEN / "anomaly_csv.txt").read_bytes()
+    for call in ("miss", "hit"):
+        (tmp_path / call).mkdir()
+        assert report_text("anomaly_csv", tmp_path / call) == golden, call
+        assert len(parses) == 1 and len(anomaly._FIELD_CACHE) == 1, call
 
 
 # every pinned report: the renvol and wedge ones use no numpy, and the

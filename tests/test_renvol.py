@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -121,6 +122,30 @@ def test_closed_volume_derived_worked_example(surface_s1):
 def test_closed_volume_eps_domain(surface_s1, eps):
     with pytest.raises(ValueError):
         closed_volume(surface_terms(surface_s1), eps, Convention.DERIVED)
+
+
+# the smallest eps whose eps^-2 is a float64
+EPS_INVERSE_SQUARE_FLOOR = 7.458340731200208e-155
+
+
+@pytest.mark.parametrize("entry", ["closed_volume", "profile_quadrature",
+                                   "wedge_volume_quadrature"])
+def test_eps_whose_inverse_square_overflows_is_a_value_error(surface_s1, entry):
+    calls = {
+        "closed_volume": lambda e: closed_volume(surface_terms(surface_s1), e,
+                                                 Convention.PAPER),
+        "profile_quadrature": lambda e: profile_quadrature(surface_s1, [0.3, e]),
+        "wedge_volume_quadrature": lambda e: wedge_volume_quadrature(
+            (PleatLeaf(1.0, 0.0),), e),
+    }
+    floor = EPS_INVERSE_SQUARE_FLOOR
+    below = math.nextafter(floor, 0.0)
+    assert math.isfinite(floor ** -2)
+    with pytest.raises(OverflowError):
+        below ** -2
+    calls[entry](floor)  # no error at the floor itself
+    with pytest.raises(ValueError, match=re.escape(f"at eps = {below!r}")):
+        calls[entry](below)
 
 
 def test_conventions_differ_by_model_form(surface_adjacent):
