@@ -27,6 +27,7 @@ import io
 import math
 import os
 import stat
+import threading
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -324,6 +325,8 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
 _FIELD_CACHE: dict = {}
 # the most field bytes that _FIELD_CACHE keeps
 _FIELD_CACHE_BYTES = 16 << 20
+# held while an entry is stored and older ones evicted
+_FIELD_CACHE_LOCK = threading.Lock()
 
 
 class _HashingFile(io.FileIO):
@@ -360,13 +363,15 @@ def _keep_field(key: bytes, mesh: SurfaceMesh, u: np.ndarray) -> None:
     the sha256 of its bytes to tell whether the caller wrote into it."""
     if u.nbytes > _FIELD_CACHE_BYTES:
         return
-    _FIELD_CACHE.pop(key, None)
-    while sum(entry[1].nbytes for entry in _FIELD_CACHE.values()) + u.nbytes > _FIELD_CACHE_BYTES:
-        del _FIELD_CACHE[next(iter(_FIELD_CACHE))]
     view = u.view()
     view.flags.writeable = False
     params = (mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta)
-    _FIELD_CACHE[key] = params, view, hashlib.sha256(u).digest()
+    entry = params, view, hashlib.sha256(u).digest()
+    with _FIELD_CACHE_LOCK:
+        _FIELD_CACHE.pop(key, None)
+        while sum(e[1].nbytes for e in _FIELD_CACHE.values()) + u.nbytes > _FIELD_CACHE_BYTES:
+            del _FIELD_CACHE[next(iter(_FIELD_CACHE))]
+        _FIELD_CACHE[key] = entry
 
 
 def field_from_csv(path):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -387,14 +388,9 @@ def field_cache(monkeypatch):
 
 
 def fresh_parse(path):
-    """field_from_csv(path) with no field cached."""
-    saved = dict(anomaly._FIELD_CACHE)
-    anomaly._FIELD_CACHE.clear()
-    try:
-        return field_from_csv(path)
-    finally:
-        anomaly._FIELD_CACHE.clear()
-        anomaly._FIELD_CACHE.update(saved)
+    """The mesh and field of path, parsed without the cache."""
+    with open(path, encoding="utf-8") as fh:
+        return anomaly._parse_field(path, fh)
 
 
 def mesh_params(mesh):
@@ -553,8 +549,39 @@ def test_field_csv_from_a_pipe_bypasses_the_cache(tmp_path, field_cache):
         writer.start()
         _, u = field_from_csv(path)
         writer.join(timeout=10.0)
+        assert not writer.is_alive()
         assert u[8, 3] == 0.1 * 8 + 0.01 * 3
     assert len(field_cache) == 0 and field_cache.parses == 2
+
+
+def test_field_cache_stays_within_its_budget_under_threads(field_cache, monkeypatch):
+    # eight threads store fields at once, each store evicting, with the
+    # interpreter switching threads every microsecond
+    mesh = flat_mesh(9, 4)
+    u = mesh.zeros()
+    monkeypatch.setattr(anomaly, "_FIELD_CACHE_BYTES", 3 * u.nbytes)
+    errors = []
+
+    def store(k):
+        try:
+            for i in range(2000):
+                anomaly._keep_field(f"{k}:{i}".encode(), mesh, u)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=store, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(field_cache) == 3
 
 
 def traced_peak(call):
