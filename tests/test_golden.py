@@ -3,9 +3,8 @@ a crossed genus-3 row group (core slab and ends) on a 16-level grid and of a
 three-leaf wedge core, and the anomaly report of the README hyperbolic
 mesh, of a 1025x1024 hyperbolic mesh, of a flat cylinder, of a log sech t
 field, of a constant field and of a field read from a CSV file, compared
-byte for byte.  Also pinned: the sha256
-of the `float.hex` list that `limit_set_sample` returns for three fixed
-groups (`golden/limit_set.json`).
+byte for byte.  Also pinned: the sha256 of the `float.hex` list that
+`limit_set_sample` returns for three fixed groups (`golden/limit_set.json`).
 
 Regenerate them (after a change that moves report digits on purpose) with
 
@@ -181,7 +180,7 @@ def test_csv_report_matches_golden_on_a_parse_and_on_a_cache_hit(tmp_path, monke
 
 
 # every pinned report: the renvol and wedge ones use no numpy, and the
-# anomaly fields' 1-d profiles are built with math
+# anomaly fields' 1-d profiles and the CSV field's values are built with math
 CPU_INDEPENDENT = tuple(sorted(CASES))
 # name -> (environment, the numpy CPU features it needs): other CPU paths
 # that numpy and OpenBLAS can take on an x86-64 CPU with AVX-512
@@ -215,9 +214,10 @@ def test_numpy_free_goldens_on_other_cpu_paths(tmp_path, path):
     """Every golden report is byte-identical when numpy and OpenBLAS take
     another CPU path.  The renvol and wedge reports are computed with `math`
     and plain floats only; the anomaly fields' 1-d profiles (`theta_mode`,
-    `log_sech_t`) are built with `math` too, since numpy's SIMD
-    transcendentals move with the CPU, and the mesh functionals' sums do not
-    move on these paths.  A path is skipped only on a CPU without the
+    `log_sech_t`) and the CSV field are built with `math` too, since numpy's
+    SIMD transcendentals move with the CPU.  The mesh functionals of these
+    fields do not move on these paths, although a row sum of numpy's can
+    move by an ulp, which a report value that cancels would show.  A path is skipped only on a CPU without the
     features it needs.  Out of scope: another libm, glibc's own CPU dispatch
     inside libm (no environment variable switches it), and another numpy
     major version."""
