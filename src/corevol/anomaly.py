@@ -22,7 +22,6 @@ no report value depends on how the rows are grouped into blocks.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 import os
@@ -320,13 +319,63 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     }
 
 
-# parsed field files by the sha256 of their bytes, oldest first: digest ->
-# (mesh parameters, a read-only view of the field, the sha256 of its bytes)
-_FIELD_CACHE: dict = {}
-# the most field bytes that _FIELD_CACHE keeps
-_FIELD_CACHE_BYTES = 16 << 20
-# held while an entry is stored and older ones evicted
-_FIELD_CACHE_LOCK = threading.Lock()
+class _FieldCache(dict):
+    """Parsed field files by the sha256 of their bytes, oldest first: digest
+    -> (mesh parameters, a read-only view of the field, the sha256 of the
+    field's bytes).  It holds at most `budget` bytes, counting each entry as
+    its field's bytes plus ENTRY_BYTES for the rest of it (the objects of an
+    entry of an 8x4 field take about 0.8 KiB); a field over the budget is
+    not kept.  `lengths` holds the byte lengths of the last LENGTHS files
+    read, most recent last."""
+
+    ENTRY_BYTES = 1 << 10
+    LENGTHS = 1 << 10
+
+    def __init__(self, budget: int = 16 << 20):
+        super().__init__()
+        self.budget = budget
+        self.nbytes = 0  # counted against the budget
+        self.lengths: dict = {}  # file length -> None
+        # held while the entries or the lengths change
+        self.lock = threading.Lock()
+
+    def read_before(self, length: int) -> bool:
+        """Whether a file of this length was read before; records it."""
+        with self.lock:
+            seen = self.lengths.pop(length, False) is None
+            if len(self.lengths) == self.LENGTHS:
+                del self.lengths[next(iter(self.lengths))]
+            self.lengths[length] = None
+        return seen
+
+    def keep(self, key: bytes, mesh: SurfaceMesh, u: np.ndarray) -> None:
+        """Cache u under key, evicting the oldest fields to stay within the
+        budget.  The cache shares u's memory, so that a miss allocates no
+        second field, and keeps the sha256 of its bytes to tell whether the
+        caller wrote into it."""
+        import hashlib
+
+        size = u.nbytes + self.ENTRY_BYTES
+        if size > self.budget:
+            return
+        view = u.view()
+        view.flags.writeable = False
+        params = (mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta)
+        entry = params, view, hashlib.sha256(u).digest()
+        with self.lock:
+            self._drop(key)
+            while self.nbytes + size > self.budget:
+                self._drop(next(iter(self)))
+            self[key] = entry
+            self.nbytes += size
+
+    def _drop(self, key: bytes) -> None:
+        entry = self.pop(key, None)
+        if entry is not None:
+            self.nbytes -= entry[1].nbytes + self.ENTRY_BYTES
+
+
+_FIELD_CACHE = _FieldCache()
 
 
 class _HashingFile(io.FileIO):
@@ -336,6 +385,10 @@ class _HashingFile(io.FileIO):
     read, readall = io.RawIOBase.read, io.RawIOBase.readall
 
     def __init__(self, path):
+        # hashlib loads on the cache's path only: loading it takes about 4
+        # ms, which a process that reads each file length once never pays
+        import hashlib
+
         super().__init__(path)
         self.sha256 = hashlib.sha256()
 
@@ -347,6 +400,8 @@ class _HashingFile(io.FileIO):
     def digest_to_end(self) -> bytes:
         """Read on to the end in 64 KiB chunks, then rewind and start a new
         hash; returns the sha256 of the bytes read."""
+        import hashlib
+
         chunk = bytearray(1 << 16)
         while self.readinto(chunk):
             pass
@@ -354,24 +409,6 @@ class _HashingFile(io.FileIO):
         self.seek(0)
         self.sha256 = hashlib.sha256()
         return digest
-
-
-def _keep_field(key: bytes, mesh: SurfaceMesh, u: np.ndarray) -> None:
-    """Cache u under key, evicting the oldest fields to stay within
-    _FIELD_CACHE_BYTES; a field larger than that is not kept.  The cache
-    shares u's memory, so that a miss allocates no second field, and keeps
-    the sha256 of its bytes to tell whether the caller wrote into it."""
-    if u.nbytes > _FIELD_CACHE_BYTES:
-        return
-    view = u.view()
-    view.flags.writeable = False
-    params = (mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta)
-    entry = params, view, hashlib.sha256(u).digest()
-    with _FIELD_CACHE_LOCK:
-        _FIELD_CACHE.pop(key, None)
-        while sum(e[1].nbytes for e in _FIELD_CACHE.values()) + u.nbytes > _FIELD_CACHE_BYTES:
-            del _FIELD_CACHE[next(iter(_FIELD_CACHE))]
-        _FIELD_CACHE[key] = entry
 
 
 def field_from_csv(path):
@@ -382,36 +419,50 @@ def field_from_csv(path):
     line is held beyond its own row.  Blank lines are skipped.  The entries
     are checked for finiteness by `anomaly_functionals`, not here.
 
-    Parsed fields are cached by content: under the sha256 of the bytes
-    parsed, within _FIELD_CACHE_BYTES (16 MiB) of fields, oldest evicted
-    first.  So a file content is parsed once per process, and a rewritten
-    file is parsed again whatever its mtime.  A hit hashes the file and
-    returns a new mesh and a fresh copy of the field, once the copy's
-    sha256 matches the field's as parsed: the cache shares the field that a
-    miss returns, and a caller that wrote into it makes the next call parse
-    again.  A miss costs two sha256 passes over the file (the lookup, and
-    the bytes as they are parsed) and one over the field: on a 1.3 MB
-    257x256 file about 3.6 ms on top of the 39 ms parse (Xeon core with SHA
-    extensions), where a hit takes 1.7 ms.  A file that fails to parse is
-    never cached; a pipe, which can be read only once, is parsed without
-    the cache."""
-    with _HashingFile(path) as raw:
-        key = None
+    Parsed fields are cached by content (_FieldCache): under the sha256 of
+    the bytes parsed, within 16 MiB, oldest evicted first.  The first read
+    of a file length, among the last 1024 lengths read, parses without
+    hashing and keeps nothing, so a process that reads one file, or files
+    of distinct lengths, pays nothing for the cache; a content is kept at
+    its second read and hit from its third.  Any other file is hashed to
+    the end and looked up, so a rewritten file is parsed again whatever its
+    mtime.  A hit returns a new mesh and a fresh copy of the field, once
+    the copy's sha256 matches the field's as parsed: the cache shares the
+    field that a miss returns, and a caller that wrote into it makes the
+    next call parse again.  A miss costs two sha256 passes over the file
+    (the lookup, and the bytes as they are parsed) and one over the field:
+    on a 1.3 MB 257x256 file about 2.6 ms on top of a 20 to 40 ms parse
+    (Xeon core with SHA extensions), and loading hashlib once, about 4 ms;
+    a hit takes 1.7 ms.  A file that fails to parse is never cached; a
+    pipe, which can be read only once, is parsed without the cache."""
+    with open(path, "r", encoding="utf-8") as fh:
+        info = os.fstat(fh.fileno())
         # a pipe can be read only once: it is parsed without the cache
+        if not (stat.S_ISREG(info.st_mode) and _FIELD_CACHE.read_before(info.st_size)):
+            return _parse_field(path, fh)
+    return _cached_field(path)
+
+
+def _cached_field(path):
+    """field_from_csv's (mesh, field) through the cache, for a regular
+    file: looked up under the sha256 of the whole file, else parsed and
+    kept under the sha256 of the bytes parsed."""
+    import hashlib
+
+    with _HashingFile(path) as raw:
+        # a file replaced by a pipe since it was opened is parsed as it is
         if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            key = raw.digest_to_end()
-            entry = _FIELD_CACHE.get(key)
+            entry = _FIELD_CACHE.get(raw.digest_to_end())
             if entry is not None:
-                params, cached, field_digest = entry
-                u = cached.copy()
+                params, field, field_digest = entry
+                u = field.copy()
                 if hashlib.sha256(u).digest() == field_digest:
                     return SurfaceMesh(*params), u
         with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
             mesh, u = _parse_field(path, fh)
-    if key is not None:
-        # under the digest of exactly the bytes parsed, which may differ from
-        # `key` if the file changed in between
-        _keep_field(raw.sha256.digest(), mesh, u)
+    # under the digest of exactly the bytes parsed, which may differ from
+    # those looked up if the file changed in between
+    _FIELD_CACHE.keep(raw.sha256.digest(), mesh, u)
     return mesh, u
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -368,7 +369,7 @@ def test_field_csv_skips_blank_lines(tmp_path):
 
 # ------------------------------------------------------ the parsed-field cache
 
-class _CountedCache(dict):
+class _CountedCache(anomaly._FieldCache):
     parses = 0
 
 
@@ -397,6 +398,34 @@ def mesh_params(mesh):
     return mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta
 
 
+def test_field_csv_first_read_of_a_length_is_neither_hashed_nor_kept(tmp_path, field_cache,
+                                                                      monkeypatch):
+    def no_hashing(raw):
+        raise AssertionError("hashed on the first read of its length")
+
+    monkeypatch.setattr(anomaly._HashingFile, "digest_to_end", no_hashing)
+    for n_t in (9, 10):
+        path = tmp_path / f"rows{n_t}.csv"
+        path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                        f"{n_t},4,1.0,2.0,flat_cylinder\n" + grid_rows(n_t))
+        assert field_from_csv(path)[1].tobytes() == fresh_parse(path)[1].tobytes()
+    assert len(field_cache) == 0 and list(field_cache.lengths) == [
+        (tmp_path / "rows9.csv").stat().st_size, (tmp_path / "rows10.csv").stat().st_size]
+
+
+def test_field_csv_one_read_does_not_load_hashlib(tmp_path):
+    mesh = flat_mesh(9, 4)
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(6)), path)
+    code = ("import sys; from corevol.anomaly import field_from_csv; "
+            "before = 'hashlib' in sys.modules; field_from_csv(sys.argv[1]); "
+            "print(before, 'hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[1] == out[0]
+
+
 def test_field_csv_hit_equals_a_fresh_parse_bitwise(tmp_path, field_cache):
     mesh = hyperbolic_mesh(33, 16)
     path = tmp_path / "field.csv"
@@ -407,11 +436,13 @@ def test_field_csv_hit_equals_a_fresh_parse_bitwise(tmp_path, field_cache):
     for file in (path, blank):
         ref_mesh, ref = fresh_parse(file)
         parses = field_cache.parses
+        first_mesh, first = field_from_csv(file)
         miss_mesh, miss = field_from_csv(file)
         hit_mesh, hit = field_from_csv(file)
-        assert field_cache.parses == parses + 1  # the second call is a hit
+        assert field_cache.parses == parses + 2  # the third call is a hit
         assert mesh_params(hit_mesh) == mesh_params(miss_mesh) == mesh_params(ref_mesh)
-        assert hit.tobytes() == miss.tobytes() == ref.tobytes()
+        assert mesh_params(first_mesh) == mesh_params(ref_mesh)
+        assert hit.tobytes() == miss.tobytes() == first.tobytes() == ref.tobytes()
         assert hit.flags.writeable and hit.flags.c_contiguous
         assert not np.shares_memory(hit, miss) and hit_mesh is not miss_mesh
 
@@ -421,7 +452,9 @@ def test_field_csv_rewritten_file_with_its_old_mtime_is_parsed_again(tmp_path, f
     header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
     path.write_text(header + grid_rows(9))
     stamp = path.stat()
+    field_from_csv(path)
     _, old = field_from_csv(path)
+    assert len(field_cache) == 1
     # the same rows in reverse order: the same size, other content
     path.write_text(header + "".join(reversed(grid_rows(9).splitlines(keepends=True))))
     os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
@@ -438,6 +471,7 @@ def test_field_csv_file_rewritten_after_its_lookup_is_kept_under_the_bytes_parse
     old_text = header + grid_rows(9)
     new_text = header + "".join(reversed(grid_rows(9).splitlines(keepends=True)))
     path.write_text(old_text)
+    field_from_csv(path)  # records the length
     digest_to_end = anomaly._HashingFile.digest_to_end
 
     def rewrite_after_lookup(raw):
@@ -451,48 +485,55 @@ def test_field_csv_file_rewritten_after_its_lookup_is_kept_under_the_bytes_parse
     assert list(field_cache) == [hashlib.sha256(new_text.encode()).digest()]
     path.write_text(old_text)
     _, old = field_from_csv(path)
-    assert np.array_equal(u, old[::-1]) and field_cache.parses == 2
+    assert np.array_equal(u, old[::-1]) and field_cache.parses == 3
 
 
 def test_field_csv_cache_keeps_no_failure(tmp_path, field_cache):
     path = tmp_path / "rows.csv"
     header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
-    # a file that failed, then fixed, parses
+    # a file that failed, then fixed, parses; each is read twice, so that the
+    # second read goes through the cache
     path.write_text(header + grid_rows(8))
-    with pytest.raises(ValueError, match="8 grid rows, not n_t = 9"):
-        field_from_csv(path)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="8 grid rows, not n_t = 9"):
+            field_from_csv(path)
     assert len(field_cache) == 0
     path.write_text(header + grid_rows(9))
-    assert field_from_csv(path)[1][8, 3] == 0.1 * 8 + 0.01 * 3
+    for _ in range(2):
+        assert field_from_csv(path)[1][8, 3] == 0.1 * 8 + 0.01 * 3
     # a file that parsed, then broke, raises the error of a fresh parse
     for broken, message in [(header + grid_rows(10), "more than n_t = 9 grid rows"),
                             (header + grid_rows(3) + "0.1,abc,0.3,0.4\n" + grid_rows(5),
                              "grid row 4: could not convert string to float: 'abc'")]:
         path.write_text(broken)
-        with pytest.raises(ValueError) as err:
-            field_from_csv(path)
-        assert str(err.value) == f"{path}: {message}"
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                field_from_csv(path)
+            assert str(err.value) == f"{path}: {message}"
     assert len(field_cache) == 1
 
 
 def test_field_csv_non_utf8_error_is_unchanged_by_the_cache(tmp_path, field_cache):
     # the position in the message is counted within the decoder's chunk, as
-    # when the file is read line by line through open()
+    # when the file is read line by line through open(); each broken file
+    # has the good file's length, so it is read once without the cache and
+    # once through it
     mesh = hyperbolic_mesh(65, 64)
     path = tmp_path / "field.csv"
     field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(4)), path)
     good = path.read_bytes()
-    field_from_csv(path)
     for position in (3, 8191, 8192, 20000, len(good) - 2):
         path.write_bytes(good[:position] + b"\xff" + good[position + 1:])
         with pytest.raises(UnicodeDecodeError) as expected:
             with open(path, encoding="utf-8") as fh:
                 for _ in fh:
                     pass
-        with pytest.raises(UnicodeDecodeError) as err:
-            field_from_csv(path)
-        assert str(err.value) == str(expected.value)
-    assert len(field_cache) == 1
+        field_cache.lengths.clear()
+        for read in ("without the cache", "through the cache"):
+            with pytest.raises(UnicodeDecodeError) as err:
+                field_from_csv(path)
+            assert str(err.value) == str(expected.value), read
+    assert len(field_cache) == 0
 
 
 def test_field_csv_returned_fields_do_not_alias_the_cache(tmp_path, field_cache):
@@ -500,6 +541,7 @@ def test_field_csv_returned_fields_do_not_alias_the_cache(tmp_path, field_cache)
     path = tmp_path / "field.csv"
     field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(5)), path)
     ref = fresh_parse(path)[1].tobytes()
+    field_from_csv(path)
     parses = field_cache.parses
     _, miss = field_from_csv(path)
     miss[3, 4] += 1.0  # the cache shares the miss's field: the next call parses again
@@ -511,32 +553,62 @@ def test_field_csv_returned_fields_do_not_alias_the_cache(tmp_path, field_cache)
     assert again.tobytes() == ref and field_cache.parses == parses + 2
 
 
-def test_field_csv_cache_evicts_oldest_first_within_its_budget(tmp_path, field_cache,
-                                                               monkeypatch):
-    field_bytes = 9 * 4 * 8
-    monkeypatch.setattr(anomaly, "_FIELD_CACHE_BYTES", 2 * field_bytes)
+def test_field_csv_cache_evicts_oldest_first_within_its_budget(tmp_path, field_cache):
+    entry_bytes = 9 * 4 * 8 + anomaly._FieldCache.ENTRY_BYTES
+    field_cache.budget = 2 * entry_bytes
     paths = []
-    for k in range(3):  # three files that differ in their t extent
+    for k in range(3):  # three files of one length that differ in their t extent
         paths.append(tmp_path / f"field{k}.csv")
         paths[-1].write_text("n_t,n_theta,t_extent,circumference,tag\n"
                              f"9,4,{k + 1}.0,2.0,flat_cylinder\n" + grid_rows(9))
     digests = [hashlib.sha256(p.read_bytes()).digest() for p in paths]
-    for path in paths:
+    for path in paths:  # the first read of the length is not kept
         field_from_csv(path)
-    assert list(field_cache) == digests[1:]
+    assert list(field_cache) == digests[1:] and field_cache.nbytes == 2 * entry_bytes
     parses = field_cache.parses
     field_from_csv(paths[2])
     field_from_csv(paths[1])
     assert field_cache.parses == parses
-    field_from_csv(paths[0])  # evicted: parsed again, and the oldest goes
+    field_from_csv(paths[0])  # parsed, and the oldest goes
     assert field_cache.parses == parses + 1
     assert list(field_cache) == digests[2:] + digests[:1]
     # a field over the whole budget is parsed and returned, not kept
     big = tmp_path / "big.csv"
-    big.write_text("n_t,n_theta,t_extent,circumference,tag\n9,12,1.0,2.0,flat_cylinder\n"
-                   + grid_rows(9, n_theta=12))
-    assert field_from_csv(big)[1].nbytes > anomaly._FIELD_CACHE_BYTES
+    big.write_text("n_t,n_theta,t_extent,circumference,tag\n9,24,1.0,2.0,flat_cylinder\n"
+                   + grid_rows(9, n_theta=24))
+    for _ in range(2):
+        assert field_from_csv(big)[1].nbytes + anomaly._FieldCache.ENTRY_BYTES > (
+            field_cache.budget)
     assert list(field_cache) == digests[2:] + digests[:1]
+    assert field_cache.nbytes == 2 * entry_bytes
+
+
+def test_field_cache_counts_entries_of_minimal_fields_within_its_budget(field_cache):
+    # on an 8x4 field the objects of an entry, not the field's 256 bytes,
+    # take most of its memory: ENTRY_BYTES counts them
+    field_cache.budget = 64 << 10
+    entry_bytes = 8 * 4 * 8 + anomaly._FieldCache.ENTRY_BYTES
+    tracemalloc.start()
+    try:
+        for i in range(500):
+            mesh = flat_mesh(8, 4, T=1.0 + i)
+            field_cache.keep(hashlib.sha256(bytes([i % 256, i // 256])).digest(), mesh,
+                             mesh.constant(float(i)))
+        del mesh
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(field_cache) == field_cache.budget // entry_bytes
+    assert field_cache.nbytes == len(field_cache) * entry_bytes
+    assert held <= field_cache.budget
+    # and the lengths read are the last LENGTHS, a length read again last
+    lengths = anomaly._FieldCache.LENGTHS
+    for length in range(3 * lengths):
+        field_cache.read_before(length)
+    again = 2 * lengths + 5
+    assert field_cache.read_before(again)
+    assert list(field_cache.lengths) == [
+        *range(2 * lengths, again), *range(again + 1, 3 * lengths), again]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -554,18 +626,20 @@ def test_field_csv_from_a_pipe_bypasses_the_cache(tmp_path, field_cache):
     assert len(field_cache) == 0 and field_cache.parses == 2
 
 
-def test_field_cache_stays_within_its_budget_under_threads(field_cache, monkeypatch):
-    # eight threads store fields at once, each store evicting, with the
-    # interpreter switching threads every microsecond
+def test_field_cache_stays_within_its_budget_under_threads(field_cache):
+    # eight threads record lengths and store fields at once, each store
+    # evicting, with the interpreter switching threads every microsecond
     mesh = flat_mesh(9, 4)
     u = mesh.zeros()
-    monkeypatch.setattr(anomaly, "_FIELD_CACHE_BYTES", 3 * u.nbytes)
+    entry_bytes = u.nbytes + anomaly._FieldCache.ENTRY_BYTES
+    field_cache.budget = 3 * entry_bytes
     errors = []
 
     def store(k):
         try:
             for i in range(2000):
-                anomaly._keep_field(f"{k}:{i}".encode(), mesh, u)
+                field_cache.read_before(k * 2000 + i)
+                field_cache.keep(f"{k}:{i}".encode(), mesh, u)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -581,7 +655,8 @@ def test_field_cache_stays_within_its_budget_under_threads(field_cache, monkeypa
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(field_cache) == 3
+    assert len(field_cache) == 3 and field_cache.nbytes == 3 * entry_bytes
+    assert len(field_cache.lengths) == anomaly._FieldCache.LENGTHS
 
 
 def traced_peak(call):
@@ -596,15 +671,16 @@ def traced_peak(call):
 
 
 def test_field_csv_peak_memory(tmp_path, field_cache):
-    # the field itself and one row of text on the miss (the cache shares the
-    # parsed field), the copy of the cached field on the hit
+    # the field itself and one row of text on the first read and on the miss
+    # (the cache shares the parsed field), the copy of the cached field on
+    # the hit
     mesh = hyperbolic_mesh(257, 256)
     u = random_smooth_field(mesh, np.random.default_rng(2))
     path = tmp_path / "field.csv"
     field_to_csv(mesh, u, path)
-    for call in ("miss", "hit"):
+    for call, kept in (("first", 0), ("miss", 1), ("hit", 1)):
         assert traced_peak(lambda: field_from_csv(path)) <= 1.5 * u.nbytes, call
-        assert len(field_cache) == 1, call
+        assert len(field_cache) == kept, call
 
 
 # ------------------------------------------------------ row-block functionals

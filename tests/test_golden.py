@@ -167,16 +167,18 @@ def test_report_matches_golden(tmp_path, name):
     assert report_text(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
 
 
-def test_csv_report_matches_golden_on_a_parse_and_on_a_cache_hit(tmp_path, monkeypatch):
-    monkeypatch.setattr(anomaly, "_FIELD_CACHE", {})
+def test_csv_report_matches_golden_on_each_read_of_the_cache(tmp_path, monkeypatch):
+    # the first read parses without the cache, the second parses and keeps
+    # the field, the third is a hit
+    monkeypatch.setattr(anomaly, "_FIELD_CACHE", anomaly._FieldCache())
     parse, parses = anomaly._parse_field, []
     monkeypatch.setattr(anomaly, "_parse_field",
                         lambda *args: parses.append(args) or parse(*args))
     golden = (GOLDEN / "anomaly_csv.txt").read_bytes()
-    for call in ("miss", "hit"):
+    for call, parsed, kept in (("first", 1, 0), ("miss", 2, 1), ("hit", 2, 1)):
         (tmp_path / call).mkdir()
         assert report_text("anomaly_csv", tmp_path / call) == golden, call
-        assert len(parses) == 1 and len(anomaly._FIELD_CACHE) == 1, call
+        assert (len(parses), len(anomaly._FIELD_CACHE)) == (parsed, kept), call
 
 
 # every pinned report: the renvol and wedge ones use no numpy, and the
