@@ -325,27 +325,27 @@ class _FieldCache(dict):
     field's bytes).  It holds at most `budget` bytes, counting each entry as
     its field's bytes plus ENTRY_BYTES for the rest of it (the objects of an
     entry of an 8x4 field take about 0.8 KiB); a field over the budget is
-    not kept.  `lengths` holds the byte lengths of the last LENGTHS files
+    not kept.  `files` holds the (device, inode) of the last FILES files
     read, most recent last."""
 
     ENTRY_BYTES = 1 << 10
-    LENGTHS = 1 << 10
+    FILES = 1 << 10
 
     def __init__(self, budget: int = 16 << 20):
         super().__init__()
         self.budget = budget
         self.nbytes = 0  # counted against the budget
-        self.lengths: dict = {}  # file length -> None
-        # held while the entries or the lengths change
+        self.files: dict = {}  # (device, inode) -> None
+        # held while the entries or the files change
         self.lock = threading.Lock()
 
-    def read_before(self, length: int) -> bool:
-        """Whether a file of this length was read before; records it."""
+    def read_before(self, file: tuple) -> bool:
+        """Whether the file (device, inode) was read before; records it."""
         with self.lock:
-            seen = self.lengths.pop(length, False) is None
-            if len(self.lengths) == self.LENGTHS:
-                del self.lengths[next(iter(self.lengths))]
-            self.lengths[length] = None
+            seen = self.files.pop(file, False) is None
+            if len(self.files) == self.FILES:
+                del self.files[next(iter(self.files))]
+            self.files[file] = None
         return seen
 
     def keep(self, key: bytes, mesh: SurfaceMesh, u: np.ndarray) -> None:
@@ -386,7 +386,7 @@ class _HashingFile(io.FileIO):
 
     def __init__(self, path):
         # hashlib loads on the cache's path only: loading it takes about 4
-        # ms, which a process that reads each file length once never pays
+        # ms, which a process that reads each file once never pays
         import hashlib
 
         super().__init__(path)
@@ -421,24 +421,26 @@ def field_from_csv(path):
 
     Parsed fields are cached by content (_FieldCache): under the sha256 of
     the bytes parsed, within 16 MiB, oldest evicted first.  The first read
-    of a file length, among the last 1024 lengths read, parses without
-    hashing and keeps nothing, so a process that reads one file, or files
-    of distinct lengths, pays nothing for the cache; a content is kept at
-    its second read and hit from its third.  Any other file is hashed to
-    the end and looked up, so a rewritten file is parsed again whatever its
-    mtime.  A hit returns a new mesh and a fresh copy of the field, once
-    the copy's sha256 matches the field's as parsed: the cache shares the
-    field that a miss returns, and a caller that wrote into it makes the
-    next call parse again.  A miss costs two sha256 passes over the file
-    (the lookup, and the bytes as they are parsed) and one over the field:
-    on a 1.3 MB 257x256 file about 2.6 ms on top of a 20 to 40 ms parse
-    (Xeon core with SHA extensions), and loading hashlib once, about 4 ms;
-    a hit takes 1.7 ms.  A file that fails to parse is never cached; a
-    pipe, which can be read only once, is parsed without the cache."""
+    of a file (its device and inode, among the last 1024 files read)
+    parses without hashing and keeps nothing, so a process that reads each
+    file once pays nothing for the cache; a file read again is kept at its
+    second read and hit from its third.  Such a file is hashed to the end
+    and looked up by content, so a file rewritten in place is parsed again
+    whatever its mtime.  A hit returns a new mesh and a fresh copy of the
+    field, once the copy's sha256 matches the field's as parsed: the cache
+    shares the field that a miss returns, and a caller that wrote into it
+    makes the next call parse again.  A miss costs two sha256 passes over
+    the file (the lookup, and the bytes as they are parsed), one over the
+    field, and a field kept: on a 1.3 MB 257x256 file about 3 ms on top of
+    a 20 to 40 ms parse (Xeon core with SHA extensions), and loading
+    hashlib once, about 4 ms; a hit takes 1.7 ms.  A file that fails to
+    parse is never cached; a pipe, which can be read only once, is parsed
+    without the cache."""
     with open(path, "r", encoding="utf-8") as fh:
         info = os.fstat(fh.fileno())
         # a pipe can be read only once: it is parsed without the cache
-        if not (stat.S_ISREG(info.st_mode) and _FIELD_CACHE.read_before(info.st_size)):
+        if not (stat.S_ISREG(info.st_mode)
+                and _FIELD_CACHE.read_before((info.st_dev, info.st_ino))):
             return _parse_field(path, fh)
     return _cached_field(path)
 

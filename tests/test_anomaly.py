@@ -398,19 +398,19 @@ def mesh_params(mesh):
     return mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta
 
 
-def test_field_csv_first_read_of_a_length_is_neither_hashed_nor_kept(tmp_path, field_cache,
-                                                                      monkeypatch):
+def test_field_csv_first_read_of_a_file_is_neither_hashed_nor_kept(tmp_path, field_cache,
+                                                                    monkeypatch):
     def no_hashing(raw):
-        raise AssertionError("hashed on the first read of its length")
+        raise AssertionError("hashed on the first read of its file")
 
     monkeypatch.setattr(anomaly._HashingFile, "digest_to_end", no_hashing)
-    for n_t in (9, 10):
-        path = tmp_path / f"rows{n_t}.csv"
+    paths = [tmp_path / f"field{k}.csv" for k in range(2)]
+    for k, path in enumerate(paths):  # two files of one length
         path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
-                        f"{n_t},4,1.0,2.0,flat_cylinder\n" + grid_rows(n_t))
+                        f"9,4,{k + 1}.0,2.0,flat_cylinder\n" + grid_rows(9))
         assert field_from_csv(path)[1].tobytes() == fresh_parse(path)[1].tobytes()
-    assert len(field_cache) == 0 and list(field_cache.lengths) == [
-        (tmp_path / "rows9.csv").stat().st_size, (tmp_path / "rows10.csv").stat().st_size]
+    assert len(field_cache) == 0 and list(field_cache.files) == [
+        (path.stat().st_dev, path.stat().st_ino) for path in paths]
 
 
 def test_field_csv_one_read_does_not_load_hashlib(tmp_path):
@@ -471,7 +471,7 @@ def test_field_csv_file_rewritten_after_its_lookup_is_kept_under_the_bytes_parse
     old_text = header + grid_rows(9)
     new_text = header + "".join(reversed(grid_rows(9).splitlines(keepends=True)))
     path.write_text(old_text)
-    field_from_csv(path)  # records the length
+    field_from_csv(path)  # records the file
     digest_to_end = anomaly._HashingFile.digest_to_end
 
     def rewrite_after_lookup(raw):
@@ -516,8 +516,7 @@ def test_field_csv_cache_keeps_no_failure(tmp_path, field_cache):
 def test_field_csv_non_utf8_error_is_unchanged_by_the_cache(tmp_path, field_cache):
     # the position in the message is counted within the decoder's chunk, as
     # when the file is read line by line through open(); each broken file
-    # has the good file's length, so it is read once without the cache and
-    # once through it
+    # is read once without the cache, its first read, and once through it
     mesh = hyperbolic_mesh(65, 64)
     path = tmp_path / "field.csv"
     field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(4)), path)
@@ -528,7 +527,7 @@ def test_field_csv_non_utf8_error_is_unchanged_by_the_cache(tmp_path, field_cach
             with open(path, encoding="utf-8") as fh:
                 for _ in fh:
                     pass
-        field_cache.lengths.clear()
+        field_cache.files.clear()
         for read in ("without the cache", "through the cache"):
             with pytest.raises(UnicodeDecodeError) as err:
                 field_from_csv(path)
@@ -557,12 +556,12 @@ def test_field_csv_cache_evicts_oldest_first_within_its_budget(tmp_path, field_c
     entry_bytes = 9 * 4 * 8 + anomaly._FieldCache.ENTRY_BYTES
     field_cache.budget = 2 * entry_bytes
     paths = []
-    for k in range(3):  # three files of one length that differ in their t extent
+    for k in range(3):  # three files that differ in their t extent
         paths.append(tmp_path / f"field{k}.csv")
         paths[-1].write_text("n_t,n_theta,t_extent,circumference,tag\n"
                              f"9,4,{k + 1}.0,2.0,flat_cylinder\n" + grid_rows(9))
     digests = [hashlib.sha256(p.read_bytes()).digest() for p in paths]
-    for path in paths:  # the first read of the length is not kept
+    for path in paths + paths:  # the first read of a file is not kept
         field_from_csv(path)
     assert list(field_cache) == digests[1:] and field_cache.nbytes == 2 * entry_bytes
     parses = field_cache.parses
@@ -601,14 +600,14 @@ def test_field_cache_counts_entries_of_minimal_fields_within_its_budget(field_ca
     assert len(field_cache) == field_cache.budget // entry_bytes
     assert field_cache.nbytes == len(field_cache) * entry_bytes
     assert held <= field_cache.budget
-    # and the lengths read are the last LENGTHS, a length read again last
-    lengths = anomaly._FieldCache.LENGTHS
-    for length in range(3 * lengths):
-        field_cache.read_before(length)
-    again = 2 * lengths + 5
-    assert field_cache.read_before(again)
-    assert list(field_cache.lengths) == [
-        *range(2 * lengths, again), *range(again + 1, 3 * lengths), again]
+    # and the files read are the last FILES, a file read again last
+    files = anomaly._FieldCache.FILES
+    for inode in range(3 * files):
+        field_cache.read_before((0, inode))
+    again = 2 * files + 5
+    assert field_cache.read_before((0, again))
+    assert [inode for _, inode in field_cache.files] == [
+        *range(2 * files, again), *range(again + 1, 3 * files), again]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -627,7 +626,7 @@ def test_field_csv_from_a_pipe_bypasses_the_cache(tmp_path, field_cache):
 
 
 def test_field_cache_stays_within_its_budget_under_threads(field_cache):
-    # eight threads record lengths and store fields at once, each store
+    # eight threads record files and store fields at once, each store
     # evicting, with the interpreter switching threads every microsecond
     mesh = flat_mesh(9, 4)
     u = mesh.zeros()
@@ -638,7 +637,7 @@ def test_field_cache_stays_within_its_budget_under_threads(field_cache):
     def store(k):
         try:
             for i in range(2000):
-                field_cache.read_before(k * 2000 + i)
+                field_cache.read_before((k, i))
                 field_cache.keep(f"{k}:{i}".encode(), mesh, u)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -656,7 +655,7 @@ def test_field_cache_stays_within_its_budget_under_threads(field_cache):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(field_cache) == 3 and field_cache.nbytes == 3 * entry_bytes
-    assert len(field_cache.lengths) == anomaly._FieldCache.LENGTHS
+    assert len(field_cache.files) == anomaly._FieldCache.FILES
 
 
 def traced_peak(call):
