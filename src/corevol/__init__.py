@@ -11,11 +11,9 @@ from .schottky import (
     SchottkyData,
     SchottkyError,
     ValidatedGroup,
-    cyclic_group,
     enumerate_words,
     generator_from_axis,
     limit_set_sample,
-    pairing_from_circles,
     validate,
     word_mobius,
 )

@@ -320,152 +320,115 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
 
 
 class _FieldCache(dict):
-    """Parsed field files by the sha256 of their bytes, oldest first: digest
-    -> (mesh parameters, a read-only view of the field, the sha256 of the
-    field's bytes).  It holds at most `budget` bytes, counting each entry as
-    its field's bytes plus ENTRY_BYTES for the rest of it (the objects of an
-    entry of an 8x4 field take about 0.8 KiB); a field over the budget is
-    not kept.  `files` holds the (device, inode) of the last FILES files
-    read, most recent last."""
+    """One record per field file read, least recently read first: (device,
+    inode) -> None for a file read once, else (the sha256 of the bytes
+    parsed, mesh parameters, the read-only field).  Each record counts
+    ENTRY_BYTES against the budget, a kept field its bytes too (a record
+    holds about 0.15 KiB, 0.8 KiB with an 8x4 field); a field over the
+    budget is not kept."""
 
     ENTRY_BYTES = 1 << 10
-    FILES = 1 << 10
 
     def __init__(self, budget: int = 16 << 20):
         super().__init__()
         self.budget = budget
         self.nbytes = 0  # counted against the budget
-        self.files: dict = {}  # (device, inode) -> None
-        # held while the entries or the files change
-        self.lock = threading.Lock()
+        self.lock = threading.Lock()  # held while the records change
 
-    def read_before(self, file: tuple) -> bool:
-        """Whether the file (device, inode) was read before; records it."""
+    def _size(self, entry) -> int:
+        return self.ENTRY_BYTES + (entry[2].nbytes if entry else 0)
+
+    def record(self, file: tuple, entry) -> None:
+        """Record a read of the file (device, inode), the most recent, with
+        its entry, and drop the least recently read records to stay within
+        the budget."""
+        if self._size(entry) > self.budget:
+            entry = None
         with self.lock:
-            seen = self.files.pop(file, False) is None
-            if len(self.files) == self.FILES:
-                del self.files[next(iter(self.files))]
-            self.files[file] = None
-        return seen
-
-    def keep(self, key: bytes, mesh: SurfaceMesh, u: np.ndarray) -> None:
-        """Cache u under key, evicting the oldest fields to stay within the
-        budget.  The cache shares u's memory, so that a miss allocates no
-        second field, and keeps the sha256 of its bytes to tell whether the
-        caller wrote into it."""
-        import hashlib
-
-        size = u.nbytes + self.ENTRY_BYTES
-        if size > self.budget:
-            return
-        view = u.view()
-        view.flags.writeable = False
-        params = (mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta)
-        entry = params, view, hashlib.sha256(u).digest()
-        with self.lock:
-            self._drop(key)
-            while self.nbytes + size > self.budget:
-                self._drop(next(iter(self)))
-            self[key] = entry
-            self.nbytes += size
-
-    def _drop(self, key: bytes) -> None:
-        entry = self.pop(key, None)
-        if entry is not None:
-            self.nbytes -= entry[1].nbytes + self.ENTRY_BYTES
+            if file in self:
+                self.nbytes -= self._size(self.pop(file))
+            self.nbytes += self._size(entry)
+            while self.nbytes > self.budget:
+                self.nbytes -= self._size(self.pop(next(iter(self))))
+            self[file] = entry
 
 
 _FIELD_CACHE = _FieldCache()
 
 
 class _HashingFile(io.FileIO):
-    """A file opened for reading that hashes every byte read from it: read
-    and readall go through readinto, as in io.RawIOBase."""
+    """A file opened for reading that, after `rewind`, hashes every byte
+    read from it: read and readall go through readinto, as in
+    io.RawIOBase."""
 
     read, readall = io.RawIOBase.read, io.RawIOBase.readall
+    sha256 = None
 
-    def __init__(self, path):
-        # hashlib loads on the cache's path only: loading it takes about 4
-        # ms, which a process that reads each file once never pays
+    def rewind(self) -> None:
+        """Seek to the start and hash what is read from there on."""
+        # hashlib loads here only: loading it takes about 4 ms, which a
+        # process that reads each file once never pays
         import hashlib
 
-        super().__init__(path)
+        self.seek(0)
         self.sha256 = hashlib.sha256()
 
     def readinto(self, buffer):
         n = super().readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
+        if self.sha256 is not None:
+            self.sha256.update(memoryview(buffer)[:n])
         return n
 
     def digest_to_end(self) -> bytes:
-        """Read on to the end in 64 KiB chunks, then rewind and start a new
-        hash; returns the sha256 of the bytes read."""
-        import hashlib
-
+        """The sha256 of the whole file, read in 64 KiB chunks."""
+        self.rewind()
         chunk = bytearray(1 << 16)
         while self.readinto(chunk):
             pass
-        digest = self.sha256.digest()
-        self.seek(0)
-        self.sha256 = hashlib.sha256()
-        return digest
+        return self.sha256.digest()
 
 
 def field_from_csv(path):
-    """Read a field file; returns (mesh, field).  The file is a header line
-    `n_t,n_theta,t_extent,circumference,tag`, one line of those mesh
-    parameters, then the node values row-major, one grid row per line.
-    Each grid row is parsed straight into its row of the field array, so no
-    line is held beyond its own row.  Blank lines are skipped.  The entries
-    are checked for finiteness by `anomaly_functionals`, not here.
+    """Read a field file; returns (mesh, field), the field read-only.  The
+    file is a header line `n_t,n_theta,t_extent,circumference,tag`, one
+    line of those mesh parameters, then the node values row-major, one
+    grid row per line.  Each grid row is parsed straight into its row of
+    the field array, so no line is held beyond its own row.  Blank lines
+    are skipped.  The entries are checked for finiteness by
+    `anomaly_functionals`, not here.
 
-    Parsed fields are cached by content (_FieldCache): under the sha256 of
-    the bytes parsed, within 16 MiB, oldest evicted first.  The first read
-    of a file (its device and inode, among the last 1024 files read)
-    parses without hashing and keeps nothing, so a process that reads each
-    file once pays nothing for the cache; a file read again is kept at its
-    second read and hit from its third.  Such a file is hashed to the end
-    and looked up by content, so a file rewritten in place is parsed again
-    whatever its mtime.  A hit returns a new mesh and a fresh copy of the
-    field, once the copy's sha256 matches the field's as parsed: the cache
-    shares the field that a miss returns, and a caller that wrote into it
-    makes the next call parse again.  A miss costs two sha256 passes over
-    the file (the lookup, and the bytes as they are parsed), one over the
-    field, and a field kept: on a 1.3 MB 257x256 file about 3 ms on top of
-    a 20 to 40 ms parse (Xeon core with SHA extensions), and loading
-    hashlib once, about 4 ms; a hit takes 1.7 ms.  A file that fails to
-    parse is never cached; a pipe, which can be read only once, is parsed
-    without the cache."""
-    with open(path, "r", encoding="utf-8") as fh:
-        info = os.fstat(fh.fileno())
-        # a pipe can be read only once: it is parsed without the cache
-        if not (stat.S_ISREG(info.st_mode)
-                and _FIELD_CACHE.read_before((info.st_dev, info.st_ino))):
-            return _parse_field(path, fh)
-    return _cached_field(path)
-
-
-def _cached_field(path):
-    """field_from_csv's (mesh, field) through the cache, for a regular
-    file: looked up under the sha256 of the whole file, else parsed and
-    kept under the sha256 of the bytes parsed."""
-    import hashlib
-
+    Parsed fields are cached, one record per file (_FieldCache) by device
+    and inode, within 16 MiB, least recently read first out.  The first
+    read of a file is the plain parse: nothing hashed or kept, hashlib not
+    loaded.  The second parses through a reader that hashes the bytes
+    parsed and keeps the field under their sha256.  A later read hashes the
+    file to the end: the same digest is a hit, a new mesh and a view of the
+    kept field; another (a file rewritten in place, whatever its mtime) is
+    parsed again and kept.  Every field returned is a read-only view of a
+    read-only array, so it is shared, not copied.  On a 1.3 MB 257x256
+    file a parse takes 20 to 40 ms, the second read's hashing about 1 ms
+    more (and loading hashlib once about 4 ms), a hit about 1.2 ms (Xeon
+    core with SHA extensions).  A file that fails to parse is never kept;
+    a pipe, which can be read only once, is parsed without the cache."""
     with _HashingFile(path) as raw:
-        # a file replaced by a pipe since it was opened is parsed as it is
-        if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            entry = _FIELD_CACHE.get(raw.digest_to_end())
-            if entry is not None:
-                params, field, field_digest = entry
-                u = field.copy()
-                if hashlib.sha256(u).digest() == field_digest:
-                    return SurfaceMesh(*params), u
+        info = os.fstat(raw.fileno())
+        file = info.st_dev, info.st_ino
+        # a pipe can be read only once: it is parsed without the cache
+        regular = stat.S_ISREG(info.st_mode)
+        entry = _FIELD_CACHE.get(file, False) if regular else False
+        if entry and raw.digest_to_end() == entry[0]:
+            _FIELD_CACHE.record(file, entry)
+            return SurfaceMesh(*entry[1]), entry[2].view()
+        if entry is not False:  # read before: hash the bytes parsed
+            raw.rewind()
         with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
             mesh, u = _parse_field(path, fh)
-    # under the digest of exactly the bytes parsed, which may differ from
-    # those looked up if the file changed in between
-    _FIELD_CACHE.keep(raw.sha256.digest(), mesh, u)
-    return mesh, u
+    u.flags.writeable = False
+    if regular:
+        params = mesh.tag, mesh.t_extent, mesh.circumference, mesh.n_t, mesh.n_theta
+        # under the digest of exactly the bytes parsed
+        _FIELD_CACHE.record(file, None if entry is False else (raw.sha256.digest(), params, u))
+    return mesh, u.view()
 
 
 def _parse_field(path, fh):

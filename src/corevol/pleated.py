@@ -21,6 +21,7 @@ import math
 from .quadrature import QuadratureError, adaptive_quad  # noqa: F401
 from .renvol import (
     Convention,
+    _finite_volume,
     _sector_areas,
     bending_sum,
     closed_volume,
@@ -99,14 +100,14 @@ def wedge_volume_quadrature(leaves, eps: float):
     (values, error bounds) as lists in leaf order, each scaled by its
     leaf's length, and the number of quadrature cells evaluated.  A
     QuadratureError names the failing leaf and eps, and its `owner` is
-    that leaf's index.
+    that leaf's index; a volume past the float64 range is a ValueError.
     """
     thetas = [leaf.theta for leaf in leaves]
     try:
         areas, errors, cells = _sector_areas([eps] * len(leaves), thetas)
     except QuadratureError as exc:
         raise QuadratureError(f"leaf {exc.owner} at eps {eps!r}: {exc}", exc.owner) from None
-    return ([leaf.length * area for leaf, area in zip(leaves, areas)],
+    return ([_finite_volume(leaf.length * area, eps) for leaf, area in zip(leaves, areas)],
             [leaf.length * error for leaf, error in zip(leaves, errors)], cells)
 
 

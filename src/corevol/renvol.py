@@ -78,6 +78,13 @@ def _inverse_square(eps: float) -> float:
         raise ValueError(f"eps^-2 leaves the float64 range at eps = {eps!r}") from None
 
 
+def _finite_volume(volume: float, eps: float) -> float:
+    """volume, or a ValueError naming eps where it leaves the float64 range."""
+    if not math.isfinite(volume):
+        raise ValueError(f"the truncated volume leaves the float64 range at eps = {eps!r}")
+    return volume
+
+
 def _sinh_squared(eps: float) -> float:
     """sinh(lambda)^2 of the level eps, built from eps so that no lambda
     amplifies its error.  Below eps = 1/2 it is (eps^-2 - 2 + eps^2) / 4,
@@ -104,12 +111,17 @@ def closed_volume(terms, eps: float, convention: Convention, base: float = 0.0) 
     weight) of `terms`, each the correctly rounded sum of its row's exact
     products times its weight.  The basis is built from eps, not from lam:
     sinh^2 lam (_sinh_squared) and sinh 2 lam = (eps^-2 - eps^2) / 2 have
-    no lam to amplify, so each is within a few u."""
+    no lam to amplify, so each is within a few u.  A volume past the
+    float64 range is a ValueError naming eps."""
     lam = level_lambda(eps)
     basis = ((_inverse_square(eps) - eps * eps) / 2.0, _sinh_squared(eps), lam, 1.0, eps)
     volumes = [weight * math.fsum(map(operator.mul, CLOSED_FORMS[convention, term], basis))
                for term, weight in terms]
-    return math.fsum([base, *volumes])
+    try:
+        volume = math.fsum([base, *volumes])
+    except OverflowError:  # fsum's, where finite volumes sum past the range
+        volume = math.inf
+    return _finite_volume(volume, eps)
 
 
 def renormalized_volume(terms, convention: Convention, base: float = 0.0) -> float:
@@ -236,7 +248,8 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values):
     """Oracle volumes and their error bounds at every level of eps_values,
     each integral one batch over all levels at rounding level, and the
     number of cells evaluated.  A QuadratureError names its eps level and
-    the integral it failed in."""
+    the integral it failed in; a volume past the float64 range is a
+    ValueError naming its eps."""
     lams = [level_lambda(float(e)) for e in eps_values]
     totals, errs, cells = [0.0] * len(lams), [0.0] * len(lams), 0
     integral = "core slab"
@@ -256,7 +269,7 @@ def _truncated_volumes(surface: SurfaceInfo, eps_values):
     except QuadratureError as exc:
         eps = float(eps_values[exc.owner])
         raise QuadratureError(f"{integral} at eps {eps!r}: {exc}", exc.owner) from None
-    return totals, errs, cells
+    return [_finite_volume(total, float(e)) for total, e in zip(totals, eps_values)], errs, cells
 
 
 # stays public: perfbench/tracer.py counts truncated_volume_quadrature.calls through it

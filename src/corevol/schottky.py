@@ -197,24 +197,6 @@ def generator_from_axis(p: float, q: float, length: float):
     return g, source, target
 
 
-def pairing_from_circles(source: Circle, target: Circle) -> Mobius:
-    """Canonical map carrying `source` onto `target`, exterior to interior.
-
-    z -> c_t - r_s r_t / (z - c_s); real circles give a real map, and
-    infinity lands on the target center.
-    """
-    k = source.radius * target.radius
-    return Mobius(
-        target.center, -k - target.center * source.center, 1.0, -source.center
-    )
-
-
-def cyclic_group(p: float, q: float, length: float) -> SchottkyData:
-    """Genus-1 Fuchsian group generated by a single axis generator."""
-    g, source, target = generator_from_axis(p, q, length)
-    return SchottkyData(circles=(source, target), pairings=(Pairing(0, 1, g),))
-
-
 # enumerate_words and word_mobius stay public: perfbench/tracer.py counts words through them
 def enumerate_words(group: ValidatedGroup, max_len: int) -> list[tuple[int, ...]]:
     """All reduced words of length <= max_len, each exactly once, as tuples of

@@ -388,6 +388,15 @@ def field_cache(monkeypatch):
     return cache
 
 
+def kept(cache):
+    """The sha256 of each field the cache keeps, least recently read first."""
+    return [entry[0] for entry in cache.values() if entry is not None]
+
+
+def file_id(path):
+    return path.stat().st_dev, path.stat().st_ino
+
+
 def fresh_parse(path):
     """The mesh and field of path, parsed without the cache."""
     with open(path, encoding="utf-8") as fh:
@@ -403,14 +412,14 @@ def test_field_csv_first_read_of_a_file_is_neither_hashed_nor_kept(tmp_path, fie
     def no_hashing(raw):
         raise AssertionError("hashed on the first read of its file")
 
-    monkeypatch.setattr(anomaly._HashingFile, "digest_to_end", no_hashing)
+    monkeypatch.setattr(anomaly._HashingFile, "rewind", no_hashing)
     paths = [tmp_path / f"field{k}.csv" for k in range(2)]
     for k, path in enumerate(paths):  # two files of one length
         path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
                         f"9,4,{k + 1}.0,2.0,flat_cylinder\n" + grid_rows(9))
         assert field_from_csv(path)[1].tobytes() == fresh_parse(path)[1].tobytes()
-    assert len(field_cache) == 0 and list(field_cache.files) == [
-        (path.stat().st_dev, path.stat().st_ino) for path in paths]
+    assert field_cache == {file_id(path): None for path in paths}
+    assert list(field_cache) == [file_id(path) for path in paths]
 
 
 def test_field_csv_one_read_does_not_load_hashlib(tmp_path):
@@ -423,10 +432,15 @@ def test_field_csv_one_read_does_not_load_hashlib(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out[1] == out[0]
+    assert out == ["False", "False"]
 
 
-def test_field_csv_hit_equals_a_fresh_parse_bitwise(tmp_path, field_cache):
+def test_field_csv_hit_equals_a_fresh_parse_bitwise(tmp_path, field_cache, monkeypatch):
+    # the second read of a file parses with no lookup pass: only the hit
+    # hashes the file before parsing it
+    lookups, digest_to_end = [], anomaly._HashingFile.digest_to_end
+    monkeypatch.setattr(anomaly._HashingFile, "digest_to_end",
+                        lambda raw: lookups.append(raw) or digest_to_end(raw))
     mesh = hyperbolic_mesh(33, 16)
     path = tmp_path / "field.csv"
     field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(3)), path)
@@ -440,11 +454,33 @@ def test_field_csv_hit_equals_a_fresh_parse_bitwise(tmp_path, field_cache):
         miss_mesh, miss = field_from_csv(file)
         hit_mesh, hit = field_from_csv(file)
         assert field_cache.parses == parses + 2  # the third call is a hit
+        assert len(lookups) == (1 if file is path else 2)
         assert mesh_params(hit_mesh) == mesh_params(miss_mesh) == mesh_params(ref_mesh)
         assert mesh_params(first_mesh) == mesh_params(ref_mesh)
         assert hit.tobytes() == miss.tobytes() == first.tobytes() == ref.tobytes()
-        assert hit.flags.writeable and hit.flags.c_contiguous
-        assert not np.shares_memory(hit, miss) and hit_mesh is not miss_mesh
+        assert hit.flags.c_contiguous and hit_mesh is not miss_mesh
+    assert kept(field_cache) == [hashlib.sha256(p.read_bytes()).digest() for p in (path, blank)]
+
+
+def test_field_csv_returns_read_only_fields(tmp_path, field_cache):
+    # the cache shares the field of a miss and of a hit: no caller can write
+    # into it, nor make it writeable again
+    mesh = hyperbolic_mesh(33, 16)
+    path = tmp_path / "field.csv"
+    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(5)), path)
+    ref = fresh_parse(path)[1].tobytes()
+    parses = field_cache.parses
+    for call in ("first", "miss", "hit", "hit"):
+        _, u = field_from_csv(path)
+        assert not u.flags.writeable, call
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            u[3, 4] += 1.0
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            u.flags.writeable = True
+        assert u.tobytes() == ref, call
+    assert field_cache.parses == parses + 2
+    assert anomaly_functionals(mesh, field_from_csv(path)[1]) == anomaly_functionals(
+        mesh, fresh_parse(path)[1])
 
 
 def test_field_csv_rewritten_file_with_its_old_mtime_is_parsed_again(tmp_path, field_cache):
@@ -454,12 +490,14 @@ def test_field_csv_rewritten_file_with_its_old_mtime_is_parsed_again(tmp_path, f
     stamp = path.stat()
     field_from_csv(path)
     _, old = field_from_csv(path)
-    assert len(field_cache) == 1
+    assert len(kept(field_cache)) == 1
     # the same rows in reverse order: the same size, other content
     path.write_text(header + "".join(reversed(grid_rows(9).splitlines(keepends=True))))
     os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
     _, new = field_from_csv(path)
+    assert field_cache.parses == 3
+    assert kept(field_cache) == [hashlib.sha256(path.read_bytes()).digest()]
     assert np.array_equal(new, old[::-1])
     assert new.tobytes() == fresh_parse(path)[1].tobytes()
 
@@ -468,39 +506,47 @@ def test_field_csv_file_rewritten_after_its_lookup_is_kept_under_the_bytes_parse
         tmp_path, field_cache, monkeypatch):
     path = tmp_path / "rows.csv"
     header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
-    old_text = header + grid_rows(9)
-    new_text = header + "".join(reversed(grid_rows(9).splitlines(keepends=True)))
+    rows = grid_rows(9).splitlines(keepends=True)
+    old_text, new_text = header + "".join(rows), header + "".join(reversed(rows))
+    moved_text = header + "".join(rows[1:] + rows[:1])
     path.write_text(old_text)
-    field_from_csv(path)  # records the file
+    field_from_csv(path)
+    field_from_csv(path)  # kept under the old text
+    path.write_text(moved_text)  # the lookup misses ...
     digest_to_end = anomaly._HashingFile.digest_to_end
 
     def rewrite_after_lookup(raw):
         digest = digest_to_end(raw)
-        path.write_text(new_text)  # in place: the open file reads the new bytes
+        path.write_text(new_text)  # ... and in place: the open file reads the new bytes
         return digest
 
     with monkeypatch.context() as patch:
         patch.setattr(anomaly._HashingFile, "digest_to_end", rewrite_after_lookup)
         _, u = field_from_csv(path)
-    assert list(field_cache) == [hashlib.sha256(new_text.encode()).digest()]
+    assert kept(field_cache) == [hashlib.sha256(new_text.encode()).digest()]
+    assert field_cache.parses == 3
+    _, again = field_from_csv(path)  # a hit on the bytes parsed
+    assert field_cache.parses == 3 and again.tobytes() == u.tobytes()
     path.write_text(old_text)
     _, old = field_from_csv(path)
-    assert np.array_equal(u, old[::-1]) and field_cache.parses == 3
+    assert np.array_equal(u, old[::-1]) and field_cache.parses == 4
 
 
 def test_field_csv_cache_keeps_no_failure(tmp_path, field_cache):
     path = tmp_path / "rows.csv"
     header = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n"
-    # a file that failed, then fixed, parses; each is read twice, so that the
-    # second read goes through the cache
+    # a file that failed, then fixed, parses: a failed read is not recorded,
+    # so the fixed file is kept at its second read and hit at its third
     path.write_text(header + grid_rows(8))
     for _ in range(2):
         with pytest.raises(ValueError, match="8 grid rows, not n_t = 9"):
             field_from_csv(path)
-    assert len(field_cache) == 0
+    assert kept(field_cache) == []
     path.write_text(header + grid_rows(9))
-    for _ in range(2):
+    for _ in range(3):
         assert field_from_csv(path)[1][8, 3] == 0.1 * 8 + 0.01 * 3
+    good = kept(field_cache)
+    assert len(good) == 1 and field_cache.parses == 4
     # a file that parsed, then broke, raises the error of a fresh parse
     for broken, message in [(header + grid_rows(10), "more than n_t = 9 grid rows"),
                             (header + grid_rows(3) + "0.1,abc,0.3,0.4\n" + grid_rows(5),
@@ -510,51 +556,45 @@ def test_field_csv_cache_keeps_no_failure(tmp_path, field_cache):
             with pytest.raises(ValueError) as err:
                 field_from_csv(path)
             assert str(err.value) == f"{path}: {message}"
-    assert len(field_cache) == 1
+    assert kept(field_cache) == good
 
 
 def test_field_csv_non_utf8_error_is_unchanged_by_the_cache(tmp_path, field_cache):
     # the position in the message is counted within the decoder's chunk, as
-    # when the file is read line by line through open(); each broken file
-    # is read once without the cache, its first read, and once through it
+    # when the file is read line by line through open(), on each path: the
+    # first read, the second (through the hashing reader) and a later one
+    # whose lookup misses
     mesh = hyperbolic_mesh(65, 64)
-    path = tmp_path / "field.csv"
-    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(4)), path)
-    good = path.read_bytes()
+    good_path = tmp_path / "field.csv"
+    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(4)), good_path)
+    good = good_path.read_bytes()
     for position in (3, 8191, 8192, 20000, len(good) - 2):
-        path.write_bytes(good[:position] + b"\xff" + good[position + 1:])
+        bad = good[:position] + b"\xff" + good[position + 1:]
+        good_path.write_bytes(bad)
         with pytest.raises(UnicodeDecodeError) as expected:
-            with open(path, encoding="utf-8") as fh:
+            with open(good_path, encoding="utf-8") as fh:
                 for _ in fh:
                     pass
-        field_cache.files.clear()
-        for read in ("without the cache", "through the cache"):
+        new = tmp_path / f"bad{position}.csv"  # a file not read before
+        new.write_bytes(bad)
+        good_path.write_bytes(good)
+        field_from_csv(good_path)  # kept from the second read on
+        field_from_csv(good_path)
+        good_path.write_bytes(bad)
+        for path, read in ((new, "first"), (new, "second"), (good_path, "later")):
             with pytest.raises(UnicodeDecodeError) as err:
                 field_from_csv(path)
-            assert str(err.value) == str(expected.value), read
-    assert len(field_cache) == 0
-
-
-def test_field_csv_returned_fields_do_not_alias_the_cache(tmp_path, field_cache):
-    mesh = hyperbolic_mesh(33, 16)
-    path = tmp_path / "field.csv"
-    field_to_csv(mesh, random_smooth_field(mesh, np.random.default_rng(5)), path)
-    ref = fresh_parse(path)[1].tobytes()
-    field_from_csv(path)
-    parses = field_cache.parses
-    _, miss = field_from_csv(path)
-    miss[3, 4] += 1.0  # the cache shares the miss's field: the next call parses again
-    _, reparsed = field_from_csv(path)
-    assert reparsed.tobytes() == ref and field_cache.parses == parses + 2
-    _, hit = field_from_csv(path)
-    hit[:] = 0.0  # a hit is a copy: the next call is a hit too
-    _, again = field_from_csv(path)
-    assert again.tobytes() == ref and field_cache.parses == parses + 2
+            assert str(err.value) == str(expected.value), (position, read)
+        assert kept(field_cache) == [hashlib.sha256(good).digest()]
+    # three failed parses per position, and the good file's first two reads
+    assert field_cache.parses == 3 * 5 + 2
 
 
 def test_field_csv_cache_evicts_oldest_first_within_its_budget(tmp_path, field_cache):
-    entry_bytes = 9 * 4 * 8 + anomaly._FieldCache.ENTRY_BYTES
-    field_cache.budget = 2 * entry_bytes
+    # oldest: least recently read
+    record = anomaly._FieldCache.ENTRY_BYTES
+    entry_bytes = 9 * 4 * 8 + record
+    field_cache.budget = 2 * entry_bytes + record
     paths = []
     for k in range(3):  # three files that differ in their t extent
         paths.append(tmp_path / f"field{k}.csv")
@@ -563,51 +603,58 @@ def test_field_csv_cache_evicts_oldest_first_within_its_budget(tmp_path, field_c
     digests = [hashlib.sha256(p.read_bytes()).digest() for p in paths]
     for path in paths + paths:  # the first read of a file is not kept
         field_from_csv(path)
-    assert list(field_cache) == digests[1:] and field_cache.nbytes == 2 * entry_bytes
+    # the third field drops the first file, the least recently read
+    assert list(field_cache) == [file_id(p) for p in paths[1:]]
+    assert kept(field_cache) == digests[1:] and field_cache.nbytes == 2 * entry_bytes
     parses = field_cache.parses
     field_from_csv(paths[2])
     field_from_csv(paths[1])
-    assert field_cache.parses == parses
-    field_from_csv(paths[0])  # parsed, and the oldest goes
-    assert field_cache.parses == parses + 1
-    assert list(field_cache) == digests[2:] + digests[:1]
+    assert field_cache.parses == parses and kept(field_cache) == [digests[2], digests[1]]
+    field_from_csv(paths[0])  # read once again: recorded, not kept
+    field_from_csv(paths[0])  # kept, and the least recently read file goes
+    assert field_cache.parses == parses + 2
+    assert list(field_cache) == [file_id(paths[1]), file_id(paths[0])]
+    assert kept(field_cache) == [digests[1], digests[0]]
+    assert field_cache.nbytes == 2 * entry_bytes
     # a field over the whole budget is parsed and returned, not kept
     big = tmp_path / "big.csv"
-    big.write_text("n_t,n_theta,t_extent,circumference,tag\n9,24,1.0,2.0,flat_cylinder\n"
-                   + grid_rows(9, n_theta=24))
-    for _ in range(2):
-        assert field_from_csv(big)[1].nbytes + anomaly._FieldCache.ENTRY_BYTES > (
-            field_cache.budget)
-    assert list(field_cache) == digests[2:] + digests[:1]
-    assert field_cache.nbytes == 2 * entry_bytes
+    big.write_text("n_t,n_theta,t_extent,circumference,tag\n9,40,1.0,2.0,flat_cylinder\n"
+                   + grid_rows(9, n_theta=40))
+    for _ in range(3):
+        assert field_from_csv(big)[1].nbytes + record > field_cache.budget
+    assert list(field_cache) == [file_id(paths[1]), file_id(paths[0]), file_id(big)]
+    assert kept(field_cache) == [digests[1], digests[0]] and field_cache.parses == parses + 5
+    assert field_cache.nbytes == 2 * entry_bytes + record
 
 
 def test_field_cache_counts_entries_of_minimal_fields_within_its_budget(field_cache):
-    # on an 8x4 field the objects of an entry, not the field's 256 bytes,
-    # take most of its memory: ENTRY_BYTES counts them
+    # on a file read once, and on an 8x4 field, the objects of a record,
+    # not the field's 256 bytes, take most of its memory: ENTRY_BYTES counts
+    # them
     field_cache.budget = 64 << 10
-    entry_bytes = 8 * 4 * 8 + anomaly._FieldCache.ENTRY_BYTES
-    tracemalloc.start()
-    try:
+    record = anomaly._FieldCache.ENTRY_BYTES
+    entry_bytes = 8 * 4 * 8 + record
+
+    def read_once():
+        for i in range(500):
+            field_cache.record((0, i), None)
+
+    assert traced_memory(read_once)[0] <= field_cache.budget
+    assert len(field_cache) == field_cache.budget // record
+    assert list(field_cache)[0] == (0, 500 - len(field_cache))
+    field_cache.clear()
+    field_cache.nbytes = 0
+
+    def keep_fields():
         for i in range(500):
             mesh = flat_mesh(8, 4, T=1.0 + i)
-            field_cache.keep(hashlib.sha256(bytes([i % 256, i // 256])).digest(), mesh,
-                             mesh.constant(float(i)))
-        del mesh
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+            u = mesh.constant(float(i))
+            u.flags.writeable = False
+            field_cache.record((1, i), (hashlib.sha256(u).digest(), mesh_params(mesh), u))
+
+    assert traced_memory(keep_fields)[0] <= field_cache.budget
     assert len(field_cache) == field_cache.budget // entry_bytes
     assert field_cache.nbytes == len(field_cache) * entry_bytes
-    assert held <= field_cache.budget
-    # and the files read are the last FILES, a file read again last
-    files = anomaly._FieldCache.FILES
-    for inode in range(3 * files):
-        field_cache.read_before((0, inode))
-    again = 2 * files + 5
-    assert field_cache.read_before((0, again))
-    assert [inode for _, inode in field_cache.files] == [
-        *range(2 * files, again), *range(again + 1, 3 * files), again]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -615,21 +662,23 @@ def test_field_csv_from_a_pipe_bypasses_the_cache(tmp_path, field_cache):
     path = tmp_path / "pipe.csv"
     os.mkfifo(path)
     text = "n_t,n_theta,t_extent,circumference,tag\n9,4,1.0,2.0,flat_cylinder\n" + grid_rows(9)
-    for _ in range(2):
+    for _ in range(3):
         writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
         writer.start()
         _, u = field_from_csv(path)
         writer.join(timeout=10.0)
         assert not writer.is_alive()
         assert u[8, 3] == 0.1 * 8 + 0.01 * 3
-    assert len(field_cache) == 0 and field_cache.parses == 2
+    assert len(field_cache) == 0 and field_cache.parses == 3
 
 
 def test_field_cache_stays_within_its_budget_under_threads(field_cache):
-    # eight threads record files and store fields at once, each store
+    # eight threads record files and keep fields at once, each record
     # evicting, with the interpreter switching threads every microsecond
     mesh = flat_mesh(9, 4)
     u = mesh.zeros()
+    u.flags.writeable = False
+    entry = hashlib.sha256(u).digest(), mesh_params(mesh), u
     entry_bytes = u.nbytes + anomaly._FieldCache.ENTRY_BYTES
     field_cache.budget = 3 * entry_bytes
     errors = []
@@ -637,8 +686,8 @@ def test_field_cache_stays_within_its_budget_under_threads(field_cache):
     def store(k):
         try:
             for i in range(2000):
-                field_cache.read_before((k, i))
-                field_cache.keep(f"{k}:{i}".encode(), mesh, u)
+                field_cache.record((k, i), None)
+                field_cache.record((k, i), entry)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -654,32 +703,41 @@ def test_field_cache_stays_within_its_budget_under_threads(field_cache):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(field_cache) == 3 and field_cache.nbytes == 3 * entry_bytes
-    assert len(field_cache.files) == anomaly._FieldCache.FILES
+    # the count matches the records, the table is full, and the last record
+    # made keeps a field
+    assert field_cache.nbytes == sum(
+        anomaly._FieldCache.ENTRY_BYTES + (e[2].nbytes if e else 0)
+        for e in field_cache.values())
+    assert field_cache.budget - entry_bytes < field_cache.nbytes <= field_cache.budget
+    assert len(kept(field_cache)) >= 1
 
 
-def traced_peak(call):
-    """Peak bytes that numpy and Python allocate during call(), above what
-    was allocated before it."""
+def traced_memory(call):
+    """Bytes that numpy and Python hold after call() returns, and their peak
+    during it, above what was allocated before it."""
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
 
+def traced_peak(call):
+    return traced_memory(call)[1]
+
+
 def test_field_csv_peak_memory(tmp_path, field_cache):
     # the field itself and one row of text on the first read and on the miss
-    # (the cache shares the parsed field), the copy of the cached field on
-    # the hit
+    # (the cache keeps the parsed field), the hashing reader's chunk on the
+    # hit, which allocates no field
     mesh = hyperbolic_mesh(257, 256)
     u = random_smooth_field(mesh, np.random.default_rng(2))
     path = tmp_path / "field.csv"
     field_to_csv(mesh, u, path)
-    for call, kept in (("first", 0), ("miss", 1), ("hit", 1)):
-        assert traced_peak(lambda: field_from_csv(path)) <= 1.5 * u.nbytes, call
-        assert len(field_cache) == kept, call
+    for call, bound, n_kept in (("first", 1.5, 0), ("miss", 1.5, 1), ("hit", 0.25, 1)):
+        assert traced_peak(lambda: field_from_csv(path)) <= bound * u.nbytes, call
+        assert len(kept(field_cache)) == n_kept, call
 
 
 # ------------------------------------------------------ row-block functionals

@@ -54,7 +54,8 @@ ANOMALY_CONFIG = {
 
 
 def _fill_g2():
-    from corevol.schottky import Circle, pairing_from_circles
+    from conftest import pairing_from_circles
+    from corevol.schottky import Circle
 
     circles = [Circle(c["center"], c["radius"]) for c in G2_CONFIG["circles"]]
     pairs = []
@@ -198,7 +199,7 @@ README_ANOMALY_CONFIG = {
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 
-WATCHED = ("numpy", "scipy", "dataclasses", "inspect")
+WATCHED = ("numpy", "scipy", "dataclasses", "inspect", "hashlib")
 importers = {}
 
 
@@ -238,12 +239,23 @@ def test_only_anomaly_loads_numpy(tmp_path):
     # the README configs: every Fuchsian and pleated command runs without
     # numpy, and anomaly, which needs it, still runs after them.  scipy and
     # dataclasses are never loaded; inspect is loaded only by numpy's own
-    # import (numpy._core.overrides imports it), so not before anomaly
+    # import (numpy._core.overrides imports it), so not before anomaly.
+    # hashlib is never loaded: a csv field read once in a process is parsed
+    # without the field cache's hashing
+    mesh = README_ANOMALY_CONFIG["mesh"]
+    field = tmp_path / "field.csv"
+    field.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                     f"{mesh['n_t']},{mesh['n_theta']},{mesh['t_extent']!r},"
+                     f"{mesh['circumference']!r},{mesh['tag']}\n"
+                     + f"{','.join(['0.25'] * mesh['n_theta'])}\n" * mesh["n_t"],
+                     encoding="utf-8")
+    csv_config = dict(README_ANOMALY_CONFIG, field={"kind": "csv", "path": str(field)})
     runs = [(command, write_config(tmp_path, config, f"{k}.json"))
             for k, (command, config) in enumerate([
                 ("validate", BTZ_CONFIG), ("surface-info", README_G2_CONFIG),
                 ("renvol", BTZ_CONFIG), ("renvol", README_G2_CONFIG),
-                ("wedge", README_PLEATED_CONFIG), ("anomaly", README_ANOMALY_CONFIG)])]
+                ("wedge", README_PLEATED_CONFIG), ("anomaly", README_ANOMALY_CONFIG),
+                ("anomaly", csv_config)])]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)], env=env,
                          check=True, capture_output=True, text=True).stdout
@@ -252,6 +264,7 @@ def test_only_anomaly_loads_numpy(tmp_path):
         ["start", []], ["import corevol", []], ["import corevol.cli", []],
         ["validate 0", []], ["surface-info 0", []], ["renvol 0", []], ["renvol 0", []],
         ["wedge 0", []], ["anomaly 0", ["numpy", "inspect"]],
+        ["anomaly 0", ["numpy", "inspect"]],
     ]
     importers = probe["importers"]
     assert sorted(importers) == ["inspect", "numpy"]

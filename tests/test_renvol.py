@@ -128,31 +128,49 @@ def test_closed_volume_eps_domain(surface_s1, eps):
 EPS_INVERSE_SQUARE_FLOOR = 7.458340731200208e-155
 
 
+def past_the_range(what, eps):
+    return pytest.raises(ValueError, match=re.escape(
+        f"{what} leaves the float64 range at eps = {eps!r}"))
+
+
 @pytest.mark.parametrize("entry", ["closed_volume", "profile_quadrature",
                                    "wedge_volume_quadrature"])
-def test_eps_whose_inverse_square_overflows_is_a_value_error(surface_s1, entry):
-    # each entry's volume at the level eps
+def test_eps_whose_inverse_square_overflows_is_a_value_error(surface_s1, surface_adjacent,
+                                                             entry):
+    # each entry's volumes at the level eps: on the README genus 1 and 2
+    # surfaces, the closed form in both conventions, and on a wedge
+    surfaces = (surface_s1, surface_adjacent)
     calls = {
-        "closed_volume": lambda e: closed_volume(surface_terms(surface_s1), e,
-                                                 Convention.PAPER),
-        "profile_quadrature": lambda e: profile_quadrature(surface_s1, [0.3, e]).samples[-1][1],
-        "wedge_volume_quadrature": lambda e: wedge_volume_quadrature(
-            (PleatLeaf(1.0, 0.0),), e)[0][0],
+        "closed_volume": [lambda e, s=s, c=c: closed_volume(surface_terms(s), e, c)
+                          for s in surfaces for c in Convention],
+        "profile_quadrature": [lambda e, s=s: profile_quadrature(s, [0.3, e]).samples[-1][1]
+                               for s in surfaces],
+        "wedge_volume_quadrature": [
+            lambda e: wedge_volume_quadrature((PleatLeaf(3.0, 0.0),), e)[0][0]],
     }
     floor = EPS_INVERSE_SQUARE_FLOOR
     below = math.nextafter(floor, 0.0)
     assert math.isfinite(floor ** -2)
     with pytest.raises(OverflowError):
         below ** -2
-    value = calls[entry](floor)  # no error at the floor itself
+    for volume in calls[entry]:
+        assert math.isfinite(volume(1e-150))  # the CLI's eps floor
+        # at the floor eps^-2 is finite and the volume leaves the range
+        with past_the_range("the truncated volume", floor):
+            volume(floor)
+        with past_the_range("eps^-2", below):
+            volume(below)
+    if entry == "closed_volume":
+        # finite core and end volumes whose sum overflows in math.fsum
+        eps = 1.8081517111843692e-154
+        with past_the_range("the truncated volume", eps):
+            closed_volume(surface_terms(surface_adjacent), eps, Convention.DERIVED)
     if entry == "wedge_volume_quadrature":
-        assert math.isfinite(value)
-    else:
-        # known: at the floor the volume itself leaves the float64 range,
-        # and these two return inf without an error
-        assert math.isinf(value)
-    with pytest.raises(ValueError, match=re.escape(f"at eps = {below!r}")):
-        calls[entry](below)
+        # a unit leaf stays finite at the floor; a long one leaves the range
+        # at the CLI's eps floor
+        assert math.isfinite(wedge_volume_quadrature((PleatLeaf(1.0, 0.0),), floor)[0][0])
+        with past_the_range("the truncated volume", 1e-150):
+            wedge_volume_quadrature((PleatLeaf(1e10, 0.0),), 1e-150)
 
 
 def test_conventions_differ_by_model_form(surface_adjacent):

@@ -16,16 +16,20 @@ from corevol.schottky import (
     SchottkyError,
     ValidatedGroup,
     _sort_dedup,
-    cyclic_group,
     enumerate_words,
     generator_from_axis,
     limit_set_sample,
-    pairing_from_circles,
     validate,
     word_mobius,
 )
 
-from conftest import make_cyclic, make_row_group, same_isometry
+from conftest import (
+    cyclic_group,
+    make_cyclic,
+    make_row_group,
+    pairing_from_circles,
+    same_isometry,
+)
 
 
 def word_count(g, n):

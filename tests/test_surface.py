@@ -127,7 +127,7 @@ def test_invariants_stable_under_pairing_inversion(g2_crossed, surface_crossed):
 def test_endpoint_mismatch_reported():
     # bypass validation with a map that pairs the wrong circles
     circles = (Circle(-3.0, 0.4), Circle(-1.0, 0.4), Circle(1.0, 0.4), Circle(3.0, 0.4))
-    from corevol.schottky import pairing_from_circles
+    from conftest import pairing_from_circles
 
     good = pairing_from_circles(circles[0], circles[1])
     bad = pairing_from_circles(circles[2], Circle(3.0, 0.5))
