@@ -173,21 +173,22 @@ def parse_config(raw) -> dict:
     if mode == "fuchsian_group":
         generators = _records(raw, "generators", where, AXIS)
         circles = _records(raw, "circles", where, CIRCLE)
-        if generators and circles:
+        pairings = _records(raw, "pairings", where, PAIRING)
+        if generators and (circles or pairings):
             raise ConfigError(
                 f"{where}: give either circles+pairings or axis generators, not both"
             )
         if generators:
             cfg["generators"] = generators
+        elif circles and pairings:
+            cfg["circles"], cfg["pairings"] = circles, pairings
         else:
-            pairings = _records(raw, "pairings", where, PAIRING)
-            if not circles or not pairings:
-                raise ConfigError(f"{where}: fuchsian_group needs circles and pairings")
-            cfg["circles"] = circles
-            cfg["pairings"] = pairings
+            raise ConfigError(f"{where}: fuchsian_group needs circles and pairings")
     elif mode == "pleated_core":
         cfg["core_volume"] = _number(raw.get("core_volume", 0.0), f"{where}.core_volume")
         cfg["leaves"] = _records(raw, "leaves", where, LEAF)
+        if "boundary_area" in raw and "boundary_genus" in raw:
+            raise ConfigError(f"{where}: give either boundary_area or boundary_genus, not both")
         if "boundary_area" in raw:
             cfg["boundary_area"] = _number(raw["boundary_area"], f"{where}.boundary_area")
         if "boundary_genus" in raw:

@@ -197,7 +197,10 @@ def generator_from_axis(p: float, q: float, length: float):
     return g, source, target
 
 
-# enumerate_words and word_mobius stay public: perfbench/tracer.py counts words through them
+# enumerate_words and word_mobius stay public only for perfbench: no pipeline
+# path calls them, so their traced metrics read 0, but
+# tests/test_bench_metrics.py ties the metric keys of perfbench/tracer.py
+# (words, word_mobius.calls) to the per_layer list of BENCHMARK.json
 def enumerate_words(group: ValidatedGroup, max_len: int) -> list[tuple[int, ...]]:
     """All reduced words of length <= max_len, each exactly once, as tuples of
     letters: +i is generator i, -i its inverse (1-based).

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corevol import cli, pleated, quadrature, renvol
+from corevol import cli, pleated, renvol
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
 
@@ -272,40 +272,6 @@ def test_only_anomaly_loads_numpy(tmp_path):
     assert importers["inspect"].startswith("numpy.")
 
 
-def test_cell_budget_exhaustion_in_wedge_is_a_json_error(tmp_path, capsys, monkeypatch):
-    # a right-angle leaf needs one cell per piece; a theta = 0 leaf needs two
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
-    assert main(["wedge", "--config", write_config(tmp_path, WEDGE_CONFIG)]) == 0
-    capsys.readouterr()
-    config = dict(WEDGE_CONFIG, leaves=[{"length": 2.0, "theta": 0.0}])
-    assert main(["wedge", "--config", write_config(tmp_path, config)]) == 2
-    out = capsys.readouterr().out
-    assert out.count("\n") == 1
-    error = json.loads(out)["error"]
-    assert error["kind"] == "quadrature"
-    assert "not met within 1 cells on [" in error["message"]
-    assert "np." not in error["message"]
-
-
-def test_cell_budget_exhaustion_in_wedge_names_the_leaf_and_eps(tmp_path, capsys, monkeypatch):
-    # one cell stops the theta = 0 leaf; a flat leaf (theta = pi) needs no
-    # quadrature, so put in front it moves the failing leaf to index 1
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
-    leaves = [{"length": 1.0, "theta": 0.0}, {"length": 2.0, "theta": math.pi / 3.0}]
-    flat = {"length": 1.5, "theta": math.pi}
-    # reversed, the pi/3 leaf converges in one cell and only the later leaf fails
-    for leaves, failing in [(leaves, 0), ([flat] + leaves, 1), (leaves[::-1], 1)]:
-        config = dict(WEDGE_CONFIG, leaves=leaves)
-        assert main(["wedge", "--config", write_config(tmp_path, config)]) == 2
-        error = _one_error(capsys)
-        assert error["kind"] == "quadrature"
-        grid = parse_config(config)["epsilon_grid"]
-        eps_check = math.sqrt(grid["min"] * grid["max"])
-        prefix = f"leaf {failing} at eps {eps_check!r}: tolerance "
-        assert error["message"].startswith(prefix)
-        assert "not met within 1 cells on [0.0, " in error["message"]
-
-
 def test_renvol_single_convention_flag(tmp_path, capsys):
     code = main([
         "renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
@@ -404,6 +370,25 @@ def test_wedge_worked_example(tmp_path, capsys):
     quad = float(report["leaf.0.wedge_quadrature_at_eps_check"])
     derived = float(report["leaf.0.wedge_derived_at_eps_check"])
     assert quad == pytest.approx(derived, rel=1e-5)
+
+
+IDENTITY_PAIRING = {"source": 0, "target": 1, "matrix": [1.0, 0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, config, keys", [
+    ("validate", dict(BTZ_CONFIG, pairings=[IDENTITY_PAIRING]), ("pairings", "generators")),
+    ("validate", dict(BTZ_CONFIG, circles=G2_CONFIG["circles"]), ("circles", "generators")),
+    ("wedge", dict(WEDGE_CONFIG, boundary_area=1.0, boundary_genus=3),
+     ("boundary_area", "boundary_genus")),
+], ids=["generators_pairings", "generators_circles", "boundary_area_genus"])
+@pytest.mark.parametrize("echo", [False, True])
+def test_contradictory_keys_are_a_config_error(tmp_path, capsys, command, config, keys, echo):
+    # neither key of a contradictory pair is dropped in silence
+    argv = [command, "--config", write_config(tmp_path, config)]
+    assert main(argv + ["--echo-config"] * echo) == 1
+    error = _one_error(capsys)
+    assert error["kind"] == "config"
+    assert all(key in error["message"] for key in keys)
 
 
 def test_wedge_genus_three_boundary_area(tmp_path, capsys):
@@ -770,16 +755,30 @@ def test_report_rejects_non_finite_values_by_key(value):
         cli.Report().add("surface.end_lengths", value)
 
 
+# the one oracle failure an input can reach: cosh^2 past the float64 range
+# in the core slab, at a level below eps 3.7e-155
+DEEP_SLAB_FAILURE = ("core slab at eps 1e-160: integrand is not finite on "
+                     "[354.13551078456504, 356.96859487084157]")
+
+
 def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise QuadratureError("rounding level not met within 4096 cells")
+        raise QuadratureError(DEEP_SLAB_FAILURE)
 
     monkeypatch.setattr(cli, "profile_quadrature", fail)
     code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG)])
     assert code == 2
     error = _one_error(capsys)
-    assert error["kind"] == "quadrature"
-    assert "not met" in error["message"]
+    assert error == {"kind": "quadrature", "message": DEEP_SLAB_FAILURE}
+
+
+def test_core_slab_past_the_float64_range_is_a_quadrature_error(tmp_path, capsys, monkeypatch):
+    # EPS_FLOOR keeps every config short of it; lowered, a README genus 2
+    # grid down to 1e-160 fails in its core slab, not in a fake
+    monkeypatch.setattr(cli, "EPS_FLOOR", 1e-300)
+    assert main(["renvol", "--config", write_config(tmp_path, README_G2_CONFIG),
+                 "--eps-min", "1e-160"]) == 2
+    assert _one_error(capsys) == {"kind": "quadrature", "message": DEEP_SLAB_FAILURE}
 
 
 @pytest.mark.parametrize("command, config", [("validate", BTZ_CONFIG), ("renvol", BTZ_CONFIG),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corevol import pleated, quadrature, surface_invariants
+from corevol import pleated, surface_invariants
 from corevol.pleated import (
     PleatLeaf,
     PleatedCoreData,
@@ -23,7 +23,6 @@ from corevol.renvol import (
     renormalized_volume,
     surface_terms,
 )
-from corevol.quadrature import QuadratureError
 from corevol.surface import SurfaceInfo
 
 from conftest import make_row_group
@@ -146,22 +145,6 @@ def test_wedge_has_rank_one_structure():
         factors.append(v / ((math.pi - theta) * length))
     for f in factors[1:]:
         assert f == pytest.approx(factors[0], rel=1e-6)
-
-
-@pytest.mark.parametrize("leaves, failing", [
-    ((PleatLeaf(1.0, 0.0), PleatLeaf(2.0, math.pi / 3.0)), 0),
-    ((PleatLeaf(1.5, math.pi), PleatLeaf(1.0, 0.0)), 1),
-    ((PleatLeaf(2.0, math.pi / 3.0), PleatLeaf(1.0, 0.0)), 1),
-])
-def test_wedge_quadrature_failure_names_the_leaf_and_eps(monkeypatch, leaves, failing):
-    # one cell stops the theta = 0 leaf; the pi/3 leaf converges in one cell,
-    # and a flat leaf needs none, so the failing leaf is the theta = 0 one
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 1)
-    eps = math.sqrt(1e-3 * 0.3)
-    with pytest.raises(QuadratureError) as failure:
-        wedge_volume_quadrature(leaves, eps)
-    assert failure.value.owner == failing
-    assert str(failure.value).startswith(f"leaf {failing} at eps {eps!r}: tolerance ")
 
 
 BATCH_THETAS = (0.0, 1e-300, math.pi / 2.0, math.nextafter(math.pi / 2.0, 4.0), math.pi)

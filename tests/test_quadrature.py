@@ -12,7 +12,7 @@ from scipy import integrate as scipy_integrate
 from corevol import quadrature
 from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.quadrature import QuadratureError, adaptive_quad, cosh_squared_slabs
-from corevol import renvol
+from corevol import cli, renvol
 from corevol.renvol import _sector_areas, default_eps_grid, level_lambda
 
 U = 2.0 ** -53
@@ -93,25 +93,35 @@ def test_batch_agrees_with_scipy_quad_vec():
     np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
 
 
-def test_batch_unconvergeable_member_raises(monkeypatch):
+def test_batch_unconvergeable_member_raises():
     # cosh^2 overflows past x = 355, in the second slab's cells
     with pytest.raises(QuadratureError, match="not finite") as failed:
         cosh_squared_slabs([1.0, 400.0])
     assert failed.value.owner == 1
-    # the certified cosh^2 cells are 2.8331 wide: each of the first three
-    # slabs fits in 8 cells, the fourth needs 36 and owns the failure,
-    # before any cell is evaluated
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 8)
-    lams = [1.0, 2.0, 3.0]
-    values, _, _ = cosh_squared_slabs(lams)
-    assert values == pytest.approx([lam / 2 + math.sinh(2 * lam) / 4 for lam in lams], rel=1e-14)
-    evaluated = []
-    monkeypatch.setattr(quadrature, "_cell", lambda *args: evaluated.append(args))
-    with pytest.raises(QuadratureError, match=r"within 8 cells .*\(the certified partition "
-                       r"needs 36\)$") as failed:
-        cosh_squared_slabs(lams + [100.0])
-    assert failed.value.owner == 3
-    assert evaluated == []
+
+
+def test_certified_partitions_stay_within_a_few_cells(monkeypatch):
+    # the arc piece of a sector takes at most 2 cells at every theta in
+    # [0, pi] (the kink as _sector_areas places it) ...
+    thetas = [math.pi * i / 100_000 for i in range(100_001)]
+    for theta in thetas + [0.0, 5e-324, 1e-300, math.nextafter(math.pi, 0.0)]:
+        s_kink = math.cos(0.5 * theta) / math.sqrt(1.0 + math.sin(0.5 * theta))
+        assert renvol._arc_partition(s_kink)[0] <= 2, theta
+    # ... the slab at the CLI's eps floor takes 122 ...
+    assert cosh_squared_slabs([level_lambda(cli.EPS_FLOOR)])[2] == 122
+    # ... a slab past the float64 range stops at its 126th cell, as not finite ...
+    cells = []
+    cell = quadrature._cell
+    monkeypatch.setattr(quadrature, "_cell", lambda *args: cells.append(args) or cell(*args))
+    with pytest.raises(QuadratureError, match="not finite"):
+        cosh_squared_slabs([1e6])
+    assert len(cells) == 126
+    # ... and a sector area is finite at the deepest level _sinh_squared takes
+    eps = 7.458340731200208e-155
+    areas, errors, _ = _sector_areas([eps] * 3, [0.0, 1.0, math.pi / 2.0])
+    assert all(map(math.isfinite, areas + errors))
+    with pytest.raises(ValueError, match="leaves the float64 range"):
+        _sector_areas([math.nextafter(eps, 0.0)], [0.0])
 
 
 # the slab rule's bits at levels the goldens do not reach (eps below 1e-3
@@ -330,13 +340,3 @@ def test_wedge_error_bound_covers_the_50_digit_error(theta, eps):
     values, errors, _ = wedge_volume_quadrature((PleatLeaf(1.0, theta),), eps)
     assert abs(values[0] - _exact_wedge(theta, 1.0, eps)) <= errors[0]
     assert errors[0] <= 100 * U * values[0]
-
-
-def test_sector_area_that_is_not_finite_is_owned(monkeypatch):
-    # the guard behind every sector: an area out of the float64 range is a
-    # QuadratureError of its sector, not a number
-    monkeypatch.setattr(renvol, "_sinh_squared", lambda eps: math.inf if eps < 0.25 else 1.0)
-    assert _sector_areas([0.3], [1.0])[2] == 2
-    with pytest.raises(QuadratureError, match=r"^the sector area inf is not finite$") as e:
-        _sector_areas([0.3, 0.2], [math.pi, 1.0])
-    assert e.value.owner == 1

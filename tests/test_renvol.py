@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corevol import quadrature, renvol, surface_invariants
-from corevol.cli import build_group, main, parse_config
+from corevol.cli import build_group, parse_config
 from corevol.quadrature import QuadratureError
 from corevol.renvol import (
     Convention,
@@ -343,47 +342,17 @@ README_GENUS2 = {
 }
 
 
-def test_cell_budget_exhaustion_in_renvol_is_a_json_error(tmp_path, capsys, monkeypatch):
-    # one cell stops genus 1's end term, whose certified partition needs
-    # two at every level, on the default grid and down to eps 1e-6 alike,
-    # and genus 2 stops in its certified core slab, 2 cells past lam = 2.83
-    path = tmp_path / "group.json"
-    path.write_text(json.dumps(README_GENUS1), encoding="utf-8")
-    assert main(["renvol", "--config", str(path)]) == 0
-    default_budget = capsys.readouterr().out
-    deep = dict(README_GENUS1, epsilon_grid={"min": 1e-6, "max": 0.3, "count": 12})
-    for config, cells, integral, why in [
-        (README_GENUS1, 1, "end cylinder", "(the certified partition needs 2)"),
-        (deep, 1, "end cylinder", "(the certified partition needs 2)"),
-        (README_GENUS2, 1, "core slab", "(the certified partition needs 2)"),
-    ]:
-        monkeypatch.setattr(quadrature, "MAX_CELLS", cells)
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["renvol", "--config", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1
-        error = json.loads(out)["error"]
-        assert error["kind"] == "quadrature"
-        message = error["message"]
-        assert f"not met within {cells} cells on [0.0, " in message
-        assert why in message
-        named, eps = message.split(": ")[0].split(" at eps ")
-        assert named == integral
-        cfg = parse_config(config)
-        grid = cfg["epsilon_grid"]
-        assert float(eps) in default_eps_grid(grid["min"], grid["max"], grid["count"])
-        # intervals are partitioned independently of their batch, so the
-        # level named fails alone with the same message
-        surface = surface_invariants(build_group(cfg))
-        with pytest.raises(QuadratureError) as alone:
-            truncated_volume_quadrature(surface, float(eps))
-        assert str(alone.value) == message
-    # two cells suffice for genus 1's end term at every default level, and
-    # a budget that is not reached does not move the report
-    path.write_text(json.dumps(README_GENUS1), encoding="utf-8")
-    monkeypatch.setattr(quadrature, "MAX_CELLS", 2)
-    assert main(["renvol", "--config", str(path)]) == 0
-    assert capsys.readouterr().out == default_budget
+def test_core_slab_failure_does_not_depend_on_its_batch():
+    # cosh^2 leaves the float64 range past x = 355.58: README genus 2's
+    # core slab at eps 1e-160 fails the same in its grid and alone
+    surface = surface_invariants(build_group(parse_config(README_GENUS2)))
+    with pytest.raises(QuadratureError) as batch:
+        profile_quadrature(surface, default_eps_grid(1e-160, 0.3, 12))
+    with pytest.raises(QuadratureError) as alone:
+        truncated_volume_quadrature(surface, 1e-160)
+    assert str(batch.value) == str(alone.value) == (
+        "core slab at eps 1e-160: integrand is not finite on "
+        "[354.13551078456504, 356.96859487084157]")
 
 
 def test_oracle_evaluates_each_certified_cell_once(monkeypatch):
