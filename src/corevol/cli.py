@@ -56,6 +56,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: a key given twice in one object is a config
+    error, not a silent choice of its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config: key {key!r} given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _need(raw: dict, key: str, where: str):
     if key not in raw:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -520,7 +531,8 @@ def _with_overrides(raw, args):
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        raw = json.loads(Path(_fs_path(args.config)).read_text(encoding="utf-8"))
+        raw = json.loads(Path(_fs_path(args.config)).read_text(encoding="utf-8"),
+                         object_pairs_hook=_unique_keys)
     except OSError as exc:
         print(_error_object("io", f"cannot read config file {args.config}: {exc.strerror}"))
         return 1
@@ -529,6 +541,9 @@ def main(argv=None) -> int:
         return 1
     except UnicodeDecodeError as exc:
         print(_error_object("parse", f"{args.config}: not UTF-8 text at byte {exc.start}"))
+        return 1
+    except ConfigError as exc:
+        print(_error_object("config", str(exc)))
         return 1
     except (ValueError, RecursionError) as exc:
         # an integer past the decoder's digit limit, or nesting past its depth

@@ -331,8 +331,8 @@ class ExpansionFit:
     """Coefficients of vol(eps) ~ c_m2 eps^-2 + c_log log(eps) + v + c_2 eps^2.
 
     v is the renormalized volume.  `residual` is the 2-norm of the fit
-    residual and `condition` the condition number of the column-scaled
-    design actually solved.
+    residual and `condition` the Frobenius condition number of R, from the
+    QR of the column-scaled design actually solved: 1 to 4 times kappa_2.
     """
 
     __slots__ = ("c_m2", "c_log", "v", "c_2", "residual", "condition")
@@ -366,44 +366,18 @@ def _qr(columns):
     return q, r
 
 
-def _solve(q, r, rhs):
-    """The least-squares solution y of (Q R) y = rhs: R y = Q^T rhs by back
-    substitution."""
-    y = [_dot(qi, rhs) for qi in q]
+def _back_substitute(r, b):
+    """The solution y of R y = b, R upper triangular with a nonzero diagonal."""
+    y = list(b)
     for i in reversed(range(len(y))):
         y[i] = (y[i] - sum(r[i][j] * y[j] for j in range(i + 1, len(y)))) / r[i][i]
     return y
 
 
-def _singular_values(rows):
-    """Singular values of a small square matrix, ascending: one-sided Jacobi
-    rotations of its columns until every pair is orthogonal to working
-    precision (Hestenes); the values are then the column norms.  A rotation
-    moves gamma t from one squared norm to the other, so only the inner
-    product of a pair is summed anew."""
-    cols = [list(col) for col in zip(*rows)]
-    for _ in range(30):  # a 4x4 matrix takes about six sweeps
-        norms = [sum(x * x for x in col) for col in cols]
-        rotated = False
-        for p in range(len(cols) - 1):
-            for k in range(p + 1, len(cols)):
-                a, b = cols[p], cols[k]
-                gamma = sum(map(operator.mul, a, b))
-                # abs: an update can leave a vanishing squared norm just below 0
-                if abs(gamma) <= 2.0 ** -52 * math.sqrt(abs(norms[p] * norms[k])):
-                    continue
-                rotated = True
-                zeta = (norms[k] - norms[p]) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                cols[p] = [c * x - s * y for x, y in zip(a, b)]
-                cols[k] = [s * x + c * y for x, y in zip(a, b)]
-                norms[p] -= t * gamma
-                norms[k] += t * gamma
-        if not rotated:
-            break
-    return sorted(math.hypot(*col) for col in cols)
+def _solve(q, r, rhs):
+    """The least-squares solution y of (Q R) y = rhs: R y = Q^T rhs by back
+    substitution."""
+    return _back_substitute(r, [_dot(qi, rhs) for qi in q])
 
 
 def fit_expansion(eps, volumes) -> ExpansionFit:
@@ -413,8 +387,10 @@ def fit_expansion(eps, volumes) -> ExpansionFit:
     contains the truth and the fit is exact (up to roundoff) on profiles
     generated by either closed form or by converged quadrature.  The
     columns are scaled to unit norm and solved by modified Gram-Schmidt QR
-    (_qr), with two steps of iterative refinement; the condition number and
-    the rank come from the singular values of R.
+    (_qr), with two steps of iterative refinement.  The condition number is
+    the Frobenius one of R, between 1 and 4 times the 2-norm one, and the
+    design of m samples is rank-deficient by numpy's rule applied to it:
+    condition * m * 2^-52 not below 1.
     """
     eps = [float(e) for e in eps]
     volumes = [float(v) for v in volumes]
@@ -433,14 +409,19 @@ def fit_expansion(eps, volumes) -> ExpansionFit:
             f"the norm of the eps^-2 column overflows float64 (eps down to "
             f"{min(eps):g}); the fit needs every eps above about 1e-77"
         )
-    if not all(s > 0.0 for s in scale):
-        raise ValueError("degenerate design column")
     scaled = [[x / s for x in column] for column, s in zip(design, scale)]
     q, r = _qr(scaled)
-    sigma = _singular_values(r)
-    # the rank rule of numpy's lstsq: a singular value counts when it is
-    # above max(m, n) 2^-52 sigma_max
-    if not sigma[0] > len(eps) * 2.0 ** -52 * sigma[-1]:
+    # |R|_F |R^-1|_F, R^-1 by columns: since |A|_2 <= |A|_F <= 2 |A|_2 for a
+    # 4x4 A, 1 to 4 times kappa_2 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., ch. 6); inf for a zero on R's diagonal
+    condition = math.inf
+    if all(r[i][i] for i in range(4)):
+        inverse = [_back_substitute(r, [float(i == j) for i in range(4)]) for j in range(4)]
+        condition = math.hypot(*(x for row in r for x in row)) * math.hypot(
+            *(x for column in inverse for x in column))
+    # the rank rule of numpy's lstsq, sigma_min > max(m, n) 2^-52 sigma_max,
+    # on that number; a nan one fails it too
+    if not condition * len(eps) * 2.0 ** -52 < 1.0:
         raise ValueError("rank-deficient design; eps values are not distinct enough")
     y = _solve(q, r, volumes)
     # iterative refinement recovers exact-model coefficients to near
@@ -454,7 +435,7 @@ def fit_expansion(eps, volumes) -> ExpansionFit:
     resid = [v - (a * x[0] + b * x[1] + c * x[2] + d * x[3])
              for v, (a, b, c, d) in zip(volumes, zip(*design))]
     return ExpansionFit(c_m2=x[0], c_log=x[1], v=x[2], c_2=x[3],
-                        residual=math.sqrt(_dot(resid, resid)), condition=sigma[-1] / sigma[0])
+                        residual=math.sqrt(_dot(resid, resid)), condition=condition)
 
 
 def expansion_fit(profile: VolumeProfile) -> ExpansionFit:

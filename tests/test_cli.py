@@ -477,9 +477,20 @@ def test_parse_errors_are_positioned(tmp_path, capsys):
     assert "broken.json:1:" in payload["error"]["message"]
 
 
+AXIS_TEXT = b'"generators": [{"p": -1.0, "q": 1.0, "length": 2.0}]'
+
+
+# json keeps the last of two equal keys; the config reader keeps neither, at
+# any depth: the top level, epsilon_grid, a leaves item
 @pytest.mark.parametrize("content, kind, fragment", [
     (None, "io", "No such file"),
     (b"\xff\xfe{}", "parse", "not UTF-8 text at byte 0"),
+    (b'{"mode": "pleated_core", "mode": "fuchsian_group", ' + AXIS_TEXT + b"}",
+     "config", "key 'mode' given twice"),
+    (b'{"mode": "fuchsian_group", ' + AXIS_TEXT + b', "epsilon_grid": {"count": 12, "count": 16}}',
+     "config", "key 'count' given twice"),
+    (b'{"mode": "pleated_core", "leaves": [{"length": 1.0, "theta": 1.0, "theta": 2.0}]}',
+     "config", "key 'theta' given twice"),
 ])
 def test_unreadable_config_is_one_json_error(tmp_path, capsys, content, kind, fragment):
     path = tmp_path / "config.json"

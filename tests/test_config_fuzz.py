@@ -206,6 +206,7 @@ def test_mutated_golden_configs_give_a_finite_report_or_one_json_error(child, ca
 
 
 NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+KEY = re.compile(rb'"\w+": ')
 # bytes no UTF-8 decoder accepts: a lone continuation byte, a truncated
 # sequence, an overlong encoding, and a surrogate encoded as UTF-8
 INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80"]
@@ -215,13 +216,14 @@ INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80"]
 def raw_golden_texts(draw):
     """A command and the bytes of a golden config file of its mode, edited
     as text: a number swapped for a long digit string or wrapped in deep
-    nesting, invalid UTF-8 or an escaped lone surrogate inserted, or the
-    file cut at a random byte."""
+    nesting, invalid UTF-8 or an escaped lone surrogate inserted, a key
+    given twice, or the file cut at a random byte."""
     command = draw(st.sampled_from(sorted(BASES)))
     text = json.dumps(draw(st.sampled_from(BASES[command]))).encode()
     for _ in range(draw(st.integers(1, 2))):
-        numbers = list(NUMBER.finditer(text))
-        edit = draw(st.sampled_from(["digits", "nesting", "utf8", "surrogate", "cut"]))
+        numbers, keys = list(NUMBER.finditer(text)), list(KEY.finditer(text))
+        edit = draw(st.sampled_from(["digits", "nesting", "utf8", "surrogate", "twice",
+                                     "cut"]))
         if edit in ("digits", "nesting") and numbers:
             number = draw(st.sampled_from(numbers))
             if edit == "digits":
@@ -236,6 +238,10 @@ def raw_golden_texts(draw):
             at = draw(st.integers(0, len(text)) | st.sampled_from(quotes or [0]))
             insert = draw(st.sampled_from(INVALID_UTF8)) if edit == "utf8" else b"\\ud800"
             text = text[:at] + insert + text[at:]
+        elif edit == "twice" and keys:
+            # the key again, with a value of its own, just before itself
+            key = draw(st.sampled_from(keys))
+            text = text[:key.start()] + key.group() + b"0, " + text[key.start():]
         else:
             text = text[:draw(st.integers(0, len(text)))]
     return command, text

@@ -456,9 +456,31 @@ def test_fit_requires_two_decades():
 
 
 def test_fit_rejects_rank_deficient_design():
-    eps = np.array([0.3, 0.3, 0.3, 0.3, 0.001, 0.001, 0.001, 0.001])
-    with pytest.raises(ValueError, match="rank"):
-        fit_expansion(eps, eps ** -2)
+    # the first design leaves an exact 0.0 on R's diagonal; the other two a
+    # finite condition number past 1e44
+    for eps in (np.array([0.3, 0.3, 0.3, 0.3, 0.001, 0.001, 0.001, 0.001]),
+                np.array([0.3] * 7 + [0.001]),
+                np.array([0.5] * 6 + [0.005] * 2)):
+        with pytest.raises(ValueError, match="rank"):
+            fit_expansion(eps, eps ** -2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), log_min=st.floats(min_value=-12.0, max_value=-3.0),
+       count=st.integers(min_value=8, max_value=64))
+def test_fit_condition_brackets_the_2_norm_one(data, log_min, count):
+    # |A|_2 <= |A|_F <= 2 |A|_2 for a 4-column A, so kappa_2 <= kappa_F <= 4 kappa_2
+    eps_min = 10.0 ** log_min
+    # one ulp up: the rounded 100 eps_min can sit below two decades
+    eps_max = data.draw(st.floats(min_value=math.nextafter(100.0 * eps_min, 1.0), max_value=0.9))
+    eps = np.array(default_eps_grid(eps_min, eps_max, count))
+    design = np.column_stack([eps ** -2, np.log(eps), np.ones_like(eps), eps ** 2])
+    sigma = np.linalg.svd(design / np.linalg.norm(design, axis=0), compute_uv=False)
+    kappa = sigma[0] / sigma[-1]
+    condition = fit_expansion(eps, eps ** -2).condition
+    assert kappa * (1.0 - 1e-12) <= condition <= 4.0 * kappa * (1.0 + 1e-12)
+    frobenius = math.sqrt(np.sum(sigma ** 2) * np.sum(sigma ** -2.0))
+    assert condition == pytest.approx(frobenius, rel=1e-12)
 
 
 def test_fit_of_derived_profile_gives_quarter_constant(surface_s1):
