@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import os
 import stat
 import threading
@@ -124,23 +125,25 @@ class SurfaceMesh:
     def analytic_area(self) -> float:
         return 2.0 * self.circumference * _METRICS[self.tag].area_primitive(self.t_extent)
 
-    def _allocate(self, make, *args) -> np.ndarray:
-        """Every field's allocation; too large a mesh is a ValueError."""
-        try:
-            return make((self.n_t, self.n_theta), *args)
-        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
-            raise ValueError(
-                f"a {self.n_t} x {self.n_theta} field does not fit in memory"
-            ) from None
+    def _too_large(self) -> ValueError:
+        return ValueError(f"a {self.n_t} x {self.n_theta} field does not fit in memory")
 
     def empty(self) -> np.ndarray:
-        return self._allocate(np.empty)
+        """An uninitialized field; too large a mesh is a ValueError."""
+        try:
+            return np.empty((self.n_t, self.n_theta))
+        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+            raise self._too_large() from None
 
-    def zeros(self) -> np.ndarray:
-        return self._allocate(np.zeros)
-
-    def constant(self, value: float) -> np.ndarray:
-        return self._allocate(np.full, float(value))
+    def check_fits(self) -> None:
+        """The ValueError of `empty` if a field of this mesh cannot be
+        allocated, from an anonymous mapping of its size unmapped untouched:
+        an `empty` field dropped at once raised glibc's mmap threshold, and
+        the peak RSS of a process checking many 8 MB fields crept up 1-4 MiB."""
+        try:
+            mmap.mmap(-1, 8 * self.n_t * self.n_theta).close()
+        except (OSError, OverflowError):
+            raise self._too_large() from None
 
 
 # Every stencil is one private kernel over the rows r0 .. r1 - 1 of a field,
@@ -158,20 +161,21 @@ def _theta_step(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_operator(mesh: SurfaceMesh, v: np.ndarray):
+def _boundary_operator(mesh: SurfaceMesh, bottom: np.ndarray, top: np.ndarray):
     """d/dt(b dv/dt) at the two boundary rows, expanded as b v'' + b' v' with
-    one-sided 4-point v'' and 3-point v' (both O(dt^2))."""
+    one-sided 4-point v'' and 3-point v' (both O(dt^2)), from the first four
+    rows of v (`bottom`) and its last four (`top`)."""
     dt, b, bp = mesh.dt, mesh._sqrt_det, mesh._sqrt_det_slope
-    d2_bot = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dt ** 2
-    d2_top = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dt ** 2
-    d1_bot = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    d1_top = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    d2_bot = (2.0 * bottom[0] - 5.0 * bottom[1] + 4.0 * bottom[2] - bottom[3]) / dt ** 2
+    d2_top = (2.0 * top[-1] - 5.0 * top[-2] + 4.0 * top[-3] - top[-4]) / dt ** 2
+    d1_bot = (-3.0 * bottom[0] + 4.0 * bottom[1] - bottom[2]) / (2.0 * dt)
+    d1_top = (3.0 * top[-1] - 4.0 * top[-2] + top[-3]) / (2.0 * dt)
     return b[0] * d2_bot + bp[0] * d1_bot, b[-1] * d2_top + bp[-1] * d1_top
 
 
-def _t_diff(v: np.ndarray, j0: int, j1: int, work: np.ndarray) -> np.ndarray:
-    """v[j + 1] - v[j] on the t midpoints j0 .. j1 - 1, in the first j1 - j0 rows of work."""
-    return np.subtract(v[j0 + 1:j1 + 1], v[j0:j1], out=work[:j1 - j0])
+def _t_diff(v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """v[j + 1] - v[j] over the consecutive rows of v, in the first len(v) - 1 rows of work."""
+    return np.subtract(v[1:], v[:-1], out=work[:len(v) - 1])
 
 
 def _t_flux(mesh: SurfaceMesh, diff: np.ndarray, j0: int) -> np.ndarray:
@@ -181,16 +185,16 @@ def _t_flux(mesh: SurfaceMesh, diff: np.ndarray, j0: int) -> np.ndarray:
     return np.divide(diff, mesh.dt, out=diff)
 
 
-def _laplacian(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, lam, work) -> np.ndarray:
-    """Rows r0 .. r1 - 1 of the metric Laplace-Beltrami operator of v, in
-    work[0].  work[2] holds the `_t_diff` of v on the midpoints
-    max(r0, 1) - 1 .. min(r1, n_t - 1) - 1 and becomes their t fluxes.
-    Interior rows are the conservative flux form; the boundary rows are the
-    one-sided closure `lam` (the boundary operator of v), which keeps the
-    summation-by-parts identity exact."""
-    b, n_t, n = mesh._sqrt_det, mesh.n_t, r1 - r0
+def _laplacian(mesh: SurfaceMesh, rows: np.ndarray, r0: int, lam, work) -> np.ndarray:
+    """The metric Laplace-Beltrami operator of v on its rows r0 .. r1 - 1,
+    `rows` (C-contiguous), in work[0].  work[2] holds the `_t_diff` of v on
+    the midpoints max(r0, 1) - 1 .. min(r1, n_t - 1) - 1 and becomes their t
+    fluxes.  Interior rows are the conservative flux form; the boundary rows
+    are the one-sided closure `lam` (the boundary operator of v), which
+    keeps the summation-by-parts identity exact."""
+    b, n_t, n = mesh._sqrt_det, mesh.n_t, len(rows)
+    r1 = r0 + n
     out, second_theta = work[0][:n], work[1][:n]
-    rows = v[r0:r1]
     # the theta part first, so that `out` can hold 2 v: roll(v, -1) - 2 v,
     # then + roll(v, 1) in one flat pass whose first column (taken from the
     # previous row) is redone
@@ -214,14 +218,26 @@ def _laplacian(mesh: SurfaceMesh, v: np.ndarray, r0: int, r1: int, lam, work) ->
     return out
 
 
-def _boundary_flux(mesh: SurfaceMesh, u: np.ndarray, lam) -> float:
+def _boundary_flux(mesh: SurfaceMesh, bottom: np.ndarray, top: np.ndarray, lam) -> float:
     """The flux term that closes the summation-by-parts identity for u,
-    from its boundary operator `lam`."""
-    dt, n_t = mesh.dt, mesh.n_t
+    from its first rows `bottom`, its last rows `top` and its boundary
+    operator `lam`."""
+    dt = mesh.dt
     edges = np.empty((2, mesh.n_theta))
-    g_bot = _t_flux(mesh, _t_diff(u, 0, 1, edges[:1]), 0)[0] - 0.5 * dt * lam[0]
-    g_top = _t_flux(mesh, _t_diff(u, n_t - 2, n_t - 1, edges[1:]), n_t - 2)[0] + 0.5 * dt * lam[1]
-    return float((u[-1, :] * g_top - u[0, :] * g_bot).sum()) * mesh.dtheta
+    g_bot = _t_flux(mesh, _t_diff(bottom[:2], edges[:1]), 0)[0] - 0.5 * dt * lam[0]
+    g_top = _t_flux(mesh, _t_diff(top[-2:], edges[1:]), mesh.n_t - 2)[0] + 0.5 * dt * lam[1]
+    return float((top[-1] * g_top - bottom[0] * g_bot).sum()) * mesh.dtheta
+
+
+def _read_rows(u: np.ndarray, lo: int, hi: int, buf: np.ndarray | None) -> np.ndarray:
+    """Rows lo .. hi - 1 of the field u as a C-contiguous array: a view when
+    buf is None (u is C-contiguous), else a copy into the first rows of buf."""
+    rows = u[lo:hi]
+    if buf is None:
+        return rows
+    out = buf[:len(rows)]
+    np.copyto(out, rows)
+    return out
 
 
 # nodes per row block of `anomaly_functionals`: 256 KiB per block array
@@ -242,7 +258,11 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     Laplacian, the residual and its max included) and keeps each
     integrand's row sums; each integral is then one `math.fsum` over rows
     of row weight times row sum, so no value depends on BLOCK_NODES.  The
-    row sums of u, taken first, also check that the field is finite.  The
+    row sums of u, taken first, also check that the field is finite.  u is
+    read a block at a time (`_read_rows`), its rows and the row on each
+    side: a view of a C-contiguous field, else a copy into one block-sized
+    buffer (a generated field is a read-only broadcast of its 1-d profile),
+    so no field is copied whole and no value depends on its layout.  The
     Jensen value takes E(u - c) = E(u) and int (u - c) = int u - c area,
     exact in real arithmetic, so it needs no second pass.
     """
@@ -251,40 +271,47 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     for name, step in (("t", mesh.dt), ("theta", mesh.dtheta)):
         if math.isinf(step * step):
             raise OverflowError(f"the square of the {name} spacing {step!r} overflows")
-    u = np.ascontiguousarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     n_t, n_theta = mesh.n_t, mesh.n_theta
     if u.shape != (n_t, n_theta):
         raise ValueError(f"field shape {u.shape} does not match mesh ({n_t}, {n_theta})")
+    rows = max(2, BLOCK_NODES // n_theta)
+    # one buffer for the blocks: an array per block cost 100-360 page faults
+    # per call whenever malloc had returned the memory between calls
+    buf = None if u.flags.c_contiguous else np.empty((min(rows, n_t) + 2, n_theta))
     # row sums of u, of the squared t differences (midpoint i in row i), of
     # the squared theta differences, of u lap(u), exp(2u) and the residual squared
     sums = np.zeros((6, n_t))
     with np.errstate(over="ignore", invalid="ignore"):
-        u.sum(axis=1, out=sums[0])
+        for r0 in range(0, n_t, rows):
+            _read_rows(u, r0, r0 + rows, buf).sum(axis=1, out=sums[0, r0:r0 + rows])
     if not np.isfinite(sums[0]).all():
         if not all(np.isfinite(u[i]).all() for i in np.flatnonzero(~np.isfinite(sums[0]))):
             raise ValueError("field has non-finite entries")
         raise OverflowError("the row sums of the field overflow")
-    rows = max(2, BLOCK_NODES // n_theta)
     # each work array starts on a 64-byte cache line (numpy promises 16 bytes):
     # stores 16 bytes off it ran the sweep 15-25% slower
     size = (min(rows, n_t) + 1) * n_theta
     raw = np.empty((3, -(-size // 8) * 8 + 8))  # whole cache lines per array, plus one
     start = -raw.ctypes.data % 64 // 8
     work = raw[:, start:start + size].reshape(3, -1, n_theta)
-    lam = _boundary_operator(mesh, u)
+    bottom, top = np.ascontiguousarray(u[:4]), np.ascontiguousarray(u[-4:])
+    lam = _boundary_operator(mesh, bottom, top)
     hyperbolic = mesh.tag == TAG_HYPERBOLIC
     block_max = []
     for r0 in range(0, n_t, rows):
         r1 = min(r0 + rows, n_t)
-        i0, i1 = max(r0, 1), min(r1, n_t - 1)
-        block, b = u[r0:r1], work[1][:r1 - r0]
-        # the t differences of the midpoints i0 - 1 .. i1 - 1, for the energy
+        # rows lo .. min(r1, n_t - 1): the block and the rows next to it
+        lo, i1 = max(r0 - 1, 0), min(r1, n_t - 1)
+        v = _read_rows(u, lo, i1 + 1, buf)
+        block, b = v[r0 - lo:r1 - lo], work[1][:r1 - r0]
+        # the t differences of the midpoints lo .. i1 - 1, for the energy
         # (from midpoint r0 on) and then for the Laplacian's t fluxes
-        diff = _t_diff(u, i0 - 1, i1, work[2])[r0 - i0 + 1:]
+        diff = _t_diff(v, work[2])[r0 - lo:]
         np.multiply(diff, diff, out=b[:i1 - r0]).sum(axis=1, out=sums[1, r0:i1])
         diff = _theta_step(block, block, b)
         np.multiply(diff, diff, out=b).sum(axis=1, out=sums[2, r0:r1])
-        lap = _laplacian(mesh, u, r0, r1, lam, work)
+        lap = _laplacian(mesh, block, r0, lam, work)
         np.multiply(block, lap, out=b).sum(axis=1, out=sums[3, r0:r1])
         exp_2u = np.exp(np.multiply(block, 2.0, out=b), out=b)
         residual = lap  # the Liouville residual, written over the Laplacian
@@ -309,7 +336,7 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     if hyperbolic:
         shift = 0.5 * math.log(exp_integral / area)
         values["jensen_energy_normalized"] = energy - 2.0 * (integral - shift * area)
-    defect = by_parts + energy - _boundary_flux(mesh, u, lam)
+    defect = by_parts + energy - _boundary_flux(mesh, bottom, top, lam)
     return {
         **values,
         "liouville.variant": _METRICS[mesh.tag].liouville_variant,

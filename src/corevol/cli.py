@@ -420,22 +420,24 @@ def _build_field(mesh, field: dict):
     from .anomaly import field_from_csv
 
     kind = field["kind"]
-    if kind == "zero":
-        return mesh.zeros()
-    if kind == "constant":
-        return mesh.constant(field["value"])
-    if kind in ("theta_mode", "log_sech_t"):
-        # the field before its 1-d profile: the profile of a mesh too large
-        # to allocate would itself be gigabytes.  The profile is built with
-        # math, whose results do not move with numpy's SIMD paths
-        u = mesh.empty()
+    if kind != "csv":
+        # a generated field is a read-only broadcast of its 1-d profile and
+        # is never materialized: `anomaly_functionals` reads it a block at a
+        # time.  A mesh whose field would not fit in memory is still an
+        # error, checked before the profile (which would itself be
+        # gigabytes).  The profile is built with math, whose results do not
+        # move with numpy's SIMD paths
+        mesh.check_fits()
         if kind == "theta_mode":
             omega = 2.0 * math.pi * field["k"] / mesh.circumference
             amplitude = field["amplitude"]
-            u[:] = [amplitude * math.sin(omega * theta) for theta in mesh.theta.tolist()]
-        else:
-            u[:] = np.array([-math.log(math.cosh(t)) for t in mesh.t.tolist()])[:, None]
-        return u
+            profile = np.array([amplitude * math.sin(omega * theta)
+                                for theta in mesh.theta.tolist()])
+        elif kind == "log_sech_t":
+            profile = np.array([-math.log(math.cosh(t)) for t in mesh.t.tolist()])[:, None]
+        else:  # zero or constant
+            profile = float(field.get("value", 0.0))
+        return np.broadcast_to(profile, (mesh.n_t, mesh.n_theta))
     path = field["path"]
     file_mesh, u = field_from_csv(_fs_path(path))
     if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (

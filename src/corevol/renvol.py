@@ -396,6 +396,11 @@ def fit_expansion(eps, volumes) -> ExpansionFit:
     volumes = [float(v) for v in volumes]
     if len(eps) < 8:
         raise ValueError(f"need at least 8 samples to fit, got {len(eps)}")
+    # a nan would slip past min and max below
+    for name, values in (("eps", eps), ("volume", volumes)):
+        for i, x in enumerate(values):
+            if not math.isfinite(x):
+                raise ValueError(f"{name} {i} is {x!r}: every sample must be finite")
     if not (min(eps) > 0.0 and max(eps) / min(eps) >= 100.0):
         raise ValueError("samples must be positive and span at least two decades of eps")
     try:

@@ -129,6 +129,11 @@ def on_mesh(mesh, f):
     return np.asarray(f(tt, hh), dtype=float)
 
 
+def full(mesh, value):
+    """The field with one value at every node, as a C-contiguous array."""
+    return np.full((mesh.n_t, mesh.n_theta), float(value))
+
+
 def node_weights(mesh):
     """Area weight of each row's nodes: sqrt(det) times the trapezoid rule in
     t and the periodic rule in theta."""
@@ -145,10 +150,10 @@ def integrate(mesh, f):
 
 
 def laplacian(mesh, u):
-    lam = anomaly._boundary_operator(mesh, u)
+    lam = anomaly._boundary_operator(mesh, u, u)
     work = np.empty((3, mesh.n_t + 1, mesh.n_theta))
-    anomaly._t_diff(u, 0, mesh.n_t - 1, work[2])
-    return anomaly._laplacian(mesh, u, 0, mesh.n_t, lam, work)
+    anomaly._t_diff(u, work[2])
+    return anomaly._laplacian(mesh, u, 0, lam, work)
 
 
 def liouville_residual(mesh, u):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import integrate, level_set_area, liouville_residual, on_mesh
+from conftest import full, integrate, level_set_area, liouville_residual, on_mesh
 from corevol.anomaly import TAG_FLAT, TAG_HYPERBOLIC, SurfaceMesh, anomaly_functionals
 from corevol.cli import main
 from corevol.pleated import PleatLeaf, fuchsian_reduction_check, wedge_volume_quadrature
@@ -180,7 +180,7 @@ def test_criterion_8_jensen_positivity():
         scale = 1.0 + np.abs(u - shift).max() * area
         lowest = min(lowest, energy / scale)
         assert energy >= -1e-6 * scale
-    assert anomaly_functionals(mesh, mesh.zeros())["jensen_energy_normalized"] == 0.0
+    assert anomaly_functionals(mesh, full(mesh, 0.0))["jensen_energy_normalized"] == 0.0
     _ok(8, f"E(u) >= 0 for 100 random area-normalized fields "
            f"(min scaled energy {lowest:.3e}); E(0) = 0 exactly")
 
@@ -188,8 +188,8 @@ def test_criterion_8_jensen_positivity():
 def test_criterion_9_liouville_residuals():
     hyp = SurfaceMesh(TAG_HYPERBOLIC, 2.0, 2.0 * math.pi, 65, 32)
     flat = SurfaceMesh(TAG_FLAT, 2.0, 2.0 * math.pi, 65, 32)
-    assert anomaly_functionals(hyp, hyp.zeros())["liouville.residual_max"] == 0.0
-    flat_values = anomaly_functionals(flat, flat.zeros())  # -1 at every node
+    assert anomaly_functionals(hyp, full(hyp, 0.0))["liouville.residual_max"] == 0.0
+    flat_values = anomaly_functionals(flat, full(flat, 0.0))  # -1 at every node
     assert flat_values["liouville.residual_max"] == flat_values["liouville.residual_rms"] == 1.0
 
     def err(n_t):

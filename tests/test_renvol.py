@@ -455,6 +455,25 @@ def test_fit_requires_two_decades():
         fit_expansion(eps, eps ** -2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_a_non_finite_eps(bad):
+    # a nan eps after the first once passed the sample checks and was
+    # blamed on the eps^-2 column overflowing
+    eps = [0.3, bad, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0005]
+    with pytest.raises(ValueError, match=f"eps 1 is {bad!r}: every sample must be finite"):
+        fit_expansion(eps, [1.0] * 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_a_non_finite_volume(bad):
+    # a nan volume once gave nan coefficients with no error
+    eps = np.geomspace(0.3, 0.001, 8)
+    volumes = list(eps ** -2)
+    volumes[5] = bad
+    with pytest.raises(ValueError, match=f"volume 5 is {bad!r}: every sample must be finite"):
+        fit_expansion(eps, volumes)
+
+
 def test_fit_rejects_rank_deficient_design():
     # the first design leaves an exact 0.0 on R's diagonal; the other two a
     # finite condition number past 1e44
