@@ -18,7 +18,6 @@ from .schottky import (
     word_mobius,
 )
 from .surface import (
-    EndpointMatchError,
     SurfaceInfo,
     SurfaceTopologyError,
     surface_invariants,

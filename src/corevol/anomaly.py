@@ -125,25 +125,17 @@ class SurfaceMesh:
     def analytic_area(self) -> float:
         return 2.0 * self.circumference * _METRICS[self.tag].area_primitive(self.t_extent)
 
-    def _too_large(self) -> ValueError:
-        return ValueError(f"a {self.n_t} x {self.n_theta} field does not fit in memory")
-
-    def empty(self) -> np.ndarray:
-        """An uninitialized field; too large a mesh is a ValueError."""
-        try:
-            return np.empty((self.n_t, self.n_theta))
-        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
-            raise self._too_large() from None
-
     def check_fits(self) -> None:
-        """The ValueError of `empty` if a field of this mesh cannot be
-        allocated, from an anonymous mapping of its size unmapped untouched:
-        an `empty` field dropped at once raised glibc's mmap threshold, and
-        the peak RSS of a process checking many 8 MB fields crept up 1-4 MiB."""
+        """A ValueError if a field of this mesh cannot be allocated, from an
+        anonymous mapping of its size unmapped untouched: an uninitialized
+        field dropped at once raised glibc's mmap threshold, and the peak
+        RSS of a process checking many 8 MB fields crept up 1-4 MiB."""
         try:
             mmap.mmap(-1, 8 * self.n_t * self.n_theta).close()
         except (OSError, OverflowError):
-            raise self._too_large() from None
+            raise ValueError(
+                f"a {self.n_t} x {self.n_theta} field does not fit in memory"
+            ) from None
 
 
 # Every stencil is one private kernel over the rows r0 .. r1 - 1 of a field,
@@ -481,9 +473,10 @@ def _parse_field(path, fh):
         n_theta=int(n_theta),
     )
     try:
-        u = mesh.empty()
+        mesh.check_fits()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    u = np.empty((mesh.n_t, mesh.n_theta))
     rows = 0
     for line in lines:
         if rows == mesh.n_t:

@@ -22,37 +22,40 @@ class SurfaceTopologyError(ValueError):
     pass
 
 
-class EndpointMatchError(SurfaceTopologyError):
-    """A traced endpoint image failed to land on an arc endpoint; the
-    pairing data is invalid or numerically inconsistent."""
-
-
 class SurfaceInfo:
     """Topology and end data of the quotient surface M; a plain record,
     immutable by convention.
 
-    `handlebody_genus` is the Schottky genus g, `genus` the surface genus k;
-    the cycle trace must satisfy g = 2k + e - 1.  The core area is the
-    Gauss-Bonnet value 2 pi (g - 1).
+    It keeps what the cycle trace measures: the Schottky genus g
+    (`handlebody_genus`) and the end lengths.  The rest follows: the ends
+    e are the end lengths counted, the surface genus k solves
+    g = 2k + e - 1, and the core area is the Gauss-Bonnet value 2 pi (g - 1).
     """
 
-    __slots__ = ("ends", "genus", "handlebody_genus", "end_lengths", "core_area")
+    __slots__ = ("handlebody_genus", "end_lengths")
 
-    def __init__(self, ends: int, genus: int, handlebody_genus: int,
-                 end_lengths: tuple[float, ...], core_area: float):
-        if ends != len(end_lengths):
-            raise SurfaceTopologyError(f"{ends} ends but {len(end_lengths)} end lengths")
-        if ends > 0:
-            if genus < 0:
-                raise SurfaceTopologyError(f"negative surface genus {genus}")
-            if handlebody_genus != 2 * genus + ends - 1:
-                raise SurfaceTopologyError(
-                    f"genus relation violated: g={handlebody_genus}, k={genus}, e={ends}"
-                )
-            if any(not length > 0 for length in end_lengths):
-                raise SurfaceTopologyError("end lengths must be positive")
-        self.ends, self.genus, self.handlebody_genus = ends, genus, handlebody_genus
-        self.end_lengths, self.core_area = end_lengths, core_area
+    def __init__(self, handlebody_genus: int, end_lengths: tuple[float, ...]):
+        two_k = handlebody_genus + 1 - len(end_lengths)
+        if two_k < 0 or two_k % 2 != 0:
+            raise SurfaceTopologyError(
+                "genus relation g = 2k + e - 1 has no solution k >= 0 for "
+                f"g={handlebody_genus}, e={len(end_lengths)}"
+            )
+        if any(not length > 0 for length in end_lengths):
+            raise SurfaceTopologyError("end lengths must be positive")
+        self.handlebody_genus, self.end_lengths = handlebody_genus, end_lengths
+
+    @property
+    def ends(self) -> int:
+        return len(self.end_lengths)
+
+    @property
+    def genus(self) -> int:
+        return (self.handlebody_genus + 1 - self.ends) // 2
+
+    @property
+    def core_area(self) -> float:
+        return 2.0 * math.pi * (self.handlebody_genus - 1)
 
     @property
     def total_end_length(self) -> float:
@@ -92,7 +95,7 @@ def _end_lengths(group: ValidatedGroup) -> list[float]:
             mu, target = outward[j], circles[partner[j]].right
             image = mu(circles[j].left)
             if not abs(target - image) <= MATCH_TOL * max(1.0, abs(target)):
-                raise EndpointMatchError(
+                raise SurfaceTopologyError(
                     f"image {image!r} of endpoint {circles[j].left!r} of circle {j} "
                     f"misses its partner's endpoint {target!r}; pairing data is inconsistent"
                 )
@@ -107,20 +110,5 @@ def _end_lengths(group: ValidatedGroup) -> list[float]:
 
 
 def surface_invariants(group: ValidatedGroup) -> SurfaceInfo:
-    """Ends, genus, end lengths and core area from the cycle trace."""
-    lengths = _end_lengths(group)
-    e = len(lengths)
-    g = group.genus
-    two_k = g + 1 - e
-    if two_k < 0 or two_k % 2 != 0:
-        raise SurfaceTopologyError(
-            f"cycle trace gave e={e} ends for genus g={g}; "
-            "g = 2k + e - 1 has no integer solution"
-        )
-    return SurfaceInfo(
-        ends=e,
-        genus=two_k // 2,
-        handlebody_genus=g,
-        end_lengths=tuple(sorted(lengths)),
-        core_area=2.0 * math.pi * (g - 1),
-    )
+    """The quotient surface of `group`, from its cycle trace."""
+    return SurfaceInfo(group.genus, tuple(sorted(_end_lengths(group))))

@@ -807,6 +807,21 @@ def test_memory_error_in_any_command_is_a_value_error(tmp_path, capsys, monkeypa
     assert error["message"] == ("out of memory: " + message if message else "out of memory")
 
 
+@pytest.mark.parametrize("command", ["surface-info", "renvol"])
+def test_endpoint_mismatch_is_a_surface_topology_error(tmp_path, capsys, monkeypatch, command):
+    # validation would reject this group; built past it, the end trace
+    # finds that circle 1's endpoint image misses circle 0's endpoint
+    from corevol import Circle, Mobius, Pairing, ValidatedGroup
+
+    group = ValidatedGroup((Circle(-2.0, 0.5), Circle(2.0, 0.5)),
+                           (Pairing(0, 1, Mobius(1.5, -1.0, 1.0, 0.0)),))
+    monkeypatch.setattr(cli, "build_group", lambda cfg: group)
+    assert main([command, "--config", write_config(tmp_path, BTZ_CONFIG)]) == 2
+    error = _one_error(capsys)
+    assert error["kind"] == "surface_topology"
+    assert "misses its partner's endpoint" in error["message"]
+
+
 def test_missing_field_file_is_an_io_error(tmp_path, capsys):
     config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(tmp_path / "none.csv")})
     code = main(["anomaly", "--config", write_config(tmp_path, config)])

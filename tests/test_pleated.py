@@ -297,8 +297,7 @@ def test_fuchsian_reduction_fails_on_a_wrong_wedge_oracle(surface_adjacent, monk
 
 
 def test_fuchsian_reduction_degenerate_no_ends():
-    surface = SurfaceInfo(ends=0, genus=2, handlebody_genus=3, end_lengths=(),
-                          core_area=4.0 * math.pi)
+    surface = SurfaceInfo(handlebody_genus=3, end_lengths=())
     for conv in Convention:
         passed, report = fuchsian_reduction_check(surface, conv)
         assert passed

@@ -27,8 +27,7 @@ RECORDS = [
     (Pairing, (0, 1, MAP), ("source", "target", "map")),
     (SchottkyData, (CIRCLES, PAIRINGS), ("circles", "pairings")),
     (ValidatedGroup, (CIRCLES, PAIRINGS), ("circles", "pairings")),
-    (SurfaceInfo, (3, 0, 2, (1.0, 2.0, 3.0), 2.0 * math.pi),
-     ("ends", "genus", "handlebody_genus", "end_lengths", "core_area")),
+    (SurfaceInfo, (2, (1.0, 2.0, 3.0)), ("handlebody_genus", "end_lengths")),
     (VolumeProfile, (((0.2, 1.0), (0.1, 2.0)), "quadrature", 7, (1e-12, 2e-12)),
      ("samples", "provenance", "cells", "bounds")),
     (ExpansionFit, (1.0, -2.0, 3.0, -4.0, 5e-13, 60.0),
@@ -95,17 +94,17 @@ def test_validated_group_genus():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(ends=2, genus=0, handlebody_genus=1, end_lengths=(1.0,), core_area=0.0),
-     "2 ends but 1 end lengths"),
-    (dict(ends=0, genus=0, handlebody_genus=1, end_lengths=(1.0,), core_area=0.0),
-     "0 ends but 1 end lengths"),
-    (dict(ends=1, genus=-1, handlebody_genus=-2, end_lengths=(1.0,), core_area=0.0),
-     "negative surface genus -1"),
-    (dict(ends=2, genus=1, handlebody_genus=1, end_lengths=(1.0, 2.0), core_area=0.0),
-     "genus relation violated: g=1, k=1, e=2"),
-    (dict(ends=2, genus=0, handlebody_genus=1, end_lengths=(1.0, 0.0), core_area=0.0),
+    (dict(handlebody_genus=-2, end_lengths=(1.0,)),
+     "genus relation g = 2k + e - 1 has no solution k >= 0 for g=-2, e=1"),
+    (dict(handlebody_genus=2, end_lengths=(1.0, 2.0)),
+     "genus relation g = 2k + e - 1 has no solution k >= 0 for g=2, e=2"),
+    (dict(handlebody_genus=2, end_lengths=()),
+     "genus relation g = 2k + e - 1 has no solution k >= 0 for g=2, e=0"),
+    (dict(handlebody_genus=1, end_lengths=(1.0, 2.0, 3.0)),
+     "genus relation g = 2k + e - 1 has no solution k >= 0 for g=1, e=3"),
+    (dict(handlebody_genus=1, end_lengths=(1.0, 0.0)),
      "end lengths must be positive"),
-    (dict(ends=1, genus=0, handlebody_genus=0, end_lengths=(math.nan,), core_area=0.0),
+    (dict(handlebody_genus=0, end_lengths=(math.nan,)),
      "end lengths must be positive"),
 ])
 def test_surface_info_checks(kwargs, message):
@@ -114,10 +113,20 @@ def test_surface_info_checks(kwargs, message):
     assert str(info.value) == message
 
 
-def test_surface_info_without_ends_skips_the_topology_checks():
-    # a closed core (no ends) is checked only for its end count
-    info = SurfaceInfo(0, -3, 7, (), 1.0)
-    assert (info.genus, info.handlebody_genus, info.total_end_length) == (-3, 7, 0)
+@pytest.mark.parametrize("g", range(7))
+def test_surface_info_accepts_exactly_the_solvable_genus_relations(g):
+    # g = 2k + e - 1 with k >= 0: g + 1 - e even and >= 0
+    for e in range(2 * g + 3):
+        lengths = (1.0,) * e
+        if (g + 1 - e) % 2 or g + 1 - e < 0:
+            with pytest.raises(SurfaceTopologyError):
+                SurfaceInfo(g, lengths)
+            continue
+        info = SurfaceInfo(g, lengths)
+        assert info.ends == e
+        assert 2 * info.genus + info.ends - 1 == g
+        assert info.genus >= 0
+        assert info.core_area.hex() == (2.0 * math.pi * (g - 1)).hex()
 
 
 def test_volume_profile_defaults():

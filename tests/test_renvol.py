@@ -31,19 +31,15 @@ from corevol.surface import SurfaceInfo
 from conftest import level_set_area, make_cyclic, make_row_group
 
 
-def core_only_surface(area=4.0 * math.pi):
-    # fictitious no-end surface used for boundary cases; g = 2k + e - 1
-    return SurfaceInfo(ends=0, genus=2, handlebody_genus=3, end_lengths=(),
-                      core_area=area)
+def core_only_surface():
+    # fictitious no-end surface used for boundary cases: g = 3, k = 2, area 4 pi
+    return SurfaceInfo(handlebody_genus=3, end_lengths=())
 
 
 def scaled_surface(surface, factor):
     return SurfaceInfo(
-        ends=surface.ends,
-        genus=surface.genus,
         handlebody_genus=surface.handlebody_genus,
         end_lengths=tuple(factor * length for length in surface.end_lengths),
-        core_area=surface.core_area,
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 from corevol.mobius import Mobius
 from corevol.schottky import Circle, Pairing, SchottkyData, ValidatedGroup, validate
 from corevol.surface import (
-    EndpointMatchError,
     SurfaceInfo,
     SurfaceTopologyError,
     surface_invariants,
@@ -132,7 +131,7 @@ def test_endpoint_mismatch_reported():
     good = pairing_from_circles(circles[0], circles[1])
     bad = pairing_from_circles(circles[2], Circle(3.0, 0.5))
     group = ValidatedGroup(circles, (Pairing(0, 1, good), Pairing(2, 3, bad)))
-    with pytest.raises(EndpointMatchError):
+    with pytest.raises(SurfaceTopologyError, match="misses its partner's endpoint"):
         surface_invariants(group)
 
 
@@ -152,17 +151,14 @@ def test_endpoint_mapped_to_infinity_reported():
     circles = (Circle(-2.0, 0.5), Circle(2.0, 0.5))
     group = ValidatedGroup(circles, (Pairing(0, 1, Mobius(1.5, -1.0, 1.0, 0.0)),))
     assert group.pairings[0].map.inverse()(1.5) == math.inf
-    with pytest.raises(EndpointMatchError, match="inf"):
+    with pytest.raises(SurfaceTopologyError, match="inf"):
         surface_invariants(group)
 
 
 def test_surface_info_invariants_enforced():
     with pytest.raises(SurfaceTopologyError):
-        SurfaceInfo(ends=2, genus=1, handlebody_genus=1, end_lengths=(1.0, 2.0),
-                    core_area=0.0)
+        SurfaceInfo(handlebody_genus=1, end_lengths=(1.0, 2.0, 3.0))
     with pytest.raises(SurfaceTopologyError):
-        SurfaceInfo(ends=2, genus=0, handlebody_genus=1, end_lengths=(1.0,),
-                    core_area=0.0)
-    info = SurfaceInfo(ends=2, genus=0, handlebody_genus=1, end_lengths=(1.0, 2.0),
-                       core_area=0.0)
+        SurfaceInfo(handlebody_genus=1, end_lengths=(1.0,))
+    info = SurfaceInfo(handlebody_genus=1, end_lengths=(1.0, 2.0))
     assert info.total_end_length == pytest.approx(3.0)
