@@ -4,37 +4,16 @@ of the upper half-plane (PSL(2,R)).
 The boundary action is on R u {inf}; it also takes points of the plane off
 the real line, where it carries circles to circles, which is how validation
 checks a side pairing.  A matrix and its negation are the same isometry, so
-every comparison is sign-insensitive.
+the trace is defined up to sign: the end trace in `corevol.surface` reads
+|tr|.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from enum import Enum
 
 DET_TOL = 1e-12
-CLASSIFY_TOL = 1e-10
-IDENTITY_TOL = 1e-10
-
-INF = float("inf")
-
-
-class IsometryError(ValueError):
-    """An operation was applied to an element of the wrong isometry class."""
-
-
-class IsometryClass(Enum):
-    IDENTITY = "identity"
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
-
-
-def is_infinity(p) -> bool:
-    """True if the boundary point is the point at infinity."""
-    if isinstance(p, complex):
-        return math.isinf(p.real) or math.isinf(p.imag)
-    return math.isinf(p)
 
 
 class Mobius:
@@ -83,47 +62,19 @@ class Mobius:
     def conjugated_by(self, t: "Mobius") -> "Mobius":
         return t.compose(self).compose(t.inverse())
 
-    def _identity_defect(self) -> float:
-        ident = (1.0, 0.0, 0.0, 1.0)
-        plus = max(abs(x - y) for x, y in zip(self.entries, ident))
-        minus = max(abs(x + y) for x, y in zip(self.entries, ident))
-        return min(plus, minus)
-
-    def classify(self) -> IsometryClass:
-        """Trace classification; a tolerance band of 1e-10 around tr^2 = 4
-        keeps parabolic-by-intent input from being misread as hyperbolic."""
-        if self._identity_defect() <= IDENTITY_TOL:
-            return IsometryClass.IDENTITY
-        t2 = self.trace * self.trace
-        if abs(t2 - 4.0) <= CLASSIFY_TOL:
-            return IsometryClass.PARABOLIC
-        if t2 > 4.0:
-            return IsometryClass.HYPERBOLIC
-        return IsometryClass.ELLIPTIC
-
-    def translation_length(self) -> float:
-        """Displacement along the axis of a hyperbolic element:
-        2 arccosh(|tr|/2)."""
-        cls = self.classify()
-        if cls is not IsometryClass.HYPERBOLIC:
-            raise IsometryError(
-                f"translation length needs a hyperbolic element, got {cls.value}"
-            )
-        return 2.0 * math.acosh(abs(self.trace) / 2.0)
-
     def apply(self, p):
         """Boundary action on a real or complex point; the point at infinity
         is a value, not an error."""
-        if is_infinity(p):
+        if cmath.isinf(p):
             if self.c == 0:
-                return INF
+                return math.inf
             return self.a / self.c
         den = self.c * p + self.d
         if den == 0:
-            return INF
+            return math.inf
         w = (self.a * p + self.b) / den
-        if is_infinity(w):
-            return INF
+        if cmath.isinf(w):
+            return math.inf
         return w
 
     def __call__(self, p):

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 
-from .mobius import IsometryClass
+from .mobius import Mobius
 from .schottky import ValidatedGroup
 
 MATCH_TOL = 1e-8
+HYPERBOLIC_TOL = 1e-10
 
 
 class SurfaceTopologyError(ValueError):
@@ -101,12 +102,17 @@ def _end_lengths(group: ValidatedGroup) -> list[float]:
                 )
             holonomy = mu if holonomy is None else mu.compose(holonomy)
             m = arc_from[partner[j]]
-        if holonomy.classify() is not IsometryClass.HYPERBOLIC:
-            raise SurfaceTopologyError(
-                f"end holonomy is {holonomy.classify().value}, not hyperbolic"
-            )
-        lengths.append(holonomy.translation_length())
+        lengths.append(_end_length(holonomy))
     return lengths
+
+
+def _end_length(holonomy: Mobius) -> float:
+    """2 arccosh(|tr|/2), the length of the end with this holonomy, which
+    must be hyperbolic: tr^2 - 4 > HYPERBOLIC_TOL."""
+    trace = abs(holonomy.trace)
+    if not trace * trace - 4.0 > HYPERBOLIC_TOL:
+        raise SurfaceTopologyError(f"end holonomy is not hyperbolic: |trace| = {trace!r}")
+    return 2.0 * math.acosh(trace / 2.0)
 
 
 def surface_invariants(group: ValidatedGroup) -> SurfaceInfo:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corevol.mobius import (
-    INF,
-    IsometryClass,
-    IsometryError,
-    Mobius,
-    is_infinity,
-)
+from corevol.mobius import Mobius
+from corevol.surface import HYPERBOLIC_TOL, SurfaceTopologyError, _end_length
 from conftest import same_isometry
 
 DIAG = Mobius(2.0, 0.0, 0.0, 0.5)
@@ -22,10 +18,10 @@ entry = st.floats(min_value=-3.0, max_value=3.0)
 
 def chordal_distance(p, q) -> float:
     """Metric on the boundary sphere that stays finite at infinity."""
-    if is_infinity(p) and is_infinity(q):
+    if cmath.isinf(p) and cmath.isinf(q):
         return 0.0
-    if is_infinity(p) or is_infinity(q):
-        return 1.0 / math.sqrt(1.0 + abs(q if is_infinity(p) else p) ** 2)
+    if cmath.isinf(p) or cmath.isinf(q):
+        return 1.0 / math.sqrt(1.0 + abs(q if cmath.isinf(p) else p) ** 2)
     return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
 
 
@@ -87,61 +83,89 @@ def test_determinant_preserved_under_composition():
         assert abs(a * d - b * c - 1.0) <= 1e-12
 
 
+def is_hyperbolic(m) -> bool:
+    return m.trace * m.trace - 4.0 > HYPERBOLIC_TOL
+
+
 @pytest.mark.parametrize(
-    "m, expected",
+    "m",
     [
-        (Mobius.identity(), IsometryClass.IDENTITY),
-        (Mobius(-1.0, 0.0, 0.0, -1.0), IsometryClass.IDENTITY),
-        (Mobius(1.0, 1.0, 0.0, 1.0), IsometryClass.PARABOLIC),
-        (DIAG, IsometryClass.HYPERBOLIC),
-        (Mobius(math.cos(0.4), -math.sin(0.4), math.sin(0.4), math.cos(0.4)),
-         IsometryClass.ELLIPTIC),
+        pytest.param(Mobius.identity(), id="identity"),
+        pytest.param(Mobius(-1.0, 0.0, 0.0, -1.0), id="minus_identity"),
+        pytest.param(Mobius(1.0, 1.0, 0.0, 1.0), id="parabolic"),
+        pytest.param(
+            Mobius(math.cos(0.4), -math.sin(0.4), math.sin(0.4), math.cos(0.4)),
+            id="elliptic",
+        ),
     ],
 )
-def test_classify(m, expected):
-    assert m.classify() is expected
+def test_end_length_rejects_non_hyperbolic(m):
+    with pytest.raises(SurfaceTopologyError, match="not hyperbolic"):
+        _end_length(m)
+
+
+def test_end_length_is_the_trace_formula_bitwise():
+    hyperbolic = [m for m in random_elements(1000, seed=6) if is_hyperbolic(m)][:200]
+    assert len(hyperbolic) == 200
+    for m in hyperbolic:
+        assert _end_length(m) == 2.0 * math.acosh(abs(m.trace) / 2.0)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
+def test_end_length_tolerance_band(factor, accepted):
+    # diag(x, 1/x) with x + 1/x = sqrt(4 + factor * HYPERBOLIC_TOL)
+    trace = math.sqrt(4.0 + factor * HYPERBOLIC_TOL)
+    x = (trace + math.sqrt(trace * trace - 4.0)) / 2.0
+    m = Mobius(x, 0.0, 0.0, 1.0 / x)
+    assert (m.trace * m.trace - 4.0) / HYPERBOLIC_TOL == pytest.approx(factor, rel=1e-3)
+    if accepted:
+        assert _end_length(m) > 0.0
+    else:
+        with pytest.raises(SurfaceTopologyError, match="not hyperbolic"):
+            _end_length(m)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_translation_length_diagonal(s):
     m = Mobius(math.exp(s / 2), 0.0, 0.0, math.exp(-s / 2))
-    assert m.translation_length() == pytest.approx(s, rel=1e-12)
+    assert _end_length(m) == pytest.approx(s, rel=1e-12)
 
 
 def test_translation_length_frozen_value():
-    assert DIAG.translation_length() == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    assert _end_length(DIAG) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_translation_length_symmetric(s):
-    assert SYMM(s).translation_length() == pytest.approx(2.0 * s, rel=1e-12)
+    assert _end_length(SYMM(s)) == pytest.approx(2.0 * s, rel=1e-12)
 
 
 def test_translation_length_rejects_non_hyperbolic():
-    with pytest.raises(IsometryError, match="parabolic"):
-        Mobius(1.0, 1.0, 0.0, 1.0).translation_length()
-    with pytest.raises(IsometryError, match="identity"):
-        Mobius.identity().translation_length()
+    # the message gives the trace that failed
+    with pytest.raises(SurfaceTopologyError, match=r"\|trace\| = 2\.0$"):
+        _end_length(Mobius(1.0, 1.0, 0.0, 1.0))
+    with pytest.raises(SurfaceTopologyError, match=r"\|trace\| = 2\.0$"):
+        _end_length(Mobius.identity())
 
 
 def test_translation_length_conjugation_invariant():
     base = random_elements(5, seed=2)
     conjugators = random_elements(200, seed=3)
     for m in base:
-        if m.classify() is not IsometryClass.HYPERBOLIC:
+        if not is_hyperbolic(m):
             continue
-        ell = m.translation_length()
+        ell = _end_length(m)
         for t in conjugators:
             conj = m.conjugated_by(t)
-            assert conj.translation_length() == pytest.approx(ell, rel=1e-9)
+            assert _end_length(conj) == pytest.approx(ell, rel=1e-9)
 
 
 def test_translation_length_of_square_doubles():
     for m in random_elements(100, seed=4):
-        if m.classify() is not IsometryClass.HYPERBOLIC:
+        if not is_hyperbolic(m):
             continue
-        ell = m.translation_length()
-        assert m.compose(m).translation_length() == pytest.approx(2.0 * ell, rel=1e-9)
+        ell = _end_length(m)
+        assert _end_length(m.compose(m)) == pytest.approx(2.0 * ell, rel=1e-9)
 
 
 # fixed points known in closed form (or, for random elements, the roots of
@@ -149,7 +173,7 @@ def test_translation_length_of_square_doubles():
 
 def test_fixed_points_diagonal():
     assert DIAG(0.0) == 0.0
-    assert is_infinity(DIAG(INF))
+    assert cmath.isinf(DIAG(math.inf))
 
 
 def test_fixed_points_symmetric():
@@ -160,13 +184,13 @@ def test_fixed_points_symmetric():
 def test_fixed_points_equivariant_under_translation():
     shift = Mobius(1.0, 1.0, 0.0, 1.0)  # z -> z + 1
     conj = DIAG.conjugated_by(shift)
-    assert is_infinity(conj(INF))
+    assert cmath.isinf(conj(math.inf))
     assert conj(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fixed_points_are_fixed():
     for m in random_elements(200, seed=5):
-        if m.classify() is not IsometryClass.HYPERBOLIC:
+        if not is_hyperbolic(m):
             continue
         a, b, c, d = m.entries
         root = math.sqrt((a - d) ** 2 + 4.0 * b * c)  # = sqrt(tr^2 - 4)
@@ -185,14 +209,14 @@ def test_apply_diagonal():
 def test_apply_pole_goes_to_infinity():
     m = Mobius(1.0, 2.0, 1.0, 3.0)
     a, b, c, d = m.entries
-    assert chordal_distance(m(-d / c), INF) <= 1e-7
+    assert chordal_distance(m(-d / c), math.inf) <= 1e-7
 
 
 def test_apply_infinity():
     m = Mobius(1.0, 2.0, 1.0, 3.0)
     a, b, c, d = m.entries
-    assert m(INF) == pytest.approx(a / c)
-    assert is_infinity(DIAG(INF))
+    assert m(math.inf) == pytest.approx(a / c)
+    assert cmath.isinf(DIAG(math.inf))
 
 
 @settings(max_examples=50)

@@ -15,9 +15,6 @@ PUBLIC_NAMES = [
     "Circle",
     "Convention",
     "ExpansionFit",
-    "INF",
-    "IsometryClass",
-    "IsometryError",
     "Mobius",
     "Pairing",
     "PleatLeaf",

@@ -99,7 +99,7 @@ def test_generator_from_axis_worked_example():
     assert source.center == pytest.approx(-math.cosh(1.0) / math.sinh(1.0))
     assert target.center == pytest.approx(math.cosh(1.0) / math.sinh(1.0))
     assert source.radius == pytest.approx(1.0 / math.sinh(1.0))
-    assert mob.translation_length() == pytest.approx(2.0, rel=1e-12)
+    assert 2 * math.acosh(abs(mob.trace) / 2) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_generator_from_axis_rejects_degenerate_axes():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from corevol.mobius import Mobius
-from corevol.schottky import Circle, Pairing, SchottkyData, ValidatedGroup, validate
+from corevol.schottky import (
+    Circle,
+    Pairing,
+    SchottkyData,
+    SchottkyError,
+    ValidatedGroup,
+    validate,
+)
 from corevol.surface import (
     SurfaceInfo,
     SurfaceTopologyError,
@@ -37,8 +44,8 @@ def test_adjacent_end_lengths_match_hand_trace(g2_adjacent, surface_adjacent):
     # the product of both
     g1 = g2_adjacent.pairings[0].map
     g2 = g2_adjacent.pairings[1].map
-    short = g1.translation_length()
-    long = g1.compose(g2).translation_length()
+    short = 2 * math.acosh(abs(g1.trace) / 2)
+    long = 2 * math.acosh(abs(g1.compose(g2).trace) / 2)
     assert surface_adjacent.end_lengths == pytest.approx((short, short, long))
     assert short == pytest.approx(2.0 * math.acosh(2.5), rel=1e-12)
 
@@ -48,7 +55,7 @@ def test_crossed_end_length_matches_hand_trace(g2_crossed, surface_crossed):
     g1 = g2_crossed.pairings[0].map
     g2 = g2_crossed.pairings[1].map
     commutator = g1.inverse().compose(g2.inverse()).compose(g1).compose(g2)
-    expected = commutator.translation_length()
+    expected = 2 * math.acosh(abs(commutator.trace) / 2)
     assert surface_crossed.end_lengths[0] == pytest.approx(expected, rel=1e-9)
 
 
@@ -153,6 +160,18 @@ def test_endpoint_mapped_to_infinity_reported():
     assert group.pairings[0].map.inverse()(1.5) == math.inf
     with pytest.raises(SurfaceTopologyError, match="inf"):
         surface_invariants(group)
+
+
+def test_parabolic_end_holonomy_reported():
+    # two tangent circles paired by the parabolic z -> z / (1 + z): the
+    # trace closes, but the end holonomy is parabolic and has no length
+    circles = (Circle(-1.0, 1.0), Circle(1.0, 1.0))
+    group = ValidatedGroup(circles, (Pairing(0, 1, Mobius(1.0, 0.0, 1.0, 1.0)),))
+    with pytest.raises(SurfaceTopologyError, match="not hyperbolic"):
+        surface_invariants(group)
+    with pytest.raises(SchottkyError) as err:
+        validate(SchottkyData(circles, group.pairings))
+    assert err.value.kind == "overlapping_disks"
 
 
 def test_surface_info_invariants_enforced():
