@@ -1,19 +1,17 @@
 """Batch front end: JSON configs in, key-value reports and CSV profiles out.
 
 Commands: validate, surface-info, renvol, wedge, anomaly.  Reports are
-deterministic (no timestamps); validation failures exit nonzero with a
-machine-readable JSON error object on stdout.
+deterministic (no timestamps); validation failures, and a malformed command
+line, exit nonzero with a machine-readable JSON error object on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .mobius import Mobius
 from .pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
@@ -250,11 +248,16 @@ class Report:
         return "\n".join(f"{k} = {v}" for k, v in self.lines) + "\n"
 
 
-def write_profile_csv(profile, path: Path) -> None:
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def write_profile_csv(profile, path: str) -> None:
     lines = ["epsilon,lambda,vol,provenance"]
     for eps, vol in profile.samples:
         lines.append(f"{eps!r},{-math.log(eps)!r},{vol!r},{profile.provenance}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _fs_path(path: str) -> str:
@@ -269,15 +272,16 @@ def _fs_path(path: str) -> str:
     return path
 
 
-def _emit(report: Report, args, csv_profiles) -> None:
+def _emit(report: Report, args: dict, csv_profiles) -> None:
     # files first: if --out cannot be written, the JSON error is all that prints
-    if args.out:
-        out_dir = Path(_fs_path(args.out))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(report.text(), encoding="utf-8")
-        if args.csv:
+    if args["out"]:
+        out_dir = _fs_path(args["out"])
+        os.makedirs(out_dir, exist_ok=True)
+        _write_text(os.path.join(out_dir, "report.txt"), report.text())
+        if args["csv"]:
             for profile in csv_profiles:
-                write_profile_csv(profile, out_dir / f"profile_{profile.provenance}.csv")
+                write_profile_csv(
+                    profile, os.path.join(out_dir, f"profile_{profile.provenance}.csv"))
     sys.stdout.write(report.text())
 
 
@@ -486,28 +490,92 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="corevol",
-        description="Renormalized volumes of Schottky hyperbolic 3-manifolds "
-        "normalized by the distance to the convex core.",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", help="directory for report.txt and CSV output")
-    parser.add_argument("--csv", action="store_true", help="write profile CSVs to --out")
-    parser.add_argument("--convention", choices=list(CONVENTIONS),
-                        help="override the config convention")
-    parser.add_argument("--eps-min", type=float, help="override epsilon grid minimum")
-    parser.add_argument("--eps-max", type=float, help="override epsilon grid maximum")
-    parser.add_argument("--eps-count", type=int, help="override epsilon grid size")
-    parser.add_argument("--echo-config", action="store_true",
-                        help="print the normalized config as JSON and exit")
-    return parser
+def _convention(value: str) -> str:
+    if value not in CONVENTIONS:
+        raise ValueError(f"must be one of {', '.join(CONVENTIONS)}, got {value!r}")
+    return value
 
 
-# built once: parsing does not change the parser
-_PARSER = _build_parser()
+# flag -> (field, converter, metavar, help); a flag without a converter takes
+# no value and sets its field to True
+OPTIONS = {
+    "--config": ("config", str, "PATH", "path to a JSON config (required)"),
+    "--out": ("out", str, "DIR", "directory for report.txt and CSV output"),
+    "--csv": ("csv", None, "", "write profile CSVs to --out"),
+    "--convention": ("convention", _convention, "NAME",
+                     f"override the config convention: {', '.join(CONVENTIONS)}"),
+    "--eps-min": ("eps_min", float, "X", "override epsilon grid minimum"),
+    "--eps-max": ("eps_max", float, "X", "override epsilon grid maximum"),
+    "--eps-count": ("eps_count", int, "N", "override epsilon grid size"),
+    "--echo-config": ("echo_config", None, "", "print the normalized config as JSON and exit"),
+}
+HELP_FLAGS = ("-h", "--help")
+
+HELP = "\n".join([
+    "usage: corevol {" + "|".join(COMMANDS) + "} --config PATH [options]",
+    "",
+    "Renormalized volumes of Schottky hyperbolic 3-manifolds normalized by the",
+    "distance to the convex core.",
+    "",
+    "options, as --opt value or --opt=value, each at most once, before or after",
+    "the command:",
+    *(f"  {f'{flag} {metavar}'.rstrip():20} {text}"
+      for flag, (_, _, metavar, text) in OPTIONS.items()),
+    f"  {', '.join(HELP_FLAGS):20} print this help and exit",
+]) + "\n"
+
+
+class UsageError(ValueError):
+    pass
+
+
+def _is_option(arg: str) -> bool:
+    return arg.startswith("--") or arg in HELP_FLAGS
+
+
+def _parse_argv(argv) -> dict | None:
+    """The command line as {field: value} for "command" and every OPTIONS
+    field (None, or False for a flag, when not given), or None when it asks
+    for help.  A malformed command line raises UsageError."""
+    args = {field: None if convert else False for field, convert, *_ in OPTIONS.values()}
+    args["command"] = None
+    seen = set()
+    rest = iter(argv)
+    for arg in rest:
+        if not _is_option(arg):
+            if args["command"] is not None:
+                raise UsageError(f"unexpected argument {arg!r} after the command")
+            if arg not in COMMANDS:
+                raise UsageError(f"unknown command {arg!r}; commands: {', '.join(COMMANDS)}")
+            args["command"] = arg
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag in HELP_FLAGS:
+            return None
+        if flag not in OPTIONS:
+            raise UsageError(f"unknown option {flag!r}")
+        if flag in seen:
+            raise UsageError(f"option {flag} given twice")
+        seen.add(flag)
+        field, convert, *_ = OPTIONS[flag]
+        if convert is None:
+            if eq:
+                raise UsageError(f"option {flag} takes no value")
+            args[field] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                raise UsageError(f"option {flag} needs a value")
+        try:
+            args[field] = convert(value)
+        except ValueError as exc:
+            raise UsageError(f"option {flag}: {exc}") from None
+    if args["command"] is None:
+        raise UsageError(f"missing command; commands: {', '.join(COMMANDS)}")
+    if args["config"] is None:
+        raise UsageError("missing option --config")
+    return args
 
 
 def _error_object(kind: str, message: str, **extra) -> str:
@@ -515,56 +583,68 @@ def _error_object(kind: str, message: str, **extra) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _with_overrides(raw, args):
+def _with_overrides(raw, args: dict):
     """The raw config with the override flags written into it, so they pass
     through parse_config exactly like keys of the file."""
     if not isinstance(raw, dict):
         return raw
     raw = dict(raw)
-    if args.convention is not None:
-        raw["convention"] = args.convention
+    if args["convention"] is not None:
+        raw["convention"] = args["convention"]
     grid = raw.get("epsilon_grid", {})
     if isinstance(grid, dict):
-        flags = (("min", args.eps_min), ("max", args.eps_max), ("count", args.eps_count))
+        flags = (("min", args["eps_min"]), ("max", args["eps_max"]),
+                 ("count", args["eps_count"]))
         raw["epsilon_grid"] = {**grid, **{k: v for k, v in flags if v is not None}}
     return raw
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        raw = json.loads(Path(_fs_path(args.config)).read_text(encoding="utf-8"),
-                         object_pairs_hook=_unique_keys)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(_error_object("usage", str(exc)))
+        return 2
+    if args is None:
+        sys.stdout.write(HELP)
+        return 0
+    path = args["config"]
+    try:
+        # bytes, decoded at once: no newline translation, and a decode
+        # error's offset is the byte's offset in the file
+        with open(_fs_path(path), "rb") as f:
+            text = f.read().decode("utf-8")
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        print(_error_object("io", f"cannot read config file {args.config}: {exc.strerror}"))
+        print(_error_object("io", f"cannot read config file {path}: {exc.strerror}"))
         return 1
     except json.JSONDecodeError as exc:
-        print(_error_object("parse", f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}"))
+        print(_error_object("parse", f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"))
         return 1
     except UnicodeDecodeError as exc:
-        print(_error_object("parse", f"{args.config}: not UTF-8 text at byte {exc.start}"))
+        print(_error_object("parse", f"{path}: not UTF-8 text at byte {exc.start}"))
         return 1
     except ConfigError as exc:
         print(_error_object("config", str(exc)))
         return 1
     except (ValueError, RecursionError) as exc:
         # an integer past the decoder's digit limit, or nesting past its depth
-        print(_error_object("parse", f"{args.config}: {exc}"))
+        print(_error_object("parse", f"{path}: {exc}"))
         return 1
     try:
-        if args.csv and not args.out:
+        if args["csv"] and not args["out"]:
             raise ConfigError("--csv needs --out to know where to write")
         cfg = parse_config(_with_overrides(raw, args))
-        if args.echo_config:
+        if args["echo_config"]:
             print(json.dumps(cfg, sort_keys=True, indent=2))
             return 0
-        command, mode = COMMANDS[args.command]
+        command, mode = COMMANDS[args["command"]]
         if cfg["mode"] != mode:
             raise ConfigError(f"command needs mode {mode}, config has {cfg['mode']}")
         report = Report()
-        report.add("command", args.command)
+        report.add("command", args["command"])
         report.add("name", cfg["name"])
-        _emit(report, args, command(cfg, report, args.csv))
+        _emit(report, args, command(cfg, report, args["csv"]))
         return 0
     except ConfigError as exc:
         print(_error_object("config", str(exc)))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -199,7 +200,7 @@ README_ANOMALY_CONFIG = {
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 
-WATCHED = ("numpy", "scipy", "dataclasses", "inspect", "hashlib")
+WATCHED = ("numpy", "scipy", "dataclasses", "inspect", "hashlib", "argparse")
 importers = {}
 
 
@@ -241,7 +242,8 @@ def test_only_anomaly_loads_numpy(tmp_path):
     # dataclasses are never loaded; inspect is loaded only by numpy's own
     # import (numpy._core.overrides imports it), so not before anomaly.
     # hashlib is never loaded: a csv field read once in a process is parsed
-    # without the field cache's hashing
+    # without the field cache's hashing; argparse is never loaded: the command
+    # line is parsed from the OPTIONS table
     mesh = README_ANOMALY_CONFIG["mesh"]
     field = tmp_path / "field.csv"
     field.write_text("n_t,n_theta,t_extent,circumference,tag\n"
@@ -270,6 +272,21 @@ def test_only_anomaly_loads_numpy(tmp_path):
     assert sorted(importers) == ["inspect", "numpy"]
     assert importers["numpy"].startswith("corevol.")
     assert importers["inspect"].startswith("numpy.")
+
+
+# pathlib cannot join WATCHED: the interpreter's site module may already have
+# loaded it through a .pth file, so the import statements are checked instead
+def test_no_module_imports_argparse_or_pathlib():
+    package = Path(cli.__file__).resolve().parent
+    imported = set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((source.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add((source.name, node.module.split(".")[0]))
+    assert "cli.py" in {name for name, _ in imported}
+    assert sorted(m for m in imported if m[1] in ("argparse", "pathlib")) == []
 
 
 def test_renvol_single_convention_flag(tmp_path, capsys):
@@ -459,12 +476,147 @@ def test_old_quadrature_tol_key_is_dropped_like_any_unknown_key(tmp_path, capsys
 
 
 def test_quad_tol_flag_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as usage:
-        main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG), "--quad-tol", "1e-8"])
-    assert usage.value.code == 2
+    assert main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG),
+                 "--quad-tol", "1e-8"]) == 2
     out = capsys.readouterr()
-    assert out.out == ""
-    assert "unrecognized arguments: --quad-tol" in out.err
+    assert out.err == ""
+    assert json.loads(out.out) == {
+        "error": {"kind": "usage", "message": "unknown option '--quad-tol'"}}
+
+
+# name -> (argv, with CONFIG standing for the path of a valid config, and a
+# fragment of the usage message); only the command line is at fault
+BAD_ARGV = {
+    "no_arguments": ([], "missing command"),
+    "unknown_command": (["renvolume", "--config", "CONFIG"], "unknown command 'renvolume'"),
+    "empty_command": (["", "--config", "CONFIG"], "unknown command ''"),
+    "second_command": (["renvol", "wedge", "--config", "CONFIG"],
+                       "unexpected argument 'wedge'"),
+    "unknown_option": (["renvol", "--config", "CONFIG", "--quad-tol", "1e-8"],
+                       "unknown option '--quad-tol'"),
+    "short_option": (["renvol", "-c", "CONFIG"], "unexpected argument '-c'"),
+    "abbreviated_option": (["renvol", "--conf", "CONFIG"], "unknown option '--conf'"),
+    "abbreviated_option_with_equals": (["renvol", "--conf=CONFIG"],
+                                       "unknown option '--conf'"),
+    "missing_command": (["--config", "CONFIG"], "missing command"),
+    "missing_config": (["renvol"], "missing option --config"),
+    "missing_config_with_flags": (["renvol", "--csv", "--eps-count", "9"],
+                                  "missing option --config"),
+    "config_value_at_end": (["renvol", "--config"], "option --config needs a value"),
+    "config_value_is_an_option": (["renvol", "--config", "--echo-config"],
+                                  "option --config needs a value"),
+    "config_value_is_help": (["renvol", "--out", "--help", "--config", "CONFIG"],
+                             "option --out needs a value"),
+    "eps_min_value_at_end": (["renvol", "--config", "CONFIG", "--eps-min"],
+                             "option --eps-min needs a value"),
+    "eps_min_not_a_float": (["renvol", "--config", "CONFIG", "--eps-min", "small"],
+                            "option --eps-min: could not convert"),
+    "eps_max_empty": (["renvol", "--config", "CONFIG", "--eps-max="],
+                      "option --eps-max: could not convert"),
+    "eps_count_not_an_int": (["renvol", "--config", "CONFIG", "--eps-count", "12.0"],
+                             "option --eps-count: invalid literal for int()"),
+    "eps_count_past_the_digit_limit": (
+        ["renvol", "--config", "CONFIG", "--eps-count", "1" * 5000],
+        "option --eps-count: Exceeds the limit (4300 digits)"),
+    "convention_outside_the_table": (
+        ["renvol", "--config", "CONFIG", "--convention", "mine"],
+        "option --convention: must be one of paper, derived, both, got 'mine'"),
+    "value_for_a_flag": (["renvol", "--config", "CONFIG", "--echo-config=yes"],
+                         "option --echo-config takes no value"),
+    "empty_value_for_a_flag": (["renvol", "--config", "CONFIG", "--out", "x", "--csv="],
+                               "option --csv takes no value"),
+    "option_twice": (["renvol", "--config", "CONFIG", "--config", "CONFIG"],
+                     "option --config given twice"),
+    "option_twice_in_both_forms": (
+        ["renvol", "--eps-min", "0.01", "--config", "CONFIG", "--eps-min=0.02"],
+        "option --eps-min given twice"),
+    "flag_twice": (["renvol", "--config", "CONFIG", "--echo-config", "--echo-config"],
+                   "option --echo-config given twice"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGV))
+def test_malformed_command_line_is_one_usage_error(tmp_path, capsys, name):
+    argv, fragment = BAD_ARGV[name]
+    config = write_config(tmp_path, BTZ_CONFIG)
+    argv = [config if arg == "CONFIG" else arg.replace("=CONFIG", "=" + config)
+            for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # what argparse did
+        pytest.fail(f"main raised SystemExit({exc.code})")
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("\n") == 1
+    error = json.loads(out.out)["error"]
+    assert sorted(error) == ["kind", "message"]
+    assert error["kind"] == "usage"
+    assert fragment in error["message"]
+
+
+def test_main_reads_sys_argv_and_the_module_exits_with_its_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["corevol"])
+    assert main() == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "corevol.cli"], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (2, "")
+    assert run.stdout.count("\n") == 1
+    assert json.loads(run.stdout)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["renvol", "--help"],
+                                  ["--config", "missing.json", "wedge", "-h"],
+                                  ["--eps-count", "9", "--help", "--bogus"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (cli.HELP, "")
+
+
+def test_help_names_every_command_and_option():
+    assert cli.HELP.startswith("usage: corevol ")
+    words = set(cli.HELP.replace(",", " ").replace("{", " ").replace("}", " ")
+                .replace("|", " ").split())
+    missing = [name for name in [*COMMANDS, *cli.OPTIONS, "-h", "--help"] if name not in words]
+    assert missing == []
+
+
+# each argv spells `renvol --config PATH --eps-count 9 --convention paper
+# --out DIR --csv` another way
+SAME_COMMAND_LINE = [
+    ["renvol", "--config", "CONFIG", "--eps-count", "9", "--convention", "paper",
+     "--out", "OUT", "--csv"],
+    ["renvol", "--config=CONFIG", "--eps-count=9", "--convention=paper", "--out=OUT", "--csv"],
+    ["--config", "CONFIG", "--eps-count", "9", "--convention", "paper", "--out", "OUT",
+     "--csv", "renvol"],
+    ["--csv", "--convention=paper", "--out", "OUT", "renvol", "--eps-count", "9",
+     "--config=CONFIG"],
+]
+
+
+def test_equals_form_and_option_order_give_the_same_report(tmp_path, capsys):
+    config = write_config(tmp_path, BTZ_CONFIG)
+    outputs = []
+    for k, argv in enumerate(SAME_COMMAND_LINE):
+        out = tmp_path / f"out{k}"
+        argv = [arg.replace("CONFIG", config).replace("OUT", str(out)) for arg in argv]
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert sorted(outputs[0][1]) == ["profile_closed_form_paper.csv",
+                                     "profile_quadrature.csv", "report.txt"]
+    assert outputs[0][1]["report.txt"] == outputs[0][0].encode("utf-8")
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+@pytest.mark.parametrize("flag", [["--eps-min", "-1e-3"], ["--eps-min=-1e-3"]])
+def test_a_negative_number_is_a_value_not_an_option(tmp_path, capsys, flag):
+    assert main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG), *flag]) == 1
+    assert _one_error(capsys) == {"kind": "config",
+                                  "message": "config.epsilon_grid: need 0 < min < max < 1"}
 
 
 def test_parse_errors_are_positioned(tmp_path, capsys):
@@ -501,6 +653,74 @@ def test_unreadable_config_is_one_json_error(tmp_path, capsys, content, kind, fr
     error = _one_error(capsys)
     assert error["kind"] == kind
     assert fragment in error["message"]
+
+
+# broken config texts, each written with LF and with CRLF line ends
+BROKEN_TEXTS = {
+    "trailing_comma": '{\n  "mode": "fuchsian_group",\n  "name": "x",\n}\n',
+    "missing_comma": '{\n  "mode": "fuchsian_group"\n  "name": "x"\n}\n',
+    "line_break_in_a_string": '{\n  "mode": "fuchsian_group",\n  "name": "x\n"}\n',
+    "text_ends": '{\n  "mode": "fuchsian_group",\n  "name": \n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TEXTS))
+def test_crlf_config_parse_error_has_the_lf_position(tmp_path, capsys, name):
+    messages = []
+    for eol in ("\n", "\r\n"):
+        path = tmp_path / f"{len(eol)}.json"
+        path.write_bytes(BROKEN_TEXTS[name].replace("\n", eol).encode("utf-8"))
+        assert main(["validate", "--config", str(path)]) == 1
+        error = _one_error(capsys)
+        assert error["kind"] == "parse"
+        messages.append(error["message"].removeprefix(str(path)))
+    assert messages[0] == messages[1]
+    assert not messages[0].startswith(":1:")
+
+
+def test_a_lone_cr_is_not_a_line_break_in_parse_positions(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{\r"mode": "fuchsian_group",\r}')
+    assert main(["validate", "--config", str(path)]) == 1
+    assert _one_error(capsys) == {
+        "kind": "parse",
+        "message": f"{path}:1:29: Expecting property name enclosed in double quotes"}
+
+
+# the byte where the text stops being UTF-8 is counted from the start of the
+# file, also past the first 8 KiB: a lone 0xff, and a three-byte sequence cut
+# short across the 8 KiB mark
+@pytest.mark.parametrize("offset, bad", [(10000, b"\xff"), (8191, b"\xe2\x82")])
+def test_non_utf8_byte_is_reported_at_its_offset_in_the_file(tmp_path, capsys, offset, bad):
+    head = b'{"mode": "fuchsian_group", "name": "'
+    data = head + b"a" * (offset - len(head)) + bad + b'"}'
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert _one_error(capsys) == {"kind": "parse",
+                                  "message": f"{path}: not UTF-8 text at byte {offset}"}
+
+
+def test_utf8_bom_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(BTZ_CONFIG).encode("utf-8"))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert _one_error(capsys) == {
+        "kind": "parse", "message": f"{path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)"}
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.json", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("a\0b.json", "a path cannot hold a NUL byte"),
+    ("\ud800.json", "a path cannot hold a lone surrogate"),
+], ids=["missing", "directory", "nul", "lone_surrogate"])
+def test_config_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys, name, reason):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / name)
+    assert main(["validate", "--config", path]) == 1
+    assert _one_error(capsys) == {"kind": "io",
+                                  "message": f"cannot read config file {path}: {reason}"}
 
 
 CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
