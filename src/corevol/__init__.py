@@ -11,11 +11,9 @@ from .schottky import (
     SchottkyData,
     SchottkyError,
     ValidatedGroup,
-    enumerate_words,
     generator_from_axis,
     limit_set_sample,
     validate,
-    word_mobius,
 )
 from .surface import (
     SurfaceInfo,
@@ -35,14 +33,12 @@ from .renvol import (
     profile_quadrature,
     renormalized_volume,
     surface_terms,
-    truncated_volume_quadrature,
 )
 from .pleated import (
     PleatLeaf,
     PleatedCoreData,
-    fuchsian_reduction_check,
     wedge_volume_quadrature,
 )
-from .quadrature import QuadratureError, adaptive_quad
+from .quadrature import QuadratureError
 
 __version__ = "0.1.0"

@@ -54,6 +54,10 @@ class ConfigError(ValueError):
     pass
 
 
+class ParseError(ValueError):
+    pass
+
+
 def _unique_keys(pairs) -> dict:
     """json object_pairs_hook: a key given twice in one object is a config
     error, not a silent choice of its last value."""
@@ -274,7 +278,7 @@ def _fs_path(path: str) -> str:
 
 def _emit(report: Report, args: dict, csv_profiles) -> None:
     # files first: if --out cannot be written, the JSON error is all that prints
-    if args["out"]:
+    if args["out"] is not None:
         out_dir = _fs_path(args["out"])
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "report.txt"), report.text())
@@ -575,12 +579,9 @@ def _parse_argv(argv) -> dict | None:
         raise UsageError(f"missing command; commands: {', '.join(COMMANDS)}")
     if args["config"] is None:
         raise UsageError("missing option --config")
+    if args["csv"] and args["out"] is None:
+        raise UsageError("option --csv needs --out to know where to write")
     return args
-
-
-def _error_object(kind: str, message: str, **extra) -> str:
-    payload = {"error": {"kind": kind, "message": message, **extra}}
-    return json.dumps(payload, sort_keys=True)
 
 
 def _with_overrides(raw, args: dict):
@@ -599,42 +600,52 @@ def _with_overrides(raw, args: dict):
     return raw
 
 
-def main(argv=None) -> int:
-    try:
-        args = _parse_argv(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(_error_object("usage", str(exc)))
-        return 2
-    if args is None:
-        sys.stdout.write(HELP)
-        return 0
-    path = args["config"]
+def _read_config(path: str):
+    """The JSON value in the config file at `path`.  A file that cannot be
+    read is an OSError, and text that is not JSON a ParseError, each naming
+    the path; a key given twice in one object is a ConfigError."""
     try:
         # bytes, decoded at once: no newline translation, and a decode
         # error's offset is the byte's offset in the file
         with open(_fs_path(path), "rb") as f:
             text = f.read().decode("utf-8")
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        print(_error_object("io", f"cannot read config file {path}: {exc.strerror}"))
-        return 1
+        raise OSError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
-        print(_error_object("parse", f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"))
-        return 1
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
-        print(_error_object("parse", f"{path}: not UTF-8 text at byte {exc.start}"))
-        return 1
-    except ConfigError as exc:
-        print(_error_object("config", str(exc)))
-        return 1
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except ConfigError:
+        raise
     except (ValueError, RecursionError) as exc:
         # an integer past the decoder's digit limit, or nesting past its depth
-        print(_error_object("parse", f"{path}: {exc}"))
-        return 1
+        raise ParseError(f"{path}: {exc}") from None
+
+
+# type raised -> (error kind, exit code), subclasses before their bases: the
+# first type that matches rules.  A SchottkyError (kind None) names its own
+# kind and adds its detail
+FAILURES = {
+    UsageError: ("usage", 2),
+    ConfigError: ("config", 1),
+    ParseError: ("parse", 1),
+    OSError: ("io", 1),
+    QuadratureError: ("quadrature", 2),
+    SchottkyError: (None, 2),
+    SurfaceTopologyError: ("surface_topology", 2),
+    ValueError: ("value", 2),
+    MemoryError: ("value", 2),
+}
+
+
+def main(argv=None) -> int:
     try:
-        if args["csv"] and not args["out"]:
-            raise ConfigError("--csv needs --out to know where to write")
-        cfg = parse_config(_with_overrides(raw, args))
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(HELP)
+            return 0
+        cfg = parse_config(_with_overrides(_read_config(args["config"]), args))
         if args["echo_config"]:
             print(json.dumps(cfg, sort_keys=True, indent=2))
             return 0
@@ -646,27 +657,15 @@ def main(argv=None) -> int:
         report.add("name", cfg["name"])
         _emit(report, args, command(cfg, report, args["csv"]))
         return 0
-    except ConfigError as exc:
-        print(_error_object("config", str(exc)))
-        return 1
-    except OSError as exc:
-        print(_error_object("io", str(exc)))
-        return 1
-    except QuadratureError as exc:
-        print(_error_object("quadrature", str(exc)))
-        return 2
-    except SchottkyError as exc:
-        print(_error_object(exc.kind, str(exc), **exc.detail))
-        return 2
-    except SurfaceTopologyError as exc:
-        print(_error_object("surface_topology", str(exc)))
-        return 2
-    except ValueError as exc:
-        print(_error_object("value", str(exc)))
-        return 2
-    except MemoryError as exc:
-        print(_error_object("value", f"out of memory: {exc}" if str(exc) else "out of memory"))
-        return 2
+    except tuple(FAILURES) as exc:
+        kind, code = next(row for raised, row in FAILURES.items() if isinstance(exc, raised))
+        message, detail = str(exc), {}
+        if kind is None:
+            kind, detail = exc.kind, exc.detail
+        if isinstance(exc, MemoryError):
+            message = f"out of memory: {message}" if message else "out of memory"
+        print(json.dumps({"error": {"kind": kind, "message": message, **detail}}, sort_keys=True))
+        return code
 
 
 if __name__ == "__main__":

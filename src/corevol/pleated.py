@@ -21,20 +21,7 @@ import math
 # its metrics read 0, but tests/test_bench_metrics.py ties the tracer's
 # metric keys to the per_layer list of BENCHMARK.json
 from .quadrature import adaptive_quad  # noqa: F401
-from .renvol import (
-    Convention,
-    _finite_volume,
-    _sector_areas,
-    bending_sum,
-    closed_volume,
-    renormalized_volume,
-    surface_terms,
-)
-from .surface import SurfaceInfo
-
-# level and relative tolerance of the wedge-oracle leg of fuchsian_reduction_check
-REDUCTION_EPS = 0.1
-REDUCTION_REL_TOL = 1e-12
+from .renvol import _finite_volume, _sector_areas, bending_sum
 
 
 class PleatLeaf:
@@ -106,36 +93,3 @@ def wedge_volume_quadrature(leaves, eps: float):
     areas, errors, cells = _sector_areas([eps] * len(leaves), [leaf.theta for leaf in leaves])
     return ([_finite_volume(leaf.length * area, eps) for leaf, area in zip(leaves, areas)],
             [leaf.length * error for leaf, error in zip(leaves, errors)], cells)
-
-
-def fuchsian_reduction_check(surface: SurfaceInfo, convention: Convention):
-    """Degenerate a Fuchsian surface to pleating data and compare routes.
-
-    The core volume collapses to zero and every end geodesic becomes a leaf
-    with theta = 0; the pleated V must then equal the Fuchsian one bitwise.
-    That holds by construction: both read the constants of CLOSED_FORMS
-    rows of equal V (collar and core add nothing, wedge and end the same
-    multiple of one bending sum).  The independent leg is the oracle's:
-    the DERIVED closed truncated volume at eps = REDUCTION_EPS must match
-    the slab volume plus the 3d wedge oracle of every leaf (at theta = 0
-    the very integral renvol uses for the ends) within REDUCTION_REL_TOL,
-    whatever the convention; `oracle_gap` is their relative difference.
-    Returns (passed, report dict).
-    """
-    leaves = tuple(PleatLeaf(length, 0.0) for length in surface.end_lengths)
-    core = PleatedCoreData(0.0, leaves, boundary_area=2.0 * surface.core_area)
-    pleated = renormalized_volume(core.terms, convention, base=core.core_volume)
-    fuchsian = renormalized_volume(surface_terms(surface), convention)
-    closed = closed_volume(surface_terms(surface), REDUCTION_EPS, Convention.DERIVED)
-    wedges = wedge_volume_quadrature(leaves, REDUCTION_EPS)[0]
-    slab = closed_volume([("collar", core.boundary_area)], REDUCTION_EPS, Convention.DERIVED)
-    oracle = slab + sum(wedges)
-    gap = abs(oracle - closed) / closed if closed else abs(oracle)
-    report = {
-        "convention": convention.value,
-        "pleated": pleated,
-        "fuchsian": fuchsian,
-        "difference": pleated - fuchsian,
-        "oracle_gap": gap,
-    }
-    return pleated == fuchsian and gap <= REDUCTION_REL_TOL, report

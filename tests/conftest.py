@@ -5,14 +5,20 @@ import pytest
 
 from corevol import (
     Circle,
+    Convention,
     Mobius,
     Pairing,
+    PleatedCoreData,
+    PleatLeaf,
     SchottkyData,
+    closed_volume,
     generator_from_axis,
+    renormalized_volume,
     surface_invariants,
+    surface_terms,
     validate,
 )
-from corevol import anomaly
+from corevol import anomaly, pleated
 
 
 def pairing_from_circles(source: Circle, target: Circle) -> Mobius:
@@ -56,6 +62,45 @@ def level_set_area(surface, lam: float) -> float:
         raise ValueError(f"lambda must be positive, got {lam}")
     cylinders = math.pi * math.sinh(lam) * math.cosh(lam) * surface.total_end_length
     return 2.0 * surface.core_area * math.cosh(lam) ** 2 + cylinders
+
+
+# level and relative tolerance of the wedge-oracle leg of fuchsian_reduction_check
+REDUCTION_EPS = 0.1
+REDUCTION_REL_TOL = 1e-12
+
+
+def fuchsian_reduction_check(surface, convention: Convention):
+    """Degenerate a Fuchsian surface to pleating data and compare routes.
+
+    The core volume collapses to zero and every end geodesic becomes a leaf
+    with theta = 0; the pleated V must then equal the Fuchsian one bitwise.
+    That holds by construction: both read the constants of CLOSED_FORMS
+    rows of equal V (collar and core add nothing, wedge and end the same
+    multiple of one bending sum).  The independent leg is the oracle's:
+    the DERIVED closed truncated volume at eps = REDUCTION_EPS must match
+    the slab volume plus the 3d wedge oracle of every leaf (at theta = 0
+    the very integral renvol uses for the ends) within REDUCTION_REL_TOL,
+    whatever the convention; `oracle_gap` is their relative difference.
+    The oracle is looked up in corevol.pleated at each call, so that a test
+    can replace it.  Returns (passed, report dict).
+    """
+    leaves = tuple(PleatLeaf(length, 0.0) for length in surface.end_lengths)
+    core = PleatedCoreData(0.0, leaves, boundary_area=2.0 * surface.core_area)
+    pleated_v = renormalized_volume(core.terms, convention, base=core.core_volume)
+    fuchsian_v = renormalized_volume(surface_terms(surface), convention)
+    closed = closed_volume(surface_terms(surface), REDUCTION_EPS, Convention.DERIVED)
+    wedges = pleated.wedge_volume_quadrature(leaves, REDUCTION_EPS)[0]
+    slab = closed_volume([("collar", core.boundary_area)], REDUCTION_EPS, Convention.DERIVED)
+    oracle = slab + sum(wedges)
+    gap = abs(oracle - closed) / closed if closed else abs(oracle)
+    report = {
+        "convention": convention.value,
+        "pleated": pleated_v,
+        "fuchsian": fuchsian_v,
+        "difference": pleated_v - fuchsian_v,
+        "oracle_gap": gap,
+    }
+    return pleated_v == fuchsian_v and gap <= REDUCTION_REL_TOL, report
 
 
 @pytest.fixture(scope="session")

@@ -8,10 +8,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import full, integrate, level_set_area, liouville_residual, on_mesh
+from conftest import (
+    fuchsian_reduction_check,
+    full,
+    integrate,
+    level_set_area,
+    liouville_residual,
+    on_mesh,
+)
 from corevol.anomaly import TAG_FLAT, TAG_HYPERBOLIC, SurfaceMesh, anomaly_functionals
 from corevol.cli import main
-from corevol.pleated import PleatLeaf, fuchsian_reduction_check, wedge_volume_quadrature
+from corevol.pleated import PleatLeaf, wedge_volume_quadrature
 from corevol.renvol import (
     Convention,
     closed_volume,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,9 @@ from hypothesis import strategies as st
 from corevol import cli, pleated, renvol
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
+from corevol.schottky import SchottkyError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BTZ_CONFIG = {
     "mode": "fuchsian_group",
@@ -532,6 +536,8 @@ BAD_ARGV = {
         "option --eps-min given twice"),
     "flag_twice": (["renvol", "--config", "CONFIG", "--echo-config", "--echo-config"],
                    "option --echo-config given twice"),
+    "csv_without_out": (["renvol", "--config", "CONFIG", "--csv"],
+                        "option --csv needs --out to know where to write"),
 }
 
 
@@ -739,6 +745,8 @@ CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
         (lambda c: c.update(epsilon_grid={"count": [9]}), "expected an integer, got [9]"),
         (lambda c: c.update(epsilon_grid={"count": 9.7}), "expected an integer, got 9.7"),
         (lambda c: c.update(mode="pleated_core", leaves=5), "leaves: expected a list"),
+        (lambda c: c.update(mode="pleated_core"),
+         "command needs mode fuchsian_group, config has pleated_core"),
         (
             lambda c: c.update(generators=[], circles=CIRCLE_PAIR, pairings=[
                 {"source": [0], "target": 1, "matrix": [1.0, 0.0, 0.0, 1.0]}]),
@@ -1042,6 +1050,34 @@ def test_endpoint_mismatch_is_a_surface_topology_error(tmp_path, capsys, monkeyp
     assert "misses its partner's endpoint" in error["message"]
 
 
+def _readme_exit_kinds() -> dict:
+    """kind -> exit code, as README's "Exit codes." list gives them: each
+    sub-item of an "- exit N:" item starts with its kinds, before a colon."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("Exit codes.", 1)[1].split("\n\n", 2)[1]
+    kinds, code = {}, None
+    for item in re.split(r"\n(?= *- )", section):
+        if head := re.match(r"- exit (\d):", item):
+            code = int(head[1])
+        elif head := re.match(r"  - ([^:]*):", item):
+            kinds.update(dict.fromkeys(re.findall(r"`(\w+)`", head[1]), code))
+    return kinds
+
+
+def _schottky_kinds() -> set:
+    """The kinds of every SchottkyError that corevol.schottky raises."""
+    tree = ast.parse((ROOT / "src" / "corevol" / "schottky.py").read_text(encoding="utf-8"))
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SchottkyError"}
+
+
+def test_readme_exit_codes_match_the_failure_table():
+    table = {kind: code for kind, code in cli.FAILURES.values() if kind is not None}
+    assert len(_schottky_kinds()) == 8
+    table.update(dict.fromkeys(_schottky_kinds(), cli.FAILURES[SchottkyError][1]))
+    assert _readme_exit_kinds() == table
+
+
 def test_missing_field_file_is_an_io_error(tmp_path, capsys):
     config = dict(ANOMALY_CONFIG, field={"kind": "csv", "path": str(tmp_path / "none.csv")})
     code = main(["anomaly", "--config", write_config(tmp_path, config)])
@@ -1067,9 +1103,21 @@ def _config_text(tmp_path, text):
     return str(path)
 
 
+def _field_file(tmp_path, n_t):
+    """A zero csv field on the example mesh, but with n_t rows."""
+    mesh = ANOMALY_CONFIG["mesh"]
+    row = ",".join(["0.0"] * mesh["n_theta"]) + "\n"
+    path = tmp_path / "field.csv"
+    path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
+                    f"{n_t},{mesh['n_theta']},{mesh['t_extent']!r},"
+                    f"{mesh['circumference']!r},{mesh['tag']}\n" + row * n_t, encoding="utf-8")
+    return str(path)
+
+
 # name -> (argv in tmp_path, error kind, message fragment): config text the
 # JSON decoder refuses with a plain ValueError or a RecursionError is a
-# parse error, and a path that no file can have is an io error, exit 1 both
+# parse error, a path that no file can have (or an empty one) is an io error,
+# and a field file made for another mesh is a config error, exit 1 all
 UNREADABLE = {
     "integer_past_the_digit_limit": (
         lambda tmp: ["wedge", "--config", _config_text(
@@ -1089,6 +1137,13 @@ UNREADABLE = {
         lambda tmp: ["anomaly", "--config", write_config(
             tmp, dict(ANOMALY_CONFIG, field={"kind": "csv", "path": "\ud800.csv"}))],
         "io", "a path cannot hold a lone surrogate"),
+    "empty_out_path": (
+        lambda tmp: ["validate", "--config", write_config(tmp, BTZ_CONFIG), "--out="],
+        "io", "No such file or directory: ''"),
+    "field_file_for_another_mesh": (
+        lambda tmp: ["anomaly", "--config", write_config(
+            tmp, dict(ANOMALY_CONFIG, field={"kind": "csv", "path": _field_file(tmp, 33)}))],
+        "config", "field.csv does not match the configured mesh"),
 }
 
 

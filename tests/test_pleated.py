@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corevol import pleated, surface_invariants
-from corevol.pleated import (
-    PleatLeaf,
-    PleatedCoreData,
-    fuchsian_reduction_check,
-    wedge_volume_quadrature,
-)
+from corevol.pleated import PleatLeaf, PleatedCoreData, wedge_volume_quadrature
 from corevol.renvol import (
     Convention,
     bending_sum,
@@ -25,7 +20,7 @@ from corevol.renvol import (
 )
 from corevol.surface import SurfaceInfo
 
-from conftest import make_row_group
+from conftest import fuchsian_reduction_check, make_row_group
 
 GRID = np.geomspace(0.3, 1e-3, 12)
 

@@ -26,24 +26,19 @@ PUBLIC_NAMES = [
     "SurfaceTopologyError",
     "ValidatedGroup",
     "VolumeProfile",
-    "adaptive_quad",
     "closed_profile",
     "closed_volume",
     "default_eps_grid",
-    "enumerate_words",
     "expansion_fit",
     "fit_expansion",
-    "fuchsian_reduction_check",
     "generator_from_axis",
     "limit_set_sample",
     "profile_quadrature",
     "renormalized_volume",
     "surface_invariants",
     "surface_terms",
-    "truncated_volume_quadrature",
     "validate",
     "wedge_volume_quadrature",
-    "word_mobius",
 ]
 
 
