@@ -19,6 +19,7 @@ from .quadrature import QuadratureError
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
+    _finite_volume,
     closed_profile,
     closed_volume,
     default_eps_grid,
@@ -69,6 +70,9 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _need(raw: dict, key: str, where: str):
     if key not in raw:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -76,6 +80,8 @@ def _need(raw: dict, key: str, where: str):
 
 
 def _number(value, where: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
@@ -242,7 +248,10 @@ class Report:
         self._warnings = 0
 
     def add(self, key: str, value):
-        self.lines.append((key, _fmt(value, key)))
+        if type(value) is float and math.isfinite(value):
+            self.lines.append((key, repr(value)))
+        else:
+            self.lines.append((key, _fmt(value, key)))
 
     def warn(self, message: str):
         self._warnings += 1
@@ -400,9 +409,11 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
         report.add(f"closed.{conv.value}.V", v)
     quads, errs, cells = wedge_volume_quadrature(core.leaves, eps_check)
     report.add("quadrature.cells", cells)
+    # a leaf's closed form is its bending times the unit wedge's: with no
+    # base, closed_volume's sum fsum([0.0, w * unit]) is w * unit itself
+    unit = closed_volume([("wedge", 1.0)], eps_check, Convention.DERIVED)
     for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads, errs)):
-        wedge = [("wedge", (math.pi - leaf.theta) * leaf.length)]
-        derived = closed_volume(wedge, eps_check, Convention.DERIVED)
+        derived = _finite_volume((math.pi - leaf.theta) * leaf.length * unit, eps_check)
         report.add(f"leaf.{i}.wedge_derived_at_eps_check", derived)
         report.add(f"leaf.{i}.wedge_quadrature_at_eps_check", quad)
         report.add(f"leaf.{i}.wedge_quadrature_err_est", err)
@@ -605,11 +616,13 @@ def _read_config(path: str):
     read is an OSError, and text that is not JSON a ParseError, each naming
     the path; a key given twice in one object is a ConfigError."""
     try:
-        # bytes, decoded at once: no newline translation, and a decode
-        # error's offset is the byte's offset in the file
-        with open(_fs_path(path), "rb") as f:
-            text = f.read().decode("utf-8")
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        # bytes, read whole and decoded at once: no newline translation,
+        # and a decode error's offset is the byte's offset in the file
+        with open(_fs_path(path), "rb", buffering=0) as f:
+            text = f.readall().decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads's check, which decode() skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

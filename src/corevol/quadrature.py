@@ -1,12 +1,13 @@
-"""Gauss-Kronrod quadrature in plain Python: one GK15 cell evaluator.
+"""Gauss-Kronrod quadrature in plain Python: one GK15 cell evaluator, whose
+integrand takes the cell's 15 nodes as one list and returns their values.
 
 cosh_squared_slabs integrates cosh^2 over the slab [0, lam] of each level,
 and renvol's sector slice its own integrand, on partitions fixed in advance
 whose error is proved to be at rounding level: no tolerance is asked for.
 adaptive_quad bisects one interval, worst cell first, on the Kronrod-Gauss
-error estimate.  A slab's value is the sum of its cells in left-to-right
-order, so it does not depend on the rest of a batch, and it is identical
-across runs.
+error estimate, calling its scalar integrand once per node.  A slab's value
+is the sum of its cells in left-to-right order, so it does not depend on
+the rest of a batch, and it is identical across runs.
 """
 
 from __future__ import annotations
@@ -69,14 +70,16 @@ _FROM_RIGHT = tuple(1.0 - x for x in _XGK[8:])
 def _cell(f, left: float, right: float):
     """GK15 on the cell [left, right]: the Kronrod value and the values of
     f on the 15 float nodes, each placed from the nearer end of the cell so
-    that adjacent cells meet without a gap.  A value that is not finite, or
-    an OverflowError out of f, raises QuadratureError."""
+    that adjacent cells meet without a gap.  f is called once, on the list
+    of the nodes in order, and returns the list of their values.  A value
+    that is not finite, or an OverflowError out of f, raises
+    QuadratureError."""
     half = 0.5 * (right - left)
     nodes = [left + half * t for t in _FROM_LEFT]
     nodes.append(0.5 * (left + right))
     nodes += [right - half * t for t in _FROM_RIGHT]
     try:
-        values = list(map(f, nodes))
+        values = f(nodes)
         kronrod = sum(map(operator.mul, values, _WGK)) * half
     except OverflowError:
         kronrod = math.inf
@@ -140,8 +143,8 @@ def cosh_squared_slabs(lams):
     half, gain, reach = _widest_cell()
     width = 2.0 * half
 
-    def cosh_power(x):
-        return math.cosh(x) ** 2
+    def cosh_power(xs):
+        return [math.cosh(x) ** 2 for x in xs]
 
     below, values, errors, lasts = [0.0], [], [], 0  # below[j]: the first j full cells, summed
     for k, lam in enumerate(lams):
@@ -167,18 +170,22 @@ def cosh_squared_slabs(lams):
 # metrics read 0, but tests/test_bench_metrics.py ties the metric keys of
 # perfbench/tracer.py to the per_layer list of BENCHMARK.json
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
-    """Integrate f, called on float nodes, over [a, b] by bisection: the
-    cell of largest Kronrod-Gauss estimate is halved until the summed
-    estimate is below rel_tol * |integral|, within MAX_CELLS cells.  The
-    cells stay in order and the value is their left-to-right sum.  A
-    zero-width interval integrates to 0.  Returns (value, error_estimate).
+    """Integrate f, called on one float node at a time, over [a, b] by
+    bisection: the cell of largest Kronrod-Gauss estimate is halved until
+    the summed estimate is below rel_tol * |integral|, within MAX_CELLS
+    cells.  The cells stay in order and the value is their left-to-right
+    sum.  A zero-width interval integrates to 0.  Returns (value,
+    error_estimate).
     """
     a, b = float(a), float(b)
     if not b >= a:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
 
+    def integrand(xs):
+        return [f(x) for x in xs]
+
     def estimate(left, right):
-        kronrod, values = _cell(f, left, right)
+        kronrod, values = _cell(integrand, left, right)
         gauss = sum(map(operator.mul, values[1::2], _WG)) * (0.5 * (right - left))
         return left, right, kronrod, abs(kronrod - gauss)
 

@@ -158,12 +158,12 @@ def _arc_partition(s_kink: float):
             return n, bound
 
 
-def _cubic(u: float) -> float:
-    return u * (2.0 - u) * (1.0 - u)
+def _cubic(us):
+    return [u * (2.0 - u) * (1.0 - u) for u in us]
 
 
-def _arc(s: float) -> float:
-    return s * s * math.sqrt(2.0 - s * s)
+def _arc(ss):
+    return [s * s * math.sqrt(2.0 - s * s) for s in ss]
 
 
 def _sector_areas(eps_values, thetas):

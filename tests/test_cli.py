@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from corevol import cli, pleated, renvol
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
 from corevol.quadrature import QuadratureError
+from corevol.renvol import Convention, closed_volume
 from corevol.schottky import SchottkyError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -393,6 +394,30 @@ def test_wedge_worked_example(tmp_path, capsys):
     assert quad == pytest.approx(derived, rel=1e-5)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(leaves=st.lists(st.tuples(st.floats(0.0, math.pi),
+                                 st.floats(0.0, 50.0, exclude_min=True)), min_size=1, max_size=4),
+       ends=st.lists(st.floats(cli.EPS_FLOOR, 1.0, exclude_max=True), min_size=2, max_size=2,
+                     unique=True))
+def test_wedge_derived_is_each_leaf_closed_form(tmp_path_factory, leaves, ends):
+    # the report takes every leaf's closed form from one unit wedge per op;
+    # each must be the closed_volume of that leaf's own wedge term, bit for bit
+    config = dict(WEDGE_CONFIG, leaves=[{"length": length, "theta": theta}
+                                        for theta, length in leaves],
+                  epsilon_grid={"min": min(ends), "max": max(ends)})
+    path = tmp_path_factory.mktemp("wedge") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["wedge", "--config", str(path)]) == 0
+    report = report_dict(out.getvalue())
+    eps_check = float(report["eps.check"])
+    for i, (theta, length) in enumerate(leaves):
+        wedge = [("wedge", (math.pi - theta) * length)]
+        assert report[f"leaf.{i}.wedge_derived_at_eps_check"] == repr(
+            closed_volume(wedge, eps_check, Convention.DERIVED))
+
+
 IDENTITY_PAIRING = {"source": 0, "target": 1, "matrix": [1.0, 0.0, 0.0, 1.0]}
 
 
@@ -731,6 +756,32 @@ def test_config_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys, name, 
 
 CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
 
+# stands for the bare JSON number 1e400 in a config text, which json reads as inf
+TOO_BIG = "@1e400"
+# JSON text of a number that is not finite -> (the value put in the config,
+# how the error message shows it)
+NON_FINITE = {"NaN": (math.nan, "nan"), "Infinity": (math.inf, "inf"),
+              "-Infinity": (-math.inf, "-inf"), "1e400": (TOO_BIG, "inf")}
+# key -> edit that puts a value at that key of the example group config
+NUMBER_KEYS = {
+    "leaves[0].length": lambda c, x: c.update(mode="pleated_core",
+                                              leaves=[{"length": x, "theta": 1.0}]),
+    "leaves[0].theta": lambda c, x: c.update(mode="pleated_core",
+                                             leaves=[{"length": 1.0, "theta": x}]),
+    "core_volume": lambda c, x: c.update(mode="pleated_core", core_volume=x),
+    "circles[0].radius": lambda c, x: c.update(
+        generators=[], circles=[dict(CIRCLE_PAIR[0], radius=x), CIRCLE_PAIR[1]],
+        pairings=[IDENTITY_PAIRING]),
+    "pairings[0].matrix": lambda c, x: c.update(
+        generators=[], circles=CIRCLE_PAIR,
+        pairings=[dict(IDENTITY_PAIRING, matrix=[1.0, x, 0.0, 1.0])]),
+}
+NON_FINITE_ROWS = [
+    pytest.param(lambda c, edit=edit, value=value: edit(c, value),
+                 f"config.{key}: expected a finite number, got {shown}", id=f"{key}={text}")
+    for key, edit in NUMBER_KEYS.items() for text, (value, shown) in NON_FINITE.items()
+]
+
 
 # `mutate` edits the config in place and may return override flags
 @pytest.mark.parametrize(
@@ -752,12 +803,14 @@ CIRCLE_PAIR = [{"center": -1.0, "radius": 0.5}, {"center": 1.0, "radius": 0.5}]
                 {"source": [0], "target": 1, "matrix": [1.0, 0.0, 0.0, 1.0]}]),
             "pairings[0].source: expected an integer",
         ),
+        *NON_FINITE_ROWS,
     ],
 )
 def test_config_validation_messages(tmp_path, capsys, mutate, fragment):
     config = json.loads(json.dumps(BTZ_CONFIG))
     flags = mutate(config) or []
-    code = main(["validate", "--config", write_config(tmp_path, config), *flags])
+    text = json.dumps(config).replace(json.dumps(TOO_BIG), "1e400")
+    code = main(["validate", "--config", _config_text(tmp_path, text), *flags])
     assert code == 1
     out = capsys.readouterr().out
     assert out.count("\n") == 1
@@ -1159,6 +1212,128 @@ def test_unusable_config_text_or_path_is_one_json_error(tmp_path, capsys, name):
     assert fragment in error["message"]
     if kind == "parse":
         assert error["message"].startswith(str(tmp_path / "config.json") + ": ")
+
+
+# error class raised in cli.py -> (error kind, exit code)
+CLI_ERRORS = {"UsageError": ("usage", 2), "ConfigError": ("config", 1), "ParseError": ("parse", 1)}
+
+
+def _cli_raise_sites() -> dict:
+    """template -> (error class, regex) of every raise of a CLI_ERRORS class
+    in cli.py.  The template is the message with each formatted value as {},
+    the regex the message with each formatted value as (.*)."""
+    tree = ast.parse((ROOT / "src" / "corevol" / "cli.py").read_text(encoding="utf-8"))
+    sites = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) in CLI_ERRORS):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        texts = [part.value if isinstance(part, ast.Constant) else None for part in parts]
+        template = "".join("{}" if text is None else text for text in texts)
+        assert template not in sites, f"two raise sites give {template!r}"
+        sites[template] = (node.exc.func.id, "".join(
+            "(.*)" if text is None else re.escape(text) for text in texts))
+    return sites
+
+
+def _with_config(config, *flags, command="validate"):
+    return lambda tmp: [command, "--config", write_config(tmp, config), *flags]
+
+
+def _with_bytes(data, command="validate"):
+    def argv(tmp):
+        (tmp / "config.json").write_bytes(data)
+        return [command, "--config", str(tmp / "config.json")]
+    return argv
+
+
+def _wedge_with(**keys):
+    return _with_config(dict(WEDGE_CONFIG, **keys), command="wedge")
+
+
+def _group_with(**keys):
+    return _with_config(dict(BTZ_CONFIG, **keys))
+
+
+def _anomaly_with(field):
+    return lambda tmp: ["anomaly", "--config", write_config(
+        tmp, dict(ANOMALY_CONFIG, field=field(tmp) if callable(field) else field))]
+
+
+# raise site template -> argv in tmp_path of one bad input that reaches it
+RAISE_SITE_ROWS = {
+    # the config file
+    "{}:{}:{}: {}": _with_bytes(b"\xef\xbb\xbf" + json.dumps(BTZ_CONFIG).encode("utf-8")),
+    "{}: not UTF-8 text at byte {}": _with_bytes(b"\xff"),
+    "{}: {}": _with_bytes(b'{"mode": "pleated_core", "boundary_genus": 1' + b"0" * 5000 + b"}",
+                          command="wedge"),
+    "config: key {} given twice in one object": _with_bytes(
+        b'{"mode": "fuchsian_group", "mode": "pleated_core"}'),
+    # the config's values
+    "{}: top level must be an object": _with_bytes(b"[]"),
+    "{}: missing required key {}": _wedge_with(leaves=[{"length": 1.0}]),
+    "{}: expected a number, got {}": _wedge_with(core_volume="5"),
+    "{}: expected a finite number, got {}": _wedge_with(core_volume=math.nan),
+    "{}: expected an integer, got {}": _wedge_with(boundary_genus=2.5),
+    "{}: expected a string, got {}": _group_with(name=5),
+    "{}: expected [a, b, c, d] row-major": _group_with(
+        generators=[], circles=CIRCLE_PAIR, pairings=[dict(IDENTITY_PAIRING, matrix=[1.0])]),
+    "{}: expected an object, got {}": _wedge_with(leaves=[5]),
+    "{}.{}: expected a list, got {}": _wedge_with(leaves=5),
+    "{}: expected an object with a 'kind'": _anomaly_with({}),
+    "{}.kind: unknown field kind {}": _anomaly_with({"kind": "mine"}),
+    "{}.mode: unknown mode {}": _group_with(mode="weird"),
+    "{}.convention: must be paper, derived or both": _group_with(convention="mine"),
+    "{}.epsilon_grid: need 0 < min < max < 1": _group_with(
+        epsilon_grid={"min": 0.5, "max": 0.3}),
+    "{}.epsilon_grid.min: must be at least {}, got {}": _group_with(
+        epsilon_grid={"min": 1e-160}),
+    "{}.epsilon_grid.count: need at least 8 for fitting and at most {}, got {}": _group_with(
+        epsilon_grid={"count": 4}),
+    "{}: give either circles+pairings or axis generators, not both": _group_with(
+        circles=CIRCLE_PAIR),
+    "{}: fuchsian_group needs circles and pairings": _group_with(generators=[]),
+    "{}: give either boundary_area or boundary_genus, not both": _wedge_with(
+        boundary_area=1.0),
+    "command needs mode {}, config has {}": _with_config(WEDGE_CONFIG),
+    "field file {} does not match the configured mesh": _anomaly_with(
+        lambda tmp: {"kind": "csv", "path": _field_file(tmp, 33)}),
+    # the command line
+    "missing command; commands: {}": lambda tmp: ["--config", write_config(tmp, BTZ_CONFIG)],
+    "missing option --config": lambda tmp: ["validate"],
+    "option --csv needs --out to know where to write": _with_config(BTZ_CONFIG, "--csv"),
+    "unknown option {}": _with_config(BTZ_CONFIG, "--quad-tol", "1e-8"),
+    "option {} given twice": _with_config(BTZ_CONFIG, "--csv", "--csv"),
+    "unexpected argument {} after the command": _with_config(BTZ_CONFIG, "renvol"),
+    "unknown command {}; commands: {}": _with_config(BTZ_CONFIG, command="renvolume"),
+    "option {} takes no value": _with_config(BTZ_CONFIG, "--csv=yes"),
+    "option {} needs a value": _with_config(BTZ_CONFIG, "--out"),
+    "option {}: {}": _with_config(BTZ_CONFIG, "--eps-min", "small"),
+}
+
+
+def test_every_cli_raise_site_has_a_row():
+    # a new raise of a usage, config or parse error needs a row in
+    # RAISE_SITE_ROWS, and a row whose raise is gone goes with it
+    assert sorted(_cli_raise_sites()) == sorted(RAISE_SITE_ROWS)
+
+
+@pytest.mark.parametrize("template", sorted(RAISE_SITE_ROWS))
+def test_each_cli_raise_site_gives_one_json_error(tmp_path, capsys, template):
+    sites = _cli_raise_sites()
+    kind, code = CLI_ERRORS[sites[template][0]]
+    assert main(RAISE_SITE_ROWS[template](tmp_path)) == code
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("\n") == 1
+    error = json.loads(out.out)["error"]
+    assert error == {"kind": kind, "message": error["message"]}
+    # the site that raised is the most specific template its message matches
+    matches = [t for t, (_, regex) in sites.items()
+               if re.fullmatch(regex, error["message"], re.DOTALL)]
+    assert max(matches, key=lambda t: len(t.replace("{}", ""))) == template
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2.0 - 1e-4, math.pi / 2.0 + 1e-4,
