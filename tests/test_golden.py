@@ -4,7 +4,10 @@ three-leaf wedge core, and the anomaly report of the README hyperbolic
 mesh, of a 1025x1024 hyperbolic mesh, of a flat cylinder, of a log sech t
 field, of a constant field and of a field read from a CSV file, compared
 byte for byte.  Also pinned: the sha256 of the `float.hex` list that
-`limit_set_sample` returns for three fixed groups (`golden/limit_set.json`).
+`limit_set_sample` returns for three fixed groups (`golden/limit_set.json`),
+and the sha256 of report.txt and of every profile CSV that `--csv` writes
+for the renvol and wedge cases under each `--convention`
+(`golden/csv_profiles.json`).
 
 Regenerate them (after a change that moves report digits on purpose) with
 
@@ -101,7 +104,7 @@ CASES = {
                  "circumference": 2.0 * math.pi, "n_t": 257, "n_theta": 256},
         "field": {"kind": "log_sech_t"},
     }),
-    # the field file is written by report_text, with csv_field's values
+    # the field file is written by run_case, with csv_field's values
     "anomaly_csv": ("anomaly", {
         "mode": "anomaly_check",
         "name": "csv",
@@ -147,7 +150,8 @@ def csv_field(mesh) -> list:
              + 0.1 * math.cos(theta) * math.tanh(t) + 0.05 for theta in thetas] for t in ts]
 
 
-def report_text(name: str, tmp_dir: Path) -> bytes:
+def run_case(name: str, tmp_dir: Path, *options: str) -> Path:
+    """The --out directory of the case's command, run with `options`."""
     command, config = CASES[name]
     if config.get("field", {}).get("kind") == "csv":
         mesh = SurfaceMesh(**config["mesh"])
@@ -156,10 +160,29 @@ def report_text(name: str, tmp_dir: Path) -> bytes:
         config = {**config, "field": {"kind": "csv", "path": str(field_path)}}
     path = tmp_dir / f"{name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_dir / name
+    out = tmp_dir / "_".join((name, *options)).replace("-", "")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-    return (out / "report.txt").read_bytes()
+        assert main([command, "--config", str(path), "--out", str(out), *options]) == 0
+    return out
+
+
+def report_text(name: str, tmp_dir: Path) -> bytes:
+    return (run_case(name, tmp_dir) / "report.txt").read_bytes()
+
+
+CSV_CASES = ("g3_crossed", "readme_genus1", "readme_genus2", "wedge_three_leaves")
+CSV_CONVENTIONS = ("both", "derived", "paper")
+
+
+def csv_digests(name: str, tmp_dir: Path) -> dict:
+    """convention -> file name -> sha256 of every file that --out --csv
+    writes for the case under that --convention."""
+    digests = {}
+    for convention in CSV_CONVENTIONS:
+        out = run_case(name, tmp_dir, "--csv", "--convention", convention)
+        digests[convention] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                               for path in sorted(out.iterdir())}
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -182,6 +205,12 @@ def test_csv_report_matches_golden_on_each_read_of_the_cache(tmp_path, monkeypat
         assert (len(parses), len(fields)) == (parsed, kept), call
 
 
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_profiles_match_golden(tmp_path, name):
+    golden = json.loads((GOLDEN / "csv_profiles.json").read_text(encoding="utf-8"))
+    assert csv_digests(name, tmp_path) == golden[name]
+
+
 # every pinned report: the renvol and wedge ones use no numpy, and the
 # anomaly fields' 1-d profiles and the CSV field's values are built with math
 CPU_INDEPENDENT = tuple(sorted(CASES))
@@ -194,6 +223,7 @@ CPU_PATHS = {
              ("X86_V4",)),
 }
 COMPARE = """
+import json
 import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
@@ -201,6 +231,9 @@ import test_golden
 for name in test_golden.CPU_INDEPENDENT:
     text = test_golden.report_text(name, Path(sys.argv[2]))
     print(name, text == (test_golden.GOLDEN / f"{name}.txt").read_bytes())
+golden = json.loads((test_golden.GOLDEN / "csv_profiles.json").read_text(encoding="utf-8"))
+for name in test_golden.CSV_CASES:
+    print(f"csv:{name}", test_golden.csv_digests(name, Path(sys.argv[2])) == golden[name])
 """
 
 
@@ -233,7 +266,8 @@ def test_numpy_free_goldens_on_other_cpu_paths(tmp_path, path):
     out = subprocess.run([sys.executable, "-c", COMPARE, str(Path(__file__).parent),
                           str(tmp_path)], env=child_env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == [word for name in CPU_INDEPENDENT for word in (name, "True")]
+    names = [*CPU_INDEPENDENT, *(f"csv:{name}" for name in CSV_CASES)]
+    assert out.split() == [word for name in names for word in (name, "True")]
 
 
 @pytest.mark.parametrize("name", sorted(LIMIT_SET_CASES))
@@ -253,3 +287,8 @@ if __name__ == "__main__":
     (GOLDEN / "limit_set.json").write_text(json.dumps(digests, indent=2) + "\n",
                                            encoding="utf-8")
     print(f"wrote {GOLDEN / 'limit_set.json'}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {case: csv_digests(case, Path(tmp)) for case in CSV_CASES}
+    (GOLDEN / "csv_profiles.json").write_text(json.dumps(digests, indent=2) + "\n",
+                                              encoding="utf-8")
+    print(f"wrote {GOLDEN / 'csv_profiles.json'}", file=sys.stderr)
