@@ -28,7 +28,6 @@ from .renvol import (
     closed_profile,
     closed_volume,
     default_eps_grid,
-    expansion_fit,
     fit_expansion,
     profile_quadrature,
     renormalized_volume,

@@ -16,6 +16,7 @@ import sys
 from .mobius import Mobius
 from .pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
 from .quadrature import QuadratureError
+from . import renvol  # fit_expansion is called where perfbench/tracer.py wraps it
 from .renvol import (
     Convention,
     PROVENANCE_QUADRATURE,
@@ -23,7 +24,6 @@ from .renvol import (
     closed_profile,
     closed_volume,
     default_eps_grid,
-    expansion_fit,
     profile_quadrature,
     renormalized_volume,
     surface_terms,
@@ -111,7 +111,7 @@ def _string(value, where: str) -> str:
 def _matrix(value, where: str) -> list:
     if not isinstance(value, list) or len(value) != 4:
         raise ConfigError(f"{where}: expected [a, b, c, d] row-major")
-    return [_number(x, where) for x in value]
+    return [_number(x, f"{where}[{k}]") for k, x in enumerate(value)]
 
 
 def _record(raw, where: str, checks: dict, defaults: dict | None = None) -> dict:
@@ -285,16 +285,22 @@ def _fs_path(path: str) -> str:
     return path
 
 
-def _emit(report: Report, args: dict, csv_profiles) -> None:
+def _csv_profiles(cfg: dict, terms, oracle_profiles) -> list:
+    """The profiles --csv writes: the closed form of `terms`, if any, under
+    each convention of the config, on its eps grid, then the oracle's."""
+    grid = cfg["epsilon_grid"]
+    eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
+    conventions = CONVENTIONS[cfg["convention"]] if terms else ()
+    return [*(closed_profile(terms, eps_grid, conv) for conv in conventions), *oracle_profiles]
+
+
+def _emit(report: Report, out, profiles) -> None:
     # files first: if --out cannot be written, the JSON error is all that prints
-    if args["out"] is not None:
-        out_dir = _fs_path(args["out"])
-        os.makedirs(out_dir, exist_ok=True)
-        _write_text(os.path.join(out_dir, "report.txt"), report.text())
-        if args["csv"]:
-            for profile in csv_profiles:
-                write_profile_csv(
-                    profile, os.path.join(out_dir, f"profile_{profile.provenance}.csv"))
+    if out is not None:
+        os.makedirs(_fs_path(out), exist_ok=True)
+        _write_text(os.path.join(out, "report.txt"), report.text())
+        for profile in profiles:
+            write_profile_csv(profile, os.path.join(out, f"profile_{profile.provenance}.csv"))
     sys.stdout.write(report.text())
 
 
@@ -319,21 +325,21 @@ def _paper_vs_derived(report: Report, closed_v: dict, why: str):
             report.warn(f"{why}; paper and derived conventions disagree on V")
 
 
-def cmd_validate(cfg: dict, report: Report, csv: bool):
+def cmd_validate(cfg: dict, report: Report):
     group = build_group(cfg)
     report.add("valid", "true")
     _group_summary(report, group)
-    return ()
+    return (), ()
 
 
-def cmd_surface_info(cfg: dict, report: Report, csv: bool):
+def cmd_surface_info(cfg: dict, report: Report):
     group = build_group(cfg)
     _group_summary(report, group)
     _surface_summary(report, surface_invariants(group))
-    return ()
+    return (), ()
 
 
-def cmd_renvol(cfg: dict, report: Report, csv: bool):
+def cmd_renvol(cfg: dict, report: Report):
     group = build_group(cfg)
     surface = surface_invariants(group)
     conventions = CONVENTIONS[cfg["convention"]]
@@ -356,7 +362,7 @@ def cmd_renvol(cfg: dict, report: Report, csv: bool):
     report.add("quadrature.cells", quad_profile.cells)
     rel_bounds = [b / abs(v) for (_, v), b in zip(quad_profile.samples, quad_profile.bounds) if v]
     report.add("quadrature.rel_bound_max", max(rel_bounds, default=0.0))
-    fit = expansion_fit(quad_profile)
+    fit = renvol.fit_expansion(*zip(*quad_profile.samples))
     report.add("fit.provenance", PROVENANCE_QUADRATURE)
     report.add("fit.c_eps_m2", fit.c_m2)
     report.add("fit.c_log", fit.c_log)
@@ -375,21 +381,17 @@ def cmd_renvol(cfg: dict, report: Report, csv: bool):
             )
     _paper_vs_derived(report, closed_v,
                       "printed end-cylinder coefficient is twice the induced-metric value")
-    # only the CSV files read the closed-form profiles
-    closed = [closed_profile(terms, eps_grid, conv) for conv in conventions] if csv else []
-    return closed + [quad_profile]
+    return terms, [quad_profile]
 
 
 def _build_core(cfg: dict) -> PleatedCoreData:
     leaves = tuple(PleatLeaf(**leaf) for leaf in cfg["leaves"])
-    if "boundary_area" in cfg:
-        return PleatedCoreData(cfg["core_volume"], leaves, cfg["boundary_area"])
     if "boundary_genus" in cfg:
         return PleatedCoreData.from_genus(cfg["core_volume"], leaves, cfg["boundary_genus"])
-    return PleatedCoreData(cfg["core_volume"], leaves, boundary_area=0.0)
+    return PleatedCoreData(cfg["core_volume"], leaves, cfg.get("boundary_area", 0.0))
 
 
-def cmd_wedge(cfg: dict, report: Report, csv: bool):
+def cmd_wedge(cfg: dict, report: Report):
     core = _build_core(cfg)
     conventions = CONVENTIONS[cfg["convention"]]
     grid = cfg["epsilon_grid"]
@@ -403,14 +405,13 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
         report.add(f"leaf.{i}.theta", leaf.theta)
 
     terms = core.terms
-    closed_v = {conv: renormalized_volume(terms, conv, base=core.core_volume)
-                for conv in conventions}
+    closed_v = {conv: renormalized_volume(terms, conv) for conv in conventions}
     for conv, v in closed_v.items():
         report.add(f"closed.{conv.value}.V", v)
     quads, errs, cells = wedge_volume_quadrature(core.leaves, eps_check)
     report.add("quadrature.cells", cells)
-    # a leaf's closed form is its bending times the unit wedge's: with no
-    # base, closed_volume's sum fsum([0.0, w * unit]) is w * unit itself
+    # a leaf's closed form is its bending times the unit wedge's: for the
+    # one term, closed_volume's sum fsum([w * unit]) is w * unit itself
     unit = closed_volume([("wedge", 1.0)], eps_check, Convention.DERIVED)
     for i, (leaf, quad, err) in enumerate(zip(core.leaves, quads, errs)):
         derived = _finite_volume((math.pi - leaf.theta) * leaf.length * unit, eps_check)
@@ -426,11 +427,7 @@ def cmd_wedge(cfg: dict, report: Report, csv: bool):
     _paper_vs_derived(report, closed_v, "printed wedge profile uses a first power of eps "
                       "where the squared form is implied")
     report.add("eps.check", eps_check)
-    if not csv:  # only the CSV files read the profiles
-        return ()
-    eps_grid = default_eps_grid(grid["min"], grid["max"], grid["count"])
-    return [closed_profile(terms, eps_grid, conv, base=core.core_volume)
-            for conv in conventions]
+    return terms, ()
 
 
 def _build_field(mesh, field: dict):
@@ -459,14 +456,12 @@ def _build_field(mesh, field: dict):
         return np.broadcast_to(profile, (mesh.n_t, mesh.n_theta))
     path = field["path"]
     file_mesh, u = field_from_csv(_fs_path(path))
-    if (file_mesh.tag, file_mesh.n_t, file_mesh.n_theta) != (
-        mesh.tag, mesh.n_t, mesh.n_theta,
-    ):
+    if any(getattr(file_mesh, key) != getattr(mesh, key) for key in MESH):
         raise ConfigError(f"field file {path} does not match the configured mesh")
     return u
 
 
-def cmd_anomaly(cfg: dict, report: Report, csv: bool):
+def cmd_anomaly(cfg: dict, report: Report):
     # numpy and the mesh functionals load here only: no other command needs them
     import numpy as np
 
@@ -490,12 +485,13 @@ def cmd_anomaly(cfg: dict, report: Report, csv: bool):
         raise ValueError(
             f"the anomaly functionals leave the float64 range on this mesh and field ({exc})"
         ) from None
-    return ()
+    return (), ()
 
 
-# command -> (handler, the config mode it needs); a handler takes (cfg, report,
-# csv), adds its lines to the report that `main` heads and emits, and returns
-# the profiles that --csv writes
+# command -> (handler, the config mode it needs); a handler takes (cfg, report),
+# adds its lines to the report that `main` heads and emits, and returns its
+# closed form's (term, weight) pairs, if it has one, and its oracle profiles,
+# from which `_csv_profiles` makes what --csv writes
 COMMANDS = {
     "validate": (cmd_validate, "fuchsian_group"),
     "surface-info": (cmd_surface_info, "fuchsian_group"),
@@ -668,7 +664,9 @@ def main(argv=None) -> int:
         report = Report()
         report.add("command", args["command"])
         report.add("name", cfg["name"])
-        _emit(report, args, command(cfg, report, args["csv"]))
+        terms, profiles = command(cfg, report)
+        # built before any file is written, so a profile that fails leaves none
+        _emit(report, args["out"], _csv_profiles(cfg, terms, profiles) if args["csv"] else ())
         return 0
     except tuple(FAILURES) as exc:
         kind, code = next(row for raised, row in FAILURES.items() if isinstance(exc, raised))

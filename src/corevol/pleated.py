@@ -5,9 +5,9 @@ finitely many closed leaves.  The truncated region decomposes into the core,
 a slab over the totally geodesic part of the boundary, and one wedge per
 bent leaf; the wedge is the set of points projecting onto the leaf, a sector
 of angular width (pi - theta) around its axis.  Pleating data (core volume,
-leaf lengths and bending angles) is input, not computed.  The closed
-forms of the collar slab and the wedges are rows of renvol.CLOSED_FORMS,
-read through `PleatedCoreData.terms` with the core volume as their base.
+leaf lengths and bending angles) is input, not computed.  The closed form
+is the list `PleatedCoreData.terms`: the core volume, the collar slab and
+the wedges, each a term of renvol.CLOSED_FORMS.
 `PleatLeaf` and `PleatedCoreData` are plain records with `__slots__`,
 immutable by convention.
 """
@@ -67,10 +67,10 @@ class PleatedCoreData:
 
     @property
     def terms(self) -> list:
-        """(term, weight) pairs of the closed forms: the collar slab over the
-        boundary and the wedges of all leaves.  The core volume is their base."""
+        """(term, weight) pairs of the closed form: the core volume, the
+        collar slab over the boundary and the wedges of all leaves."""
         bending = bending_sum((leaf.length, leaf.theta) for leaf in self.leaves)
-        return [("collar", self.boundary_area), ("wedge", bending)]
+        return [("volume", self.core_volume), ("collar", self.boundary_area), ("wedge", bending)]
 
 
 def wedge_volume_quadrature(leaves, eps: float):

@@ -7,7 +7,8 @@ whose error is proved to be at rounding level: no tolerance is asked for.
 adaptive_quad bisects one interval, worst cell first, on the Kronrod-Gauss
 error estimate, calling its scalar integrand once per node.  A slab's value
 is the sum of its cells in left-to-right order, so it does not depend on
-the rest of a batch, and it is identical across runs.
+the rest of a batch, and it is identical across runs and Python versions:
+every float sum adds left to right (the builtin `sum` compensates from 3.12).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _cell(f, left: float, right: float):
     nodes += [right - half * t for t in _FROM_RIGHT]
     try:
         values = f(nodes)
-        kronrod = sum(map(operator.mul, values, _WGK)) * half
+        kronrod = functools.reduce(operator.add, map(operator.mul, values, _WGK), 0.0) * half
     except OverflowError:
         kronrod = math.inf
     if not math.isfinite(kronrod):
@@ -186,13 +187,14 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
 
     def estimate(left, right):
         kronrod, values = _cell(integrand, left, right)
-        gauss = sum(map(operator.mul, values[1::2], _WG)) * (0.5 * (right - left))
+        half = 0.5 * (right - left)
+        gauss = functools.reduce(operator.add, map(operator.mul, values[1::2], _WG), 0.0) * half
         return left, right, kronrod, abs(kronrod - gauss)
 
     cells = [estimate(a, b)] if b > a else []
     while True:
-        total = float(sum(cell[2] for cell in cells))
-        error = float(sum(cell[3] for cell in cells))
+        total = functools.reduce(operator.add, (cell[2] for cell in cells), 0.0)
+        error = functools.reduce(operator.add, (cell[3] for cell in cells), 0.0)
         tol = rel_tol * abs(total)
         if error <= tol:
             return total, error

@@ -13,14 +13,16 @@ the two disagree by a factor of two in the end-cylinder term, so the
 quadrature oracle here is the arbiter and every report prints both.  It
 integrates cosh^2 over the slab above the two core copies and, per end, the
 half-disk slice of the tube around it: the theta = 0 sector that the
-pleated wedge oracle integrates too.  Every closed form, Fuchsian and
-pleated, is a row of the one table CLOSED_FORMS, and no formula branches
-on the convention.  `VolumeProfile` and `ExpansionFit` are plain records
-with `__slots__`, immutable by convention.
+pleated wedge oracle integrates too.  A closed form, Fuchsian or pleated,
+is its list of (term, weight) pairs, each term a row of the one table
+CLOSED_FORMS, a pleated core's own volume included, and no formula
+branches on the convention.  `VolumeProfile` and `ExpansionFit` are plain
+records with `__slots__`, immutable by convention.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from enum import Enum
@@ -39,19 +41,22 @@ PROVENANCE_QUADRATURE = "quadrature"
 # Every closed form of the truncated volume: per (convention, term), the
 # coefficients of (sinh 2 lam, sinh^2 lam, lam, 1, eps), lam = -log eps, per
 # unit of the term's weight: 2 A for the two core copies of a Fuchsian
-# surface, the boundary area for the collar slab of a pleated core, and
-# w = sum (pi - theta_i) L_i over its ends (theta = 0) or bent leaves.  The
-# derived rows are Krasnov-Schlenker's (Comm. Math. Phys. 279, 2008)
-# vol = W(C) - pi lam chi + (1/4) int H da over the level set, per term:
-# w lam / 2 + (1/4) 2 tanh lam w cosh^2 lam for a core or collar, and
-# -w / 4 + (1/4) (tanh lam + coth lam) w sinh lam cosh lam for an end or
-# wedge.  The paper rows are the printed lines pi (g - 1)/4 (eps^-2 +
-# log(eps)/2 - eps^2) (2 A = 4 pi (g - 1)), (pi/4) (eps^-2 - 2 + eps^2)
-# sum L_i and w/4 (eps + eps^-2) - w/2; the collar has none.  Every
+# surface, the volume Vol(C) of a pleated core, the boundary area for its
+# collar slab, and w = sum (pi - theta_i) L_i over the ends (theta = 0) or
+# bent leaves.  The derived rows are Krasnov-Schlenker's (Comm. Math. Phys.
+# 279, 2008) vol = W(C) - pi lam chi + (1/4) int H da over the level set,
+# per term: Vol(C) for the core volume, w lam / 2 + (1/4) 2 tanh lam w
+# cosh^2 lam for a core or collar, and -w / 4 + (1/4) (tanh lam + coth lam)
+# w sinh lam cosh lam for an end or wedge.  The paper rows are the printed
+# lines pi (g - 1)/4 (eps^-2 + log(eps)/2 - eps^2) (2 A = 4 pi (g - 1)),
+# (pi/4) (eps^-2 - 2 + eps^2) sum L_i and w/4 (eps + eps^-2) - w/2; the
+# collar has none, and the volume row is the constant 1 in both.  Every
 # coefficient is dyadic, so each product c * b is exact.
 CLOSED_FORMS = {
     (Convention.DERIVED, "core"): (0.25, 0.0, 0.5, 0.0, 0.0),
     (Convention.PAPER, "core"): (0.125, 0.0, -0.03125, 0.0, 0.0),
+    (Convention.DERIVED, "volume"): (0.0, 0.0, 0.0, 1.0, 0.0),
+    (Convention.PAPER, "volume"): (0.0, 0.0, 0.0, 1.0, 0.0),
     (Convention.DERIVED, "collar"): (0.25, 0.0, 0.5, 0.0, 0.0),
     (Convention.PAPER, "collar"): (0.25, 0.0, 0.5, 0.0, 0.0),
     (Convention.DERIVED, "end"): (0.0, 0.5, 0.0, 0.0, 0.0),
@@ -105,8 +110,8 @@ def surface_terms(surface: SurfaceInfo) -> list:
     return [("core", 2.0 * surface.core_area), ("end", ends)]
 
 
-def closed_volume(terms, eps: float, convention: Convention, base: float = 0.0) -> float:
-    """Closed-form truncated volume at level eps: base plus every (term,
+def closed_volume(terms, eps: float, convention: Convention) -> float:
+    """Closed-form truncated volume at level eps: the sum of every (term,
     weight) of `terms`, each the correctly rounded sum of its row's exact
     products times its weight.  The basis is built from eps, not from lam:
     sinh^2 lam (_sinh_squared) and sinh 2 lam = (eps^-2 - eps^2) / 2 have
@@ -117,18 +122,19 @@ def closed_volume(terms, eps: float, convention: Convention, base: float = 0.0) 
     volumes = [weight * math.fsum(map(operator.mul, CLOSED_FORMS[convention, term], basis))
                for term, weight in terms]
     try:
-        volume = math.fsum([base, *volumes])
+        volume = math.fsum(volumes)
     except OverflowError:  # fsum's, where finite volumes sum past the range
         volume = math.inf
     return _finite_volume(volume, eps)
 
 
-def renormalized_volume(terms, convention: Convention, base: float = 0.0) -> float:
-    """Constant term of the closed-form expansion: base plus c_1 - c_sinh^2 / 2
-    of each term's row times its weight, in order (in the eps expansion
-    sinh 2 lam and lam have no constant term, sinh^2 lam has -1/2).  A term
-    whose constant is zero adds nothing, not even the sign of a zero."""
-    v = base
+def renormalized_volume(terms, convention: Convention) -> float:
+    """Constant term of the closed-form expansion: the sum of c_1 - c_sinh^2
+    / 2 of each term's row times its weight, in order (in the eps expansion
+    sinh 2 lam and lam have no constant term, sinh^2 lam has -1/2), from
+    -0.0, which adds nothing to the first.  A term whose constant is zero
+    adds nothing, not even the sign of a zero."""
+    v = -0.0
     for term, weight in terms:
         _, c_sinh2, _, c_1, _ = CLOSED_FORMS[convention, term]
         constant = c_1 - c_sinh2 / 2.0
@@ -312,10 +318,9 @@ def default_eps_grid(eps_min: float = 1e-3, eps_max: float = 0.3,
     return [eps_max, *inner, eps_min]
 
 
-def closed_profile(terms, eps_grid, convention: Convention, base: float = 0.0) -> VolumeProfile:
+def closed_profile(terms, eps_grid, convention: Convention) -> VolumeProfile:
     """Closed-form profile: closed_volume at every level of eps_grid."""
-    samples = tuple((float(e), closed_volume(terms, float(e), convention, base))
-                    for e in eps_grid)
+    samples = tuple((float(e), closed_volume(terms, float(e), convention)) for e in eps_grid)
     return VolumeProfile(samples, f"closed_form_{convention.value}")
 
 
@@ -370,7 +375,8 @@ def _back_substitute(r, b):
     """The solution y of R y = b, R upper triangular with a nonzero diagonal."""
     y = list(b)
     for i in reversed(range(len(y))):
-        y[i] = (y[i] - sum(r[i][j] * y[j] for j in range(i + 1, len(y)))) / r[i][i]
+        products = (r[i][j] * y[j] for j in range(i + 1, len(y)))
+        y[i] = (y[i] - functools.reduce(operator.add, products, 0.0)) / r[i][i]
     return y
 
 
@@ -443,14 +449,6 @@ def fit_expansion(eps, volumes) -> ExpansionFit:
                         residual=math.sqrt(_dot(resid, resid)), condition=condition)
 
 
-def expansion_fit(profile: VolumeProfile) -> ExpansionFit:
-    eps, volumes = zip(*profile.samples)
-    return fit_expansion(eps, volumes)
-
-
 def bending_sum(pairs) -> float:
     """sum over (length, theta) of (pi - theta) * length, in the given order."""
-    total = 0.0
-    for length, theta in pairs:
-        total += (math.pi - theta) * length
-    return total
+    return functools.reduce(operator.add, [(math.pi - t) * length for length, t in pairs], 0.0)

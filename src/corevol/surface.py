@@ -10,7 +10,9 @@ closed geodesic.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .mobius import Mobius
 from .schottky import ValidatedGroup
@@ -60,7 +62,7 @@ class SurfaceInfo:
 
     @property
     def total_end_length(self) -> float:
-        return sum(self.end_lengths)
+        return functools.reduce(operator.add, self.end_lengths, 0.0)
 
 
 def _end_lengths(group: ValidatedGroup) -> list[float]:

@@ -86,7 +86,7 @@ def fuchsian_reduction_check(surface, convention: Convention):
     """
     leaves = tuple(PleatLeaf(length, 0.0) for length in surface.end_lengths)
     core = PleatedCoreData(0.0, leaves, boundary_area=2.0 * surface.core_area)
-    pleated_v = renormalized_volume(core.terms, convention, base=core.core_volume)
+    pleated_v = renormalized_volume(core.terms, convention)
     fuchsian_v = renormalized_volume(surface_terms(surface), convention)
     closed = closed_volume(surface_terms(surface), REDUCTION_EPS, Convention.DERIVED)
     wedges = pleated.wedge_volume_quadrature(leaves, REDUCTION_EPS)[0]

@@ -23,7 +23,6 @@ from corevol.renvol import (
     Convention,
     closed_volume,
     default_eps_grid,
-    expansion_fit,
     fit_expansion,
     profile_quadrature,
     truncated_volume_quadrature,
@@ -99,9 +98,9 @@ def test_criterion_3_fit_exactness_and_stability(surface_s1):
     worst = max(abs(a - b) for a, b in zip(recovered, truth))
     assert worst <= 1e-8
 
-    base = expansion_fit(profile_quadrature(surface_s1, default_eps_grid()))
+    base = fit_expansion(*zip(*profile_quadrature(surface_s1, default_eps_grid()).samples))
     doubled_grid = default_eps_grid(eps_min=2e-3, eps_max=0.6)
-    doubled = expansion_fit(profile_quadrature(surface_s1, doubled_grid))
+    doubled = fit_expansion(*zip(*profile_quadrature(surface_s1, doubled_grid).samples))
     shift = abs(base.v - doubled.v)
     assert shift < 1e-4
     _ok(3, f"synthetic coefficients recovered to {worst:.2e}; fitted V shifts "
@@ -112,7 +111,7 @@ def test_criterion_4_structure_constant(surface_s1, surface_adjacent,
                                         surface_crossed):
     ratios = []
     for surface in (surface_s1, surface_adjacent, surface_crossed):
-        fit = expansion_fit(profile_quadrature(surface, default_eps_grid()))
+        fit = fit_expansion(*zip(*profile_quadrature(surface, default_eps_grid()).samples))
         ratios.append(fit.v / surface.total_end_length)
     spread = max(ratios) - min(ratios)
     assert spread <= 1e-4

@@ -772,7 +772,7 @@ NUMBER_KEYS = {
     "circles[0].radius": lambda c, x: c.update(
         generators=[], circles=[dict(CIRCLE_PAIR[0], radius=x), CIRCLE_PAIR[1]],
         pairings=[IDENTITY_PAIRING]),
-    "pairings[0].matrix": lambda c, x: c.update(
+    "pairings[0].matrix[1]": lambda c, x: c.update(
         generators=[], circles=CIRCLE_PAIR,
         pairings=[dict(IDENTITY_PAIRING, matrix=[1.0, x, 0.0, 1.0])]),
 }
@@ -1078,7 +1078,7 @@ def test_core_slab_past_the_float64_range_is_a_quadrature_error(tmp_path, capsys
 @pytest.mark.parametrize("message", ["", "Unable to allocate 64.0 PiB"])
 def test_memory_error_in_any_command_is_a_value_error(tmp_path, capsys, monkeypatch,
                                                       command, config, message):
-    def exhausted(cfg, report, csv):
+    def exhausted(cfg, report):
         raise MemoryError(message)
 
     monkeypatch.setitem(COMMANDS, command, (exhausted, COMMANDS[command][1]))
@@ -1156,15 +1156,26 @@ def _config_text(tmp_path, text):
     return str(path)
 
 
-def _field_file(tmp_path, n_t):
-    """A zero csv field on the example mesh, but with n_t rows."""
-    mesh = ANOMALY_CONFIG["mesh"]
+def _field_file(tmp_path, **changes):
+    """A zero csv field on the example mesh, with `changes` to its parameters."""
+    mesh = {**ANOMALY_CONFIG["mesh"], **changes}
     row = ",".join(["0.0"] * mesh["n_theta"]) + "\n"
     path = tmp_path / "field.csv"
     path.write_text("n_t,n_theta,t_extent,circumference,tag\n"
-                    f"{n_t},{mesh['n_theta']},{mesh['t_extent']!r},"
-                    f"{mesh['circumference']!r},{mesh['tag']}\n" + row * n_t, encoding="utf-8")
+                    f"{mesh['n_t']},{mesh['n_theta']},{mesh['t_extent']!r},"
+                    f"{mesh['circumference']!r},{mesh['tag']}\n" + row * mesh["n_t"],
+                    encoding="utf-8")
     return str(path)
+
+
+def _another_mesh(**changes):
+    """An UNREADABLE row: the anomaly config with a field file whose mesh
+    differs from the configured one by `changes`."""
+    def argv(tmp):
+        field = {"kind": "csv", "path": _field_file(tmp, **changes)}
+        return ["anomaly", "--config", write_config(tmp, dict(ANOMALY_CONFIG, field=field))]
+
+    return argv, "config", "field.csv does not match the configured mesh"
 
 
 # name -> (argv in tmp_path, error kind, message fragment): config text the
@@ -1193,10 +1204,9 @@ UNREADABLE = {
     "empty_out_path": (
         lambda tmp: ["validate", "--config", write_config(tmp, BTZ_CONFIG), "--out="],
         "io", "No such file or directory: ''"),
-    "field_file_for_another_mesh": (
-        lambda tmp: ["anomaly", "--config", write_config(
-            tmp, dict(ANOMALY_CONFIG, field={"kind": "csv", "path": _field_file(tmp, 33)}))],
-        "config", "field.csv does not match the configured mesh"),
+    "field_file_for_another_mesh": _another_mesh(n_t=33),
+    "field_file_for_another_mesh_t_extent": _another_mesh(t_extent=6.0),
+    "field_file_for_another_mesh_circumference": _another_mesh(circumference=2.0 * math.pi + 1e-12),
 }
 
 
@@ -1299,7 +1309,7 @@ RAISE_SITE_ROWS = {
         boundary_area=1.0),
     "command needs mode {}, config has {}": _with_config(WEDGE_CONFIG),
     "field file {} does not match the configured mesh": _anomaly_with(
-        lambda tmp: {"kind": "csv", "path": _field_file(tmp, 33)}),
+        lambda tmp: {"kind": "csv", "path": _field_file(tmp, n_t=33)}),
     # the command line
     "missing command; commands: {}": lambda tmp: ["--config", write_config(tmp, BTZ_CONFIG)],
     "missing option --config": lambda tmp: ["validate"],

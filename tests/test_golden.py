@@ -160,7 +160,7 @@ def run_case(name: str, tmp_dir: Path, *options: str) -> Path:
         config = {**config, "field": {"kind": "csv", "path": str(field_path)}}
     path = tmp_dir / f"{name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_dir / "_".join((name, *options)).replace("-", "")
+    out = tmp_dir / name
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, "--config", str(path), "--out", str(out), *options]) == 0
     return out
@@ -179,7 +179,8 @@ def csv_digests(name: str, tmp_dir: Path) -> dict:
     writes for the case under that --convention."""
     digests = {}
     for convention in CSV_CONVENTIONS:
-        out = run_case(name, tmp_dir, "--csv", "--convention", convention)
+        (tmp_dir / convention).mkdir(exist_ok=True)
+        out = run_case(name, tmp_dir / convention, "--csv", "--convention", convention)
         digests[convention] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                                for path in sorted(out.iterdir())}
     return digests

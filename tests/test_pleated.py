@@ -13,7 +13,6 @@ from corevol.renvol import (
     bending_sum,
     closed_profile,
     closed_volume,
-    expansion_fit,
     fit_expansion,
     renormalized_volume,
     surface_terms,
@@ -31,14 +30,6 @@ def slab_closed(area, eps, conv):
 
 def wedge_closed(leaf, eps, conv):
     return closed_volume([("wedge", (math.pi - leaf.theta) * leaf.length)], eps, conv)
-
-
-def pleated_v(core, conv):
-    return renormalized_volume(core.terms, conv, base=core.core_volume)
-
-
-def pleated_profile(core, eps_grid, conv):
-    return closed_profile(core.terms, eps_grid, conv, base=core.core_volume)
 
 
 def test_pleat_leaf_bounds():
@@ -163,15 +154,15 @@ def test_wedge_batch_is_bitwise_one_leaf_calls(eps):
 def test_pleated_no_leaves_returns_core_volume():
     core = PleatedCoreData(3.5, (), 4.0 * math.pi)
     for conv in Convention:
-        assert pleated_v(core, conv) == 3.5
+        assert renormalized_volume(core.terms, conv) == 3.5
 
 
 def test_pleated_worked_example():
     core = PleatedCoreData(5.0, (PleatLeaf(2.0, math.pi / 2.0),), 4.0 * math.pi)
-    assert pleated_v(core, Convention.PAPER) == pytest.approx(
+    assert renormalized_volume(core.terms, Convention.PAPER) == pytest.approx(
         5.0 - math.pi / 2.0, rel=1e-14
     )
-    assert pleated_v(core, Convention.DERIVED) == pytest.approx(
+    assert renormalized_volume(core.terms, Convention.DERIVED) == pytest.approx(
         5.0 - math.pi / 4.0, rel=1e-14
     )
 
@@ -179,10 +170,10 @@ def test_pleated_worked_example():
 def test_pleated_fuchsian_degeneration_single_leaf():
     length = 1.7
     core = PleatedCoreData(0.0, (PleatLeaf(length, 0.0),), 0.0)
-    assert pleated_v(core, Convention.PAPER) == pytest.approx(
+    assert renormalized_volume(core.terms, Convention.PAPER) == pytest.approx(
         -math.pi * length / 2.0, rel=1e-14
     )
-    assert pleated_v(core, Convention.DERIVED) == pytest.approx(
+    assert renormalized_volume(core.terms, Convention.DERIVED) == pytest.approx(
         -math.pi * length / 4.0, rel=1e-14
     )
 
@@ -191,12 +182,12 @@ def test_convention_gap_is_quarter_bending_sum():
     leaves = (PleatLeaf(2.0, 1.0), PleatLeaf(0.5, 2.5))
     bending = sum((math.pi - leaf.theta) * leaf.length for leaf in leaves)
     core0 = PleatedCoreData(0.0, leaves, 4.0 * math.pi)
-    gap0 = (pleated_v(core0, Convention.PAPER)
-            - pleated_v(core0, Convention.DERIVED))
+    gap0 = (renormalized_volume(core0.terms, Convention.PAPER)
+            - renormalized_volume(core0.terms, Convention.DERIVED))
     assert gap0 == -bending / 2.0 + bending / 4.0  # exact float identity
     core5 = PleatedCoreData(5.0, leaves, 4.0 * math.pi)
-    gap5 = (pleated_v(core5, Convention.PAPER)
-            - pleated_v(core5, Convention.DERIVED))
+    gap5 = (renormalized_volume(core5.terms, Convention.PAPER)
+            - renormalized_volume(core5.terms, Convention.DERIVED))
     assert gap5 == pytest.approx(-bending / 4.0, rel=1e-14)
 
 
@@ -207,31 +198,41 @@ LEAVES = st.builds(
 )
 
 
+# V's coefficient of the bending w per convention: -(1/4) W-volume's, and
+# the printed line's -1/2
+BENDING_K = {Convention.DERIVED: -0.25, Convention.PAPER: -0.5}
+
+
 @settings(max_examples=300, deadline=None)
-@given(core_volume=st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=1e3)),
+@given(core_volume=st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=0.0, max_value=1e3)),
        leaves=st.lists(LEAVES, max_size=6),
-       boundary_area=st.floats(min_value=0.0, max_value=1e3))
-def test_table_v_is_core_volume_minus_bending(core_volume, leaves, boundary_area):
-    # V read from the table rows equals the written-out formula in every
-    # bit, the sign of a zero core volume with no bending included
-    core = PleatedCoreData(core_volume, tuple(leaves), boundary_area)
+       boundary=st.one_of(st.integers(min_value=2, max_value=20),
+                          st.floats(min_value=0.0, max_value=1e3)))
+def test_table_v_is_core_volume_minus_bending(core_volume, leaves, boundary):
+    # V read from the table rows of the term list equals the written-out
+    # formula in every bit, the sign of a zero core volume with no bending
+    # included; a boundary is a genus (int) or an area (float)
+    if isinstance(boundary, int):
+        core = PleatedCoreData.from_genus(core_volume, leaves, boundary)
+    else:
+        core = PleatedCoreData(core_volume, tuple(leaves), boundary)
     bending = bending_sum((leaf.length, leaf.theta) for leaf in leaves)
-    assert pleated_v(core, Convention.PAPER).hex() == (core_volume - bending / 2.0).hex()
-    assert pleated_v(core, Convention.DERIVED).hex() == (core_volume - bending / 4.0).hex()
+    for conv, k in BENDING_K.items():
+        assert renormalized_volume(core.terms, conv).hex() == (core_volume + k * bending).hex()
 
 
 def test_pleated_profile_is_monotone():
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
     for conv in Convention:
-        vols = [v for _, v in pleated_profile(core, GRID, conv).samples]
+        vols = [v for _, v in closed_profile(core.terms, GRID, conv).samples]
         assert all(b > a for a, b in zip(vols, vols[1:]))
 
 
 def test_pleated_profile_constant_term_matches_value():
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
-    fit = expansion_fit(pleated_profile(core, GRID, Convention.DERIVED))
+    fit = fit_expansion(*zip(*closed_profile(core.terms, GRID, Convention.DERIVED).samples))
     assert fit.v == pytest.approx(
-        pleated_v(core, Convention.DERIVED), abs=1e-7
+        renormalized_volume(core.terms, Convention.DERIVED), abs=1e-7
     )
 
 
@@ -239,7 +240,7 @@ def test_pleated_paper_profile_leaves_stray_linear_term():
     # the printed wedge line carries a bare eps power that the terminating
     # expansion family cannot represent; the fit residual exposes it
     core = PleatedCoreData(2.0, (PleatLeaf(1.0, 1.2),), 4.0 * math.pi)
-    fit = expansion_fit(pleated_profile(core, GRID, Convention.PAPER))
+    fit = fit_expansion(*zip(*closed_profile(core.terms, GRID, Convention.PAPER).samples))
     assert fit.residual > 1e-3
 
 

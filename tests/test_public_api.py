@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "closed_profile",
     "closed_volume",
     "default_eps_grid",
-    "expansion_fit",
     "fit_expansion",
     "generator_from_axis",
     "limit_set_sample",

@@ -1,6 +1,8 @@
+import ast
 import functools
 import hashlib
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ from corevol import cli, renvol
 from corevol.renvol import _sector_areas, default_eps_grid, level_lambda
 
 U = 2.0 ** -53
+SRC = Path(__file__).resolve().parents[1] / "src" / "corevol"
 
 
 def test_polynomial_is_exact_in_one_cell():
@@ -71,6 +74,16 @@ def test_deterministic_across_runs():
 
 
 # ------------------------------------------------------ batched certified engine
+
+def test_no_builtin_sum_in_src():
+    # the builtin sum adds floats with compensation from Python 3.12 on, so a
+    # value it summed would move with the Python version: every float sum in
+    # corevol is a left-to-right functools.reduce instead
+    uses = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and node.id == "sum"]
+    assert uses == []
+
 
 def test_batch_equals_per_interval_calls_bitwise():
     # a slab is the same sum of the same cells, whatever its batch; the

@@ -187,8 +187,8 @@ def test_pleated_core_data_checks(core_volume, boundary_area, message):
 def test_pleated_core_data_from_genus_and_terms():
     core = PleatedCoreData.from_genus(0.0, [PleatLeaf(2.0, math.pi)], genus=3)
     assert core.leaves == (core.leaves[0],) and core.boundary_area == 8.0 * math.pi
-    assert core.terms == [("collar", 8.0 * math.pi), ("wedge", 0.0)]
-    assert PleatedCoreData(0.0, (), 0.0).terms == [("collar", 0.0), ("wedge", 0)]
+    assert core.terms == [("volume", 0.0), ("collar", 8.0 * math.pi), ("wedge", 0.0)]
+    assert PleatedCoreData(1.5, (), 0.0).terms == [("volume", 1.5), ("collar", 0.0), ("wedge", 0)]
 
 
 @pytest.mark.parametrize("args, message", [

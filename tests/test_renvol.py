@@ -17,7 +17,6 @@ from corevol.renvol import (
     closed_profile,
     closed_volume,
     default_eps_grid,
-    expansion_fit,
     fit_expansion,
     level_lambda,
     profile_quadrature,
@@ -218,11 +217,14 @@ def assert_rel(value, exact, rel=1e-14):
 
 def test_table_rows_match_printed_lines_and_krasnov_schlenker():
     # each paper row against its printed line verbatim, each derived row
-    # against the W-volume decomposition, at 40 digits over 60 levels
+    # against the W-volume decomposition, at 40 digits over 60 levels; and
+    # a pleated core's term list against Vol + collar + wedges
     paper, derived = Convention.PAPER, Convention.DERIVED
     surfaces = table_surfaces()
     leaves = [PleatLeaf(1.3, theta) for theta in (0.0, 0.4, 2.0, 3.0)]
     collars = [PleatedCoreData.from_genus(0.0, (), genus) for genus in (2, 3)]
+    cores = [PleatedCoreData.from_genus(5.0, leaves[1:3], 2),
+             PleatedCoreData(0.75, tuple(leaves), 3.0)]
     with mpmath.workdps(40):
         for eps in TABLE_EPS:
             e = mpmath.mpf(eps)
@@ -253,6 +255,14 @@ def test_table_rows_match_printed_lines_and_krasnov_schlenker():
                 for conv in Convention:
                     assert_rel(closed_volume([("collar", core.boundary_area)], eps, conv),
                                ks_slab(area, -area / (2 * mpmath.pi), lam))
+            for core in cores:
+                area = mpmath.mpf(core.boundary_area)
+                w = mpmath.fsum((mpmath.pi - mpmath.mpf(leaf.theta)) * mpmath.mpf(leaf.length)
+                                for leaf in core.leaves)
+                vol_slab = core.core_volume + ks_slab(area, -area / (2 * mpmath.pi), lam)
+                assert_rel(closed_volume(core.terms, eps, paper),
+                           vol_slab + w / 4 * (e + e ** -2) - w / 2)
+                assert_rel(closed_volume(core.terms, eps, derived), vol_slab + ks_sector(w, lam))
     # the collar has no printed line: the paper convention uses the derived slab
     assert renvol.CLOSED_FORMS[paper, "collar"] == renvol.CLOSED_FORMS[derived, "collar"]
 
@@ -500,27 +510,27 @@ def test_fit_condition_brackets_the_2_norm_one(data, log_min, count):
 
 def test_fit_of_derived_profile_gives_quarter_constant(surface_s1):
     profile = closed_profile(surface_terms(surface_s1), default_eps_grid(), Convention.DERIVED)
-    fit = expansion_fit(profile)
+    fit = fit_expansion(*zip(*profile.samples))
     assert fit.v == pytest.approx(-math.pi, abs=1e-6)
 
 
 def test_fit_of_paper_profile_gives_half_constant(surface_s1):
     profile = closed_profile(surface_terms(surface_s1), default_eps_grid(), Convention.PAPER)
-    fit = expansion_fit(profile)
+    fit = fit_expansion(*zip(*profile.samples))
     assert fit.v == pytest.approx(-2.0 * math.pi, abs=1e-6)
 
 
 def test_fit_of_quadrature_profile(surface_s1):
     profile = profile_quadrature(surface_s1, default_eps_grid())
-    fit = expansion_fit(profile)
+    fit = fit_expansion(*zip(*profile.samples))
     assert fit.v == pytest.approx(-math.pi, abs=1e-4)
     assert fit.residual <= 1e-5 * max(v for _, v in profile.samples)
 
 
 def test_fit_stable_under_grid_shift(surface_s1):
-    base = expansion_fit(profile_quadrature(surface_s1, default_eps_grid()))
+    base = fit_expansion(*zip(*profile_quadrature(surface_s1, default_eps_grid()).samples))
     shifted_grid = default_eps_grid(eps_min=5e-4, eps_max=0.15)
-    shifted = expansion_fit(profile_quadrature(surface_s1, shifted_grid))
+    shifted = fit_expansion(*zip(*profile_quadrature(surface_s1, shifted_grid).samples))
     assert abs(base.v - shifted.v) < 1e-4
 
 
@@ -552,7 +562,7 @@ def test_renormalized_volume_linear_in_lengths(surface_adjacent):
 def test_ratio_constant_across_groups(surface_s1, surface_adjacent, surface_crossed):
     ratios = []
     for surface in (surface_s1, surface_adjacent, surface_crossed):
-        fit = expansion_fit(profile_quadrature(surface, default_eps_grid()))
+        fit = fit_expansion(*zip(*profile_quadrature(surface, default_eps_grid()).samples))
         ratios.append(fit.v / surface.total_end_length)
     for r in ratios:
         assert abs(r - (-math.pi / 4.0)) <= 1e-4
