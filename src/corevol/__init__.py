@@ -38,6 +38,5 @@ from .pleated import (
     PleatedCoreData,
     wedge_volume_quadrature,
 )
-from .quadrature import QuadratureError
 
 __version__ = "0.1.0"

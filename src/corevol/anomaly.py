@@ -27,6 +27,7 @@ import math
 import mmap
 import os
 import stat
+import sys
 import threading
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -256,7 +257,9 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     buffer (a generated field is a read-only broadcast of its 1-d profile),
     so no field is copied whole and no value depends on its layout.  The
     Jensen value takes E(u - c) = E(u) and int (u - c) = int u - c area,
-    exact in real arithmetic, so it needs no second pass.
+    exact in real arithmetic, so it needs no second pass.  A mean of exp(2u)
+    below the normal float64 range, 0 included, has lost the digits that
+    c = log(mean) / 2 needs: an ArithmeticError.
     """
     # the kernels divide by the squared spacings as Python float powers, whose
     # OverflowError carries only an errno tuple
@@ -326,7 +329,10 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     values = {"mesh.area": area, "gradient_energy": energy,
               "conformal_change_term": 0.25 * (energy + curv)}
     if hyperbolic:
-        shift = 0.5 * math.log(exp_integral / area)
+        mean = exp_integral / area
+        if not mean >= sys.float_info.min:
+            raise ArithmeticError(f"the mean of exp(2u) is {mean!r}, below the normal range")
+        shift = 0.5 * math.log(mean)
         values["jensen_energy_normalized"] = energy - 2.0 * (integral - shift * area)
     defect = by_parts + energy - _boundary_flux(mesh, bottom, top, lam)
     return {

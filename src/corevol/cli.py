@@ -15,7 +15,6 @@ import sys
 
 from .mobius import Mobius
 from .pleated import PleatedCoreData, PleatLeaf, wedge_volume_quadrature
-from .quadrature import QuadratureError
 from . import renvol  # fit_expansion is called where perfbench/tracer.py wraps it
 from .renvol import (
     Convention,
@@ -446,6 +445,8 @@ def _build_field(mesh, field: dict):
         mesh.check_fits()
         if kind == "theta_mode":
             omega = 2.0 * math.pi * field["k"] / mesh.circumference
+            if not math.isfinite(omega):
+                raise OverflowError(f"the frequency 2 pi k / circumference = {omega!r} overflows")
             amplitude = field["amplitude"]
             profile = np.array([amplitude * math.sin(omega * theta)
                                 for theta in mesh.theta.tolist()])
@@ -640,7 +641,6 @@ FAILURES = {
     ConfigError: ("config", 1),
     ParseError: ("parse", 1),
     OSError: ("io", 1),
-    QuadratureError: ("quadrature", 2),
     SchottkyError: (None, 2),
     SurfaceTopologyError: ("surface_topology", 2),
     ValueError: ("value", 2),

@@ -9,6 +9,8 @@ error estimate, calling its scalar integrand once per node.  A slab's value
 is the sum of its cells in left-to-right order, so it does not depend on
 the rest of a batch, and it is identical across runs and Python versions:
 every float sum adds left to right (the builtin `sum` compensates from 3.12).
+An integrand past the float64 range gives its cell the value inf, which
+a slab passes on as its own value.
 """
 
 from __future__ import annotations
@@ -53,16 +55,6 @@ _WG = (
 MAX_CELLS = 4096
 
 
-class QuadratureError(RuntimeError):
-    """An integrand that is not finite on a cell, or adaptive_quad's accuracy
-    not met within MAX_CELLS cells; `owner` is the index of the failing
-    interval in its batch."""
-
-    def __init__(self, message: str, owner: int | None = None):
-        super().__init__(message)
-        self.owner = owner
-
-
 # each node's distance from the nearer end of [-1, 1], left half then right
 _FROM_LEFT = tuple(1.0 + x for x in _XGK[:7])
 _FROM_RIGHT = tuple(1.0 - x for x in _XGK[8:])
@@ -72,21 +64,17 @@ def _cell(f, left: float, right: float):
     """GK15 on the cell [left, right]: the Kronrod value and the values of
     f on the 15 float nodes, each placed from the nearer end of the cell so
     that adjacent cells meet without a gap.  f is called once, on the list
-    of the nodes in order, and returns the list of their values.  A value
-    that is not finite, or an OverflowError out of f, raises
-    QuadratureError."""
+    of the nodes in order, and returns the list of their values.  An
+    OverflowError out of f gives the value inf and no node values."""
     half = 0.5 * (right - left)
     nodes = [left + half * t for t in _FROM_LEFT]
     nodes.append(0.5 * (left + right))
     nodes += [right - half * t for t in _FROM_RIGHT]
     try:
         values = f(nodes)
-        kronrod = functools.reduce(operator.add, map(operator.mul, values, _WGK), 0.0) * half
     except OverflowError:
-        kronrod = math.inf
-    if not math.isfinite(kronrod):
-        raise QuadratureError(f"integrand is not finite on [{left!r}, {right!r}]")
-    return kronrod, values
+        return math.inf, []
+    return functools.reduce(operator.add, map(operator.mul, values, _WGK), 0.0) * half, values
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -137,9 +125,10 @@ def cosh_squared_slabs(lams):
     plus rounding, (16 + m + 4 lam) u, times the value: the rounded nodes
     move cosh^2 by at most 4 x u relative, and cosh, the weights and the
     positive sums add less than (16 + m) u.  Past x = 355.58 cosh^2 leaves
-    the float64 range: the cell that reaches there raises QuadratureError,
-    owned by the first level of the batch that needs it.  Returns (values,
-    error bounds) as lists and the number of cells evaluated.
+    the float64 range: no cell is evaluated past the first full cell whose
+    running sum is not finite, and every level that reaches past the range
+    reads inf, its bound too.  Returns (values, error bounds) as lists and the
+    number of cells evaluated.
     """
     half, gain, reach = _widest_cell()
     width = 2.0 * half
@@ -148,18 +137,16 @@ def cosh_squared_slabs(lams):
         return [math.cosh(x) ** 2 for x in xs]
 
     below, values, errors, lasts = [0.0], [], [], 0  # below[j]: the first j full cells, summed
-    for k, lam in enumerate(lams):
+    for lam in lams:
         n = int(lam // width)
-        last = n * width < lam
+        while len(below) <= n and below[-1] < math.inf:
+            j = len(below) - 1
+            below.append(below[j] + _cell(cosh_power, j * width, (j + 1) * width)[0])
+        value = below[n] if n < len(below) else math.inf
+        last = n * width < lam and value < math.inf
+        if last:
+            value += _cell(cosh_power, n * width, lam)[0]
         lasts += last
-        try:
-            while len(below) <= n:
-                j = len(below) - 1
-                below.append(below[j] + _cell(cosh_power, j * width, (j + 1) * width)[0])
-            value = below[n] + _cell(cosh_power, n * width, lam)[0] if last else below[n]
-        except QuadratureError as exc:
-            exc.owner = k
-            raise
         truncation = math.exp(2 * reach * (half if n else 0.5 * lam) - gain)
         rounding = (16.0 + n + last + 4.0 * lam) * _UNIT_ROUNDOFF
         values.append(value)
@@ -176,7 +163,8 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
     the summed estimate is below rel_tol * |integral|, within MAX_CELLS
     cells.  The cells stay in order and the value is their left-to-right
     sum.  A zero-width interval integrates to 0.  Returns (value,
-    error_estimate).
+    error_estimate).  An integrand that is not finite on a cell, or an
+    accuracy not met within MAX_CELLS cells, raises RuntimeError.
     """
     a, b = float(a), float(b)
     if not b >= a:
@@ -187,6 +175,8 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
 
     def estimate(left, right):
         kronrod, values = _cell(integrand, left, right)
+        if not math.isfinite(kronrod):
+            raise RuntimeError(f"integrand is not finite on [{left!r}, {right!r}]")
         half = 0.5 * (right - left)
         gauss = functools.reduce(operator.add, map(operator.mul, values[1::2], _WG), 0.0) * half
         return left, right, kronrod, abs(kronrod - gauss)
@@ -199,7 +189,7 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-9):
         if error <= tol:
             return total, error
         if len(cells) >= MAX_CELLS:
-            raise QuadratureError(
+            raise RuntimeError(
                 f"tolerance {tol:.3e} not met within {MAX_CELLS} cells on "
                 f"[{a!r}, {b!r}] (error estimate {error:.3e})"
             )

@@ -16,8 +16,9 @@ half-disk slice of the tube around it: the theta = 0 sector that the
 pleated wedge oracle integrates too.  A closed form, Fuchsian or pleated,
 is its list of (term, weight) pairs, each term a row of the one table
 CLOSED_FORMS, a pleated core's own volume included, and no formula
-branches on the convention.  `VolumeProfile` and `ExpansionFit` are plain
-records with `__slots__`, immutable by convention.
+branches on the convention.  A truncated volume past the float64 range,
+closed or oracle, is a ValueError naming its eps.  `VolumeProfile` and
+`ExpansionFit` are plain records with `__slots__`, immutable by convention.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import operator
 from enum import Enum
 
-from .quadrature import _UNIT_ROUNDOFF, QuadratureError, _cell, cosh_squared_slabs
+from .quadrature import _UNIT_ROUNDOFF, _cell, cosh_squared_slabs
 from .surface import SurfaceInfo
 
 
@@ -244,19 +245,13 @@ def _sector_areas(eps_values, thetas):
 def _truncated_volumes(surface: SurfaceInfo, eps_values):
     """Oracle volumes and their error bounds at every level of eps_values,
     each integral one batch over all levels at rounding level, and the
-    number of cells evaluated.  Only the core slab can fail, where cosh^2
-    leaves the float64 range (eps below about 3.7e-155): its
-    QuadratureError names the core slab and the first eps level that
-    reaches there.  A volume past the float64 range is a ValueError naming
-    its eps."""
+    number of cells evaluated.  A volume past the float64 range, the core
+    slab's where cosh^2 leaves it (eps below about 3.7e-155) included, is a
+    ValueError naming the first such eps of the batch."""
     lams = [level_lambda(float(e)) for e in eps_values]
     totals, errs, cells = [0.0] * len(lams), [0.0] * len(lams), 0
     if surface.core_area != 0.0:
-        try:
-            slabs, slab_errs, cells = cosh_squared_slabs(lams)
-        except QuadratureError as exc:
-            eps = float(eps_values[exc.owner])
-            raise QuadratureError(f"core slab at eps {eps!r}: {exc}", exc.owner) from None
+        slabs, slab_errs, cells = cosh_squared_slabs(lams)
         weight = 2.0 * surface.core_area
         totals = [weight * slab for slab in slabs]
         errs = [weight * err for err in slab_errs]
@@ -310,12 +305,16 @@ def default_eps_grid(eps_min: float = 1e-3, eps_max: float = 0.3,
                      count: int = 12) -> list:
     """Logarithmic eps grid of count >= 2 levels, descending from eps_max to
     eps_min, both exact; conditions the expansion fit while keeping
-    cosh(lambda) moderate for the quadrature."""
+    cosh(lambda) moderate for the quadrature.  Levels too close to be
+    distinct float64 values are a ValueError."""
     if not (0.0 < eps_min < eps_max < 1.0 and count >= 2):
         raise ValueError("need 0 < eps_min < eps_max < 1 and at least 2 levels")
     step = (math.log(eps_min) - math.log(eps_max)) / (count - 1)
-    inner = [eps_max * math.exp(k * step) for k in range(1, count - 1)]
-    return [eps_max, *inner, eps_min]
+    grid = [eps_max, *(eps_max * math.exp(k * step) for k in range(1, count - 1)), eps_min]
+    if not all(map(operator.gt, grid, grid[1:])):
+        raise ValueError(f"an eps grid of count {count} from max {eps_max!r} to min "
+                         f"{eps_min!r} repeats a level in float64")
+    return grid
 
 
 def closed_profile(terms, eps_grid, convention: Convention) -> VolumeProfile:

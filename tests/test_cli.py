@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from corevol import cli, pleated, renvol
 from corevol.cli import COMMANDS, main, parse_config, ConfigError
-from corevol.quadrature import QuadratureError
 from corevol.renvol import Convention, closed_volume
 from corevol.schottky import SchottkyError
 
@@ -997,6 +996,9 @@ def test_eps_min_below_floor_is_a_config_error(tmp_path, capsys, command, config
 LARGEST = 1.7976931348623157e308
 
 
+REPEATED_GRID = {"min": 0.9999999999999, "max": 0.99999999999999, "count": 1024}
+
+
 @pytest.mark.parametrize("command, config, flags, code, kind, fragment", [
     # a leaf this long makes both closed-form V's -inf before the oracle runs
     ("wedge", dict(WEDGE_CONFIG, leaves=[{"length": LARGEST, "theta": math.pi / 2.0}]), [],
@@ -1019,13 +1021,36 @@ LARGEST = 1.7976931348623157e308
     ("renvol", BTZ_CONFIG, ["--eps-count", str(2 ** 53)],
      1, "config", "config.epsilon_grid.count: need at least 8 for fitting and at most 1024, "
                   "got 9007199254740992"),
+    # int exp(2u) underflows to 0, and at -360 to a subnormal mean whose
+    # log gave a negative Jensen energy
+    ("anomaly", dict(ANOMALY_CONFIG, mesh=dict(ANOMALY_CONFIG["mesh"], n_t=33),
+                     field={"kind": "constant", "value": -400}), [],
+     2, "value", "leave the float64 range on this mesh and field (the mean of exp(2u) is 0.0, "
+                 "below the normal range)"),
+    ("anomaly", dict(ANOMALY_CONFIG, mesh=dict(ANOMALY_CONFIG["mesh"], n_t=33),
+                     field={"kind": "constant", "value": -360}), [],
+     2, "value", "leave the float64 range on this mesh and field (the mean of exp(2u) is 2."),
+    # 2 pi k / circumference is inf, whose sine is a domain error
+    ("anomaly", dict(ANOMALY_CONFIG, field={"kind": "theta_mode", "k": 1e308}), [],
+     2, "value", "(the frequency 2 pi k / circumference = inf overflows)"),
+    # 1024 levels 9e-14 apart in eps: adjacent ones round to one float
+    ("renvol", dict(BTZ_CONFIG, epsilon_grid=REPEATED_GRID), [],
+     2, "value", "an eps grid of count 1024 from max 0.99999999999999 to min 0.9999999999999 "
+                 "repeats a level in float64"),
+    ("wedge", dict(WEDGE_CONFIG, epsilon_grid=REPEATED_GRID), ["--out", "out", "--csv"],
+     2, "value", "an eps grid of count 1024 from max 0.99999999999999 to min 0.9999999999999 "
+                 "repeats a level in float64"),
 ], ids=["leaf_length", "boundary_genus", "boundary_genus_int", "pairing_source_int",
-        "mesh_n_t_int", "field_k_int", "eps_count"])
-def test_extreme_config_ends_in_one_error_line(tmp_path, capsys, command, config, flags,
-                                               code, kind, fragment):
+        "mesh_n_t_int", "field_k_int", "eps_count", "jensen_mean_zero", "jensen_mean_subnormal",
+        "theta_mode_frequency", "repeated_grid_renvol", "repeated_grid_wedge_csv"])
+def test_extreme_config_ends_in_one_error_line(tmp_path, capsys, monkeypatch, command, config,
+                                               flags, code, kind, fragment):
     # no report with inf or nan, no warning (the suite makes warnings errors)
-    # and no traceback: one JSON error line and nothing on stderr
+    # and no traceback: one JSON error line and nothing on stderr; an --out
+    # directory is relative to tmp_path and is not written
+    monkeypatch.chdir(tmp_path)
     assert main([command, "--config", write_config(tmp_path, config), *flags]) == code
+    assert not (tmp_path / "out").exists()
     out = capsys.readouterr()
     assert out.err == ""
     assert out.out.count("\n") == 1
@@ -1047,30 +1072,19 @@ def test_report_rejects_non_finite_values_by_key(value):
         cli.Report().add("surface.end_lengths", value)
 
 
-# the one oracle failure an input can reach: cosh^2 past the float64 range
-# in the core slab, at a level below eps 3.7e-155
-DEEP_SLAB_FAILURE = ("core slab at eps 1e-160: integrand is not finite on "
-                     "[354.13551078456504, 356.96859487084157]")
-
-
-def test_quadrature_failure_is_a_json_error(tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise QuadratureError(DEEP_SLAB_FAILURE)
-
-    monkeypatch.setattr(cli, "profile_quadrature", fail)
-    code = main(["renvol", "--config", write_config(tmp_path, BTZ_CONFIG)])
-    assert code == 2
-    error = _one_error(capsys)
-    assert error == {"kind": "quadrature", "message": DEEP_SLAB_FAILURE}
-
-
 def test_core_slab_past_the_float64_range_is_a_quadrature_error(tmp_path, capsys, monkeypatch):
     # EPS_FLOOR keeps every config short of it; lowered, a README genus 2
-    # grid down to 1e-160 fails in its core slab, not in a fake
+    # grid down past the range is one value error naming its deepest level:
+    # at 1e-154 the volume leaves the range, and below 7.5e-155 the end
+    # slices' eps^-2 does, before the core slab's cosh^2 can (past x =
+    # 355.58, eps 3.7e-155; a no-end surface shows that in test_renvol)
     monkeypatch.setattr(cli, "EPS_FLOOR", 1e-300)
-    assert main(["renvol", "--config", write_config(tmp_path, README_G2_CONFIG),
-                 "--eps-min", "1e-160"]) == 2
-    assert _one_error(capsys) == {"kind": "quadrature", "message": DEEP_SLAB_FAILURE}
+    for eps_min, message in [
+            ("1e-154", "the truncated volume leaves the float64 range at eps = 1e-154"),
+            ("1e-160", "eps^-2 leaves the float64 range at eps = 1e-160")]:
+        assert main(["renvol", "--config", write_config(tmp_path, README_G2_CONFIG),
+                     "--eps-min", eps_min]) == 2
+        assert _one_error(capsys) == {"kind": "value", "message": message}
 
 
 @pytest.mark.parametrize("command, config", [("validate", BTZ_CONFIG), ("renvol", BTZ_CONFIG),
@@ -1514,3 +1528,44 @@ def test_anomaly_finite_field_whose_sums_overflow_is_a_value_error(tmp_path, cap
     error = _one_error(capsys)
     assert error["kind"] == "value"
     assert "leave the float64 range" in error["message"]
+
+
+# a message that is only the text of a libm or errno failure, which names
+# neither the value nor the key at fault
+BARE_LIBM = re.compile(r"math (domain|range) error|\(\d+, '[^']*'\)")
+
+
+def test_extreme_anomaly_meshes_and_fields_give_a_report_or_a_named_error(tmp_path, capsys):
+    # 360 configs on 9x4 meshes, in process: exit 0, or one JSON error line
+    # whose message is more than a bare libm text (warnings are errors here)
+    fields = [{"kind": "constant", "value": 400}, {"kind": "constant", "value": -400},
+              {"kind": "constant", "value": -360}, {"kind": "theta_mode", "k": 1e308},
+              {"kind": "theta_mode", "k": 1e20}, {"kind": "log_sech_t"}]
+    bare = []
+    for tag in ("hyperbolic_cylinder", "flat_cylinder"):
+        for t_extent in (1e-300, 1e-8, 2.0, 300.0, 700.0, 1e6):
+            for circumference in (1e-300, 1e-8, 6.28, 1e8, 1e300):
+                for field in fields:
+                    mesh = {"tag": tag, "t_extent": t_extent, "circumference": circumference,
+                            "n_t": 9, "n_theta": 4}
+                    config = dict(ANOMALY_CONFIG, mesh=mesh, field=field)
+                    code = main(["anomaly", "--config", write_config(tmp_path, config)])
+                    out = capsys.readouterr()
+                    assert out.err == ""
+                    if code:
+                        assert out.out.count("\n") == 1
+                        message = json.loads(out.out)["error"]["message"]
+                        if BARE_LIBM.fullmatch(message):
+                            bare.append((mesh, field, message))
+    assert bare == []
+
+
+@pytest.mark.parametrize("command, config", [
+    # 2 pi k / circumference is large but finite
+    ("anomaly", dict(ANOMALY_CONFIG, field={"kind": "theta_mode", "k": 1e20})),
+    # without --csv a wedge never builds the grid, only eps_check
+    ("wedge", dict(WEDGE_CONFIG, epsilon_grid=REPEATED_GRID)),
+], ids=["theta_mode_k_1e20", "repeated_grid_wedge"])
+def test_finite_extremes_next_to_a_named_error_give_a_report(tmp_path, capsys, command, config):
+    assert main([command, "--config", write_config(tmp_path, config)]) == 0
+    assert capsys.readouterr().out.startswith(f"command = {command}\n")

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "Pairing",
     "PleatLeaf",
     "PleatedCoreData",
-    "QuadratureError",
     "SchottkyData",
     "SchottkyError",
     "SurfaceInfo",

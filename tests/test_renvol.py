@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from corevol import quadrature, renvol, surface_invariants
 from corevol.cli import build_group, parse_config
-from corevol.quadrature import QuadratureError
 from corevol.renvol import (
     Convention,
     VolumeProfile,
@@ -349,16 +348,16 @@ README_GENUS2 = {
 
 
 def test_core_slab_failure_does_not_depend_on_its_batch():
-    # cosh^2 leaves the float64 range past x = 355.58: README genus 2's
-    # core slab at eps 1e-160 fails the same in its grid and alone
-    surface = surface_invariants(build_group(parse_config(README_GENUS2)))
-    with pytest.raises(QuadratureError) as batch:
+    # cosh^2 leaves the float64 range past x = 355.58: a no-end surface's
+    # core slab at eps 1e-160 fails the same in its grid and alone.  (With
+    # ends, the end slice's eps^-2 names that level first.)
+    surface = core_only_surface()
+    with pytest.raises(ValueError) as batch:
         profile_quadrature(surface, default_eps_grid(1e-160, 0.3, 12))
-    with pytest.raises(QuadratureError) as alone:
+    with pytest.raises(ValueError) as alone:
         truncated_volume_quadrature(surface, 1e-160)
     assert str(batch.value) == str(alone.value) == (
-        "core slab at eps 1e-160: integrand is not finite on "
-        "[354.13551078456504, 356.96859487084157]")
+        "the truncated volume leaves the float64 range at eps = 1e-160")
 
 
 def test_oracle_evaluates_each_certified_cell_once(monkeypatch):
