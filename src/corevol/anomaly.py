@@ -58,7 +58,10 @@ class SurfaceMesh:
 
     Node weights use the trapezoid rule in t (half weight at the two
     boundary rows) and the exact periodic rule in theta, so the total area
-    matches the analytic area at second order.  A plain record, immutable
+    matches the analytic area at second order.  A mesh whose squared
+    spacing dt^2 or dtheta^2 leaves the normal float64 range, or whose
+    hyperbolic metric cosh(T) overflows, is an ArithmeticError that names
+    the quantity, before any array is built.  A plain record, immutable
     by convention; it has no `__slots__` because its cached arrays live in
     the instance `__dict__`.
     """
@@ -73,6 +76,16 @@ class SurfaceMesh:
             raise ValueError("mesh extents must be positive")
         self.tag, self.t_extent, self.circumference = tag, t_extent, circumference
         self.n_t, self.n_theta = n_t, n_theta
+        # with normal squared spacings and a finite cosh(T), every per-row
+        # multiplier of the kernels below is a finite float
+        for name, step in (("t", self.dt), ("theta", self.dtheta)):
+            if math.isinf(step * step):
+                raise OverflowError(f"the square of the {name} spacing {step!r} overflows")
+            if step * step < sys.float_info.min:
+                raise ArithmeticError(f"the square of the {name} spacing {step!r} "
+                                      "is below the normal float64 range")
+        if tag == TAG_HYPERBOLIC and t_extent > math.acosh(sys.float_info.max):
+            raise OverflowError(f"cosh(mesh.t_extent) overflows at t_extent = {t_extent!r}")
 
     @property
     def dt(self) -> float:
@@ -101,6 +114,12 @@ class SurfaceMesh:
     @cached_property
     def _sqrt_det_mid(self) -> np.ndarray:
         return _METRICS[self.tag].sqrt_det(self.t[:-1] + 0.5 * self.dt)
+
+    @cached_property
+    def _t_flux_scale_overflows(self) -> bool:
+        # sqrt(det) / dt leaves float64 where the hyperbolic cosh(T) is
+        # within a factor 1 / dt of the largest float (dt < 1)
+        return math.isinf(float(self._sqrt_det_mid.max()) / self.dt)
 
     @cached_property
     def _sqrt_det_slope(self) -> np.ndarray:
@@ -142,8 +161,13 @@ class SurfaceMesh:
 # Every stencil is one private kernel over the rows r0 .. r1 - 1 of a field,
 # and `anomaly_functionals` is its only caller, block by block with
 # block-sized work arrays.  A kernel writes each step into its work arrays
-# with `out=` and in-place ops, in the operation order of the plain
-# expression; the sweep takes each integrand's row sums from them.
+# with `out=` and in-place ops; the sweep takes each integrand's row sums
+# from them.  No kernel divides a block: the spacings and metric factors of
+# a step are folded into one multiplier per row, made from the block's
+# slices of the 1-d profiles: sqrt(det) / dt for a t flux, 1 / (b dt) for
+# the t part of a Laplacian row and theta_coeff / b / dtheta^2 for its
+# theta part.  Only the closure's two boundary rows are divided by b, once
+# per call each.
 
 def _theta_step(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x[:, j + 1] - y[:, j] with j periodic, into out (all three C-contiguous):
@@ -173,9 +197,15 @@ def _t_diff(v: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 def _t_flux(mesh: SurfaceMesh, diff: np.ndarray, j0: int) -> np.ndarray:
     """sqrt(det) dv/dt on the t midpoints from j0 on, in place over their
-    differences `diff` (from `_t_diff`)."""
-    diff *= mesh._sqrt_det_mid[j0:j0 + len(diff), None]
-    return np.divide(diff, mesh.dt, out=diff)
+    differences `diff` (from `_t_diff`): each row times sqrt(det) / dt, or
+    times sqrt(det) and then 1 / dt where that multiplier overflows."""
+    b_mid = mesh._sqrt_det_mid[j0:j0 + len(diff), None]
+    if mesh._t_flux_scale_overflows:
+        diff *= b_mid
+        diff *= 1.0 / mesh.dt
+    else:
+        diff *= b_mid / mesh.dt
+    return diff
 
 
 def _laplacian(mesh: SurfaceMesh, rows: np.ndarray, r0: int, lam, work) -> np.ndarray:
@@ -196,13 +226,12 @@ def _laplacian(mesh: SurfaceMesh, rows: np.ndarray, r0: int, lam, work) -> np.nd
     second_theta.reshape(-1)[1:] += rows.reshape(-1)[:-1]
     np.subtract(rows[:, 1], twice[:, 0], out=second_theta[:, 0])
     second_theta[:, 0] += rows[:, -1]
-    second_theta *= (mesh._theta_coeff / b)[r0:r1, None]
-    second_theta /= mesh.dtheta ** 2
+    second_theta *= (mesh._theta_coeff[r0:r1] / b[r0:r1] / mesh.dtheta ** 2)[:, None]
     # interior rows i0 .. i1 - 1 from the fluxes on the midpoints around them
     i0, i1 = max(r0, 1), min(r1, n_t - 1)
     flux = _t_flux(mesh, work[2][:i1 - i0 + 1], i0 - 1)
     interior = np.subtract(flux[1:], flux[:-1], out=out[i0 - r0:i1 - r0])
-    interior /= b[i0:i1, None] * mesh.dt
+    interior *= (1.0 / (b[i0:i1] * mesh.dt))[:, None]
     if r0 == 0:
         out[0, :] = lam[0] / b[0]
     if r1 == n_t:
@@ -261,11 +290,6 @@ def anomaly_functionals(mesh: SurfaceMesh, u: np.ndarray) -> dict:
     below the normal float64 range, 0 included, has lost the digits that
     c = log(mean) / 2 needs: an ArithmeticError.
     """
-    # the kernels divide by the squared spacings as Python float powers, whose
-    # OverflowError carries only an errno tuple
-    for name, step in (("t", mesh.dt), ("theta", mesh.dtheta)):
-        if math.isinf(step * step):
-            raise OverflowError(f"the square of the {name} spacing {step!r} overflows")
     u = np.asarray(u, dtype=float)
     n_t, n_theta = mesh.n_t, mesh.n_theta
     if u.shape != (n_t, n_theta):

@@ -451,7 +451,11 @@ def _build_field(mesh, field: dict):
             profile = np.array([amplitude * math.sin(omega * theta)
                                 for theta in mesh.theta.tolist()])
         elif kind == "log_sech_t":
-            profile = np.array([-math.log(math.cosh(t)) for t in mesh.t.tolist()])[:, None]
+            # -log cosh t; past |t| = acosh(largest float) = 710.4758600739439,
+            # where cosh t overflows, its equal log 2 - |t| - log1p(exp(-2|t|))
+            profile = np.array([-math.log(math.cosh(t)) if abs(t) <= 710.4758600739439
+                                else math.log(2.0) - abs(t) - math.log1p(math.exp(-2.0 * abs(t)))
+                                for t in mesh.t.tolist()])[:, None]
         else:  # zero or constant
             profile = float(field.get("value", 0.0))
         return np.broadcast_to(profile, (mesh.n_t, mesh.n_theta))

@@ -260,6 +260,57 @@ def test_summation_by_parts_identity():
             assert values["integration_by_parts_defect"] <= bound
 
 
+def long_laplacian(mesh, u):
+    """The flux-form stencil and boundary closure of the Laplacian in
+    np.longdouble, from the mesh's own float64 spacings and metric factors,
+    and for each entry the sum of the absolute values of its terms."""
+    ld = np.longdouble
+    v, dt, dth = u.astype(ld), ld(mesh.dt), ld(mesh.dtheta)
+    b, b_mid, slope, coeff = (x.astype(ld)[:, None] for x in (
+        mesh._sqrt_det, mesh._sqrt_det_mid, mesh._sqrt_det_slope, mesh._theta_coeff))
+    left, right = np.roll(v, 1, axis=1), np.roll(v, -1, axis=1)
+    theta_scale = coeff / (b * dth * dth)
+    lap = theta_scale * (right - 2 * v + left)
+    terms = theta_scale * (abs(right) + 2 * abs(v) + abs(left))
+    above, below = b_mid[1:] / (b[1:-1] * dt * dt), b_mid[:-1] / (b[1:-1] * dt * dt)
+    lap[1:-1] += above * (v[2:] - v[1:-1]) - below * (v[1:-1] - v[:-2])
+    terms[1:-1] += above * (abs(v[2:]) + abs(v[1:-1])) + below * (abs(v[1:-1]) + abs(v[:-2]))
+    # the one-sided rows b v'' + b' v', over b: the top one reads its rows backwards
+    for row, sign, rows in ((0, 1, v[:4]), (-1, -1, v[:-5:-1])):
+        second, first = b[row] / (dt * dt), sign * slope[row] / (2 * dt)
+        stencil = list(zip((2, -5, 4, -1), (-3, 4, -1, 0), rows))
+        lap[row] += sum((second * p + first * q) * w for p, q, w in stencil) / b[row]
+        terms[row] += sum((abs(second * p) + abs(first * q)) * abs(w)
+                          for p, q, w in stencil) / b[row]
+    return lap, terms
+
+
+# roundings between the float64 kernels and the exact stencil of their
+# inputs on the longest path, a boundary row: each is at most U / 2 of a
+# partial sum, and so of the sum of the absolute terms (2.2 at most seen)
+LAPLACIAN_ROUNDINGS = 10
+
+
+def test_laplacian_and_defect_precision_on_random_fields():
+    # pins precision, not bits: any float64 evaluation of the stencil within
+    # LAPLACIAN_ROUNDINGS U / 2 of the sum of each entry's absolute terms
+    # passes, and the defect must stay within the benchmark's roundoff bound
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is float64 here")
+    rng = np.random.default_rng(56)
+    for tag in (TAG_HYPERBOLIC, TAG_FLAT):
+        for _ in range(20):
+            n_t, n_theta = int(rng.integers(8, 66)), int(rng.integers(4, 65))
+            mesh = SurfaceMesh(tag, rng.uniform(0.5, 2.5), rng.uniform(1.0, 9.0), n_t, n_theta)
+            u = random_smooth_field(mesh, rng) + rng.normal()
+            want, terms = long_laplacian(mesh, u)
+            error = np.abs(laplacian(mesh, u) - want)
+            assert (error <= LAPLACIAN_ROUNDINGS * (U / 2) * terms).all(), (tag, n_t, n_theta)
+            values = report(mesh, u)
+            bound = roundoff_bound(mesh, values["gradient_energy"])
+            assert values["integration_by_parts_defect"] < bound, (tag, n_t, n_theta)
+
+
 def test_laplacian_of_constant_vanishes():
     mesh = hyperbolic_mesh()
     assert np.abs(laplacian(mesh, full(mesh, 2.0))).max() == 0.0
@@ -954,6 +1005,23 @@ def test_build_field_peak_memory(tag, field):
     mesh = SurfaceMesh(tag, 2.0, TWO_PI, 257, 256)
     field_bytes = mesh.n_t * mesh.n_theta * 8
     assert traced_peak(lambda: _build_field(mesh, field)) <= 1.1 * field_bytes
+
+
+@pytest.mark.parametrize("t_extent", [700.0, 710.4758600739439, 710.4758600739440, 800.0, 1e6])
+def test_log_sech_field_past_the_cosh_range_is_within_an_ulp(t_extent):
+    # -log cosh t while cosh t is finite (up to |t| = 710.4758600739439),
+    # log 2 - |t| - log1p(exp(-2|t|)) past it; 40-digit mpmath is the
+    # reference on both sides of the switch
+    import mpmath
+
+    mesh = SurfaceMesh(TAG_FLAT, t_extent, TWO_PI, 9, 4)
+    profile = _build_field(mesh, {"kind": "log_sech_t"})[:, 0]
+    for t, value in zip(mesh.t.tolist(), profile.tolist()):
+        with mpmath.workdps(40):
+            want = float(-mpmath.log(mpmath.cosh(mpmath.mpf(t))))
+        assert abs(value - want) <= math.ulp(want), t
+    if t_extent == 800.0:
+        assert profile[0] == profile[-1] == -799.3068528194401
 
 
 def mesh_evaluated_field(mesh, field):

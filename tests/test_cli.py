@@ -1536,15 +1536,19 @@ BARE_LIBM = re.compile(r"math (domain|range) error|\(\d+, '[^']*'\)")
 
 
 def test_extreme_anomaly_meshes_and_fields_give_a_report_or_a_named_error(tmp_path, capsys):
-    # 360 configs on 9x4 meshes, in process: exit 0, or one JSON error line
-    # whose message is more than a bare libm text (warnings are errors here)
+    # 980 configs on 9x4 meshes, in process: exit 0, or one JSON error line
+    # whose message is more than a bare libm text (warnings are errors here).
+    # Pinned by row: a squared spacing below the normal range (4e-155 / 4 and
+    # 4e-160 / 4 squared, 1e-300 / 4 squared is 0) names that spacing, a
+    # hyperbolic t_extent of 720 names cosh(mesh.t_extent), and log_sech_t
+    # on a flat t_extent of 800 is a report
     fields = [{"kind": "constant", "value": 400}, {"kind": "constant", "value": -400},
               {"kind": "constant", "value": -360}, {"kind": "theta_mode", "k": 1e308},
-              {"kind": "theta_mode", "k": 1e20}, {"kind": "log_sech_t"}]
-    bare = []
+              {"kind": "theta_mode", "k": 1e20}, {"kind": "log_sech_t"}, {"kind": "zero"}]
+    bare, pinned = [], {"spacing": [], "cosh": [], "log_sech_t": []}
     for tag in ("hyperbolic_cylinder", "flat_cylinder"):
-        for t_extent in (1e-300, 1e-8, 2.0, 300.0, 700.0, 1e6):
-            for circumference in (1e-300, 1e-8, 6.28, 1e8, 1e300):
+        for t_extent in (1e-300, 4e-160, 4e-155, 1e-8, 2.0, 300.0, 700.0, 720.0, 800.0, 1e6):
+            for circumference in (1e-300, 4e-160, 4e-155, 1e-8, 6.28, 1e8, 1e300):
                 for field in fields:
                     mesh = {"tag": tag, "t_extent": t_extent, "circumference": circumference,
                             "n_t": 9, "n_theta": 4}
@@ -1552,12 +1556,30 @@ def test_extreme_anomaly_meshes_and_fields_give_a_report_or_a_named_error(tmp_pa
                     code = main(["anomaly", "--config", write_config(tmp_path, config)])
                     out = capsys.readouterr()
                     assert out.err == ""
+                    message = None
                     if code:
                         assert out.out.count("\n") == 1
                         message = json.loads(out.out)["error"]["message"]
                         if BARE_LIBM.fullmatch(message):
                             bare.append((mesh, field, message))
+                    squares = [(extent / 4) * (extent / 4) for extent in (t_extent, circumference)]
+                    in_range = max(squares) < math.inf
+                    if min(squares) < sys.float_info.min:
+                        pinned["spacing"].append(
+                            re.search(r"\(the square of the (t|theta) spacing \S+ is below "
+                                      r"the normal float64 range\)$", message or ""))
+                    elif in_range and tag == "hyperbolic_cylinder" and t_extent == 720.0:
+                        pinned["cosh"].append((message or "").endswith(
+                            "(cosh(mesh.t_extent) overflows at t_extent = 720.0)"))
+                    elif (in_range and tag == "flat_cylinder" and t_extent == 800.0
+                          and field["kind"] == "log_sech_t"):
+                        pinned["log_sech_t"].append(code == 0)
     assert bare == []
+    # 42 meshes per tag with a tiny squared spacing; 3 circumferences whose
+    # square is neither tiny nor infinite
+    assert {key: len(rows) for key, rows in pinned.items()} == {
+        "spacing": 2 * 42 * len(fields), "cosh": 3 * len(fields), "log_sech_t": 3}
+    assert all(all(rows) for rows in pinned.values())
 
 
 @pytest.mark.parametrize("command, config", [
@@ -1565,7 +1587,15 @@ def test_extreme_anomaly_meshes_and_fields_give_a_report_or_a_named_error(tmp_pa
     ("anomaly", dict(ANOMALY_CONFIG, field={"kind": "theta_mode", "k": 1e20})),
     # without --csv a wedge never builds the grid, only eps_check
     ("wedge", dict(WEDGE_CONFIG, epsilon_grid=REPEATED_GRID)),
-], ids=["theta_mode_k_1e20", "repeated_grid_wedge"])
+    # sqrt(det) / dt, the t flux multiplier, overflows: the flux takes its
+    # two factors in turn
+    ("anomaly", dict(ANOMALY_CONFIG, mesh={"tag": "hyperbolic_cylinder", "t_extent": 710.4,
+                                           "circumference": 1e-8, "n_t": 4001, "n_theta": 4})),
+    # cosh(T) dtheta^2 overflows, so the theta multiplier divides by each
+    ("anomaly", dict(ANOMALY_CONFIG, mesh={"tag": "hyperbolic_cylinder", "t_extent": 700.0,
+                                           "circumference": 1000.0, "n_t": 1401, "n_theta": 4})),
+], ids=["theta_mode_k_1e20", "repeated_grid_wedge", "t_flux_multiplier_past_float64",
+        "cosh_dtheta_squared_past_float64"])
 def test_finite_extremes_next_to_a_named_error_give_a_report(tmp_path, capsys, command, config):
     assert main([command, "--config", write_config(tmp_path, config)]) == 0
     assert capsys.readouterr().out.startswith(f"command = {command}\n")

@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,25 @@ def test_numpy_free_goldens_on_other_cpu_paths(tmp_path, path):
                          capture_output=True, text=True).stdout
     names = [*CPU_INDEPENDENT, *(f"csv:{name}" for name in CSV_CASES)]
     assert out.split() == [word for name in names for word in (name, "True")]
+
+
+def placeholder_key(key: str) -> str:
+    """The key with a convention name as `<conv>` and an index as `<i>`:
+    closed.paper.V -> closed.<conv>.V, discrepancy.fit_vs_derived.V ->
+    discrepancy.fit_vs_<conv>.V, leaf.2.theta -> leaf.<i>.theta."""
+    key = re.sub(r"(?<=[._])(paper|derived)(?=\.)", "<conv>", key)
+    return re.sub(r"(?<=\.)[0-9]+(?=\.|$)", "<i>", key)
+
+
+def test_readme_names_every_golden_key():
+    # a key is named when README has it in backticks, as itself (such as
+    # discrepancy.paper_vs_derived.V) or in its placeholder form
+    readme = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([^`\s]+)`", readme))
+    keys = {line.split(" = ", 1)[0] for path in GOLDEN.glob("*.txt")
+            for line in path.read_text(encoding="utf-8").splitlines()}
+    assert len(keys) > 50
+    assert sorted(key for key in keys if not {key, placeholder_key(key)} & named) == []
 
 
 @pytest.mark.parametrize("name", sorted(LIMIT_SET_CASES))
